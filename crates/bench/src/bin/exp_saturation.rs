@@ -45,7 +45,7 @@ fn main() -> ExitCode {
         return match std::fs::read_to_string(&path) {
             Ok(text) => match saturation::validate_json(&text) {
                 Ok(()) => {
-                    println!("{path}: valid flowdns-bench/saturation/v3 document");
+                    println!("{path}: valid flowdns-bench/saturation/v4 document");
                     ExitCode::SUCCESS
                 }
                 Err(reason) => {
@@ -67,8 +67,9 @@ fn main() -> ExitCode {
     };
     println!("== Ingest saturation harness ({} mode) ==", mode(&config));
     println!(
-        "batched run: {} listeners, recv_batch {}; baseline: 1 listener, recv_batch 1",
-        config.netflow_listeners, config.recv_batch
+        "batched run: {} listeners, recv_batch {}; baseline: 1 listener, recv_batch 1; \
+         {} correlator shard(s)",
+        config.netflow_listeners, config.recv_batch, config.correlator_shards
     );
     let report = match saturation::run(&config) {
         Ok(report) => report,

@@ -2,8 +2,8 @@
 //!
 //! Streams a [`flowdns_gen::SubscriberPopulation`]-driven workload —
 //! millions of simulated subscriber lines, never materialized — through
-//! the real threaded correlator in both the classic and sharded layouts,
-//! kills and warm-restarts each mid-soak, and writes the endurance
+//! the real threaded correlator, kills and warm-restarts it mid-soak,
+//! and writes the endurance
 //! verdicts (bounded memory across rotation clear-ups, snapshot
 //! continuity, zero accepted-record loss) to `BENCH_soak.json`. See
 //! docs/WORKLOADS.md for methodology and the field-by-field schema.
@@ -109,49 +109,52 @@ fn main() -> ExitCode {
         }
     };
 
-    for mode in &report.modes {
-        println!(
-            "{:8} (shards={}): {} events, {} clear-ups, correlation {:.1}%",
-            mode.label,
-            mode.shards,
-            mode.events_streamed,
-            mode.clear_ups,
-            mode.correlation_rate_pct,
-        );
-        println!(
-            "  memory: {} post-clear-up samples, entries {}..{} ({})",
-            mode.memory_samples.len(),
-            mode.memory_samples.iter().map(|s| s.entries).min().unwrap_or(0),
-            mode.memory_samples.iter().map(|s| s.entries).max().unwrap_or(0),
-            if mode.memory_bounded(config.memory_band_factor) {
-                "bounded"
-            } else {
-                "UNBOUNDED"
-            },
-        );
-        println!(
-            "  restart: snapshot {} entries, warm start {} entries ({})",
-            mode.restart.snapshot_entries,
-            mode.restart.warm_start_entries,
-            if mode.restart.continuity {
-                "continuous"
-            } else {
-                "BROKEN"
-            },
-        );
-        println!(
-            "  loss: dns {}/{} accepted/processed, flows {}/{} ({})",
-            mode.loss.dns_accepted,
-            mode.loss.dns_processed,
-            mode.loss.flows_accepted,
-            mode.loss.flows_processed,
-            if mode.loss.zero_accepted_loss() {
-                "zero accepted loss"
-            } else {
-                "RECORDS LOST"
-            },
-        );
-    }
+    let run = &report.run;
+    println!(
+        "shards={}: {} events, {} clear-ups, correlation {:.1}%",
+        run.shards, run.events_streamed, run.clear_ups, run.correlation_rate_pct,
+    );
+    println!(
+        "  memory: {} post-clear-up samples, entries {}..{} ({})",
+        run.memory_samples.len(),
+        run.memory_samples
+            .iter()
+            .map(|s| s.entries)
+            .min()
+            .unwrap_or(0),
+        run.memory_samples
+            .iter()
+            .map(|s| s.entries)
+            .max()
+            .unwrap_or(0),
+        if run.memory_bounded(config.memory_band_factor) {
+            "bounded"
+        } else {
+            "UNBOUNDED"
+        },
+    );
+    println!(
+        "  restart: snapshot {} entries, warm start {} entries ({})",
+        run.restart.snapshot_entries,
+        run.restart.warm_start_entries,
+        if run.restart.continuity {
+            "continuous"
+        } else {
+            "BROKEN"
+        },
+    );
+    println!(
+        "  loss: dns {}/{} accepted/processed, flows {}/{} ({})",
+        run.loss.dns_accepted,
+        run.loss.dns_processed,
+        run.loss.flows_accepted,
+        run.loss.flows_processed,
+        if run.loss.zero_accepted_loss() {
+            "zero accepted loss"
+        } else {
+            "RECORDS LOST"
+        },
+    );
     println!(
         "verdicts: clear_ups_ok={} bounded_memory={} zero_loss={} warm_restart={}",
         report.clear_ups_ok(),

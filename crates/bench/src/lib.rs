@@ -3,9 +3,9 @@
 //! Experiment harness for the FlowDNS reproduction.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the full index); the Criterion benches
-//! under `benches/` cover the hot paths (sharded map, codecs, lookup
-//! chain, end-to-end pipeline throughput). This library holds the glue the
+//! paper (see DESIGN.md §4 for the full index) or feeds a committed
+//! `BENCH_*.json`; per-layer costs and the wire-to-sink figures are the
+//! job of `benchmark/` (docs/PERFORMANCE.md). This library holds the glue the
 //! binaries share: converting generator events into simulator events,
 //! deriving a BGP table and a blocklist that are consistent with the
 //! generated universe, and running a variant end to end.

@@ -21,18 +21,19 @@
 //! under scheduler jitter); accepted throughput at a fixed rate is not,
 //! which is what makes a sub-1 % overhead claim measurable at all.
 //!
-//! Schema v3 adds two things the raw knee cannot express. First, each
+//! Two things the raw knee cannot express ride along. First, each
 //! run also reports its **SLO knee** — the highest accepted rate whose
 //! step was *lossless* (`drop_pct == 0`) with a p99 queue wait at or
 //! under [`SLO_P99_LIMIT_US`] (10 ms) — because a deep bounded buffer
 //! can "sustain" a rate while holding every record for hundreds of
-//! milliseconds (the committed v2 knee did exactly that: 568 k rec/s at
-//! p99 = 393 ms of queue wait). Second, a `scaling` section re-runs the
-//! knee search with the shared-nothing sharded correlator at
-//! `correlator_shards` ∈ {1, 2, 4}, recording both knees and the p99
-//! queue wait at 80 % of the raw knee per point — the honest multi-core
-//! scaling curve (on a single-core host it honestly shows no
-//! throughput scaling; the SPSC rings still bound the queue-wait tail).
+//! milliseconds (the removed shared-queue pipeline did exactly that:
+//! 568 k rec/s at p99 = 393 ms of queue wait). Second, a `scaling`
+//! section reports the knee search at `correlator_shards` ∈ {1, 2, 4} —
+//! the 1-shard point *is* the batched run, 2 and 4 re-run it — recording
+//! both knees and the p99 queue wait at 80 % of the raw knee per point:
+//! the honest multi-core scaling curve (on a single-core host it
+//! honestly shows no throughput scaling; the SPSC rings still bound the
+//! queue-wait tail).
 //!
 //! The `variance` section guards the headline `speedup_vs_baseline`
 //! number: paired fixed-rate A/B arms (batched topology vs per-datagram
@@ -43,14 +44,15 @@
 //! host's own trial noise is not a claim.
 //!
 //! The result serializes to `BENCH_saturation.json` (schema
-//! `flowdns-bench/saturation/v3`, documented field-by-field in
+//! `flowdns-bench/saturation/v4`, documented field-by-field in
 //! `docs/PERFORMANCE.md`); [`validate_json`] is the structural checker
 //! CI runs against the committed file, rejecting missing keys, empty
 //! step lists, and non-finite numbers.
 //!
 //! Everything here measures *wall-clock* behaviour of real sockets and
-//! threads, unlike the Criterion benches, which measure in-process
-//! function costs — see the methodology note in `docs/PERFORMANCE.md`.
+//! threads with the output discarded; the wire-to-sink figures and the
+//! per-layer costs come from `benchmark/` — see the methodology note in
+//! `docs/PERFORMANCE.md`.
 
 use std::io::Write as IoWrite;
 use std::net::{SocketAddr, TcpStream, UdpSocket};
@@ -101,7 +103,7 @@ const OBS_PROBE_ROUNDS: usize = 4;
 /// the best accepted rate across its steps — loss noise only lowers a
 /// step, so the max is the honest capacity estimate.
 const OBS_PROBE_STEPS: usize = 3;
-/// The queue-wait SLO bound of the v3 "SLO knee": a step only counts as
+/// The queue-wait SLO bound of the "SLO knee": a step only counts as
 /// sustained-within-SLO when it was lossless *and* its sampled p99
 /// LookUp-queue residency stayed at or under this (10 ms). Chosen an
 /// order of magnitude above healthy service time and two below the
@@ -109,8 +111,7 @@ const OBS_PROBE_STEPS: usize = 3;
 pub const SLO_P99_LIMIT_US: u64 = 10_000;
 /// The fixed-rate tail probe after each knee search runs at this
 /// fraction of the raw knee; its p99 queue wait is the per-run
-/// `p99_at_80pct_us` — the number the shared-queue vs sharded-ring
-/// comparison is made at.
+/// `p99_at_80pct_us` — the number shard counts are compared at.
 const KNEE_PROBE_FRACTION: f64 = 0.8;
 /// Paired A/B rounds of the speedup-variance probe (full mode).
 const VARIANCE_ROUNDS: usize = 2;
@@ -128,8 +129,6 @@ pub struct SaturationConfig {
     pub netflow_listeners: usize,
     /// Drain bound of the batched run (the baseline always uses 1).
     pub recv_batch: usize,
-    /// LookUp worker threads.
-    pub lookup_workers: usize,
     /// Sender threads driving the offered load.
     pub senders: usize,
     /// Duration of each offered-load step.
@@ -154,9 +153,9 @@ pub struct SaturationConfig {
     /// step's drop rate — so the best of N trials is the honest reading
     /// and retries filter transient interference on shared hosts.
     pub trials: usize,
-    /// Shared-nothing correlator shards for this run (0 = the classic
-    /// shared-queue pipeline). The main batched/baseline runs use 0;
-    /// the `scaling` section clones the config with 1, 2, and 4.
+    /// Correlator shards for this run. The main batched/baseline runs
+    /// and every probe arm use 1; the `scaling` section clones the
+    /// config with 2 and 4.
     pub correlator_shards: usize,
 }
 
@@ -178,13 +177,12 @@ impl SaturationConfig {
         // Thread counts are deliberately lean: the harness usually runs
         // inside small CI boxes (often a single core), where extra
         // listener and worker threads only add scheduler churn. On big
-        // multi-core hosts, raising `netflow_listeners`, `senders`, and
-        // `lookup_workers` together scales the measured ceiling up.
+        // multi-core hosts, raising `netflow_listeners` and `senders`
+        // together scales the measured ceiling up.
         SaturationConfig {
             smoke: false,
             netflow_listeners: listeners_for_host(),
             recv_batch: 32,
-            lookup_workers: 2,
             senders: 1,
             step: Duration::from_secs(2),
             dns_entries: 4096,
@@ -194,7 +192,7 @@ impl SaturationConfig {
             max_steps: 14,
             drop_limit_pct: 1.0,
             trials: 3,
-            correlator_shards: 0,
+            correlator_shards: 1,
         }
     }
 
@@ -204,7 +202,6 @@ impl SaturationConfig {
             smoke: true,
             netflow_listeners: listeners_for_host(),
             recv_batch: 32,
-            lookup_workers: 2,
             senders: 1,
             step: Duration::from_millis(400),
             dns_entries: 256,
@@ -214,7 +211,7 @@ impl SaturationConfig {
             max_steps: 3,
             drop_limit_pct: 5.0,
             trials: 2,
-            correlator_shards: 0,
+            correlator_shards: 1,
         }
     }
 }
@@ -272,8 +269,8 @@ pub struct RunResult {
     /// load by letting the queue-wait tail blow out.
     pub slo_knee: Option<StepMetrics>,
     /// Sampled p99 queue wait of one fixed-rate probe step at
-    /// [`KNEE_PROBE_FRACTION`] of the raw knee, µs — the comparable
-    /// tail number across shared-queue and sharded-ring topologies.
+    /// `KNEE_PROBE_FRACTION` (80 %) of the raw knee, µs — the comparable
+    /// tail number across shard counts.
     pub p99_at_80pct_us: u64,
 }
 
@@ -387,8 +384,8 @@ pub struct SaturationReport {
     pub baseline: RunResult,
     /// The batched run re-measured with telemetry live, versus `batched`.
     pub obs_overhead: ObsOverhead,
-    /// Knee search repeated with the sharded correlator, one point per
-    /// shard count ({1, 2, 4} full, {2} smoke).
+    /// The knee search per shard count ({1, 2, 4} full — the 1-shard
+    /// point is `batched` itself — {2} smoke).
     pub scaling: Vec<ScalingPoint>,
     /// The paired A/B confidence probe behind `speedup_vs_baseline`.
     pub variance: SpeedupVariance,
@@ -407,8 +404,8 @@ impl SaturationReport {
 
 /// Run the full procedure: batched knee search, per-datagram baseline
 /// knee search, the paired telemetry-overhead probe at the batched knee
-/// rate, the speedup-variance probe at the same rate, and one sharded
-/// knee search per scaling shard count.
+/// rate, the speedup-variance probe at the same rate, and one knee
+/// search per further scaling shard count.
 pub fn run(config: &SaturationConfig) -> Result<SaturationReport, FlowDnsError> {
     let pool = saturation_pool(config.dns_entries);
     let datagrams = Arc::new(encode_datagrams(&pool, config.records_per_datagram)?);
@@ -424,27 +421,34 @@ pub fn run(config: &SaturationConfig) -> Result<SaturationReport, FlowDnsError> 
         measure_obs_overhead(config, &pool, &datagrams, batched.peak.offered_per_sec)?;
     let variance =
         measure_speedup_variance(config, &pool, &datagrams, batched.peak.offered_per_sec)?;
-    // The scaling curve: the same knee search with the shared-nothing
-    // sharded correlator. The smoke pass keeps a single 2-shard point so
-    // CI exercises the routed-counter accounting check on every run.
-    let shard_counts: &[usize] = if config.smoke { &[2] } else { &[1, 2, 4] };
-    let mut scaling = Vec::with_capacity(shard_counts.len());
-    for &shards in shard_counts {
-        let mut sharded = config.clone();
-        sharded.correlator_shards = shards;
+    // The scaling curve: the same knee search at more shards. The full
+    // pass starts from the batched run (its `correlator_shards` point);
+    // the smoke pass keeps a single 2-shard point so CI exercises the
+    // routed-counter accounting check across shards on every run.
+    let point = |shards: usize, run: &RunResult| ScalingPoint {
+        shards,
+        raw_knee_per_sec: run.peak.accepted_per_sec,
+        slo_knee_per_sec: run.slo_knee.map(|s| s.accepted_per_sec),
+        p99_at_80pct_us: run.p99_at_80pct_us,
+    };
+    let mut scaling = Vec::new();
+    let more_shards: &[usize] = if config.smoke {
+        &[2]
+    } else {
+        scaling.push(point(config.correlator_shards, &batched));
+        &[2, 4]
+    };
+    for &shards in more_shards {
+        let mut wider = config.clone();
+        wider.correlator_shards = shards;
         let run = run_one(
-            &sharded,
+            &wider,
             config.netflow_listeners,
             config.recv_batch,
             &pool,
             &datagrams,
         )?;
-        scaling.push(ScalingPoint {
-            shards,
-            raw_knee_per_sec: run.peak.accepted_per_sec,
-            slo_knee_per_sec: run.slo_knee.map(|s| s.accepted_per_sec),
-            p99_at_80pct_us: run.p99_at_80pct_us,
-        });
+        scaling.push(point(shards, &run));
     }
     Ok(SaturationReport {
         config: config.clone(),
@@ -690,9 +694,6 @@ impl ArmRuntime {
         daemon.ingest.dns_bind = "127.0.0.1:0".parse().expect("loopback addr");
         daemon.ingest.netflow_listeners = listeners;
         daemon.ingest.recv_batch = recv_batch;
-        daemon.correlator.lookup_workers = config.lookup_workers;
-        // 0 = classic shared queues; >0 = shared-nothing shard workers
-        // fed by key-routed SPSC rings (the `scaling` section's runs).
         daemon.correlator.correlator_shards = config.correlator_shards;
         // The telemetry arm turns on everything an operator would: the
         // scrape endpoint (polled below) and sampled flow tracing.
@@ -883,13 +884,11 @@ fn run_one(
     );
     let p99_at_80pct_us = probe.p99_queue_latency_us;
 
-    // Sharded runs must account for every accepted flow in the
-    // per-shard routed counters — the CI smoke pass runs this check on
-    // every push (a routing bug that loses or double-counts records
-    // would silently invalidate the whole scaling curve).
-    if config.correlator_shards > 0 {
-        verify_shard_routing(rt, config.correlator_shards)?;
-    }
+    // Every accepted flow must be accounted for in the per-shard routed
+    // counters — the CI smoke pass runs this check on every push (a
+    // routing bug that loses or double-counts records would silently
+    // invalidate the whole scaling curve).
+    verify_shard_routing(rt, config.correlator_shards)?;
     arm.finish()?;
 
     Ok(RunResult {
@@ -914,14 +913,14 @@ fn slo_knee_of(steps: &[StepMetrics]) -> Option<StepMetrics> {
         .copied()
 }
 
-/// Cross-check the sharded pipeline's accounting: the per-shard routed
+/// Cross-check the pipeline's routing accounting: the per-shard routed
 /// counters (SPSC lane accepts) must sum to exactly the flows the
 /// listener side reports as decoded-minus-queue-dropped, one counter
 /// vector entry per shard, and under a hash-balanced pool no shard may
 /// sit at zero.
 fn verify_shard_routing(rt: &IngestRuntime, shards: usize) -> Result<(), FlowDnsError> {
     let (_, flow_routed) = rt.correlator().shard_routed_counts().ok_or_else(|| {
-        FlowDnsError::PipelineState("sharded run exposes no per-shard routed counters".into())
+        FlowDnsError::PipelineState("correlator exposes no per-shard routed counters".into())
     })?;
     if flow_routed.len() != shards {
         return Err(FlowDnsError::PipelineState(format!(
@@ -1152,12 +1151,12 @@ fn variance_json(v: &SpeedupVariance) -> String {
 }
 
 impl SaturationReport {
-    /// Serialize to the `flowdns-bench/saturation/v3` JSON document.
+    /// Serialize to the `flowdns-bench/saturation/v4` JSON document.
     pub fn to_json(&self) -> String {
         format!(
-            "{{\n  \"schema\": \"flowdns-bench/saturation/v3\",\n  \"bench\": \"saturation\",\n  \
+            "{{\n  \"schema\": \"flowdns-bench/saturation/v4\",\n  \"bench\": \"saturation\",\n  \
              \"mode\": \"{}\",\n  \"config\": {{\"netflow_listeners\": {}, \"recv_batch\": {}, \
-             \"lookup_workers\": {}, \"senders\": {}, \"step_secs\": {}, \"trials\": {}, \
+             \"correlator_shards\": {}, \"senders\": {}, \"step_secs\": {}, \"trials\": {}, \
              \"dns_entries\": {}, \"records_per_datagram\": {}, \"slo_p99_limit_us\": {}}},\n  \
              \"batched\": {},\n  \
              \"baseline\": {},\n  \"speedup_vs_baseline\": {},\n  \"obs_overhead\": \
@@ -1167,7 +1166,7 @@ impl SaturationReport {
             if self.config.smoke { "smoke" } else { "full" },
             self.config.netflow_listeners,
             self.config.recv_batch,
-            self.config.lookup_workers,
+            self.config.correlator_shards,
             self.config.senders,
             jnum(self.config.step.as_secs_f64()),
             self.config.trials,
@@ -1245,7 +1244,7 @@ fn check_run(doc: &Json, name: &str) -> Result<(), String> {
     if require_num(peak, "accepted_per_sec", name)? <= 0.0 {
         return Err(format!("{name}.peak: accepted_per_sec must be positive"));
     }
-    // v3: the SLO knee may honestly be null (no lossless ≤10 ms step),
+    // The SLO knee may honestly be null (no lossless ≤10 ms step),
     // but the key itself must be present, and when it is a step it must
     // be a complete one.
     match run.get("slo_knee") {
@@ -1326,19 +1325,19 @@ fn check_variance(doc: &Json) -> Result<(), String> {
     }
 }
 
-/// Validate a `BENCH_saturation.json` document against the v3 schema:
+/// Validate a `BENCH_saturation.json` document against the v4 schema:
 /// every documented key present, steps non-empty, every numeric field
 /// finite (non-negative except `regression_pct` and `effect_pct`,
 /// which noise can push below zero), both runs' peaks positive, each
 /// run's `slo_knee` present (possibly null) and `p99_at_80pct_us`
 /// recorded, the speedup recorded, the `obs_overhead` section complete
 /// with at least one completed scrape, the `variance` confidence probe
-/// complete, and a non-empty sharded `scaling` curve. Returns a
+/// complete, and a non-empty `scaling` curve. Returns a
 /// human-readable reason on failure.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let doc = parse_document(text)?;
     match doc.get("schema").and_then(Json::as_str) {
-        Some("flowdns-bench/saturation/v3") => {}
+        Some("flowdns-bench/saturation/v4") => {}
         Some(other) => return Err(format!("unknown schema '{other}'")),
         None => return Err("missing 'schema'".into()),
     }
@@ -1350,7 +1349,7 @@ pub fn validate_json(text: &str) -> Result<(), String> {
     for key in [
         "netflow_listeners",
         "recv_batch",
-        "lookup_workers",
+        "correlator_shards",
         "senders",
         "step_secs",
         "trials",
@@ -1485,8 +1484,9 @@ mod tests {
         // Remove a required key.
         let missing = good.replace("\"speedup_vs_baseline\"", "\"renamed\"");
         assert!(validate_json(&missing).is_err());
-        // Wrong schema string (the pre-SLO-knee revision).
-        let wrong = good.replace("saturation/v3", "saturation/v2");
+        // Only the current schema: v3 documents carry the removed
+        // shared-queue runs and their worker-pool size.
+        let wrong = good.replace("saturation/v4", "saturation/v3");
         assert!(validate_json(&wrong).is_err());
         // A telemetry run that never scraped is a broken measurement.
         let mut no_scrapes = fake_report();
@@ -1569,7 +1569,7 @@ mod tests {
     }
 
     #[test]
-    fn validator_requires_v3_sections() {
+    fn validator_requires_slo_scaling_and_variance_sections() {
         // A null slo_knee is honest and allowed.
         let mut no_knee = fake_report();
         no_knee.batched.slo_knee = None;
@@ -1598,8 +1598,8 @@ mod tests {
 
     #[test]
     fn parser_handles_scalars_and_nesting() {
-        let v = parse_document("{\"a\": [1, 2.5, true, null, \"x\"], \"b\": {\"c\": -3e2}}")
-            .unwrap();
+        let v =
+            parse_document("{\"a\": [1, 2.5, true, null, \"x\"], \"b\": {\"c\": -3e2}}").unwrap();
         assert_eq!(v.get("b").unwrap().get("c").unwrap().as_num(), Some(-300.0));
         match v.get("a") {
             Some(Json::Arr(items)) => assert_eq!(items.len(), 5),

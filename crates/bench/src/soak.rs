@@ -6,12 +6,12 @@
 //! harness compresses that week: a [`SubscriberPopulation`]-driven
 //! streamed workload (millions of simulated subscriber lines, diurnal
 //! curve, heavy-tailed flows — never materialized) is pushed through the
-//! **real threaded [`Correlator`]** at full speed, in both the classic
-//! shared-queue layout and the shared-nothing sharded layout, and three
-//! deployment claims are measured per mode:
+//! **real threaded [`Correlator`]** at full speed, and three deployment
+//! claims are measured:
 //!
-//! 1. **bounded memory** — the store's [`StoreHealth`] is sampled right
-//!    after every rotation clear-up; across ≥ 3 clear-ups the post-clear-up
+//! 1. **bounded memory** — the store's
+//!    [`StoreHealth`](flowdns_core::StoreHealth) is sampled right after
+//!    every rotation clear-up; across ≥ 3 clear-ups the post-clear-up
 //!    entry count must stay within a configured band of its median
 //!    (`memory_band_factor`), i.e. rotation genuinely returns the store
 //!    to a working set instead of accreting;
@@ -20,12 +20,13 @@
 //!    file; the restored entry count must equal what was serialized, and
 //!    the second half of the week continues against the warm store;
 //! 3. **zero accepted-record loss** — every record the pipeline
-//!    *accepted* must be accounted for by [`PipelineMetrics`]
-//!    (`fillup.total()` / `lookup.total()`), and in sharded mode the
-//!    per-shard routed counters must sum to exactly the accepted totals.
+//!    *accepted* must be accounted for by
+//!    [`PipelineMetrics`](flowdns_core::PipelineMetrics)
+//!    (`fillup.total()` / `lookup.total()`), and the per-shard routed
+//!    counters must sum to exactly the accepted totals.
 //!
 //! Results are written to `BENCH_soak.json`
-//! (schema `flowdns-bench/soak/v1`, documented in docs/WORKLOADS.md and
+//! (schema `flowdns-bench/soak/v2`, documented in docs/WORKLOADS.md and
 //! validated on write); the CI `soak-smoke` job greps the verdicts.
 
 use std::time::Duration;
@@ -38,9 +39,9 @@ use flowdns_types::{DnsRecord, FlowRecord, SimDuration};
 use crate::jsonv::{parse_document, require_bool, require_num, Json};
 
 /// The soak schema identifier.
-pub const SCHEMA: &str = "flowdns-bench/soak/v1";
+pub const SCHEMA: &str = "flowdns-bench/soak/v2";
 
-/// Configuration of one soak run (both modes share it).
+/// Configuration of one soak run.
 #[derive(Debug, Clone)]
 pub struct SoakConfig {
     /// Preset name of the population (`residential`, `business`,
@@ -64,8 +65,7 @@ pub struct SoakConfig {
     pub a_clear_up_secs: u64,
     /// `CClearUpInterval` for the soak, seconds.
     pub c_clear_up_secs: u64,
-    /// Shard count of the sharded-mode run (the classic run always uses
-    /// 0).
+    /// `correlator_shards` of the soaked correlator.
     pub soak_shards: usize,
     /// Bounded-memory band: every post-clear-up entry count must lie
     /// within `[median / factor, median * factor]`.
@@ -96,7 +96,7 @@ impl SoakConfig {
 
     /// The full tier: a compressed week (168 simulated hours) of the
     /// mixed 2.4M-line population at paper clear-up intervals, restarted
-    /// mid-week. Streams > 10M events per mode.
+    /// mid-week. Streams > 10M events.
     pub fn full() -> Self {
         SoakConfig {
             population_name: "mixed".into(),
@@ -134,12 +134,8 @@ impl SoakConfig {
             }
             "subscribers" => self.population.subscribers = num(key, value)? as u32,
             "subscriber_skew" => self.population.subscriber_skew = num(key, value)?,
-            "service_concentration" => {
-                self.population.service_concentration = num(key, value)?
-            }
-            "dns_flow_lag_micros" => {
-                self.population.dns_flow_lag_micros = num(key, value)? as u64
-            }
+            "service_concentration" => self.population.service_concentration = num(key, value)?,
+            "dns_flow_lag_micros" => self.population.dns_flow_lag_micros = num(key, value)? as u64,
             "sim_hours" => self.sim_hours = num(key, value)? as u64,
             "peak_flows_per_sec" => self.peak_flows_per_sec = num(key, value)?,
             "background_dns_per_sec" => self.background_dns_per_sec = num(key, value)?,
@@ -182,18 +178,17 @@ impl SoakConfig {
         })
     }
 
-    fn correlator_config(&self, shards: usize, snapshot_path: &str) -> CorrelatorConfig {
-        let mut cfg = CorrelatorConfig {
+    fn correlator_config(&self, snapshot_path: &str) -> CorrelatorConfig {
+        CorrelatorConfig {
             a_clear_up_interval: SimDuration::from_secs(self.a_clear_up_secs),
             c_clear_up_interval: SimDuration::from_secs(self.c_clear_up_secs),
+            correlator_shards: self.soak_shards,
+            snapshot_path: Some(snapshot_path.to_string()),
+            // Shutdown-only snapshots: the mid-soak restart is the one
+            // write that matters, and it must not race a periodic writer.
+            snapshot_interval: Duration::ZERO,
             ..CorrelatorConfig::default()
-        };
-        cfg.correlator_shards = shards;
-        cfg.snapshot_path = Some(snapshot_path.to_string());
-        // Shutdown-only snapshots: the mid-soak restart is the one write
-        // that matters, and it must not race a periodic writer.
-        cfg.snapshot_interval = Duration::ZERO;
-        cfg
+        }
     }
 }
 
@@ -210,7 +205,7 @@ pub struct MemorySample {
     pub payload_bytes: u64,
 }
 
-/// The restart checkpoint of one mode.
+/// The restart checkpoint.
 #[derive(Debug, Clone)]
 pub struct RestartOutcome {
     /// Entries serialized into the shutdown snapshot.
@@ -223,7 +218,7 @@ pub struct RestartOutcome {
     pub continuity: bool,
 }
 
-/// Accepted-record reconciliation of one mode (both instances summed).
+/// Accepted-record reconciliation (both instances summed).
 #[derive(Debug, Clone)]
 pub struct LossOutcome {
     /// DNS records offered to `push_dns_batch`.
@@ -238,37 +233,33 @@ pub struct LossOutcome {
     pub flows_accepted: u64,
     /// Flow records the LookUp stages processed.
     pub flows_processed: u64,
-    /// Sum of per-shard routed DNS counters (sharded mode only).
-    pub shard_routed_dns: Option<u64>,
-    /// Sum of per-shard routed flow counters (sharded mode only).
-    pub shard_routed_flows: Option<u64>,
+    /// Sum of per-shard routed DNS counters.
+    pub shard_routed_dns: u64,
+    /// Sum of per-shard routed flow counters.
+    pub shard_routed_flows: u64,
 }
 
 impl LossOutcome {
-    /// Every accepted record reached its stage, and in sharded mode the
-    /// routed counters agree exactly.
+    /// Every accepted record reached its stage, and the per-shard routed
+    /// counters agree exactly.
     pub fn zero_accepted_loss(&self) -> bool {
         self.dns_processed == self.dns_accepted
             && self.flows_processed == self.flows_accepted
-            && self.shard_routed_dns.map_or(true, |n| n == self.dns_accepted)
-            && self
-                .shard_routed_flows
-                .map_or(true, |n| n == self.flows_accepted)
+            && self.shard_routed_dns == self.dns_accepted
+            && self.shard_routed_flows == self.flows_accepted
     }
 }
 
-/// The outcome of one mode (classic or sharded) of the soak.
+/// The outcome of the soak run.
 #[derive(Debug)]
-pub struct ModeOutcome {
-    /// `"classic"` or `"sharded"`.
-    pub label: &'static str,
-    /// Correlator shards (0 = classic).
+pub struct RunOutcome {
+    /// Correlator shards.
     pub shards: usize,
-    /// Events streamed through this mode.
+    /// Events streamed through the run.
     pub events_streamed: u64,
     /// Post-clear-up memory samples, in time order.
     pub memory_samples: Vec<MemorySample>,
-    /// Total clear-ups across the whole mode.
+    /// Total clear-ups across the whole run.
     pub clear_ups: u64,
     /// The restart checkpoint.
     pub restart: RestartOutcome,
@@ -278,7 +269,7 @@ pub struct ModeOutcome {
     pub correlation_rate_pct: f64,
 }
 
-impl ModeOutcome {
+impl RunOutcome {
     /// Do the post-clear-up samples stay within the band?
     pub fn memory_bounded(&self, band_factor: f64) -> bool {
         let mut entries: Vec<u64> = self.memory_samples.iter().map(|s| s.entries).collect();
@@ -294,38 +285,34 @@ impl ModeOutcome {
     }
 }
 
-/// The whole soak result: one outcome per mode plus the config echo.
+/// The whole soak result: the run's outcome plus the config echo.
 #[derive(Debug)]
 pub struct SoakReport {
     /// The configuration that produced this report.
     pub config: SoakConfig,
-    /// Outcomes: `[classic, sharded]`.
-    pub modes: Vec<ModeOutcome>,
+    /// The run's outcome.
+    pub run: RunOutcome,
 }
 
 impl SoakReport {
-    /// ≥ 3 clear-ups observed in every mode.
+    /// ≥ 3 clear-ups observed.
     pub fn clear_ups_ok(&self) -> bool {
-        self.modes.iter().all(|m| m.memory_samples.len() >= 3)
+        self.run.memory_samples.len() >= 3
     }
 
-    /// Bounded memory in every mode.
+    /// Bounded memory across the clear-ups.
     pub fn bounded_memory(&self) -> bool {
-        self.modes
-            .iter()
-            .all(|m| m.memory_bounded(self.config.memory_band_factor))
+        self.run.memory_bounded(self.config.memory_band_factor)
     }
 
-    /// Zero accepted-record loss in every mode.
+    /// Zero accepted-record loss.
     pub fn zero_loss(&self) -> bool {
-        self.modes.iter().all(|m| m.loss.zero_accepted_loss())
+        self.run.loss.zero_accepted_loss()
     }
 
-    /// Snapshot continuity across the restart in every mode.
+    /// Snapshot continuity across the restart.
     pub fn warm_restart(&self) -> bool {
-        self.modes
-            .iter()
-            .all(|m| m.restart.warm_started && m.restart.continuity)
+        self.run.restart.warm_started && self.run.restart.continuity
     }
 
     /// All four verdicts.
@@ -385,17 +372,19 @@ impl Feeder {
         self.flush_flows(correlator);
     }
 
-    /// Backpressure: never offer a chunk that could overflow a queue —
-    /// accepted == offered is what makes the loss ledger exact. The
-    /// workers drain continuously, so this spins only under a genuinely
-    /// saturated pipeline.
+    /// Backpressure: never offer a chunk that could overflow a ring —
+    /// accepted == offered is what makes the loss ledger exact. A chunk
+    /// may land entirely in one lane, so there is room when the summed
+    /// depth plus the chunk fits a single ring. The workers drain
+    /// continuously, so this spins only under a genuinely saturated
+    /// pipeline.
     fn wait_for_room(&self, correlator: &Correlator) {
         let cfg = correlator.config();
-        let fillup_cap = cfg.fillup_queue_capacity;
-        let lookup_cap = cfg.lookup_queue_capacity;
+        let dns_cap = cfg.shard_dns_ring_capacity;
+        let flow_cap = cfg.shard_flow_ring_capacity;
         loop {
             let (fillup, lookup, _) = correlator.queue_depths();
-            if fillup + CHUNK < fillup_cap && lookup + CHUNK < lookup_cap {
+            if fillup + CHUNK < dns_cap && lookup + CHUNK < flow_cap {
                 return;
             }
             std::thread::yield_now();
@@ -436,7 +425,7 @@ struct InstanceRun {
     dns_accepted: u64,
     flows_offered: u64,
     flows_accepted: u64,
-    routed: Option<(u64, u64)>,
+    routed: (u64, u64),
 }
 
 /// Stream `events` into a fresh correlator until the iterator is
@@ -505,7 +494,9 @@ where
     }
     let routed = correlator
         .shard_routed_counts()
-        .map(|(dns, flows)| (dns.iter().sum(), flows.iter().sum()));
+        .map_or((0, 0), |(dns, flows)| {
+            (dns.iter().sum(), flows.iter().sum())
+        });
     let report = correlator
         .finish()
         .map_err(|e| format!("correlator finish: {e}"))?;
@@ -520,22 +511,28 @@ where
     })
 }
 
-fn run_mode(
-    soak: &SoakConfig,
-    label: &'static str,
-    shards: usize,
-) -> Result<ModeOutcome, String> {
+/// Run the soak: one correlator up to the restart point, a second one
+/// warm-started from its snapshot for the rest of the week. Progress
+/// lines go to stderr via `progress`.
+pub fn run(soak: &SoakConfig, mut progress: impl FnMut(&str)) -> Result<SoakReport, String> {
+    progress(&format!(
+        "shards={}: streaming {} simulated hours of '{}' ({} subscribers), restart at hour {}",
+        soak.soak_shards,
+        soak.sim_hours,
+        soak.population_name,
+        soak.population.subscribers,
+        soak.restart_at_hour,
+    ));
     let snapshot_path = std::env::temp_dir().join(format!(
-        "flowdns_soak_{}_{}_{}.snapshot",
+        "flowdns_soak_{}_{}.snapshot",
         std::process::id(),
-        label,
         soak.seed
     ));
     let snapshot_path = snapshot_path.to_string_lossy().into_owned();
     // A stale file from a killed previous run must not warm-start us.
     let _ = std::fs::remove_file(&snapshot_path);
 
-    let config = soak.correlator_config(shards, &snapshot_path);
+    let config = soak.correlator_config(&snapshot_path);
     let workload = soak.workload();
     let mut events = workload.events().peekable();
     let restart_sec = (soak.restart_at_hour * 3_600.0) as u64;
@@ -553,12 +550,18 @@ fn run_mode(
     )?;
     let snapshot_entries = first.report.metrics.snapshot.last_entries;
     if first.report.metrics.snapshot.snapshots_written == 0 {
-        return Err(format!("{label}: first instance wrote no shutdown snapshot"));
+        return Err("first instance wrote no shutdown snapshot".into());
     }
 
     // Second instance: warm start from the snapshot, stream the rest of
     // the week.
-    let second = run_instance(&config, &mut events, None, &mut samples, &mut events_streamed)?;
+    let second = run_instance(
+        &config,
+        &mut events,
+        None,
+        &mut samples,
+        &mut events_streamed,
+    )?;
     let _ = std::fs::remove_file(&snapshot_path);
     let restart = RestartOutcome {
         snapshot_entries,
@@ -573,16 +576,9 @@ fn run_mode(
         dns_processed: first.report.metrics.fillup.total() + second.report.metrics.fillup.total(),
         flows_offered: first.flows_offered + second.flows_offered,
         flows_accepted: first.flows_accepted + second.flows_accepted,
-        flows_processed: first.report.metrics.lookup.total()
-            + second.report.metrics.lookup.total(),
-        shard_routed_dns: match (first.routed, second.routed) {
-            (Some(a), Some(b)) => Some(a.0 + b.0),
-            _ => None,
-        },
-        shard_routed_flows: match (first.routed, second.routed) {
-            (Some(a), Some(b)) => Some(a.1 + b.1),
-            _ => None,
-        },
+        flows_processed: first.report.metrics.lookup.total() + second.report.metrics.lookup.total(),
+        shard_routed_dns: first.routed.0 + second.routed.0,
+        shard_routed_flows: first.routed.1 + second.routed.1,
     };
     let first_bytes = first.report.volumes.total.bytes() as f64;
     let second_bytes = second.report.volumes.total.bytes() as f64;
@@ -595,46 +591,27 @@ fn run_mode(
             / total_bytes
     };
     let clear_ups = samples.last().map(|s| s.clear_ups).unwrap_or(0);
-    Ok(ModeOutcome {
-        label,
-        shards,
+    let run = RunOutcome {
+        shards: soak.soak_shards,
         events_streamed,
         memory_samples: samples,
         clear_ups,
         restart,
         loss,
         correlation_rate_pct,
-    })
-}
-
-/// Run the full soak: classic mode, then sharded mode, same workload
-/// seed. Progress lines go to stderr via `progress`.
-pub fn run(soak: &SoakConfig, mut progress: impl FnMut(&str)) -> Result<SoakReport, String> {
-    let mut modes = Vec::new();
-    for (label, shards) in [("classic", 0usize), ("sharded", soak.soak_shards)] {
-        progress(&format!(
-            "mode {label} (shards={shards}): streaming {} simulated hours of '{}' \
-             ({} subscribers), restart at hour {}",
-            soak.sim_hours,
-            soak.population_name,
-            soak.population.subscribers,
-            soak.restart_at_hour,
-        ));
-        let outcome = run_mode(soak, label, shards)?;
-        progress(&format!(
-            "mode {label}: {} events, {} clear-ups, {} post-clear-up samples, \
-             correlation {:.1}%, warm_start {} entries",
-            outcome.events_streamed,
-            outcome.clear_ups,
-            outcome.memory_samples.len(),
-            outcome.correlation_rate_pct,
-            outcome.restart.warm_start_entries,
-        ));
-        modes.push(outcome);
-    }
+    };
+    progress(&format!(
+        "{} events, {} clear-ups, {} post-clear-up samples, correlation {:.1}%, \
+         warm_start {} entries",
+        run.events_streamed,
+        run.clear_ups,
+        run.memory_samples.len(),
+        run.correlation_rate_pct,
+        run.restart.warm_start_entries,
+    ));
     Ok(SoakReport {
         config: soak.clone(),
-        modes,
+        run,
     })
 }
 
@@ -650,14 +627,7 @@ fn jnum(x: f64) -> String {
     }
 }
 
-fn jopt(x: Option<u64>) -> String {
-    match x {
-        Some(n) => n.to_string(),
-        None => "null".into(),
-    }
-}
-
-fn mode_json(m: &ModeOutcome, band_factor: f64) -> String {
+fn run_json(m: &RunOutcome, band_factor: f64) -> String {
     let samples = m
         .memory_samples
         .iter()
@@ -671,7 +641,6 @@ fn mode_json(m: &ModeOutcome, band_factor: f64) -> String {
         .join(", ");
     format!(
         r#"{{
-      "label": "{label}",
       "shards": {shards},
       "events_streamed": {events},
       "clear_ups": {clear_ups},
@@ -681,7 +650,6 @@ fn mode_json(m: &ModeOutcome, band_factor: f64) -> String {
       "loss": {{"dns_offered": {dof}, "dns_accepted": {dacc}, "dns_processed": {dproc}, "flows_offered": {fof}, "flows_accepted": {facc}, "flows_processed": {fproc}, "shard_routed_dns": {rdns}, "shard_routed_flows": {rflows}, "zero_accepted_loss": {zl}}},
       "correlation_rate_pct": {corr}
     }}"#,
-        label = m.label,
         shards = m.shards,
         events = m.events_streamed,
         clear_ups = m.clear_ups,
@@ -697,8 +665,8 @@ fn mode_json(m: &ModeOutcome, band_factor: f64) -> String {
         fof = m.loss.flows_offered,
         facc = m.loss.flows_accepted,
         fproc = m.loss.flows_processed,
-        rdns = jopt(m.loss.shard_routed_dns),
-        rflows = jopt(m.loss.shard_routed_flows),
+        rdns = m.loss.shard_routed_dns,
+        rflows = m.loss.shard_routed_flows,
         zl = m.loss.zero_accepted_loss(),
         corr = jnum(m.correlation_rate_pct),
     )
@@ -708,12 +676,7 @@ impl SoakReport {
     /// Render the report as the `BENCH_soak.json` document.
     pub fn to_json(&self) -> String {
         let c = &self.config;
-        let modes = self
-            .modes
-            .iter()
-            .map(|m| mode_json(m, c.memory_band_factor))
-            .collect::<Vec<_>>()
-            .join(",\n    ");
+        let run = run_json(&self.run, c.memory_band_factor);
         format!(
             r#"{{
   "schema": "{schema}",
@@ -732,7 +695,7 @@ impl SoakReport {
     "memory_band_factor": {band}
   }},
   "runs": [
-    {modes}
+    {run}
   ],
   "verdicts": {{
     "clear_ups_ok": {v_clear},
@@ -755,7 +718,7 @@ impl SoakReport {
             cc = c.c_clear_up_secs,
             shards = c.soak_shards,
             band = jnum(c.memory_band_factor),
-            modes = modes,
+            run = run,
             v_clear = self.clear_ups_ok(),
             v_mem = self.bounded_memory(),
             v_loss = self.zero_loss(),
@@ -768,14 +731,9 @@ impl SoakReport {
 // JSON validation (the CI `--check` path)
 // ---------------------------------------------------------------------
 
-fn check_mode(run: &Json, context: &str) -> Result<(), String> {
-    match run.get("label").and_then(Json::as_str) {
-        Some("classic") | Some("sharded") => {}
-        _ => return Err(format!("{context}: 'label' must be classic or sharded")),
-    }
-    let shards = require_num(run, "shards", context)?;
-    if shards < 0.0 {
-        return Err(format!("{context}: 'shards' is negative"));
+fn check_run(run: &Json, context: &str) -> Result<(), String> {
+    if require_num(run, "shards", context)? < 1.0 {
+        return Err(format!("{context}: 'shards' must be at least 1"));
     }
     if require_num(run, "events_streamed", context)? <= 0.0 {
         return Err(format!("{context}: 'events_streamed' must be positive"));
@@ -822,25 +780,11 @@ fn check_mode(run: &Json, context: &str) -> Result<(), String> {
         "flows_offered",
         "flows_accepted",
         "flows_processed",
+        "shard_routed_dns",
+        "shard_routed_flows",
     ] {
         if require_num(loss, key, context)? < 0.0 {
             return Err(format!("{context}.loss: '{key}' is negative"));
-        }
-    }
-    // Sharded runs must carry routed counters; classic runs must not.
-    let routed = loss.get("shard_routed_dns");
-    match (shards as u64, routed) {
-        (0, Some(Json::Null)) => {}
-        (0, _) => {
-            return Err(format!(
-                "{context}.loss: classic run must have null 'shard_routed_dns'"
-            ))
-        }
-        (_, Some(Json::Num(_))) => {}
-        _ => {
-            return Err(format!(
-                "{context}.loss: sharded run must have numeric 'shard_routed_dns'"
-            ))
         }
     }
     require_bool(loss, "zero_accepted_loss", context)?;
@@ -853,10 +797,10 @@ fn check_mode(run: &Json, context: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Validate a `BENCH_soak.json` document against the v1 schema. Every
-/// documented key must be present, both runs (classic and sharded) must
-/// carry ≥ 3 post-clear-up memory samples, the restart and loss ledgers
-/// must be complete, and the four verdict booleans must exist. Returns a
+/// Validate a `BENCH_soak.json` document against the v2 schema. Every
+/// documented key must be present, the one run must carry ≥ 3
+/// post-clear-up memory samples, the restart and loss ledgers must be
+/// complete, and the four verdict booleans must exist. Returns a
 /// human-readable reason on failure.
 pub fn validate_json(text: &str) -> Result<(), String> {
     let doc = parse_document(text)?;
@@ -894,14 +838,17 @@ pub fn validate_json(text: &str) -> Result<(), String> {
         Some(Json::Arr(runs)) => runs,
         _ => return Err("'runs' must be an array".into()),
     };
-    if runs.len() != 2 {
-        return Err(format!("expected 2 runs (classic, sharded), have {}", runs.len()));
-    }
-    for (i, run) in runs.iter().enumerate() {
-        check_mode(run, &format!("runs[{i}]"))?;
+    match runs.as_slice() {
+        [run] => check_run(run, "runs[0]")?,
+        _ => return Err(format!("expected exactly 1 run, have {}", runs.len())),
     }
     let verdicts = doc.get("verdicts").ok_or("missing 'verdicts'")?;
-    for key in ["clear_ups_ok", "bounded_memory", "zero_loss", "warm_restart"] {
+    for key in [
+        "clear_ups_ok",
+        "bounded_memory",
+        "zero_loss",
+        "warm_restart",
+    ] {
         require_bool(verdicts, key, "verdicts")?;
     }
     Ok(())
@@ -930,15 +877,21 @@ mod tests {
     #[test]
     fn smoke_soak_is_green_and_emits_valid_json() {
         let report = run(&tiny_soak(), |_| {}).expect("soak runs");
-        assert_eq!(report.modes.len(), 2);
-        assert_eq!(report.modes[0].shards, 0);
-        assert_eq!(report.modes[1].shards, 2);
-        assert!(report.clear_ups_ok(), "clear-ups: {:?}", report.modes[0].clear_ups);
+        assert_eq!(report.run.shards, 2);
+        assert!(
+            report.clear_ups_ok(),
+            "clear-ups: {:?}",
+            report.run.clear_ups
+        );
         assert!(report.bounded_memory());
-        assert!(report.zero_loss(), "loss: {:?}", report.modes[0].loss);
-        assert!(report.warm_restart(), "restart: {:?}", report.modes[0].restart);
+        assert!(report.zero_loss(), "loss: {:?}", report.run.loss);
+        assert!(report.warm_restart(), "restart: {:?}", report.run.restart);
         let json = report.to_json();
         validate_json(&json).expect("emitted JSON validates");
+        // Only the current schema is accepted: a v1 two-mode document
+        // (classic + sharded) must not pass as a v2 one.
+        let v1 = json.replace("soak/v2", "soak/v1");
+        assert!(validate_json(&v1).unwrap_err().contains("unknown schema"));
     }
 
     #[test]
@@ -957,9 +910,7 @@ mod tests {
     fn validate_rejects_broken_documents() {
         assert!(validate_json("").is_err());
         assert!(validate_json("{}").is_err());
-        let report = format!(
-            r#"{{"schema": "{SCHEMA}", "mode": "smoke", "config": {{}}}}"#
-        );
+        let report = format!(r#"{{"schema": "{SCHEMA}", "mode": "smoke", "config": {{}}}}"#);
         assert!(validate_json(&report).is_err());
     }
 }

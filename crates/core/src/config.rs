@@ -1,4 +1,4 @@
-//! Correlator configuration: the Table 1 parameters plus worker and queue
+//! Correlator configuration: the Table 1 parameters plus shard and ring
 //! sizing, and the ablation variants of Section 4.
 //!
 //! The paper states the system "can be adapted to use other data formats
@@ -26,7 +26,8 @@ pub enum Variant {
     /// Long-TTL records go to the Active maps instead of Long maps.
     NoLongHashmaps,
     /// Records are expired by their exact TTL with a periodic purge
-    /// (Appendix A.8).
+    /// (Appendix A.8). Simulator-only: [`crate::OfflineSimulator`] runs
+    /// it as the accuracy/cost oracle, [`crate::Correlator`] refuses it.
     ExactTtl,
 }
 
@@ -75,6 +76,19 @@ impl std::fmt::Display for Variant {
     }
 }
 
+/// Where every "this key/value is gone" error sends the operator.
+pub(crate) const MIGRATION_HINT: &str = "see docs/MIGRATION.md, PR 16";
+
+/// Config keys of the deleted classic FillUp/LookUp pipeline and the key
+/// that now does their job. A conf file still carrying one fails with an
+/// error naming both, not the generic "unknown key".
+const RETIRED_KEYS: [(&str, &str); 4] = [
+    ("fillup_workers", "correlator_shards"),
+    ("lookup_workers", "correlator_shards"),
+    ("fillup_queue_capacity", "shard_dns_ring_capacity"),
+    ("lookup_queue_capacity", "shard_flow_ring_capacity"),
+];
+
 /// Full configuration of a correlator instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelatorConfig {
@@ -90,16 +104,8 @@ pub struct CorrelatorConfig {
     pub cname_loop_limit: usize,
     /// Number of shards inside each concurrent hashmap.
     pub map_shards: usize,
-    /// Number of FillUp worker threads (live pipeline only).
-    pub fillup_workers: usize,
-    /// Number of LookUp worker threads (live pipeline only).
-    pub lookup_workers: usize,
     /// Number of Write worker threads (live pipeline only).
     pub write_workers: usize,
-    /// Capacity of the FillUp queue (records).
-    pub fillup_queue_capacity: usize,
-    /// Capacity of the LookUp queue (records).
-    pub lookup_queue_capacity: usize,
     /// Capacity of the Write queue (records).
     pub write_queue_capacity: usize,
     /// Purge interval of the exact-TTL strawman (Appendix A.8).
@@ -122,20 +128,20 @@ pub struct CorrelatorConfig {
     /// `Duration::ZERO` keeps only the shutdown snapshot. Ignored unless
     /// [`CorrelatorConfig::snapshot_path`] is set.
     pub snapshot_interval: Duration,
-    /// Number of shared-nothing correlator shards. `0` (the default)
-    /// keeps the classic shared-queue pipeline with
-    /// [`CorrelatorConfig::fillup_workers`] /
-    /// [`CorrelatorConfig::lookup_workers`]; any positive value switches
-    /// to key-routed SPSC ingress where each shard owns an exclusive
-    /// partition of the IP-NAME store and performs both FillUp and
-    /// LookUp for its key range (`fillup_workers`/`lookup_workers` are
-    /// then ignored — see MIGRATION.md).
+    /// Number of shared-nothing correlator shards, at least 1. Records
+    /// are routed by IP key at decode time into per-shard SPSC rings;
+    /// each shard worker owns an exclusive partition of the IP-NAME
+    /// store and performs both FillUp and LookUp for its key range.
+    /// The default is the constant 4, not the host's core count: the
+    /// snapshot layout is a function of the shard count, so a default
+    /// that moved with the machine size would turn a resize into a cold
+    /// start.
     pub correlator_shards: usize,
     /// Capacity of each per-(producer, shard) DNS ingress ring, in
-    /// records (sharded mode only; rounded up to a power of two).
+    /// records (rounded up to a power of two).
     pub shard_dns_ring_capacity: usize,
     /// Capacity of each per-(producer, shard) flow ingress ring, in
-    /// records (sharded mode only; rounded up to a power of two).
+    /// records (rounded up to a power of two).
     pub shard_flow_ring_capacity: usize,
     /// Flight-recorder sampling interval: every n-th decoded flow gets a
     /// trace token and emits one JSONL span at egress. `0` (the default)
@@ -155,18 +161,14 @@ impl Default for CorrelatorConfig {
             num_split: 10,
             cname_loop_limit: 6,
             map_shards: 32,
-            fillup_workers: 2,
-            lookup_workers: 4,
             write_workers: 1,
-            fillup_queue_capacity: 65_536,
-            lookup_queue_capacity: 262_144,
             write_queue_capacity: 262_144,
             exact_ttl_purge_interval: SimDuration::from_secs(300),
             variant: Variant::Main,
             routing_table: None,
             snapshot_path: None,
             snapshot_interval: Duration::from_secs(300),
-            correlator_shards: 0,
+            correlator_shards: 4,
             shard_dns_ring_capacity: 65_536,
             shard_flow_ring_capacity: 262_144,
             trace_sample_every: 0,
@@ -232,35 +234,21 @@ impl CorrelatorConfig {
         if self.map_shards == 0 {
             return Err(FlowDnsError::Config("map_shards must be at least 1".into()));
         }
+        if self.correlator_shards == 0 {
+            return Err(FlowDnsError::Config(format!(
+                "correlator_shards must be at least 1: the classic shared-queue pipeline \
+                 that 0 selected is gone, use correlator_shards = 1 for a single shard \
+                 worker ({MIGRATION_HINT})"
+            )));
+        }
         for (name, value) in [
-            ("fillup_workers", self.fillup_workers),
-            ("lookup_workers", self.lookup_workers),
             ("write_workers", self.write_workers),
-            ("fillup_queue_capacity", self.fillup_queue_capacity),
-            ("lookup_queue_capacity", self.lookup_queue_capacity),
             ("write_queue_capacity", self.write_queue_capacity),
+            ("shard_dns_ring_capacity", self.shard_dns_ring_capacity),
+            ("shard_flow_ring_capacity", self.shard_flow_ring_capacity),
         ] {
             if value == 0 {
                 return Err(FlowDnsError::Config(format!("{name} must be at least 1")));
-            }
-        }
-        if self.correlator_shards > 0 {
-            if self.shard_dns_ring_capacity == 0 {
-                return Err(FlowDnsError::Config(
-                    "shard_dns_ring_capacity must be at least 1".into(),
-                ));
-            }
-            if self.shard_flow_ring_capacity == 0 {
-                return Err(FlowDnsError::Config(
-                    "shard_flow_ring_capacity must be at least 1".into(),
-                ));
-            }
-            if matches!(self.variant, Variant::ExactTtl) {
-                // The exact-TTL strawman keeps its own purge wheel with
-                // interior locking; partitioning it is out of scope.
-                return Err(FlowDnsError::Config(
-                    "correlator_shards is not supported with the ExactTtl variant".into(),
-                ));
             }
         }
         if self.trace_sample_every > 0 && self.trace_path.is_none() {
@@ -286,12 +274,12 @@ impl CorrelatorConfig {
     /// let cfg = CorrelatorConfig::from_config_text(
     ///     "# deployment overrides\n\
     ///      num_split = 4\n\
-    ///      lookup_workers = 8\n\
+    ///      correlator_shards = 8\n\
     ///      snapshot_path = /var/lib/flowdns/store.fdns\n",
     /// )
     /// .unwrap();
     /// assert_eq!(cfg.num_split, 4);
-    /// assert_eq!(cfg.lookup_workers, 8);
+    /// assert_eq!(cfg.correlator_shards, 8);
     /// assert_eq!(cfg.a_clear_up_interval.as_secs(), 3600); // default kept
     /// assert!(CorrelatorConfig::from_config_text("num_splits = 4").is_err());
     /// ```
@@ -322,11 +310,7 @@ impl CorrelatorConfig {
                 "num_split" => cfg.num_split = parse_u64(value)? as usize,
                 "cname_loop_limit" => cfg.cname_loop_limit = parse_u64(value)? as usize,
                 "map_shards" => cfg.map_shards = parse_u64(value)? as usize,
-                "fillup_workers" => cfg.fillup_workers = parse_u64(value)? as usize,
-                "lookup_workers" => cfg.lookup_workers = parse_u64(value)? as usize,
                 "write_workers" => cfg.write_workers = parse_u64(value)? as usize,
-                "fillup_queue_capacity" => cfg.fillup_queue_capacity = parse_u64(value)? as usize,
-                "lookup_queue_capacity" => cfg.lookup_queue_capacity = parse_u64(value)? as usize,
                 "write_queue_capacity" => cfg.write_queue_capacity = parse_u64(value)? as usize,
                 "exact_ttl_purge_interval" => {
                     cfg.exact_ttl_purge_interval = SimDuration::from_secs(parse_u64(value)?)
@@ -347,10 +331,15 @@ impl CorrelatorConfig {
                 "trace_sample_every" => cfg.trace_sample_every = parse_u64(value)?,
                 "trace_path" => cfg.trace_path = Some(value.to_string()),
                 other => {
-                    return Err(FlowDnsError::Config(format!(
-                        "line {}: unknown key '{other}'",
-                        lineno + 1
-                    )))
+                    let retired = RETIRED_KEYS.iter().find(|(old, _)| *old == other);
+                    return Err(FlowDnsError::Config(match retired {
+                        Some((old, replacement)) => format!(
+                            "line {}: key '{old}' was retired with the classic \
+                             FillUp/LookUp pipeline, use '{replacement}' ({MIGRATION_HINT})",
+                            lineno + 1
+                        ),
+                        None => format!("line {}: unknown key '{other}'", lineno + 1),
+                    }));
                 }
             }
         }
@@ -405,13 +394,13 @@ mod tests {
 a_clear_up_interval = 1800
 num_split = 4
 variant = NoRotation
-lookup_workers = 8
+write_workers = 2
 ";
         let cfg = CorrelatorConfig::from_config_text(text).unwrap();
         assert_eq!(cfg.a_clear_up_interval.as_secs(), 1800);
         assert_eq!(cfg.num_split, 4);
         assert_eq!(cfg.variant, Variant::NoRotation);
-        assert_eq!(cfg.lookup_workers, 8);
+        assert_eq!(cfg.write_workers, 2);
         // untouched keys keep defaults
         assert_eq!(cfg.c_clear_up_interval.as_secs(), 7200);
         assert_eq!(cfg.routing_table, None);
@@ -460,30 +449,56 @@ lookup_workers = 8
     #[test]
     fn shard_keys_are_parsed_and_validated() {
         let cfg = CorrelatorConfig::default();
-        assert_eq!(cfg.correlator_shards, 0); // shared-queue pipeline
+        // A constant, not the core count: the snapshot layout follows it.
+        assert_eq!(cfg.correlator_shards, 4);
         assert_eq!(cfg.shard_dns_ring_capacity, 65_536);
         assert_eq!(cfg.shard_flow_ring_capacity, 262_144);
         let cfg = CorrelatorConfig::from_config_text(
-            "correlator_shards = 4\n\
+            "correlator_shards = 2\n\
              shard_dns_ring_capacity = 1024\n\
              shard_flow_ring_capacity = 4096",
         )
         .unwrap();
-        assert_eq!(cfg.correlator_shards, 4);
+        assert_eq!(cfg.correlator_shards, 2);
         assert_eq!(cfg.shard_dns_ring_capacity, 1024);
         assert_eq!(cfg.shard_flow_ring_capacity, 4096);
-        // Zero ring capacities only matter when sharding is on.
-        assert!(CorrelatorConfig::from_config_text(
-            "correlator_shards = 2\nshard_dns_ring_capacity = 0"
-        )
-        .is_err());
-        assert!(CorrelatorConfig::from_config_text("shard_dns_ring_capacity = 0").is_ok());
-        // The exact-TTL strawman has no partitioned implementation.
-        assert!(
-            CorrelatorConfig::from_config_text("correlator_shards = 2\nvariant = ExactTTL")
-                .is_err()
-        );
+        assert!(CorrelatorConfig::from_config_text("shard_dns_ring_capacity = 0").is_err());
+        assert!(CorrelatorConfig::from_config_text("shard_flow_ring_capacity = 0").is_err());
+        // The exact-TTL oracle is a valid *config* (the simulator runs
+        // it); only `Correlator::start` refuses it.
         assert!(CorrelatorConfig::from_config_text("variant = ExactTTL").is_ok());
+    }
+
+    #[test]
+    fn zero_shards_is_a_config_error_naming_the_replacement() {
+        let err = CorrelatorConfig::from_config_text("correlator_shards = 0").unwrap_err();
+        let msg = err.to_string();
+        assert!(msg.contains("correlator_shards = 1"), "{msg}");
+        assert!(msg.contains("docs/MIGRATION.md"), "{msg}");
+        let cfg = CorrelatorConfig {
+            correlator_shards: 0,
+            ..CorrelatorConfig::default()
+        };
+        assert!(cfg.validate().is_err());
+    }
+
+    #[test]
+    fn retired_keys_fail_with_their_replacement_not_unknown_key() {
+        for (key, replacement) in [
+            ("fillup_workers", "correlator_shards"),
+            ("lookup_workers", "correlator_shards"),
+            ("fillup_queue_capacity", "shard_dns_ring_capacity"),
+            ("lookup_queue_capacity", "shard_flow_ring_capacity"),
+        ] {
+            let err = CorrelatorConfig::from_config_text(&format!("num_split = 4\n{key} = 2"))
+                .unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("line 2"), "{msg}");
+            assert!(msg.contains(&format!("'{key}'")), "{msg}");
+            assert!(msg.contains(&format!("'{replacement}'")), "{msg}");
+            assert!(msg.contains("docs/MIGRATION.md"), "{msg}");
+            assert!(!msg.contains("unknown key"), "{msg}");
+        }
     }
 
     #[test]
@@ -513,7 +528,7 @@ lookup_workers = 8
         };
         assert!(cfg.validate().is_err());
         let cfg = CorrelatorConfig {
-            lookup_queue_capacity: 0,
+            write_queue_capacity: 0,
             ..CorrelatorConfig::default()
         };
         assert!(cfg.validate().is_err());

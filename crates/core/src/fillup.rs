@@ -1,8 +1,10 @@
-//! FillUp processing (Algorithm 1): DNS records → shared storage.
+//! FillUp processing (Algorithm 1) over the reference store: DNS
+//! records → shared storage. (The live pipeline's shard workers run the
+//! same algorithm over their partitions in
+//! [`ShardPartition::process_dns`](crate::ShardPartition::process_dns).)
 //!
-//! Each FillUp worker picks DNS records off the FillUp queue, validates
-//! them, labels A/AAAA records by IP, and inserts them into the shared
-//! [`DnsStore`]. The clear-up check happens inside the store, driven by
+//! Each record is validated, A/AAAA records are labelled by IP, and the
+//! mapping is inserted into the shared [`DnsStore`]. The clear-up check happens inside the store, driven by
 //! the record's own timestamp. Inserts are allocation-free on the hot
 //! path: IPs become compact [`flowdns_types::IpKey`]s and names interned
 //! [`flowdns_types::NameRef`] handles inside the store.
@@ -37,8 +39,8 @@ impl FillUpStats {
     }
 }
 
-/// Process one DNS record against the store (the body of the FillUp
-/// worker loop). Returns `true` if the record was stored.
+/// Process one DNS record against the reference store. Returns `true`
+/// if the record was stored.
 pub fn process_dns_record(store: &DnsStore, record: &DnsRecord, stats: &mut FillUpStats) -> bool {
     if !record.is_correlatable() {
         stats.filtered += 1;

@@ -1,9 +1,13 @@
 //! LookUp processing (Algorithm 2): flow records → correlation outcomes.
+//! [`Resolver`] runs it over the reference [`DnsStore`]; the live
+//! pipeline's shard workers run it over their partitions
+//! ([`ShardPartition::process_flow`](crate::ShardPartition::process_flow))
+//! and share the chain-following code with it.
 //!
-//! Each LookUp worker takes a flow record, looks its source IP up in the
+//! For each flow record, the source IP is looked up in the
 //! IP-NAME store (Active → Inactive → Long), and if a name is found,
-//! follows the CNAME chain in the NAME-CNAME store up to the loop limit
-//! (6 by default). Multi-hop resolutions are memoized back into the
+//! the CNAME chain is followed in the NAME-CNAME store up to the loop
+//! limit (6 by default). Multi-hop resolutions are memoized back into the
 //! active NAME-CNAME map.
 //!
 //! The whole resolution runs on typed keys: the source IP is looked up
@@ -121,7 +125,7 @@ impl<'a> Resolver<'a> {
         }
     }
 
-    /// Process one flow record (the body of the LookUp worker loop).
+    /// Process one flow record against the reference store.
     ///
     /// Invalid flow records are counted and returned with a `NotFound`
     /// outcome so the Write stage still accounts their bytes as
@@ -163,8 +167,8 @@ impl<'a> Resolver<'a> {
     }
 }
 
-/// The CNAME-chain half of Algorithm 2, shared between the classic
-/// [`Resolver`] and the sharded correlator's per-partition resolve: walk
+/// The CNAME-chain half of Algorithm 2, shared between the reference
+/// [`Resolver`] and the shard partitions' resolve: walk
 /// from the name an IP mapped to back towards the customer-facing name,
 /// bounded by the loop limit, memoizing multi-hop shortcuts. The caller
 /// has already looked the IP up (and counted the hit/miss); `lookup` and

@@ -1,14 +1,12 @@
 //! Shared-nothing correlator shards: key-routed partitions of the DNS
 //! store, each owned exclusively by one worker thread.
 //!
-//! The classic pipeline (`correlator_shards = 0`) funnels every record
-//! through two shared MPMC queues into a lock-striped [`DnsStore`]. The
-//! sharded pipeline instead routes records **at the ingest boundary**:
-//! listeners compute [`shard_of_dns`]/[`shard_of_flow`] at decode time
-//! and push into per-shard SPSC rings, and shard worker `i` is the only
-//! thread that ever touches partition `i` — so the partition's IP-NAME
-//! maps are plain single-owner [`LocalSplitStore`]s with **no lock and
-//! no atomic on the per-record path**.
+//! The pipeline routes records **at the ingest boundary**: listeners
+//! compute [`shard_of_dns`]/[`shard_of_flow`] at decode time and push
+//! into per-shard SPSC rings, and shard worker `i` is the only thread
+//! that ever touches partition `i` — so the partition's IP-NAME maps are
+//! plain single-owner [`LocalSplitStore`]s with **no lock and no atomic
+//! on the per-record path**.
 //!
 //! Two things stay shared, by design:
 //!
@@ -33,12 +31,18 @@
 //!   store is shared, so placement only matters for load balance.
 //!
 //! Clock semantics: each partition advances its own clear-up clocks from
-//! the records it processes (exactly like the classic store), and the
-//! shared CNAME clock is advanced by CNAME inserts plus a once-per-
-//! simulated-second tick from flow processing ([`ShardPartition::
-//! process_flow`]) — rotation granularity is hours, so a 1 s tick
-//! resolution is far below observable, and it keeps the shared store's
-//! clock mutex off the per-record path.
+//! the records it processes, and the shared CNAME clock is advanced by
+//! CNAME inserts plus a once-per-simulated-second tick from flow
+//! processing ([`ShardPartition::process_flow`]) — rotation granularity
+//! is hours, so a 1 s tick resolution is far below observable, and it
+//! keeps the shared store's clock mutex off the per-record path. The
+//! offline simulator instead broadcasts every event's time to every
+//! partition ([`ShardedStore::observe_time_all`]), which is what makes
+//! its output independent of the shard count; the reference
+//! [`DnsStore`](crate::store::DnsStore) advances only the inserting
+//! split's clock on a DNS insert, so its splits rotate slightly out of
+//! phase with this store's (measured in docs/ARCHITECTURE.md, "Clock
+//! semantics").
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -54,7 +58,7 @@ use flowdns_types::{
     FlowRecord, IpKey, NameInterner, NameRef, RecordType, SimDuration, SimTime,
 };
 
-use crate::config::{CorrelatorConfig, Variant};
+use crate::config::{CorrelatorConfig, Variant, MIGRATION_HINT};
 use crate::fillup::FillUpStats;
 use crate::lookup::{follow_chain, LookUpStats};
 use crate::store::{
@@ -182,7 +186,7 @@ impl ShardPartition {
                 .with_asns(src_asn, dst_asn);
         }
         // Flow timestamps advance this partition's clear-up clocks so
-        // DNS-quiet periods still rotate (classic-store parity)…
+        // DNS-quiet periods still rotate…
         self.ip_name.observe_time(flow.ts);
         // …and the shared CNAME clock at 1 s resolution, so we touch its
         // clock mutex at most once per simulated second instead of per
@@ -266,10 +270,12 @@ pub struct ShardedStore {
 
 impl ShardedStore {
     /// Build sharded storage for `config`. `config.correlator_shards`
-    /// must be positive and the variant must not be the exact-TTL
-    /// strawman (its stores have no partitionable generations);
-    /// [`CorrelatorConfig::validate`] enforces both for configs that
-    /// come in through the front door.
+    /// must be positive ([`CorrelatorConfig::validate`] enforces it for
+    /// configs that come in through the front door) and the variant must
+    /// not be the exact-TTL strawman, whose stores have no partitionable
+    /// generations — [`crate::OfflineSimulator`] gives that variant the
+    /// reference [`DnsStore`](crate::store::DnsStore) and
+    /// [`crate::Correlator`] refuses it.
     pub fn new(config: &CorrelatorConfig) -> Self {
         assert!(
             config.correlator_shards > 0,
@@ -383,9 +389,8 @@ impl ShardedStore {
     /// Export the sharded store as a snapshot image: `shards ×
     /// num_split` IP-NAME sections in shard-major order (shard 0's
     /// splits first), the shared NAME-CNAME triple, and the clocks.
-    /// Each partition is locked briefly in turn; like the classic
-    /// export this runs from a background thread while workers keep
-    /// processing.
+    /// Each partition is locked briefly in turn; this runs from a
+    /// background thread while workers keep processing.
     pub fn export_image(&self) -> DnsStoreImage {
         let mut table = NameTable::default();
         let mut as_of = SimTime::ZERO;
@@ -430,15 +435,18 @@ impl ShardedStore {
     }
 
     /// Warm-start the sharded store from a snapshot image, aging every
-    /// generation to `now` with the same rules as
-    /// [`DnsStore::import_image`](crate::store::DnsStore::import_image).
+    /// generation to `now`: generations older than the rotation window
+    /// are discarded, a one-window-old Active demotes to Inactive, and
+    /// the Long maps always survive (see
+    /// [`RotatingStore::import_image`]).
     ///
-    /// Errors if the image was written by the classic shared layout or
-    /// by a different shard count — shard membership is a function of
-    /// the shard count, so entries cannot be re-homed without rehashing
-    /// the whole image (delete the snapshot to change
-    /// `correlator_shards`). Split counts and clear-up intervals must
-    /// match for the same reason as the classic store.
+    /// Errors if the image was written by a different shard count
+    /// (`shards = 0` is what the removed classic layout wrote) — shard
+    /// membership is a function of the shard count, so entries cannot
+    /// be re-homed without rehashing the whole image (delete the
+    /// snapshot to change `correlator_shards`). Split counts and
+    /// clear-up intervals must match too: the aging math is only
+    /// meaningful against the intervals the image was built with.
     pub fn import_image(
         &self,
         image: &DnsStoreImage,
@@ -446,9 +454,10 @@ impl ShardedStore {
     ) -> Result<usize, FlowDnsError> {
         if image.shards == 0 {
             return Err(FlowDnsError::Snapshot(format!(
-                "snapshot was written by the classic shared correlator, \
-                 this correlator runs {} shards \
-                 (set correlator_shards = 0 to read it, or delete the snapshot)",
+                "snapshot has 0 shards (written by the removed classic shared \
+                 correlator), this correlator runs {} shards; its entries cannot be \
+                 re-homed, so this is a cold start and the file is overwritten at the \
+                 next snapshot write ({MIGRATION_HINT})",
                 self.partitions.len()
             )));
         }
@@ -723,7 +732,9 @@ mod tests {
         let sharded = ShardedStore::new(&sharded_config(2));
         match sharded.import_image(&classic_image, None) {
             Err(FlowDnsError::Snapshot(msg)) => {
-                assert!(msg.contains("classic shared correlator"), "{msg}")
+                assert!(msg.contains("classic shared correlator"), "{msg}");
+                // 0 is no longer a value the operator can set.
+                assert!(!msg.contains("correlator_shards = 0"), "{msg}");
             }
             other => panic!("expected layout rejection, got {other:?}"),
         }
@@ -739,9 +750,7 @@ mod tests {
 
     #[test]
     fn flow_ticks_advance_partition_and_cname_clocks() {
-        let mut config = sharded_config(2);
-        config.correlator_shards = 2;
-        let store = ShardedStore::new(&config);
+        let store = ShardedStore::new(&sharded_config(2));
         fill(&store, &dns_chain(SimTime::from_secs(10)));
         let before = store.clear_ups();
         // A flow far in the future rotates its own shard's splits and

@@ -1,7 +1,14 @@
-//! The shared DNS store: split IP-NAME maps plus the NAME-CNAME map.
+//! The reference DNS store: split IP-NAME maps plus the NAME-CNAME map
+//! behind interior locks, as the paper's Figure 1 draws it ("shared
+//! internal storage" written by FillUp workers and read by LookUp
+//! workers).
 //!
-//! This is the "shared internal storage" of Figure 1 that FillUp workers
-//! write and LookUp workers read. It combines:
+//! The live [`Correlator`](crate::Correlator) does not run this store —
+//! it runs the partitioned [`ShardedStore`](crate::ShardedStore). This
+//! one stays as the implementation tests compare the partitioned store
+//! against, as the only home of the [`Variant::ExactTtl`] oracle, and as
+//! what [`OfflineSimulator::with_reference_store`](crate::OfflineSimulator::with_reference_store)
+//! selects. It combines:
 //!
 //! * `NUM_SPLIT` rotating **IP-NAME** stores (key: compact [`IpKey`],
 //!   value: interned query domain name), rotated every `AClearUpInterval`,
@@ -67,7 +74,7 @@ impl NameTable {
     }
 }
 
-/// The shared DNS storage used by one correlator instance.
+/// The lock-striped reference DNS storage (see the module docs).
 #[derive(Debug)]
 pub struct DnsStore {
     config: CorrelatorConfig,
@@ -225,10 +232,9 @@ impl DnsStore {
     /// is nothing durable to write.
     ///
     /// The export reads each map shard under its read lock (never a
-    /// global lock), so it is safe to run from a background thread while
-    /// FillUp workers keep inserting; see
-    /// [`RotatingStore::export_image`] for the exact consistency
-    /// guarantee.
+    /// global lock); see [`RotatingStore::export_image`] for the exact
+    /// consistency guarantee. The image carries `shards = 0`, which a
+    /// [`ShardedStore`](crate::ShardedStore) refuses to import.
     pub fn export_image(&self) -> Option<DnsStoreImage> {
         if self.is_exact_ttl() {
             return None;
@@ -304,8 +310,7 @@ impl DnsStore {
         if image.shards != 0 {
             return Err(FlowDnsError::Snapshot(format!(
                 "snapshot was written by a sharded correlator ({} shards), \
-                 this store is the classic shared layout \
-                 (set correlator_shards to match, or delete the snapshot)",
+                 this store is the unpartitioned reference layout",
                 image.shards
             )));
         }

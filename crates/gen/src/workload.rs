@@ -808,9 +808,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "test-only convenience")]
     fn generate_refuses_to_materialize_long_traces() {
-        let mut cfg = WorkloadConfig::default();
-        cfg.duration = SimDuration::from_hours(168);
-        cfg.peak_flows_per_sec = 500.0;
+        let cfg = WorkloadConfig {
+            duration: SimDuration::from_hours(168),
+            peak_flows_per_sec: 500.0,
+            ..WorkloadConfig::default()
+        };
         Workload::new(cfg).generate();
     }
 

@@ -5,9 +5,10 @@
 //!
 //! * **determinism** — the same seed and config produce a byte-identical
 //!   event stream, twice in the same process and across fresh
-//!   [`Workload`] instances (the soak harness replays the same workload
-//!   in the classic and sharded modes and reconciles their counters,
-//!   which is only sound if the streams are identical);
+//!   [`Workload`] instances (the soak harness splits one stream across
+//!   two correlator instances at the restart point and reconciles their
+//!   counters against it, which is only sound if the stream is a
+//!   function of the seed);
 //! * **ordering** — timestamps never decrease along the stream (the
 //!   correlator's rotation clear-ups are data-time driven);
 //! * **causality** — a correlated inbound flow never precedes the DNS
@@ -49,19 +50,19 @@ proptest! {
 
     #[test]
     fn same_seed_and_config_streams_identically(config in config_strategy()) {
-        let a: Vec<StreamEvent> = Workload::new(config.clone()).events().collect();
-        let b: Vec<StreamEvent> = Workload::new(config.clone()).events().collect();
+        let a: Vec<StreamEvent> = Workload::new(config).events().collect();
+        let b: Vec<StreamEvent> = Workload::new(config).events().collect();
         prop_assert_eq!(a.len(), b.len());
         prop_assert_eq!(a, b);
     }
 
     #[test]
     fn a_different_seed_changes_the_stream(config in config_strategy()) {
-        let a: Vec<StreamEvent> = Workload::new(config.clone())
+        let a: Vec<StreamEvent> = Workload::new(config)
             .events()
             .take(2_000)
             .collect();
-        let mut other = config.clone();
+        let mut other = config;
         other.seed = other.seed.wrapping_add(1);
         let b: Vec<StreamEvent> = Workload::new(other).events().take(2_000).collect();
         prop_assert_ne!(a, b);

@@ -38,6 +38,15 @@ fn idle_text(secs: Option<f64>) -> String {
     }
 }
 
+/// Plural suffix for a counted noun in the banner and stats lines.
+fn plural(n: usize) -> &'static str {
+    if n == 1 {
+        ""
+    } else {
+        "s"
+    }
+}
+
 fn usage() -> ! {
     eprintln!("usage: flowdnsd [--config <path>] [--duration <secs>]");
     std::process::exit(2);
@@ -86,20 +95,17 @@ fn main() {
     let startup = runtime.snapshot();
     eprintln!(
         "flowdnsd: netflow/udp on {} ({} listener{}), dns-feed/tcp on {} ({} listener{}) \
-         ({} fillup + {} lookup + {} write workers, recv_batch {})",
+         ({} correlator shard{} + {} write worker{}, recv_batch {})",
         runtime.netflow_addr(),
         startup.netflow_listeners.len(),
-        if startup.netflow_listeners.len() == 1 {
-            ""
-        } else {
-            "s"
-        },
+        plural(startup.netflow_listeners.len()),
         runtime.dns_addr(),
         startup.dns_listeners,
-        if startup.dns_listeners == 1 { "" } else { "s" },
-        config.correlator.fillup_workers,
-        config.correlator.lookup_workers,
+        plural(startup.dns_listeners),
+        runtime.correlator().shards(),
+        plural(runtime.correlator().shards()),
         config.correlator.write_workers,
+        plural(config.correlator.write_workers),
         config.ingest.recv_batch,
     );
     if config.ingest.netflow_listeners > startup.netflow_listeners.len()
@@ -139,38 +145,28 @@ fn main() {
         );
     }
     if let Some(path) = &config.correlator.snapshot_path {
-        if runtime.correlator().is_exact_ttl() {
-            // Be honest with the operator: the exact-TTL strawman store
-            // has nothing durable to write, so a configured path gives
-            // no restart protection at all.
+        let stats = runtime.correlator().snapshot_stats();
+        if stats.warm_started() {
             eprintln!(
-                "flowdnsd: snapshot_path is set but the ExactTTL store variant \
-                 has no durable state — snapshots are disabled"
+                "flowdnsd: warm start — {} store entries restored from {path}",
+                stats.warm_start_entries
             );
         } else {
-            let stats = runtime.correlator().snapshot_stats();
-            if stats.warm_started() {
-                eprintln!(
-                    "flowdnsd: warm start — {} store entries restored from {path}",
-                    stats.warm_start_entries
-                );
-            } else {
-                match &stats.last_error {
-                    // A torn/corrupt snapshot is rejected by its checksum
-                    // and the daemon serves cold rather than refusing to
-                    // start.
-                    Some(error) => eprintln!("flowdnsd: cold start — {error}"),
-                    None => eprintln!("flowdnsd: cold start — no snapshot at {path} yet"),
-                }
+            match &stats.last_error {
+                // A torn/corrupt snapshot is rejected by its checksum
+                // and the daemon serves cold rather than refusing to
+                // start.
+                Some(error) => eprintln!("flowdnsd: cold start — {error}"),
+                None => eprintln!("flowdnsd: cold start — no snapshot at {path} yet"),
             }
-            if config.correlator.snapshot_interval.is_zero() {
-                eprintln!("flowdnsd: snapshotting store to {path} at shutdown only");
-            } else {
-                eprintln!(
-                    "flowdnsd: snapshotting store to {path} every {} s",
-                    config.correlator.snapshot_interval.as_secs()
-                );
-            }
+        }
+        if config.correlator.snapshot_interval.is_zero() {
+            eprintln!("flowdnsd: snapshotting store to {path} at shutdown only");
+        } else {
+            eprintln!(
+                "flowdnsd: snapshotting store to {path} every {} s",
+                config.correlator.snapshot_interval.as_secs()
+            );
         }
     }
 
@@ -260,8 +256,8 @@ fn main() {
             eprintln!(
                 "flowdnsd: rates: {flow_rate:.0} flows/s, {dns_rate:.0} dns/s (last {tick_secs:.0}s) \
                  | queues fillup={:.0} lookup={:.0} write={:.0} | idle netflow={} dns={}",
-                reg.gauge_with("flowdns_queue_depth", "queue", "fillup").unwrap_or(0.0),
-                reg.gauge_with("flowdns_queue_depth", "queue", "lookup").unwrap_or(0.0),
+                reg.gauge_sum_with("flowdns_queue_depth", "queue", "fillup"),
+                reg.gauge_sum_with("flowdns_queue_depth", "queue", "lookup"),
                 reg.gauge_sum("flowdns_egress_queue_depth"),
                 idle_text(reg.gauge_with("flowdns_ingest_last_activity_seconds", "feed", "netflow")),
                 idle_text(reg.gauge_with("flowdns_ingest_last_activity_seconds", "feed", "dns")),
@@ -324,11 +320,11 @@ fn main() {
                 "flowdnsd: listeners: netflow [{}] | dns {} accept loop{} | pool {} hits / {} misses",
                 drains.join(", "),
                 startup.dns_listeners,
-                if startup.dns_listeners == 1 { "" } else { "s" },
+                plural(startup.dns_listeners),
                 reg.counter("flowdns_ingest_buffer_pool_hits_total"),
                 reg.counter("flowdns_ingest_buffer_pool_misses_total"),
             );
-            if config.correlator.snapshot_path.is_some() && !runtime.correlator().is_exact_ttl() {
+            if config.correlator.snapshot_path.is_some() {
                 let age = reg
                     .gauge("flowdns_snapshot_last_write_age_seconds")
                     .unwrap_or(-1.0);

@@ -229,7 +229,7 @@ output = /tmp/flowdns.tsv
 output_rotate_interval = 60
 routing_table = /tmp/rib.txt
 
-lookup_workers = 8
+correlator_shards = 8
 variant = NoRotation
 ";
         let cfg = DaemonConfig::from_config_text(text).unwrap();
@@ -241,7 +241,7 @@ variant = NoRotation
             cfg.ingest.output_rotate_interval,
             Some(Duration::from_secs(60))
         );
-        assert_eq!(cfg.correlator.lookup_workers, 8);
+        assert_eq!(cfg.correlator.correlator_shards, 8);
         assert_eq!(cfg.correlator.variant, Variant::NoRotation);
         // The routing table path lands on the correlator side.
         assert_eq!(
@@ -318,6 +318,15 @@ variant = NoRotation
             .to_string();
         assert!(e.contains("line 2"), "{e}");
         assert!(e.contains("bogus_key"), "{e}");
+        // A conf file from before the classic pipeline was removed hears
+        // which key replaces the one it still carries.
+        let e = DaemonConfig::from_config_text("netflow_bind = 127.0.0.1:0\n\nlookup_workers = 4")
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("line 3"), "{e}");
+        assert!(e.contains("'lookup_workers'"), "{e}");
+        assert!(e.contains("'correlator_shards'"), "{e}");
+        assert!(e.contains("docs/MIGRATION.md"), "{e}");
     }
 
     #[test]
@@ -325,10 +334,10 @@ variant = NoRotation
         let dir = std::env::temp_dir().join("flowdns-ingest-config-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("flowdnsd.conf");
-        std::fs::write(&path, "dns_bind = 127.0.0.1:15353\nfillup_workers = 3\n").unwrap();
+        std::fs::write(&path, "dns_bind = 127.0.0.1:15353\ncorrelator_shards = 3\n").unwrap();
         let cfg = DaemonConfig::from_file(path.to_str().unwrap()).unwrap();
         assert_eq!(cfg.ingest.dns_bind.port(), 15353);
-        assert_eq!(cfg.correlator.fillup_workers, 3);
+        assert_eq!(cfg.correlator.correlator_shards, 3);
         assert!(DaemonConfig::from_file("/nonexistent/flowdnsd.conf").is_err());
     }
 }

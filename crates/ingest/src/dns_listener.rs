@@ -19,8 +19,8 @@
 //! responsive) opens the round, then the socket flips non-blocking and
 //! further reads are consumed until `WouldBlock` or `recv_batch` reads
 //! are in hand. All records decoded during the round are offered to the
-//! FillUp queue in **one** `push_dns_batch`; a full queue is a counted
-//! drop. A framing error counts the stream malformed and drops the
+//! per-shard DNS rings in **one** `route_dns_batch` on this thread's own
+//! `ShardRouter`; a full ring is a counted drop. A framing error counts the stream malformed and drops the
 //! connection — records decoded earlier in the same round are still
 //! delivered.
 
@@ -159,8 +159,8 @@ fn spawn_connection(
             let mut decoder = FrameDecoder::new();
             let mut buf = pool.take(READ_BUF);
             let mut batch: Vec<DnsRecord> = Vec::new();
-            // Sharded pipeline: this connection thread owns its ingress
-            // router, so routed pushes are lock-free SPSC ring writes.
+            // This connection thread owns its ingress router, so routed
+            // pushes are lock-free SPSC ring writes.
             let mut router = correlator.ingress_router();
             'conn: while !shutdown.load(Ordering::Acquire) {
                 // One blocking read opens the drain round.
@@ -222,10 +222,7 @@ fn spawn_connection(
                         .fetch_add(batch.len() as u64, Ordering::Relaxed);
                     stats.batch_pushes.fetch_add(1, Ordering::Relaxed);
                     let offered = batch.len();
-                    let accepted = match router.as_mut() {
-                        Some(router) => router.route_dns_batch(batch.drain(..)),
-                        None => correlator.push_dns_batch(batch.drain(..)),
-                    };
+                    let accepted = router.route_dns_batch(batch.drain(..));
                     if accepted < offered {
                         // ordering: stats-only drop counter.
                         stats

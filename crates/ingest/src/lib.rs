@@ -20,7 +20,7 @@
 //!   buffers across listeners and connections,
 //! * [`runtime`] — [`IngestRuntime`], which binds the `SO_REUSEPORT`
 //!   listener groups (`netflow_listeners`/`dns_listeners` config keys)
-//!   and wires them into the FillUp/LookUp bounded queues with
+//!   and wires them into the correlator's per-shard rings with
 //!   per-listener meters and an ordered shutdown that drains every
 //!   queue before reporting.
 //!

@@ -18,13 +18,14 @@
 //! 3. decode every drained datagram **during** the drain into one
 //!    reusable `Vec<FlowRecord>` (the receive buffer is reused for the
 //!    next datagram the moment its records are extracted);
-//! 4. offer the whole batch to the correlator's LookUp queue with a
-//!    single `push_flow_batch` — queue synchronization is paid once per
-//!    drain, not per datagram, and the overflow remainder is a counted
-//!    drop, never a blocked socket.
+//! 4. offer the whole batch to the correlator's per-shard flow rings
+//!    with a single `route_flow_batch` on this thread's own
+//!    `ShardRouter` — lane counters are updated once per drain, not per
+//!    datagram, and the overflow remainder is a counted drop, never a
+//!    blocked socket.
 //!
 //! With `recv_batch = 1` step 2 is skipped entirely and the loop is the
-//! classic per-datagram baseline (that is what the saturation harness
+//! per-datagram baseline (that is what the saturation harness
 //! measures the batched path against).
 //!
 //! # Ownership
@@ -267,8 +268,8 @@ fn listener_loop(
     let mut batch: Vec<FlowRecord> = Vec::new();
     // Tracing off = no recorder = no per-flow work beyond this Option.
     let flight = correlator.flight_recorder().cloned();
-    // Sharded pipeline: each listener thread owns its ingress router,
-    // so routed pushes are lock-free SPSC ring writes.
+    // Each listener thread owns its ingress router, so routed pushes are
+    // lock-free SPSC ring writes.
     let mut router = correlator.ingress_router();
     // The recvmmsg ring holds the rest of a drain after the opening
     // blocking receive; `None` once the platform reports Unsupported.
@@ -359,10 +360,7 @@ fn listener_loop(
                 }
             }
         }
-        let accepted = match router.as_mut() {
-            Some(router) => router.route_flow_batch(batch.drain(..)),
-            None => correlator.push_flow_batch(batch.drain(..)),
-        };
+        let accepted = router.route_flow_batch(batch.drain(..));
         if accepted < offered {
             // ordering: stats-only drop counter.
             table

@@ -3,9 +3,9 @@
 //! The runtime binds the two listener groups (`SO_REUSEPORT` when more
 //! than one socket per port is configured), starts a [`Correlator`] and
 //! wires everything together: UDP datagram drains → per-listener
-//! decoder shards → LookUp queue; TCP read drains → incremental decoder
-//! → FillUp queue — with receive buffers drawn from one shared
-//! [`BufferPool`]. Each side carries its own [`RateMeter`], and
+//! decoder shards → per-shard flow rings; TCP read drains → incremental
+//! decoder → per-shard DNS rings — with receive buffers drawn from one
+//! shared [`BufferPool`]. Each side carries its own [`RateMeter`], and
 //! shutdown is ordered: listeners stop accepting, connection handlers
 //! drain and join, then the pipeline drains its bounded queues and the
 //! final [`Report`] — with every per-exporter drop/malformed counter

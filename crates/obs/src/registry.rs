@@ -310,6 +310,19 @@ impl RegistrySnapshot {
             .sum()
     }
 
+    /// Sum of gauge series with this name carrying `key = value` (one
+    /// stage's queue depth over its per-shard gauges).
+    pub fn gauge_sum_with(&self, name: &str, key: &str, value: &str) -> f64 {
+        self.series
+            .iter()
+            .filter(|s| s.name == name && s.label(key) == Some(value))
+            .filter_map(|s| match s.value {
+                SampleValue::Gauge(v) => Some(v),
+                _ => None,
+            })
+            .sum()
+    }
+
     /// Gauge with this name carrying `key = value`, if any.
     pub fn gauge_with(&self, name: &str, key: &str, value: &str) -> Option<f64> {
         self.series
@@ -589,15 +602,17 @@ flowdns_test_wait_us_count 4
         let registry = MetricsRegistry::new();
         registry.counter_fn("c_total", "c", &[("shard", "0")], || 10);
         registry.counter_fn("c_total", "c", &[("shard", "1")], || 5);
-        registry.gauge_fn("g", "g", &[("queue", "fillup")], || 2.0);
-        registry.gauge_fn("g", "g", &[("queue", "lookup")], || 3.0);
+        registry.gauge_fn("g", "g", &[("queue", "fillup"), ("shard", "0")], || 2.0);
+        registry.gauge_fn("g", "g", &[("queue", "lookup"), ("shard", "0")], || 3.0);
+        registry.gauge_fn("g", "g", &[("queue", "lookup"), ("shard", "1")], || 4.0);
         registry.histogram_fn("h_us", "h", &[], HistogramSnapshot::default);
         let snap = registry.snapshot();
         assert_eq!(snap.counter("c_total"), 15);
         assert_eq!(snap.counter_with("c_total", "shard", "1"), 5);
         assert_eq!(snap.counter("missing"), 0);
         assert_eq!(snap.gauge_with("g", "queue", "lookup"), Some(3.0));
-        assert_eq!(snap.gauge_sum("g"), 5.0);
+        assert_eq!(snap.gauge_sum_with("g", "queue", "lookup"), 7.0);
+        assert_eq!(snap.gauge_sum("g"), 9.0);
         assert_eq!(snap.histogram("h_us").unwrap().count(), 0);
         assert!(snap.histogram("nope").is_none());
     }

@@ -135,8 +135,10 @@ pub struct DnsStoreImage {
     /// generation-by-generation.
     pub num_split: u32,
     /// Number of shared-nothing correlator shards the image was exported
-    /// with. `0` means the classic shared store (one set of `num_split`
-    /// splits); any positive value means [`DnsStoreImage::ip_name`]
+    /// with. `0` means an unpartitioned store (one set of `num_split`
+    /// splits) — what the reference `DnsStore` exports and the removed
+    /// classic pipeline left on disk; a live correlator rejects it as a
+    /// layout mismatch. Any positive value means [`DnsStoreImage::ip_name`]
     /// holds `shards × num_split` images in shard-major order (shard 0's
     /// splits first). Like `num_split`, a mismatch on import is rejected
     /// — the shard routing function is stable, so partitions cannot be

@@ -49,7 +49,7 @@
 //! let image = DnsStoreImage {
 //!     as_of: SimTime::from_secs(900),
 //!     num_split: 1,
-//!     shards: 0, // classic shared store; N > 0 for sharded correlators
+//!     shards: 0, // unpartitioned reference store; N > 0 for a correlator's shards
 //!     a_interval_secs: 3600,
 //!     c_interval_secs: 7200,
 //!     names: vec!["svc.example".to_string()],

@@ -4,18 +4,15 @@
 //! buffer: producers `push` without ever blocking; when the buffer is full
 //! the record is dropped and counted. Consumers `pop` (non-blocking) or
 //! `pop_wait` (blocking with timeout). The loss statistics feed directly
-//! into the paper's "loss on the streams" metric, and keeping them per
-//! buffer lets the ablation experiments show e.g. the >90% loss of the
-//! exact-TTL variant (Appendix A.8).
+//! into the paper's "loss on the streams" metric. In the pipeline this is
+//! the queue between the shard workers and each Write worker; ingress
+//! runs on the per-shard rings of [`crate::spsc`].
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
+use std::time::Duration;
 
 use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
-
-use crate::latency::{LatencyHistogram, LatencySnapshot};
 
 /// Snapshot of a buffer's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -50,92 +47,15 @@ struct Shared {
     consumed: AtomicU64,
 }
 
-/// Queue-residency sampling state, present only on buffers built with
-/// [`StreamBuffer::with_latency`]. Every `sample_every`-th accepted
-/// record leaves a `(sequence, enqueue time)` marker; the consumer side
-/// matches markers against the consumed counter (the queue is FIFO, so
-/// the n-th accepted record is the n-th consumed one) and records the
-/// elapsed time. The fast path is a single relaxed atomic load — the
-/// marker queue's mutex is touched roughly twice per `sample_every`
-/// records.
-struct LatencyTracker {
-    histogram: LatencyHistogram,
-    sample_every: u64,
-    /// Accepted-sequence markers awaiting consumption, oldest first.
-    pending: Mutex<VecDeque<(u64, Instant)>>,
-    /// Sequence of the oldest pending marker (0 = none): lets consumers
-    /// skip the mutex entirely until a marked record is actually due.
-    oldest_pending: AtomicU64,
-}
-
-impl LatencyTracker {
-    fn new(sample_every: u64) -> Self {
-        LatencyTracker {
-            histogram: LatencyHistogram::new(),
-            sample_every,
-            pending: Mutex::new(VecDeque::new()),
-            oldest_pending: AtomicU64::new(0),
-        }
-    }
-
-    /// Called after the accepted counter moved from `prev` to `total`:
-    /// leave one marker if the window crossed a sampling boundary.
-    fn on_accepted(&self, prev: u64, total: u64) {
-        let crossed = total / self.sample_every > prev / self.sample_every;
-        if !crossed {
-            return;
-        }
-        // The marked record is the first multiple past `prev`; its
-        // enqueue time is "now" (for batches this is the batch's push
-        // time, which is what queue residency means for a batch).
-        let seq = (prev / self.sample_every + 1) * self.sample_every;
-        // A poisoned lock means a panic elsewhere already lost markers;
-        // dropping this sample beats propagating the panic into every
-        // producer thread.
-        let Ok(mut pending) = self.pending.lock() else {
-            return;
-        };
-        pending.push_back((seq, Instant::now()));
-        if pending.len() == 1 {
-            self.oldest_pending.store(seq, Ordering::Release);
-        }
-    }
-
-    /// Called after the consumed counter reached `consumed`: resolve any
-    /// markers whose record has now left the queue.
-    fn on_consumed(&self, consumed: u64) {
-        let oldest = self.oldest_pending.load(Ordering::Acquire);
-        if oldest == 0 || consumed < oldest {
-            return;
-        }
-        let now = Instant::now();
-        // See on_accepted: skip the sample rather than poison-panic.
-        let Ok(mut pending) = self.pending.lock() else {
-            return;
-        };
-        while let Some(&(seq, enqueued)) = pending.front() {
-            if seq > consumed {
-                break;
-            }
-            pending.pop_front();
-            self.histogram
-                .record(now.saturating_duration_since(enqueued));
-        }
-        let next = pending.front().map(|&(seq, _)| seq).unwrap_or(0);
-        self.oldest_pending.store(next, Ordering::Release);
-    }
-}
-
 /// The producer+consumer handle of a bounded lossy buffer.
 ///
 /// Cloning the buffer clones both ends (all clones share the same queue
-/// and counters), which is how multiple FillUp/LookUp workers drain one
-/// stream and multiple stream readers feed one queue.
+/// and counters), which is how every shard worker feeds one Write
+/// worker's queue.
 pub struct StreamBuffer<T> {
     tx: Sender<T>,
     rx: Receiver<T>,
     shared: Arc<Shared>,
-    latency: Option<Arc<LatencyTracker>>,
     capacity: usize,
 }
 
@@ -145,7 +65,6 @@ impl<T> Clone for StreamBuffer<T> {
             tx: self.tx.clone(),
             rx: self.rx.clone(),
             shared: Arc::clone(&self.shared),
-            latency: self.latency.clone(),
             capacity: self.capacity,
         }
     }
@@ -174,23 +93,8 @@ impl<T> StreamBuffer<T> {
                 dropped: AtomicU64::new(0),
                 consumed: AtomicU64::new(0),
             }),
-            latency: None,
             capacity,
         }
-    }
-
-    /// Like [`new`](Self::new), but every `sample_every`-th accepted
-    /// record is timed from enqueue to dequeue into a shared
-    /// [`LatencyHistogram`], readable via
-    /// [`latency_snapshot`](Self::latency_snapshot). Sampling keeps the
-    /// overhead off the hot path: producers and consumers pay one extra
-    /// relaxed atomic load per record, and a short mutex-protected
-    /// bookkeeping step only on sampled records.
-    pub fn with_latency(capacity: usize, sample_every: u64) -> Self {
-        assert!(sample_every > 0, "latency sample interval must be positive");
-        let mut buf = Self::new(capacity);
-        buf.latency = Some(Arc::new(LatencyTracker::new(sample_every)));
-        buf
     }
 
     /// The configured capacity.
@@ -222,10 +126,7 @@ impl<T> StreamBuffer<T> {
                 // ordering: monotonic stats counter; the record itself
                 // travels through the channel (which synchronizes), the
                 // counter carries no payload and tolerates stale reads.
-                let prev = self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-                if let Some(lat) = &self.latency {
-                    lat.on_accepted(prev, prev + 1);
-                }
+                self.shared.accepted.fetch_add(1, Ordering::Relaxed);
                 true
             }
             Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
@@ -236,48 +137,13 @@ impl<T> StreamBuffer<T> {
         }
     }
 
-    /// Offer every record of a batch, returning how many were accepted.
-    /// Records beyond the buffer's free space are dropped and counted,
-    /// like [`push`](Self::push) — but the drop/accept counters are
-    /// updated once per batch instead of once per record, so pushing a
-    /// whole decoded datagram costs two atomic updates, not `2 × n`.
-    pub fn push_batch<I>(&self, items: I) -> usize
-    where
-        I: IntoIterator<Item = T>,
-    {
-        let mut accepted = 0u64;
-        let mut dropped = 0u64;
-        for item in items {
-            match self.tx.try_send(item) {
-                Ok(()) => accepted += 1,
-                Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => dropped += 1,
-            }
-        }
-        if accepted > 0 {
-            // ordering: stats-only counters (see push); records
-            // synchronize via the channel, not these.
-            let prev = self.shared.accepted.fetch_add(accepted, Ordering::Relaxed);
-            if let Some(lat) = &self.latency {
-                lat.on_accepted(prev, prev + accepted);
-            }
-        }
-        if dropped > 0 {
-            // ordering: stats-only, as above.
-            self.shared.dropped.fetch_add(dropped, Ordering::Relaxed);
-        }
-        accepted as usize
-    }
-
     /// Take one record if immediately available.
     pub fn pop(&self) -> Option<T> {
         match self.rx.try_recv() {
             Ok(item) => {
                 // ordering: stats-only counter; receiving the item is
                 // what synchronizes with the producer.
-                let consumed = self.shared.consumed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(lat) = &self.latency {
-                    lat.on_consumed(consumed);
-                }
+                self.shared.consumed.fetch_add(1, Ordering::Relaxed);
                 Some(item)
             }
             Err(_) => None,
@@ -289,32 +155,11 @@ impl<T> StreamBuffer<T> {
         match self.rx.recv_timeout(timeout) {
             Ok(item) => {
                 // ordering: stats-only counter, as in pop.
-                let consumed = self.shared.consumed.fetch_add(1, Ordering::Relaxed) + 1;
-                if let Some(lat) = &self.latency {
-                    lat.on_consumed(consumed);
-                }
+                self.shared.consumed.fetch_add(1, Ordering::Relaxed);
                 Some(item)
             }
             Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
         }
-    }
-
-    /// Drain up to `max` immediately available records.
-    pub fn pop_batch(&self, max: usize) -> Vec<T> {
-        let mut out = Vec::with_capacity(max.min(self.len()));
-        for _ in 0..max {
-            match self.pop() {
-                Some(item) => out.push(item),
-                None => break,
-            }
-        }
-        out
-    }
-
-    /// Snapshot of the sampled queue-residency distribution. `None` for
-    /// buffers built without [`with_latency`](Self::with_latency).
-    pub fn latency_snapshot(&self) -> Option<LatencySnapshot> {
-        self.latency.as_ref().map(|lat| lat.histogram.snapshot())
     }
 
     /// Counter snapshot.
@@ -373,23 +218,9 @@ mod tests {
         assert!(!buf.push(3));
         assert_eq!(buf.pop(), Some(1));
         assert!(buf.push(4));
-        assert_eq!(buf.pop_batch(10), vec![2, 4]);
+        assert_eq!(buf.pop(), Some(2));
+        assert_eq!(buf.pop(), Some(4));
         assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn push_batch_accepts_until_full_and_counts_once() {
-        let buf = StreamBuffer::new(4);
-        assert!(buf.push(0));
-        let accepted = buf.push_batch(1..=10);
-        assert_eq!(accepted, 3);
-        let s = buf.stats();
-        assert_eq!(s.accepted, 4);
-        assert_eq!(s.dropped, 7);
-        assert_eq!(buf.pop_batch(10), vec![0, 1, 2, 3]);
-        // An empty batch is a no-op.
-        assert_eq!(buf.push_batch(std::iter::empty::<i32>()), 0);
-        assert_eq!(buf.stats().accepted, 4);
     }
 
     #[test]
@@ -457,69 +288,5 @@ mod tests {
     #[should_panic]
     fn zero_capacity_is_rejected() {
         let _ = StreamBuffer::<u8>::new(0);
-    }
-
-    #[test]
-    fn plain_buffer_has_no_latency_snapshot() {
-        let buf: StreamBuffer<u8> = StreamBuffer::new(4);
-        buf.push(1);
-        buf.pop();
-        assert!(buf.latency_snapshot().is_none());
-    }
-
-    #[test]
-    fn latency_sampling_times_queue_residency() {
-        let buf: StreamBuffer<u32> = StreamBuffer::with_latency(1024, 10);
-        for i in 0..100 {
-            assert!(buf.push(i));
-        }
-        // Records sit in the queue for a measurable dwell time.
-        thread::sleep(Duration::from_millis(30));
-        while buf.pop().is_some() {}
-        let snap = buf.latency_snapshot().expect("sampling enabled");
-        // 100 accepted / sample_every=10 → exactly 10 samples resolved.
-        assert_eq!(snap.count, 10);
-        assert!(
-            snap.p50_us() >= 20_000,
-            "dwell not captured: p50 {}µs",
-            snap.p50_us()
-        );
-    }
-
-    #[test]
-    fn latency_sampling_survives_batches_and_concurrency() {
-        let buf: StreamBuffer<u64> = StreamBuffer::with_latency(100_000, 7);
-        let consumer = {
-            let b = buf.clone();
-            thread::spawn(move || {
-                let mut n = 0u64;
-                while n < 40_000 {
-                    if b.pop_wait(Duration::from_millis(50)).is_some() {
-                        n += 1;
-                    }
-                }
-            })
-        };
-        let producers: Vec<_> = (0..4)
-            .map(|p| {
-                let b = buf.clone();
-                thread::spawn(move || {
-                    for chunk in 0..100u64 {
-                        b.push_batch((0..100).map(|i| p * 10_000 + chunk * 100 + i));
-                    }
-                })
-            })
-            .collect();
-        for t in producers {
-            t.join().unwrap();
-        }
-        consumer.join().unwrap();
-        let snap = buf.latency_snapshot().unwrap();
-        // Batch pushes leave at most one marker per crossed boundary, so
-        // the sample count is bounded by accepted/sample_every and every
-        // resolved sample is consistent.
-        assert!(snap.count > 0, "no samples resolved");
-        assert!(snap.count <= 40_000 / 7 + 1);
-        assert_eq!(snap.buckets.iter().sum::<u64>(), snap.count);
     }
 }

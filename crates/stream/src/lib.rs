@@ -10,16 +10,13 @@
 //! * [`buffer`] — [`StreamBuffer`], a bounded producer/consumer queue that
 //!   counts drops instead of blocking the producer (live feeds never wait),
 //! * [`latency`] — [`LatencyHistogram`], the lock-free log-bucketed
-//!   histogram behind [`StreamBuffer::with_latency`]'s sampled
-//!   enqueue→dequeue residency measurement,
+//!   histogram behind the per-lane sampled enqueue→dequeue residency
+//!   measurement of [`spsc`],
 //! * [`meter`] — [`RateMeter`], per-second rate and backlog accounting in
 //!   simulated time,
-//! * [`replay`] — utilities to merge and replay timestamped record sets as
-//!   ordered streams, optionally split into the N parallel streams the
-//!   ISPs deliver (2 DNS + 26 NetFlow at the large ISP),
 //! * [`spsc`] — [`ShardedChannel`], per-shard single-producer /
 //!   single-consumer rings routed by IP key at decode time — the
-//!   shared-nothing ingress of the sharded correlator.
+//!   shared-nothing ingress of the correlator.
 
 // `deny`, not `forbid`: the contained exception is the SPSC ring in
 // `spsc`, whose slot array needs `UnsafeCell` + `MaybeUninit` to move
@@ -31,7 +28,6 @@
 pub mod buffer;
 pub mod latency;
 pub mod meter;
-pub mod replay;
 pub mod spsc;
 
 pub use buffer::{BufferStats, StreamBuffer};
@@ -39,5 +35,4 @@ pub use latency::{
     bucket_index_us, bucket_upper_bound_us, LatencyHistogram, LatencySnapshot, LATENCY_BUCKETS,
 };
 pub use meter::{MeterSnapshot, RateMeter};
-pub use replay::{merge_by_time, split_round_robin, StreamSplitter};
 pub use spsc::{LaneConsumer, ShardProducer, ShardedChannel};

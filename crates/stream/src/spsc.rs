@@ -1,12 +1,12 @@
 //! Single-producer/single-consumer rings and the key-routed
 //! [`ShardedChannel`] built from them.
 //!
-//! The shared [`crate::StreamBuffer`] serializes every producer and
+//! A shared [`crate::StreamBuffer`] serializes every producer and
 //! consumer on one queue; at saturation the queue itself becomes the
 //! bottleneck and queueing delay explodes long before the workers run
-//! out of CPU. The sharded correlator instead routes each record to a
+//! out of CPU. The correlator instead routes each record to a
 //! *lane* (one per correlator shard) at decode time, and each
-//! (producer thread, lane) pair gets its own bounded SPSC [`Ring`]:
+//! (producer thread, lane) pair gets its own bounded SPSC `Ring`:
 //! the hot path is two plain writes plus one `Release` store on the
 //! producer side and one `Acquire` load plus a `Release` store on the
 //! consumer side — no locks, no CAS loops, no shared tail.
@@ -17,9 +17,8 @@
 //! dropped / consumed across all of a lane's rings, and every
 //! `sample_every`-th record a producer pushes carries an enqueue
 //! timestamp that the consumer resolves into the lane's
-//! [`LatencyHistogram`] — the same sampled queue-residency measurement
-//! [`StreamBuffer::with_latency`](crate::StreamBuffer::with_latency)
-//! provides, now per shard.
+//! [`LatencyHistogram`] — a sampled queue-residency measurement per
+//! shard.
 
 // The ring slots are `UnsafeCell<MaybeUninit<..>>`; the module-level
 // rationale for each `unsafe` block is the SPSC contract: exactly one

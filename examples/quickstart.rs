@@ -51,7 +51,7 @@ fn main() {
     let accepted = correlator.push_dns_batch(dns_records);
     assert_eq!(accepted, 4, "queue has room for the whole batch");
 
-    // Give the FillUp workers a moment to drain the queue into the store.
+    // Give the shard workers a moment to drain the DNS rings into the store.
     while correlator.queue_depths().0 > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }

@@ -43,7 +43,7 @@ fn main() {
     feed.write_all(&frames).expect("send DNS frames");
     feed.flush().expect("flush");
     println!("sent {} DNS records to {dns_addr}", records.len());
-    // Give the FillUp workers a beat before the flows arrive.
+    // Give the shard workers a beat before the flows arrive.
     std::thread::sleep(std::time::Duration::from_millis(200));
 
     // --- Exporter 1: NetFlow v5. ---

@@ -52,7 +52,7 @@
 //!     .collect();
 //! assert_eq!(correlator.push_dns_batch(dns), 4);
 //!
-//! // Wait until the FillUp workers have stored the records, as a live
+//! // Wait until the shard workers have stored the records, as a live
 //! // deployment's DNS head start does, so the lookups cannot race them.
 //! while correlator.stored_entries() < 4 {
 //!     std::thread::sleep(std::time::Duration::from_millis(1));

@@ -94,14 +94,15 @@ fn exotic_record(src: Ipv4Addr, bytes: u32) -> Vec<u8> {
     out
 }
 
+/// One shard: every record funnels through a single worker's rings.
 #[test]
 fn live_ingest_correlates_over_real_sockets() {
-    run_live_ingest(0);
+    run_live_ingest(1);
 }
 
-/// The same loopback exercise against the sharded correlator: listener
-/// threads route per-shard through their own `ShardRouter`s, and the
-/// per-shard routed counters must account for every accepted record.
+/// The same loopback exercise across shards: listener threads route
+/// per-shard through their own `ShardRouter`s, and the per-shard routed
+/// counters must account for every accepted record.
 #[test]
 fn live_ingest_correlates_with_sharded_correlator() {
     run_live_ingest(2);
@@ -245,19 +246,15 @@ fn run_live_ingest(correlator_shards: usize) {
     drop(conn_a);
     drop(conn_b);
 
-    // Sharded mode: the per-shard routed counters must sum to exactly
-    // what the listeners accepted — nothing lost, nothing double-routed.
-    if correlator_shards > 0 {
-        let (dns_routed, flow_routed) = rt
-            .correlator()
-            .shard_routed_counts()
-            .expect("sharded correlator exposes routed counters");
-        assert_eq!(dns_routed.len(), correlator_shards);
-        assert_eq!(dns_routed.iter().sum::<u64>(), 4);
-        assert_eq!(flow_routed.iter().sum::<u64>(), 4);
-    } else {
-        assert!(rt.correlator().shard_routed_counts().is_none());
-    }
+    // The per-shard routed counters must sum to exactly what the
+    // listeners accepted — nothing lost, nothing double-routed.
+    let (dns_routed, flow_routed) = rt
+        .correlator()
+        .shard_routed_counts()
+        .expect("correlator exposes routed counters");
+    assert_eq!(dns_routed.len(), correlator_shards);
+    assert_eq!(dns_routed.iter().sum::<u64>(), 4);
+    assert_eq!(flow_routed.iter().sum::<u64>(), 4);
 
     let report = rt.shutdown().expect("clean shutdown");
 

@@ -206,8 +206,9 @@ fn scrape_endpoint_tracks_live_traffic_and_traces_flows() {
     for family in [
         "flowdns_ingest_netflow_datagrams_total{listener=\"0\"}",
         "flowdns_ingest_dns_records_total",
-        "flowdns_queue_dropped_total{queue=\"fillup\"}",
-        "flowdns_queue_depth{queue=\"lookup\"}",
+        "flowdns_queue_dropped_total{queue=\"fillup\",shard=\"0\"}",
+        "flowdns_queue_depth{queue=\"lookup\",shard=\"3\"}",
+        "flowdns_shard_routed_total{queue=\"lookup\",shard=\"0\"}",
         "flowdns_fillup_records_total{kind=\"addresses\"}",
         "flowdns_lookup_flows_total{result=\"ip_hit\"}",
         "flowdns_egress_records_total",
@@ -221,7 +222,7 @@ fn scrape_endpoint_tracks_live_traffic_and_traces_flows() {
     // Histograms for queue wait and per-stage service time exist with
     // the +Inf bucket and a count.
     for series in [
-        "flowdns_queue_wait_us_bucket{queue=\"lookup\",le=\"+Inf\"}",
+        "flowdns_queue_wait_us_bucket{queue=\"lookup\",shard=\"0\",le=\"+Inf\"}",
         "flowdns_stage_service_us_count{stage=\"lookup\"}",
         "flowdns_stage_service_us_count{stage=\"write\"}",
     ] {

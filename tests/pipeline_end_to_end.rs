@@ -51,8 +51,8 @@ fn offline_and_threaded_pipelines_agree_on_correlation() {
     // already time-ordered, which is what the live streams deliver too. A
     // live deployment delivers them in real time, so FillUp keeps pace with
     // the flow stream; replaying at full speed instead lets flows overtake
-    // their DNS records whenever the scheduler starves the FillUp workers.
-    // Draining the FillUp queue before each flow restores the real-time
+    // their DNS records whenever the scheduler starves the shard workers.
+    // Draining the DNS rings before each flow restores the real-time
     // ordering without hiding genuine pipeline races (the handful of
     // popped-but-not-yet-stored records stays within the slack below).
     for event in &events {
@@ -223,12 +223,13 @@ fn config_file_round_trip_drives_the_pipeline() {
     let text = "
 # integration-test deployment
 num_split = 4
-lookup_workers = 2
-fillup_workers = 1
+correlator_shards = 2
+write_workers = 1
 variant = Main
 ";
     let config = CorrelatorConfig::from_config_text(text).unwrap();
     assert_eq!(config.effective_num_split(), 4);
+    assert_eq!(config.correlator_shards, 2);
     let correlator = Correlator::start(config).unwrap();
     correlator.push_dns(DnsRecord::address(
         SimTime::from_secs(1),

@@ -2,11 +2,10 @@
 //!
 //! This is the acceptance surface of the soak tier: a scaled-down week
 //! (small population, fast clear-ups) streamed through the **real**
-//! threaded correlator in both the classic shared-queue layout and the
-//! 2-shard shared-nothing layout, with a kill-and-warm-restart in the
-//! middle of each. The full-size run (mixed population, 2.4M
-//! subscribers, 168 simulated hours, > 13M events per mode) produces the
-//! committed `BENCH_soak.json` via `exp_soak`; this test keeps the same
+//! threaded 2-shard correlator, with a kill-and-warm-restart in the
+//! middle. The full-size run (mixed population, 2.4M subscribers, 168
+//! simulated hours, > 13M events) produces the committed
+//! `BENCH_soak.json` via `exp_soak`; this test keeps the same
 //! three claims — bounded memory across ≥ 3 rotation clear-ups, snapshot
 //! continuity across the restart, zero accepted-record loss — green on
 //! every `cargo test`.
@@ -35,64 +34,46 @@ fn scaled_week() -> SoakConfig {
 fn compressed_week_holds_the_three_soak_claims() {
     let report = soak::run(&scaled_week(), |_| {}).expect("soak completes");
 
-    assert_eq!(report.modes.len(), 2, "classic and sharded modes");
-    assert_eq!(report.modes[0].label, "classic");
-    assert_eq!(report.modes[0].shards, 0);
-    assert_eq!(report.modes[1].label, "sharded");
-    assert_eq!(report.modes[1].shards, 2);
-
-    for mode in &report.modes {
-        // ≥ 3 rotation clear-ups actually observed, each with a memory
-        // reading taken right after it.
-        assert!(
-            mode.memory_samples.len() >= 3,
-            "{}: only {} post-clear-up samples",
-            mode.label,
-            mode.memory_samples.len()
-        );
-        // Bounded memory: rotation returns the store to its working set.
-        assert!(
-            mode.memory_bounded(report.config.memory_band_factor),
-            "{}: post-clear-up entries outside the band: {:?}",
-            mode.label,
-            mode.memory_samples
-        );
-        // Snapshot continuity: the warm restart restored exactly what
-        // the shutdown snapshot serialized.
-        assert!(mode.restart.warm_started, "{}: no warm start", mode.label);
-        assert!(
-            mode.restart.continuity,
-            "{}: snapshot had {} entries but warm start restored {}",
-            mode.label,
-            mode.restart.snapshot_entries,
-            mode.restart.warm_start_entries
-        );
-        // Zero accepted-record loss, reconciled against the pipeline's
-        // own metrics (and in sharded mode the per-shard routed
-        // counters).
-        assert!(
-            mode.loss.zero_accepted_loss(),
-            "{}: loss ledger does not reconcile: {:?}",
-            mode.label,
-            mode.loss
-        );
-        // The correlator did real work the whole way through.
-        assert!(
-            mode.correlation_rate_pct > 60.0,
-            "{}: correlation collapsed to {:.1}%",
-            mode.label,
-            mode.correlation_rate_pct
-        );
-    }
-
-    // Both modes consumed the identical stream.
-    assert_eq!(
-        report.modes[0].events_streamed, report.modes[1].events_streamed,
-        "classic and sharded modes must replay the same workload"
+    let run = &report.run;
+    assert_eq!(run.shards, 2);
+    // ≥ 3 rotation clear-ups actually observed, each with a memory
+    // reading taken right after it.
+    assert!(
+        run.memory_samples.len() >= 3,
+        "only {} post-clear-up samples",
+        run.memory_samples.len()
     );
+    // Bounded memory: rotation returns the store to its working set.
+    assert!(
+        run.memory_bounded(report.config.memory_band_factor),
+        "post-clear-up entries outside the band: {:?}",
+        run.memory_samples
+    );
+    // Snapshot continuity: the warm restart restored exactly what the
+    // shutdown snapshot serialized.
+    assert!(run.restart.warm_started, "no warm start");
+    assert!(
+        run.restart.continuity,
+        "snapshot had {} entries but warm start restored {}",
+        run.restart.snapshot_entries, run.restart.warm_start_entries
+    );
+    // Zero accepted-record loss, reconciled against the pipeline's own
+    // metrics and the per-shard routed counters.
+    assert!(
+        run.loss.zero_accepted_loss(),
+        "loss ledger does not reconcile: {:?}",
+        run.loss
+    );
+    // Every streamed event was offered to the pipeline.
     assert_eq!(
-        report.modes[0].loss.dns_offered + report.modes[0].loss.flows_offered,
-        report.modes[1].loss.dns_offered + report.modes[1].loss.flows_offered,
+        run.loss.dns_offered + run.loss.flows_offered,
+        run.events_streamed
+    );
+    // The correlator did real work the whole way through.
+    assert!(
+        run.correlation_rate_pct > 60.0,
+        "correlation collapsed to {:.1}%",
+        run.correlation_rate_pct
     );
 
     // The emitted document round-trips through its own schema check.
