@@ -74,7 +74,7 @@ pub use lookup::{LookUpStats, Resolver};
 pub use metrics::{
     CostModel, ExporterStats, IngestSummary, PipelineMetrics, Report, SnapshotStats,
 };
-pub use pipeline::{Correlator, StoreHealth};
+pub use pipeline::{Correlator, StoreHealth, EGRESS_BATCH};
 pub use shard::{
     shard_of_dns, shard_of_flow, shard_of_ip, shard_of_key, ShardPartition, ShardedStore,
 };

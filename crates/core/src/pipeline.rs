@@ -15,8 +15,11 @@
 //!   the **Write queues**;
 //! * each Write worker owns one queue shard and one [`OutputSink`]:
 //!   records are partitioned by flow-key hash, so one flow's records
-//!   always land in the same output shard and **no lock sits on the
-//!   per-record write path**.
+//!   always land in the same output shard. A shard worker stages up to
+//!   [`EGRESS_BATCH`] records per Write worker and hands them over in
+//!   one push, the Write worker takes them off in one pop, so the
+//!   queue's lock is paid **per batch** and no lock sits on the
+//!   per-record write path.
 //!
 //! All queues are bounded and lossy (see `flowdns-stream`): when a ring
 //! or queue overflows, records are dropped and counted, exactly like the
@@ -46,6 +49,13 @@ use crate::shard::{shard_of_dns, shard_of_flow, ShardedStore};
 use crate::write::{MemorySink, OutputSink, WriteStats};
 
 const POP_WAIT: Duration = Duration::from_millis(5);
+
+/// Records a shard worker stages per Write worker before it hands them
+/// to that worker's queue in one push, and the most a Write worker takes
+/// off its queue in one pop: the queue's lock and wake-up are paid per
+/// batch. A partial batch never outlives the wake-up that staged it, so
+/// batching adds no timer-length delay.
+pub const EGRESS_BATCH: usize = 64;
 
 /// How many flow records a shard worker processes per partition-lock
 /// acquisition before re-checking its DNS lane. FillUp-first: the DNS
@@ -310,8 +320,9 @@ pub struct Correlator {
     /// Records lost to sink errors (queue overflow is counted by the
     /// queues themselves).
     writes_dropped: Arc<AtomicU64>,
-    /// First end-of-run sink failure (flush/rotation rename), surfaced
-    /// by `finish()`.
+    /// First sink failure — a failed `write_record` or idle flush while
+    /// running, or the end-of-run finalize (flush/rotation rename). Read
+    /// live by `/healthz`, returned by `finish()`.
     egress_error: Arc<Mutex<Option<FlowDnsError>>>,
     /// The swappable routing-table view, when AS attribution is on.
     asn_view: Option<AsnView>,
@@ -504,6 +515,9 @@ impl Correlator {
                         let mut flow_in = flow_channel.consumer(i);
                         let mut asn = asn_reader;
                         let write_shards = out_queues.len();
+                        let mut staged: Vec<Vec<CorrelatedRecord>> = (0..write_shards)
+                            .map(|_| Vec::with_capacity(EGRESS_BATCH))
+                            .collect();
                         let mut flocal = FillUpStats::default();
                         let mut llocal = LookUpStats::default();
                         let mut fseen = 0u64;
@@ -560,9 +574,19 @@ impl Correlator {
                                         flight.stamp_lookup_done(id, record.src_asn.is_some());
                                     }
                                     let wshard = shard_of(&record.flow.key, write_shards);
-                                    let _ = out_queues[wshard].push(record);
+                                    let batch = &mut staged[wshard];
+                                    batch.push(record);
+                                    if batch.len() >= EGRESS_BATCH {
+                                        out_queues[wshard].push_batch(batch);
+                                    }
                                     processed += 1;
                                 }
+                            }
+                            // Partition lock released: hand over what is
+                            // still staged, so no record waits for a
+                            // later wake-up to fill its batch.
+                            for (batch, queue) in staged.iter_mut().zip(&out_queues) {
+                                queue.push_batch(batch);
                             }
                             if flocal.total() + llocal.total() >= STATS_FLUSH_EVERY {
                                 fstats.lock().merge(&flocal);
@@ -602,9 +626,9 @@ impl Correlator {
         }
         let fallback = Mutex::new((dns_channel.producer(), flow_channel.producer()));
 
-        // Write workers: each owns its queue shard and its sink. Stats
-        // are thread-local and merged like the shard workers', so the
-        // per-record path takes no lock at all.
+        // Write workers: each owns its queue shard and its sink. Records
+        // come off the queue a batch at a time and stats are merged once
+        // per batch, so the per-record path takes no lock at all.
         for (i, (queue, mut sink)) in write_queues.iter().zip(sinks).enumerate() {
             let queue = queue.clone();
             let stats = Arc::clone(&write_stats);
@@ -617,61 +641,74 @@ impl Correlator {
                 std::thread::Builder::new()
                     .name(format!("write-{i}"))
                     .spawn(move || {
-                        let mut local = WriteStats::default();
-                        let mut seen = 0u64;
-                        loop {
-                            match queue.pop_wait(POP_WAIT) {
-                                Some(record) => {
-                                    let written = if seen % SERVICE_SAMPLE_EVERY == 0 {
-                                        let started = Instant::now();
-                                        let ok = sink.write_record(&record).is_ok();
-                                        service.record(started.elapsed().as_micros() as u64);
-                                        ok
-                                    } else {
-                                        sink.write_record(&record).is_ok()
-                                    };
-                                    seen += 1;
-                                    if written {
-                                        local.records_written += 1;
-                                        local
-                                            .volumes
-                                            .record(record.flow.bytes, record.is_correlated());
-                                    } else {
-                                        // ordering: stats-only drop counter
-                                        // read by snapshot(); carries no
-                                        // other state.
-                                        dropped.fetch_add(1, Ordering::Relaxed);
-                                    }
-                                    if let (Some(flight), Some(id)) =
-                                        (&flight_handle, record.flow.trace)
-                                    {
-                                        flight.finish(id, i);
-                                    }
-                                    if local.records_written >= STATS_FLUSH_EVERY {
-                                        stats.lock().merge(&local);
-                                        local = WriteStats::default();
-                                    }
-                                }
-                                None => {
-                                    if local != WriteStats::default() {
-                                        stats.lock().merge(&local);
-                                        local = WriteStats::default();
-                                    }
-                                    if shutdown.load(Ordering::Acquire) && queue.is_empty() {
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        stats.lock().merge(&local);
-                        // Finish the sink (flush, rotation rename). An
-                        // end-of-run I/O failure must surface through
-                        // `finish()`, not vanish in a Drop impl.
-                        if let Err(e) = sink.finalize() {
+                        // The first sink failure is kept for `/healthz`
+                        // and `finish()`; later ones are only counted.
+                        let note_error = |e: FlowDnsError| {
                             let mut slot = sink_error.lock();
                             if slot.is_none() {
                                 *slot = Some(e);
                             }
+                        };
+                        let mut batch: Vec<CorrelatedRecord> = Vec::with_capacity(EGRESS_BATCH);
+                        let mut seen = 0u64;
+                        // Lines written since the last flush.
+                        let mut unflushed = false;
+                        loop {
+                            if queue.pop_batch_wait(&mut batch, EGRESS_BATCH, POP_WAIT) == 0 {
+                                // Quiet stream: what the sink buffers
+                                // becomes readable now, not when a later
+                                // record fills the buffer.
+                                if unflushed {
+                                    unflushed = false;
+                                    if let Err(e) = sink.flush() {
+                                        note_error(e);
+                                    }
+                                }
+                                if shutdown.load(Ordering::Acquire) && queue.is_empty() {
+                                    break;
+                                }
+                                continue;
+                            }
+                            let mut local = WriteStats::default();
+                            for record in batch.drain(..) {
+                                let result = if seen % SERVICE_SAMPLE_EVERY == 0 {
+                                    let started = Instant::now();
+                                    let result = sink.write_record(&record);
+                                    service.record(started.elapsed().as_micros() as u64);
+                                    result
+                                } else {
+                                    sink.write_record(&record)
+                                };
+                                seen += 1;
+                                match result {
+                                    Ok(()) => {
+                                        local.records_written += 1;
+                                        local
+                                            .volumes
+                                            .record(record.flow.bytes, record.is_correlated());
+                                    }
+                                    Err(e) => {
+                                        // ordering: stats-only drop counter
+                                        // read by snapshot(); carries no
+                                        // other state.
+                                        dropped.fetch_add(1, Ordering::Relaxed);
+                                        note_error(e);
+                                    }
+                                }
+                                if let (Some(flight), Some(id)) =
+                                    (&flight_handle, record.flow.trace)
+                                {
+                                    flight.finish(id, i);
+                                }
+                            }
+                            unflushed = true;
+                            stats.lock().merge(&local);
+                        }
+                        // Finish the sink (flush, rotation rename). An
+                        // end-of-run I/O failure must surface through
+                        // `finish()`, not vanish in a Drop impl.
+                        if let Err(e) = sink.finalize() {
+                            note_error(e);
                         }
                     })
                     .map_err(|e| FlowDnsError::Io(format!("spawn write worker: {e}")))?,
@@ -822,9 +859,11 @@ impl Correlator {
         self.flight.as_ref()
     }
 
-    /// The first egress (sink finalize/write) failure observed so far,
-    /// rendered for health reporting. `finish()` still surfaces the
-    /// error itself; this accessor lets `/healthz` see it live.
+    /// The first egress failure observed so far — a sink `write_record`
+    /// or flush error as soon as a Write worker meets it, or the
+    /// end-of-run finalize error — rendered for health reporting.
+    /// `finish()` still surfaces the error itself; this accessor lets
+    /// `/healthz` see it live.
     pub fn egress_error_message(&self) -> Option<String> {
         self.egress_error.lock().as_ref().map(|e| e.to_string())
     }
@@ -1169,7 +1208,9 @@ impl Correlator {
     }
 
     /// Current depth of the three stages' queues (fillup, lookup, write),
-    /// each summed over its lanes or shards.
+    /// each summed over its lanes or shards. The write depth leaves out
+    /// what shard workers hold staged: at most `EGRESS_BATCH - 1` records
+    /// per shard worker and Write worker, and only within one wake-up.
     pub fn queue_depths(&self) -> (usize, usize, usize) {
         (
             (0..self.dns.lanes()).map(|i| self.dns.lane_depth(i)).sum(),
@@ -1188,8 +1229,9 @@ impl Correlator {
     }
 
     /// A live snapshot of the pipeline's metrics without consuming it:
-    /// worker stats (flushed every `STATS_FLUSH_EVERY` = 512 records, so
-    /// slightly behind the instantaneous truth), queue drop counters, and
+    /// worker stats (shard workers flush every `STATS_FLUSH_EVERY` = 512
+    /// records, Write workers after every batch, so slightly behind the
+    /// instantaneous truth), queue drop counters, and
     /// the store's current memory estimate. This is what periodic stats
     /// reporters (e.g. `flowdnsd`) should read; `finish()` returns the
     /// exact final numbers.
@@ -1407,31 +1449,180 @@ mod tests {
 
     #[test]
     fn sharded_writers_cover_every_record_exactly_once() {
-        // Four write shards, plenty of flows: the per-shard partitioning
-        // must neither lose nor duplicate records, and the merged stats
-        // must equal the single-writer totals.
-        let config = CorrelatorConfig {
-            write_workers: 4,
-            ..CorrelatorConfig::default()
-        };
-        let correlator = Correlator::start(config).unwrap();
-        for i in 0..100u8 {
-            correlator.push_dns(dns(1, &format!("s{i}.example"), [203, 0, 113, i], 300));
-        }
-        while correlator.queue_depths().0 > 0 {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        std::thread::sleep(Duration::from_millis(20));
-        for round in 0..4u64 {
+        // Plenty of flows over 1, 2 and 4 write shards: the per-shard
+        // partitioning must neither lose nor duplicate records, and the
+        // merged stats must equal the single-writer totals. The count is
+        // no multiple of EGRESS_BATCH, so every shard worker ends with a
+        // partial staged batch that finish() still has to see written.
+        const FLOWS: u64 = 401;
+        assert_ne!(FLOWS as usize % EGRESS_BATCH, 0);
+        for write_workers in [1, 2, 4] {
+            let config = CorrelatorConfig {
+                write_workers,
+                ..CorrelatorConfig::default()
+            };
+            let correlator = Correlator::start(config).unwrap();
             for i in 0..100u8 {
-                correlator.push_flow(flow(2 + round, [203, 0, 113, i], 1_000));
+                correlator.push_dns(dns(1, &format!("s{i}.example"), [203, 0, 113, i], 300));
+            }
+            while correlator.queue_depths().0 > 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            std::thread::sleep(Duration::from_millis(20));
+            let accepted = correlator.push_flow_batch(
+                (0..FLOWS).map(|n| flow(2 + n / 100, [203, 0, 113, (n % 100) as u8], 1_000)),
+            );
+            assert_eq!(accepted as u64, FLOWS);
+            let report = correlator.finish().unwrap();
+            assert_eq!(report.metrics.write.records_written, FLOWS);
+            assert_eq!(report.metrics.lookup.ip_hits, FLOWS);
+            assert_eq!(report.metrics.writes_dropped, 0);
+            assert_eq!(report.volumes.total.bytes(), FLOWS * 1_000);
+        }
+    }
+
+    #[test]
+    fn overflowing_write_queue_accounts_for_every_looked_up_record() {
+        // A write queue of 8 behind a sink that does not take a record
+        // until the test says so: the shard worker's batches overflow the
+        // queue, and every record it resolved is either written or
+        // counted as dropped — none vanishes between stage and queue.
+        struct GatedSink {
+            gate: std::sync::mpsc::Receiver<()>,
+            open: bool,
+        }
+        impl crate::write::OutputSink for GatedSink {
+            fn write_record(&mut self, _record: &CorrelatedRecord) -> Result<(), FlowDnsError> {
+                if !self.open {
+                    // A dropped sender opens the gate as well.
+                    let _ = self.gate.recv();
+                    self.open = true;
+                }
+                Ok(())
             }
         }
+        const FLOWS: u64 = 500;
+        let (release, gate) = std::sync::mpsc::channel();
+        let config = CorrelatorConfig {
+            correlator_shards: 1,
+            write_queue_capacity: 8,
+            write_workers: 1,
+            ..CorrelatorConfig::default()
+        };
+        let correlator =
+            Correlator::start_with_sink(config, Box::new(GatedSink { gate, open: false })).unwrap();
+        let accepted =
+            correlator.push_flow_batch((0..FLOWS).map(|n| flow(1, [198, 51, 100, n as u8], 100)));
+        assert_eq!(accepted as u64, FLOWS);
+        // All flows resolved while the sink still holds its first record.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while correlator.snapshot().lookup.total() < FLOWS {
+            assert!(Instant::now() < deadline, "lookups never completed");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        release.send(()).unwrap();
         let report = correlator.finish().unwrap();
-        assert_eq!(report.metrics.write.records_written, 400);
-        assert_eq!(report.metrics.lookup.ip_hits, 400);
-        assert_eq!(report.metrics.writes_dropped, 0);
-        assert_eq!(report.volumes.total.bytes(), 400_000);
+        let written = report.metrics.write.records_written;
+        assert_eq!(report.metrics.lookup.total(), FLOWS);
+        assert_eq!(written + report.metrics.writes_dropped, FLOWS);
+        // One batch in the sink's hands plus a full queue is all that can
+        // get through a closed gate.
+        assert!(
+            written <= (EGRESS_BATCH + 8) as u64,
+            "written {written} of {FLOWS}"
+        );
+    }
+
+    /// A sink whose disk fills up: every record from the `fail_from`-th
+    /// on (0-based) is refused.
+    struct FillingDiskSink {
+        seen: u64,
+        fail_from: u64,
+    }
+
+    impl crate::write::OutputSink for FillingDiskSink {
+        fn write_record(&mut self, _record: &CorrelatedRecord) -> Result<(), FlowDnsError> {
+            self.seen += 1;
+            if self.seen > self.fail_from {
+                return Err(FlowDnsError::Io(format!(
+                    "no space left on device (record {})",
+                    self.seen
+                )));
+            }
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_errors_are_visible_live_and_returned_by_finish() {
+        let config = CorrelatorConfig {
+            write_workers: 1,
+            ..CorrelatorConfig::default()
+        };
+        let sink = FillingDiskSink {
+            seen: 0,
+            fail_from: 3,
+        };
+        let correlator = Correlator::start_with_sink(config, Box::new(sink)).unwrap();
+        assert_eq!(correlator.egress_error_message(), None);
+        for i in 0..10u8 {
+            assert!(correlator.push_flow(flow(1, [203, 0, 113, i], 100)));
+        }
+        // The running daemon reports the failure: no finish() needed.
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let snap = correlator.snapshot();
+            if snap.write.records_written == 3 && snap.writes_dropped == 7 {
+                break;
+            }
+            assert!(Instant::now() < deadline, "write stage never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // The first error is the one kept.
+        let message = correlator
+            .egress_error_message()
+            .expect("live egress error");
+        assert!(
+            message.contains("no space left on device (record 4)"),
+            "{message}"
+        );
+        match correlator.finish() {
+            Err(FlowDnsError::Io(msg)) => assert!(msg.contains("(record 4)"), "{msg}"),
+            other => panic!("expected the write error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn quiet_stream_is_flushed_to_the_open_window_file() {
+        // One flow, then silence: the line must become readable in the
+        // `.part` file of the open window while the pipeline keeps
+        // running, not when 8 KiB have accumulated or finish() is called.
+        let dir = std::env::temp_dir().join("flowdns-pipeline-idle-flush-test");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = CorrelatorConfig {
+            write_workers: 1,
+            ..CorrelatorConfig::default()
+        };
+        let sink = RotatingFileSink::new(&dir, "corr", SimDuration::from_secs(3600)).unwrap();
+        let correlator = Correlator::start_with_sink(config, Box::new(sink)).unwrap();
+        assert!(correlator.push_flow(flow(7, [203, 0, 113, 9], 1_234)));
+        let part = dir.join("corr-0000000000.tsv.part");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let content = std::fs::read_to_string(&part).unwrap_or_default();
+            if content.ends_with('\n') {
+                assert_eq!(content, "7\t203.0.113.9\t10.0.0.1\t1234\t-\t-\t-\t-\n");
+                break;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "the line never reached {part:?}: {content:?}"
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        correlator.finish().unwrap();
+        assert!(dir.join("corr-0000000000.tsv").exists());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

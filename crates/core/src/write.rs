@@ -130,10 +130,25 @@ impl OutputSink for DiscardSink {
     }
 }
 
+/// Format `record` into `line` (reused, so a warmed buffer allocates
+/// nothing) and hand the finished line to `writer` in one `write_all`.
+fn write_line(
+    writer: &mut BufWriter<File>,
+    line: &mut Vec<u8>,
+    record: &CorrelatedRecord,
+) -> Result<(), FlowDnsError> {
+    line.clear();
+    record.write_tsv(line);
+    line.push(b'\n');
+    writer.write_all(line)?;
+    Ok(())
+}
+
 /// A sink that appends TSV lines to a single file.
 #[derive(Debug)]
 pub struct TsvFileSink {
     writer: BufWriter<File>,
+    line: Vec<u8>,
 }
 
 impl TsvFileSink {
@@ -142,15 +157,14 @@ impl TsvFileSink {
         let file = File::create(path)?;
         Ok(TsvFileSink {
             writer: BufWriter::new(file),
+            line: Vec::new(),
         })
     }
 }
 
 impl OutputSink for TsvFileSink {
     fn write_record(&mut self, record: &CorrelatedRecord) -> Result<(), FlowDnsError> {
-        self.writer.write_all(record.to_tsv().as_bytes())?;
-        self.writer.write_all(b"\n")?;
-        Ok(())
+        write_line(&mut self.writer, &mut self.line, record)
     }
 
     fn flush(&mut self) -> Result<(), FlowDnsError> {
@@ -198,6 +212,7 @@ pub struct RotatingFileSink {
     window_secs: u64,
     current: Option<ActiveWindow>,
     completed: Vec<PathBuf>,
+    line: Vec<u8>,
 }
 
 impl RotatingFileSink {
@@ -222,6 +237,7 @@ impl RotatingFileSink {
             window_secs: window.as_secs(),
             current: None,
             completed: Vec::new(),
+            line: Vec::new(),
         })
     }
 
@@ -285,9 +301,7 @@ impl OutputSink for RotatingFileSink {
         let Some(open) = self.current.as_mut() else {
             return Err(FlowDnsError::Io("rotating sink has no open window".into()));
         };
-        open.writer.write_all(record.to_tsv().as_bytes())?;
-        open.writer.write_all(b"\n")?;
-        Ok(())
+        write_line(&mut open.writer, &mut self.line, record)
     }
 
     fn flush(&mut self) -> Result<(), FlowDnsError> {

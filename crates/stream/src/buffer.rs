@@ -7,12 +7,16 @@
 //! into the paper's "loss on the streams" metric. In the pipeline this is
 //! the queue between the shard workers and each Write worker; ingress
 //! runs on the per-shard rings of [`crate::spsc`].
+//!
+//! The queue is a mutex-guarded `VecDeque` that grows with the backlog.
+//! The daemon moves records through it a batch at a time
+//! ([`StreamBuffer::push_batch`], [`StreamBuffer::pop_batch_wait`]): one
+//! lock per batch on either side, a condvar wake-up only when a consumer
+//! is actually parked, and the clock read only on the way into a park.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
-
-use crossbeam_channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 
 /// Snapshot of a buffer's counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -41,10 +45,23 @@ impl BufferStats {
     }
 }
 
-struct Shared {
-    accepted: AtomicU64,
-    dropped: AtomicU64,
-    consumed: AtomicU64,
+/// Everything the mutex guards. Each update below leaves it valid at
+/// every step, which is why a poisoned guard is recovered, not fatal.
+struct Queue<T> {
+    items: VecDeque<T>,
+    /// Consumers currently waiting on `not_empty`.
+    parked: usize,
+    accepted: u64,
+    dropped: u64,
+    consumed: u64,
+    /// Wake-ups issued to parked consumers.
+    wakes: u64,
+}
+
+struct Shared<T> {
+    queue: Mutex<Queue<T>>,
+    not_empty: Condvar,
+    capacity: usize,
 }
 
 /// The producer+consumer handle of a bounded lossy buffer.
@@ -53,19 +70,13 @@ struct Shared {
 /// and counters), which is how every shard worker feeds one Write
 /// worker's queue.
 pub struct StreamBuffer<T> {
-    tx: Sender<T>,
-    rx: Receiver<T>,
-    shared: Arc<Shared>,
-    capacity: usize,
+    shared: Arc<Shared<T>>,
 }
 
 impl<T> Clone for StreamBuffer<T> {
     fn clone(&self) -> Self {
         StreamBuffer {
-            tx: self.tx.clone(),
-            rx: self.rx.clone(),
             shared: Arc::clone(&self.shared),
-            capacity: self.capacity,
         }
     }
 }
@@ -73,7 +84,7 @@ impl<T> Clone for StreamBuffer<T> {
 impl<T> std::fmt::Debug for StreamBuffer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamBuffer")
-            .field("capacity", &self.capacity)
+            .field("capacity", &self.shared.capacity)
             .field("len", &self.len())
             .field("stats", &self.stats())
             .finish()
@@ -84,91 +95,162 @@ impl<T> StreamBuffer<T> {
     /// Create a buffer holding at most `capacity` records.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "stream buffer capacity must be positive");
-        let (tx, rx) = bounded(capacity);
         StreamBuffer {
-            tx,
-            rx,
             shared: Arc::new(Shared {
-                accepted: AtomicU64::new(0),
-                dropped: AtomicU64::new(0),
-                consumed: AtomicU64::new(0),
+                queue: Mutex::new(Queue {
+                    items: VecDeque::new(),
+                    parked: 0,
+                    accepted: 0,
+                    dropped: 0,
+                    consumed: 0,
+                    wakes: 0,
+                }),
+                not_empty: Condvar::new(),
+                capacity,
             }),
-            capacity,
         }
+    }
+
+    /// The one lock of the buffer: taken once per call of every method
+    /// here, so once per batch on the daemon's path.
+    fn lock_queue(&self) -> MutexGuard<'_, Queue<T>> {
+        self.shared
+            .queue
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.shared.capacity
     }
 
     /// Records currently queued.
     pub fn len(&self) -> usize {
-        self.rx.len()
+        self.lock_queue().items.len()
     }
 
     /// Is the queue currently empty?
     pub fn is_empty(&self) -> bool {
-        self.rx.is_empty()
+        self.len() == 0
     }
 
     /// Current fill level as a fraction of capacity (0.0–1.0).
     pub fn fill_level(&self) -> f64 {
-        self.len() as f64 / self.capacity as f64
+        self.len() as f64 / self.shared.capacity as f64
     }
 
     /// Offer one record. Returns `true` if it was accepted, `false` if the
     /// buffer was full and the record was dropped (the stream "loss" of
     /// the paper). Never blocks.
     pub fn push(&self, item: T) -> bool {
-        match self.tx.try_send(item) {
-            Ok(()) => {
-                // ordering: monotonic stats counter; the record itself
-                // travels through the channel (which synchronizes), the
-                // counter carries no payload and tolerates stale reads.
-                self.shared.accepted.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-            Err(TrySendError::Full(_)) | Err(TrySendError::Disconnected(_)) => {
-                // ordering: stats-only, as above.
-                self.shared.dropped.fetch_add(1, Ordering::Relaxed);
-                false
-            }
+        let mut queue = self.lock_queue();
+        if queue.items.len() >= self.shared.capacity {
+            queue.dropped += 1;
+            return false;
         }
+        queue.items.push_back(item);
+        queue.accepted += 1;
+        self.wake_parked(queue);
+        true
+    }
+
+    /// Offer every record of `batch` under one lock, in order. The head
+    /// that fits is accepted; the tail beyond the free space is dropped
+    /// and counted. Returns the accepted count and leaves `batch` empty
+    /// (capacity kept for reuse). Never blocks.
+    pub fn push_batch(&self, batch: &mut Vec<T>) -> usize {
+        if batch.is_empty() {
+            return 0;
+        }
+        let mut queue = self.lock_queue();
+        let room = self.shared.capacity.saturating_sub(queue.items.len());
+        let accepted = room.min(batch.len());
+        queue.items.extend(batch.drain(..accepted));
+        queue.accepted += accepted as u64;
+        queue.dropped += batch.len() as u64;
+        self.wake_parked(queue);
+        // The dropped tail is freed outside the lock.
+        batch.clear();
+        accepted
+    }
+
+    /// Release the lock, then wake one parked consumer if there is one.
+    /// A consumer registers in `parked` under the lock before it waits,
+    /// so a producer that saw `parked == 0` has nobody to wake.
+    fn wake_parked(&self, mut queue: MutexGuard<'_, Queue<T>>) {
+        let wake = queue.parked > 0;
+        if wake {
+            queue.wakes += 1;
+        }
+        drop(queue);
+        if wake {
+            self.shared.not_empty.notify_one();
+        }
+    }
+
+    /// With the queue empty, park until a producer pushes or `timeout`
+    /// passes. Returns at once when records are queued.
+    fn wait_for_records<'a>(
+        &'a self,
+        mut queue: MutexGuard<'a, Queue<T>>,
+        timeout: Duration,
+    ) -> MutexGuard<'a, Queue<T>> {
+        if !queue.items.is_empty() {
+            return queue;
+        }
+        queue.parked += 1;
+        let (mut queue, _) = self
+            .shared
+            .not_empty
+            .wait_timeout_while(queue, timeout, |queue| queue.items.is_empty())
+            .unwrap_or_else(PoisonError::into_inner);
+        queue.parked -= 1;
+        queue
     }
 
     /// Take one record if immediately available.
     pub fn pop(&self) -> Option<T> {
-        match self.rx.try_recv() {
-            Ok(item) => {
-                // ordering: stats-only counter; receiving the item is
-                // what synchronizes with the producer.
-                self.shared.consumed.fetch_add(1, Ordering::Relaxed);
-                Some(item)
-            }
-            Err(_) => None,
-        }
+        let mut queue = self.lock_queue();
+        let item = queue.items.pop_front()?;
+        queue.consumed += 1;
+        Some(item)
     }
 
     /// Take one record, waiting up to `timeout` for one to arrive.
     pub fn pop_wait(&self, timeout: Duration) -> Option<T> {
-        match self.rx.recv_timeout(timeout) {
-            Ok(item) => {
-                // ordering: stats-only counter, as in pop.
-                self.shared.consumed.fetch_add(1, Ordering::Relaxed);
-                Some(item)
-            }
-            Err(RecvTimeoutError::Timeout) | Err(RecvTimeoutError::Disconnected) => None,
-        }
+        let mut queue = self.wait_for_records(self.lock_queue(), timeout);
+        let item = queue.items.pop_front()?;
+        queue.consumed += 1;
+        Some(item)
+    }
+
+    /// Move up to `max` records onto the end of `out` under one lock,
+    /// waiting up to `timeout` for the first to arrive. Returns how many
+    /// were moved; 0 means the wait timed out.
+    pub fn pop_batch_wait(&self, out: &mut Vec<T>, max: usize, timeout: Duration) -> usize {
+        let mut queue = self.wait_for_records(self.lock_queue(), timeout);
+        let taken = max.min(queue.items.len());
+        out.extend(queue.items.drain(..taken));
+        queue.consumed += taken as u64;
+        taken
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> BufferStats {
+        let queue = self.lock_queue();
         BufferStats {
-            accepted: self.shared.accepted.load(Ordering::Relaxed),
-            dropped: self.shared.dropped.load(Ordering::Relaxed),
-            consumed: self.shared.consumed.load(Ordering::Relaxed),
+            accepted: queue.accepted,
+            dropped: queue.dropped,
+            consumed: queue.consumed,
         }
+    }
+
+    /// Consumers parked right now, and wake-ups issued so far.
+    #[cfg(test)]
+    fn parked_and_wakes(&self) -> (usize, u64) {
+        let queue = self.lock_queue();
+        (queue.parked, queue.wakes)
     }
 }
 
@@ -234,6 +316,62 @@ mod tests {
         });
         assert_eq!(buf.pop_wait(Duration::from_secs(2)), Some(99));
         handle.join().unwrap();
+    }
+
+    #[test]
+    fn push_batch_accepts_the_head_and_counts_the_dropped_tail() {
+        let buf: StreamBuffer<u32> = StreamBuffer::new(8);
+        let mut batch: Vec<u32> = (0..5).collect();
+        assert_eq!(buf.push_batch(&mut batch), 5);
+        assert!(batch.is_empty());
+        // Three free slots against a batch of six.
+        batch.extend(5..11);
+        assert_eq!(buf.push_batch(&mut batch), 3);
+        assert!(batch.is_empty());
+        assert_eq!(buf.len(), 8);
+        // Full: everything is dropped, nothing blocks.
+        batch.extend(100..104);
+        assert_eq!(buf.push_batch(&mut batch), 0);
+        assert!(batch.is_empty());
+        assert_eq!(buf.push_batch(&mut batch), 0);
+        let s = buf.stats();
+        assert_eq!((s.accepted, s.dropped, s.consumed), (8, 7, 0));
+        let mut out = vec![u32::MAX];
+        assert_eq!(buf.pop_batch_wait(&mut out, 6, Duration::ZERO), 6);
+        assert_eq!(out, vec![u32::MAX, 0, 1, 2, 3, 4, 5]);
+        assert_eq!(buf.pop_batch_wait(&mut out, 6, Duration::ZERO), 2);
+        assert_eq!(&out[7..], &[6, 7]);
+        assert_eq!(buf.pop_batch_wait(&mut out, 6, Duration::ZERO), 0);
+        assert_eq!(buf.stats().consumed, 8);
+    }
+
+    #[test]
+    fn a_push_wakes_a_parked_consumer_and_only_a_parked_one() {
+        let buf: StreamBuffer<u32> = StreamBuffer::new(64);
+        // Nobody waits: pushes issue no wake-up, and the pop that follows
+        // finds the records without parking.
+        assert!(buf.push(1));
+        assert_eq!(buf.push_batch(&mut vec![2, 3]), 2);
+        assert_eq!(buf.parked_and_wakes(), (0, 0));
+        let mut out = Vec::new();
+        assert_eq!(buf.pop_batch_wait(&mut out, 64, Duration::from_secs(30)), 3);
+        assert_eq!(buf.parked_and_wakes(), (0, 0));
+
+        // A consumer registers as parked under the lock and releases it
+        // only by waiting, so once `parked` reads 1 the push below runs
+        // against a consumer that is inside its wait.
+        let consumer = buf.clone();
+        let handle = thread::spawn(move || {
+            let mut out = Vec::new();
+            let taken = consumer.pop_batch_wait(&mut out, 64, Duration::from_secs(30));
+            (taken, out)
+        });
+        while buf.parked_and_wakes().0 == 0 {
+            thread::yield_now();
+        }
+        assert_eq!(buf.push_batch(&mut vec![7, 8, 9]), 3);
+        assert_eq!(handle.join().unwrap(), (3, vec![7, 8, 9]));
+        assert_eq!(buf.parked_and_wakes(), (0, 1));
     }
 
     #[test]

@@ -7,6 +7,8 @@
 //! *service* (Netflix, a CDN customer, ...) using suffix rules.
 
 use std::fmt;
+use std::io::Write as _;
+use std::net::IpAddr;
 use std::sync::Arc;
 
 use crate::domain::DomainName;
@@ -167,35 +169,78 @@ impl CorrelatedRecord {
         self.flow.bytes
     }
 
-    /// Render the record as a single TSV output line:
+    /// Append the record as one TSV output line (no trailing newline):
     /// `ts  srcIP  dstIP  bytes  src_asn  dst_asn  query_name  final_name`.
     /// Unattributed columns carry `-`.
+    ///
+    /// This is the Write workers' formatter: integers, IPv4 octets and
+    /// name bytes are appended directly, so a sink that reuses `out`
+    /// formats a line without allocating.
+    pub fn write_tsv(&self, out: &mut Vec<u8>) {
+        push_decimal(out, self.flow.ts.as_secs());
+        out.push(b'\t');
+        push_ip(out, self.flow.key.src_ip);
+        out.push(b'\t');
+        push_ip(out, self.flow.key.dst_ip);
+        out.push(b'\t');
+        push_decimal(out, self.flow.bytes);
+        for asn in [self.src_asn, self.dst_asn] {
+            out.push(b'\t');
+            match asn {
+                Some(asn) => push_decimal(out, u64::from(asn)),
+                None => out.push(b'-'),
+            }
+        }
+        for name in [self.outcome.first_name(), self.outcome.final_name()] {
+            out.push(b'\t');
+            match name {
+                Some(name) => out.extend_from_slice(name.as_str().as_bytes()),
+                None => out.push(b'-'),
+            }
+        }
+    }
+
+    /// [`CorrelatedRecord::write_tsv`] into a fresh `String`.
     pub fn to_tsv(&self) -> String {
-        let query = self
-            .outcome
-            .first_name()
-            .map(|n| n.as_str().to_string())
-            .unwrap_or_else(|| "-".to_string());
-        let final_name = self
-            .outcome
-            .final_name()
-            .map(|n| n.as_str().to_string())
-            .unwrap_or_else(|| "-".to_string());
-        let asn_col = |asn: Option<u32>| match asn {
-            Some(asn) => asn.to_string(),
-            None => "-".to_string(),
-        };
-        format!(
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            self.flow.ts.as_secs(),
-            self.flow.key.src_ip,
-            self.flow.key.dst_ip,
-            self.flow.bytes,
-            asn_col(self.src_asn),
-            asn_col(self.dst_asn),
-            query,
-            final_name
-        )
+        let mut line = Vec::with_capacity(128);
+        self.write_tsv(&mut line);
+        String::from_utf8(line).expect("write_tsv appends only ASCII and the bytes of a str")
+    }
+}
+
+/// Append `value` in decimal.
+fn push_decimal(out: &mut Vec<u8>, mut value: u64) {
+    // u64::MAX has 20 digits; filled from the back.
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            break;
+        }
+    }
+    out.extend_from_slice(&digits[at..]);
+}
+
+/// Append `ip` as `Display` renders it. IPv6 keeps the standard
+/// library's compression rules by going through `write!`, which formats
+/// straight into the `Vec`.
+fn push_ip(out: &mut Vec<u8>, ip: IpAddr) {
+    match ip {
+        IpAddr::V4(v4) => {
+            for (i, octet) in v4.octets().into_iter().enumerate() {
+                if i > 0 {
+                    out.push(b'.');
+                }
+                push_decimal(out, u64::from(octet));
+            }
+        }
+        IpAddr::V6(v6) => {
+            // Writing into a Vec cannot fail.
+            let _ = write!(out, "{v6}");
+        }
     }
 }
 
