@@ -254,7 +254,10 @@ pub fn analyze(config: &Config) -> Result<AnalysisReport, String> {
         let (doc, conf) = if has_override {
             (read_doc(&spec.doc)?, read_doc(&spec.example_conf)?)
         } else {
-            (read_doc(&config.config_doc)?, read_doc(&config.example_conf)?)
+            (
+                read_doc(&config.config_doc)?,
+                read_doc(&config.example_conf)?,
+            )
         };
         let same_pair = |group: &&mut drift::ConfigDriftGroup| {
             group.config_doc.as_ref().map(|(p, _)| p) == doc.as_ref().map(|(p, _)| p)

@@ -70,7 +70,11 @@ fn main() {
             "{preset:12} expected {:6.2}%   measured {:6.2}%   delta {delta:+.2} points{}",
             expected * 100.0,
             measured * 100.0,
-            if delta.abs() > 1.0 { "  OUT OF TOLERANCE" } else { "" },
+            if delta.abs() > 1.0 {
+                "  OUT OF TOLERANCE"
+            } else {
+                ""
+            },
         );
     }
     println!(

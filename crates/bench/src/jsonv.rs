@@ -244,7 +244,10 @@ mod tests {
     fn parses_nested_documents() {
         let doc = parse_document(r#"{"a": [1, 2.5, -3e2], "b": {"c": "x"}, "d": true, "e": null}"#)
             .unwrap();
-        assert_eq!(require_num(&doc, "a", "t"), Err("t: 'a' is not a number (empty or NaN?)".into()));
+        assert_eq!(
+            require_num(&doc, "a", "t"),
+            Err("t: 'a' is not a number (empty or NaN?)".into())
+        );
         match doc.get("a") {
             Some(Json::Arr(items)) => {
                 assert_eq!(items.len(), 3);
@@ -252,7 +255,10 @@ mod tests {
             }
             other => panic!("bad array: {other:?}"),
         }
-        assert_eq!(doc.get("b").and_then(|b| b.get("c")).and_then(Json::as_str), Some("x"));
+        assert_eq!(
+            doc.get("b").and_then(|b| b.get("c")).and_then(Json::as_str),
+            Some("x")
+        );
         assert_eq!(require_bool(&doc, "d", "t"), Ok(true));
         assert_eq!(doc.get("e"), Some(&Json::Null));
     }

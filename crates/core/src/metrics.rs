@@ -86,6 +86,9 @@ pub struct ExporterStats {
     pub malformed: u64,
     /// Data flowsets dropped because their template was not yet known.
     pub unknown_template_drops: u64,
+    /// Records of decoded datagrams that yielded no flow (no usable
+    /// mandatory field in the template, zero bytes, packets > bytes).
+    pub skipped_records: u64,
 }
 
 /// Network-ingest counters folded into [`PipelineMetrics`] when the
@@ -103,6 +106,9 @@ pub struct IngestSummary {
     pub netflow_malformed: u64,
     /// Data flowsets dropped for lack of a template, across all exporters.
     pub netflow_unknown_template_drops: u64,
+    /// Records of decoded datagrams that yielded no flow, across all
+    /// exporters.
+    pub netflow_skipped_records: u64,
     /// Flow records dropped because the LookUp queue was full at ingest.
     pub netflow_queue_drops: u64,
     /// DNS feed connections accepted.
@@ -127,7 +133,7 @@ impl IngestSummary {
     pub fn summary_line(&self) -> String {
         format!(
             "netflow: {} datagrams from {} exporters -> {} flows \
-             ({} malformed, {} no-template, {} queue-dropped); \
+             ({} malformed, {} no-template, {} skipped records, {} queue-dropped); \
              dns feed: {} records over {} connections \
              ({} malformed streams, {} queue-dropped)",
             self.netflow_datagrams,
@@ -135,6 +141,7 @@ impl IngestSummary {
             self.netflow_flows,
             self.netflow_malformed,
             self.netflow_unknown_template_drops,
+            self.netflow_skipped_records,
             self.netflow_queue_drops,
             self.dns_records,
             self.dns_connections,
@@ -330,6 +337,7 @@ mod tests {
             flows: 30,
             malformed: 0,
             unknown_template_drops: 1,
+            skipped_records: 0,
         });
         assert!(r.metrics.ingest.is_live());
         let s = r.summary();

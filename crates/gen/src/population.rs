@@ -259,10 +259,26 @@ impl SubscriberPopulation {
     pub fn residential() -> Self {
         Self::base(1_800_000, DiurnalCurve::residential())
             .with_groups(&[
-                AccessGroup { asn: 64_512, subscriber_share: 0.46, activity: 1.25 },
-                AccessGroup { asn: 64_513, subscriber_share: 0.28, activity: 1.00 },
-                AccessGroup { asn: 64_514, subscriber_share: 0.16, activity: 0.70 },
-                AccessGroup { asn: 64_515, subscriber_share: 0.10, activity: 0.45 },
+                AccessGroup {
+                    asn: 64_512,
+                    subscriber_share: 0.46,
+                    activity: 1.25,
+                },
+                AccessGroup {
+                    asn: 64_513,
+                    subscriber_share: 0.28,
+                    activity: 1.00,
+                },
+                AccessGroup {
+                    asn: 64_514,
+                    subscriber_share: 0.16,
+                    activity: 0.70,
+                },
+                AccessGroup {
+                    asn: 64_515,
+                    subscriber_share: 0.10,
+                    activity: 0.45,
+                },
             ])
             .concentrated(1.15)
     }
@@ -272,9 +288,21 @@ impl SubscriberPopulation {
     pub fn business() -> Self {
         let mut p = Self::base(600_000, DiurnalCurve::business())
             .with_groups(&[
-                AccessGroup { asn: 64_520, subscriber_share: 0.55, activity: 1.10 },
-                AccessGroup { asn: 64_521, subscriber_share: 0.30, activity: 1.00 },
-                AccessGroup { asn: 64_522, subscriber_share: 0.15, activity: 0.60 },
+                AccessGroup {
+                    asn: 64_520,
+                    subscriber_share: 0.55,
+                    activity: 1.10,
+                },
+                AccessGroup {
+                    asn: 64_521,
+                    subscriber_share: 0.30,
+                    activity: 1.00,
+                },
+                AccessGroup {
+                    asn: 64_522,
+                    subscriber_share: 0.15,
+                    activity: 0.60,
+                },
             ])
             .concentrated(0.92);
         p.subscriber_skew = 1.5;
@@ -291,11 +319,31 @@ impl SubscriberPopulation {
         curve.weekend_factor = 1.05;
         Self::base(2_400_000, curve)
             .with_groups(&[
-                AccessGroup { asn: 64_512, subscriber_share: 0.38, activity: 1.15 },
-                AccessGroup { asn: 64_513, subscriber_share: 0.24, activity: 1.00 },
-                AccessGroup { asn: 64_520, subscriber_share: 0.20, activity: 0.95 },
-                AccessGroup { asn: 64_514, subscriber_share: 0.12, activity: 0.70 },
-                AccessGroup { asn: 64_515, subscriber_share: 0.06, activity: 0.40 },
+                AccessGroup {
+                    asn: 64_512,
+                    subscriber_share: 0.38,
+                    activity: 1.15,
+                },
+                AccessGroup {
+                    asn: 64_513,
+                    subscriber_share: 0.24,
+                    activity: 1.00,
+                },
+                AccessGroup {
+                    asn: 64_520,
+                    subscriber_share: 0.20,
+                    activity: 0.95,
+                },
+                AccessGroup {
+                    asn: 64_514,
+                    subscriber_share: 0.12,
+                    activity: 0.70,
+                },
+                AccessGroup {
+                    asn: 64_515,
+                    subscriber_share: 0.06,
+                    activity: 0.40,
+                },
             ])
             .concentrated(1.05)
     }
@@ -304,8 +352,16 @@ impl SubscriberPopulation {
     /// [`SubscriberPopulation::residential`], two groups).
     pub fn small() -> Self {
         let mut p = Self::base(50_000, DiurnalCurve::residential()).with_groups(&[
-            AccessGroup { asn: 64_512, subscriber_share: 0.65, activity: 1.10 },
-            AccessGroup { asn: 64_513, subscriber_share: 0.35, activity: 0.80 },
+            AccessGroup {
+                asn: 64_512,
+                subscriber_share: 0.65,
+                activity: 1.10,
+            },
+            AccessGroup {
+                asn: 64_513,
+                subscriber_share: 0.35,
+                activity: 0.80,
+            },
         ]);
         p.service_concentration = 1.1;
         p
@@ -399,12 +455,7 @@ impl SubscriberPopulation {
         let size = (end - start) as f64;
         let idx = ((size * rank.powf(self.subscriber_skew)) as u32).min(end - start - 1);
         let offset = start + idx;
-        Ipv4Addr::new(
-            10,
-            (offset >> 16) as u8,
-            (offset >> 8) as u8,
-            offset as u8,
-        )
+        Ipv4Addr::new(10, (offset >> 16) as u8, (offset >> 8) as u8, offset as u8)
     }
 
     /// Reverse of the address plan: which access group homes `addr`?
@@ -415,8 +466,7 @@ impl SubscriberPopulation {
         if octets[0] != 10 {
             return None;
         }
-        let offset =
-            ((octets[1] as u32) << 16) | ((octets[2] as u32) << 8) | octets[3] as u32;
+        let offset = ((octets[1] as u32) << 16) | ((octets[2] as u32) << 8) | octets[3] as u32;
         (0..self.group_count).find(|&g| {
             let (start, end) = self.group_range(g);
             (start..end).contains(&offset)
@@ -428,12 +478,7 @@ impl SubscriberPopulation {
     /// tests draw from the same address plan as the workload).
     pub fn subscriber_addr(&self, i: u32) -> Ipv4Addr {
         let offset = i % self.subscribers.max(1);
-        Ipv4Addr::new(
-            10,
-            (offset >> 16) as u8,
-            (offset >> 8) as u8,
-            offset as u8,
-        )
+        Ipv4Addr::new(10, (offset >> 16) as u8, (offset >> 8) as u8, offset as u8)
     }
 
     /// Sanity-check the model; called by the workload constructor.
@@ -462,7 +507,10 @@ impl SubscriberPopulation {
             return Err("fewer subscribers than groups".to_string());
         }
         if !(0.5..=4.0).contains(&self.subscriber_skew) {
-            return Err(format!("subscriber_skew {} out of [0.5, 4]", self.subscriber_skew));
+            return Err(format!(
+                "subscriber_skew {} out of [0.5, 4]",
+                self.subscriber_skew
+            ));
         }
         if !(0.5..=2.0).contains(&self.service_concentration) {
             return Err(format!(

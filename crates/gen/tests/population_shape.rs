@@ -34,9 +34,7 @@ fn workload(population: SubscriberPopulation, hours: u64, seed: u64) -> Workload
 /// is the flow's destination).
 fn inbound_flows(workload: &Workload) -> impl Iterator<Item = flowdns_types::FlowRecord> + '_ {
     workload.events().filter_map(|event| match event {
-        StreamEvent::Flow(f)
-            if f.direction == FlowDirection::Inbound && f.key.dst_port == 443 =>
-        {
+        StreamEvent::Flow(f) if f.direction == FlowDirection::Inbound && f.key.dst_port == 443 => {
             Some(f)
         }
         _ => None,
@@ -91,7 +89,11 @@ fn hourly_volume_follows_the_diurnal_curve() {
     let mut expected = [0f64; 24];
     for (hour, slot) in expected.iter_mut().enumerate() {
         *slot = (0..60)
-            .map(|m| population.diurnal.multiplier_at(hour as u64 * 3_600 + m * 60))
+            .map(|m| {
+                population
+                    .diurnal
+                    .multiplier_at(hour as u64 * 3_600 + m * 60)
+            })
             .sum::<f64>()
             / 60.0;
     }

@@ -33,10 +33,8 @@ fn config_strategy() -> impl Strategy<Value = WorkloadConfig> {
         any::<u64>(),
     )
         .prop_map(|(preset, secs, peak, seed)| WorkloadConfig {
-            population: SubscriberPopulation::preset(
-                SubscriberPopulation::PRESET_NAMES[preset],
-            )
-            .expect("preset name"),
+            population: SubscriberPopulation::preset(SubscriberPopulation::PRESET_NAMES[preset])
+                .expect("preset name"),
             duration: SimDuration::from_secs(secs),
             peak_flows_per_sec: peak as f64,
             background_dns_per_sec: (peak as f64 / 8.0).max(1.0),

@@ -241,12 +241,13 @@ fn main() {
             prev_dns = dns_records;
             eprintln!(
                 "flowdnsd: ingest: netflow {} datagrams -> {} flows ({} malformed, \
-                 {} no-template, {} queue-dropped); dns {} records over {} connections \
-                 ({} malformed streams, {} queue-dropped)",
+                 {} no-template, {} skipped records, {} queue-dropped); dns {} records over \
+                 {} connections ({} malformed streams, {} queue-dropped)",
                 reg.counter("flowdns_ingest_netflow_datagrams_total"),
                 reg.counter("flowdns_ingest_netflow_flows_total"),
                 reg.counter("flowdns_ingest_netflow_malformed_total"),
                 reg.counter("flowdns_ingest_netflow_unknown_template_drops_total"),
+                reg.counter("flowdns_ingest_netflow_skipped_records_total"),
                 reg.counter("flowdns_ingest_netflow_queue_dropped_total"),
                 reg.counter("flowdns_ingest_dns_records_total"),
                 reg.counter("flowdns_ingest_dns_connections_total"),

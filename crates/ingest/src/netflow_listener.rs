@@ -33,7 +33,8 @@
 //! Decode state is **sharded per listener thread**: thread *i* owns
 //! [`ListenerShard`] *i*, whose per-exporter [`ExporterDecoder`] map it
 //! alone mutates (the mutex is only there so stats readers can walk the
-//! map; it is never contended by another listener). `SO_REUSEPORT`
+//! map; it is never contended by another listener, and the owner takes
+//! it once per drain round, around the decode of steps 1–3). `SO_REUSEPORT`
 //! hashes by source address, so one exporter's datagrams consistently
 //! land on one socket and its template state never migrates between
 //! shards. A malformed datagram increments that exporter's own
@@ -176,6 +177,7 @@ impl ExporterTable {
                 entry.flows += dec.stats.flows;
                 entry.malformed += dec.stats.malformed;
                 entry.unknown_template_drops += dec.stats.unknown_template_drops;
+                entry.skipped_records += dec.stats.skipped_records;
             }
         }
         let mut out: Vec<ExporterStats> = merged.into_values().collect();
@@ -243,10 +245,14 @@ pub(crate) fn spawn_group(
     Ok(handles)
 }
 
-/// Decode one datagram into `batch` under this shard's (uncontended)
-/// decoder lock. Errors are already counted in the exporter's stats.
-fn decode_into(shard: &ListenerShard, peer: SocketAddr, bytes: &[u8], batch: &mut Vec<FlowRecord>) {
-    let mut decoders = shard.decoders.lock();
+/// Decode one datagram into `batch` with its exporter's decoder. Errors
+/// are already counted in the exporter's stats.
+fn decode_into(
+    decoders: &mut HashMap<SocketAddr, ExporterDecoder>,
+    peer: SocketAddr,
+    bytes: &[u8],
+    batch: &mut Vec<FlowRecord>,
+) {
     let decoder = decoders
         .entry(peer)
         .or_insert_with(|| ExporterDecoder::new(ExtractorConfig::default()));
@@ -288,7 +294,12 @@ fn listener_loop(
             // bounced back on Linux) must not kill the listener.
             Err(_) => continue,
         };
-        decode_into(shard, peer, &buf[..len], &mut batch);
+        // The shard's decoder lock (uncontended: only stats readers ever
+        // take it besides this thread) is held for the decode of the
+        // whole round, not re-taken per datagram, and never across the
+        // blocking receive above.
+        let mut decoders = shard.decoders.lock();
+        decode_into(&mut decoders, peer, &buf[..len], &mut batch);
         let mut drained = 1u64;
         // Step 2+3: drain whatever else is already queued in the kernel
         // buffer, decoding as we go.
@@ -298,7 +309,7 @@ fn listener_loop(
                 Ok(count) => {
                     for i in 0..count {
                         let (bytes, peer) = r.datagram(i);
-                        decode_into(shard, peer, bytes, &mut batch);
+                        decode_into(&mut decoders, peer, bytes, &mut batch);
                     }
                     drained += count as u64;
                 }
@@ -314,7 +325,7 @@ fn listener_loop(
                 match socket.recv_from(&mut buf) {
                     Ok((len, peer)) => {
                         drained += 1;
-                        decode_into(shard, peer, &buf[..len], &mut batch);
+                        decode_into(&mut decoders, peer, &buf[..len], &mut batch);
                     }
                     Err(_) => break, // WouldBlock: kernel queue is empty
                 }
@@ -323,6 +334,7 @@ fn listener_loop(
             // applies (SO_RCVTIMEO is independent of O_NONBLOCK).
             let _ = socket.set_nonblocking(false);
         }
+        drop(decoders);
         // ordering: stats-only counters read by scrapes; momentary skew
         // between them is tolerated.
         shard.stats.datagrams.fetch_add(drained, Ordering::Relaxed);

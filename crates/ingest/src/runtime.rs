@@ -336,6 +336,7 @@ impl IngestRuntime {
             netflow_flows: totals.flows,
             netflow_malformed: totals.malformed,
             netflow_unknown_template_drops: totals.unknown_template_drops,
+            netflow_skipped_records: totals.skipped_records,
             netflow_queue_drops: self.exporters.queue_drops.load(Ordering::Relaxed),
             dns_connections: self.dns_stats.connections.load(Ordering::Relaxed),
             dns_records: self.dns_stats.records.load(Ordering::Relaxed),
@@ -464,9 +465,17 @@ fn register_ingest_metrics(
     let t = Arc::clone(exporters);
     registry.counter_fn(
         "flowdns_ingest_netflow_unknown_template_drops_total",
-        "IPFIX data records dropped for lack of their template.",
+        "NetFlow v9 data flowsets and IPFIX data sets dropped for lack of their template.",
         &[],
         move || t.totals().unknown_template_drops,
+    );
+    let t = Arc::clone(exporters);
+    registry.counter_fn(
+        "flowdns_ingest_netflow_skipped_records_total",
+        "Records of decoded datagrams that yielded no flow (template without a usable \
+         address or bytes field, zero bytes, more packets than bytes).",
+        &[],
+        move || t.totals().skipped_records,
     );
     let t = Arc::clone(exporters);
     registry.counter_fn(

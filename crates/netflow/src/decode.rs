@@ -12,10 +12,11 @@
 
 use flowdns_types::{FlowDnsError, FlowRecord, SimTime};
 
-use crate::extract::{ExtractorConfig, FlowExtractor};
-use crate::ipfix::IpfixParser;
-use crate::v5::V5Packet;
-use crate::v9::{FlowSet, V9Parser};
+use crate::extract::{v5_flow, ExtractorConfig};
+use crate::ipfix;
+use crate::template::TemplateRegistry;
+use crate::v5::{split_packet, V5Record, V5_RECORD_LEN};
+use crate::v9::{walk_packet, Section};
 
 /// The export protocol spoken by a datagram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,6 +73,12 @@ pub struct DecodeStats {
     /// Data flowsets/sets dropped because their template was not (yet)
     /// known — the paper's warm-up loss, counted as drops, not errors.
     pub unknown_template_drops: u64,
+    /// Records of decoded datagrams that yielded no flow: the template
+    /// has no usable source, destination or bytes field, or the record
+    /// fails [`FlowRecord::is_valid`] (zero bytes, more packets than
+    /// bytes). With `flows`, this accounts for every record of every
+    /// accepted datagram.
+    pub skipped_records: u64,
 }
 
 impl DecodeStats {
@@ -81,30 +88,40 @@ impl DecodeStats {
         self.flows += other.flows;
         self.malformed += other.malformed;
         self.unknown_template_drops += other.unknown_template_drops;
+        self.skipped_records += other.skipped_records;
     }
 }
 
 /// Stateful decoder for **one** exporter peer.
 ///
-/// Keeps independent v9 and IPFIX parser state (each with its own
-/// per-source [`crate::template::TemplateRegistry`]) plus a
-/// [`FlowExtractor`], and turns raw datagrams into [`FlowRecord`]s.
+/// Keeps independent v9 and IPFIX template state (a per-source
+/// [`TemplateRegistry`] each) and turns raw datagrams into
+/// [`FlowRecord`]s. Template-based data sets are decoded by the
+/// extraction plan compiled when their template arrived: each record is
+/// read straight from the datagram into the caller's vector.
 #[derive(Debug, Default)]
 pub struct ExporterDecoder {
-    v9: V9Parser,
-    ipfix: IpfixParser,
-    extractor: FlowExtractor,
+    v9_templates: TemplateRegistry,
+    ipfix_templates: TemplateRegistry,
+    config: ExtractorConfig,
     /// Decode counters for this exporter.
     pub stats: DecodeStats,
+}
+
+/// What one datagram adds to [`DecodeStats`] if it is accepted.
+#[derive(Default)]
+struct Tally {
+    skipped_records: u64,
+    unknown_template_sets: u64,
 }
 
 impl ExporterDecoder {
     /// A fresh decoder with empty template state.
     pub fn new(config: ExtractorConfig) -> Self {
         ExporterDecoder {
-            v9: V9Parser::new(),
-            ipfix: IpfixParser::new(),
-            extractor: FlowExtractor::new(config),
+            v9_templates: TemplateRegistry::new(),
+            ipfix_templates: TemplateRegistry::new(),
+            config,
             stats: DecodeStats::default(),
         }
     }
@@ -116,57 +133,102 @@ impl ExporterDecoder {
     /// not an error — it yields fewer (possibly zero) records and
     /// increments [`DecodeStats::unknown_template_drops`].
     pub fn decode_datagram(&mut self, bytes: &[u8]) -> Result<Vec<FlowRecord>, FlowDnsError> {
-        let result = match FlowProtocol::detect(bytes) {
-            Some(FlowProtocol::V5) => V5Packet::decode(bytes).map(|p| self.extractor.from_v5(&p)),
-            Some(FlowProtocol::V9) => self.v9.parse(bytes).map(|p| {
-                let unknown = p
-                    .flowsets
-                    .iter()
-                    .filter(|fs| matches!(fs, FlowSet::UnknownTemplate { .. }))
-                    .count();
-                self.stats.unknown_template_drops += unknown as u64;
-                self.extractor.from_v9(&p)
-            }),
-            Some(FlowProtocol::Ipfix) => self.ipfix.parse(bytes).map(|m| {
-                self.stats.unknown_template_drops += m.unknown_template_sets as u64;
-                let ts = SimTime::from_secs(m.export_time as u64);
-                let records: Vec<_> = m.records.iter().collect();
-                self.extractor.from_data_records(ts, &records)
-            }),
-            None => Err(FlowDnsError::NetflowParse(
-                "unrecognized export protocol version".into(),
-            )),
-        };
-        match result {
-            Ok(flows) => {
-                self.stats.datagrams += 1;
-                self.stats.flows += flows.len() as u64;
-                Ok(flows)
-            }
-            Err(e) => {
-                self.stats.malformed += 1;
-                Err(e)
-            }
-        }
+        let mut flows = Vec::new();
+        self.decode_datagram_into(bytes, &mut flows)?;
+        Ok(flows)
     }
 
     /// Like [`decode_datagram`](Self::decode_datagram), but appends the
     /// decoded records to `out` instead of allocating a fresh vector —
     /// the batched listeners decode a whole socket drain into one
     /// reusable buffer and push it to the pipeline in a single batch.
-    /// Returns how many records this datagram contributed; a malformed
-    /// datagram is counted (and reported as `Err`) without touching
-    /// records already in `out`.
+    /// Returns how many records this datagram contributed. A datagram is
+    /// accepted whole or not at all: a malformed one is counted (and
+    /// reported as `Err`) and leaves `out` exactly as it was handed in.
     pub fn decode_datagram_into(
         &mut self,
         bytes: &[u8],
         out: &mut Vec<FlowRecord>,
     ) -> Result<usize, FlowDnsError> {
-        let flows = self.decode_datagram(bytes)?;
-        let n = flows.len();
-        out.extend(flows);
-        Ok(n)
+        let len_on_entry = out.len();
+        let mut tally = Tally::default();
+        let result = match FlowProtocol::detect(bytes) {
+            Some(FlowProtocol::V5) => append_v5(&self.config, bytes, out, &mut tally),
+            Some(FlowProtocol::V9) => {
+                let config = &self.config;
+                walk_packet(bytes, &mut self.v9_templates, |header, section| {
+                    let ts = SimTime::from_secs(header.unix_secs as u64);
+                    append_section(config, ts, section, out, &mut tally);
+                })
+                .map(|_| ())
+            }
+            Some(FlowProtocol::Ipfix) => {
+                let config = &self.config;
+                ipfix::walk_message(bytes, &mut self.ipfix_templates, |header, section| {
+                    let ts = SimTime::from_secs(header.export_time as u64);
+                    append_section(config, ts, section, out, &mut tally);
+                })
+                .map(|_| ())
+            }
+            None => Err(FlowDnsError::NetflowParse(
+                "unrecognized export protocol version".into(),
+            )),
+        };
+        match result {
+            Ok(()) => {
+                let flows = out.len() - len_on_entry;
+                self.stats.datagrams += 1;
+                self.stats.flows += flows as u64;
+                self.stats.skipped_records += tally.skipped_records;
+                self.stats.unknown_template_drops += tally.unknown_template_sets;
+                Ok(flows)
+            }
+            Err(e) => {
+                out.truncate(len_on_entry);
+                self.stats.malformed += 1;
+                Err(e)
+            }
+        }
     }
+}
+
+/// One v9 flowset / IPFIX set of the live decode: data sets are read by
+/// their template's plan, everything else only counted.
+fn append_section(
+    config: &ExtractorConfig,
+    ts: SimTime,
+    section: Section<'_>,
+    out: &mut Vec<FlowRecord>,
+    tally: &mut Tally,
+) {
+    match section {
+        Section::Data { plan, records, .. } => {
+            tally.skipped_records += plan.append_flows(records, ts, config, out);
+        }
+        Section::UnknownTemplate { .. } => tally.unknown_template_sets += 1,
+        Section::Templates(_) | Section::OptionsTemplate => {}
+    }
+}
+
+/// A v5 datagram: the export timestamp of the packet is the record
+/// timestamp (v5 per-flow times are router-uptime-relative).
+fn append_v5(
+    config: &ExtractorConfig,
+    bytes: &[u8],
+    out: &mut Vec<FlowRecord>,
+    tally: &mut Tally,
+) -> Result<(), FlowDnsError> {
+    let (header, records) = split_packet(bytes)?;
+    let ts = SimTime::from_secs(header.unix_secs as u64);
+    for record in records.chunks_exact(V5_RECORD_LEN) {
+        let flow = v5_flow(config, ts, &V5Record::from_wire(record));
+        if flow.is_valid() {
+            out.push(flow);
+        } else {
+            tally.skipped_records += 1;
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -215,7 +277,7 @@ mod tests {
     fn decodes_v5_v9_and_ipfix_through_one_decoder() {
         let mut d = ExporterDecoder::new(ExtractorConfig::default());
 
-        let v5 = V5Packet {
+        let v5 = crate::v5::V5Packet {
             header: crate::v5::V5Header {
                 unix_secs: 100,
                 ..Default::default()
@@ -290,16 +352,19 @@ mod tests {
             flows: 2,
             malformed: 3,
             unknown_template_drops: 4,
+            skipped_records: 5,
         };
         a.merge(&DecodeStats {
             datagrams: 10,
             flows: 20,
             malformed: 30,
             unknown_template_drops: 40,
+            skipped_records: 50,
         });
         assert_eq!(a.datagrams, 11);
         assert_eq!(a.flows, 22);
         assert_eq!(a.malformed, 33);
         assert_eq!(a.unknown_template_drops, 44);
+        assert_eq!(a.skipped_records, 55);
     }
 }

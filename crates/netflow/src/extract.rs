@@ -13,7 +13,7 @@ use std::net::IpAddr;
 use flowdns_types::{FlowDirection, FlowKey, FlowRecord, Protocol, SimTime, StreamId};
 
 use crate::template::FieldType;
-use crate::v5::V5Packet;
+use crate::v5::{V5Packet, V5Record};
 use crate::v9::{DataRecord, V9Packet};
 
 /// Which IP address the correlator should use when looking flows up in the
@@ -92,21 +92,7 @@ impl FlowExtractor {
         let ts = SimTime::from_secs(packet.header.unix_secs as u64);
         let mut out = Vec::with_capacity(packet.records.len());
         for r in &packet.records {
-            let flow = FlowRecord {
-                ts,
-                key: FlowKey {
-                    src_ip: IpAddr::V4(r.src_addr),
-                    dst_ip: IpAddr::V4(r.dst_addr),
-                    src_port: r.src_port,
-                    dst_port: r.dst_port,
-                    proto: Protocol::from_u8(r.proto),
-                },
-                packets: r.packets as u64,
-                bytes: r.octets as u64,
-                stream: self.config.stream,
-                direction: self.config.direction,
-                trace: None,
-            };
+            let flow = v5_flow(&self.config, ts, r);
             if flow.is_valid() {
                 self.extracted += 1;
                 out.push(flow);
@@ -170,11 +156,30 @@ impl FlowExtractor {
     }
 }
 
+/// The flow a v5 record describes, before the validity filter.
+pub(crate) fn v5_flow(config: &ExtractorConfig, ts: SimTime, r: &V5Record) -> FlowRecord {
+    FlowRecord {
+        ts,
+        key: FlowKey {
+            src_ip: IpAddr::V4(r.src_addr),
+            dst_ip: IpAddr::V4(r.dst_addr),
+            src_port: r.src_port,
+            dst_port: r.dst_port,
+            proto: Protocol::from_u8(r.proto),
+        },
+        packets: r.packets as u64,
+        bytes: r.octets as u64,
+        stream: config.stream,
+        direction: config.direction,
+        trace: None,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::template::Template;
-    use crate::v5::{V5Header, V5Record};
+    use crate::v5::V5Header;
     use crate::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
     use std::net::Ipv4Addr;
 

@@ -12,8 +12,8 @@
 
 use flowdns_types::FlowDnsError;
 
-use crate::template::{FieldSpec, FieldType, Template, TemplateRegistry};
-use crate::v9::DataRecord;
+use crate::template::{FieldSpec, FieldType, PlannedTemplate, Template, TemplateRegistry};
+use crate::v9::{whole_records, DataRecord, Section};
 
 fn err(msg: impl Into<String>) -> FlowDnsError {
     FlowDnsError::NetflowParse(msg.into())
@@ -61,70 +61,120 @@ impl IpfixParser {
 
     /// Parse one IPFIX message.
     pub fn parse(&mut self, bytes: &[u8]) -> Result<IpfixMessage, FlowDnsError> {
-        if bytes.len() < IPFIX_HEADER_LEN {
-            return Err(err("message shorter than IPFIX header"));
-        }
-        let version = u16::from_be_bytes([bytes[0], bytes[1]]);
-        if version != 10 {
-            return Err(err(format!("not an IPFIX message (version {version})")));
-        }
-        let length = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        if length != bytes.len() {
-            return Err(err(format!(
-                "IPFIX length field {length} does not match buffer length {}",
-                bytes.len()
-            )));
-        }
-        let export_time = be32(&bytes[4..8]);
-        let sequence = be32(&bytes[8..12]);
-        let observation_domain = be32(&bytes[12..16]);
-
         let mut records = Vec::new();
         let mut unknown_template_sets = 0usize;
-        let mut offset = IPFIX_HEADER_LEN;
-        while offset + 4 <= bytes.len() {
-            let set_id = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]);
-            let set_len = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]) as usize;
-            if set_len < 4 {
-                return Err(err(format!("set length {set_len} too small")));
-            }
-            if offset + set_len > bytes.len() {
-                return Err(err("set runs past end of message"));
-            }
-            let body = &bytes[offset + 4..offset + set_len];
-            match set_id {
-                TEMPLATE_SET_ID => {
-                    for t in parse_template_set(body)? {
-                        self.templates.insert(observation_domain, t);
-                    }
-                }
-                OPTIONS_TEMPLATE_SET_ID => {
-                    // Recognized, not interpreted.
-                }
-                id if id >= 256 => match self.templates.get(observation_domain, id).cloned() {
-                    Some(template) => {
-                        records.extend(parse_data_set(body, &template)?);
-                    }
-                    None => {
-                        self.templates.note_unknown(observation_domain);
-                        unknown_template_sets += 1;
-                    }
-                },
-                id => return Err(err(format!("reserved set id {id}"))),
-            }
-            offset += set_len;
-        }
-
+        let header = walk_message(bytes, &mut self.templates, |_, section| match section {
+            Section::Data {
+                template,
+                records: body,
+                ..
+            } => records.extend(
+                body.chunks_exact(template.record_len())
+                    .map(|r| DataRecord::from_wire(template, r)),
+            ),
+            Section::UnknownTemplate { .. } => unknown_template_sets += 1,
+            Section::Templates(_) | Section::OptionsTemplate => {}
+        })?;
         self.messages += 1;
         self.records += records.len() as u64;
         Ok(IpfixMessage {
-            export_time,
-            sequence,
-            observation_domain,
+            export_time: header.export_time,
+            sequence: header.sequence,
+            observation_domain: header.observation_domain,
             records,
             unknown_template_sets,
         })
     }
+}
+
+/// The fields of an IPFIX message header (after version and length).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct IpfixHeader {
+    pub(crate) export_time: u32,
+    pub(crate) sequence: u32,
+    pub(crate) observation_domain: u32,
+}
+
+/// Walk one IPFIX message: every header and set framing check of the
+/// format, the template cache updates, and a `visit` per set in wire
+/// order.
+///
+/// Like [`walk_packet`](crate::v9::walk_packet) for v9, this is the one
+/// place that decides which IPFIX datagrams are rejected;
+/// [`IpfixParser::parse`] and the live decoder differ only in what their
+/// `visit` keeps.
+pub(crate) fn walk_message(
+    bytes: &[u8],
+    templates: &mut TemplateRegistry,
+    mut visit: impl FnMut(&IpfixHeader, Section<'_>),
+) -> Result<IpfixHeader, FlowDnsError> {
+    if bytes.len() < IPFIX_HEADER_LEN {
+        return Err(err("message shorter than IPFIX header"));
+    }
+    let version = u16::from_be_bytes([bytes[0], bytes[1]]);
+    if version != 10 {
+        return Err(err(format!("not an IPFIX message (version {version})")));
+    }
+    let length = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
+    if length != bytes.len() {
+        return Err(err(format!(
+            "IPFIX length field {length} does not match buffer length {}",
+            bytes.len()
+        )));
+    }
+    let header = IpfixHeader {
+        export_time: be32(&bytes[4..8]),
+        sequence: be32(&bytes[8..12]),
+        observation_domain: be32(&bytes[12..16]),
+    };
+    let observation_domain = header.observation_domain;
+
+    let mut offset = IPFIX_HEADER_LEN;
+    while offset + 4 <= bytes.len() {
+        let set_id = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]);
+        let set_len = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]) as usize;
+        if set_len < 4 {
+            return Err(err(format!("set length {set_len} too small")));
+        }
+        if offset + set_len > bytes.len() {
+            return Err(err("set runs past end of message"));
+        }
+        let body = &bytes[offset + 4..offset + set_len];
+        match set_id {
+            TEMPLATE_SET_ID => {
+                let announced = parse_template_set(body)?;
+                visit(&header, Section::Templates(&announced));
+                for t in announced {
+                    templates.insert(observation_domain, t);
+                }
+            }
+            // Recognized, not interpreted.
+            OPTIONS_TEMPLATE_SET_ID => visit(&header, Section::OptionsTemplate),
+            id if id >= 256 => match templates.planned(observation_domain, id) {
+                Some(PlannedTemplate { template, plan }) => visit(
+                    &header,
+                    Section::Data {
+                        template,
+                        plan,
+                        records: whole_records(body, plan.record_len())?,
+                    },
+                ),
+                None => {
+                    templates.note_unknown(observation_domain);
+                    visit(
+                        &header,
+                        Section::UnknownTemplate {
+                            template_id: id,
+                            bytes: body.len(),
+                        },
+                    );
+                }
+            },
+            id => return Err(err(format!("reserved set id {id}"))),
+        }
+        offset += set_len;
+    }
+    Ok(header)
 }
 
 fn parse_template_set(body: &[u8]) -> Result<Vec<Template>, FlowDnsError> {
@@ -172,29 +222,6 @@ fn parse_template_set(body: &[u8]) -> Result<Vec<Template>, FlowDnsError> {
         return Err(err("template set carries no templates"));
     }
     Ok(templates)
-}
-
-fn parse_data_set(body: &[u8], template: &Template) -> Result<Vec<DataRecord>, FlowDnsError> {
-    let rec_len = template.record_len();
-    if rec_len == 0 {
-        return Err(err("template describes zero-length records"));
-    }
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    while off + rec_len <= body.len() {
-        let mut record = DataRecord::default();
-        let mut pos = off;
-        for field in &template.fields {
-            let len = field.length as usize;
-            record
-                .fields
-                .insert(field.ftype.to_u16(), body[pos..pos + len].to_vec());
-            pos += len;
-        }
-        records.push(record);
-        off += rec_len;
-    }
-    Ok(records)
 }
 
 fn be32(b: &[u8]) -> u32 {

@@ -18,7 +18,11 @@
 //!   packet into the [`flowdns_types::FlowRecord`]s the correlator
 //!   consumes (the paper: "the system is not bound to NetFlow data"),
 //! * [`decode`] — per-exporter datagram decoding with v5/v9/IPFIX
-//!   auto-detection by version word, used by the live ingest layer.
+//!   auto-detection by version word, used by the live ingest layer. It
+//!   shares each format's framing walk with the parsers above but keeps
+//!   no parsed packet: a template's extraction plan (private `plan`
+//!   module, compiled when the template is cached) reads each flow
+//!   straight from the datagram bytes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -26,6 +30,7 @@
 pub mod decode;
 pub mod extract;
 pub mod ipfix;
+mod plan;
 pub mod template;
 pub mod v5;
 pub mod v9;

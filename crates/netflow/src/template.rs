@@ -6,8 +6,14 @@
 //! before templates or refresh templates periodically, so parsers keep a
 //! [`TemplateRegistry`] — one [`TemplateCache`] (keyed by template id)
 //! per source id, so sources can never clobber each other's layouts.
+//!
+//! Storing a template also compiles its extraction plan (the private
+//! `plan` module): the offsets of the fields a flow record is built
+//! from, which the live decoder reads straight out of the datagram.
 
 use std::collections::HashMap;
+
+use crate::plan::ExtractionPlan;
 
 /// The field types FlowDNS cares about (a subset of the IANA IPFIX
 /// registry / Cisco NetFlow v9 field types).
@@ -162,6 +168,15 @@ impl Template {
     }
 }
 
+/// A cached template and the extraction plan compiled from it. They are
+/// one entry so a re-announced template can never leave a stale plan
+/// behind.
+#[derive(Debug, Clone)]
+pub(crate) struct PlannedTemplate {
+    pub(crate) template: Template,
+    pub(crate) plan: ExtractionPlan,
+}
+
 /// Cache of the templates announced by **one** source (one NetFlow v9
 /// source id / IPFIX observation domain), keyed by template id.
 ///
@@ -171,7 +186,7 @@ impl Template {
 /// warm-up loss.
 #[derive(Debug, Default, Clone)]
 pub struct TemplateCache {
-    templates: HashMap<u16, Template>,
+    templates: HashMap<u16, PlannedTemplate>,
     /// Data flowsets that referenced an unknown template.
     pub unknown_template_hits: u64,
 }
@@ -182,13 +197,19 @@ impl TemplateCache {
         TemplateCache::default()
     }
 
-    /// Insert or refresh a template.
+    /// Insert or refresh a template, compiling its extraction plan.
     pub fn insert(&mut self, template: Template) {
-        self.templates.insert(template.id, template);
+        let plan = ExtractionPlan::compile(&template.fields);
+        self.templates
+            .insert(template.id, PlannedTemplate { template, plan });
     }
 
     /// Look up a template.
     pub fn get(&self, template_id: u16) -> Option<&Template> {
+        self.planned(template_id).map(|p| &p.template)
+    }
+
+    pub(crate) fn planned(&self, template_id: u16) -> Option<&PlannedTemplate> {
         self.templates.get(&template_id)
     }
 
@@ -247,6 +268,10 @@ impl TemplateRegistry {
     /// Look up a template of a source.
     pub fn get(&self, source_id: u32, template_id: u16) -> Option<&Template> {
         self.sources.get(&source_id)?.get(template_id)
+    }
+
+    pub(crate) fn planned(&self, source_id: u32, template_id: u16) -> Option<&PlannedTemplate> {
+        self.sources.get(&source_id)?.planned(template_id)
     }
 
     /// Record a data flowset of `source_id` that arrived before its

@@ -104,6 +104,67 @@ impl Default for V5Record {
     }
 }
 
+impl V5Record {
+    /// Decode one record from its [`V5_RECORD_LEN`] wire bytes.
+    pub(crate) fn from_wire(b: &[u8]) -> Self {
+        V5Record {
+            src_addr: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
+            dst_addr: Ipv4Addr::new(b[4], b[5], b[6], b[7]),
+            next_hop: Ipv4Addr::new(b[8], b[9], b[10], b[11]),
+            input_if: u16::from_be_bytes([b[12], b[13]]),
+            output_if: u16::from_be_bytes([b[14], b[15]]),
+            packets: be32(&b[16..20]),
+            octets: be32(&b[20..24]),
+            first: be32(&b[24..28]),
+            last: be32(&b[28..32]),
+            src_port: u16::from_be_bytes([b[32], b[33]]),
+            dst_port: u16::from_be_bytes([b[34], b[35]]),
+            tcp_flags: b[37],
+            proto: b[38],
+            tos: b[39],
+            src_as: u16::from_be_bytes([b[40], b[41]]),
+            dst_as: u16::from_be_bytes([b[42], b[43]]),
+            src_mask: b[44],
+            dst_mask: b[45],
+        }
+    }
+}
+
+/// Check a v5 packet's framing (header length, version, a record count
+/// of 1..=30, no truncation) and split it into its header and the bytes
+/// of the declared records. [`V5Packet::decode`] and the live decoder
+/// both start here.
+pub(crate) fn split_packet(bytes: &[u8]) -> Result<(V5Header, &[u8]), FlowDnsError> {
+    if bytes.len() < V5_HEADER_LEN {
+        return Err(err("packet shorter than v5 header"));
+    }
+    let version = u16::from_be_bytes([bytes[0], bytes[1]]);
+    if version != 5 {
+        return Err(err(format!("not a v5 packet (version {version})")));
+    }
+    let count = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
+    if count == 0 || count > V5_MAX_RECORDS {
+        return Err(err(format!("invalid v5 record count {count}")));
+    }
+    let expected = V5_HEADER_LEN + count * V5_RECORD_LEN;
+    if bytes.len() < expected {
+        return Err(err(format!(
+            "v5 packet truncated: need {expected} bytes, have {}",
+            bytes.len()
+        )));
+    }
+    let header = V5Header {
+        sys_uptime_ms: be32(&bytes[4..8]),
+        unix_secs: be32(&bytes[8..12]),
+        unix_nsecs: be32(&bytes[12..16]),
+        flow_sequence: be32(&bytes[16..20]),
+        engine_type: bytes[20],
+        engine_id: bytes[21],
+        sampling: u16::from_be_bytes([bytes[22], bytes[23]]),
+    };
+    Ok((header, &bytes[V5_HEADER_LEN..expected]))
+}
+
 /// A complete NetFlow v5 export packet.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct V5Packet {
@@ -159,59 +220,14 @@ impl V5Packet {
 
     /// Decode a packet from wire format.
     pub fn decode(bytes: &[u8]) -> Result<Self, FlowDnsError> {
-        if bytes.len() < V5_HEADER_LEN {
-            return Err(err("packet shorter than v5 header"));
-        }
-        let version = u16::from_be_bytes([bytes[0], bytes[1]]);
-        if version != 5 {
-            return Err(err(format!("not a v5 packet (version {version})")));
-        }
-        let count = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        if count == 0 || count > V5_MAX_RECORDS {
-            return Err(err(format!("invalid v5 record count {count}")));
-        }
-        let expected = V5_HEADER_LEN + count * V5_RECORD_LEN;
-        if bytes.len() < expected {
-            return Err(err(format!(
-                "v5 packet truncated: need {expected} bytes, have {}",
-                bytes.len()
-            )));
-        }
-        let header = V5Header {
-            sys_uptime_ms: be32(&bytes[4..8]),
-            unix_secs: be32(&bytes[8..12]),
-            unix_nsecs: be32(&bytes[12..16]),
-            flow_sequence: be32(&bytes[16..20]),
-            engine_type: bytes[20],
-            engine_id: bytes[21],
-            sampling: u16::from_be_bytes([bytes[22], bytes[23]]),
-        };
-        let mut records = Vec::with_capacity(count);
-        for i in 0..count {
-            let base = V5_HEADER_LEN + i * V5_RECORD_LEN;
-            let b = &bytes[base..base + V5_RECORD_LEN];
-            records.push(V5Record {
-                src_addr: Ipv4Addr::new(b[0], b[1], b[2], b[3]),
-                dst_addr: Ipv4Addr::new(b[4], b[5], b[6], b[7]),
-                next_hop: Ipv4Addr::new(b[8], b[9], b[10], b[11]),
-                input_if: u16::from_be_bytes([b[12], b[13]]),
-                output_if: u16::from_be_bytes([b[14], b[15]]),
-                packets: be32(&b[16..20]),
-                octets: be32(&b[20..24]),
-                first: be32(&b[24..28]),
-                last: be32(&b[28..32]),
-                src_port: u16::from_be_bytes([b[32], b[33]]),
-                dst_port: u16::from_be_bytes([b[34], b[35]]),
-                tcp_flags: b[37],
-                proto: b[38],
-                tos: b[39],
-                src_as: u16::from_be_bytes([b[40], b[41]]),
-                dst_as: u16::from_be_bytes([b[42], b[43]]),
-                src_mask: b[44],
-                dst_mask: b[45],
-            });
-        }
-        Ok(V5Packet { header, records })
+        let (header, records) = split_packet(bytes)?;
+        Ok(V5Packet {
+            header,
+            records: records
+                .chunks_exact(V5_RECORD_LEN)
+                .map(V5Record::from_wire)
+                .collect(),
+        })
     }
 }
 

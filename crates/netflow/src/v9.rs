@@ -13,7 +13,8 @@ use std::net::IpAddr;
 
 use flowdns_types::FlowDnsError;
 
-use crate::template::{FieldSpec, FieldType, Template, TemplateRegistry};
+use crate::plan::ExtractionPlan;
+use crate::template::{FieldSpec, FieldType, PlannedTemplate, Template, TemplateRegistry};
 
 fn err(msg: impl Into<String>) -> FlowDnsError {
     FlowDnsError::NetflowParse(msg.into())
@@ -35,6 +36,21 @@ pub struct DataRecord {
 }
 
 impl DataRecord {
+    /// Split one record's bytes into its template's fields. Of a
+    /// repeated field type the last occurrence is kept.
+    pub(crate) fn from_wire(template: &Template, bytes: &[u8]) -> Self {
+        let mut record = DataRecord::default();
+        let mut pos = 0usize;
+        for field in &template.fields {
+            let len = field.length as usize;
+            record
+                .fields
+                .insert(field.ftype.to_u16(), bytes[pos..pos + len].to_vec());
+            pos += len;
+        }
+        record
+    }
+
     /// Get a field's raw bytes.
     pub fn raw(&self, ftype: FieldType) -> Option<&[u8]> {
         self.fields.get(&ftype.to_u16()).map(|v| v.as_slice())
@@ -135,94 +151,179 @@ impl V9Parser {
 
     /// Parse one export packet, updating the template cache.
     pub fn parse(&mut self, bytes: &[u8]) -> Result<V9Packet, FlowDnsError> {
-        if bytes.len() < V9_HEADER_LEN {
-            return Err(err("packet shorter than v9 header"));
-        }
-        let version = u16::from_be_bytes([bytes[0], bytes[1]]);
-        if version != 9 {
-            return Err(err(format!("not a v9 packet (version {version})")));
-        }
-        let declared_count = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
-        let sys_uptime_ms = be32(&bytes[4..8]);
-        let unix_secs = be32(&bytes[8..12]);
-        let sequence = be32(&bytes[12..16]);
-        let source_id = be32(&bytes[16..20]);
-
         let mut flowsets = Vec::new();
-        let mut decoded_records = 0usize;
-        let mut offset = V9_HEADER_LEN;
-        while offset + 4 <= bytes.len() {
-            let flowset_id = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]);
-            let length = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]) as usize;
-            if length < 4 {
-                return Err(err(format!("flowset length {length} too small")));
-            }
-            if offset + length > bytes.len() {
-                return Err(err("flowset runs past end of packet"));
-            }
-            let body = &bytes[offset + 4..offset + length];
-            match flowset_id {
-                TEMPLATE_FLOWSET_ID => {
-                    let templates = parse_template_flowset(body)?;
-                    for t in &templates {
-                        self.templates.insert(source_id, t.clone());
-                    }
-                    flowsets.push(FlowSet::Templates(templates));
-                }
-                OPTIONS_TEMPLATE_FLOWSET_ID => {
-                    flowsets.push(FlowSet::OptionsTemplate);
-                }
-                id if id >= 256 => match self.templates.get(source_id, id).cloned() {
-                    Some(template) => {
-                        let records = parse_data_flowset(body, &template)?;
-                        decoded_records += records.len();
-                        flowsets.push(FlowSet::Data {
-                            template_id: id,
-                            records,
-                        });
-                    }
-                    None => {
-                        self.templates.note_unknown(source_id);
-                        flowsets.push(FlowSet::UnknownTemplate {
-                            template_id: id,
-                            bytes: body.len(),
-                        });
-                    }
+        let (header, decoded_records) = walk_packet(bytes, &mut self.templates, |_, section| {
+            flowsets.push(match section {
+                Section::Templates(templates) => FlowSet::Templates(templates.to_vec()),
+                Section::OptionsTemplate => FlowSet::OptionsTemplate,
+                Section::Data {
+                    template, records, ..
+                } => FlowSet::Data {
+                    template_id: template.id,
+                    records: records
+                        .chunks_exact(template.record_len())
+                        .map(|r| DataRecord::from_wire(template, r))
+                        .collect(),
                 },
-                id => {
-                    return Err(err(format!("reserved flowset id {id}")));
+                Section::UnknownTemplate { template_id, bytes } => {
+                    FlowSet::UnknownTemplate { template_id, bytes }
                 }
-            }
-            offset += length;
-        }
-        if offset != bytes.len() {
-            return Err(err(format!(
-                "{} trailing bytes after last flowset",
-                bytes.len() - offset
-            )));
-        }
-
-        // The header count field counts both data records and templates; a
-        // strict check is impossible when templates are unknown, but a
-        // decoded-record count wildly exceeding the declared count means
-        // corruption.
-        if declared_count > 0 && decoded_records > declared_count * 4 {
-            return Err(err(format!(
-                "decoded {decoded_records} records but header declares {declared_count}"
-            )));
-        }
-
+            });
+        })?;
         self.packets += 1;
         self.records += decoded_records as u64;
-
         Ok(V9Packet {
-            sys_uptime_ms,
-            unix_secs,
-            sequence,
-            source_id,
+            sys_uptime_ms: header.sys_uptime_ms,
+            unix_secs: header.unix_secs,
+            sequence: header.sequence,
+            source_id: header.source_id,
             flowsets,
         })
     }
+}
+
+/// The fields of a v9 packet header (after version and count).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct V9Header {
+    pub(crate) sys_uptime_ms: u32,
+    pub(crate) unix_secs: u32,
+    pub(crate) sequence: u32,
+    pub(crate) source_id: u32,
+}
+
+/// One flowset (v9) or set (IPFIX) of a datagram, as the packet walks
+/// hand it to their caller.
+pub(crate) enum Section<'a> {
+    /// Templates just announced; the walk stores them after the call.
+    Templates(&'a [Template]),
+    /// An options-template set (recognized, not interpreted).
+    OptionsTemplate,
+    /// A data set whose template is cached. `records` is the set body cut
+    /// to a whole number of records of `plan.record_len()` (non-zero)
+    /// bytes each.
+    Data {
+        template: &'a Template,
+        plan: &'a ExtractionPlan,
+        records: &'a [u8],
+    },
+    /// A data set whose template is not (yet) cached; already counted
+    /// against its source.
+    UnknownTemplate { template_id: u16, bytes: usize },
+}
+
+/// Walk one v9 packet: every header and flowset framing check of the
+/// format, the template cache updates, and a `visit` per flowset in wire
+/// order. Returns the header and the number of data records handed to
+/// `visit`.
+///
+/// This is the one place that decides which v9 datagrams are rejected:
+/// [`V9Parser::parse`] and the live decoder
+/// ([`ExporterDecoder`](crate::decode::ExporterDecoder)) differ only in
+/// what their `visit` keeps. Template updates and unknown-template
+/// counts of the flowsets before an error are not rolled back.
+pub(crate) fn walk_packet(
+    bytes: &[u8],
+    templates: &mut TemplateRegistry,
+    mut visit: impl FnMut(&V9Header, Section<'_>),
+) -> Result<(V9Header, usize), FlowDnsError> {
+    if bytes.len() < V9_HEADER_LEN {
+        return Err(err("packet shorter than v9 header"));
+    }
+    let version = u16::from_be_bytes([bytes[0], bytes[1]]);
+    if version != 9 {
+        return Err(err(format!("not a v9 packet (version {version})")));
+    }
+    let declared_count = u16::from_be_bytes([bytes[2], bytes[3]]) as usize;
+    let header = V9Header {
+        sys_uptime_ms: be32(&bytes[4..8]),
+        unix_secs: be32(&bytes[8..12]),
+        sequence: be32(&bytes[12..16]),
+        source_id: be32(&bytes[16..20]),
+    };
+    let source_id = header.source_id;
+
+    let mut decoded_records = 0usize;
+    let mut offset = V9_HEADER_LEN;
+    while offset + 4 <= bytes.len() {
+        let flowset_id = u16::from_be_bytes([bytes[offset], bytes[offset + 1]]);
+        let length = u16::from_be_bytes([bytes[offset + 2], bytes[offset + 3]]) as usize;
+        if length < 4 {
+            return Err(err(format!("flowset length {length} too small")));
+        }
+        if offset + length > bytes.len() {
+            return Err(err("flowset runs past end of packet"));
+        }
+        let body = &bytes[offset + 4..offset + length];
+        match flowset_id {
+            TEMPLATE_FLOWSET_ID => {
+                let announced = parse_template_flowset(body)?;
+                visit(&header, Section::Templates(&announced));
+                for t in announced {
+                    templates.insert(source_id, t);
+                }
+            }
+            OPTIONS_TEMPLATE_FLOWSET_ID => visit(&header, Section::OptionsTemplate),
+            id if id >= 256 => match templates.planned(source_id, id) {
+                Some(PlannedTemplate { template, plan }) => {
+                    let records = whole_records(body, plan.record_len())?;
+                    // Remaining bytes must be padding (< rec_len and < 4
+                    // per RFC; we allow up to rec_len - 1 zero bytes).
+                    let padding = &body[records.len()..];
+                    if padding.len() >= 4 && padding.iter().any(|b| *b != 0) {
+                        return Err(err("trailing non-padding bytes in data flowset"));
+                    }
+                    decoded_records += records.len() / plan.record_len();
+                    visit(
+                        &header,
+                        Section::Data {
+                            template,
+                            plan,
+                            records,
+                        },
+                    );
+                }
+                None => {
+                    templates.note_unknown(source_id);
+                    visit(
+                        &header,
+                        Section::UnknownTemplate {
+                            template_id: id,
+                            bytes: body.len(),
+                        },
+                    );
+                }
+            },
+            id => {
+                return Err(err(format!("reserved flowset id {id}")));
+            }
+        }
+        offset += length;
+    }
+    if offset != bytes.len() {
+        return Err(err(format!(
+            "{} trailing bytes after last flowset",
+            bytes.len() - offset
+        )));
+    }
+
+    // The header count field counts both data records and templates; a
+    // strict check is impossible when templates are unknown, but a
+    // decoded-record count wildly exceeding the declared count means
+    // corruption.
+    if declared_count > 0 && decoded_records > declared_count * 4 {
+        return Err(err(format!(
+            "decoded {decoded_records} records but header declares {declared_count}"
+        )));
+    }
+    Ok((header, decoded_records))
+}
+
+/// The leading part of a data set body that holds whole records.
+pub(crate) fn whole_records(body: &[u8], record_len: usize) -> Result<&[u8], FlowDnsError> {
+    if record_len == 0 {
+        return Err(err("template describes zero-length records"));
+    }
+    Ok(&body[..body.len() - body.len() % record_len])
 }
 
 fn parse_template_flowset(body: &[u8]) -> Result<Vec<Template>, FlowDnsError> {
@@ -266,34 +367,6 @@ fn parse_template_flowset(body: &[u8]) -> Result<Vec<Template>, FlowDnsError> {
         return Err(err("template flowset carries no templates"));
     }
     Ok(templates)
-}
-
-fn parse_data_flowset(body: &[u8], template: &Template) -> Result<Vec<DataRecord>, FlowDnsError> {
-    let rec_len = template.record_len();
-    if rec_len == 0 {
-        return Err(err("template describes zero-length records"));
-    }
-    let mut records = Vec::new();
-    let mut off = 0usize;
-    while off + rec_len <= body.len() {
-        let mut record = DataRecord::default();
-        let mut pos = off;
-        for field in &template.fields {
-            let len = field.length as usize;
-            record
-                .fields
-                .insert(field.ftype.to_u16(), body[pos..pos + len].to_vec());
-            pos += len;
-        }
-        records.push(record);
-        off += rec_len;
-    }
-    // Remaining bytes must be padding (< rec_len and < 4 per RFC; we allow
-    // up to rec_len - 1 zero bytes).
-    if body.len() - off >= 4 && body[off..].iter().any(|b| *b != 0) {
-        return Err(err("trailing non-padding bytes in data flowset"));
-    }
-    Ok(records)
 }
 
 fn be32(b: &[u8]) -> u32 {

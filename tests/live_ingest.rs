@@ -341,3 +341,47 @@ fn late_template_recovers_an_exporter() {
     assert_eq!(report.metrics.write.records_written, 1);
     assert_eq!(report.metrics.lookup.ip_misses, 1);
 }
+
+#[test]
+fn skipped_records_are_counted_not_lost_silently() {
+    // One datagram, two records: the first reports zero bytes and fails
+    // the validity filter, the second is good. The datagram is accepted
+    // (not malformed), and the record that yields no flow is counted.
+    let rt = IngestRuntime::start_in_memory(&loopback_config()).expect("start runtime");
+    let standard = Template::standard_ipv4(256);
+    let record = |bytes: u32| {
+        encode_standard_ipv4_record(
+            Ipv4Addr::new(203, 0, 113, 60),
+            Ipv4Addr::new(10, 0, 0, 1),
+            443,
+            50_000,
+            6,
+            bytes,
+            1,
+            0,
+            1,
+        )
+    };
+    let mut pkt = V9PacketBuilder::new(5, 1, 1000);
+    pkt.add_templates(std::slice::from_ref(&standard));
+    pkt.add_data(&standard, &[record(0), record(800)]).unwrap();
+    let _exporter = send_udp(rt.netflow_addr(), &pkt.build(1));
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            rt.snapshot().summary.netflow_datagrams == 1
+        }),
+        "datagram never decoded: {:?}",
+        rt.snapshot()
+    );
+
+    let report = rt.shutdown().expect("clean shutdown");
+    let ingest = &report.metrics.ingest;
+    assert_eq!(ingest.netflow_flows, 1);
+    assert_eq!(ingest.netflow_skipped_records, 1);
+    assert_eq!(ingest.netflow_malformed, 0);
+    assert_eq!(ingest.per_exporter.len(), 1);
+    assert_eq!(ingest.per_exporter[0].flows, 1);
+    assert_eq!(ingest.per_exporter[0].skipped_records, 1);
+    assert!(report.summary().contains("1 skipped records"));
+    assert_eq!(report.metrics.write.records_written, 1);
+}
