@@ -82,6 +82,17 @@ pub fn hot_path_lock(file: &SourceFile, functions: &[String]) -> Vec<Finding> {
                 "." if text(p + 1) == Some("lock") && text(p + 2) == Some("(") => {
                     flag("`.lock()` call");
                 }
+                // `RwLock::read`/`write` take no argument; `io::Read::read`
+                // and `io::Write::write` always take a buffer.
+                "." if matches!(text(p + 1), Some("read" | "write"))
+                    && text(p + 2) == Some("(")
+                    && text(p + 3) == Some(")") =>
+                {
+                    flag(&format!(
+                        "`.{}()` lock acquisition",
+                        text(p + 1).unwrap_or_default()
+                    ));
+                }
                 "." if text(p + 1) == Some("to_string") && text(p + 2) == Some("(") => {
                     flag("`.to_string()` allocation");
                 }
@@ -297,6 +308,16 @@ mod tests {
         let out = hot_path_lock(&f, &["hot".to_string()]);
         assert_eq!(out.len(), 2, "{out:?}");
         assert!(out.iter().all(|f| f.line == 1));
+    }
+
+    #[test]
+    fn hot_path_flags_rwlock_guards_but_not_io() {
+        let f = file(
+            "fn hot() {\n    let r = map.read();\n    let w = map.write();\n    sock.read(&mut buf);\n    out.write(b\"x\");\n}",
+        );
+        let out = hot_path_lock(&f, &["hot".to_string()]);
+        let lines: Vec<u32> = out.iter().map(|f| f.line).collect();
+        assert_eq!(lines, vec![2, 3], "{out:?}");
     }
 
     #[test]

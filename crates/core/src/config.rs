@@ -89,6 +89,15 @@ const RETIRED_KEYS: [(&str, &str); 4] = [
     ("lookup_queue_capacity", "shard_flow_ring_capacity"),
 ];
 
+/// A config key that sized an internal which no longer exists, and why.
+/// A conf file still carrying it fails with that reason, not the generic
+/// "unknown key".
+const RETIRED_INTERNAL_KEY: (&str, &str) = (
+    "map_shards",
+    "the NAME-CNAME store it striped is a single table now; delete the line \
+     (see docs/MIGRATION.md, \"one-probe DNS store\")",
+);
+
 /// Full configuration of a correlator instance.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CorrelatorConfig {
@@ -98,12 +107,12 @@ pub struct CorrelatorConfig {
     /// `CClearUpInterval`: seconds after which the NAME-CNAME Active map is
     /// rotated and cleared (paper value: 7200).
     pub c_clear_up_interval: SimDuration,
-    /// `NUM_SPLIT`: number of splits of the IP-NAME maps (paper value: 10).
+    /// `NUM_SPLIT`: number of splits of the reference store's IP-NAME maps
+    /// (paper value: 10), and what the *No Split* variant sets to 1. The
+    /// live correlator's partitions do not split.
     pub num_split: usize,
     /// Maximum number of CNAME chain look-ups (paper value: 6).
     pub cname_loop_limit: usize,
-    /// Number of shards inside each concurrent hashmap.
-    pub map_shards: usize,
     /// Number of Write worker threads (live pipeline only).
     pub write_workers: usize,
     /// Capacity of the Write queue (records).
@@ -160,7 +169,6 @@ impl Default for CorrelatorConfig {
             c_clear_up_interval: SimDuration::from_secs(7200),
             num_split: 10,
             cname_loop_limit: 6,
-            map_shards: 32,
             write_workers: 1,
             write_queue_capacity: 262_144,
             exact_ttl_purge_interval: SimDuration::from_secs(300),
@@ -230,9 +238,6 @@ impl CorrelatorConfig {
             return Err(FlowDnsError::Config(
                 "cname_loop_limit must be at least 1".into(),
             ));
-        }
-        if self.map_shards == 0 {
-            return Err(FlowDnsError::Config("map_shards must be at least 1".into()));
         }
         if self.correlator_shards == 0 {
             return Err(FlowDnsError::Config(format!(
@@ -309,7 +314,6 @@ impl CorrelatorConfig {
                 }
                 "num_split" => cfg.num_split = parse_u64(value)? as usize,
                 "cname_loop_limit" => cfg.cname_loop_limit = parse_u64(value)? as usize,
-                "map_shards" => cfg.map_shards = parse_u64(value)? as usize,
                 "write_workers" => cfg.write_workers = parse_u64(value)? as usize,
                 "write_queue_capacity" => cfg.write_queue_capacity = parse_u64(value)? as usize,
                 "exact_ttl_purge_interval" => {
@@ -332,12 +336,16 @@ impl CorrelatorConfig {
                 "trace_path" => cfg.trace_path = Some(value.to_string()),
                 other => {
                     let retired = RETIRED_KEYS.iter().find(|(old, _)| *old == other);
+                    let (internal, why) = RETIRED_INTERNAL_KEY;
                     return Err(FlowDnsError::Config(match retired {
                         Some((old, replacement)) => format!(
                             "line {}: key '{old}' was retired with the classic \
                              FillUp/LookUp pipeline, use '{replacement}' ({MIGRATION_HINT})",
                             lineno + 1
                         ),
+                        None if other == internal => {
+                            format!("line {}: key '{other}' is retired: {why}", lineno + 1)
+                        }
                         None => format!("line {}: unknown key '{other}'", lineno + 1),
                     }));
                 }
@@ -499,6 +507,17 @@ write_workers = 2
             assert!(msg.contains("docs/MIGRATION.md"), "{msg}");
             assert!(!msg.contains("unknown key"), "{msg}");
         }
+    }
+
+    #[test]
+    fn map_shards_is_retired_with_a_pointer_to_the_migration_notes() {
+        let err = CorrelatorConfig::from_config_text("num_split = 4\nmap_shards = 32")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("line 2"), "{err}");
+        assert!(err.contains("'map_shards' is retired"), "{err}");
+        assert!(err.contains("docs/MIGRATION.md"), "{err}");
+        assert!(!err.contains("unknown key"), "{err}");
     }
 
     #[test]

@@ -26,7 +26,7 @@
 //! | Write workers | `write_workers` | owned [`OutputSink`] |
 //! | snapshot | 0 or 1 | partition locks, briefly, in turn → snapshot file |
 //!
-//! Clock semantics: a live partition advances its clear-up clocks from
+//! Clock semantics: a live partition advances its one clear-up clock from
 //! the records it processes; the offline simulator broadcasts every
 //! event's time to every partition, which makes its output independent of
 //! the shard count. The lock-striped reference [`DnsStore`] advances only

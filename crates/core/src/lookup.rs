@@ -12,7 +12,7 @@
 //!
 //! The whole resolution runs on typed keys: the source IP is looked up
 //! as a compact [`flowdns_types::IpKey`] (no textual formatting per
-//! flow) and the chain is chased on interned [`NameRef`] handles, so a
+//! flow) and the chain is chased on interned name handles, so a
 //! hit allocates only the chain `Vec` — every name in it is a shared
 //! reference-count bump.
 //!
@@ -25,7 +25,7 @@
 use std::net::IpAddr;
 
 use flowdns_bgp::AsnReader;
-use flowdns_types::{CorrelatedRecord, CorrelationOutcome, DomainName, FlowRecord, NameRef};
+use flowdns_types::{CorrelatedRecord, CorrelationOutcome, DomainName, FlowRecord};
 
 use crate::config::CorrelatorConfig;
 use crate::store::DnsStore;
@@ -172,17 +172,22 @@ impl<'a> Resolver<'a> {
 /// from the name an IP mapped to back towards the customer-facing name,
 /// bounded by the loop limit, memoizing multi-hop shortcuts. The caller
 /// has already looked the IP up (and counted the hit/miss); `lookup` and
-/// `memoize` close over whichever NAME-CNAME store the caller uses.
-pub(crate) fn follow_chain(
-    first_name: NameRef,
+/// `memoize` close over whichever NAME-CNAME store the caller uses, and
+/// `H` is that store's name handle ([`flowdns_types::NameRef`] in the reference store,
+/// [`flowdns_types::NameId`] in the partitions).
+pub(crate) fn follow_chain<H>(
+    first_name: H,
     loop_limit: usize,
-    lookup: impl Fn(&NameRef) -> Option<NameRef>,
-    memoize: impl FnOnce(&NameRef, &NameRef),
+    lookup: impl Fn(&H) -> Option<H>,
+    memoize: impl FnOnce(&H, &H),
     stats: &mut LookUpStats,
-) -> CorrelationOutcome {
+) -> CorrelationOutcome
+where
+    H: Clone + PartialEq + Into<DomainName>,
+{
     stats.ip_hits += 1;
 
-    let mut chain: Vec<NameRef> = Vec::with_capacity(2);
+    let mut chain: Vec<H> = Vec::with_capacity(2);
     chain.push(first_name.clone());
     let mut current = first_name;
 
@@ -227,7 +232,7 @@ pub(crate) fn follow_chain(
     } else {
         // Each conversion rewraps the shared allocation; the store
         // only ever hands out handles to normalized names.
-        CorrelationOutcome::Chain(chain.into_iter().map(DomainName::from).collect())
+        CorrelationOutcome::Chain(chain.into_iter().map(Into::into).collect())
     }
 }
 

@@ -41,34 +41,48 @@
 //! following the chain recovers e.g. `www.netflix.com`).
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::net::IpAddr;
+use std::sync::Arc;
 
 use flowdns_snapshot::{DnsStoreImage, SnapshotKey, StoreImage};
 use flowdns_storage::{
     ExactTtlStore, Generation, GenerationsImage, MemoryEstimate, RotatingStore, RotationPolicy,
-    SplitStore,
+    SplitStore, DEFAULT_SHARD_COUNT,
 };
 use flowdns_types::{DomainName, FlowDnsError, IpKey, NameInterner, NameRef, SimTime};
 
 use crate::config::{CorrelatorConfig, Variant};
 
-/// Builds the deduplicated name table of a snapshot: each distinct
-/// [`NameRef`] gets one index, assigned on first sight, so the on-disk
+/// Builds the deduplicated name table of a snapshot: each distinct name
+/// handle `H` ([`NameRef`] here, [`flowdns_types::NameId`] in the
+/// partitions) gets one index, assigned on first sight, so the on-disk
 /// image stores every name exactly once — mirroring the interner's
 /// one-allocation-per-name invariant.
-#[derive(Default)]
-pub(crate) struct NameTable {
-    pub(crate) names: Vec<String>,
-    index: HashMap<NameRef, u32>,
+///
+/// The table holds the pool's own allocations, not copies: exporting a
+/// store allocates nothing per name.
+pub(crate) struct NameTable<H> {
+    pub(crate) names: Vec<Arc<str>>,
+    index: HashMap<H, u32>,
 }
 
-impl NameTable {
-    fn index_of(&mut self, name: &NameRef) -> u32 {
+impl<H: Hash + Eq + Clone + Into<Arc<str>>> NameTable<H> {
+    /// A table with room for `names` distinct names (the pool size bounds
+    /// what a store can reference), so building it never regrows.
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        NameTable {
+            names: Vec::with_capacity(names),
+            index: HashMap::with_capacity(names),
+        }
+    }
+
+    pub(crate) fn index_of(&mut self, name: &H) -> u32 {
         if let Some(&idx) = self.index.get(name) {
             return idx;
         }
         let idx = self.names.len() as u32;
-        self.names.push(name.as_str().to_string());
+        self.names.push(name.clone().into());
         self.index.insert(name.clone(), idx);
         idx
     }
@@ -104,12 +118,12 @@ impl DnsStore {
         DnsStore {
             config: config.clone(),
             names: NameInterner::new(),
-            ip_name: SplitStore::new(ip_policy, config.effective_num_split(), config.map_shards),
-            name_cname: RotatingStore::new(cname_policy, config.map_shards),
+            ip_name: SplitStore::new(ip_policy, config.effective_num_split(), DEFAULT_SHARD_COUNT),
+            name_cname: RotatingStore::new(cname_policy, DEFAULT_SHARD_COUNT),
             exact_ip_name: exact
-                .then(|| ExactTtlStore::new(config.exact_ttl_purge_interval, config.map_shards)),
+                .then(|| ExactTtlStore::new(config.exact_ttl_purge_interval, DEFAULT_SHARD_COUNT)),
             exact_name_cname: exact
-                .then(|| ExactTtlStore::new(config.exact_ttl_purge_interval, config.map_shards)),
+                .then(|| ExactTtlStore::new(config.exact_ttl_purge_interval, DEFAULT_SHARD_COUNT)),
         }
     }
 
@@ -239,7 +253,7 @@ impl DnsStore {
         if self.is_exact_ttl() {
             return None;
         }
-        let mut table = NameTable::default();
+        let mut table = NameTable::with_capacity(self.names.len());
         let ip_splits = self.ip_name.export_images();
         let mut as_of = SimTime::ZERO;
         let mut observe = |seen: Option<SimTime>| {
@@ -389,9 +403,9 @@ impl DnsStore {
     }
 }
 
-pub(crate) fn encode_ip_entries(
+fn encode_ip_entries(
     entries: Vec<(IpKey, NameRef)>,
-    table: &mut NameTable,
+    table: &mut NameTable<NameRef>,
 ) -> Vec<(SnapshotKey, u32)> {
     entries
         .into_iter()
@@ -399,9 +413,9 @@ pub(crate) fn encode_ip_entries(
         .collect()
 }
 
-pub(crate) fn encode_name_entries(
-    entries: Vec<(NameRef, NameRef)>,
-    table: &mut NameTable,
+pub(crate) fn encode_name_entries<H: Hash + Eq + Clone + Into<Arc<str>>>(
+    entries: Vec<(H, H)>,
+    table: &mut NameTable<H>,
 ) -> Vec<(SnapshotKey, u32)> {
     entries
         .into_iter()
@@ -414,7 +428,7 @@ pub(crate) fn encode_name_entries(
         .collect()
 }
 
-fn resolve_name(handles: &[NameRef], idx: u32) -> Result<NameRef, FlowDnsError> {
+pub(crate) fn resolve_name<H: Clone>(handles: &[H], idx: u32) -> Result<H, FlowDnsError> {
     handles.get(idx as usize).cloned().ok_or_else(|| {
         FlowDnsError::Snapshot(format!(
             "name index {idx} out of bounds (table has {} names)",
@@ -423,7 +437,7 @@ fn resolve_name(handles: &[NameRef], idx: u32) -> Result<NameRef, FlowDnsError> 
     })
 }
 
-pub(crate) fn decode_ip_entries(
+fn decode_ip_entries(
     entries: &[(SnapshotKey, u32)],
     handles: &[NameRef],
 ) -> Result<Vec<(IpKey, NameRef)>, FlowDnsError> {
@@ -438,10 +452,10 @@ pub(crate) fn decode_ip_entries(
         .collect()
 }
 
-pub(crate) fn decode_name_entries(
+pub(crate) fn decode_name_entries<H: Clone>(
     entries: &[(SnapshotKey, u32)],
-    handles: &[NameRef],
-) -> Result<Vec<(NameRef, NameRef)>, FlowDnsError> {
+    handles: &[H],
+) -> Result<Vec<(H, H)>, FlowDnsError> {
     entries
         .iter()
         .map(|(key, value)| match key {

@@ -3,13 +3,16 @@
 //! An image is everything a warm restart needs, decoupled from the live
 //! store types: a deduplicated name table (the interner pool, referenced
 //! by index so each distinct name is stored once, exactly like it is held
-//! once in memory), one generation triple per IP-NAME split, the
-//! NAME-CNAME triple, and the per-store rotation clocks that let the
-//! loader decide which generations are still within the rotation window.
+//! once in memory), one generation triple per IP-NAME section (a split
+//! of the reference store, a shard of the correlator), the NAME-CNAME
+//! triple, and the per-section rotation clocks that let the loader
+//! decide which generations are still within the rotation window.
 //!
-//! `flowdns_core::DnsStore` builds and consumes these images
-//! (`export_image` / `import_image`); this crate only defines their
-//! shape and byte encoding.
+//! `flowdns_core::ShardedStore` and `flowdns_core::DnsStore` build and
+//! consume these images (`export_image` / `import_image`); this crate
+//! only defines their shape and byte encoding.
+
+use std::sync::Arc;
 
 use flowdns_types::{FlowDnsError, IpKey, SimTime};
 
@@ -129,10 +132,12 @@ pub struct DnsStoreImage {
     /// The latest data timestamp any store in the image observed; the
     /// loader's default "now" when judging generation age.
     pub as_of: SimTime,
-    /// Number of IP-NAME splits the image was exported with. An import
-    /// into a store with a different split count is rejected — the split
-    /// label function is stable, so entries cannot simply be reassigned
-    /// generation-by-generation.
+    /// Number of IP-NAME sections per shard (per store when `shards` is
+    /// 0). The reference store writes one per split and rejects an image
+    /// with a different split count — its label function is stable, so
+    /// entries cannot simply be reassigned generation-by-generation. A
+    /// sharded correlator writes 1 (its partitions do not split) and
+    /// loads any count, aging each section by its own clock.
     pub num_split: u32,
     /// Number of shared-nothing correlator shards the image was exported
     /// with. `0` means an unpartitioned store (one set of `num_split`
@@ -140,9 +145,9 @@ pub struct DnsStoreImage {
     /// classic pipeline left on disk; a live correlator rejects it as a
     /// layout mismatch. Any positive value means [`DnsStoreImage::ip_name`]
     /// holds `shards × num_split` images in shard-major order (shard 0's
-    /// splits first). Like `num_split`, a mismatch on import is rejected
-    /// — the shard routing function is stable, so partitions cannot be
-    /// reassigned without rehashing every entry.
+    /// sections first). A mismatch on import is rejected — the shard
+    /// routing function is stable, so partitions cannot be reassigned
+    /// without rehashing every entry.
     pub shards: u32,
     /// `AClearUpInterval` (seconds) the exporting store ran with.
     pub a_interval_secs: u64,
@@ -151,8 +156,10 @@ pub struct DnsStoreImage {
     /// The deduplicated name table. Every entry value — and every
     /// NAME-CNAME key — is an index into this table, so one snapshot
     /// stores each distinct name exactly once and the importer can
-    /// rebuild interner sharing exactly.
-    pub names: Vec<String>,
+    /// rebuild interner sharing exactly. Names are shared allocations: an
+    /// export hands out the pool's own, and an import can adopt the
+    /// decoded ones instead of copying them.
+    pub names: Vec<Arc<str>>,
     /// One image per IP-NAME split, in split-label order.
     pub ip_name: Vec<StoreImage>,
     /// The NAME-CNAME store image.

@@ -31,7 +31,8 @@
 //!
 //! Version 2 added the [`DnsStoreImage::shards`] field for the sharded
 //! correlator (the IP-NAME section then holds `shards × num_split`
-//! generation triples in shard-major order). Version 1 files are
+//! generation triples in shard-major order; a correlator writes one per
+//! shard and reads any `num_split`). Version 1 files are
 //! rejected by the version check — the daemon records the error and
 //! cold-starts; see MIGRATION.md.
 //!
@@ -52,7 +53,7 @@
 //!     shards: 0, // unpartitioned reference store; N > 0 for a correlator's shards
 //!     a_interval_secs: 3600,
 //!     c_interval_secs: 7200,
-//!     names: vec!["svc.example".to_string()],
+//!     names: vec!["svc.example".into()],
 //!     ip_name: vec![StoreImage::default()],
 //!     name_cname: StoreImage::default(),
 //! };

@@ -8,6 +8,8 @@
 //! panic (the checksum catches corruption first in practice, but the
 //! decoder must stand on its own).
 
+use std::sync::Arc;
+
 use flowdns_types::FlowDnsError;
 
 /// Append a `u8`.
@@ -93,11 +95,13 @@ impl<'a> Reader<'a> {
         ))
     }
 
-    /// Read a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String, FlowDnsError> {
+    /// Read a length-prefixed UTF-8 string into one shared allocation,
+    /// which a name pool can adopt as it is.
+    pub fn str(&mut self) -> Result<Arc<str>, FlowDnsError> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec())
+        std::str::from_utf8(bytes)
+            .map(Arc::from)
             .map_err(|_| FlowDnsError::Snapshot("string section is not UTF-8".into()))
     }
 
@@ -146,8 +150,8 @@ mod tests {
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.u128().unwrap(), u128::MAX / 3);
-        assert_eq!(r.str().unwrap(), "edge7.cdn.example.net");
-        assert_eq!(r.str().unwrap(), "");
+        assert_eq!(&*r.str().unwrap(), "edge7.cdn.example.net");
+        assert_eq!(&*r.str().unwrap(), "");
         r.finish().unwrap();
     }
 

@@ -2,6 +2,8 @@
 //! must survive encode → decode byte-exactly, and any prefix truncation
 //! of the encoded file must be rejected (never mis-decoded).
 
+use std::sync::Arc;
+
 use flowdns_snapshot::{decode_snapshot, encode_snapshot, DnsStoreImage, SnapshotKey, StoreImage};
 use flowdns_types::{IpKey, SimTime};
 use proptest::prelude::*;
@@ -70,9 +72,11 @@ fn cname_store_image(names: u32) -> impl Strategy<Value = StoreImage> {
 
 const NAMES: u32 = 8;
 
-fn name_table() -> impl Strategy<Value = Vec<String>> {
+fn name_table() -> impl Strategy<Value = Vec<Arc<str>>> {
     proptest::collection::vec(
-        proptest::string::string_regex("[a-z0-9]{1,12}\\.[a-z]{2,8}").unwrap(),
+        proptest::string::string_regex("[a-z0-9]{1,12}\\.[a-z]{2,8}")
+            .unwrap()
+            .prop_map(Arc::from),
         NAMES as usize..(NAMES as usize + 1),
     )
 }

@@ -10,7 +10,7 @@
 
 use std::hash::Hash;
 
-use flowdns_types::{DomainName, IpKey, NameRef};
+use flowdns_types::{DomainName, IpKey, NameId, NameRef};
 
 /// A type usable as a store key: hashable, comparable, cheap to clone,
 /// and able to report its retained payload size.
@@ -56,6 +56,18 @@ impl StoreKey for NameRef {
 }
 
 impl StoreValue for NameRef {
+    fn estimate_bytes(&self) -> usize {
+        self.len()
+    }
+}
+
+impl StoreKey for NameId {
+    fn estimate_bytes(&self) -> usize {
+        self.len()
+    }
+}
+
+impl StoreValue for NameId {
     fn estimate_bytes(&self) -> usize {
         self.len()
     }

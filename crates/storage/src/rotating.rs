@@ -29,7 +29,7 @@ use crate::sharded::ShardedMap;
 /// the snapshot/warm-restart path — `flowdns-snapshot` defines the byte
 /// format, this type carries live keys and values between a store and
 /// the codec.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GenerationsImage<K, V> {
     /// When the store last cleared up, in data time (`None`: never; the
     /// clock arms at the first inserted record).
@@ -47,9 +47,35 @@ pub struct GenerationsImage<K, V> {
 }
 
 impl<K, V> GenerationsImage<K, V> {
+    /// An image with the given clock and no entries.
+    pub fn empty(last_clear_ts: Option<SimTime>, last_seen_ts: Option<SimTime>) -> Self {
+        GenerationsImage {
+            last_clear_ts,
+            last_seen_ts,
+            active: Vec::new(),
+            inactive: Vec::new(),
+            long: Vec::new(),
+        }
+    }
+
     /// Total entries across the three generations.
     pub fn entry_count(&self) -> usize {
         self.active.len() + self.inactive.len() + self.long.len()
+    }
+
+    /// The entry list of one generation.
+    pub fn generation_mut(&mut self, generation: Generation) -> &mut Vec<(K, V)> {
+        match generation {
+            Generation::Active => &mut self.active,
+            Generation::Inactive => &mut self.inactive,
+            Generation::Long => &mut self.long,
+        }
+    }
+}
+
+impl<K, V> Default for GenerationsImage<K, V> {
+    fn default() -> Self {
+        GenerationsImage::empty(None, None)
     }
 }
 

@@ -8,6 +8,10 @@
 //! and [`NameInterner`] is a sharded pool that deduplicates handles so
 //! one allocation backs every copy of a name across the Active, Inactive
 //! and Long generations.
+//!
+//! [`NameId`] is the same handle with *identity* semantics: only a pool
+//! can mint one, and it hashes and compares by allocation address, so a
+//! map keyed by names never reads or hashes their text.
 
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -120,6 +124,101 @@ impl From<NameRef> for DomainName {
     /// Rewrap the shared allocation as a domain name — no copy.
     fn from(name: NameRef) -> Self {
         DomainName::from_shared(name.0)
+    }
+}
+
+impl From<NameRef> for Arc<str> {
+    /// The shared allocation itself — no copy.
+    fn from(name: NameRef) -> Self {
+        name.0
+    }
+}
+
+/// The identity of a pooled name: a handle that only a [`NameInterner`]
+/// can construct, hashed and compared by the address of its allocation.
+///
+/// Two ids from one pool are equal exactly when their texts are. The
+/// pool holds one allocation per live text, so equal texts share an
+/// address; and it only purges allocations nobody else references, so an
+/// id — which holds a reference — keeps its allocation (and with it the
+/// address) pooled for as long as the id lives. Ids from *different*
+/// pools are equal only when both pools adopted one allocation (see
+/// [`NameInterner::import_ids`]), which still means equal text; equal
+/// texts from two pools are otherwise unequal ids.
+///
+/// # Examples
+///
+/// ```
+/// use flowdns_types::NameInterner;
+///
+/// let pool = NameInterner::new();
+/// let a = pool.intern_id("edge7.cdn.example.net");
+/// let b = pool.intern_id("edge7.cdn.example.net");
+/// assert_eq!(a, b);
+/// assert_ne!(a, pool.intern_id("edge8.cdn.example.net"));
+/// assert_eq!(a.as_str(), "edge7.cdn.example.net");
+/// ```
+#[derive(Debug, Clone)]
+pub struct NameId(Arc<str>);
+
+impl NameId {
+    /// The name text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+
+    /// Length of the name in bytes.
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Is the name empty?
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    fn address(&self) -> usize {
+        Arc::as_ptr(&self.0) as *const u8 as usize
+    }
+}
+
+impl PartialEq for NameId {
+    fn eq(&self, other: &Self) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for NameId {}
+
+impl Hash for NameId {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_usize(self.address());
+    }
+}
+
+impl AsRef<str> for NameId {
+    fn as_ref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl fmt::Display for NameId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.0)
+    }
+}
+
+impl From<NameId> for DomainName {
+    /// Rewrap the pooled allocation as a domain name — no copy.
+    fn from(name: NameId) -> Self {
+        DomainName::from_shared(name.0)
+    }
+}
+
+impl From<NameId> for Arc<str> {
+    /// The pooled allocation itself — no copy.
+    fn from(name: NameId) -> Self {
+        name.0
     }
 }
 
@@ -248,6 +347,28 @@ impl NameInterner {
             .collect()
     }
 
+    /// The pooled identity of `s` (see [`NameId`]).
+    pub fn intern_id(&self, s: &str) -> NameId {
+        NameId(self.intern(s).0)
+    }
+
+    /// The pooled identity of a parsed domain name, adopting its
+    /// allocation on first sight like [`NameInterner::intern_domain`].
+    pub fn intern_domain_id(&self, name: &DomainName) -> NameId {
+        NameId(self.intern_domain(name).0)
+    }
+
+    /// [`NameInterner::import_names`], returning identities. A name the
+    /// pool does not hold yet is pooled as the given allocation rather
+    /// than copied, so a decoded snapshot's name table becomes the pool's
+    /// with no allocation per name.
+    pub fn import_ids(&self, names: &[Arc<str>]) -> Vec<NameId> {
+        names
+            .iter()
+            .map(|name| NameId(self.intern_with(name, || Arc::clone(name)).0))
+            .collect()
+    }
+
     /// Drop every pooled name whose only reference is the pool itself.
     /// Returns how many entries were removed.
     pub fn purge_unreferenced(&self) -> usize {
@@ -358,6 +479,21 @@ mod tests {
         let again = restored.import_names(texts.iter().take(1));
         assert!(NameRef::ptr_eq(&handles[0], &again[0]));
         assert!(NameRef::ptr_eq(&handles[0], &restored.intern("a.example")));
+    }
+
+    #[test]
+    fn import_ids_adopts_new_allocations_and_reuses_pooled_ones() {
+        let pool = NameInterner::with_shards(4);
+        let pooled = pool.intern_id("old.example");
+        let table: Vec<Arc<str>> = vec!["new.example".into(), "old.example".into()];
+        let ids = pool.import_ids(&table);
+        // A new name is pooled as the table's own allocation…
+        assert!(Arc::ptr_eq(&Arc::from(ids[0].clone()), &table[0]));
+        // …and a pooled one resolves to the pool's.
+        assert_eq!(ids[1], pooled);
+        assert!(!Arc::ptr_eq(&Arc::from(ids[1].clone()), &table[1]));
+        assert_eq!(ids[0], pool.intern_id("new.example"));
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]

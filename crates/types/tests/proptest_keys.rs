@@ -5,11 +5,30 @@
 //! * `NameInterner` must be a pure deduplicator: interning never changes
 //!   the text, equal texts share one allocation, distinct texts do not
 //!   compare equal.
+//! * `NameId` identity must coincide with text equality for every pair of
+//!   ids alive together, whatever was interned, dropped or purged before.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
 use flowdns_types::{DomainName, IpKey, NameInterner, NameRef};
 use proptest::prelude::*;
+
+#[derive(Debug, Clone)]
+enum IdOp {
+    Intern(u8),
+    InternDomain(u8),
+    Drop(usize),
+    Purge,
+}
+
+fn id_op() -> impl Strategy<Value = IdOp> {
+    prop_oneof![
+        4 => (0u8..6).prop_map(IdOp::Intern),
+        2 => (0u8..6).prop_map(IdOp::InternDomain),
+        3 => any::<usize>().prop_map(IdOp::Drop),
+        1 => Just(IdOp::Purge),
+    ]
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
@@ -69,6 +88,41 @@ proptest! {
         let rb = pool.intern(&b);
         prop_assert_eq!(ra == rb, a == b);
         prop_assert_eq!(pool.len(), if a == b { 1 } else { 2 });
+    }
+
+    /// `NameId` compares allocation addresses; that is only sound if
+    /// address equality is text equality for every pair of ids alive at
+    /// the same time, across interning, dropping and purging.
+    #[test]
+    fn name_id_equality_is_text_equality(ops in proptest::collection::vec(id_op(), 1..80)) {
+        use std::hash::BuildHasher;
+        let pool = NameInterner::with_shards(2);
+        let hasher = std::collections::hash_map::RandomState::new();
+        let mut live: Vec<flowdns_types::NameId> = Vec::new();
+        for op in ops {
+            match op {
+                IdOp::Intern(text) => live.push(pool.intern_id(&format!("n{text}.example"))),
+                IdOp::InternDomain(text) => live.push(
+                    pool.intern_domain_id(&DomainName::literal(&format!("n{text}.example"))),
+                ),
+                IdOp::Drop(at) => {
+                    if !live.is_empty() {
+                        live.swap_remove(at % live.len());
+                    }
+                }
+                IdOp::Purge => {
+                    pool.purge_unreferenced();
+                }
+            }
+            for a in &live {
+                for b in &live {
+                    prop_assert_eq!(a == b, a.as_str() == b.as_str(), "{} vs {}", a, b);
+                    if a == b {
+                        prop_assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -247,11 +247,23 @@ fn run_live_ingest(correlator_shards: usize) {
     drop(conn_b);
 
     // The per-shard routed counters must sum to exactly what the
-    // listeners accepted — nothing lost, nothing double-routed.
-    let (dns_routed, flow_routed) = rt
-        .correlator()
-        .shard_routed_counts()
-        .expect("correlator exposes routed counters");
+    // listeners accepted — nothing lost, nothing double-routed. A
+    // listener publishes its decode counters before it routes the
+    // decoded batch, so wait for the routing to land too.
+    let routed = || {
+        rt.correlator()
+            .shard_routed_counts()
+            .expect("correlator exposes routed counters")
+    };
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            let (dns, flows) = routed();
+            dns.iter().sum::<u64>() >= 4 && flows.iter().sum::<u64>() >= 4
+        }),
+        "decoded records were never routed: {:?}",
+        routed()
+    );
+    let (dns_routed, flow_routed) = routed();
     assert_eq!(dns_routed.len(), correlator_shards);
     assert_eq!(dns_routed.iter().sum::<u64>(), 4);
     assert_eq!(flow_routed.iter().sum::<u64>(), 4);
