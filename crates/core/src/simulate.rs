@@ -845,6 +845,59 @@ mod tests {
     }
 
     #[test]
+    fn exact_ttl_simulator_egress_and_metrics_match_the_pin() {
+        // The exact-TTL strawman on `generated_trace()`: its sorted
+        // egress and every counter of its report, pinned so the arm that
+        // runs it can be moved without changing what it computes. The
+        // loss, work and peak-memory figures are the cost model's
+        // Appendix A.8 collapse; `memoized` counts multi-hop chains even
+        // though exact TTL never stores the shortcut.
+        use crate::metrics::PipelineMetrics;
+        use crate::write::WriteStats;
+        use flowdns_types::{ByteVolume, VolumeAccumulator};
+        let events = generated_trace();
+        let (lines, outcome) = sorted_egress(Variant::ExactTtl, 1, false, &events);
+        assert_eq!(lines.len(), 22_361);
+        assert_eq!(egress_hash(&lines), 0xfe7d_8537_bfe3_4337);
+        let expected = PipelineMetrics {
+            fillup: FillUpStats {
+                addresses_stored: 5_831,
+                cnames_stored: 10_312,
+                filtered: 0,
+            },
+            lookup: LookUpStats {
+                ip_hits: 7_100,
+                ip_misses: 15_261,
+                cname_hops: 8_641,
+                loop_limit_hits: 0,
+                memoized: 2_444,
+                filtered: 0,
+                asn_stamped: 0,
+            },
+            write: WriteStats {
+                records_written: 22_361,
+                volumes: VolumeAccumulator {
+                    correlated: ByteVolume::from_bytes(10_185_265_364),
+                    total: ByteVolume::from_bytes(33_525_454_641),
+                },
+            },
+            dns_dropped: 21_850,
+            flows_dropped: 78_578,
+            work_units: 1_037_189.579_999_742_8,
+            peak_memory: MemoryEstimate {
+                entries: 593,
+                payload_bytes: 37_788,
+            },
+            ..PipelineMetrics::default()
+        };
+        assert_eq!(outcome.report.metrics, expected);
+        assert_eq!(
+            outcome.report.metrics.work_units.to_bits(),
+            0x412f_a70b_28f5_b9ee
+        );
+    }
+
+    #[test]
     fn sharded_simulator_output_is_identical_for_any_shard_count() {
         // The equivalence claim the single live topology rests on:
         // routing by IP key plus a broadcast clock makes the correlated
