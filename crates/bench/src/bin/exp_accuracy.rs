@@ -11,27 +11,27 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_bench::{golden_accuracy_workload, measured_correlation_fraction};
-use flowdns_core::fillup::{process_dns_record, FillUpStats};
-use flowdns_core::lookup::LookUpStats;
-use flowdns_core::{CorrelatorConfig, DnsStore, Resolver};
+use flowdns_core::{CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore};
 use flowdns_gen::{AccuracyCapture, AccuracyScenario, SubscriberPopulation};
 
 fn run_scenario(scenario: AccuracyScenario) -> (f64, usize) {
     let capture = AccuracyCapture::build(scenario, 20);
-    let config = CorrelatorConfig::default();
-    let store = DnsStore::new(&config);
+    let store = ShardedStore::new(&CorrelatorConfig {
+        correlator_shards: 1,
+        ..CorrelatorConfig::default()
+    });
+    let mut partition = store.partition(0).lock();
     let mut fillup = FillUpStats::default();
     for record in &capture.dns {
-        process_dns_record(&store, record, &mut fillup);
+        partition.process_dns(&store, record, &mut fillup);
     }
-    let mut resolver = Resolver::new(&store, &config);
     let mut lookup = LookUpStats::default();
     let attributions: Vec<_> = capture
         .flows
         .iter()
         .map(|(flow, _)| {
-            resolver
-                .process_flow(flow.clone(), &mut lookup)
+            partition
+                .process_flow(&store, &mut None, flow.clone(), &mut lookup)
                 .outcome
                 .final_name()
                 .cloned()

@@ -29,12 +29,7 @@
 //! Clock semantics: a live partition advances its one clear-up clock from
 //! the records it processes; the offline simulator broadcasts every
 //! event's time to every partition, which makes its output independent of
-//! the shard count. The lock-striped reference [`DnsStore`] advances only
-//! the inserting split's clock on a DNS insert, so it can differ from the
-//! sharded store by a few records around clear-ups — 2 and 31 lines of
-//! 146,895 under `NoRotation` and `NoLongHashmaps` on a 5 h trace, none
-//! under the other rotating variants (docs/ARCHITECTURE.md, "Clock
-//! semantics").
+//! the shard count.
 //!
 //! Modules:
 //!
@@ -43,43 +38,38 @@
 //! * [`shard`] — [`ShardedStore`] and [`ShardPartition`], the partitioned
 //!   store the pipeline runs and its per-record FillUp/LookUp ops
 //!   (Algorithms 1 and 2), plus the key → shard routing functions,
+//! * [`lookup`] — the CNAME-chain half of Algorithm 2 and its statistics,
 //! * [`pipeline`] — [`Correlator`], the threaded live pipeline,
 //! * [`write`](mod@write) — the output sinks each Write worker owns
 //!   (single file, paper-style rotating window files, fan-out, memory),
 //! * [`metrics`] — correlation-rate, loss, work-unit (CPU) and memory
 //!   accounting,
 //! * [`simulate`] — the deterministic offline simulator used by the
-//!   experiment harness to regenerate the paper's figures,
-//! * [`store`], [`fillup`], [`lookup`] — the reference implementation:
-//!   [`DnsStore`] (the paper's shared lock-striped storage),
-//!   Algorithm 1 and Algorithm 2 over it. Tests compare the partitions
-//!   against it, and the simulator runs the exact-TTL strawman on it.
+//!   experiment harness to regenerate the paper's figures; it also runs
+//!   the Appendix A.8 exact-TTL strawman, which has no live form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod config;
-pub mod fillup;
 pub mod lookup;
 pub mod metrics;
 pub mod pipeline;
 pub mod shard;
 pub mod simulate;
-pub mod store;
 pub mod write;
 
 pub use config::{CorrelatorConfig, Variant};
-pub use fillup::FillUpStats;
-pub use lookup::{LookUpStats, Resolver};
+pub use lookup::LookUpStats;
 pub use metrics::{
     CostModel, ExporterStats, IngestSummary, PipelineMetrics, Report, SnapshotStats,
 };
 pub use pipeline::{Correlator, StoreHealth, EGRESS_BATCH};
 pub use shard::{
-    shard_of_dns, shard_of_flow, shard_of_ip, shard_of_key, ShardPartition, ShardedStore,
+    shard_of_dns, shard_of_flow, shard_of_ip, shard_of_key, FillUpStats, ShardPartition,
+    ShardedStore,
 };
 pub use simulate::{HourlySample, OfflineSimulator, SimulationOutcome};
-pub use store::DnsStore;
 pub use write::{
     DiscardSink, MemorySink, MultiSink, OutputSink, RotatingFileSink, TsvFileSink, WriteStats,
 };

@@ -12,8 +12,8 @@ use flowdns_storage::MemoryEstimate;
 use flowdns_stream::LatencySnapshot;
 use flowdns_types::VolumeAccumulator;
 
-use crate::fillup::FillUpStats;
 use crate::lookup::LookUpStats;
+use crate::shard::FillUpStats;
 use crate::write::WriteStats;
 
 /// The cost model converting operations into abstract work units.

@@ -42,9 +42,9 @@ use flowdns_stream::{LatencySnapshot, ShardProducer, ShardedChannel, StreamBuffe
 use flowdns_types::{CorrelatedRecord, DnsRecord, FlowDnsError, FlowKey, FlowRecord, SimDuration};
 
 use crate::config::{CorrelatorConfig, Variant, MIGRATION_HINT};
-use crate::fillup::FillUpStats;
 use crate::lookup::LookUpStats;
 use crate::metrics::{PipelineMetrics, Report, SnapshotStats};
+use crate::shard::FillUpStats;
 use crate::shard::{shard_of_dns, shard_of_flow, ShardedStore};
 use crate::write::{MemorySink, OutputSink, WriteStats};
 
@@ -2256,16 +2256,7 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.fdns");
-        let reference = crate::store::DnsStore::new(&CorrelatorConfig::default());
-        for i in 0..20u8 {
-            reference.insert_address(
-                Ipv4Addr::new(203, 0, 113, i).into(),
-                &DomainName::literal(&format!("svc{i}.example")),
-                300,
-                SimTime::from_secs(1),
-            );
-        }
-        let image = reference.export_image().unwrap();
+        let image = crate::shard::tests::classic_layout_image(20);
         assert_eq!(image.shards, 0);
         assert_eq!(image.entry_count(), 20);
         flowdns_snapshot::write_snapshot(&path, &image).unwrap();

@@ -19,26 +19,26 @@
 //!   incoming events are dropped and counted as stream loss, which is how
 //!   the >90% loss of the exact-TTL strawman emerges.
 //!
-//! The exact-TTL strawman has no partitioned form, so that variant runs
-//! on the lock-striped reference [`DnsStore`]/[`Resolver`] — the same
-//! code tests compare the partitions against, and what
-//! [`OfflineSimulator::with_reference_store`] selects for a rotating
-//! variant.
+//! The exact-TTL strawman has no partitioned form and the live correlator
+//! refuses it, so that variant runs on a small arm private to this
+//! module: two [`ExactTtlStore`]s over one name pool, with the same
+//! record filter and chain following as the partitions.
 //!
 //! The simulator emits per-hour samples (CPU%, memory, traffic volume,
 //! correlation rate, loss) — one row per point of the paper's time-series
 //! figures — plus the same [`Report`] the live pipeline produces.
 
-use flowdns_bgp::AsnView;
-use flowdns_storage::MemoryEstimate;
-use flowdns_types::{CorrelatedRecord, DnsRecord, FlowRecord, SimTime};
+use flowdns_bgp::{AsnReader, AsnView};
+use flowdns_storage::{ExactTtlStore, MemoryEstimate, DEFAULT_SHARD_COUNT};
+use flowdns_types::{
+    CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, FlowRecord, IpKey, NameInterner,
+    NameRef, RecordType, SimTime,
+};
 
 use crate::config::{CorrelatorConfig, Variant};
-use crate::fillup::{process_dns_record, FillUpStats};
-use crate::lookup::{LookUpStats, Resolver};
+use crate::lookup::{follow_chain, LookUpStats};
 use crate::metrics::{CostModel, Report};
-use crate::shard::{shard_of_dns, shard_of_flow, ShardedStore};
-use crate::store::DnsStore;
+use crate::shard::{shard_of_dns, shard_of_flow, FillUpStats, ShardedStore};
 
 /// One input event of the simulator.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -60,43 +60,143 @@ impl Event {
 }
 
 /// The simulator's storage: the store the live pipeline ships
-/// ([`ShardedStore`]) for the rotating variants, the lock-striped
-/// reference [`DnsStore`] for the exact-TTL oracle and on request. The
-/// sharded form broadcasts the data clock to every partition before each
-/// event, so rotation boundaries — and therefore the correlated output —
-/// are identical for any shard count.
+/// ([`ShardedStore`]) for the rotating variants, the exact-TTL arm for
+/// [`Variant::ExactTtl`]. The sharded form broadcasts the data clock to
+/// every partition before each event, so rotation boundaries — and
+/// therefore the correlated output — are identical for any shard count.
 enum SimStore {
     Sharded(Box<ShardedStore>),
-    Reference(Box<DnsStore>),
+    ExactTtl(Box<ExactTtlArm>),
 }
 
 impl SimStore {
     fn memory_estimate(&self) -> MemoryEstimate {
         match self {
             SimStore::Sharded(store) => store.memory_estimate(),
-            SimStore::Reference(store) => store.memory_estimate(),
+            SimStore::ExactTtl(arm) => arm.memory_estimate(),
         }
     }
 
     fn is_exact_ttl(&self) -> bool {
-        match self {
-            SimStore::Sharded(_) => false,
-            SimStore::Reference(store) => store.is_exact_ttl(),
-        }
+        matches!(self, SimStore::ExactTtl(_))
     }
 
     fn rotated_entries(&self) -> u64 {
         match self {
             SimStore::Sharded(store) => store.rotated_entries(),
-            SimStore::Reference(store) => store.rotated_entries(),
+            SimStore::ExactTtl(_) => 0,
         }
     }
 
     fn purge_scanned(&self) -> u64 {
         match self {
             SimStore::Sharded(_) => 0,
-            SimStore::Reference(store) => store.purge_scanned(),
+            SimStore::ExactTtl(arm) => arm.purge_scanned(),
         }
+    }
+}
+
+/// The Appendix A.8 exact-TTL strawman: one name pool and exact-TTL
+/// IP-NAME and NAME-CNAME stores. A record is usable only until its own
+/// TTL runs out, and a purge walks each whole store every
+/// `exact_ttl_purge_interval` of data time.
+struct ExactTtlArm {
+    names: NameInterner,
+    ip_name: ExactTtlStore<IpKey, NameRef>,
+    name_cname: ExactTtlStore<NameRef, NameRef>,
+    loop_limit: usize,
+}
+
+impl ExactTtlArm {
+    fn new(config: &CorrelatorConfig) -> Self {
+        ExactTtlArm {
+            names: NameInterner::new(),
+            ip_name: ExactTtlStore::new(config.exact_ttl_purge_interval, DEFAULT_SHARD_COUNT),
+            name_cname: ExactTtlStore::new(config.exact_ttl_purge_interval, DEFAULT_SHARD_COUNT),
+            loop_limit: config.cname_loop_limit,
+        }
+    }
+
+    /// FillUp with the record filter of
+    /// [`ShardPartition::process_dns`](crate::ShardPartition::process_dns).
+    /// Each insert also runs the purge when it is due.
+    fn process_dns(&self, record: &DnsRecord, stats: &mut FillUpStats) {
+        if !record.is_correlatable() {
+            stats.filtered += 1;
+            return;
+        }
+        match (&record.rtype, &record.answer) {
+            (RecordType::A | RecordType::Aaaa, DnsAnswer::Ip(ip)) => {
+                let value = self.names.intern_domain(&record.query);
+                self.ip_name
+                    .insert(IpKey::from_ip(*ip), value, record.ttl, record.ts);
+                stats.addresses_stored += 1;
+            }
+            (RecordType::Cname, DnsAnswer::Name(target)) => {
+                let key = self.names.intern_domain(target);
+                let value = self.names.intern_domain(&record.query);
+                self.name_cname.insert(key, value, record.ttl, record.ts);
+                stats.cnames_stored += 1;
+            }
+            _ => stats.filtered += 1,
+        }
+    }
+
+    /// LookUp: stamp both endpoints, filter invalid flows, run the purges
+    /// that are due, then resolve against the records still live at the
+    /// flow's time. The chase stores no shortcut: an exact-TTL entry has
+    /// no generation to memoize into.
+    fn process_flow(
+        &self,
+        asn: &mut Option<AsnReader>,
+        flow: FlowRecord,
+        stats: &mut LookUpStats,
+    ) -> CorrelatedRecord {
+        let (src_asn, dst_asn) = match asn {
+            Some(reader) => {
+                let src = reader.origin_as(flow.key.src_ip);
+                let dst = reader.origin_as(flow.key.dst_ip);
+                if src.is_some() {
+                    stats.asn_stamped += 1;
+                }
+                (src, dst)
+            }
+            None => (None, None),
+        };
+        if !flow.is_valid() {
+            stats.filtered += 1;
+            return CorrelatedRecord::new(flow, CorrelationOutcome::NotFound)
+                .with_asns(src_asn, dst_asn);
+        }
+        let now = flow.ts;
+        self.ip_name.maybe_purge(now);
+        self.name_cname.maybe_purge(now);
+        let outcome = match self.ip_name.lookup(&IpKey::from_ip(flow.key.src_ip), now) {
+            Some(first_name) => follow_chain(
+                first_name,
+                self.loop_limit,
+                |name| self.name_cname.lookup(name, now),
+                |_, _| {},
+                stats,
+            ),
+            None => {
+                stats.ip_misses += 1;
+                CorrelationOutcome::NotFound
+            }
+        };
+        CorrelatedRecord::new(flow, outcome).with_asns(src_asn, dst_asn)
+    }
+
+    /// Entries and payload bytes of both stores (a walk over each map).
+    fn memory_estimate(&self) -> MemoryEstimate {
+        let mut est = self.ip_name.memory_estimate();
+        est.merge(self.name_cname.memory_estimate());
+        est
+    }
+
+    /// Entries scanned by both stores' purges so far.
+    fn purge_scanned(&self) -> u64 {
+        self.ip_name.stats().purge_scanned + self.name_cname.stats().purge_scanned
     }
 }
 
@@ -172,8 +272,6 @@ pub struct OfflineSimulator {
     /// Routing-table view for in-pipeline AS attribution, mirroring the
     /// live pipeline's LookUp-side stamping.
     asn_view: Option<AsnView>,
-    /// Run a rotating variant on the reference [`DnsStore`].
-    reference_store: bool,
 }
 
 impl OfflineSimulator {
@@ -189,22 +287,7 @@ impl OfflineSimulator {
             capacity_cores,
             backlog_allowance: cost.core_units_per_sec * capacity_cores * 5.0,
             asn_view: None,
-            reference_store: false,
         }
-    }
-
-    /// Run on the lock-striped reference [`DnsStore`] + [`Resolver`]
-    /// instead of the [`ShardedStore`] the live pipeline ships — the
-    /// comparison arm of the equivalence tests. The exact-TTL variant
-    /// always runs on the reference store. Output can differ from the
-    /// sharded store's by a few records around clear-ups for the
-    /// `NoRotation`/`NoLongHashmaps` variants: a DNS insert advances only
-    /// its own split's clear-up clock here, while the sharded simulator
-    /// broadcasts every event's time (docs/ARCHITECTURE.md, "Clock
-    /// semantics").
-    pub fn with_reference_store(mut self) -> Self {
-        self.reference_store = true;
-        self
     }
 
     /// Attach a routing-table view: the simulated LookUp stage stamps
@@ -259,22 +342,12 @@ impl OfflineSimulator {
         I: IntoIterator<Item = Event>,
         F: FnMut(&CorrelatedRecord),
     {
-        let store = if self.reference_store || self.config.variant == Variant::ExactTtl {
-            SimStore::Reference(Box::new(DnsStore::new(&self.config)))
+        let store = if self.config.variant == Variant::ExactTtl {
+            SimStore::ExactTtl(Box::new(ExactTtlArm::new(&self.config)))
         } else {
             SimStore::Sharded(Box::new(ShardedStore::new(&self.config)))
         };
-        let mut resolver = match &store {
-            SimStore::Reference(reference) => {
-                let mut resolver = Resolver::new(reference, &self.config);
-                if let Some(view) = &self.asn_view {
-                    resolver = resolver.with_asn_reader(view.reader());
-                }
-                Some(resolver)
-            }
-            SimStore::Sharded(_) => None,
-        };
-        let mut shard_asn = self.asn_view.as_ref().map(|view| view.reader());
+        let mut asn = self.asn_view.as_ref().map(|view| view.reader());
         let mut fillup_stats = FillUpStats::default();
         let mut lookup_stats = LookUpStats::default();
 
@@ -395,9 +468,7 @@ impl OfflineSimulator {
                         continue;
                     }
                     match &store {
-                        SimStore::Reference(reference) => {
-                            process_dns_record(reference, &record, &mut fillup_stats);
-                        }
+                        SimStore::ExactTtl(arm) => arm.process_dns(&record, &mut fillup_stats),
                         SimStore::Sharded(sharded) => {
                             // Broadcast the clock first so every
                             // partition rotates on the same boundary
@@ -430,23 +501,20 @@ impl OfflineSimulator {
                         continue;
                     }
                     let hops_before = lookup_stats.cname_hops;
-                    let record = match (&mut resolver, &store) {
-                        (Some(resolver), _) => {
-                            resolver.process_flow(flow.clone(), &mut lookup_stats)
+                    let record = match &store {
+                        SimStore::ExactTtl(arm) => {
+                            arm.process_flow(&mut asn, flow.clone(), &mut lookup_stats)
                         }
-                        (None, SimStore::Sharded(sharded)) => {
+                        SimStore::Sharded(sharded) => {
                             sharded.observe_time_all(flow.ts);
                             let shard = shard_of_flow(&flow, sharded.shards());
                             sharded.partition(shard).lock().process_flow(
                                 sharded,
-                                &mut shard_asn,
+                                &mut asn,
                                 flow.clone(),
                                 &mut lookup_stats,
                             )
                         }
-                        // `resolver` is Some exactly when the store is
-                        // the reference one, so this arm cannot be reached.
-                        (None, SimStore::Reference(_)) => continue,
                     };
                     let hops = (lookup_stats.cname_hops - hops_before) as f64;
                     let mut work = self.cost.flow_lookup
@@ -473,7 +541,7 @@ impl OfflineSimulator {
 
             // Track peak memory whenever the written-record count is a
             // multiple of 4,096. The sharded store serves the estimate
-            // from its tables' counters; the reference store walks its
+            // from its tables' counters; the exact-TTL arm walks its
             // maps.
             if report.metrics.write.records_written % 4096 == 0 {
                 let est = store.memory_estimate();
@@ -690,6 +758,24 @@ mod tests {
     }
 
     #[test]
+    fn exact_ttl_variant_expires_by_record_ttl() {
+        let arm = ExactTtlArm::new(&CorrelatorConfig::for_variant(Variant::ExactTtl));
+        let mut fillup = FillUpStats::default();
+        arm.process_dns(&dns(0, "short.example", [9, 9, 9, 9], 30), &mut fillup);
+        let mut lookup = LookUpStats::default();
+        let mut correlates = |ts| {
+            arm.process_flow(&mut None, flow(ts, [9, 9, 9, 9], 1_000), &mut lookup)
+                .is_correlated()
+        };
+        assert!(correlates(10));
+        assert!(!correlates(100));
+        // The purge runs, and is charged, once its interval has passed.
+        assert_eq!(arm.purge_scanned(), 0);
+        correlates(10_000);
+        assert!(arm.purge_scanned() > 0);
+    }
+
+    #[test]
     fn hourly_samples_cover_every_hour() {
         let mut flows = Vec::new();
         for hour in [0u64, 1, 5] {
@@ -775,7 +861,6 @@ mod tests {
     fn sorted_egress(
         variant: Variant,
         correlator_shards: usize,
-        reference: bool,
         events: &[Event],
     ) -> (Vec<String>, SimulationOutcome) {
         let config = CorrelatorConfig {
@@ -784,33 +869,11 @@ mod tests {
             c_clear_up_interval: flowdns_types::SimDuration::from_secs(1_200),
             ..CorrelatorConfig::for_variant(variant)
         };
-        let mut sim = OfflineSimulator::new(config);
-        if reference {
-            sim = sim.with_reference_store();
-        }
+        let sim = OfflineSimulator::new(config);
         let mut lines = Vec::new();
         let outcome = sim.run_with(events.iter().cloned(), |record| lines.push(record.to_tsv()));
         lines.sort();
         (lines, outcome)
-    }
-
-    /// Size of the multiset difference `a − b` of two sorted line lists.
-    fn lines_only_in(a: &[String], b: &[String]) -> usize {
-        let (mut i, mut j, mut only_a) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Equal => {
-                    i += 1;
-                    j += 1;
-                }
-                std::cmp::Ordering::Less => {
-                    only_a += 1;
-                    i += 1;
-                }
-                std::cmp::Ordering::Greater => j += 1,
-            }
-        }
-        only_a + (a.len() - i)
     }
 
     /// FNV-1a over the sorted lines, newline-terminated: a hash that
@@ -838,7 +901,7 @@ mod tests {
             (Variant::NoRotation, 0xbc66_1cdd_42a1_9cd9),
             (Variant::NoLongHashmaps, 0x1574_a492_9f02_0bd8),
         ] {
-            let (lines, _) = sorted_egress(variant, 1, false, &events);
+            let (lines, _) = sorted_egress(variant, 1, &events);
             assert_eq!(lines.len(), 100_939, "{variant}");
             assert_eq!(egress_hash(&lines), pinned, "{variant}");
         }
@@ -856,7 +919,7 @@ mod tests {
         use crate::write::WriteStats;
         use flowdns_types::{ByteVolume, VolumeAccumulator};
         let events = generated_trace();
-        let (lines, outcome) = sorted_egress(Variant::ExactTtl, 1, false, &events);
+        let (lines, outcome) = sorted_egress(Variant::ExactTtl, 1, &events);
         assert_eq!(lines.len(), 22_361);
         assert_eq!(egress_hash(&lines), 0xfe7d_8537_bfe3_4337);
         let expected = PipelineMetrics {
@@ -902,9 +965,7 @@ mod tests {
         // The equivalence claim the single live topology rests on:
         // routing by IP key plus a broadcast clock makes the correlated
         // output byte-identical whether the store is one partition or
-        // four, for every rotating variant — and identical to the
-        // lock-striped reference store wherever the two clock rules
-        // cannot disagree.
+        // four, for every rotating variant.
         let events = generated_trace();
         let flows = events
             .iter()
@@ -913,10 +974,10 @@ mod tests {
         assert!(flows > 50_000, "trace too small: {flows} flows");
         for variant in Variant::all() {
             if variant == Variant::ExactTtl {
-                continue; // reference store only; nothing to compare
+                continue; // the exact-TTL arm is not partitioned
             }
-            let (one, one_outcome) = sorted_egress(variant, 1, false, &events);
-            let (four, four_outcome) = sorted_egress(variant, 4, false, &events);
+            let (one, one_outcome) = sorted_egress(variant, 1, &events);
+            let (four, four_outcome) = sorted_egress(variant, 4, &events);
             assert_eq!(one.len(), flows);
             assert!(one == four, "{variant}: 1 vs 4 shards differ");
             assert_eq!(
@@ -925,30 +986,6 @@ mod tests {
             );
             assert_eq!(one_outcome.hourly, four_outcome.hourly, "{variant}");
             assert!(one_outcome.report.metrics.lookup.cname_hops > 0);
-
-            let (reference, reference_outcome) = sorted_egress(variant, 1, true, &events);
-            let differing = lines_only_in(&one, &reference);
-            match variant {
-                Variant::Main | Variant::NoSplit | Variant::NoClearUp => {
-                    assert_eq!(differing, 0, "{variant}: reference vs sharded");
-                    assert_eq!(
-                        one_outcome.report.metrics.lookup, reference_outcome.report.metrics.lookup,
-                        "{variant}"
-                    );
-                }
-                // Without an Inactive copy (NoRotation) or with long-TTL
-                // records in the rotating maps (NoLongHashmaps), a record
-                // looked up right at a clear-up depends on *which* clock
-                // rotated first: the reference splits each follow their
-                // own inserts, the partitions follow the broadcast. The
-                // measured shift is 2 and 31 lines of 146,895 on the 5 h
-                // trace (docs/ARCHITECTURE.md, "Clock semantics"); the
-                // bound keeps it from growing unnoticed.
-                _ => assert!(
-                    differing * 1_000 <= flows,
-                    "{variant}: {differing} of {flows} lines differ from the reference store"
-                ),
-            }
         }
     }
 }

@@ -1,13 +1,18 @@
-//! Property-based test of the DnsStore snapshot round trip: for any
-//! sequence of timestamped A/AAAA and CNAME inserts (spanning multiple
-//! clear-up rotations), export → import into a fresh store must
-//! reproduce the store contents, the generation each key lives in, and
-//! the interner's one-allocation-per-distinct-name invariant exactly.
+//! Property-based test of the ShardedStore snapshot round trip: for any
+//! shard count from 1 to 4 and any sequence of timestamped A/AAAA and
+//! CNAME inserts (spanning multiple clear-up rotations), export → import
+//! into a fresh store must reproduce the store contents, the generation
+//! each key lives in, and the interner's one-allocation-per-distinct-name
+//! invariant exactly.
 
+use std::collections::HashMap;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use flowdns_core::{CorrelatorConfig, DnsStore};
-use flowdns_types::{DomainName, NameRef, SimTime};
+use flowdns_core::{
+    shard_of_dns, shard_of_ip, CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore,
+};
+use flowdns_snapshot::{DnsStoreImage, SnapshotKey, StoreImage};
+use flowdns_types::{DnsRecord, DomainName, SimTime};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -60,78 +65,125 @@ fn insert_op() -> impl Strategy<Value = Insert> {
     ]
 }
 
+/// One stored entry of an image with its names spelled out: the section
+/// (`None` for NAME-CNAME), the generation (0 Active, 1 Inactive,
+/// 2 Long), the key and the value.
+type Entry = (Option<usize>, u8, String, String);
+
+/// A section's `(last_clear_ts, last_seen_ts)`.
+type Clock = (Option<SimTime>, Option<SimTime>);
+
+/// Every entry and section clock of an image, independent of the order
+/// the export happened to number its names in.
+fn contents(image: &DnsStoreImage) -> (Vec<Entry>, Vec<Clock>) {
+    let text = |idx: &u32| image.names[*idx as usize].to_string();
+    let mut entries = Vec::new();
+    let sections = image
+        .ip_name
+        .iter()
+        .enumerate()
+        .map(|(i, section)| (Some(i), section))
+        .chain([(None, &image.name_cname)]);
+    let mut clocks = Vec::new();
+    for (section_idx, section) in sections {
+        let StoreImage {
+            last_clear_ts,
+            last_seen_ts,
+            active,
+            inactive,
+            long,
+        } = section;
+        clocks.push((*last_clear_ts, *last_seen_ts));
+        for (generation, list) in [(0u8, active), (1, inactive), (2, long)] {
+            for (key, value) in list {
+                let key = match key {
+                    SnapshotKey::Ip(ip) => format!("{ip:?}"),
+                    SnapshotKey::Name(idx) => text(idx),
+                };
+                entries.push((section_idx, generation, key, text(value)));
+            }
+        }
+    }
+    entries.sort();
+    (entries, clocks)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn export_import_reproduces_contents_generations_and_dedup(
+        shards in 1usize..5,
         ops in proptest::collection::vec((insert_op(), 0u64..900), 1..120),
     ) {
-        let config = CorrelatorConfig::default();
-        let donor = DnsStore::new(&config);
+        let config = CorrelatorConfig {
+            correlator_shards: shards,
+            ..CorrelatorConfig::default()
+        };
+        let donor = ShardedStore::new(&config);
         // Apply the inserts at non-decreasing timestamps; steps of up to
         // 900 s across up to 120 ops span several 3600 s rotations.
         let mut ts = SimTime::ZERO;
         let mut ips: Vec<IpAddr> = Vec::new();
+        let mut fillup = FillUpStats::default();
         for (op, step) in &ops {
             ts += flowdns_types::SimDuration::from_secs(*step);
-            match op {
+            let record = match op {
                 Insert::Address { ip, name_idx, ttl } => {
-                    donor.insert_address(*ip, &name(*name_idx), *ttl, ts);
                     ips.push(*ip);
+                    DnsRecord::address(ts, name(*name_idx), *ip, *ttl)
                 }
                 Insert::Cname { target_idx, alias_idx, ttl } => {
-                    donor.insert_cname(&name(*target_idx), &name(*alias_idx), *ttl, ts);
+                    DnsRecord::cname(ts, name(*alias_idx), name(*target_idx), *ttl)
                 }
-            }
+            };
+            donor
+                .partition(shard_of_dns(&record, shards))
+                .lock()
+                .process_dns(&donor, &record, &mut fillup);
         }
-        // Sync every split's rotation clock to the final data time, as a
-        // live pipeline's flow traffic does continuously; the exported
+        prop_assert_eq!(fillup.total(), ops.len() as u64);
+        // Sync every partition's rotation clock to the final data time, as
+        // a live pipeline's flow traffic does continuously; the exported
         // image is then aged consistently on import.
-        donor.observe_time(ts);
+        donor.observe_time_all(ts);
 
-        let image = donor.export_image().expect("rotating store must export");
+        let image = donor.export_image();
         prop_assert_eq!(image.as_of, ts);
-        let restored = DnsStore::new(&config);
+        prop_assert_eq!(image.shards as usize, shards);
+        let restored = ShardedStore::new(&config);
         restored.import_image(&image, None).expect("import must succeed");
 
-        // Contents and generations: every key resolves identically.
+        // Contents, generations and clocks: the restored store exports
+        // exactly the entries it imported, section by section.
         prop_assert_eq!(restored.total_entries(), donor.total_entries());
-        for ip in &ips {
-            let before = donor.lookup_ip(*ip, ts).map(|(n, g)| (n.as_str().to_string(), g));
-            let after = restored.lookup_ip(*ip, ts).map(|(n, g)| (n.as_str().to_string(), g));
-            prop_assert_eq!(before, after, "IP {} diverged", ip);
-        }
-        for idx in 0..NAME_POOL {
-            let key_donor = donor.intern(&name(idx));
-            let key_restored = restored.intern(&name(idx));
-            let before = donor
-                .lookup_cname(&key_donor, ts)
-                .map(|(n, g)| (n.as_str().to_string(), g));
-            let after = restored
-                .lookup_cname(&key_restored, ts)
-                .map(|(n, g)| (n.as_str().to_string(), g));
-            prop_assert_eq!(before, after, "CNAME key {} diverged", idx);
-        }
+        prop_assert_eq!(contents(&restored.export_image()), contents(&image));
 
-        // Interner dedup: the snapshot's name table is exactly the set of
-        // distinct names, and re-importing produced one shared allocation
-        // per name — two lookups of IPs mapped to the same name return
-        // pointer-equal handles.
+        // Interner dedup: the snapshot's name table holds each distinct
+        // name once, the import pooled exactly those, and every outcome
+        // naming the same text shares one allocation.
         prop_assert!(image.names.len() <= NAME_POOL);
-        let mut by_name: std::collections::HashMap<String, NameRef> = Default::default();
+        let distinct: std::collections::HashSet<&str> =
+            image.names.iter().map(|n| &**n).collect();
+        prop_assert_eq!(distinct.len(), image.names.len());
+        prop_assert_eq!(restored.interned_names(), image.names.len());
+
+        // Behaviour: every IP resolves to the same outcome in both stores.
+        let mut by_name: HashMap<String, *const u8> = HashMap::new();
         for ip in &ips {
-            if let Some((handle, _)) = restored.lookup_ip(*ip, ts) {
-                let text = handle.as_str().to_string();
-                if let Some(first) = by_name.get(&text) {
-                    prop_assert!(
-                        NameRef::ptr_eq(first, &handle),
-                        "name {} not deduplicated after import",
-                        text
-                    );
-                } else {
-                    by_name.insert(text, handle);
-                }
+            let shard = shard_of_ip(*ip, shards);
+            let mut stats = LookUpStats::default();
+            let before = donor.partition(shard).lock().resolve(&donor, *ip, &mut stats);
+            let after = restored.partition(shard).lock().resolve(&restored, *ip, &mut stats);
+            prop_assert_eq!(&before, &after, "IP {} diverged", ip);
+            for name in after.names() {
+                let ptr = name.as_str().as_ptr();
+                let first = *by_name.entry(name.as_str().to_string()).or_insert(ptr);
+                prop_assert!(
+                    std::ptr::eq(first, ptr),
+                    "name {} not deduplicated after import",
+                    name.as_str()
+                );
             }
         }
     }

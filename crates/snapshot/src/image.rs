@@ -3,14 +3,14 @@
 //! An image is everything a warm restart needs, decoupled from the live
 //! store types: a deduplicated name table (the interner pool, referenced
 //! by index so each distinct name is stored once, exactly like it is held
-//! once in memory), one generation triple per IP-NAME section (a split
-//! of the reference store, a shard of the correlator), the NAME-CNAME
+//! once in memory), one generation triple per IP-NAME section (a shard
+//! of the correlator, or a split in older layouts), the NAME-CNAME
 //! triple, and the per-section rotation clocks that let the loader
 //! decide which generations are still within the rotation window.
 //!
-//! `flowdns_core::ShardedStore` and `flowdns_core::DnsStore` build and
-//! consume these images (`export_image` / `import_image`); this crate
-//! only defines their shape and byte encoding.
+//! `flowdns_core::ShardedStore` builds and consumes these images
+//! (`export_image` / `import_image`); this crate only defines their
+//! shape and byte encoding.
 
 use std::sync::Arc;
 
@@ -133,16 +133,14 @@ pub struct DnsStoreImage {
     /// loader's default "now" when judging generation age.
     pub as_of: SimTime,
     /// Number of IP-NAME sections per shard (per store when `shards` is
-    /// 0). The reference store writes one per split and rejects an image
-    /// with a different split count — its label function is stable, so
-    /// entries cannot simply be reassigned generation-by-generation. A
+    /// 0). Layouts that split the IP-NAME maps wrote one per split. A
     /// sharded correlator writes 1 (its partitions do not split) and
     /// loads any count, aging each section by its own clock.
     pub num_split: u32,
     /// Number of shared-nothing correlator shards the image was exported
     /// with. `0` means an unpartitioned store (one set of `num_split`
-    /// splits) — what the reference `DnsStore` exports and the removed
-    /// classic pipeline left on disk; a live correlator rejects it as a
+    /// splits) — what the removed classic pipeline and its unpartitioned
+    /// store left on disk; a live correlator rejects it as a
     /// layout mismatch. Any positive value means [`DnsStoreImage::ip_name`]
     /// holds `shards × num_split` images in shard-major order (shard 0's
     /// sections first). A mismatch on import is rejected — the shard

@@ -50,7 +50,7 @@
 //! let image = DnsStoreImage {
 //!     as_of: SimTime::from_secs(900),
 //!     num_split: 1,
-//!     shards: 0, // unpartitioned reference store; N > 0 for a correlator's shards
+//!     shards: 0, // unpartitioned (classic) layout; N > 0 for a correlator's shards
 //!     a_interval_secs: 3600,
 //!     c_interval_secs: 7200,
 //!     names: vec!["svc.example".into()],

@@ -1,6 +1,6 @@
 //! Key and value traits of the typed store API.
 //!
-//! The rotating/split/exact-TTL stores are generic over their key and
+//! The rotating and exact-TTL stores are generic over their key and
 //! value types so the hot IP-NAME path can use compact [`IpKey`]s and
 //! interned [`NameRef`] handles while tests and ablation harnesses keep
 //! using plain strings. Beyond the obvious `Hash + Eq + Clone` bounds,

@@ -4,9 +4,8 @@
 //!
 //! The Go implementation keeps DNS records in hashmaps built on the
 //! `concurrent-map` library (lock-striped shards) and layers FlowDNS's own
-//! structure on top: Active/Inactive/Long generations, periodic clear-up
-//! driven by data time, and NUM_SPLIT independent splits for the IP-NAME
-//! maps. This crate rebuilds all of that:
+//! structure on top: Active/Inactive/Long generations and periodic
+//! clear-up driven by data time. This crate rebuilds that:
 //!
 //! * [`generation`] — [`GenerationTable`], the single-owner store the live
 //!   correlator runs: Active and Inactive in one epoch-tagged map, Long
@@ -20,10 +19,7 @@
 //!   handles, raw address bits and plain strings,
 //! * [`rotating`] — [`RotatingStore`], one Active/Inactive/Long triple with
 //!   clear-up and buffer rotation (Algorithm 1's storage side) behind
-//!   interior locks: the reference store and the generation table's
-//!   test oracle,
-//! * [`split`] — [`SplitStore`], NUM_SPLIT rotating stores indexed by a
-//!   label function over the key (the "IP-NAME hashmap splits"),
+//!   interior locks: the generation table's test oracle,
 //! * [`exact_ttl`] — [`ExactTtlStore`], the per-record-TTL strawman from
 //!   Appendix A.8, kept for the ablation experiment,
 //! * [`memory`] — byte-level memory accounting used by the resource
@@ -38,7 +34,6 @@ pub mod keys;
 pub mod memory;
 pub mod rotating;
 pub mod sharded;
-pub mod split;
 
 pub use exact_ttl::ExactTtlStore;
 pub use generation::{GenerationStore, GenerationTable, RotationClock, SectionAge, TableStats};
@@ -46,4 +41,3 @@ pub use keys::{StoreKey, StoreValue};
 pub use memory::MemoryEstimate;
 pub use rotating::{Generation, GenerationsImage, RotatingStore, RotationPolicy};
 pub use sharded::{ShardedMap, DEFAULT_SHARD_COUNT};
-pub use split::SplitStore;

@@ -330,23 +330,6 @@ impl NameInterner {
         NameRef(arc)
     }
 
-    /// Bulk-intern a sequence of names, returning the pooled handle for
-    /// each input in order. This is the import half of the
-    /// snapshot/warm-restart path: a snapshot's name table is interned
-    /// once, and every stored entry then resolves its name index to the
-    /// *same* handle — so the dedup invariant (one allocation per distinct
-    /// name) is reconstructed exactly.
-    pub fn import_names<I, S>(&self, names: I) -> Vec<NameRef>
-    where
-        I: IntoIterator<Item = S>,
-        S: AsRef<str>,
-    {
-        names
-            .into_iter()
-            .map(|name| self.intern(name.as_ref()))
-            .collect()
-    }
-
     /// The pooled identity of `s` (see [`NameId`]).
     pub fn intern_id(&self, s: &str) -> NameId {
         NameId(self.intern(s).0)
@@ -358,7 +341,10 @@ impl NameInterner {
         NameId(self.intern_domain(name).0)
     }
 
-    /// [`NameInterner::import_names`], returning identities. A name the
+    /// Bulk-intern a snapshot's name table, returning the pooled identity
+    /// for each input in order. Every stored entry then resolves its name
+    /// index to the *same* identity, so the dedup invariant (one
+    /// allocation per distinct name) is reconstructed exactly. A name the
     /// pool does not hold yet is pooled as the given allocation rather
     /// than copied, so a decoded snapshot's name table becomes the pool's
     /// with no allocation per name.
@@ -463,22 +449,6 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(pool.len(), 1);
         assert!(NameRef::ptr_eq(&kept, &pool.intern("kept.example")));
-    }
-
-    #[test]
-    fn bulk_import_reconstructs_dedup() {
-        // The snapshot warm-start path: a name table is bulk-interned and
-        // every later resolution of the same text must share the pooled
-        // allocation.
-        let restored = NameInterner::with_shards(4);
-        let texts = ["a.example".to_string(), "b.example".to_string()];
-        let handles = restored.import_names(&texts);
-        assert_eq!(handles.len(), 2);
-        assert_eq!(restored.len(), 2);
-        // Re-importing the same name yields the same handle (dedup).
-        let again = restored.import_names(texts.iter().take(1));
-        assert!(NameRef::ptr_eq(&handles[0], &again[0]));
-        assert!(NameRef::ptr_eq(&handles[0], &restored.intern("a.example")));
     }
 
     #[test]

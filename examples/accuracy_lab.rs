@@ -8,26 +8,29 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns::core::fillup::{process_dns_record, FillUpStats};
-use flowdns::core::lookup::LookUpStats;
-use flowdns::core::{CorrelatorConfig, DnsStore, Resolver};
+use flowdns::core::{CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore};
 use flowdns::gen::{AccuracyCapture, AccuracyScenario};
 
 fn run(scenario: AccuracyScenario, label: &str) {
     let capture = AccuracyCapture::build(scenario, 10);
-    let config = CorrelatorConfig::default();
-    let store = DnsStore::new(&config);
+    // One shard: the whole store in one partition, driven in order.
+    let store = ShardedStore::new(&CorrelatorConfig {
+        correlator_shards: 1,
+        ..CorrelatorConfig::default()
+    });
+    let mut partition = store.partition(0).lock();
 
     let mut fillup = FillUpStats::default();
     for record in &capture.dns {
-        process_dns_record(&store, record, &mut fillup);
+        partition.process_dns(&store, record, &mut fillup);
     }
 
-    let mut resolver = Resolver::new(&store, &config);
     let mut lookup = LookUpStats::default();
     let mut attributions = Vec::new();
     for (flow, truth) in &capture.flows {
-        let outcome = resolver.process_flow(flow.clone(), &mut lookup).outcome;
+        let outcome = partition
+            .process_flow(&store, &mut None, flow.clone(), &mut lookup)
+            .outcome;
         let got = outcome.final_name().cloned();
         attributions.push(got.clone());
         if attributions.len() <= 4 {
