@@ -107,9 +107,9 @@ pub struct CorrelatorConfig {
     /// `CClearUpInterval`: seconds after which the NAME-CNAME Active map is
     /// rotated and cleared (paper value: 7200).
     pub c_clear_up_interval: SimDuration,
-    /// `NUM_SPLIT`: number of splits of the reference store's IP-NAME maps
-    /// (paper value: 10), and what the *No Split* variant sets to 1. The
-    /// live correlator's partitions do not split.
+    /// `NUM_SPLIT`: the paper's IP-NAME split count (paper value: 10),
+    /// and what the *No Split* variant sets to 1. No store splits; it
+    /// only feeds the offline simulator's per-split cost term.
     pub num_split: usize,
     /// Maximum number of CNAME chain look-ups (paper value: 6).
     pub cname_loop_limit: usize,
