@@ -729,7 +729,6 @@ fn decode_name_entries(
 pub(crate) mod tests {
     use super::*;
     use flowdns_bgp::{Announcement, AsnView, RoutingTable};
-    use flowdns_storage::RotatingStore;
     use flowdns_types::DomainName;
     use std::net::{Ipv4Addr, Ipv6Addr};
 
@@ -1091,8 +1090,9 @@ pub(crate) mod tests {
     /// stores carry one section per split, each with its own clock, and
     /// a key may sit in both Active and Inactive of its section. Every
     /// key must resolve to the name and generation its own section's
-    /// aging gives it — the section imported alone into a three-map
-    /// [`RotatingStore`] is the oracle.
+    /// aging gives it, written out here per age class: a current section
+    /// loads verbatim, one an interval behind turns Active into Inactive
+    /// and drops its Inactive, and a stale one keeps only Long.
     #[test]
     fn parent_layout_image_imports_with_per_section_aging() {
         const SPLITS: usize = 10;
@@ -1143,8 +1143,8 @@ pub(crate) mod tests {
             shards: 2,
             a_interval_secs: interval,
             c_interval_secs: config.c_clear_up_interval.as_secs(),
-            names: names.clone(),
-            ip_name: sections.clone(),
+            names,
+            ip_name: sections,
             name_cname: StoreImage::default(),
         };
         // The codec accepts the layout.
@@ -1153,37 +1153,21 @@ pub(crate) mod tests {
 
         let store = ShardedStore::new(&config);
         let loaded = store.import_image(&image, Some(now)).unwrap();
-        let policy = RotationPolicy::address_default();
-        let text = |entries: &[(SnapshotKey, u32)]| {
-            entries
-                .iter()
-                .map(|(key, idx)| match key {
-                    SnapshotKey::Ip(ip) => (*ip, names[*idx as usize].to_string()),
-                    SnapshotKey::Name(_) => unreachable!("IP sections only"),
-                })
-                .collect::<Vec<_>>()
-        };
-        let oracles: Vec<RotatingStore<IpKey, String>> = sections
-            .iter()
-            .map(|section| {
-                let oracle = RotatingStore::new(policy, 4);
-                oracle.import_image(
-                    GenerationsImage {
-                        last_clear_ts: section.last_clear_ts,
-                        last_seen_ts: section.last_seen_ts,
-                        active: text(&section.active),
-                        inactive: text(&section.inactive),
-                        long: text(&section.long),
-                    },
-                    now,
-                );
-                oracle
-            })
-            .collect();
         let mut resolving = 0;
         let mut generations = std::collections::HashSet::new();
-        for (ip, section) in ips {
-            let expected = oracles[section].lookup(&IpKey::from_ip(ip));
+        for (i, (ip, section)) in ips.into_iter().enumerate() {
+            // Key `i` was written by pattern `i % 4` above; section `s`
+            // has age class `s % 3`: current, one behind, stale.
+            let name = |tag: &str| format!("{tag}{i}.example");
+            let expected = match (i % 4, section % 3) {
+                (0, 0) => Some((name("a"), Generation::Active)),
+                (0, 1) => Some((name("a"), Generation::Inactive)),
+                (1, 0) => Some((name("i"), Generation::Inactive)),
+                (2, _) => Some((name("l"), Generation::Long)),
+                (3, 0) => Some((name("new"), Generation::Active)),
+                (3, 1) => Some((name("new"), Generation::Inactive)),
+                _ => None,
+            };
             assert_eq!(
                 resolve_ip(&store, ip),
                 expected,

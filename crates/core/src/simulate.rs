@@ -29,7 +29,7 @@
 //! figures — plus the same [`Report`] the live pipeline produces.
 
 use flowdns_bgp::{AsnReader, AsnView};
-use flowdns_storage::{ExactTtlStore, MemoryEstimate, DEFAULT_SHARD_COUNT};
+use flowdns_storage::{ExactTtlStore, MemoryEstimate};
 use flowdns_types::{
     CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, FlowRecord, IpKey, NameInterner,
     NameRef, RecordType, SimTime,
@@ -111,8 +111,8 @@ impl ExactTtlArm {
     fn new(config: &CorrelatorConfig) -> Self {
         ExactTtlArm {
             names: NameInterner::new(),
-            ip_name: ExactTtlStore::new(config.exact_ttl_purge_interval, DEFAULT_SHARD_COUNT),
-            name_cname: ExactTtlStore::new(config.exact_ttl_purge_interval, DEFAULT_SHARD_COUNT),
+            ip_name: ExactTtlStore::new(config.exact_ttl_purge_interval),
+            name_cname: ExactTtlStore::new(config.exact_ttl_purge_interval),
             loop_limit: config.cname_loop_limit,
         }
     }
@@ -120,7 +120,7 @@ impl ExactTtlArm {
     /// FillUp with the record filter of
     /// [`ShardPartition::process_dns`](crate::ShardPartition::process_dns).
     /// Each insert also runs the purge when it is due.
-    fn process_dns(&self, record: &DnsRecord, stats: &mut FillUpStats) {
+    fn process_dns(&mut self, record: &DnsRecord, stats: &mut FillUpStats) {
         if !record.is_correlatable() {
             stats.filtered += 1;
             return;
@@ -147,7 +147,7 @@ impl ExactTtlArm {
     /// flow's time. The chase stores no shortcut: an exact-TTL entry has
     /// no generation to memoize into.
     fn process_flow(
-        &self,
+        &mut self,
         asn: &mut Option<AsnReader>,
         flow: FlowRecord,
         stats: &mut LookUpStats,
@@ -196,7 +196,7 @@ impl ExactTtlArm {
 
     /// Entries scanned by both stores' purges so far.
     fn purge_scanned(&self) -> u64 {
-        self.ip_name.stats().purge_scanned + self.name_cname.stats().purge_scanned
+        self.ip_name.purge_scanned() + self.name_cname.purge_scanned()
     }
 }
 
@@ -342,7 +342,7 @@ impl OfflineSimulator {
         I: IntoIterator<Item = Event>,
         F: FnMut(&CorrelatedRecord),
     {
-        let store = if self.config.variant == Variant::ExactTtl {
+        let mut store = if self.config.variant == Variant::ExactTtl {
             SimStore::ExactTtl(Box::new(ExactTtlArm::new(&self.config)))
         } else {
             SimStore::Sharded(Box::new(ShardedStore::new(&self.config)))
@@ -467,7 +467,7 @@ impl OfflineSimulator {
                         total_dns_dropped += 1;
                         continue;
                     }
-                    match &store {
+                    match &mut store {
                         SimStore::ExactTtl(arm) => arm.process_dns(&record, &mut fillup_stats),
                         SimStore::Sharded(sharded) => {
                             // Broadcast the clock first so every
@@ -501,7 +501,7 @@ impl OfflineSimulator {
                         continue;
                     }
                     let hops_before = lookup_stats.cname_hops;
-                    let record = match &store {
+                    let record = match &mut store {
                         SimStore::ExactTtl(arm) => {
                             arm.process_flow(&mut asn, flow.clone(), &mut lookup_stats)
                         }
@@ -759,19 +759,19 @@ mod tests {
 
     #[test]
     fn exact_ttl_variant_expires_by_record_ttl() {
-        let arm = ExactTtlArm::new(&CorrelatorConfig::for_variant(Variant::ExactTtl));
+        let mut arm = ExactTtlArm::new(&CorrelatorConfig::for_variant(Variant::ExactTtl));
         let mut fillup = FillUpStats::default();
         arm.process_dns(&dns(0, "short.example", [9, 9, 9, 9], 30), &mut fillup);
         let mut lookup = LookUpStats::default();
-        let mut correlates = |ts| {
+        let mut correlates = |arm: &mut ExactTtlArm, ts| {
             arm.process_flow(&mut None, flow(ts, [9, 9, 9, 9], 1_000), &mut lookup)
                 .is_correlated()
         };
-        assert!(correlates(10));
-        assert!(!correlates(100));
+        assert!(correlates(&mut arm, 10));
+        assert!(!correlates(&mut arm, 100));
         // The purge runs, and is charged, once its interval has passed.
         assert_eq!(arm.purge_scanned(), 0);
-        correlates(10_000);
+        correlates(&mut arm, 10_000);
         assert!(arm.purge_scanned() > 0);
     }
 

@@ -207,9 +207,8 @@ fn main() {
 
     let started = Instant::now();
     let mut last_stats = Instant::now();
-    // Previous-tick meter totals: live rates are per-tick counter deltas
-    // over the wall clock, so an idle feed honestly reads 0 flows/s (a
-    // meter's lifetime average never decays, however long the silence).
+    // Previous-tick feed totals: live rates are per-tick counter deltas
+    // over the wall clock, so an idle feed honestly reads 0 flows/s.
     let mut prev_netflow = 0u64;
     let mut prev_dns = 0u64;
     let netflow_listener_count = startup.netflow_listeners.len();

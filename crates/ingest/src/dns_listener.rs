@@ -35,10 +35,10 @@ use parking_lot::Mutex;
 
 use flowdns_core::Correlator;
 use flowdns_dns::framing::FrameDecoder;
-use flowdns_stream::RateMeter;
 use flowdns_types::DnsRecord;
 
 use crate::buffer_pool::BufferPool;
+use crate::runtime::ActivityStamp;
 
 /// How long a blocked accept/read waits before re-checking shutdown.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
@@ -61,12 +61,13 @@ pub struct DnsFeedStats {
     pub malformed_streams: AtomicU64,
     /// Records dropped because the FillUp queue was full.
     pub queue_drops: AtomicU64,
+    /// When a connection last offered a batch.
+    pub(crate) last_activity: ActivityStamp,
 }
 
 /// Spawn one accept-loop thread per listener in the group.
 /// Per-connection handler threads are pushed onto `conn_handles` so the
 /// runtime can join them at shutdown.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn spawn_group(
     listeners: Vec<TcpListener>,
     recv_batch: usize,
@@ -74,7 +75,6 @@ pub(crate) fn spawn_group(
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<DnsFeedStats>,
-    meter: Arc<Mutex<RateMeter>>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) -> std::io::Result<Vec<JoinHandle<()>>> {
     let recv_batch = recv_batch.max(1);
@@ -85,7 +85,6 @@ pub(crate) fn spawn_group(
         let correlator = Arc::clone(&correlator);
         let shutdown = Arc::clone(&shutdown);
         let stats = Arc::clone(&stats);
-        let meter = Arc::clone(&meter);
         let conn_handles = Arc::clone(&conn_handles);
         handles.push(
             std::thread::Builder::new()
@@ -107,7 +106,6 @@ pub(crate) fn spawn_group(
                                     Arc::clone(&correlator),
                                     Arc::clone(&shutdown),
                                     Arc::clone(&stats),
-                                    Arc::clone(&meter),
                                 );
                                 next_conn += 1;
                                 match handle {
@@ -140,7 +138,6 @@ fn spawn_connection(
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<DnsFeedStats>,
-    meter: Arc<Mutex<RateMeter>>,
 ) -> std::io::Result<JoinHandle<()>> {
     std::thread::Builder::new()
         .name(format!("ingest-dns-{listener_id}-{id}"))
@@ -207,15 +204,9 @@ fn spawn_connection(
                 // One queue offer for the whole round; the overflow
                 // remainder is counted as dropped.
                 if !batch.is_empty() {
-                    {
-                        let mut meter = meter.lock();
-                        for record in &batch {
-                            meter.record(record.ts, 0);
-                        }
-                        // One wall-clock activity mark per drain round,
-                        // for the `last_activity_seconds` gauge.
-                        meter.mark_activity();
-                    }
+                    // One wall-clock activity mark per drain round,
+                    // for the `last_activity_seconds` gauge.
+                    stats.last_activity.mark();
                     // ordering: stats-only counters (records, batches).
                     stats
                         .records

@@ -53,11 +53,11 @@ use parking_lot::Mutex;
 use flowdns_core::metrics::ExporterStats;
 use flowdns_core::Correlator;
 use flowdns_netflow::{DecodeStats, ExporterDecoder, ExtractorConfig};
-use flowdns_stream::RateMeter;
 use flowdns_types::FlowRecord;
 
 use crate::buffer_pool::BufferPool;
 use crate::mmsg::MmsgRing;
+use crate::runtime::ActivityStamp;
 
 /// Largest datagram the listener accepts (64 KiB, the UDP maximum).
 const MAX_DATAGRAM: usize = 65_535;
@@ -76,6 +76,8 @@ pub struct ListenerStats {
     pub batch_pushes: AtomicU64,
     /// Largest number of datagrams taken in a single drain.
     pub max_drain: AtomicU64,
+    /// Flow bytes of the batches this listener offered.
+    pub bytes: AtomicU64,
 }
 
 /// A point-in-time copy of one listener's counters.
@@ -131,6 +133,8 @@ pub struct ExporterTable {
     shards: Vec<Arc<ListenerShard>>,
     /// Flow records dropped because the LookUp queue was full.
     pub queue_drops: AtomicU64,
+    /// When a listener last offered a batch.
+    pub(crate) last_activity: ActivityStamp,
 }
 
 impl Default for ExporterTable {
@@ -147,12 +151,21 @@ impl ExporterTable {
                 .map(|_| Arc::new(ListenerShard::default()))
                 .collect(),
             queue_drops: AtomicU64::new(0),
+            last_activity: ActivityStamp::default(),
         }
     }
 
     /// Number of listener shards.
     pub fn listeners(&self) -> usize {
         self.shards.len()
+    }
+
+    /// Flow bytes offered by every listener.
+    pub fn bytes(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.stats.bytes.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Per-listener drain counters, in listener order.
@@ -208,7 +221,6 @@ pub(crate) fn spawn_group(
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     table: Arc<ExporterTable>,
-    meter: Arc<Mutex<RateMeter>>,
 ) -> std::io::Result<Vec<JoinHandle<()>>> {
     assert_eq!(
         sockets.len(),
@@ -224,7 +236,6 @@ pub(crate) fn spawn_group(
         let correlator = Arc::clone(&correlator);
         let shutdown = Arc::clone(&shutdown);
         let table = Arc::clone(&table);
-        let meter = Arc::clone(&meter);
         handles.push(
             std::thread::Builder::new()
                 .name(format!("ingest-netflow-{i}"))
@@ -237,7 +248,6 @@ pub(crate) fn spawn_group(
                         &shutdown,
                         &shard,
                         &table,
-                        &meter,
                     )
                 })?,
         );
@@ -259,7 +269,6 @@ fn decode_into(
     let _ = decoder.decode_datagram_into(bytes, batch);
 }
 
-#[allow(clippy::too_many_arguments)]
 fn listener_loop(
     socket: &UdpSocket,
     recv_batch: usize,
@@ -268,7 +277,6 @@ fn listener_loop(
     shutdown: &AtomicBool,
     shard: &ListenerShard,
     table: &ExporterTable,
-    meter: &Mutex<RateMeter>,
 ) {
     let mut buf = pool.take(MAX_DATAGRAM);
     let mut batch: Vec<FlowRecord> = Vec::new();
@@ -350,15 +358,12 @@ fn listener_loop(
                 flow.trace = flight.maybe_start();
             }
         }
-        {
-            let mut meter = meter.lock();
-            for flow in &batch {
-                meter.record(flow.ts, flow.bytes);
-            }
-            // Wall-clock activity is per drain round, not per record —
-            // it feeds the `last_activity_seconds` gauge.
-            meter.mark_activity();
-        }
+        let bytes: u64 = batch.iter().map(|flow| flow.bytes).sum();
+        // ordering: stats-only counter.
+        shard.stats.bytes.fetch_add(bytes, Ordering::Relaxed);
+        // Wall-clock activity is per drain round, not per record — it
+        // feeds the `last_activity_seconds` gauge.
+        table.last_activity.mark();
         // Step 4: the whole drain in one queue offer; the overflow
         // remainder is counted as dropped. `drain(..)` keeps the batch
         // vector's capacity for the next round.

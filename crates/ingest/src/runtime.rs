@@ -5,16 +5,17 @@
 //! wires everything together: UDP datagram drains → per-listener
 //! decoder shards → per-shard flow rings; TCP read drains → incremental
 //! decoder → per-shard DNS rings — with receive buffers drawn from one
-//! shared [`BufferPool`]. Each side carries its own [`RateMeter`], and
-//! shutdown is ordered: listeners stop accepting, connection handlers
+//! shared [`BufferPool`]. Each feed stamps its last-activity time once
+//! per drain round, and shutdown is ordered: listeners stop accepting, connection handlers
 //! drain and join, then the pipeline drains its bounded queues and the
 //! final [`Report`] — with every per-exporter drop/malformed counter
 //! folded into `core::metrics::IngestSummary` — comes back.
 
 use std::net::SocketAddr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -22,7 +23,6 @@ use flowdns_core::metrics::IngestSummary;
 use flowdns_core::write::{DiscardSink, MemorySink, OutputSink, RotatingFileSink, TsvFileSink};
 use flowdns_core::{Correlator, PipelineMetrics, Report};
 use flowdns_obs::{HealthCheck, HealthStatus, MetricsRegistry, MetricsServer};
-use flowdns_stream::{MeterSnapshot, RateMeter};
 use flowdns_types::{FlowDnsError, SimDuration};
 
 use crate::buffer_pool::{BufferPool, PoolStats};
@@ -30,9 +30,6 @@ use crate::config::DaemonConfig;
 use crate::dns_listener::{self, DnsFeedStats};
 use crate::netflow_listener::{self, ExporterTable, ListenerCounters};
 use crate::reuseport;
-
-/// Width of the per-listener meter windows.
-const METER_WINDOW_SECS: u64 = 60;
 
 /// Queue fill level at which `/healthz` flips to 503.
 const QUEUE_SATURATION_THRESHOLD: f64 = 0.95;
@@ -62,10 +59,6 @@ pub fn rotating_output_parts(output: &str) -> (std::path::PathBuf, String) {
 pub struct IngestSnapshot {
     /// Ingest totals so far (same shape as the final report's summary).
     pub summary: IngestSummary,
-    /// NetFlow listener meter totals and rate.
-    pub netflow_meter: MeterSnapshot,
-    /// DNS-feed listener meter totals and rate.
-    pub dns_meter: MeterSnapshot,
     /// Depths of the (fillup, lookup, write) queues.
     pub queue_depths: (usize, usize, usize),
     /// Per-listener drain counters of the NetFlow group, in listener
@@ -91,8 +84,6 @@ pub struct IngestRuntime {
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     exporters: Arc<ExporterTable>,
     dns_stats: Arc<DnsFeedStats>,
-    netflow_meter: Arc<Mutex<RateMeter>>,
-    dns_meter: Arc<Mutex<RateMeter>>,
     pool: Arc<BufferPool>,
     dns_listener_count: usize,
     registry: Arc<MetricsRegistry>,
@@ -200,9 +191,6 @@ impl IngestRuntime {
         let exporters = Arc::new(ExporterTable::new(udp_sockets.len()));
         let dns_stats = Arc::new(DnsFeedStats::default());
         let pool = BufferPool::new(config.ingest.buffer_pool);
-        let window = SimDuration::from_secs(METER_WINDOW_SECS);
-        let netflow_meter = Arc::new(Mutex::new(RateMeter::new(window)));
-        let dns_meter = Arc::new(Mutex::new(RateMeter::new(window)));
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
 
         let mut listeners = netflow_listener::spawn_group(
@@ -212,7 +200,6 @@ impl IngestRuntime {
             Arc::clone(&correlator),
             Arc::clone(&shutdown),
             Arc::clone(&exporters),
-            Arc::clone(&netflow_meter),
         )
         .map_err(io_err)?;
         listeners.extend(
@@ -223,7 +210,6 @@ impl IngestRuntime {
                 Arc::clone(&correlator),
                 Arc::clone(&shutdown),
                 Arc::clone(&dns_stats),
-                Arc::clone(&dns_meter),
                 Arc::clone(&conn_handles),
             )
             .map_err(io_err)?,
@@ -231,18 +217,11 @@ impl IngestRuntime {
 
         // Every subsystem registers into one registry: pipeline workers,
         // queues, store, snapshots and BGP from the correlator; listener,
-        // feed, meter and buffer-pool series from the ingest side. The
+        // feed and buffer-pool series from the ingest side. The
         // periodic stderr stats and the scrape endpoint both read it.
         let registry = Arc::new(MetricsRegistry::new());
         correlator.register_metrics(&registry);
-        register_ingest_metrics(
-            &registry,
-            &exporters,
-            &dns_stats,
-            &netflow_meter,
-            &dns_meter,
-            &pool,
-        );
+        register_ingest_metrics(&registry, &exporters, &dns_stats, &pool);
         let metrics_server = match config.ingest.metrics_addr {
             Some(addr) => {
                 let health = health_check(&correlator);
@@ -271,8 +250,6 @@ impl IngestRuntime {
             conn_handles,
             exporters,
             dns_stats,
-            netflow_meter,
-            dns_meter,
             pool,
             dns_listener_count,
             registry,
@@ -308,8 +285,7 @@ impl IngestRuntime {
         self.metrics_server.as_ref().map(|s| s.local_addr())
     }
 
-    /// Current ingest totals, meters, queue depths and live pipeline
-    /// metrics.
+    /// Current ingest totals, queue depths and live pipeline metrics.
     pub fn snapshot(&self) -> IngestSnapshot {
         let summary = self.build_summary();
         // Fold the ingest totals into the pipeline view too, mirroring
@@ -319,8 +295,6 @@ impl IngestRuntime {
         pipeline.ingest = summary.clone();
         IngestSnapshot {
             summary,
-            netflow_meter: self.netflow_meter.lock().snapshot(),
-            dns_meter: self.dns_meter.lock().snapshot(),
             queue_depths: self.correlator.queue_depths(),
             netflow_listeners: self.exporters.per_listener(),
             dns_listeners: self.dns_listener_count,
@@ -379,6 +353,42 @@ impl IngestRuntime {
     }
 }
 
+/// When a feed last offered a batch, for the `last_activity_seconds`
+/// gauge: its listeners stamp it once per drain round.
+#[derive(Debug)]
+pub(crate) struct ActivityStamp {
+    origin: Instant,
+    /// Nanoseconds from `origin` to the latest stamp, plus one (0 = never).
+    nanos: AtomicU64,
+}
+
+impl Default for ActivityStamp {
+    fn default() -> Self {
+        ActivityStamp {
+            origin: Instant::now(),
+            nanos: AtomicU64::new(0),
+        }
+    }
+}
+
+impl ActivityStamp {
+    fn nanos_now(&self) -> u64 {
+        u64::try_from(self.origin.elapsed().as_nanos()).unwrap_or(u64::MAX - 1) + 1
+    }
+
+    /// Stamp the current wall-clock time.
+    pub(crate) fn mark(&self) {
+        // ordering: stats-only gauge; a scrape may read the previous stamp.
+        self.nanos.store(self.nanos_now(), Ordering::Relaxed);
+    }
+
+    /// Seconds since the latest stamp, `None` before the first.
+    pub(crate) fn seconds_since(&self) -> Option<f64> {
+        let stamp = self.nanos.load(Ordering::Relaxed);
+        (stamp > 0).then(|| self.nanos_now().saturating_sub(stamp) as f64 / 1e9)
+    }
+}
+
 /// The `/healthz` probe: an egress sink error or a near-full pipeline
 /// queue turns the endpoint 503 so an orchestrator can restart or shed
 /// load before data is silently dropped.
@@ -404,7 +414,7 @@ fn health_check(correlator: &Arc<Correlator>) -> HealthCheck {
 }
 
 /// Register the ingest-side series: per-listener drain counters, decode
-/// totals, DNS-feed counters, meter totals with the wall-clock
+/// totals, DNS-feed counters, per-feed totals with the wall-clock
 /// `last_activity_seconds` gauges, and buffer-pool reuse. All closures
 /// over counters the listeners already maintain — registration adds no
 /// hot-path cost.
@@ -412,8 +422,6 @@ fn register_ingest_metrics(
     registry: &MetricsRegistry,
     exporters: &Arc<ExporterTable>,
     dns_stats: &Arc<DnsFeedStats>,
-    netflow_meter: &Arc<Mutex<RateMeter>>,
-    dns_meter: &Arc<Mutex<RateMeter>>,
     pool: &Arc<BufferPool>,
 ) {
     for i in 0..exporters.listeners() {
@@ -528,30 +536,49 @@ fn register_ingest_metrics(
         move || s.queue_drops.load(Ordering::Relaxed),
     );
 
-    for (feed, meter) in [("netflow", netflow_meter), ("dns", dns_meter)] {
-        let labels: &[(&str, &str)] = &[("feed", feed)];
-        let m = Arc::clone(meter);
-        registry.counter_fn(
-            "flowdns_ingest_records_total",
-            "Records metered per feed (simulated-time rate meter totals).",
-            labels,
-            move || m.lock().snapshot().count,
-        );
-        let m = Arc::clone(meter);
-        registry.counter_fn(
-            "flowdns_ingest_bytes_total",
-            "Bytes metered per feed.",
-            labels,
-            move || m.lock().snapshot().bytes,
-        );
-        let m = Arc::clone(meter);
-        registry.gauge_fn(
-            "flowdns_ingest_last_activity_seconds",
-            "Wall-clock seconds since the feed last received a batch (-1 = never).",
-            labels,
-            move || m.lock().snapshot().last_activity_secs.unwrap_or(-1.0),
-        );
-    }
+    // The per-feed series. The DNS feed carries no byte count, so its
+    // bytes series stays 0.
+    let t = Arc::clone(exporters);
+    registry.counter_fn(
+        "flowdns_ingest_records_total",
+        "Records decoded per feed.",
+        &[("feed", "netflow")],
+        move || t.totals().flows,
+    );
+    let s = Arc::clone(dns_stats);
+    registry.counter_fn(
+        "flowdns_ingest_records_total",
+        "Records decoded per feed.",
+        &[("feed", "dns")],
+        move || s.records.load(Ordering::Relaxed),
+    );
+    let t = Arc::clone(exporters);
+    registry.counter_fn(
+        "flowdns_ingest_bytes_total",
+        "Flow bytes decoded per feed.",
+        &[("feed", "netflow")],
+        move || t.bytes(),
+    );
+    registry.counter_fn(
+        "flowdns_ingest_bytes_total",
+        "Flow bytes decoded per feed.",
+        &[("feed", "dns")],
+        || 0,
+    );
+    let t = Arc::clone(exporters);
+    registry.gauge_fn(
+        "flowdns_ingest_last_activity_seconds",
+        "Wall-clock seconds since the feed last received a batch (-1 = never).",
+        &[("feed", "netflow")],
+        move || t.last_activity.seconds_since().unwrap_or(-1.0),
+    );
+    let s = Arc::clone(dns_stats);
+    registry.gauge_fn(
+        "flowdns_ingest_last_activity_seconds",
+        "Wall-clock seconds since the feed last received a batch (-1 = never).",
+        &[("feed", "dns")],
+        move || s.last_activity.seconds_since().unwrap_or(-1.0),
+    );
 
     let p = Arc::clone(pool);
     registry.counter_fn(

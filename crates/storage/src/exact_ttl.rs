@@ -7,67 +7,51 @@
 //! (loss above 90%, memory doubling) because the purge walks and the
 //! per-record checks contend with the hot lookup path. [`ExactTtlStore`]
 //! implements exactly that design so the ablation harness can reproduce
-//! the comparison; its `work_units` counter exposes how much scanning the
-//! purge does, which the harness converts into simulated CPU cost.
+//! the comparison; its [`purge_scanned`](ExactTtlStore::purge_scanned)
+//! counter exposes how much scanning the purge does, which the harness
+//! converts into simulated CPU cost. Only the single-threaded simulator
+//! runs it, so it is one plain map.
 
-use parking_lot::Mutex;
+use std::borrow::Borrow;
+use std::collections::HashMap;
+use std::hash::Hash;
 
 use flowdns_types::{SimDuration, SimTime};
 
 use crate::keys::{StoreKey, StoreValue};
 use crate::memory::MemoryEstimate;
-use crate::sharded::ShardedMap;
 
 /// A value plus its absolute expiry time.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 struct Entry<V> {
     value: V,
     expires_at: SimTime,
 }
 
-/// Statistics of the exact-TTL store.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExactTtlStats {
-    /// Records inserted.
-    pub inserts: u64,
-    /// Lookups that found a live record.
-    pub hits: u64,
-    /// Lookups that found only an expired record.
-    pub expired_hits: u64,
-    /// Lookups that found nothing.
-    pub misses: u64,
-    /// Entries examined by purge scans (the dominant cost).
-    pub purge_scanned: u64,
-    /// Entries removed by purge scans.
-    pub purge_removed: u64,
-    /// Number of purge rounds executed.
-    pub purge_rounds: u64,
-}
-
 /// Store that applies the exact TTL of every DNS record.
 #[derive(Debug)]
-pub struct ExactTtlStore<K: StoreKey, V: StoreValue> {
-    map: ShardedMap<K, Entry<V>>,
+pub struct ExactTtlStore<K, V> {
+    map: HashMap<K, Entry<V>>,
     purge_interval: SimDuration,
-    last_purge: Mutex<Option<SimTime>>,
-    stats: Mutex<ExactTtlStats>,
+    last_purge: Option<SimTime>,
+    purge_scanned: u64,
 }
 
 impl<K: StoreKey, V: StoreValue> ExactTtlStore<K, V> {
     /// Create a store whose purge process runs every `purge_interval` of
     /// data time.
-    pub fn new(purge_interval: SimDuration, shards: usize) -> Self {
+    pub fn new(purge_interval: SimDuration) -> Self {
         ExactTtlStore {
-            map: ShardedMap::new(shards),
+            map: HashMap::new(),
             purge_interval,
-            last_purge: Mutex::new(None),
-            stats: Mutex::new(ExactTtlStats::default()),
+            last_purge: None,
+            purge_scanned: 0,
         }
     }
 
     /// Insert a record observed at `ts` with TTL `ttl`, and run the purge
     /// process if it is due.
-    pub fn insert(&self, key: K, value: V, ttl: u32, ts: SimTime) {
+    pub fn insert(&mut self, key: K, value: V, ttl: u32, ts: SimTime) {
         self.map.insert(
             key,
             Entry {
@@ -75,7 +59,6 @@ impl<K: StoreKey, V: StoreValue> ExactTtlStore<K, V> {
                 expires_at: ts + SimDuration::from_secs(ttl as u64),
             },
         );
-        self.stats.lock().inserts += 1;
         self.maybe_purge(ts);
     }
 
@@ -83,62 +66,44 @@ impl<K: StoreKey, V: StoreValue> ExactTtlStore<K, V> {
     /// yet expired are returned. Accepts any borrowed form of the key.
     pub fn lookup<Q>(&self, key: &Q, now: SimTime) -> Option<V>
     where
-        K: std::borrow::Borrow<Q>,
-        Q: std::hash::Hash + Eq + ?Sized,
+        K: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
     {
-        match self.map.get(key) {
-            Some(entry) if entry.expires_at >= now => {
-                self.stats.lock().hits += 1;
-                Some(entry.value)
-            }
-            Some(_) => {
-                self.stats.lock().expired_hits += 1;
-                None
-            }
-            None => {
-                self.stats.lock().misses += 1;
-                None
-            }
-        }
+        self.map
+            .get(key)
+            .filter(|entry| entry.expires_at >= now)
+            .map(|entry| entry.value.clone())
     }
 
     /// Run the purge process if the purge interval has elapsed since the
     /// last run. Returns how many entries were scanned (0 when not due).
-    pub fn maybe_purge(&self, now: SimTime) -> u64 {
-        {
-            let mut last = self.last_purge.lock();
-            match *last {
-                None => {
-                    *last = Some(now);
-                    return 0;
-                }
-                Some(prev) if now.saturating_since(prev) < self.purge_interval => return 0,
-                Some(_) => {
-                    *last = Some(now);
-                }
+    pub fn maybe_purge(&mut self, now: SimTime) -> u64 {
+        match self.last_purge {
+            Some(prev) if now.saturating_since(prev) >= self.purge_interval => {
+                self.last_purge = Some(now);
+                self.purge(now)
+            }
+            Some(_) => 0,
+            None => {
+                self.last_purge = Some(now);
+                0
             }
         }
-        self.purge(now)
     }
 
     /// Unconditionally scan the whole map and remove expired entries.
     /// Every scanned entry is a unit of work; this is the cost Appendix
     /// A.8 blames for the strawman's collapse.
-    pub fn purge(&self, now: SimTime) -> u64 {
-        let before = self.map.len() as u64;
-        let mut removed = 0u64;
-        self.map.retain(|_, entry| {
-            let keep = entry.expires_at >= now;
-            if !keep {
-                removed += 1;
-            }
-            keep
-        });
-        let mut stats = self.stats.lock();
-        stats.purge_scanned += before;
-        stats.purge_removed += removed;
-        stats.purge_rounds += 1;
-        before
+    pub fn purge(&mut self, now: SimTime) -> u64 {
+        let scanned = self.map.len() as u64;
+        self.map.retain(|_, entry| entry.expires_at >= now);
+        self.purge_scanned += scanned;
+        scanned
+    }
+
+    /// Entries examined by purge scans so far (the dominant cost).
+    pub fn purge_scanned(&self) -> u64 {
+        self.purge_scanned
     }
 
     /// Number of stored entries (live and expired-but-not-yet-purged).
@@ -151,19 +116,15 @@ impl<K: StoreKey, V: StoreValue> ExactTtlStore<K, V> {
         self.map.is_empty()
     }
 
-    /// Statistics snapshot.
-    pub fn stats(&self) -> ExactTtlStats {
-        *self.stats.lock()
-    }
-
     /// Memory estimate of the stored entries.
     pub fn memory_estimate(&self) -> MemoryEstimate {
-        self.map.fold(MemoryEstimate::new(), |mut acc, k, v| {
+        let mut est = MemoryEstimate::new();
+        for (key, entry) in &self.map {
             // The expiry timestamp adds 16 bytes of payload per entry on
             // top of the key/value payloads.
-            acc.add_entry(k.estimate_bytes(), v.value.estimate_bytes() + 16);
-            acc
-        })
+            est.add_entry(key.estimate_bytes(), entry.value.estimate_bytes() + 16);
+        }
+        est
     }
 }
 
@@ -172,12 +133,12 @@ mod tests {
     use super::*;
 
     fn store() -> ExactTtlStore<String, String> {
-        ExactTtlStore::new(SimDuration::from_secs(300), 8)
+        ExactTtlStore::new(SimDuration::from_secs(300))
     }
 
     #[test]
     fn live_records_hit_expired_records_miss() {
-        let s = store();
+        let mut s = store();
         s.insert(
             "1.2.3.4".into(),
             "a.example".into(),
@@ -190,15 +151,11 @@ mod tests {
         );
         assert_eq!(s.lookup("1.2.3.4", SimTime::from_secs(61)), None);
         assert_eq!(s.lookup("unknown", SimTime::ZERO), None);
-        let st = s.stats();
-        assert_eq!(st.hits, 1);
-        assert_eq!(st.expired_hits, 1);
-        assert_eq!(st.misses, 1);
     }
 
     #[test]
     fn boundary_expiry_is_inclusive() {
-        let s = store();
+        let mut s = store();
         s.insert("k".into(), "v".into(), 100, SimTime::from_secs(0));
         // Exactly at expiry the record is still usable (TTL + ts >= now).
         assert!(s.lookup("k", SimTime::from_secs(100)).is_some());
@@ -207,7 +164,7 @@ mod tests {
 
     #[test]
     fn purge_removes_expired_and_counts_work() {
-        let s = store();
+        let mut s = store();
         for i in 0..100 {
             s.insert(format!("k{i}"), "v".into(), 10, SimTime::from_secs(0));
         }
@@ -217,27 +174,26 @@ mod tests {
         let scanned = s.purge(SimTime::from_secs(100));
         assert_eq!(scanned, 150);
         assert_eq!(s.len(), 50);
-        let st = s.stats();
-        assert_eq!(st.purge_removed, 100);
-        assert!(st.purge_scanned >= 150);
+        assert_eq!(s.purge_scanned(), 150);
     }
 
     #[test]
     fn maybe_purge_respects_interval() {
-        let s = store();
+        let mut s = store();
         s.insert("a".into(), "v".into(), 1, SimTime::from_secs(0));
-        // First call only arms the clock.
+        // The insert armed the clock; not yet due.
         assert_eq!(s.maybe_purge(SimTime::from_secs(10)), 0);
-        // Not yet due.
         assert_eq!(s.maybe_purge(SimTime::from_secs(100)), 0);
-        // Due: scans the map.
-        assert!(s.maybe_purge(SimTime::from_secs(400)) > 0);
-        assert_eq!(s.stats().purge_rounds, 1);
+        // Due: scans the map, once.
+        assert_eq!(s.maybe_purge(SimTime::from_secs(400)), 1);
+        assert_eq!(s.maybe_purge(SimTime::from_secs(401)), 0);
+        assert_eq!(s.purge_scanned(), 1);
+        assert!(s.is_empty());
     }
 
     #[test]
     fn memory_estimate_reflects_entries() {
-        let s = store();
+        let mut s = store();
         assert!(s.is_empty());
         s.insert(
             "203.0.113.1".into(),

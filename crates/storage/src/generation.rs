@@ -1,22 +1,36 @@
-//! The generation table: Active and Inactive in one map tagged with the
-//! clear-up epoch, the Long map beside it.
+//! The rotating Active/Inactive/Long store (Algorithm 1's storage side).
 //!
-//! [`RotatingStore`](crate::RotatingStore) keeps three maps and rotates by
-//! copying Active into Inactive. [`GenerationTable`] keeps `key → (value,
-//! epoch)` in one *short* map instead: an entry is Active iff its epoch is
-//! the table's current epoch, and Inactive iff it is the previous one and
-//! rotation is on. A clear-up is an epoch bump plus one `retain` over the
-//! short map that drops whatever just fell out of view; the Long map is
-//! never swept. A lookup is at most two probes — short map, then Long —
-//! each with one keyed hash.
+//! FlowDNS cannot expire DNS records by their exact TTL (too expensive —
+//! see Appendix A.8 and [`crate::exact_ttl`]) and cannot keep them forever
+//! (memory). Instead it rotates:
+//!
+//! * new records with TTL below the clear-up interval go to the **Active**
+//!   generation;
+//! * every `clear_up_interval` seconds of *data time* Active becomes
+//!   **Inactive** (replacing the previous Inactive) and a new, empty
+//!   Active starts;
+//! * records with TTL ≥ the interval go to the **Long** map, which is
+//!   never cleared;
+//! * look-ups cascade Active → Inactive → Long.
+//!
+//! [`RotationPolicy`] exposes the switches used by the paper's ablation
+//! variants (No Clear-Up, No Rotation, No Long Hashmaps).
+//!
+//! [`GenerationTable`] keeps `key → (value, epoch)` in one *short* map:
+//! an entry is Active iff its epoch is the table's current epoch, and
+//! Inactive iff it is the previous one and rotation is on. A clear-up is
+//! an epoch bump plus one `retain` over the short map that drops whatever
+//! just fell out of view; the Long map is never swept. A lookup is at
+//! most two probes — short map, then Long — each with one keyed hash.
 //!
 //! The table has no clock of its own: a [`RotationClock`] says when a
 //! clear-up is due and its owner calls [`GenerationTable::rotate`], so
 //! several tables can rotate on one clock (a correlator partition keeps
 //! IPv4 and IPv6 keys in two tables under one clock). [`GenerationStore`]
-//! pairs one clock with one table and mirrors the API of
-//! [`RotatingStore`](crate::RotatingStore), which stays as the oracle the
-//! table is tested against (`tests/proptest_storage.rs`).
+//! pairs one clock with one table. Its oracle is the plain-`HashMap`
+//! model of Algorithm 1 in `tests/proptest_storage.rs`: three maps, one
+//! clock and the counters, checked against the store on every lookup,
+//! counter and snapshot round trip.
 //!
 //! Entry and payload counts are kept up to date on every insert,
 //! overwrite, rotation and import, so sizing a table is O(1). A count is
@@ -34,7 +48,115 @@ use flowdns_types::{SimDuration, SimTime};
 
 use crate::keys::{StoreKey, StoreValue};
 use crate::memory::MemoryEstimate;
-use crate::rotating::{Generation, GenerationsImage, RotationPolicy};
+
+/// A plain-data picture of one rotating store: the three generation maps
+/// as entry lists plus the rotation clock. This is the storage half of
+/// the snapshot/warm-restart path — `flowdns-snapshot` defines the byte
+/// format, this type carries live keys and values between a store and
+/// the codec.
+#[derive(Debug, Clone, PartialEq)]
+pub struct GenerationsImage<K, V> {
+    /// When the store last cleared up, in data time (`None`: never; the
+    /// clock arms at the first inserted record).
+    pub last_clear_ts: Option<SimTime>,
+    /// The latest data timestamp the store observed (`None`: no record
+    /// or `observe_time` call yet, or a store that never clears up —
+    /// those skip the clock entirely, and their import skips aging).
+    pub last_seen_ts: Option<SimTime>,
+    /// Entries of the Active generation.
+    pub active: Vec<(K, V)>,
+    /// Entries of the Inactive generation.
+    pub inactive: Vec<(K, V)>,
+    /// Entries of the Long generation.
+    pub long: Vec<(K, V)>,
+}
+
+impl<K, V> GenerationsImage<K, V> {
+    /// An image with the given clock and no entries.
+    pub fn empty(last_clear_ts: Option<SimTime>, last_seen_ts: Option<SimTime>) -> Self {
+        GenerationsImage {
+            last_clear_ts,
+            last_seen_ts,
+            active: Vec::new(),
+            inactive: Vec::new(),
+            long: Vec::new(),
+        }
+    }
+
+    /// Total entries across the three generations.
+    pub fn entry_count(&self) -> usize {
+        self.active.len() + self.inactive.len() + self.long.len()
+    }
+
+    /// The entry list of one generation.
+    pub fn generation_mut(&mut self, generation: Generation) -> &mut Vec<(K, V)> {
+        match generation {
+            Generation::Active => &mut self.active,
+            Generation::Inactive => &mut self.inactive,
+            Generation::Long => &mut self.long,
+        }
+    }
+}
+
+impl<K, V> Default for GenerationsImage<K, V> {
+    fn default() -> Self {
+        GenerationsImage::empty(None, None)
+    }
+}
+
+/// Which generation a lookup hit.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Generation {
+    /// The actively written map.
+    Active,
+    /// The previous generation kept by buffer rotation.
+    Inactive,
+    /// The long-TTL map.
+    Long,
+}
+
+/// Policy switches of a rotating store, corresponding to the paper's
+/// benchmark variants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RotationPolicy {
+    /// The clear-up interval in seconds of data time (`AClearUpInterval` /
+    /// `CClearUpInterval`). Ignored when `clear_up` is false.
+    pub clear_up_interval: SimDuration,
+    /// Perform clear-up at all (`false` ⇒ the *No Clear-Up* variant: maps
+    /// grow forever).
+    pub clear_up: bool,
+    /// Keep an Inactive copy when clearing (`false` ⇒ the *No Rotation*
+    /// variant: clear-up simply discards the Active contents).
+    pub rotation: bool,
+    /// Divert records with TTL ≥ the interval into the Long map
+    /// (`false` ⇒ the *No Long Hashmaps* variant: they land in Active and
+    /// are cleared like everything else).
+    pub long_maps: bool,
+}
+
+impl RotationPolicy {
+    /// The paper's A/AAAA policy: 3600-second clear-up with rotation and
+    /// long maps.
+    pub fn address_default() -> Self {
+        RotationPolicy {
+            clear_up_interval: SimDuration::from_secs(3600),
+            clear_up: true,
+            rotation: true,
+            long_maps: true,
+        }
+    }
+
+    /// The paper's CNAME policy: 7200-second clear-up with rotation and
+    /// long maps.
+    pub fn cname_default() -> Self {
+        RotationPolicy {
+            clear_up_interval: SimDuration::from_secs(7200),
+            clear_up: true,
+            rotation: true,
+            long_maps: true,
+        }
+    }
+}
 
 /// The clear-up clock of Algorithm 1, driven by data time.
 ///
@@ -133,9 +255,7 @@ impl RotationClock {
     }
 
     /// Age an imported section exported with the given clock readings
-    /// against `now` (the rules of
-    /// [`RotatingStore::import_image`](crate::RotatingStore::import_image)),
-    /// and move this clock to the latest of its own state and what the
+    /// against `now`, and move this clock to the latest of its own state and what the
     /// section implies: the section's last clear-up when it is current,
     /// `now` otherwise. Sections aged one after the other therefore
     /// leave the clock at the latest of them, whatever their order.
@@ -410,9 +530,9 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
     }
 }
 
-/// One [`RotationClock`] driving one [`GenerationTable`]: the single-owner
-/// counterpart of [`RotatingStore`](crate::RotatingStore), with the same
-/// clock, routing, lookup cascade, snapshot image and import aging.
+/// One [`RotationClock`] driving one [`GenerationTable`]: the clock,
+/// TTL routing, lookup cascade, snapshot image and import aging of one
+/// rotating store.
 #[derive(Debug)]
 pub struct GenerationStore<K, V> {
     clock: RotationClock,

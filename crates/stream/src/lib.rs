@@ -12,8 +12,6 @@
 //! * [`latency`] — [`LatencyHistogram`], the lock-free log-bucketed
 //!   histogram behind the per-lane sampled enqueue→dequeue residency
 //!   measurement of [`spsc`],
-//! * [`meter`] — [`RateMeter`], per-second rate and backlog accounting in
-//!   simulated time,
 //! * [`spsc`] — [`ShardedChannel`], per-shard single-producer /
 //!   single-consumer rings routed by IP key at decode time — the
 //!   shared-nothing ingress of the correlator.
@@ -27,12 +25,10 @@
 
 pub mod buffer;
 pub mod latency;
-pub mod meter;
 pub mod spsc;
 
 pub use buffer::{BufferStats, StreamBuffer};
 pub use latency::{
     bucket_index_us, bucket_upper_bound_us, LatencyHistogram, LatencySnapshot, LATENCY_BUCKETS,
 };
-pub use meter::{MeterSnapshot, RateMeter};
 pub use spsc::{LaneConsumer, ShardProducer, ShardedChannel};

@@ -8,6 +8,7 @@
 
 use std::io::Write as IoWrite;
 use std::net::{Ipv4Addr, TcpStream, UdpSocket};
+use std::sync::{Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
@@ -17,6 +18,16 @@ use flowdns::ingest::{DaemonConfig, IngestRuntime};
 use flowdns::netflow::template::Template;
 use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder};
 use flowdns::types::{DnsRecord, DomainName, SimTime};
+
+/// The tests of this file run one at a time: one of them reads the
+/// process's resident set size, which another test's runtime would move.
+static SERIAL: Mutex<()> = Mutex::new(());
+
+fn serial() -> MutexGuard<'static, ()> {
+    SERIAL
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 fn loopback_config() -> DaemonConfig {
     let mut cfg = DaemonConfig::default();
@@ -37,8 +48,13 @@ fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
 }
 
 fn valid_v9_packet() -> Vec<u8> {
+    v9_packet_at(1, 1000)
+}
+
+/// A v9 datagram (template plus one flow) exported at `unix_secs`.
+fn v9_packet_at(sequence: u32, unix_secs: u32) -> Vec<u8> {
     let template = Template::standard_ipv4(256);
-    let mut b = V9PacketBuilder::new(1, 1, 1000);
+    let mut b = V9PacketBuilder::new(1, sequence, unix_secs);
     b.add_templates(std::slice::from_ref(&template));
     b.add_data(
         &template,
@@ -60,6 +76,7 @@ fn valid_v9_packet() -> Vec<u8> {
 
 #[test]
 fn crafted_bad_inputs_are_counted_and_survived() {
+    let _serial = serial();
     let rt = IngestRuntime::start_in_memory(&loopback_config()).expect("start runtime");
     let nf = rt.netflow_addr();
     let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
@@ -155,6 +172,53 @@ fn crafted_bad_inputs_are_counted_and_survived() {
     assert_eq!(report.metrics.lookup.ip_hits, 1);
 }
 
+/// Resident set size of this process in KiB, from `/proc/self/status`.
+fn vm_rss_kib() -> u64 {
+    let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
+    status
+        .lines()
+        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
+        .expect("VmRSS line")
+}
+
+/// A flow stamped at the Unix epoch followed by one stamped in 2025 is
+/// two flows to count, whatever the 56 years of data time between them:
+/// the per-feed accounting must do no work, and keep no memory, in
+/// proportion to a jump of the exporter's clock.
+#[test]
+fn a_data_time_jump_is_counted_without_a_stall() {
+    let _serial = serial();
+    let rt = IngestRuntime::start_in_memory(&loopback_config()).expect("start runtime");
+    let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
+    let send_and_count = |sequence: u32, unix_secs: u32| {
+        sender
+            .send_to(&v9_packet_at(sequence, unix_secs), rt.netflow_addr())
+            .unwrap();
+        let counted = wait_until(Duration::from_secs(5), || {
+            let feed = rt.registry().snapshot();
+            feed.counter_with("flowdns_ingest_records_total", "feed", "netflow") >= sequence as u64
+        });
+        assert!(counted, "flow {sequence} not counted: {:?}", rt.snapshot());
+    };
+    // The first flow also warms the pipeline up, so the RSS baseline
+    // already holds whatever the runtime touches on its first record.
+    send_and_count(1, 0);
+    let rss_before = vm_rss_kib();
+    let started = Instant::now();
+    send_and_count(2, 1_760_000_000);
+    let elapsed = started.elapsed();
+    let grown_kib = vm_rss_kib().saturating_sub(rss_before);
+    assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
+    assert!(
+        grown_kib < 128 * 1024,
+        "VmRSS grew by {} MiB counting two flows",
+        grown_kib / 1024
+    );
+    let report = rt.shutdown().expect("clean shutdown");
+    assert_eq!(report.metrics.ingest.netflow_flows, 2);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 
@@ -167,6 +231,7 @@ proptest! {
         tcp_chunks in proptest::collection::vec(
             proptest::collection::vec(any::<u8>(), 1..80), 1..6),
     ) {
+        let _serial = serial();
         let rt = IngestRuntime::start_in_memory(&loopback_config()).unwrap();
         let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
         for d in &datagrams {

@@ -231,7 +231,7 @@ fn scrape_endpoint_tracks_live_traffic_and_traces_flows() {
     assert_eq!(scrape1["flowdns_egress_records_total"], 3.0);
     assert_eq!(
         scrape1["flowdns_ingest_records_total{feed=\"netflow\"}"], 3.0,
-        "meter totals disagree with the wave"
+        "feed totals disagree with the wave"
     );
 
     // ---- The other two routes, while traffic is live. ----
