@@ -1000,9 +1000,10 @@ impl Correlator {
             &[],
             move || dropped.load(Ordering::Relaxed),
         );
-        // Ingress lanes, one registration per lane: depth, drops, the
-        // sampled wait histogram, and the routed-record counter — all
-        // labelled `{queue, shard}` so a hot shard is visible directly.
+        // Ingress lanes, one registration per lane: depth, resident ring
+        // bytes, drops, the sampled wait histogram, and the routed-record
+        // counter — all labelled `{queue, shard}` so a hot shard is
+        // visible directly.
         // The two channels hold different record types, so each gets its
         // own monomorphized registration.
         fn register_shard_lanes<T: Send + 'static>(
@@ -1018,6 +1019,13 @@ impl Correlator {
                     "Records currently queued for a pipeline stage",
                     &[("queue", name), ("shard", &shard_label)],
                     move || depth_channel.lane_depth(lane) as f64,
+                );
+                let resident_channel = Arc::clone(channel);
+                registry.gauge_fn(
+                    "flowdns_queue_resident_bytes",
+                    "Ring segment bytes resident in one shard's ingress lane",
+                    &[("queue", name), ("shard", &shard_label)],
+                    move || resident_channel.lane_resident_bytes(lane) as f64,
                 );
                 let drop_channel = Arc::clone(channel);
                 registry.counter_fn(

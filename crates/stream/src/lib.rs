@@ -17,8 +17,9 @@
 //!   shared-nothing ingress of the correlator.
 
 // `deny`, not `forbid`: the contained exception is the SPSC ring in
-// `spsc`, whose slot array needs `UnsafeCell` + `MaybeUninit` to move
-// records between exactly one producer and one consumer without a lock.
+// `spsc`, whose ring segments need `UnsafeCell` + `MaybeUninit` slots
+// behind raw pointers to move records between exactly one producer and
+// one consumer without a lock.
 // Everything else in the crate is unsafe-free.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]

@@ -11,31 +11,57 @@
 //! producer side and one `Acquire` load plus a `Release` store on the
 //! consumer side — no locks, no CAS loops, no shared tail.
 //!
+//! A ring's capacity is a bound in records, not an allocation. The
+//! slots live in fixed segments of [`SEGMENT`] slots (the whole
+//! capacity when that is smaller), linked into a cycle in data order.
+//! The producer takes a segment when its tail enters one: the oldest
+//! segment of the cycle once the consumer has moved past it, otherwise
+//! a fresh one spliced in behind the current one. The consumer hands a
+//! drained segment back by advancing its head beyond it — the head
+//! counter is the return path, so retiring a segment costs the consumer
+//! nothing. Resident memory therefore follows the backlog's high-water
+//! mark, at most ⌈high-water / `SEGMENT`⌉ + 1 segments, instead of the
+//! configured bound: a ring whose backlog stays under one segment
+//! cycles through two, however deep its bound. Retired segments are
+//! reused in place, so the steady state allocates nothing per record
+//! or per segment.
+//!
 //! Like every stream buffer in this workspace the rings are **lossy**:
 //! a full ring drops the record and counts it (the paper's stream
-//! loss), producers never block. Per-lane counters aggregate accepted /
+//! loss), producers never block. A push is refused exactly when the
+//! ring holds `capacity` records. Per-lane counters aggregate accepted /
 //! dropped / consumed across all of a lane's rings, and every
 //! `sample_every`-th record a producer pushes carries an enqueue
 //! timestamp that the consumer resolves into the lane's
 //! [`LatencyHistogram`] — a sampled queue-residency measurement per
 //! shard.
 
-// The ring slots are `UnsafeCell<MaybeUninit<..>>`; the module-level
-// rationale for each `unsafe` block is the SPSC contract: exactly one
-// producer half and one consumer half exist per ring, the producer only
-// writes slots in `[tail, head + capacity)` and the consumer only reads
-// slots in `[head, tail)`, with the `Release`/`Acquire` pair on the
-// position counters ordering the slot accesses.
+// The ring slots are `UnsafeCell<MaybeUninit<..>>` inside heap
+// segments reached through raw pointers; the module-level rationale for
+// each `unsafe` block is the SPSC contract: exactly one producer half
+// and one consumer half exist per ring, the producer only writes slots
+// of a segment it has just entered (fresh, or one the consumer has
+// left), and the consumer only reads slots in `[head, tail)`, with the
+// `Release`/`Acquire` pair on the position counters ordering the slot
+// accesses. Segments are freed only when the ring itself drops.
 #![allow(unsafe_code)]
 
 use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::ptr;
+use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::buffer::BufferStats;
 use crate::latency::{LatencyHistogram, LatencySnapshot};
+
+/// Slots per ring segment: the unit in which a ring's memory follows
+/// its backlog. A ring whose capacity is smaller uses one
+/// capacity-sized segment instead.
+pub const SEGMENT: usize = 1024;
+
+const _: () = assert!(SEGMENT.is_power_of_two());
 
 /// Pad-and-align wrapper keeping the producer and consumer position
 /// counters on separate cache lines, so the two sides of a ring never
@@ -61,28 +87,78 @@ impl<T> std::ops::DerefMut for CachePadded<T> {
 /// latency-sampled record.
 struct Slot<T>(UnsafeCell<MaybeUninit<(T, Option<Instant>)>>);
 
+/// A fixed run of slots and the link to the segment after it.
+struct Segment<T> {
+    /// The next segment of the ring's cycle, in data order. Written
+    /// only by the producer, before the `Release` store of `tail` that
+    /// publishes the first record past this segment.
+    next: AtomicPtr<Segment<T>>,
+    slots: Box<[Slot<T>]>,
+}
+
+impl<T> Segment<T> {
+    /// A fresh heap segment of `len` empty slots whose `next` is
+    /// `next`, or the segment itself when `next` is null (a one-segment
+    /// cycle). The ring owns the returned pointer and frees it in its
+    /// `Drop`.
+    fn allocate(len: usize, next: *mut Segment<T>) -> *mut Segment<T> {
+        let segment = Box::into_raw(Box::new(Segment {
+            next: AtomicPtr::new(next),
+            slots: (0..len)
+                .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
+                .collect(),
+        }));
+        if next.is_null() {
+            // SAFETY: `segment` came from `Box::into_raw` just above and
+            // is not shared with anyone yet.
+            let fresh = unsafe { &*segment };
+            // ordering: published with the segment itself (see `first`).
+            fresh.next.store(segment, Ordering::Relaxed);
+        }
+        segment
+    }
+}
+
 /// The state shared between a ring's producer and consumer halves.
 ///
 /// `head` is the consumer position (next slot to read), `tail` the
-/// producer position (next slot to write); both increase without bound
-/// and are reduced modulo the power-of-two capacity on access. The ring
-/// holds `tail - head` records.
+/// producer position (next slot to write); both increase without bound.
+/// Position `p` lives at offset `p % segment length` of whichever
+/// segment the producer entered for it. The ring holds `tail - head`
+/// records.
 struct Ring<T> {
+    /// `capacity - 1`; the capacity is a power of two.
     mask: usize,
-    slots: Box<[Slot<T>]>,
+    /// `segment length - 1`; the segment length is a power of two that
+    /// divides the capacity.
+    segment_mask: usize,
+    /// The segment holding position 0, set by the producer's first push
+    /// (null until then). The consumer starts its walk there, and
+    /// `Drop` frees the cycle from it.
+    first: AtomicPtr<Segment<T>>,
+    /// Segments in the cycle: the ring's resident memory. Written only
+    /// by the producer.
+    segments: AtomicUsize,
+    /// The consumer half's segment, left here when that half drops so
+    /// the ring's own `Drop` can walk the records still in flight.
+    consumer_segment: AtomicPtr<Segment<T>>,
     head: CachePadded<AtomicUsize>,
     tail: CachePadded<AtomicUsize>,
 }
 
-// SAFETY: a Ring is only driven through its unique producer/consumer
-// halves: the producer writes a slot strictly before the Release store
-// advancing `tail`, the consumer reads it strictly after the Acquire
-// load observing that store (and symmetrically for reuse via `head`),
-// so no slot is touched from two threads and Send only needs T: Send.
+// A Ring is only driven through its unique producer/consumer halves:
+// the producer writes a slot strictly before the Release store advancing
+// `tail`, the consumer reads it strictly after the Acquire load observing
+// that store, and the producer reuses a segment only after an Acquire
+// load of `head` shows the consumer has left it.
+// SAFETY: so no slot is touched from two threads at once, and the links
+// and counters are atomics; moving or sharing the ring moves records
+// between threads, which needs only T: Send.
 unsafe impl<T: Send> Send for Ring<T> {}
-// SAFETY: shared references to a Ring only touch the atomic position
-// counters (`len`/`is_empty` on arbitrary threads); the slot array is
-// only dereferenced by the two unique halves as described above.
+// SAFETY: shared references to a Ring only touch the atomic fields
+// (`len`/`resident_bytes` on arbitrary threads); the segments are only
+// dereferenced by the two unique halves as described above, and by
+// `Drop`, which has exclusive access.
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
@@ -90,9 +166,10 @@ impl<T> Ring<T> {
         let capacity = capacity.max(2).next_power_of_two();
         Arc::new(Ring {
             mask: capacity - 1,
-            slots: (0..capacity)
-                .map(|_| Slot(UnsafeCell::new(MaybeUninit::uninit())))
-                .collect(),
+            segment_mask: capacity.min(SEGMENT) - 1,
+            first: AtomicPtr::new(ptr::null_mut()),
+            segments: AtomicUsize::new(0),
+            consumer_segment: AtomicPtr::new(ptr::null_mut()),
             head: CachePadded::default(),
             tail: CachePadded::default(),
         })
@@ -110,21 +187,59 @@ impl<T> Ring<T> {
     fn capacity(&self) -> usize {
         self.mask + 1
     }
+
+    /// Bytes of slot storage this ring has allocated so far.
+    fn resident_bytes(&self) -> usize {
+        self.segments.load(Ordering::Relaxed)
+            * (self.segment_mask + 1)
+            * std::mem::size_of::<Slot<T>>()
+    }
 }
 
 impl<T> Drop for Ring<T> {
     fn drop(&mut self) {
-        // Drain the records still in flight so their Drop impls run.
-        let head = *self.head.get_mut();
+        let first = *self.first.get_mut();
+        if first.is_null() {
+            return; // never pushed to: nothing in flight, nothing allocated
+        }
+        // Drop the records still in flight, walking the segments the way
+        // the consumer would have.
         let tail = *self.tail.get_mut();
-        let mut pos = head;
+        let mut pos = *self.head.get_mut();
+        let mut segment = *self.consumer_segment.get_mut();
         while pos != tail {
-            let slot = &self.slots[pos & self.mask];
-            // SAFETY: `&mut self` proves both halves are gone; every
-            // slot in [head, tail) was fully written by the producer and
-            // not yet consumed, so it holds an initialized value.
-            unsafe { (*slot.0.get()).assume_init_drop() };
+            let offset = pos & self.segment_mask;
+            // `&mut self` proves both halves are gone and no segment has
+            // been freed yet. `segment` is the consumer's last segment (or
+            // null before its first pop), and its link leads to the
+            // segment holding `pos`, exactly as in `pop`.
+            // SAFETY: so the pointers are live, and every slot in
+            // [head, tail) was written by the producer and not yet
+            // consumed, so it holds a value.
+            unsafe {
+                if offset == 0 {
+                    segment = if segment.is_null() {
+                        first
+                    } else {
+                        (*segment).next.load(Ordering::Acquire)
+                    };
+                }
+                (*(*segment).slots[offset].0.get()).assume_init_drop();
+            }
             pos = pos.wrapping_add(1);
+        }
+        // Free the cycle, once around from the first segment.
+        let mut segment = first;
+        loop {
+            // SAFETY: every segment of the cycle came from
+            // `Segment::allocate`'s `Box::into_raw` and appears in the
+            // cycle exactly once, so each is freed exactly once.
+            let boxed = unsafe { Box::from_raw(segment) };
+            segment = boxed.next.load(Ordering::Acquire);
+            drop(boxed);
+            if segment == first {
+                break;
+            }
         }
     }
 }
@@ -136,7 +251,16 @@ struct RingProducer<T> {
     ring: Arc<Ring<T>>,
     tail: usize,
     cached_head: usize,
+    /// The segment holding position `tail - 1` (null before the first
+    /// push).
+    segment: *mut Segment<T>,
 }
+
+// SAFETY: the producer half is the only user of its `segment` pointer
+// and of the unpublished slots of that segment; moving the half to
+// another thread moves that exclusive access with it, and what it
+// writes are records of a `T: Send`.
+unsafe impl<T: Send> Send for RingProducer<T> {}
 
 impl<T> RingProducer<T> {
     /// `true` if accepted, `false` if the ring was full (record dropped).
@@ -147,15 +271,59 @@ impl<T> RingProducer<T> {
                 return false;
             }
         }
-        let slot = &self.ring.slots[self.tail & self.ring.mask];
-        // SAFETY: `tail - cached_head <= mask` proves the consumer has
-        // finished with this slot (its Acquire-loaded head covers it),
-        // and this thread holds the unique producer half, so the write
-        // is exclusive. The Release store below publishes it.
-        unsafe { (*slot.0.get()).write((item, stamp)) };
+        let offset = self.tail & self.ring.segment_mask;
+        if offset == 0 {
+            self.enter_segment();
+        }
+        // `segment` holds position `tail`: `enter_segment` just took it
+        // at offset 0, and later offsets stay in it. It is either fresh
+        // or one the consumer has left, and it lives until the ring
+        // drops, which the `Arc` held here prevents.
+        // SAFETY: the slots from `offset` on are unpublished, so this
+        // thread, the unique producer half, writes the slot exclusively;
+        // the Release store below publishes the write.
+        unsafe { (*(*self.segment).slots[offset].0.get()).write((item, stamp)) };
         self.tail = self.tail.wrapping_add(1);
         self.ring.tail.store(self.tail, Ordering::Release);
         true
+    }
+
+    /// Take the segment `tail` enters (`tail` is at a segment start).
+    ///
+    /// The cycle holds positions `[tail - segments·len, tail)` in order,
+    /// starting from the segment after the current one. That oldest
+    /// segment is reused once the consumer has popped from the segment
+    /// after it — by then it has read the oldest one's slots and link —
+    /// otherwise a fresh segment is spliced in between the two. Runs
+    /// once per segment length of pushes.
+    #[cold]
+    fn enter_segment(&mut self) {
+        let len = self.ring.segment_mask + 1;
+        // This thread is the count's only writer.
+        let segments = self.ring.segments.load(Ordering::Relaxed);
+        if self.segment.is_null() {
+            self.segment = Segment::allocate(len, ptr::null_mut());
+            self.ring.first.store(self.segment, Ordering::Release);
+        } else {
+            // SAFETY: a non-null `segment` is a live segment of this
+            // ring's cycle (freed only when the ring drops, which the
+            // `Arc` held here prevents); only its atomic link is used.
+            let current = unsafe { &*self.segment };
+            let oldest = current.next.load(Ordering::Acquire);
+            let in_use = (segments - 1) * len;
+            if self.tail.wrapping_sub(self.cached_head) >= in_use {
+                self.cached_head = self.ring.head.load(Ordering::Acquire);
+            }
+            if self.tail.wrapping_sub(self.cached_head) < in_use {
+                self.segment = oldest;
+                return;
+            }
+            self.segment = Segment::allocate(len, oldest);
+            current.next.store(self.segment, Ordering::Release);
+        }
+        // ordering: gauge only; the segment itself is published through
+        // `first`/`next` and the `tail` Release store.
+        self.ring.segments.store(segments + 1, Ordering::Relaxed);
     }
 }
 
@@ -164,7 +332,16 @@ struct RingConsumer<T> {
     ring: Arc<Ring<T>>,
     head: usize,
     cached_tail: usize,
+    /// The segment holding position `head - 1` (null before the first
+    /// pop).
+    segment: *mut Segment<T>,
 }
+
+// SAFETY: the consumer half is the only reader of the published slots
+// and the only user of its `segment` pointer; moving the half to
+// another thread moves that exclusive access with it, and what it reads
+// out are records of a `T: Send`.
+unsafe impl<T: Send> Send for RingConsumer<T> {}
 
 impl<T> RingConsumer<T> {
     fn pop(&mut self) -> Option<(T, Option<Instant>)> {
@@ -174,19 +351,48 @@ impl<T> RingConsumer<T> {
                 return None;
             }
         }
-        let slot = &self.ring.slots[self.head & self.ring.mask];
+        let offset = self.head & self.ring.segment_mask;
+        if offset == 0 {
+            self.segment = self.next_segment();
+        }
+        // `segment` holds position `head` (`next_segment` just followed
+        // the link at offset 0); the producer reuses it only after the
+        // head has moved into the next one.
         // SAFETY: `head < cached_tail` (Acquire-loaded from the
         // producer's Release store) proves the slot was fully written,
-        // and this thread holds the unique consumer half. The Release
-        // store below hands the slot back for reuse.
-        let value = unsafe { (*slot.0.get()).assume_init_read() };
+        // and this thread holds the unique consumer half.
+        let value = unsafe { (*(*self.segment).slots[offset].0.get()).assume_init_read() };
         self.head = self.head.wrapping_add(1);
         self.ring.head.store(self.head, Ordering::Release);
         Some(value)
     }
 
+    /// The segment holding `head`, which starts a segment: the ring's
+    /// first one, or the successor of the segment just drained. Leaving
+    /// a drained segment retires it; the head store that follows hands
+    /// it back to the producer.
+    fn next_segment(&self) -> *mut Segment<T> {
+        if self.segment.is_null() {
+            return self.ring.first.load(Ordering::Acquire);
+        }
+        // SAFETY: a non-null `segment` is a live segment of this ring's
+        // cycle, and the producer rewrites its link only after the head
+        // has moved past the segment after it — which this step precedes.
+        unsafe { (*self.segment).next.load(Ordering::Acquire) }
+    }
+
     fn is_empty(&self) -> bool {
         self.ring.len() == 0
+    }
+}
+
+impl<T> Drop for RingConsumer<T> {
+    fn drop(&mut self) {
+        // ordering: read only by `Ring::drop`, which the `Arc` count's
+        // own synchronization orders after this store.
+        self.ring
+            .consumer_segment
+            .store(self.segment, Ordering::Relaxed);
     }
 }
 
@@ -197,11 +403,13 @@ fn ring_pair<T>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>, Arc<Ring<
             ring: Arc::clone(&ring),
             tail: 0,
             cached_head: 0,
+            segment: ptr::null_mut(),
         },
         RingConsumer {
             ring: Arc::clone(&ring),
             head: 0,
             cached_tail: 0,
+            segment: ptr::null_mut(),
         },
         ring,
     )
@@ -265,10 +473,11 @@ impl<T> std::fmt::Debug for ShardedChannel<T> {
 }
 
 impl<T> ShardedChannel<T> {
-    /// A channel with `lanes` lanes whose rings hold `ring_capacity`
-    /// records each (rounded up to a power of two); every
-    /// `sample_every`-th record each producer pushes is latency-stamped
-    /// (0 disables sampling).
+    /// A channel with `lanes` lanes whose rings hold at most
+    /// `ring_capacity` records each (rounded up to a power of two); a
+    /// ring allocates its slots a [`SEGMENT`] at a time as its backlog
+    /// grows. Every `sample_every`-th record each producer pushes is
+    /// latency-stamped (0 disables sampling).
     pub fn new(lanes: usize, ring_capacity: usize, sample_every: u64) -> Self {
         assert!(lanes > 0, "a sharded channel needs at least one lane");
         assert!(ring_capacity > 0, "ring capacity must be positive");
@@ -336,6 +545,17 @@ impl<T> ShardedChannel<T> {
     pub fn lane_depth(&self, lane: usize) -> usize {
         match self.lanes[lane].rings.lock() {
             Ok(rings) => rings.iter().map(|ring| ring.len()).sum(),
+            Err(_) => 0,
+        }
+    }
+
+    /// Bytes of ring segments resident across all of `lane`'s rings:
+    /// [`SEGMENT`] slots of `(T, Option<Instant>)` per segment a ring
+    /// has taken (one capacity-sized segment for smaller rings). Follows
+    /// each ring's backlog high-water mark, not its capacity.
+    pub fn lane_resident_bytes(&self, lane: usize) -> usize {
+        match self.lanes[lane].rings.lock() {
+            Ok(rings) => rings.iter().map(|ring| ring.resident_bytes()).sum(),
             Err(_) => 0,
         }
     }
@@ -527,6 +747,8 @@ impl<T> LaneConsumer<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::VecDeque;
     use std::thread;
     use std::time::Duration;
 
@@ -560,45 +782,218 @@ mod tests {
         assert!(!tx.push(0, None));
     }
 
+    /// A small deterministic generator (64-bit LCG, high bits) for the
+    /// threaded test's burst sizes, so a failure reproduces exactly.
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        *state >> 33
+    }
+
     #[test]
     fn ring_cross_thread_transfer_is_lossless() {
-        let (mut tx, mut rx, _ring) = ring_pair::<u64>(1024);
+        // 1,100 segments' worth of records through a 4-segment ring: the
+        // producer crosses over 1,000 segment boundaries while a bursty
+        // consumer lets the backlog swing between empty and full, so
+        // segments are both spliced in and reused under concurrency.
+        const TOTAL: u64 = 1_100 * SEGMENT as u64;
+        let (mut tx, mut rx, ring) = ring_pair::<u64>(4 * SEGMENT);
         let producer = thread::spawn(move || {
-            let mut sent = 0u64;
-            for i in 0..100_000u64 {
+            let mut refused = 0u64;
+            for i in 0..TOTAL {
                 while !tx.push(i, None) {
+                    refused += 1;
                     thread::yield_now();
                 }
-                sent += 1;
             }
-            sent
+            refused
         });
         let mut expected = 0u64;
-        while expected < 100_000 {
-            if let Some((v, _)) = rx.pop() {
-                assert_eq!(v, expected, "FIFO order violated");
-                expected += 1;
+        let mut rng = 0x5eed_u64;
+        while expected < TOTAL {
+            // A pause, then a burst of up to three segments.
+            for _ in 0..lcg(&mut rng) % 4 {
+                thread::yield_now();
+            }
+            let burst = lcg(&mut rng) % (3 * SEGMENT as u64) + 1;
+            for _ in 0..burst {
+                match rx.pop() {
+                    Some((v, _)) => {
+                        assert_eq!(v, expected, "lost, duplicated or reordered record");
+                        expected += 1;
+                    }
+                    None => break,
+                }
             }
         }
-        assert_eq!(producer.join().unwrap(), 100_000);
+        producer.join().unwrap();
+        assert!(rx.pop().is_none(), "a record past the last one sent");
+        let segments = ring.resident_bytes() / (SEGMENT * std::mem::size_of::<Slot<u64>>());
+        assert!(segments <= 5, "{segments} segments for a 4-segment bound");
     }
 
     #[test]
     fn dropped_ring_drops_in_flight_records() {
-        let counted = Arc::new(AtomicU64::new(0));
-        struct Tracked(Arc<AtomicU64>);
+        struct Tracked(usize, Arc<Vec<AtomicUsize>>);
         impl Drop for Tracked {
             fn drop(&mut self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
+                self.1[self.0].fetch_add(1, Ordering::Relaxed);
             }
         }
-        let (mut tx, mut rx, ring) = ring_pair::<Tracked>(16);
-        for _ in 0..10 {
-            assert!(tx.push(Tracked(Arc::clone(&counted)), None));
+        // The queued records span four segments; the consumer stops
+        // before its first pop, mid-segment, right at a segment start,
+        // and two segments in.
+        let queued = 3 * SEGMENT + 100;
+        for popped in [0, 50, SEGMENT, 2 * SEGMENT + 7] {
+            let drops: Arc<Vec<AtomicUsize>> =
+                Arc::new((0..queued).map(|_| AtomicUsize::new(0)).collect());
+            let (mut tx, mut rx, ring) = ring_pair::<Tracked>(4 * SEGMENT);
+            for id in 0..queued {
+                assert!(tx.push(Tracked(id, Arc::clone(&drops)), None));
+            }
+            for _ in 0..popped {
+                drop(rx.pop()); // consumed normally
+            }
+            drop((tx, rx, ring));
+            for (id, count) in drops.iter().enumerate() {
+                assert_eq!(
+                    count.load(Ordering::Relaxed),
+                    1,
+                    "record {id} dropped a wrong number of times (popped {popped})"
+                );
+            }
         }
-        drop(rx.pop()); // one consumed normally
-        drop((tx, rx, ring));
-        assert_eq!(counted.load(Ordering::Relaxed), 10);
+    }
+
+    #[test]
+    fn unconsumed_ring_accepts_exactly_its_capacity() {
+        for (requested, capacity) in [
+            (8, 8),
+            (100, 128),
+            (SEGMENT - 1, SEGMENT),
+            (SEGMENT, SEGMENT),
+            (SEGMENT + 1, 2 * SEGMENT),
+            (4 * SEGMENT, 4 * SEGMENT),
+        ] {
+            let (mut tx, _rx, ring) = ring_pair::<u32>(requested);
+            assert_eq!(ring.resident_bytes(), 0, "a segment before the first push");
+            for i in 0..capacity {
+                assert!(tx.push(i as u32, None), "push {i} of {capacity} refused");
+            }
+            assert!(!tx.push(0, None), "push past capacity {capacity} accepted");
+            assert_eq!(ring.len(), capacity);
+            // Filling the ring takes exactly the segments its bound covers.
+            assert_eq!(
+                ring.resident_bytes(),
+                capacity * std::mem::size_of::<Slot<u32>>()
+            );
+        }
+    }
+
+    #[test]
+    fn ring_memory_follows_the_backlog_not_the_bound() {
+        let (mut tx, mut rx, ring) = ring_pair::<u64>(256 * SEGMENT);
+        let segment_bytes = SEGMENT * std::mem::size_of::<Slot<u64>>();
+        // A backlog that never exceeds four records cycles through two
+        // segments however many records pass.
+        for i in 0..20 * SEGMENT as u64 {
+            assert!(tx.push(i, None));
+            if i % 4 == 3 {
+                for _ in 0..4 {
+                    assert!(rx.pop().is_some());
+                }
+            }
+        }
+        assert_eq!(ring.resident_bytes(), 2 * segment_bytes);
+        // A burst of 5.5 segments grows the cycle to at most ⌈5.5⌉ + 1,
+        // and draining it keeps the high-water segments for reuse.
+        for i in 0..(11 * SEGMENT / 2) as u64 {
+            assert!(tx.push(i, None));
+        }
+        assert!(ring.resident_bytes() <= 7 * segment_bytes);
+        let high_water = ring.resident_bytes();
+        while rx.pop().is_some() {}
+        for _ in 0..3 {
+            for i in 0..(11 * SEGMENT / 2) as u64 {
+                assert!(tx.push(i, None));
+            }
+            while rx.pop().is_some() {}
+        }
+        assert_eq!(ring.resident_bytes(), high_water, "a warmed ring allocated");
+    }
+
+    /// One step of a bound-parity schedule: push or pop a burst whose
+    /// length is `permille` thousandths of 1.5 × the ring's capacity,
+    /// or, when `aligned`, one to three whole segments — so the consumer
+    /// often stops exactly at a segment end, before following its link,
+    /// while the producer goes on to splice.
+    #[derive(Debug, Clone, Copy)]
+    struct Burst {
+        push: bool,
+        aligned: bool,
+        permille: u32,
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The ring's loss bound is a bounded deque's: against a
+        /// `VecDeque` that accepts iff `len < capacity`, every push is
+        /// accepted or refused alike and every pop returns the same
+        /// value, across segment boundaries and splices; resident
+        /// segments stay within ⌈high-water / segment⌉ + 1.
+        #[test]
+        fn ring_matches_a_bounded_deque(
+            which in 0usize..6,
+            schedule in proptest::collection::vec(
+                (any::<bool>(), any::<bool>(), 0u32..1000)
+                    .prop_map(|(push, aligned, permille)| Burst { push, aligned, permille }),
+                1..24,
+            ),
+        ) {
+            let requested = [8, 100, SEGMENT - 1, SEGMENT, SEGMENT + 1, 4 * SEGMENT][which];
+            let (mut tx, mut rx, ring) = ring_pair::<u64>(requested);
+            let capacity = ring.capacity();
+            prop_assert_eq!(capacity, requested.next_power_of_two());
+            let segment_len = capacity.min(SEGMENT);
+            let segment_bytes = segment_len * std::mem::size_of::<Slot<u64>>();
+            let mut model: VecDeque<u64> = VecDeque::new();
+            let mut next = 0u64;
+            let mut high_water = 0usize;
+            for step in &schedule {
+                let n = if step.aligned {
+                    segment_len * (1 + step.permille as usize % 3)
+                } else {
+                    (step.permille as usize * capacity * 3 / 2000).max(1)
+                };
+                for _ in 0..n {
+                    if step.push {
+                        let accepts = model.len() < capacity;
+                        prop_assert_eq!(tx.push(next, None), accepts, "push {} of {:?}", next, step);
+                        if accepts {
+                            model.push_back(next);
+                        }
+                        next += 1;
+                        high_water = high_water.max(model.len());
+                    } else {
+                        prop_assert_eq!(rx.pop().map(|(v, _)| v), model.pop_front());
+                    }
+                }
+                prop_assert_eq!(ring.len(), model.len());
+                let segments = ring.resident_bytes() / segment_bytes;
+                prop_assert!(
+                    segments <= high_water.div_ceil(segment_len) + 1,
+                    "{} segments for a high-water mark of {}",
+                    segments,
+                    high_water
+                );
+            }
+            while let Some(v) = model.pop_front() {
+                prop_assert_eq!(rx.pop().map(|(v, _)| v), Some(v));
+            }
+            prop_assert!(rx.pop().is_none());
+        }
     }
 
     #[test]

@@ -222,8 +222,8 @@ impl From<NameId> for Arc<str> {
     }
 }
 
-/// Default shard count of the intern pool (matches the storage layer's
-/// sharded-map default).
+/// Default shard count of the intern pool: lock stripes, so the shard
+/// workers interning names at once rarely meet on one `RwLock`.
 const DEFAULT_INTERNER_SHARDS: usize = 32;
 
 /// Entries a shard accumulates before it sweeps handles nobody else

@@ -14,10 +14,12 @@ use std::io::{Read, Write as IoWrite};
 use std::net::{Ipv4Addr, SocketAddr, TcpStream, UdpSocket};
 use std::time::{Duration, Instant};
 
+use flowdns::core::shard_of_flow;
 use flowdns::dns::framing::FrameEncoder;
 use flowdns::ingest::{DaemonConfig, IngestRuntime};
 use flowdns::netflow::{V5Header, V5Packet, V5Record};
-use flowdns::types::{DnsRecord, DomainName, SimTime};
+use flowdns::stream::spsc::SEGMENT;
+use flowdns::types::{DnsRecord, DomainName, FlowRecord, SimTime};
 
 fn wait_until(deadline: Duration, mut cond: impl FnMut() -> bool) -> bool {
     let start = Instant::now();
@@ -208,6 +210,8 @@ fn scrape_endpoint_tracks_live_traffic_and_traces_flows() {
         "flowdns_ingest_dns_records_total",
         "flowdns_queue_dropped_total{queue=\"fillup\",shard=\"0\"}",
         "flowdns_queue_depth{queue=\"lookup\",shard=\"3\"}",
+        "flowdns_queue_resident_bytes{queue=\"fillup\",shard=\"0\"}",
+        "flowdns_queue_resident_bytes{queue=\"lookup\",shard=\"3\"}",
         "flowdns_shard_routed_total{queue=\"lookup\",shard=\"0\"}",
         "flowdns_fillup_records_total{kind=\"addresses\"}",
         "flowdns_lookup_flows_total{result=\"ip_hit\"}",
@@ -339,5 +343,70 @@ fn healthz_reports_queue_saturation() {
     let (code, body) = http_get(rt.metrics_addr().unwrap(), "/healthz");
     assert_eq!(code, 200);
     assert!(body.contains("fillup"), "detail names the queues: {body}");
+    rt.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn queue_resident_bytes_follow_a_parked_lanes_backlog() {
+    let mut cfg = DaemonConfig::default();
+    cfg.ingest.netflow_bind = "127.0.0.1:0".parse().unwrap();
+    cfg.ingest.dns_bind = "127.0.0.1:0".parse().unwrap();
+    cfg.ingest.metrics_addr = Some("127.0.0.1:0".parse().unwrap());
+    let rt = IngestRuntime::start_in_memory(&cfg).expect("start runtime");
+    let metrics = rt.metrics_addr().expect("metrics endpoint bound");
+    let correlator = rt.correlator();
+    let shards = correlator.shards();
+    let resident = |scrape: &HashMap<String, f64>, queue: &str, shard: usize| {
+        let series = format!("flowdns_queue_resident_bytes{{queue=\"{queue}\",shard=\"{shard}\"}}");
+        *scrape
+            .get(&series)
+            .unwrap_or_else(|| panic!("missing series {series}"))
+    };
+
+    // No ring takes a segment before its first record, whatever its bound.
+    let (_, body) = http_get(metrics, "/metrics");
+    let idle = parse_exposition(&body);
+    for shard in 0..shards {
+        assert_eq!(resident(&idle, "fillup", shard), 0.0);
+        assert_eq!(resident(&idle, "lookup", shard), 0.0);
+    }
+
+    // Park shard 0's worker — it takes its partition lock once per
+    // wake-up — and queue N flows on its lane, a partial segment included.
+    let n = 2 * SEGMENT + 300;
+    let flows: Vec<FlowRecord> = (0u32..)
+        .map(|i| {
+            FlowRecord::inbound(
+                SimTime::from_secs(1_000),
+                Ipv4Addr::from(0xcb00_7100 + i).into(),
+                Ipv4Addr::new(10, 0, 0, 1).into(),
+                100,
+            )
+        })
+        .filter(|flow| shard_of_flow(flow, shards) == 0)
+        .take(n)
+        .collect();
+    {
+        let _parked = correlator.sharded_store().partition(0).lock();
+        assert_eq!(correlator.push_flow_batch(flows), n);
+        assert_eq!(correlator.queue_depths().1, n, "the parked lane drained");
+    }
+    // Unparked, the worker drains the lane; the ring keeps the segments
+    // its backlog took, for reuse. (A scrape while parked would wait on
+    // the store gauges, which lock every partition.)
+    assert!(
+        wait_until(Duration::from_secs(10), || correlator.queue_depths().1 == 0),
+        "the lane never drained"
+    );
+    let (_, body) = http_get(metrics, "/metrics");
+    let scrape = parse_exposition(&body);
+    let segment_bytes = SEGMENT * std::mem::size_of::<(FlowRecord, Option<Instant>)>();
+    assert_eq!(
+        resident(&scrape, "lookup", 0),
+        (n.div_ceil(SEGMENT) * segment_bytes) as f64
+    );
+    for shard in 1..shards {
+        assert_eq!(resident(&scrape, "lookup", shard), 0.0, "shard {shard}");
+    }
     rt.shutdown().expect("clean shutdown");
 }
