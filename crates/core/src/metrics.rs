@@ -168,6 +168,12 @@ pub struct SnapshotStats {
     pub last_write_age_secs: Option<f64>,
     /// Entries restored from a snapshot at warm start (0 = cold start).
     pub warm_start_entries: u64,
+    /// Wall-clock seconds the warm start spent reading and decoding the
+    /// snapshot file (0 on a cold start).
+    pub warm_start_read_secs: f64,
+    /// Wall-clock seconds the warm start spent importing the decoded
+    /// image into the store (0 on a cold start).
+    pub warm_start_import_secs: f64,
     /// The most recent snapshot write or warm-start load failure, if
     /// any. A corrupt or torn snapshot shows up here (the daemon starts
     /// cold rather than dying).

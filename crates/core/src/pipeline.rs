@@ -139,8 +139,11 @@ impl SnapshotShared {
         self.stats.lock().last_error = Some(format!("{context}: {e}"));
     }
 
-    fn record_warm_start(&self, entries: u64) {
-        self.stats.lock().warm_start_entries = entries;
+    fn record_warm_start(&self, entries: u64, read: Duration, import: Duration) {
+        let mut stats = self.stats.lock();
+        stats.warm_start_entries = entries;
+        stats.warm_start_read_secs = read.as_secs_f64();
+        stats.warm_start_import_secs = import.as_secs_f64();
     }
 
     fn stats(&self) -> SnapshotStats {
@@ -441,12 +444,18 @@ impl Correlator {
                     .ok()
                     .and_then(|written| written.elapsed().ok())
                     .unwrap_or_default();
+                let started = Instant::now();
                 let loaded = flowdns_snapshot::read_snapshot(path).and_then(|image| {
+                    let read = started.elapsed();
                     let now = image.as_of + SimDuration::from_secs(downtime.as_secs());
-                    store.import_image(&image, Some(now))
+                    let imported = Instant::now();
+                    let entries = store.import_image(&image, Some(now))?;
+                    Ok((entries, read, imported.elapsed()))
                 });
                 match loaded {
-                    Ok(entries) => snapshot_shared.record_warm_start(entries as u64),
+                    Ok((entries, read, import)) => {
+                        snapshot_shared.record_warm_start(entries as u64, read, import)
+                    }
                     Err(e) => snapshot_shared.record_error("warm start", &e),
                 }
             }
@@ -1109,6 +1118,17 @@ impl Correlator {
             &[],
             move || shared.stats().warm_start_entries as f64,
         );
+        let warm_start_phase = |phase: &str, secs: fn(&SnapshotStats) -> f64| {
+            let shared = Arc::clone(&self.snapshot_shared);
+            registry.gauge_fn(
+                "flowdns_snapshot_warm_start_seconds",
+                "Seconds the boot-time snapshot load spent per phase (0 = cold start)",
+                &[("phase", phase)],
+                move || secs(&shared.stats()),
+            );
+        };
+        warm_start_phase("read", |stats| stats.warm_start_read_secs);
+        warm_start_phase("import", |stats| stats.warm_start_import_secs);
         // BGP attribution.
         if let Some(view) = &self.asn_view {
             let epoch_view = view.clone();

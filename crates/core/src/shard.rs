@@ -53,8 +53,7 @@ use std::sync::Arc;
 use flowdns_bgp::AsnReader;
 use flowdns_snapshot::{DnsStoreImage, SnapshotKey, StoreImage};
 use flowdns_storage::{
-    Generation, GenerationStore, GenerationTable, GenerationsImage, MemoryEstimate, RotationClock,
-    RotationPolicy,
+    Generation, GenerationStore, GenerationTable, MemoryEstimate, RotationClock, RotationPolicy,
 };
 use flowdns_types::{
     CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, FlowDnsError, FlowRecord, IpKey,
@@ -344,13 +343,10 @@ impl ShardPartition {
     /// by its own clock; the partition clock ends at the latest of them
     /// (see [`RotationClock::age_import`]). Sections of one image never
     /// share a key, and within a section an Active entry wins over an
-    /// Inactive copy of the same key.
-    fn import_sections(
-        &mut self,
-        sections: &[StoreImage],
-        names: &[NameId],
-        now: SimTime,
-    ) -> Result<(), FlowDnsError> {
+    /// Inactive copy of the same key. The image was validated before
+    /// anything was touched (see [`ShardedStore::import_image`]), so
+    /// every key is an IP and every name index is in range.
+    fn import_sections(&mut self, sections: &[StoreImage], names: &[NameId], now: SimTime) {
         // Size each family's maps once, up front, instead of growing them.
         let short = || {
             sections
@@ -377,7 +373,9 @@ impl ShardPartition {
                     continue;
                 };
                 for (key, idx) in entries {
-                    let name = resolve_name(names, *idx)?;
+                    let Some(name) = names.get(*idx as usize).cloned() else {
+                        continue;
+                    };
                     match key {
                         SnapshotKey::Ip(IpKey::V4(bits)) => {
                             self.v4.restore(*bits, name, generation)
@@ -385,16 +383,11 @@ impl ShardPartition {
                         SnapshotKey::Ip(IpKey::V6(bits)) => {
                             self.v6.restore(*bits, name, generation)
                         }
-                        SnapshotKey::Name(_) => {
-                            return Err(FlowDnsError::Snapshot(
-                                "IP-NAME split contains a non-IP key".into(),
-                            ))
-                        }
+                        SnapshotKey::Name(_) => {}
                     }
                 }
             }
         }
-        Ok(())
     }
 }
 
@@ -632,21 +625,30 @@ impl ShardedStore {
                 )));
             }
         }
+        // All or nothing: every entry is checked before a name is pooled
+        // or a partition touched, so a bad image leaves the store empty.
+        image.validate()?;
         let now = now.unwrap_or(image.as_of);
         let names = self.names.import_ids(&image.names);
         let before = self.total_entries();
         for (partition, sections) in self.partitions.iter().zip(image.ip_name.chunks(per_shard)) {
-            partition.lock().import_sections(sections, &names, now)?;
+            partition.lock().import_sections(sections, &names, now);
         }
         let cname = &image.name_cname;
-        let cname = GenerationsImage {
-            last_clear_ts: cname.last_clear_ts,
-            last_seen_ts: cname.last_seen_ts,
-            active: decode_name_entries(&cname.active, &names)?,
-            inactive: decode_name_entries(&cname.inactive, &names)?,
-            long: decode_name_entries(&cname.long, &names)?,
+        let pair = |(key, value): &(SnapshotKey, u32)| match key {
+            SnapshotKey::Name(key) => Some((
+                names.get(*key as usize)?.clone(),
+                names.get(*value as usize)?.clone(),
+            )),
+            SnapshotKey::Ip(_) => None,
         };
-        self.name_cname.write().import_image(cname, now);
+        self.name_cname.write().import_entries(
+            cname.last_clear_ts,
+            cname.last_seen_ts,
+            now,
+            [&cname.active, &cname.inactive, &cname.long],
+            pair,
+        );
         Ok(self.total_entries().saturating_sub(before))
     }
 }
@@ -695,32 +697,6 @@ fn encode_name_entries(
                 SnapshotKey::Name(table.index_of(&key)),
                 table.index_of(&value),
             )
-        })
-        .collect()
-}
-
-fn resolve_name(handles: &[NameId], idx: u32) -> Result<NameId, FlowDnsError> {
-    handles.get(idx as usize).cloned().ok_or_else(|| {
-        FlowDnsError::Snapshot(format!(
-            "name index {idx} out of bounds (table has {} names)",
-            handles.len()
-        ))
-    })
-}
-
-fn decode_name_entries(
-    entries: &[(SnapshotKey, u32)],
-    handles: &[NameId],
-) -> Result<Vec<(NameId, NameId)>, FlowDnsError> {
-    entries
-        .iter()
-        .map(|(key, value)| match key {
-            SnapshotKey::Name(idx) => {
-                Ok((resolve_name(handles, *idx)?, resolve_name(handles, *value)?))
-            }
-            SnapshotKey::Ip(_) => Err(FlowDnsError::Snapshot(
-                "NAME-CNAME store contains an IP key".into(),
-            )),
         })
         .collect()
 }
@@ -1216,6 +1192,33 @@ pub(crate) mod tests {
             }
             other => panic!("expected interval rejection, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn failed_import_leaves_the_store_empty() {
+        let config = sharded_config(2);
+        let (store, _) = churned_store(&config);
+        let image = store.export_image();
+        // One bad entry in the *last* section: the sections before it,
+        // and the name table, are all valid.
+        let mut bad = image.clone();
+        let out_of_range = bad.names.len() as u32;
+        bad.ip_name[1]
+            .long
+            .push((SnapshotKey::Ip(IpKey::V4(0x0A00_0001)), out_of_range));
+
+        let restored = ShardedStore::new(&config);
+        match restored.import_image(&bad, None) {
+            Err(FlowDnsError::Snapshot(msg)) => assert!(msg.contains("out of bounds"), "{msg}"),
+            other => panic!("expected an out-of-range rejection, got {other:?}"),
+        }
+        assert_eq!(restored.total_entries(), 0);
+        assert_eq!(restored.interned_names(), 0);
+        // The rejected image left nothing behind for the good one to land on.
+        assert_eq!(
+            restored.import_image(&image, None).unwrap(),
+            store.total_entries()
+        );
     }
 
     #[test]

@@ -148,8 +148,11 @@ fn main() {
         let stats = runtime.correlator().snapshot_stats();
         if stats.warm_started() {
             eprintln!(
-                "flowdnsd: warm start — {} store entries restored from {path}",
-                stats.warm_start_entries
+                "flowdnsd: warm start — {} store entries restored from {path} \
+                 (read {:.1} ms, import {:.1} ms)",
+                stats.warm_start_entries,
+                stats.warm_start_read_secs * 1e3,
+                stats.warm_start_import_secs * 1e3
             );
         } else {
             match &stats.last_error {

@@ -225,7 +225,12 @@ impl DnsStoreImage {
         Ok(image)
     }
 
-    fn validate(&self) -> Result<(), FlowDnsError> {
+    /// Check internal consistency: the split count, every name index
+    /// against the name table, and the key kind of every section.
+    /// [`DnsStoreImage::decode`] runs it on every decoded image; an
+    /// importer runs it before touching a store, so a bad image is
+    /// rejected whole.
+    pub fn validate(&self) -> Result<(), FlowDnsError> {
         let fail = |msg: String| Err(FlowDnsError::Snapshot(msg));
         let expected_sections = self.num_split as usize * self.shards.max(1) as usize;
         if self.ip_name.len() != expected_sections {

@@ -602,20 +602,49 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
     /// [`RotationClock::age_import`]). Entries land on top of the current
     /// contents.
     pub fn import_image(&mut self, image: GenerationsImage<K, V>, now: SimTime) {
-        let age = self
-            .clock
-            .age_import(image.last_clear_ts, image.last_seen_ts, now);
+        self.import_entries(
+            image.last_clear_ts,
+            image.last_seen_ts,
+            now,
+            [&image.active, &image.inactive, &image.long],
+            |(key, value)| Some((key.clone(), value.clone())),
+        );
+    }
+
+    /// Load one store's exported generations straight from their encoded
+    /// form: `generations` lists the Active, Inactive and Long entries,
+    /// aged to `now` by the exported clock readings (see
+    /// [`RotationClock::age_import`]), and `decode` turns each surviving
+    /// entry into a key and value (`None` skips it). The table is
+    /// reserved once for every entry that survives aging, so the import
+    /// never regrows it. Entries land on top of the current contents.
+    pub fn import_entries<T>(
+        &mut self,
+        last_clear_ts: Option<SimTime>,
+        last_seen_ts: Option<SimTime>,
+        now: SimTime,
+        generations: [&[T]; 3],
+        mut decode: impl FnMut(&T) -> Option<(K, V)>,
+    ) {
+        let age = self.clock.age_import(last_clear_ts, last_seen_ts, now);
         let policy = self.table.policy();
-        let sections = [
-            (Generation::Active, image.active),
-            (Generation::Inactive, image.inactive),
-            (Generation::Long, image.long),
-        ];
-        for (exported, entries) in sections {
-            if let Some(generation) = age.place(exported, policy) {
-                for (key, value) in entries {
-                    self.table.restore(key, value, generation);
-                }
+        let placed = [Generation::Active, Generation::Inactive, Generation::Long]
+            .map(|exported| age.place(exported, policy));
+        let (mut short, mut long) = (0, 0);
+        for (generation, entries) in placed.iter().zip(generations) {
+            match generation {
+                Some(Generation::Long) => long += entries.len(),
+                Some(_) => short += entries.len(),
+                None => {}
+            }
+        }
+        self.table.reserve(short, long);
+        for (generation, entries) in placed.into_iter().zip(generations) {
+            let Some(generation) = generation else {
+                continue;
+            };
+            for (key, value) in entries.iter().filter_map(&mut decode) {
+                self.table.restore(key, value, generation);
             }
         }
     }

@@ -14,7 +14,8 @@
 //! map keyed by names never reads or hashes their text.
 
 use std::borrow::Borrow;
-use std::collections::HashSet;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, RwLock};
@@ -231,9 +232,11 @@ const DEFAULT_INTERNER_SHARDS: usize = 32;
 /// rather than every name ever seen on a week-long stream.
 const PURGE_HIGH_WATER: usize = 4096;
 
+/// One lock stripe: the pooled allocations, kept as map keys so an
+/// insert that finds its text already present hands back the pooled key.
 #[derive(Debug, Default)]
 struct Shard {
-    names: HashSet<Arc<str>>,
+    names: HashMap<Arc<str>, ()>,
     purge_at: usize,
 }
 
@@ -281,7 +284,7 @@ impl NameInterner {
             shards: (0..shards)
                 .map(|_| {
                     RwLock::new(Shard {
-                        names: HashSet::new(),
+                        names: HashMap::new(),
                         purge_at: PURGE_HIGH_WATER,
                     })
                 })
@@ -311,20 +314,20 @@ impl NameInterner {
         let idx = self.shard_index(s);
         {
             let shard = self.shards[idx].read().expect("interner shard poisoned");
-            if let Some(existing) = shard.names.get(s) {
+            if let Some((existing, ())) = shard.names.get_key_value(s) {
                 return NameRef(Arc::clone(existing));
             }
         }
         let mut shard = self.shards[idx].write().expect("interner shard poisoned");
-        if let Some(existing) = shard.names.get(s) {
+        if let Some((existing, ())) = shard.names.get_key_value(s) {
             return NameRef(Arc::clone(existing));
         }
         let arc = make();
-        shard.names.insert(Arc::clone(&arc));
+        shard.names.insert(Arc::clone(&arc), ());
         if shard.names.len() >= shard.purge_at {
             // `arc` above holds a second reference, so the entry we just
             // inserted survives the sweep.
-            shard.names.retain(|name| Arc::strong_count(name) > 1);
+            shard.names.retain(|name, ()| Arc::strong_count(name) > 1);
             shard.purge_at = (shard.names.len() * 2).max(PURGE_HIGH_WATER);
         }
         NameRef(arc)
@@ -348,11 +351,50 @@ impl NameInterner {
     /// pool does not hold yet is pooled as the given allocation rather
     /// than copied, so a decoded snapshot's name table becomes the pool's
     /// with no allocation per name.
+    ///
+    /// The import is one pass, not one [`NameInterner::intern`] per name:
+    /// each text is hashed once to pick its stripe, every stripe's write
+    /// lock is taken once (in index order) and its map reserved to its
+    /// final size, and each name then costs one map insert — one that
+    /// finds the text already pooled, before the call or earlier in the
+    /// same table, returns the pooled allocation instead. Nothing is
+    /// swept during the import; afterwards each stripe's high-water mark
+    /// is re-armed at twice its size, where the per-name path's sweeps
+    /// converge, so names the stores later drop are still reclaimed.
     pub fn import_ids(&self, names: &[Arc<str>]) -> Vec<NameId> {
-        names
+        let stripes: Vec<u32> = names
             .iter()
-            .map(|name| NameId(self.intern_with(name, || Arc::clone(name)).0))
-            .collect()
+            .map(|name| self.shard_index(name) as u32)
+            .collect();
+        let mut shards: Vec<_> = self
+            .shards
+            .iter()
+            .map(|shard| shard.write().expect("interner shard poisoned"))
+            .collect();
+        let mut incoming = vec![0usize; shards.len()];
+        for &stripe in &stripes {
+            incoming[stripe as usize] += 1;
+        }
+        for (shard, count) in shards.iter_mut().zip(incoming) {
+            shard.names.reserve(count);
+        }
+        let ids = names
+            .iter()
+            .zip(&stripes)
+            .map(
+                |(name, &stripe)| match shards[stripe as usize].names.entry(Arc::clone(name)) {
+                    Entry::Occupied(pooled) => NameId(Arc::clone(pooled.key())),
+                    Entry::Vacant(slot) => {
+                        slot.insert(());
+                        NameId(Arc::clone(name))
+                    }
+                },
+            )
+            .collect();
+        for shard in &mut shards {
+            shard.purge_at = (shard.names.len() * 2).max(PURGE_HIGH_WATER);
+        }
+        ids
     }
 
     /// Drop every pooled name whose only reference is the pool itself.
@@ -362,7 +404,7 @@ impl NameInterner {
         for shard in &self.shards {
             let mut shard = shard.write().expect("interner shard poisoned");
             let before = shard.names.len();
-            shard.names.retain(|name| Arc::strong_count(name) > 1);
+            shard.names.retain(|name, ()| Arc::strong_count(name) > 1);
             removed += before - shard.names.len();
         }
         removed
@@ -464,6 +506,55 @@ mod tests {
         assert!(!Arc::ptr_eq(&Arc::from(ids[1].clone()), &table[1]));
         assert_eq!(ids[0], pool.intern_id("new.example"));
         assert_eq!(pool.len(), 2);
+    }
+
+    #[test]
+    fn import_ids_pools_a_repeated_text_once() {
+        let pool = NameInterner::with_shards(4);
+        let table: Vec<Arc<str>> = vec![
+            "dup.example".into(),
+            "other.example".into(),
+            "dup.example".into(),
+        ];
+        let ids = pool.import_ids(&table);
+        assert_eq!(ids[0], ids[2]);
+        // The first occurrence is pooled; the second resolves to it.
+        assert!(Arc::ptr_eq(&Arc::from(ids[2].clone()), &table[0]));
+        assert_eq!(pool.len(), 2);
+    }
+
+    fn host_table(prefix: &str, count: usize) -> Vec<Arc<str>> {
+        (0..count)
+            .map(|i| Arc::from(format!("{prefix}{i}.example")))
+            .collect()
+    }
+
+    #[test]
+    fn bulk_import_keeps_every_name_past_the_high_water_mark() {
+        let pool = NameInterner::with_shards(1);
+        let table = host_table("host", 3 * PURGE_HIGH_WATER);
+        let ids = pool.import_ids(&table);
+        assert_eq!(pool.len(), table.len());
+        for (id, name) in ids.iter().zip(&table) {
+            assert!(Arc::ptr_eq(&id.0, name), "{name} was copied");
+        }
+    }
+
+    #[test]
+    fn high_water_sweep_resumes_after_a_bulk_import() {
+        let pool = NameInterner::with_shards(1);
+        let imported = 3 * PURGE_HIGH_WATER;
+        drop(pool.import_ids(&host_table("host", imported)));
+        // Nothing references the imported names any more. The mark is
+        // re-armed at twice the stripe's size, so the stripe doubles…
+        for name in host_table("fresh", imported - 1) {
+            let _ = pool.intern(&name);
+        }
+        assert_eq!(pool.len(), 2 * imported - 1);
+        // …and the intern that reaches the mark sweeps every handle.
+        let kept = pool.intern("last.example");
+        assert_eq!(pool.len(), 1);
+        assert!(NameRef::ptr_eq(&kept, &pool.intern("last.example")));
     }
 
     #[test]

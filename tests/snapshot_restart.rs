@@ -190,3 +190,45 @@ fn torn_snapshot_is_rejected_by_checksum_and_daemon_starts_cold() {
     assert!(flowdns::snapshot::read_snapshot(&snapshot).is_ok());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn warm_start_timing_is_served_per_phase() {
+    let dir = std::env::temp_dir().join("flowdns-snapshot-timing-test");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let snapshot = dir.join("store.fdns");
+    let phase = |rt: &IngestRuntime, phase: &str| {
+        rt.registry()
+            .snapshot()
+            .gauge_with("flowdns_snapshot_warm_start_seconds", "phase", phase)
+            .unwrap_or_else(|| panic!("no warm-start series for phase {phase}"))
+    };
+
+    // A cold start serves both phases as 0.
+    let first = IngestRuntime::start_in_memory(&config_with_snapshot(&snapshot)).unwrap();
+    assert_eq!(phase(&first, "read"), 0.0);
+    assert_eq!(phase(&first, "import"), 0.0);
+    let records: Vec<DnsRecord> = (0..8u8)
+        .map(|i| dns_record(&format!("svc{i}.cdn.example"), i, 86_400))
+        .collect();
+    let batch = FrameEncoder::new().encode_batch(&records).unwrap();
+    let mut feed = TcpStream::connect(first.dns_addr()).unwrap();
+    feed.write_all(&batch).unwrap();
+    drop(feed);
+    assert!(wait_until(Duration::from_secs(10), || {
+        first.correlator().stored_entries() >= 8
+    }));
+    first.shutdown().unwrap();
+
+    // A warm start times both phases of its load and serves what it
+    // recorded.
+    let second = IngestRuntime::start_in_memory(&config_with_snapshot(&snapshot)).unwrap();
+    let stats = second.correlator().snapshot_stats();
+    assert_eq!(stats.warm_start_entries, 8, "{stats:?}");
+    assert!(stats.warm_start_read_secs > 0.0, "{stats:?}");
+    assert!(stats.warm_start_import_secs > 0.0, "{stats:?}");
+    assert_eq!(phase(&second, "read"), stats.warm_start_read_secs);
+    assert_eq!(phase(&second, "import"), stats.warm_start_import_secs);
+    second.shutdown().unwrap();
+    std::fs::remove_dir_all(&dir).ok();
+}
