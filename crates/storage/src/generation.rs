@@ -44,6 +44,7 @@ use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
+use flowdns_types::intern::for_each_batched;
 use flowdns_types::{SimDuration, SimTime};
 
 use crate::keys::{StoreKey, StoreValue};
@@ -615,9 +616,10 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
     /// form: `generations` lists the Active, Inactive and Long entries,
     /// aged to `now` by the exported clock readings (see
     /// [`RotationClock::age_import`]), and `decode` turns each surviving
-    /// entry into a key and value (`None` skips it). The table is
-    /// reserved once for every entry that survives aging, so the import
-    /// never regrows it. Entries land on top of the current contents.
+    /// entry into a key and value (`None` skips it), a batch ahead of the
+    /// inserts (see [`for_each_batched`]). The table is reserved once for
+    /// every entry that survives aging, so the import never regrows it.
+    /// Entries land on top of the current contents.
     pub fn import_entries<T>(
         &mut self,
         last_clear_ts: Option<SimTime>,
@@ -643,9 +645,9 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
             let Some(generation) = generation else {
                 continue;
             };
-            for (key, value) in entries.iter().filter_map(&mut decode) {
-                self.table.restore(key, value, generation);
-            }
+            for_each_batched(entries.iter().filter_map(&mut decode), |(key, value)| {
+                self.table.restore(key, value, generation)
+            });
         }
     }
 }

@@ -223,6 +223,29 @@ impl From<NameId> for Arc<str> {
     }
 }
 
+/// Items [`for_each_batched`] decodes ahead of applying them.
+const DECODE_BATCH: usize = 256;
+
+/// Pull `decoded` a batch at a time and hand each item to `apply`, in
+/// order: a whole batch is decoded before any of it is applied.
+///
+/// Bulk imports decode entries by cloning name handles, and each clone
+/// is an atomic reference-count increment, which x86 holds until every
+/// earlier store has reached the cache. Interleaved with map inserts,
+/// every increment would wait out the previous insert's cache miss;
+/// decoded a batch ahead, the increments run back to back and the
+/// inserts' misses overlap.
+pub fn for_each_batched<E>(mut decoded: impl Iterator<Item = E>, mut apply: impl FnMut(E)) {
+    let mut batch = Vec::with_capacity(DECODE_BATCH);
+    loop {
+        batch.extend(decoded.by_ref().take(DECODE_BATCH));
+        if batch.is_empty() {
+            return;
+        }
+        batch.drain(..).for_each(&mut apply);
+    }
+}
+
 /// Default shard count of the intern pool: lock stripes, so the shard
 /// workers interning names at once rarely meet on one `RwLock`.
 const DEFAULT_INTERNER_SHARDS: usize = 32;
@@ -357,15 +380,14 @@ impl NameInterner {
     /// lock is taken once (in index order) and its map reserved to its
     /// final size, and each name then costs one map insert — one that
     /// finds the text already pooled, before the call or earlier in the
-    /// same table, returns the pooled allocation instead. Nothing is
+    /// same table, returns the pooled allocation instead. The handles'
+    /// reference counts are bumped a batch ahead of the inserts (see
+    /// [`for_each_batched`]). Nothing is
     /// swept during the import; afterwards each stripe's high-water mark
     /// is re-armed at twice its size, where the per-name path's sweeps
     /// converge, so names the stores later drop are still reclaimed.
     pub fn import_ids(&self, names: &[Arc<str>]) -> Vec<NameId> {
-        let stripes: Vec<u32> = names
-            .iter()
-            .map(|name| self.shard_index(name) as u32)
-            .collect();
+        let stripes: Vec<usize> = names.iter().map(|name| self.shard_index(name)).collect();
         let mut shards: Vec<_> = self
             .shards
             .iter()
@@ -373,24 +395,25 @@ impl NameInterner {
             .collect();
         let mut incoming = vec![0usize; shards.len()];
         for &stripe in &stripes {
-            incoming[stripe as usize] += 1;
+            incoming[stripe] += 1;
         }
         for (shard, count) in shards.iter_mut().zip(incoming) {
             shard.names.reserve(count);
         }
-        let ids = names
+        let mut ids = Vec::with_capacity(names.len());
+        let handles = names
             .iter()
             .zip(&stripes)
-            .map(
-                |(name, &stripe)| match shards[stripe as usize].names.entry(Arc::clone(name)) {
-                    Entry::Occupied(pooled) => NameId(Arc::clone(pooled.key())),
-                    Entry::Vacant(slot) => {
-                        slot.insert(());
-                        NameId(Arc::clone(name))
-                    }
-                },
-            )
-            .collect();
+            .map(|(name, &stripe)| (stripe, Arc::clone(name), NameId(Arc::clone(name))));
+        for_each_batched(handles, |(stripe, key, id)| {
+            ids.push(match shards[stripe].names.entry(key) {
+                Entry::Occupied(pooled) => NameId(Arc::clone(pooled.key())),
+                Entry::Vacant(slot) => {
+                    slot.insert(());
+                    id
+                }
+            })
+        });
         for shard in &mut shards {
             shard.purge_at = (shard.names.len() * 2).max(PURGE_HIGH_WATER);
         }
