@@ -382,10 +382,10 @@ impl NameInterner {
     /// finds the text already pooled, before the call or earlier in the
     /// same table, returns the pooled allocation instead. The handles'
     /// reference counts are bumped a batch ahead of the inserts (see
-    /// [`for_each_batched`]). Nothing is
-    /// swept during the import; afterwards each stripe's high-water mark
-    /// is re-armed at twice its size, where the per-name path's sweeps
-    /// converge, so names the stores later drop are still reclaimed.
+    /// [`for_each_batched`]). Nothing is swept during the import;
+    /// afterwards each stripe's high-water mark is re-armed at twice its
+    /// size, where the per-name path's sweeps converge, so names the
+    /// stores later drop are still reclaimed.
     pub fn import_ids(&self, names: &[Arc<str>]) -> Vec<NameId> {
         let stripes: Vec<usize> = names.iter().map(|name| self.shard_index(name)).collect();
         let mut shards: Vec<_> = self
