@@ -7,20 +7,20 @@
 
 use std::collections::{HashMap, HashSet};
 
-use flowdns_types::{DnsRecord, IpKey, NameRef, SimTime, TimeRange};
+use flowdns_types::{DnsRecord, DomainName, IpKey, SimTime, TimeRange};
 
 use crate::ecdf::Ecdf;
 
 /// Cardinality counters over a DNS sample window.
 ///
-/// Keyed the same way as the correlator's hot maps: IPs as compact
-/// [`IpKey`]s and names as shared [`NameRef`] handles, so analyzing a
-/// long sample does not re-allocate the textual form of every address
-/// and name per record.
+/// IPs are keyed as compact [`IpKey`]s and names as [`DomainName`]s,
+/// which share the parsed record's allocation and compare by content, so
+/// analyzing a long sample does not re-allocate the textual form of
+/// every address and name per record.
 #[derive(Debug, Default, Clone)]
 pub struct CardinalityAnalysis {
-    names_per_ip: HashMap<IpKey, HashSet<NameRef>>,
-    ips_per_name: HashMap<NameRef, HashSet<IpKey>>,
+    names_per_ip: HashMap<IpKey, HashSet<DomainName>>,
+    ips_per_name: HashMap<DomainName, HashSet<IpKey>>,
     window: Option<TimeRange>,
     /// Records skipped because they fell outside the window.
     pub out_of_window: u64,
@@ -60,7 +60,7 @@ impl CardinalityAnalysis {
         }
         if let Some(ip) = record.answer.as_ip() {
             let ip_key = IpKey::from_ip(ip);
-            let name_key = NameRef::from(&record.query);
+            let name_key = record.query.clone();
             self.names_per_ip
                 .entry(ip_key)
                 .or_default()
@@ -122,7 +122,6 @@ impl CardinalityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowdns_types::DomainName;
     use std::net::Ipv4Addr;
 
     fn record(ts: u64, name: &str, ip: [u8; 4]) -> DnsRecord {

@@ -11,8 +11,9 @@
 //! limit (6 by default). Multi-hop resolutions are memoized back into the
 //! active NAME-CNAME map.
 //!
-//! The chase runs on interned name handles, so a hit allocates only the
-//! chain `Vec` — every name in it is a shared reference-count bump.
+//! The chase runs on pooled name ids, so a direct hit allocates nothing
+//! and a chain only its `Vec` — every name in it is a shared
+//! reference-count bump on the pool's allocation.
 
 use flowdns_types::{CorrelationOutcome, DomainName};
 
@@ -57,25 +58,30 @@ impl LookUpStats {
 /// partitions' resolve and the simulator's exact-TTL arm: walk
 /// from the name an IP mapped to back towards the customer-facing name,
 /// bounded by the loop limit, memoizing multi-hop shortcuts. The caller
-/// has already looked the IP up (and counted the hit/miss); `lookup` and
-/// `memoize` close over whichever NAME-CNAME store the caller uses, and
-/// `H` is that store's name handle ([`flowdns_types::NameId`] in the
-/// partitions, [`flowdns_types::NameRef`] in the exact-TTL arm).
+/// has already looked the IP up (and counted the hit/miss) and passes
+/// its name both as the store's handle `H` and as text; `next` closes
+/// over whichever NAME-CNAME store the caller uses and returns the next
+/// hop as both, and `memoize` stores a shortcut between two handles.
+/// `H` is [`flowdns_types::NameId`] in the partitions and
+/// [`DomainName`] itself in the exact-TTL arm.
+///
+/// A direct name allocates nothing; a chain allocates its one `Vec`.
 pub(crate) fn follow_chain<H>(
-    first_name: H,
+    first: H,
+    first_name: DomainName,
     loop_limit: usize,
-    lookup: impl Fn(&H) -> Option<H>,
+    next: impl Fn(&H) -> Option<(H, DomainName)>,
     memoize: impl FnOnce(&H, &H),
     stats: &mut LookUpStats,
 ) -> CorrelationOutcome
 where
-    H: Clone + PartialEq + Into<DomainName>,
+    H: Clone,
 {
     stats.ip_hits += 1;
 
-    let mut chain: Vec<H> = Vec::with_capacity(2);
-    chain.push(first_name.clone());
-    let mut current = first_name;
+    // The names after the first, once the first hop is found.
+    let mut chain: Option<Vec<DomainName>> = None;
+    let mut current = first.clone();
 
     let mut hops = 0usize;
     loop {
@@ -83,41 +89,37 @@ where
             stats.loop_limit_hits += 1;
             break;
         }
-        match lookup(&current) {
-            Some(next) => {
-                hops += 1;
-                stats.cname_hops += 1;
-                // A self-referencing CNAME would loop forever; treat it
-                // as the end of the chain. Handles from one interner
-                // compare by pointer first, so this scan is cheap.
-                if next == current || chain.contains(&next) {
-                    break;
-                }
-                chain.push(next.clone());
-                current = next;
-            }
-            None => break,
-        }
-    }
-
-    if chain.len() > 2 {
-        // Multi-hop resolution: memoize the shortcut from the first
-        // name straight to the final alias for later flows.
-        if let (Some(first), Some(last)) = (chain.first(), chain.last()) {
-            memoize(first, last);
-            stats.memoized += 1;
-        }
-    }
-
-    if chain.len() == 1 {
-        // len == 1 makes pop() infallible, but stay panic-free.
-        let Some(only) = chain.pop() else {
-            return CorrelationOutcome::NotFound;
+        let Some((hop, name)) = next(&current) else {
+            break;
         };
-        CorrelationOutcome::Name(only.into())
-    } else {
-        // Each conversion rewraps the shared allocation; the store
-        // only ever hands out handles to normalized names.
-        CorrelationOutcome::Chain(chain.into_iter().map(Into::into).collect())
+        hops += 1;
+        stats.cname_hops += 1;
+        // A CNAME back to a name already on the chain would loop
+        // forever; treat it as the end of the chain. Names from one pool
+        // share an allocation, which the comparisons check first.
+        if name == first_name || chain.as_ref().is_some_and(|c| c.contains(&name)) {
+            break;
+        }
+        chain
+            .get_or_insert_with(|| {
+                let mut chain = Vec::with_capacity(2);
+                chain.push(first_name.clone());
+                chain
+            })
+            .push(name);
+        current = hop;
+    }
+
+    match chain {
+        None => CorrelationOutcome::Name(first_name),
+        Some(chain) => {
+            if chain.len() > 2 {
+                // Multi-hop resolution: memoize the shortcut from the
+                // first name straight to the final alias for later flows.
+                memoize(&first, &current);
+                stats.memoized += 1;
+            }
+            CorrelationOutcome::Chain(chain)
+        }
     }
 }

@@ -51,7 +51,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use flowdns_bgp::AsnReader;
-use flowdns_snapshot::{DnsStoreImage, SnapshotKey, StoreImage};
+use flowdns_snapshot::{DnsStoreImage, GenerationColumns, StoreImage};
 use flowdns_storage::{
     Generation, GenerationStore, GenerationTable, MemoryEstimate, RotationClock, RotationPolicy,
 };
@@ -134,6 +134,10 @@ pub fn shard_of_flow(flow: &FlowRecord, shards: usize) -> usize {
 /// IPv6), plus the shard's CNAME-clock throttle state. Owned by exactly
 /// one worker at a time (the pipeline wraps partitions in a mutex locked
 /// once per wake-up, not per record).
+///
+/// Every value is a [`NameId`] holding one count in the shared pool:
+/// taken when the name is interned for the insert, released when an
+/// overwrite displaces it or a clear-up drops its entry.
 #[derive(Debug)]
 pub struct ShardPartition {
     clock: RotationClock,
@@ -167,20 +171,23 @@ impl ShardPartition {
         }
         match (&record.rtype, &record.answer) {
             (RecordType::A | RecordType::Aaaa, DnsAnswer::Ip(ip)) => {
-                let value = shared.names.intern_domain_id(&record.query);
-                self.observe_time(record.ts);
-                match IpKey::from_ip(*ip) {
-                    IpKey::V4(bits) => self.v4.insert(bits, value, record.ttl),
-                    IpKey::V6(bits) => self.v6.insert(bits, value, record.ttl),
+                let value = shared.names.intern_domain(&record.query);
+                self.observe_time(&shared.names, record.ts);
+                let displaced = match IpKey::from_ip(*ip) {
+                    IpKey::V4(bits) => self.v4.insert(bits, value, record.ttl).map(|(_, old)| old),
+                    IpKey::V6(bits) => self.v6.insert(bits, value, record.ttl).map(|(_, old)| old),
+                };
+                if let Some(old) = displaced {
+                    shared.names.release(old);
                 }
                 stats.addresses_stored += 1;
                 true
             }
             (RecordType::Cname, DnsAnswer::Name(target)) => {
-                let key = shared.names.intern_domain_id(target);
-                let value = shared.names.intern_domain_id(&record.query);
+                let key = shared.names.intern_domain(target);
+                let value = shared.names.intern_domain(&record.query);
                 let mut cnames = shared.name_cname.write();
-                cnames.insert(key, value, record.ttl, record.ts);
+                cnames.insert(key, value, record.ttl, record.ts, shared.release_entry());
                 stats.cnames_stored += 1;
                 true
             }
@@ -221,7 +228,7 @@ impl ShardPartition {
         }
         // Flow timestamps advance this partition's clear-up clock so
         // DNS-quiet periods still rotate…
-        self.observe_time(flow.ts);
+        self.observe_time(&shared.names, flow.ts);
         // …and the shared CNAME clock at 1 s resolution, so we take its
         // write lock at most once per simulated second instead of per
         // record.
@@ -230,59 +237,78 @@ impl ShardPartition {
         });
         if tick_due {
             self.last_cname_tick = Some(flow.ts);
-            shared.name_cname.write().observe_time(flow.ts);
+            let release = shared.release_entry();
+            shared.name_cname.write().observe_time(flow.ts, release);
         }
         let outcome = self.resolve(shared, flow.key.src_ip, stats);
         CorrelatedRecord::new(flow, outcome).with_asns(src_asn, dst_asn)
     }
 
     /// The name an IP maps to in this partition, and its generation.
-    fn lookup_ip(&self, ip: IpAddr) -> Option<(&NameId, Generation)> {
-        match IpKey::from_ip(ip) {
+    fn lookup_ip(&self, ip: IpAddr) -> Option<(NameId, Generation)> {
+        let found = match IpKey::from_ip(ip) {
             IpKey::V4(bits) => self.v4.get(&bits),
             IpKey::V6(bits) => self.v6.get(&bits),
-        }
+        };
+        found.map(|(&name, generation)| (name, generation))
     }
 
     /// Resolve a source IP against this partition's IP-NAME tables, then
     /// follow the CNAME chain through the shared NAME-CNAME store
-    /// (Algorithm 2, partitioned front half).
+    /// (Algorithm 2, partitioned front half). The chase runs on ids;
+    /// each name of the outcome shares the pool's allocation.
     pub fn resolve(
         &self,
         shared: &ShardedStore,
         src_ip: IpAddr,
         stats: &mut LookUpStats,
     ) -> CorrelationOutcome {
-        let Some((first_name, _)) = self.lookup_ip(src_ip) else {
+        // This partition's table holds `first`, so it names its text.
+        let Some((first, first_name)) = self
+            .lookup_ip(src_ip)
+            .and_then(|(first, _)| Some((first, shared.names.domain(first)?)))
+        else {
             stats.ip_misses += 1;
             return CorrelationOutcome::NotFound;
         };
         let mut shortcut = None;
         let outcome = {
+            // The NAME-CNAME store holds every id the chase reads, and
+            // cannot release one while this read lock is held.
             let cnames = shared.name_cname.read();
             follow_chain(
-                first_name.clone(),
+                first,
+                first_name,
                 shared.loop_limit,
-                |name| cnames.lookup(name).map(|(next, _)| next.clone()),
-                |first, last| shortcut = Some((first.clone(), last.clone())),
+                |name| {
+                    let (&next, _) = cnames.lookup(name)?;
+                    Some((next, shared.names.domain(next)?))
+                },
+                |&first, &last| {
+                    // Counted for the shortcut entry, before the lock
+                    // that keeps `last` alive is released.
+                    shared.names.retain(first);
+                    shared.names.retain(last);
+                    shortcut = Some((first, last));
+                },
                 stats,
             )
         };
         // A multi-hop chain memoizes its shortcut after the read lock is
         // released; the next chase from `first` is then a single hop.
         if let Some((first, last)) = shortcut {
-            shared.name_cname.write().memoize(first, last);
+            let release = shared.release_entry();
+            shared.name_cname.write().memoize(first, last, release);
         }
         outcome
     }
 
-    /// Advance this partition's clear-up clock without processing a
-    /// record (used by the offline simulator's broadcast clock and by
-    /// drain paths at shutdown).
-    pub fn observe_time(&mut self, ts: SimTime) {
+    /// Advance this partition's clear-up clock; a clear-up releases the
+    /// names of the entries it drops.
+    fn observe_time(&mut self, names: &NameInterner, ts: SimTime) {
         if self.clock.tick(ts) {
-            self.v4.rotate();
-            self.v6.rotate();
+            self.v4.rotate(|_, name| names.release(name));
+            self.v6.rotate(|_, name| names.release(name));
         }
     }
 
@@ -301,40 +327,34 @@ impl ShardPartition {
         self.v4.stats().rotated_entries + self.v6.stats().rotated_entries
     }
 
-    /// Entries and payload bytes of this partition, from its counters.
-    pub fn memory_estimate(&self) -> MemoryEstimate {
-        let mut est = self.v4.memory();
-        est.merge(self.v6.memory());
-        est
-    }
-
     /// The partition's clock and entries as one snapshot section, its
-    /// names numbered in `table`. Each generation's list is sized from
-    /// the tables' counters and filled straight from them.
-    fn export_section(&self, table: &mut NameTable) -> StoreImage {
+    /// names numbered in `table`. Each generation's columns are sized
+    /// from the tables' counters and filled straight from them.
+    fn export_section(&self, table: &mut NameTable<'_>) -> StoreImage {
         let (v4, v6) = (self.v4.entry_counts(), self.v6.entry_counts());
+        let columns = |v4: usize, v6: usize| GenerationColumns {
+            v4: Vec::with_capacity(v4),
+            v6: Vec::with_capacity(v6),
+            names: Vec::new(),
+        };
         let mut section = StoreImage {
             last_clear_ts: self.clock.last_clear_ts(),
             last_seen_ts: self.clock.last_seen_ts(),
-            active: Vec::with_capacity(v4.0 + v6.0),
-            inactive: Vec::with_capacity(v4.1 + v6.1),
-            long: Vec::with_capacity(v4.2 + v6.2),
+            active: columns(v4.0, v6.0),
+            inactive: columns(v4.1, v6.1),
+            long: columns(v4.2, v6.2),
         };
-        let v4 = self
-            .v4
-            .iter()
-            .map(|(bits, name, g)| (IpKey::V4(*bits), name, g));
-        let v6 = self
-            .v6
-            .iter()
-            .map(|(bits, name, g)| (IpKey::V6(*bits), name, g));
-        for (key, name, generation) in v4.chain(v6) {
-            let entries = match generation {
-                Generation::Active => &mut section.active,
-                Generation::Inactive => &mut section.inactive,
-                Generation::Long => &mut section.long,
-            };
-            entries.push((SnapshotKey::Ip(key), table.index_of(name)));
+        for (&bits, &name, generation) in self.v4.iter() {
+            if let Some(idx) = table.index_of(name) {
+                columns_mut(&mut section, generation).v4.push((bits, idx));
+            }
+        }
+        for (&bits, &name, generation) in self.v6.iter() {
+            if let Some(idx) = table.index_of(name) {
+                columns_mut(&mut section, generation)
+                    .v6
+                    .push((bits.to_le_bytes(), idx));
+            }
         }
         section
     }
@@ -345,26 +365,33 @@ impl ShardPartition {
     /// share a key, and within a section an Active entry wins over an
     /// Inactive copy of the same key. The image was validated before
     /// anything was touched (see [`ShardedStore::import_image`]), so
-    /// every key is an IP and every name index is in range.
-    fn import_sections(&mut self, sections: &[StoreImage], names: &[NameId], now: SimTime) {
+    /// every name index is in range. Each restore counts a reference in
+    /// `import`, and the ids the tables did not keep go to `displaced`.
+    fn import_sections(
+        &mut self,
+        sections: &[StoreImage],
+        import: &mut NameImport,
+        displaced: &mut Vec<NameId>,
+        now: SimTime,
+    ) {
         // Size each family's maps once, up front, instead of growing them.
-        let short = || {
-            sections
-                .iter()
-                .flat_map(|s| s.active.iter().chain(&s.inactive))
-        };
-        let long = || sections.iter().flat_map(|s| s.long.iter());
-        let v4 = |(key, _): &&(SnapshotKey, u32)| matches!(key, SnapshotKey::Ip(IpKey::V4(_)));
-        let (short_v4, long_v4) = (short().filter(v4).count(), long().filter(v4).count());
+        let (mut short_v4, mut short_v6, mut long_v4, mut long_v6) = (0, 0, 0, 0);
+        for section in sections {
+            for columns in [&section.active, &section.inactive] {
+                short_v4 += columns.v4.len();
+                short_v6 += columns.v6.len();
+            }
+            long_v4 += section.long.v4.len();
+            long_v6 += section.long.v6.len();
+        }
         self.v4.reserve(short_v4, long_v4);
-        self.v6
-            .reserve(short().count() - short_v4, long().count() - long_v4);
+        self.v6.reserve(short_v6, long_v6);
         let policy = self.v4.policy();
         for section in sections {
             let age = self
                 .clock
                 .age_import(section.last_clear_ts, section.last_seen_ts, now);
-            for (exported, entries) in [
+            for (exported, columns) in [
                 (Generation::Active, &section.active),
                 (Generation::Inactive, &section.inactive),
                 (Generation::Long, &section.long),
@@ -372,18 +399,21 @@ impl ShardPartition {
                 let Some(generation) = age.place(exported, policy) else {
                     continue;
                 };
-                for (key, idx) in entries {
-                    let Some(name) = names.get(*idx as usize).cloned() else {
+                for &(bits, idx) in &columns.v4 {
+                    let Some(name) = import.take(idx) else {
                         continue;
                     };
-                    match key {
-                        SnapshotKey::Ip(IpKey::V4(bits)) => {
-                            self.v4.restore(*bits, name, generation)
-                        }
-                        SnapshotKey::Ip(IpKey::V6(bits)) => {
-                            self.v6.restore(*bits, name, generation)
-                        }
-                        SnapshotKey::Name(_) => {}
+                    if let Some((_, name)) = self.v4.restore(bits, name, generation) {
+                        displaced.push(name);
+                    }
+                }
+                for &(bytes, idx) in &columns.v6 {
+                    let Some(name) = import.take(idx) else {
+                        continue;
+                    };
+                    let bits = u128::from_le_bytes(bytes);
+                    if let Some((_, name)) = self.v6.restore(bits, name, generation) {
+                        displaced.push(name);
                     }
                 }
             }
@@ -391,12 +421,25 @@ impl ShardPartition {
     }
 }
 
+/// The generation's columns of a section under construction.
+fn columns_mut(section: &mut StoreImage, generation: Generation) -> &mut GenerationColumns {
+    match generation {
+        Generation::Active => &mut section.active,
+        Generation::Inactive => &mut section.inactive,
+        Generation::Long => &mut section.long,
+    }
+}
+
 /// The sharded correlator's storage: `shards` exclusive
-/// [`ShardPartition`]s plus the shared name interner and NAME-CNAME
-/// store. The partition mutexes exist so non-worker threads (snapshot
-/// export, metrics, shutdown drain) can reach in; shard workers lock
-/// their own partition once per wake-up and process whole batches under
-/// that one acquisition — never per record.
+/// [`ShardPartition`]s plus the shared name pool and NAME-CNAME store.
+/// The partition mutexes exist so non-worker threads (snapshot export,
+/// metrics, shutdown drain) can reach in; shard workers lock their own
+/// partition once per wake-up and process whole batches under that one
+/// acquisition — never per record.
+///
+/// Every table holds names as [`NameId`]s, each counted once in the
+/// pool: the IP-NAME values, and the NAME-CNAME keys, values and
+/// memoized shortcuts.
 #[derive(Debug)]
 pub struct ShardedStore {
     config: CorrelatorConfig,
@@ -460,9 +503,23 @@ impl ShardedStore {
         &self.partitions[shard]
     }
 
+    /// The shared name pool every table's ids number into.
+    pub fn name_pool(&self) -> &NameInterner {
+        &self.names
+    }
+
     /// Number of distinct names pooled in the shared interner.
     pub fn interned_names(&self) -> usize {
         self.names.len()
+    }
+
+    /// The sink of a NAME-CNAME mutation: releases both ids of every
+    /// entry the store lets go of.
+    fn release_entry(&self) -> impl FnMut(NameId, NameId) + '_ {
+        |key, value| {
+            self.names.release(key);
+            self.names.release(value);
+        }
     }
 
     /// Advance every partition clock and the shared CNAME clock to
@@ -472,9 +529,11 @@ impl ShardedStore {
     /// independent of the shard count.
     pub fn observe_time_all(&self, ts: SimTime) {
         for partition in &self.partitions {
-            partition.lock().observe_time(ts);
+            partition.lock().observe_time(&self.names, ts);
         }
-        self.name_cname.write().observe_time(ts);
+        self.name_cname
+            .write()
+            .observe_time(ts, self.release_entry());
     }
 
     /// Total stored entries across every partition and the shared CNAME
@@ -507,13 +566,18 @@ impl ShardedStore {
     }
 
     /// Entries and payload bytes across every partition and the CNAME
-    /// store. Served from the tables' counters: O(shards), not O(store).
+    /// store: the tables' counters for entries and key bytes, and the
+    /// pool's per-reference sum for name bytes (each entry charged its
+    /// names' full length). O(shards + pool stripes), not O(store).
     pub fn memory_estimate(&self) -> MemoryEstimate {
         let mut est = MemoryEstimate::new();
         for partition in &self.partitions {
-            est.merge(partition.lock().memory_estimate());
+            let partition = partition.lock();
+            est.merge(partition.v4.memory());
+            est.merge(partition.v6.memory());
         }
         est.merge(self.name_cname.read().table().memory());
+        est.payload_bytes += self.names.referenced_bytes();
         est
     }
 
@@ -521,10 +585,11 @@ impl ShardedStore {
     /// per shard (`num_split = 1`) in shard order, the shared NAME-CNAME
     /// section, and the clocks. Each partition is locked in turn for one
     /// pass over its tables that encodes its entries into exactly sized
-    /// lists; this runs from a background thread while workers keep
-    /// processing.
+    /// columns, and the NAME-CNAME store is read-locked for its pass, so
+    /// every id is read while a table holds it; this runs from a
+    /// background thread while workers keep processing.
     pub fn export_image(&self) -> DnsStoreImage {
-        let mut table = NameTable::with_capacity(self.names.len());
+        let mut table = NameTable::new(&self.names);
         let mut as_of = SimTime::ZERO;
         let mut observe = |seen: Option<SimTime>| {
             if let Some(seen) = seen {
@@ -537,15 +602,30 @@ impl ShardedStore {
             observe(section.last_seen_ts);
             ip_name.push(section);
         }
-        let cname = self.name_cname.read().export_image();
-        observe(cname.last_seen_ts);
-        let name_cname = StoreImage {
-            last_clear_ts: cname.last_clear_ts,
-            last_seen_ts: cname.last_seen_ts,
-            active: encode_name_entries(cname.active, &mut table),
-            inactive: encode_name_entries(cname.inactive, &mut table),
-            long: encode_name_entries(cname.long, &mut table),
+        let name_cname = {
+            let cnames = self.name_cname.read();
+            let (active, inactive, long) = cnames.table().entry_counts();
+            let columns = |len| GenerationColumns {
+                names: Vec::with_capacity(len),
+                ..GenerationColumns::default()
+            };
+            let mut section = StoreImage {
+                last_clear_ts: cnames.clock().last_clear_ts(),
+                last_seen_ts: cnames.clock().last_seen_ts(),
+                active: columns(active),
+                inactive: columns(inactive),
+                long: columns(long),
+            };
+            for (&key, &value, generation) in cnames.table().iter() {
+                if let (Some(key), Some(value)) = (table.index_of(key), table.index_of(value)) {
+                    columns_mut(&mut section, generation)
+                        .names
+                        .push((key, value));
+                }
+            }
+            section
         };
+        observe(name_cname.last_seen_ts);
         DnsStoreImage {
             as_of,
             num_split: 1,
@@ -629,76 +709,93 @@ impl ShardedStore {
         // or a partition touched, so a bad image leaves the store empty.
         image.validate()?;
         let now = now.unwrap_or(image.as_of);
-        let names = self.names.import_ids(&image.names);
+        // Each image name is pooled once and pinned; the tables' restores
+        // count its references, and the counts replace the pins in one
+        // pass once every table is loaded.
+        // Ids the tables did not keep are released after the settle.
+        let mut import = NameImport::new(self.names.import_names(&image.names));
+        let mut displaced = Vec::new();
         let before = self.total_entries();
         for (partition, sections) in self.partitions.iter().zip(image.ip_name.chunks(per_shard)) {
-            partition.lock().import_sections(sections, &names, now);
+            partition
+                .lock()
+                .import_sections(sections, &mut import, &mut displaced, now);
         }
         let cname = &image.name_cname;
-        let pair = |(key, value): &(SnapshotKey, u32)| match key {
-            SnapshotKey::Name(key) => Some((
-                names.get(*key as usize)?.clone(),
-                names.get(*value as usize)?.clone(),
-            )),
-            SnapshotKey::Ip(_) => None,
-        };
         self.name_cname.write().import_entries(
             cname.last_clear_ts,
             cname.last_seen_ts,
             now,
-            [&cname.active, &cname.inactive, &cname.long],
-            pair,
+            cname.generations().map(|columns| columns.names.as_slice()),
+            |&(key, value)| Some((import.take(key)?, import.take(value)?)),
+            |key, value| displaced.extend([key, value]),
         );
+        self.names.settle_import(&import.ids, &import.refs);
+        for name in displaced {
+            self.names.release(name);
+        }
         Ok(self.total_entries().saturating_sub(before))
     }
 }
 
+/// The name side of one import: the pooled id of every image name index
+/// and the table references taken per index.
+struct NameImport {
+    ids: Vec<NameId>,
+    refs: Vec<u32>,
+}
+
+impl NameImport {
+    fn new(ids: Vec<NameId>) -> Self {
+        NameImport {
+            refs: vec![0; ids.len()],
+            ids,
+        }
+    }
+
+    /// The id of name index `idx`, counting one table reference to it.
+    fn take(&mut self, idx: u32) -> Option<NameId> {
+        let id = *self.ids.get(idx as usize)?;
+        self.refs[idx as usize] += 1;
+        Some(id)
+    }
+}
+
 /// Builds the deduplicated name table of a snapshot: each distinct name
-/// identity gets one index, assigned on first sight, so the on-disk image
-/// stores every name exactly once — mirroring the interner's
-/// one-allocation-per-name invariant.
+/// id gets one index, assigned on first sight, so the on-disk image
+/// stores every name exactly once — mirroring the pool's one slot per
+/// name.
 ///
 /// The table holds the pool's own allocations, not copies: exporting a
 /// store allocates nothing per name.
-struct NameTable {
+struct NameTable<'a> {
+    pool: &'a NameInterner,
     names: Vec<Arc<str>>,
     index: HashMap<NameId, u32>,
 }
 
-impl NameTable {
-    /// A table with room for `names` distinct names (the pool size bounds
-    /// what a store can reference), so building it never regrows.
-    fn with_capacity(names: usize) -> Self {
+impl<'a> NameTable<'a> {
+    /// A table with room for every pooled name (the pool size bounds what
+    /// a store can reference), so building it never regrows.
+    fn new(pool: &'a NameInterner) -> Self {
+        let names = pool.len();
         NameTable {
+            pool,
             names: Vec::with_capacity(names),
             index: HashMap::with_capacity(names),
         }
     }
 
-    fn index_of(&mut self, name: &NameId) -> u32 {
-        if let Some(&idx) = self.index.get(name) {
-            return idx;
+    /// The index of a held id, or `None` if the pool does not know it.
+    fn index_of(&mut self, name: NameId) -> Option<u32> {
+        if let Some(&idx) = self.index.get(&name) {
+            return Some(idx);
         }
         let idx = self.names.len() as u32;
-        self.names.push(name.clone().into());
-        self.index.insert(name.clone(), idx);
-        idx
+        self.names.push(self.pool.text(name)?);
+        self.index.insert(name, idx);
+        Some(idx)
     }
-}
-
-fn encode_name_entries(
-    entries: Vec<(NameId, NameId)>,
-    table: &mut NameTable,
-) -> Vec<(SnapshotKey, u32)> {
-    entries
-        .into_iter()
-        .map(|(key, value)| {
-            (
-                SnapshotKey::Name(table.index_of(&key)),
-                table.index_of(&value),
-            )
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -802,9 +899,7 @@ pub(crate) mod tests {
         ];
         for i in 0..count {
             let key = IpKey::from_ip(Ipv4Addr::new(203, 0, 113, i).into());
-            ip_name[i as usize % 10]
-                .active
-                .push((SnapshotKey::Ip(key), i as u32));
+            ip_name[i as usize % 10].active.push_ip(key, i as u32);
         }
         DnsStoreImage {
             as_of: SimTime::from_secs(1),
@@ -825,7 +920,7 @@ pub(crate) mod tests {
         let partition = store.partition(shard_of_ip(ip, store.shards())).lock();
         partition
             .lookup_ip(ip)
-            .map(|(name, generation)| (name.as_str().to_string(), generation))
+            .map(|(name, generation)| (store.names.text(name).unwrap().to_string(), generation))
     }
 
     #[test]
@@ -1103,12 +1198,12 @@ pub(crate) mod tests {
                 (names.len() - 1) as u32
             };
             match i % 4 {
-                0 => section.active.push((SnapshotKey::Ip(key), name("a"))),
-                1 => section.inactive.push((SnapshotKey::Ip(key), name("i"))),
-                2 => section.long.push((SnapshotKey::Ip(key), name("l"))),
+                0 => section.active.push_ip(key, name("a")),
+                1 => section.inactive.push_ip(key, name("i")),
+                2 => section.long.push_ip(key, name("l")),
                 _ => {
-                    section.inactive.push((SnapshotKey::Ip(key), name("old")));
-                    section.active.push((SnapshotKey::Ip(key), name("new")));
+                    section.inactive.push_ip(key, name("old"));
+                    section.active.push_ip(key, name("new"));
                 }
             }
             ips.push((ip, shard_of_key(&key, 2) * SPLITS + i as usize % SPLITS));
@@ -1205,7 +1300,7 @@ pub(crate) mod tests {
         let out_of_range = bad.names.len() as u32;
         bad.ip_name[1]
             .long
-            .push((SnapshotKey::Ip(IpKey::V4(0x0A00_0001)), out_of_range));
+            .push_ip(IpKey::V4(0x0A00_0001), out_of_range);
 
         let restored = ShardedStore::new(&config);
         match restored.import_image(&bad, None) {
@@ -1287,9 +1382,7 @@ pub(crate) mod tests {
             resolve_ip(&store, edge),
             Some(("edge7.cdn.example.net".into(), Generation::Inactive))
         );
-        let edge_name = store
-            .names
-            .intern_domain_id(&DomainName::literal("edge7.cdn.example.net"));
+        let edge_name = store.names.intern("edge7.cdn.example.net");
         assert_eq!(
             store.name_cname.read().lookup(&edge_name).map(|(_, g)| g),
             Some(Generation::Active)

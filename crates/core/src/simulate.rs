@@ -21,8 +21,9 @@
 //!
 //! The exact-TTL strawman has no partitioned form and the live correlator
 //! refuses it, so that variant runs on a small arm private to this
-//! module: two [`ExactTtlStore`]s over one name pool, with the same
-//! record filter and chain following as the partitions.
+//! module: two [`ExactTtlStore`]s keyed and valued by [`DomainName`]s
+//! (which share the parsed record's allocation and compare by content),
+//! with the same record filter and chain following as the partitions.
 //!
 //! The simulator emits per-hour samples (CPU%, memory, traffic volume,
 //! correlation rate, loss) — one row per point of the paper's time-series
@@ -31,8 +32,8 @@
 use flowdns_bgp::{AsnReader, AsnView};
 use flowdns_storage::{ExactTtlStore, MemoryEstimate};
 use flowdns_types::{
-    CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, FlowRecord, IpKey, NameInterner,
-    NameRef, RecordType, SimTime,
+    CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, DomainName, FlowRecord, IpKey,
+    RecordType, SimTime,
 };
 
 use crate::config::{CorrelatorConfig, Variant};
@@ -96,21 +97,19 @@ impl SimStore {
     }
 }
 
-/// The Appendix A.8 exact-TTL strawman: one name pool and exact-TTL
-/// IP-NAME and NAME-CNAME stores. A record is usable only until its own
+/// The Appendix A.8 exact-TTL strawman: exact-TTL IP-NAME and
+/// NAME-CNAME stores. A record is usable only until its own
 /// TTL runs out, and a purge walks each whole store every
 /// `exact_ttl_purge_interval` of data time.
 struct ExactTtlArm {
-    names: NameInterner,
-    ip_name: ExactTtlStore<IpKey, NameRef>,
-    name_cname: ExactTtlStore<NameRef, NameRef>,
+    ip_name: ExactTtlStore<IpKey, DomainName>,
+    name_cname: ExactTtlStore<DomainName, DomainName>,
     loop_limit: usize,
 }
 
 impl ExactTtlArm {
     fn new(config: &CorrelatorConfig) -> Self {
         ExactTtlArm {
-            names: NameInterner::new(),
             ip_name: ExactTtlStore::new(config.exact_ttl_purge_interval),
             name_cname: ExactTtlStore::new(config.exact_ttl_purge_interval),
             loop_limit: config.cname_loop_limit,
@@ -127,15 +126,14 @@ impl ExactTtlArm {
         }
         match (&record.rtype, &record.answer) {
             (RecordType::A | RecordType::Aaaa, DnsAnswer::Ip(ip)) => {
-                let value = self.names.intern_domain(&record.query);
+                let value = record.query.clone();
                 self.ip_name
                     .insert(IpKey::from_ip(*ip), value, record.ttl, record.ts);
                 stats.addresses_stored += 1;
             }
             (RecordType::Cname, DnsAnswer::Name(target)) => {
-                let key = self.names.intern_domain(target);
-                let value = self.names.intern_domain(&record.query);
-                self.name_cname.insert(key, value, record.ttl, record.ts);
+                self.name_cname
+                    .insert(target.clone(), record.query.clone(), record.ttl, record.ts);
                 stats.cnames_stored += 1;
             }
             _ => stats.filtered += 1,
@@ -173,9 +171,13 @@ impl ExactTtlArm {
         self.name_cname.maybe_purge(now);
         let outcome = match self.ip_name.lookup(&IpKey::from_ip(flow.key.src_ip), now) {
             Some(first_name) => follow_chain(
+                first_name.clone(),
                 first_name,
                 self.loop_limit,
-                |name| self.name_cname.lookup(name, now),
+                |name| {
+                    let next = self.name_cname.lookup(name, now)?;
+                    Some((next.clone(), next))
+                },
                 |_, _| {},
                 stats,
             ),

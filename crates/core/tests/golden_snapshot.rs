@@ -10,12 +10,14 @@
 //! only if the fixture's *scenario* changes, since the point of the file
 //! is that it was written by an older build.
 
+use std::collections::BTreeSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use std::path::PathBuf;
 
 use flowdns_core::{
     shard_of_dns, shard_of_ip, CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore,
 };
+use flowdns_snapshot::DnsStoreImage;
 use flowdns_types::{DnsRecord, DomainName, SimTime};
 
 const SHARDS: usize = 2;
@@ -62,11 +64,19 @@ fn expected_chains() -> Vec<(IpAddr, Vec<&'static str>)> {
         // and whose second is Active.
         (
             v4(7),
-            vec!["edge7.cdn.example.net", "shop.cdn.example.net", "www.shop.example"],
+            vec![
+                "edge7.cdn.example.net",
+                "shop.cdn.example.net",
+                "www.shop.example",
+            ],
         ),
         (
             v6(7),
-            vec!["edge6.cdn.example.net", "shop.cdn.example.net", "www.shop.example"],
+            vec![
+                "edge6.cdn.example.net",
+                "shop.cdn.example.net",
+                "www.shop.example",
+            ],
         ),
         (v4(8), vec!["old.example.org"]),
         // Active A records, one behind a Long CNAME.
@@ -146,14 +156,54 @@ fn the_scenario_resolves_as_written() {
     }
 }
 
+/// One entry of an image with its names spelled out: section (`None`
+/// for NAME-CNAME), generation (0 Active, 1 Inactive, 2 Long), key and
+/// value.
+type Entry = (Option<usize>, usize, String, String);
+
+/// Every entry of an image, independent of the order its export
+/// numbered the names in.
+fn entry_sets(image: &DnsStoreImage) -> BTreeSet<Entry> {
+    let text = |idx: u32| image.names[idx as usize].to_string();
+    let sections = image
+        .ip_name
+        .iter()
+        .enumerate()
+        .map(|(i, section)| (Some(i), section))
+        .chain([(None, &image.name_cname)]);
+    let mut entries = BTreeSet::new();
+    for (section_idx, section) in sections {
+        for (g, columns) in section.generations().into_iter().enumerate() {
+            for &(bits, value) in &columns.v4 {
+                let key = Ipv4Addr::from(bits).to_string();
+                entries.insert((section_idx, g, key, text(value)));
+            }
+            for &(bytes, value) in &columns.v6 {
+                let key = Ipv6Addr::from(u128::from_le_bytes(bytes)).to_string();
+                entries.insert((section_idx, g, key, text(value)));
+            }
+            for &(key, value) in &columns.names {
+                entries.insert((section_idx, g, text(key), text(value)));
+            }
+        }
+    }
+    entries
+}
+
 #[test]
-fn the_committed_file_imports_and_resolves() {
+fn the_committed_file_imports_resolves_and_round_trips() {
     let bytes = std::fs::read(fixture_path()).expect("fixture present");
     let image = flowdns_snapshot::decode_snapshot(&bytes).expect("fixture decodes");
     assert_eq!(image.shards as usize, SHARDS);
     let store = ShardedStore::new(&config());
     let loaded = store.import_image(&image, None).expect("fixture imports");
     assert_eq!(loaded, image.entry_count());
+    // Export before any resolve memoizes a shortcut.
+    let exported = store.export_image();
+    let again = flowdns_snapshot::decode_snapshot(&flowdns_snapshot::encode_snapshot(&exported))
+        .expect("the export decodes");
+    assert_eq!(entry_sets(&again), entry_sets(&image));
+    assert_eq!(entry_sets(&image).len(), image.entry_count());
     for (ip, chain) in expected_chains() {
         assert_eq!(resolved(&store, ip), chain, "{ip}");
     }

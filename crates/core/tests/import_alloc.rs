@@ -3,7 +3,7 @@
 //! doubling. An image and one four times its size — names, IP entries
 //! and CNAME entries all scaled — must cost the same number of
 //! allocations: a fixed handful of scratch vectors plus one reserve per
-//! interner stripe and per table.
+//! pool stripe (its index and its slot table) and per table.
 //!
 //! The per-name import this gate replaced fails it: its interner stripes
 //! and its NAME-CNAME map grew by doubling as names and entries arrived,
@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flowdns_core::{CorrelatorConfig, ShardedStore};
-use flowdns_snapshot::{DnsStoreImage, SnapshotKey, StoreImage};
+use flowdns_snapshot::{DnsStoreImage, StoreImage};
 use flowdns_types::{IpKey, SimTime};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -107,11 +107,11 @@ fn image(scale: usize) -> DnsStoreImage {
                 } else {
                     IpKey::V4(0x6440_0000 + bits)
                 };
-                let entry = (SnapshotKey::Ip(key), bits % name_count);
+                let name = bits % name_count;
                 match i % 4 {
-                    0 | 1 => section.active.push(entry),
-                    2 => section.inactive.push(entry),
-                    _ => section.long.push(entry),
+                    0 | 1 => section.active.push_ip(key, name),
+                    2 => section.inactive.push_ip(key, name),
+                    _ => section.long.push_ip(key, name),
                 }
             }
             section
@@ -120,11 +120,11 @@ fn image(scale: usize) -> DnsStoreImage {
     let mut name_cname = StoreImage::default();
     clock(&mut name_cname);
     for i in 0..800 * scale as u32 {
-        let entry = (SnapshotKey::Name(i), (i + 1) % name_count);
+        let entry = (i, (i + 1) % name_count);
         match i % 3 {
-            0 => name_cname.active.push(entry),
-            1 => name_cname.inactive.push(entry),
-            _ => name_cname.long.push(entry),
+            0 => name_cname.active.names.push(entry),
+            1 => name_cname.inactive.names.push(entry),
+            _ => name_cname.long.names.push(entry),
         }
     }
     DnsStoreImage {

@@ -11,7 +11,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use flowdns_core::{
     shard_of_dns, shard_of_ip, CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore,
 };
-use flowdns_snapshot::{DnsStoreImage, SnapshotKey, StoreImage};
+use flowdns_snapshot::{DnsStoreImage, StoreImage};
 use flowdns_types::{DnsRecord, DomainName, SimTime};
 use proptest::prelude::*;
 
@@ -94,13 +94,16 @@ fn contents(image: &DnsStoreImage) -> (Vec<Entry>, Vec<Clock>) {
             long,
         } = section;
         clocks.push((*last_clear_ts, *last_seen_ts));
-        for (generation, list) in [(0u8, active), (1, inactive), (2, long)] {
-            for (key, value) in list {
-                let key = match key {
-                    SnapshotKey::Ip(ip) => format!("{ip:?}"),
-                    SnapshotKey::Name(idx) => text(idx),
-                };
-                entries.push((section_idx, generation, key, text(value)));
+        for (generation, columns) in [(0u8, active), (1, inactive), (2, long)] {
+            for (bits, value) in &columns.v4 {
+                entries.push((section_idx, generation, format!("{bits:#x}"), text(value)));
+            }
+            for (bytes, value) in &columns.v6 {
+                let bits = u128::from_le_bytes(*bytes);
+                entries.push((section_idx, generation, format!("{bits:#x}"), text(value)));
+            }
+            for (key, value) in &columns.names {
+                entries.push((section_idx, generation, text(key), text(value)));
             }
         }
     }

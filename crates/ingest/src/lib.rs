@@ -43,6 +43,7 @@
 pub mod buffer_pool;
 pub mod config;
 pub mod dns_listener;
+pub mod kernel_drops;
 pub mod mmsg;
 pub mod netflow_listener;
 pub mod reuseport;

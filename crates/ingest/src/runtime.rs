@@ -28,6 +28,7 @@ use flowdns_types::{FlowDnsError, SimDuration};
 use crate::buffer_pool::{BufferPool, PoolStats};
 use crate::config::DaemonConfig;
 use crate::dns_listener::{self, DnsFeedStats};
+use crate::kernel_drops;
 use crate::netflow_listener::{self, ExporterTable, ListenerCounters};
 use crate::reuseport;
 
@@ -178,6 +179,10 @@ impl IngestRuntime {
                 let _ = reuseport::set_recv_buffer(socket, config.ingest.recv_buffer_bytes);
             }
         }
+        let socket_inodes: Vec<u64> = udp_sockets
+            .iter()
+            .filter_map(kernel_drops::socket_inode)
+            .collect();
         let (tcp_listeners, dns_addr) =
             reuseport::bind_tcp_group(config.ingest.dns_bind, config.ingest.dns_listeners)
                 .map_err(io_err)?;
@@ -221,7 +226,7 @@ impl IngestRuntime {
         // periodic stderr stats and the scrape endpoint both read it.
         let registry = Arc::new(MetricsRegistry::new());
         correlator.register_metrics(&registry);
-        register_ingest_metrics(&registry, &exporters, &dns_stats, &pool);
+        register_ingest_metrics(&registry, &exporters, &dns_stats, &pool, socket_inodes);
         let metrics_server = match config.ingest.metrics_addr {
             Some(addr) => {
                 let health = health_check(&correlator);
@@ -417,12 +422,14 @@ fn health_check(correlator: &Arc<Correlator>) -> HealthCheck {
 /// totals, DNS-feed counters, per-feed totals with the wall-clock
 /// `last_activity_seconds` gauges, and buffer-pool reuse. All closures
 /// over counters the listeners already maintain — registration adds no
-/// hot-path cost.
+/// hot-path cost — except the kernel's receive drops at the NetFlow
+/// sockets (`socket_inodes`), which a scrape reads from `/proc`.
 fn register_ingest_metrics(
     registry: &MetricsRegistry,
     exporters: &Arc<ExporterTable>,
     dns_stats: &Arc<DnsFeedStats>,
     pool: &Arc<BufferPool>,
+    socket_inodes: Vec<u64>,
 ) {
     for i in 0..exporters.listeners() {
         let listener = i.to_string();
@@ -484,6 +491,13 @@ fn register_ingest_metrics(
          address or bytes field, zero bytes, more packets than bytes).",
         &[],
         move || t.totals().skipped_records,
+    );
+    registry.counter_fn(
+        "flowdns_ingest_netflow_kernel_drops_total",
+        "Datagrams the kernel dropped at the NetFlow listeners' sockets (receive buffer \
+         full), the drops column of /proc/net/udp and udp6, read at scrape time.",
+        &[],
+        move || kernel_drops::kernel_drops(&socket_inodes),
     );
     let t = Arc::clone(exporters);
     registry.counter_fn(

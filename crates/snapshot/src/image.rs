@@ -1,12 +1,19 @@
 //! The snapshot *image*: a plain-data picture of one DNS store.
 //!
 //! An image is everything a warm restart needs, decoupled from the live
-//! store types: a deduplicated name table (the interner pool, referenced
-//! by index so each distinct name is stored once, exactly like it is held
+//! store types: a deduplicated name table (the name pool, referenced by
+//! index so each distinct name is stored once, exactly like it is held
 //! once in memory), one generation triple per IP-NAME section (a shard
 //! of the correlator, or a split in older layouts), the NAME-CNAME
 //! triple, and the per-section rotation clocks that let the loader
 //! decide which generations are still within the rotation window.
+//!
+//! In memory a generation is columnar: one vector per key kind (IPv4,
+//! IPv6, name), each reserved to its exact length before it is filled,
+//! so a decoded image costs 8 bytes per IPv4 or NAME-CNAME entry and 20
+//! per IPv6 entry, and leaves no spare capacity behind. On the wire a
+//! generation is still one list of tagged entries (see
+//! [`GenerationColumns`]); the format did not change with the layout.
 //!
 //! `flowdns_core::ShardedStore` builds and consumes these images
 //! (`export_image` / `import_image`); this crate only defines their
@@ -18,51 +25,122 @@ use flowdns_types::{FlowDnsError, IpKey, SimTime};
 
 use crate::wire::{self, Reader};
 
-/// A key of one snapshotted store entry.
+/// Key tag of a NAME-CNAME entry: a name-table index follows.
+const TAG_NAME: u8 = 0;
+/// Key tag of an IPv4 entry: 4 address bytes follow.
+const TAG_V4: u8 = 1;
+/// Key tag of an IPv6 entry: 16 address bytes follow.
+const TAG_V6: u8 = 2;
+
+/// An IPv6 key as its 16 wire bytes (the little-endian `u128` of the
+/// address bits). A `u128` would align every column entry to 16 bytes
+/// and pad it to 32; bytes keep an entry at 20.
+pub type V6Bytes = [u8; 16];
+
+/// One generation's entries, one exactly sized column per key kind.
+/// Every value is an index into [`DnsStoreImage::names`].
 ///
-/// IP-NAME splits key by address bits, the NAME-CNAME store keys by a
-/// name-table index; the tag byte in the encoding keeps the two
-/// self-describing so a mismatched section is a decode error rather than
-/// a misinterpretation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SnapshotKey {
-    /// An IP address key (IP-NAME splits).
-    Ip(IpKey),
-    /// An index into [`DnsStoreImage::names`] (NAME-CNAME store).
-    Name(u32),
+/// The wire form is the entry count, then each entry as a key tag (`1`
+/// IPv4, `2` IPv6, `0` name), the key (4, 16 or 4 bytes) and the value
+/// index (4 bytes). An encoder writes the IPv4 column, then IPv6, then
+/// names; a decoder accepts the kinds in any order and counts them in a
+/// look-ahead pass to reserve each column once.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct GenerationColumns {
+    /// IPv4 entries: address bits and name index.
+    pub v4: Vec<(u32, u32)>,
+    /// IPv6 entries: address bytes and name index.
+    pub v6: Vec<(V6Bytes, u32)>,
+    /// NAME-CNAME entries: key name index and value name index.
+    pub names: Vec<(u32, u32)>,
 }
 
-impl SnapshotKey {
+impl GenerationColumns {
+    /// Entries across the three columns.
+    pub fn len(&self) -> usize {
+        self.v4.len() + self.v6.len() + self.names.len()
+    }
+
+    /// Does the generation hold no entry?
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Append an IP-NAME entry to the column of its address family.
+    pub fn push_ip(&mut self, key: IpKey, name: u32) {
+        match key {
+            IpKey::V4(bits) => self.v4.push((bits, name)),
+            IpKey::V6(bits) => self.v6.push((bits.to_le_bytes(), name)),
+        }
+    }
+
+    /// Every name index the generation references: the values of all
+    /// three columns and the keys of the name column.
+    pub fn name_indices(&self) -> impl Iterator<Item = u32> + '_ {
+        let values = self.v4.iter().map(|&(_, v)| v);
+        let v6 = self.v6.iter().map(|&(_, v)| v);
+        let names = self.names.iter().flat_map(|&(k, v)| [k, v]);
+        values.chain(v6).chain(names)
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            SnapshotKey::Name(idx) => {
-                wire::put_u8(out, 0);
-                wire::put_u32(out, *idx);
-            }
-            SnapshotKey::Ip(IpKey::V4(bits)) => {
-                wire::put_u8(out, 1);
-                wire::put_u32(out, *bits);
-            }
-            SnapshotKey::Ip(IpKey::V6(bits)) => {
-                wire::put_u8(out, 2);
-                wire::put_u128(out, *bits);
-            }
+        wire::put_u32(out, self.len() as u32);
+        for &(bits, value) in &self.v4 {
+            wire::put_u8(out, TAG_V4);
+            wire::put_u32(out, bits);
+            wire::put_u32(out, value);
+        }
+        for (bytes, value) in &self.v6 {
+            wire::put_u8(out, TAG_V6);
+            out.extend_from_slice(bytes);
+            wire::put_u32(out, *value);
+        }
+        for &(key, value) in &self.names {
+            wire::put_u8(out, TAG_NAME);
+            wire::put_u32(out, key);
+            wire::put_u32(out, value);
         }
     }
 
     fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError> {
-        match reader.u8()? {
-            0 => Ok(SnapshotKey::Name(reader.u32()?)),
-            1 => Ok(SnapshotKey::Ip(IpKey::V4(reader.u32()?))),
-            2 => Ok(SnapshotKey::Ip(IpKey::V6(reader.u128()?))),
-            tag => Err(FlowDnsError::Snapshot(format!(
-                "unknown snapshot key tag {tag}"
-            ))),
+        let count = reader.count(MIN_ENTRY_BYTES)?;
+        // Look ahead over the entries to size each column exactly.
+        let mut ahead = reader.clone();
+        let mut kinds = [0usize; 3];
+        for _ in 0..count {
+            let tag = ahead.u8()?;
+            let key_bytes = match tag {
+                TAG_NAME | TAG_V4 => 4,
+                TAG_V6 => 16,
+                tag => {
+                    return Err(FlowDnsError::Snapshot(format!(
+                        "unknown snapshot key tag {tag}"
+                    )))
+                }
+            };
+            kinds[tag as usize] += 1;
+            ahead.skip(key_bytes + 4)?;
         }
+        let mut columns = GenerationColumns {
+            v4: Vec::with_capacity(kinds[TAG_V4 as usize]),
+            v6: Vec::with_capacity(kinds[TAG_V6 as usize]),
+            names: Vec::with_capacity(kinds[TAG_NAME as usize]),
+        };
+        for _ in 0..count {
+            match reader.u8()? {
+                TAG_V4 => columns.v4.push((reader.u32()?, reader.u32()?)),
+                TAG_V6 => columns
+                    .v6
+                    .push((reader.u128()?.to_le_bytes(), reader.u32()?)),
+                // The look-ahead rejected every other tag.
+                _ => columns.names.push((reader.u32()?, reader.u32()?)),
+            }
+        }
+        Ok(columns)
     }
 }
 
-/// One rotating store's state: the three generation maps as entry lists
+/// One rotating store's state: the three generation maps as columns
 /// (key → name-table index) plus the rotation clock.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreImage {
@@ -73,11 +151,11 @@ pub struct StoreImage {
     /// saw a record). Feeds [`DnsStoreImage::as_of`].
     pub last_seen_ts: Option<SimTime>,
     /// The Active generation's entries.
-    pub active: Vec<(SnapshotKey, u32)>,
+    pub active: GenerationColumns,
     /// The Inactive generation's entries.
-    pub inactive: Vec<(SnapshotKey, u32)>,
+    pub inactive: GenerationColumns,
     /// The Long generation's entries.
-    pub long: Vec<(SnapshotKey, u32)>,
+    pub long: GenerationColumns,
 }
 
 /// Smallest possible encoded entry: 1 tag + 4 key + 4 value bytes.
@@ -89,38 +167,28 @@ impl StoreImage {
         self.active.len() + self.inactive.len() + self.long.len()
     }
 
+    /// The Active, Inactive and Long generations, in that order.
+    pub fn generations(&self) -> [&GenerationColumns; 3] {
+        [&self.active, &self.inactive, &self.long]
+    }
+
     fn encode(&self, out: &mut Vec<u8>) {
         encode_opt_ts(out, self.last_clear_ts);
         encode_opt_ts(out, self.last_seen_ts);
-        for generation in [&self.active, &self.inactive, &self.long] {
-            wire::put_u32(out, generation.len() as u32);
-            for (key, value) in generation {
-                key.encode(out);
-                wire::put_u32(out, *value);
-            }
+        for generation in self.generations() {
+            generation.encode(out);
         }
     }
 
     fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError> {
         let last_clear_ts = decode_opt_ts(reader)?;
         let last_seen_ts = decode_opt_ts(reader)?;
-        let mut generations: [Vec<(SnapshotKey, u32)>; 3] = Default::default();
-        for generation in &mut generations {
-            let count = reader.count(MIN_ENTRY_BYTES)?;
-            generation.reserve_exact(count);
-            for _ in 0..count {
-                let key = SnapshotKey::decode(reader)?;
-                let value = reader.u32()?;
-                generation.push((key, value));
-            }
-        }
-        let [active, inactive, long] = generations;
         Ok(StoreImage {
             last_clear_ts,
             last_seen_ts,
-            active,
-            inactive,
-            long,
+            active: GenerationColumns::decode(reader)?,
+            inactive: GenerationColumns::decode(reader)?,
+            long: GenerationColumns::decode(reader)?,
         })
     }
 }
@@ -242,41 +310,27 @@ impl DnsStoreImage {
             ));
         }
         let names = self.names.len() as u32;
-        let check_name = |idx: u32| -> Result<(), FlowDnsError> {
-            if idx >= names {
-                return Err(FlowDnsError::Snapshot(format!(
+        let check_names = |generation: &GenerationColumns| -> Result<(), FlowDnsError> {
+            match generation.name_indices().find(|&idx| idx >= names) {
+                Some(idx) => Err(FlowDnsError::Snapshot(format!(
                     "name index {idx} out of bounds (table has {names} names)"
-                )));
+                ))),
+                None => Ok(()),
             }
-            Ok(())
         };
         for split in &self.ip_name {
-            for (key, value) in split
-                .active
-                .iter()
-                .chain(&split.inactive)
-                .chain(&split.long)
-            {
-                if !matches!(key, SnapshotKey::Ip(_)) {
+            for generation in split.generations() {
+                if !generation.names.is_empty() {
                     return fail("IP-NAME split contains a non-IP key".into());
                 }
-                check_name(*value)?;
+                check_names(generation)?;
             }
         }
-        for (key, value) in self
-            .name_cname
-            .active
-            .iter()
-            .chain(&self.name_cname.inactive)
-            .chain(&self.name_cname.long)
-        {
-            match key {
-                SnapshotKey::Name(idx) => check_name(*idx)?,
-                SnapshotKey::Ip(_) => {
-                    return fail("NAME-CNAME store contains an IP key".into());
-                }
+        for generation in self.name_cname.generations() {
+            if !generation.v4.is_empty() || !generation.v6.is_empty() {
+                return fail("NAME-CNAME store contains an IP key".into());
             }
-            check_name(*value)?;
+            check_names(generation)?;
         }
         Ok(())
     }
@@ -338,25 +392,23 @@ mod tests {
     #[test]
     fn out_of_bounds_name_indices_are_rejected() {
         let mut image = minimal_image();
-        image.ip_name[0]
-            .active
-            .push((SnapshotKey::Ip(IpKey::V4(1)), 7)); // only 1 name in the table
+        image.ip_name[0].active.v4.push((1, 7)); // only 1 name in the table
         assert!(decode_image(&image).is_err());
         let mut image = minimal_image();
-        image.name_cname.long.push((SnapshotKey::Name(9), 0));
+        image.name_cname.long.names.push((9, 0));
         assert!(decode_image(&image).is_err());
     }
 
     #[test]
     fn key_kind_mismatches_are_rejected() {
         let mut image = minimal_image();
-        image.ip_name[1].inactive.push((SnapshotKey::Name(0), 0));
+        image.ip_name[1].inactive.names.push((0, 0));
         assert!(decode_image(&image).is_err());
         let mut image = minimal_image();
-        image
-            .name_cname
-            .active
-            .push((SnapshotKey::Ip(IpKey::V4(1)), 0));
+        image.name_cname.active.v4.push((1, 0));
+        assert!(decode_image(&image).is_err());
+        let mut image = minimal_image();
+        image.name_cname.active.v6.push((1u128.to_le_bytes(), 0));
         assert!(decode_image(&image).is_err());
     }
 
@@ -373,9 +425,7 @@ mod tests {
         let mut image = minimal_image();
         image.shards = 3;
         image.ip_name = (0..6).map(|_| StoreImage::default()).collect();
-        image.ip_name[5]
-            .active
-            .push((SnapshotKey::Ip(IpKey::V4(0xC0A80001)), 0));
+        image.ip_name[5].active.v4.push((0xC0A80001, 0));
         let back = decode_image(&image).unwrap();
         assert_eq!(back.shards, 3);
         assert_eq!(back.ip_name.len(), 6);
@@ -394,6 +444,36 @@ mod tests {
         match decode_image(&image) {
             Err(FlowDnsError::Snapshot(msg)) => assert!(msg.contains("shard"), "{msg}"),
             other => panic!("expected shard mismatch rejection, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn column_entries_stay_small() {
+        assert_eq!(std::mem::size_of::<(u32, u32)>(), 8);
+        assert_eq!(std::mem::size_of::<(V6Bytes, u32)>(), 20);
+    }
+
+    #[test]
+    fn decoding_accepts_interleaved_kinds_and_reserves_exactly() {
+        // A generation whose kinds alternate on the wire, as no encoder
+        // here writes them but the format allows.
+        let mut payload = Vec::new();
+        wire::put_u32(&mut payload, 4);
+        for (tag, key) in [(TAG_V6, 16), (TAG_V4, 4), (TAG_V6, 16), (TAG_V4, 4)] {
+            wire::put_u8(&mut payload, tag);
+            payload.extend(std::iter::repeat(tag).take(key));
+            wire::put_u32(&mut payload, u32::from(tag));
+        }
+        let columns = GenerationColumns::decode(&mut Reader::new(&payload)).unwrap();
+        assert_eq!((columns.v4.len(), columns.v6.len()), (2, 2));
+        assert_eq!((columns.v4.capacity(), columns.v6.capacity()), (2, 2));
+        assert_eq!(columns.v6[0], ([TAG_V6; 16], 2));
+        assert_eq!(columns.v4[1], (u32::from_le_bytes([TAG_V4; 4]), 1));
+        // An unknown tag fails the look-ahead, before any column is filled.
+        payload[4] = 7;
+        match GenerationColumns::decode(&mut Reader::new(&payload)) {
+            Err(FlowDnsError::Snapshot(msg)) => assert!(msg.contains("tag 7"), "{msg}"),
+            other => panic!("expected a tag rejection, got {other:?}"),
         }
     }
 }

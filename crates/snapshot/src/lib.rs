@@ -15,9 +15,9 @@
 //! The crate deliberately knows nothing about live stores or threads: it
 //! only defines the *image* types ([`DnsStoreImage`], [`StoreImage`]) and
 //! the codec ([`write_snapshot`], [`read_snapshot`]). `flowdns-storage`
-//! exports and imports generation images, and `flowdns-core` maps live
-//! [`flowdns_types::NameRef`] handles to and from the image's name
-//! indices and runs the background snapshot thread.
+//! exports and imports generation images, and `flowdns-core` maps pooled
+//! [`flowdns_types::NameId`]s to and from the image's name indices and
+//! runs the background snapshot thread.
 //!
 //! ## File format (version 2)
 //!
@@ -70,7 +70,7 @@
 pub mod image;
 pub mod wire;
 
-pub use image::{DnsStoreImage, SnapshotKey, StoreImage};
+pub use image::{DnsStoreImage, GenerationColumns, StoreImage, V6Bytes};
 
 use std::path::Path;
 
@@ -185,25 +185,29 @@ pub fn part_path(path: &Path) -> std::path::PathBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use flowdns_types::{IpKey, SimTime};
-    use std::net::Ipv4Addr;
+    use flowdns_types::SimTime;
+    use std::net::{Ipv4Addr, Ipv6Addr};
 
     fn sample_image() -> DnsStoreImage {
+        let v6: u128 = "2001:db8::7".parse::<Ipv6Addr>().unwrap().into();
         let ip_split = StoreImage {
             last_clear_ts: Some(SimTime::from_secs(3600)),
             last_seen_ts: Some(SimTime::from_secs(4000)),
-            active: vec![(
-                SnapshotKey::Ip(IpKey::from(Ipv4Addr::new(203, 0, 113, 9))),
-                0,
-            )],
-            long: vec![(
-                SnapshotKey::Ip(IpKey::from_ip("2001:db8::7".parse().unwrap())),
-                1,
-            )],
+            active: GenerationColumns {
+                v4: vec![(Ipv4Addr::new(203, 0, 113, 9).into(), 0)],
+                ..GenerationColumns::default()
+            },
+            long: GenerationColumns {
+                v6: vec![(v6.to_le_bytes(), 1)],
+                ..GenerationColumns::default()
+            },
             ..StoreImage::default()
         };
         let cname = StoreImage {
-            inactive: vec![(SnapshotKey::Name(0), 2)],
+            inactive: GenerationColumns {
+                names: vec![(0, 2)],
+                ..GenerationColumns::default()
+            },
             ..StoreImage::default()
         };
         DnsStoreImage {

@@ -38,8 +38,9 @@ pub fn put_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A bounds-checked cursor over a snapshot payload.
-#[derive(Debug)]
+/// A bounds-checked cursor over a snapshot payload. A clone reads on
+/// from the same position independently (a look-ahead).
+#[derive(Debug, Clone)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -67,6 +68,11 @@ impl<'a> Reader<'a> {
         let slice = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(slice)
+    }
+
+    /// Step over `n` bytes.
+    pub fn skip(&mut self, n: usize) -> Result<(), FlowDnsError> {
+        self.take(n).map(|_| ())
     }
 
     /// Read a `u8`.
@@ -146,6 +152,9 @@ mod tests {
         put_str(&mut buf, "edge7.cdn.example.net");
         put_str(&mut buf, "");
         let mut r = Reader::new(&buf);
+        let mut ahead = r.clone();
+        ahead.skip(1 + 4 + 8).unwrap();
+        assert_eq!(ahead.u128().unwrap(), u128::MAX / 3);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);

@@ -4,25 +4,32 @@
 
 use std::sync::Arc;
 
-use flowdns_snapshot::{decode_snapshot, encode_snapshot, DnsStoreImage, SnapshotKey, StoreImage};
-use flowdns_types::{IpKey, SimTime};
+use flowdns_snapshot::{
+    decode_snapshot, encode_snapshot, DnsStoreImage, GenerationColumns, StoreImage,
+};
+use flowdns_types::SimTime;
 use proptest::prelude::*;
 
-fn ip_entries(names: u32) -> impl Strategy<Value = Vec<(SnapshotKey, u32)>> {
-    proptest::collection::vec(
-        (
-            prop_oneof![
-                any::<u32>().prop_map(|bits| SnapshotKey::Ip(IpKey::V4(bits))),
-                any::<u128>().prop_map(|bits| SnapshotKey::Ip(IpKey::V6(bits))),
-            ],
-            0..names,
-        ),
-        0..20,
+fn ip_entries(names: u32) -> impl Strategy<Value = GenerationColumns> {
+    (
+        proptest::collection::vec((any::<u32>(), 0..names), 0..12),
+        proptest::collection::vec((any::<u128>(), 0..names), 0..8),
     )
+        .prop_map(|(v4, v6)| GenerationColumns {
+            v4,
+            v6: v6
+                .into_iter()
+                .map(|(bits, value)| (bits.to_le_bytes(), value))
+                .collect(),
+            names: Vec::new(),
+        })
 }
 
-fn name_entries(names: u32) -> impl Strategy<Value = Vec<(SnapshotKey, u32)>> {
-    proptest::collection::vec(((0..names).prop_map(SnapshotKey::Name), 0..names), 0..20)
+fn name_entries(names: u32) -> impl Strategy<Value = GenerationColumns> {
+    proptest::collection::vec((0..names, 0..names), 0..20).prop_map(|names| GenerationColumns {
+        names,
+        ..GenerationColumns::default()
+    })
 }
 
 fn opt_ts() -> impl Strategy<Value = Option<SimTime>> {
@@ -32,42 +39,26 @@ fn opt_ts() -> impl Strategy<Value = Option<SimTime>> {
     ]
 }
 
-fn ip_store_image(names: u32) -> impl Strategy<Value = StoreImage> {
-    (
-        opt_ts(),
-        opt_ts(),
-        ip_entries(names),
-        ip_entries(names),
-        ip_entries(names),
+fn store_image<S: Strategy<Value = GenerationColumns>>(
+    generation: impl Fn() -> S,
+) -> impl Strategy<Value = StoreImage> {
+    (opt_ts(), opt_ts(), generation(), generation(), generation()).prop_map(
+        |(last_clear_ts, last_seen_ts, active, inactive, long)| StoreImage {
+            last_clear_ts,
+            last_seen_ts,
+            active,
+            inactive,
+            long,
+        },
     )
-        .prop_map(
-            |(last_clear_ts, last_seen_ts, active, inactive, long)| StoreImage {
-                last_clear_ts,
-                last_seen_ts,
-                active,
-                inactive,
-                long,
-            },
-        )
+}
+
+fn ip_store_image(names: u32) -> impl Strategy<Value = StoreImage> {
+    store_image(move || ip_entries(names))
 }
 
 fn cname_store_image(names: u32) -> impl Strategy<Value = StoreImage> {
-    (
-        opt_ts(),
-        opt_ts(),
-        name_entries(names),
-        name_entries(names),
-        name_entries(names),
-    )
-        .prop_map(
-            |(last_clear_ts, last_seen_ts, active, inactive, long)| StoreImage {
-                last_clear_ts,
-                last_seen_ts,
-                active,
-                inactive,
-                long,
-            },
-        )
+    store_image(move || name_entries(names))
 }
 
 const NAMES: u32 = 8;

@@ -38,13 +38,19 @@
 //! Inactive copy rather than shadowing it, because the shadowed copy can
 //! never be read again — Active answers first until the next rotation,
 //! which replaces Inactive with Active anyway.
+//!
+//! A table hands back everything it lets go of: `insert`, `memoize` and
+//! `restore` return the key and value they did not keep (the displaced
+//! value of an overwrite, or the offered entry when it loses), and
+//! `rotate` passes every entry it drops to a sink. An owner whose keys or
+//! values are counted references — pooled name ids — releases exactly
+//! those, so every reference a table holds is counted once.
 
 use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;
 
-use flowdns_types::intern::for_each_batched;
 use flowdns_types::{SimDuration, SimTime};
 
 use crate::keys::{StoreKey, StoreValue};
@@ -359,75 +365,84 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
     }
 
     /// Store a record: Long if its TTL reaches the clear-up interval (and
-    /// the policy keeps Long maps), Active otherwise.
-    pub fn insert(&mut self, key: K, value: V, ttl: u32) {
+    /// the policy keeps Long maps), Active otherwise. Returns the key and
+    /// the displaced value when the key was already stored there.
+    pub fn insert(&mut self, key: K, value: V, ttl: u32) -> Option<(K, V)> {
         let goes_long = self.policy.long_maps
             && SimDuration::from_secs(ttl as u64) >= self.policy.clear_up_interval;
         if goes_long {
             self.stats.long_inserts += 1;
-            self.put_long(key, value);
+            self.put_long(key, value)
         } else {
             self.stats.active_inserts += 1;
-            self.put_short(key, value, self.epoch);
+            self.put_short(key, value, self.epoch)
         }
     }
 
     /// Store a derived mapping as Active without counting an insert
-    /// (CNAME memoization).
-    pub fn memoize(&mut self, key: K, value: V) {
-        self.put_short(key, value, self.epoch);
+    /// (CNAME memoization). Returns what it displaced, like `insert`.
+    pub fn memoize(&mut self, key: K, value: V) -> Option<(K, V)> {
+        self.put_short(key, value, self.epoch)
     }
 
     /// Put an entry back in the generation it was exported from (after
     /// aging, see [`SectionAge::place`]). An Inactive copy never replaces
     /// an Active entry of the same key, so the order of restores does not
-    /// matter.
-    pub fn restore(&mut self, key: K, value: V, generation: Generation) {
+    /// matter. Returns the key and value the table did not keep: the
+    /// displaced value of an overwrite, or the offered entry itself when
+    /// it loses or its generation is not kept.
+    pub fn restore(&mut self, key: K, value: V, generation: Generation) -> Option<(K, V)> {
         match generation {
             Generation::Long if self.policy.long_maps => self.put_long(key, value),
             Generation::Inactive if self.policy.rotation => {
                 self.put_short(key, value, self.epoch.wrapping_sub(1))
             }
-            Generation::Inactive => {}
+            Generation::Inactive => Some((key, value)),
             Generation::Active | Generation::Long => self.put_short(key, value, self.epoch),
         }
     }
 
-    fn put_short(&mut self, key: K, value: V, tag: u32) {
+    fn put_short(&mut self, key: K, value: V, tag: u32) -> Option<(K, V)> {
         let value_bytes = value.estimate_bytes();
-        match self.short.entry(key) {
+        let displaced = match self.short.entry(key) {
             Entry::Occupied(mut entry) => {
+                let key = entry.key().clone();
                 let slot = entry.get_mut();
                 if slot.epoch == self.epoch {
                     if tag != self.epoch {
                         // A restored Inactive copy loses to the live Active entry.
-                        return;
+                        return Some((key, value));
                     }
                     self.active -= 1;
                 }
                 self.short_payload = self.short_payload - slot.value.estimate_bytes() + value_bytes;
-                *slot = Slot { value, epoch: tag };
+                let old = std::mem::replace(slot, Slot { value, epoch: tag });
+                Some((key, old.value))
             }
             Entry::Vacant(entry) => {
                 self.short_payload += entry.key().estimate_bytes() + value_bytes;
                 entry.insert(Slot { value, epoch: tag });
+                None
             }
-        }
+        };
         if tag == self.epoch {
             self.active += 1;
         }
+        displaced
     }
 
-    fn put_long(&mut self, key: K, value: V) {
+    fn put_long(&mut self, key: K, value: V) -> Option<(K, V)> {
         let value_bytes = value.estimate_bytes();
         match self.long.entry(key) {
             Entry::Occupied(mut entry) => {
                 self.long_payload = self.long_payload - entry.get().estimate_bytes() + value_bytes;
-                entry.insert(value);
+                let key = entry.key().clone();
+                Some((key, entry.insert(value)))
             }
             Entry::Vacant(entry) => {
                 self.long_payload += entry.key().estimate_bytes() + value_bytes;
                 entry.insert(value);
+                None
             }
         }
     }
@@ -448,8 +463,9 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
     }
 
     /// One clear-up: Active becomes Inactive (or is dropped without
-    /// rotation) and the previous Inactive is dropped.
-    pub fn rotate(&mut self) {
+    /// rotation) and the previous Inactive is dropped, each dropped entry
+    /// passing through `dropped`.
+    pub fn rotate(&mut self, mut dropped: impl FnMut(K, V)) {
         if self.policy.rotation {
             self.stats.rotated_entries += self.active as u64;
         }
@@ -465,15 +481,16 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
             return;
         }
         let (epoch, rotation) = (self.epoch, self.policy.rotation);
-        let mut dropped = 0;
+        let mut dropped_bytes = 0;
         self.short.retain(|key, slot| {
             let keep = generation_of(slot.epoch, epoch, rotation).is_some();
             if !keep {
-                dropped += key.estimate_bytes() + slot.value.estimate_bytes();
+                dropped_bytes += key.estimate_bytes() + slot.value.estimate_bytes();
+                dropped(key.clone(), slot.value.clone());
             }
             keep
         });
-        self.short_payload -= dropped;
+        self.short_payload -= dropped_bytes;
     }
 
     /// Visible entries per generation: (active, inactive, long).
@@ -533,7 +550,9 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
 
 /// One [`RotationClock`] driving one [`GenerationTable`]: the clock,
 /// TTL routing, lookup cascade, snapshot image and import aging of one
-/// rotating store.
+/// rotating store. Every mutator passes what the store lets go of —
+/// entries a clear-up drops, and whatever the table does not keep (see
+/// the module docs) — to its `dropped` sink.
 #[derive(Debug)]
 pub struct GenerationStore<K, V> {
     clock: RotationClock,
@@ -551,15 +570,24 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
 
     /// Insert a record observed at `ts`: clear-up check first
     /// (Algorithm 1), then Active or Long by TTL.
-    pub fn insert(&mut self, key: K, value: V, ttl: u32, ts: SimTime) {
-        self.observe_time(ts);
-        self.table.insert(key, value, ttl);
+    pub fn insert(
+        &mut self,
+        key: K,
+        value: V,
+        ttl: u32,
+        ts: SimTime,
+        mut dropped: impl FnMut(K, V),
+    ) {
+        self.observe_time(ts, &mut dropped);
+        if let Some((key, value)) = self.table.insert(key, value, ttl) {
+            dropped(key, value);
+        }
     }
 
     /// Advance the clear-up clock without inserting.
-    pub fn observe_time(&mut self, ts: SimTime) {
+    pub fn observe_time(&mut self, ts: SimTime, dropped: impl FnMut(K, V)) {
         if self.clock.tick(ts) {
-            self.table.rotate();
+            self.table.rotate(dropped);
         }
     }
 
@@ -573,8 +601,10 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
     }
 
     /// Store a derived mapping as Active, bypassing the clock.
-    pub fn memoize(&mut self, key: K, value: V) {
-        self.table.memoize(key, value);
+    pub fn memoize(&mut self, key: K, value: V, mut dropped: impl FnMut(K, V)) {
+        if let Some((key, value)) = self.table.memoize(key, value) {
+            dropped(key, value);
+        }
     }
 
     /// The store's clock.
@@ -602,13 +632,19 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
     /// Load an image exported earlier, aged to `now` (see
     /// [`RotationClock::age_import`]). Entries land on top of the current
     /// contents.
-    pub fn import_image(&mut self, image: GenerationsImage<K, V>, now: SimTime) {
+    pub fn import_image(
+        &mut self,
+        image: GenerationsImage<K, V>,
+        now: SimTime,
+        dropped: impl FnMut(K, V),
+    ) {
         self.import_entries(
             image.last_clear_ts,
             image.last_seen_ts,
             now,
             [&image.active, &image.inactive, &image.long],
             |(key, value)| Some((key.clone(), value.clone())),
+            dropped,
         );
     }
 
@@ -616,10 +652,11 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
     /// form: `generations` lists the Active, Inactive and Long entries,
     /// aged to `now` by the exported clock readings (see
     /// [`RotationClock::age_import`]), and `decode` turns each surviving
-    /// entry into a key and value (`None` skips it), a batch ahead of the
-    /// inserts (see [`for_each_batched`]). The table is reserved once for
-    /// every entry that survives aging, so the import never regrows it.
-    /// Entries land on top of the current contents.
+    /// entry into a key and value (`None` skips it). Entries of a
+    /// generation that aged out are neither decoded nor passed to
+    /// `dropped`. The table is reserved once for every entry that
+    /// survives aging, so the import never regrows it. Entries land on
+    /// top of the current contents.
     pub fn import_entries<T>(
         &mut self,
         last_clear_ts: Option<SimTime>,
@@ -627,6 +664,7 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
         now: SimTime,
         generations: [&[T]; 3],
         mut decode: impl FnMut(&T) -> Option<(K, V)>,
+        mut dropped: impl FnMut(K, V),
     ) {
         let age = self.clock.age_import(last_clear_ts, last_seen_ts, now);
         let policy = self.table.policy();
@@ -645,9 +683,11 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
             let Some(generation) = generation else {
                 continue;
             };
-            for_each_batched(entries.iter().filter_map(&mut decode), |(key, value)| {
-                self.table.restore(key, value, generation)
-            });
+            for (key, value) in entries.iter().filter_map(&mut decode) {
+                if let Some((key, value)) = self.table.restore(key, value, generation) {
+                    dropped(key, value);
+                }
+            }
         }
     }
 }
@@ -669,22 +709,22 @@ mod tests {
     #[test]
     fn one_probe_cascade_and_distinct_counts() {
         let mut store: GenerationStore<u32, String> = GenerationStore::new(policy(100));
-        store.insert(1, "old".into(), 30, SimTime::from_secs(0));
-        store.insert(2, "long".into(), 500, SimTime::from_secs(0));
-        store.observe_time(SimTime::from_secs(100));
+        store.insert(1, "old".into(), 30, SimTime::from_secs(0), |_, _| {});
+        store.insert(2, "long".into(), 500, SimTime::from_secs(0), |_, _| {});
+        store.observe_time(SimTime::from_secs(100), |_, _| {});
         assert_eq!(
             store.lookup(&1),
             Some((&"old".into(), Generation::Inactive))
         );
         // Re-inserting an Inactive key makes it Active and replaces the
         // copy: one entry, not two.
-        store.insert(1, "new".into(), 30, SimTime::from_secs(150));
+        store.insert(1, "new".into(), 30, SimTime::from_secs(150), |_, _| {});
         assert_eq!(store.lookup(&1), Some((&"new".into(), Generation::Active)));
         assert_eq!(store.table().entry_counts(), (1, 0, 1));
         assert_eq!(store.lookup(&2), Some((&"long".into(), Generation::Long)));
         // Two rotations later only Long is left.
-        store.observe_time(SimTime::from_secs(200));
-        store.observe_time(SimTime::from_secs(300));
+        store.observe_time(SimTime::from_secs(200), |_, _| {});
+        store.observe_time(SimTime::from_secs(300), |_, _| {});
         assert_eq!(store.lookup(&1), None);
         assert_eq!(store.table().len(), 1);
         assert_eq!(store.clock().clear_ups(), 3);
@@ -694,24 +734,46 @@ mod tests {
     #[test]
     fn short_map_shadows_long() {
         let mut store: GenerationStore<u32, String> = GenerationStore::new(policy(100));
-        store.insert(7, "long".into(), 500, SimTime::from_secs(0));
-        store.insert(7, "short".into(), 30, SimTime::from_secs(1));
+        store.insert(7, "long".into(), 500, SimTime::from_secs(0), |_, _| {});
+        store.insert(7, "short".into(), 30, SimTime::from_secs(1), |_, _| {});
         assert_eq!(store.lookup(&7).unwrap().1, Generation::Active);
-        store.observe_time(SimTime::from_secs(100));
-        store.observe_time(SimTime::from_secs(200));
+        store.observe_time(SimTime::from_secs(100), |_, _| {});
+        store.observe_time(SimTime::from_secs(200), |_, _| {});
         assert_eq!(store.lookup(&7), Some((&"long".into(), Generation::Long)));
     }
 
     #[test]
     fn inactive_restore_never_replaces_active() {
         let mut table: GenerationTable<u32, String> = GenerationTable::new(policy(100));
-        table.restore(1, "active".into(), Generation::Active);
-        table.restore(1, "inactive".into(), Generation::Inactive);
+        assert_eq!(table.restore(1, "active".into(), Generation::Active), None);
+        // The losing copy is handed back…
+        assert_eq!(
+            table.restore(1, "inactive".into(), Generation::Inactive),
+            Some((1, "inactive".into()))
+        );
         assert_eq!(table.get(&1), Some((&"active".into(), Generation::Active)));
         table.restore(2, "inactive".into(), Generation::Inactive);
-        table.restore(2, "active".into(), Generation::Active);
+        // …and so is the copy a winner displaces.
+        assert_eq!(
+            table.restore(2, "active".into(), Generation::Active),
+            Some((2, "inactive".into()))
+        );
         assert_eq!(table.get(&2), Some((&"active".into(), Generation::Active)));
         assert_eq!(table.entry_counts(), (2, 0, 0));
+    }
+
+    /// The bucket sizes the store's memory rests on: a `HashMap<K, V>`
+    /// bucket is one `(K, V)`, so a pooled name costs 4 bytes in each.
+    #[test]
+    fn buckets_hold_names_as_four_byte_ids() {
+        use flowdns_types::NameId;
+        use std::mem::size_of;
+        // IPv4 Long, and NAME-CNAME Long (name key, name value).
+        assert_eq!(size_of::<(u32, NameId)>(), 8);
+        assert_eq!(size_of::<(NameId, NameId)>(), 8);
+        // IPv4 short: key, value and epoch tag.
+        assert_eq!(size_of::<(u32, Slot<NameId>)>(), 12);
+        assert_eq!(size_of::<(NameId, Slot<NameId>)>(), 12);
     }
 
     #[test]
@@ -753,7 +815,8 @@ mod tests {
 
         /// The O(1) counters agree with a walk of the table after every
         /// step of any insert/memoize/rotate/restore schedule, under every
-        /// policy combination.
+        /// policy combination, and every offered entry is either held or
+        /// handed back exactly once.
         #[test]
         fn counters_match_a_walk(ops in proptest::collection::vec(op(), 0..120), variant in 0u8..4) {
             let mut p = policy(100);
@@ -764,19 +827,30 @@ mod tests {
                 _ => {}
             }
             let mut table: GenerationTable<u32, String> = GenerationTable::new(p);
+            let (mut offered, mut handed_back) = (0usize, 0usize);
             for op in ops {
-                match op {
+                let returned = match op {
                     // Values of varying length so overwrites move the payload.
                     Op::Insert(k, v, long) => {
+                        offered += 1;
                         table.insert(k as u32, "v".repeat(v as usize % 7), if long { 500 } else { 30 })
                     }
-                    Op::Memoize(k, v) => table.memoize(k as u32, "m".repeat(v as usize % 5)),
-                    Op::Rotate => table.rotate(),
-                    Op::Restore(k, v, g) => {
-                        let generation = [Generation::Active, Generation::Inactive, Generation::Long][g as usize];
-                        table.restore(k as u32, "r".repeat(v as usize % 9), generation);
+                    Op::Memoize(k, v) => {
+                        offered += 1;
+                        table.memoize(k as u32, "m".repeat(v as usize % 5))
                     }
-                }
+                    Op::Rotate => {
+                        table.rotate(|_, _| handed_back += 1);
+                        None
+                    }
+                    Op::Restore(k, v, g) => {
+                        offered += 1;
+                        let generation = [Generation::Active, Generation::Inactive, Generation::Long][g as usize];
+                        table.restore(k as u32, "r".repeat(v as usize % 9), generation)
+                    }
+                };
+                handed_back += usize::from(returned.is_some());
+                prop_assert_eq!(offered, table.len() + handed_back);
                 prop_assert_eq!(table.memory(), table.walked_memory());
                 let (a, i, l) = table.entry_counts();
                 let walked = |g| table.iter().filter(|(_, _, x)| *x == g).count();

@@ -1,16 +1,16 @@
 //! Key and value traits of the typed store API.
 //!
 //! The rotating and exact-TTL stores are generic over their key and
-//! value types so the hot IP-NAME path can use compact [`IpKey`]s and
-//! interned [`NameRef`] handles while tests and ablation harnesses keep
-//! using plain strings. Beyond the obvious `Hash + Eq + Clone` bounds,
+//! value types so the hot IP-NAME path can use raw address bits and
+//! pooled [`NameId`]s while tests and ablation harnesses keep using plain
+//! strings and [`DomainName`]s. Beyond the obvious `Hash + Eq + Clone` bounds,
 //! the stores need one extra capability: estimating the bytes an entry
 //! retains, which feeds [`crate::memory::MemoryEstimate`] and the
 //! paper's memory figures.
 
 use std::hash::Hash;
 
-use flowdns_types::{DomainName, IpKey, NameId, NameRef};
+use flowdns_types::{DomainName, IpKey, NameId};
 
 /// A type usable as a store key: hashable, comparable, cheap to clone,
 /// and able to report its retained payload size.
@@ -46,30 +46,19 @@ impl StoreKey for IpKey {
     }
 }
 
-impl StoreKey for NameRef {
-    // Interned handles share one allocation across every clone; charging
-    // the full text length per entry over-counts shared bytes but keeps
-    // the estimate comparable with the string-keyed baseline.
-    fn estimate_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
-impl StoreValue for NameRef {
-    fn estimate_bytes(&self) -> usize {
-        self.len()
-    }
-}
-
+// A pooled id charges nothing here: its text lives in the pool, which
+// counts the text length once per referencing entry
+// (`NameInterner::referenced_bytes`), the figure a table holding its own
+// copy per entry would charge.
 impl StoreKey for NameId {
     fn estimate_bytes(&self) -> usize {
-        self.len()
+        0
     }
 }
 
 impl StoreValue for NameId {
     fn estimate_bytes(&self) -> usize {
-        self.len()
+        0
     }
 }
 
@@ -126,7 +115,11 @@ mod tests {
             key_bytes(&IpKey::from_ip("2001:db8::1".parse().unwrap())),
             16
         );
-        assert_eq!(value_bytes(&NameRef::new("cdn.example")), 11);
+        assert_eq!(
+            value_bytes(&flowdns_types::NameInterner::new().intern("cdn.example")),
+            0
+        );
+        assert_eq!(value_bytes(&DomainName::literal("cdn.example")), 11);
         assert_eq!(key_bytes(&DomainName::literal("a.example")), 9);
         assert_eq!(key_bytes(&7u32), 4);
         assert_eq!(value_bytes(&7u64), 8);

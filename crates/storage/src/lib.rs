@@ -17,8 +17,8 @@
 //!   and from a snapshot,
 //! * [`keys`] — the [`StoreKey`]/[`StoreValue`] traits every store is
 //!   generic over, implemented for compact [`flowdns_types::IpKey`]s,
-//!   interned [`flowdns_types::NameRef`]/[`flowdns_types::NameId`]
-//!   handles, raw address bits and plain strings,
+//!   pooled [`flowdns_types::NameId`]s, raw address bits, domain names
+//!   and plain strings,
 //! * [`exact_ttl`] — [`ExactTtlStore`], the per-record-TTL strawman from
 //!   Appendix A.8, kept for the simulator's ablation arm,
 //! * [`memory`] — byte-level memory accounting used by the resource

@@ -306,30 +306,36 @@ proptest! {
 
     /// The generation store against the model: every lookup returns the
     /// same (value, Generation), the insert/rotation/clear-up counters
-    /// agree after every step, and an export → import round trip at any
-    /// age leaves both with the same lookup table and clock.
+    /// agree after every step, an export → import round trip at any
+    /// age leaves both with the same lookup table and clock, and every
+    /// entry offered to the store is either held or handed to its
+    /// `dropped` sink exactly once.
     #[test]
     fn generation_store_matches_model(ops in proptest::collection::vec(table_op(), 1..60)) {
         for (name, policy) in policies() {
             let mut model = ModelStore::new(policy);
             let mut table: Table = GenerationStore::new(policy);
             let mut now = 0u64;
+            let (mut offered, mut handed_back) = (0usize, 0usize);
             for (i, op) in ops.iter().enumerate() {
+                let mut dropped = |_: u32, _: String| handed_back += 1;
                 let label = format!("{name} step {i} {op:?}");
                 match *op {
                     TableOp::Insert(key, value, ttl, dt) => {
                         now += dt;
                         model.insert(key, format!("v{value}"), ttl, now);
-                        table.insert(key, format!("v{value}"), ttl, SimTime::from_secs(now));
+                        offered += 1;
+                        table.insert(key, format!("v{value}"), ttl, SimTime::from_secs(now), &mut dropped);
                     }
                     TableOp::Memoize(key, value) => {
                         model.memoize(key, format!("m{value}"));
-                        table.memoize(key, format!("m{value}"));
+                        offered += 1;
+                        table.memoize(key, format!("m{value}"), &mut dropped);
                     }
                     TableOp::Observe(dt) => {
                         now += dt;
                         model.observe_time(now);
-                        table.observe_time(SimTime::from_secs(now));
+                        table.observe_time(SimTime::from_secs(now), &mut dropped);
                     }
                     TableOp::Lookup(key) => {
                         let got = table.lookup(&key).map(|(v, g)| (v.clone(), g));
@@ -340,11 +346,15 @@ proptest! {
                         model = ModelStore::import_image(policy, model.export_image(), now);
                         let image = table.export_image();
                         table = GenerationStore::new(policy);
-                        table.import_image(image, SimTime::from_secs(now));
+                        table.import_image(image, SimTime::from_secs(now), |_, _| {});
+                        // Entries of aged-out generations are never
+                        // offered; count from what the import holds.
+                        (offered, handed_back) = (table.table().len(), 0);
                         assert_same_contents(&model, &table, &label);
                     }
                 }
                 assert_same_counters(&model, &table, &label);
+                prop_assert_eq!(offered, table.table().len() + handed_back, "{}", label);
             }
             assert_same_contents(&model, &table, name);
         }

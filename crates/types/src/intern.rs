@@ -1,151 +1,40 @@
-//! Interned domain-name handles.
+//! The name pool: every distinct domain name the stores hold, once, and
+//! the 4-byte ids the stores hold instead of the names.
 //!
-//! The DNS store holds millions of domain-name values, and the same name
-//! recurs constantly (every flow from a CDN edge resolves to the same
-//! handful of names; rotation copies every entry once per interval).
-//! [`NameRef`] is a cheap-to-clone handle over an `Arc<str>` — cloning is
-//! a reference-count bump, like [`ServiceLabel`](crate::ServiceLabel) —
-//! and [`NameInterner`] is a sharded pool that deduplicates handles so
-//! one allocation backs every copy of a name across the Active, Inactive
-//! and Long generations.
+//! The DNS store holds millions of name values, and the same name recurs
+//! constantly (every flow from a CDN edge resolves to the same handful of
+//! names; rotation keeps every entry across two generations). A table
+//! entry therefore holds a [`NameId`] — a `u32` slot number in a
+//! [`NameInterner`] — and the pool holds each text once, as one shared
+//! `Arc<str>`, with a count of the table entries that reference it.
 //!
-//! [`NameId`] is the same handle with *identity* semantics: only a pool
-//! can mint one, and it hashes and compares by allocation address, so a
-//! map keyed by names never reads or hashes their text.
+//! ## Id lifetime
+//!
+//! An id is *held* while it is counted. [`NameInterner::intern`] hands
+//! out an id with one count taken for the caller, who passes it on to a
+//! table or gives it back with [`NameInterner::release`]; a table that
+//! lets an entry go (overwrite, clear-up) releases the ids it held. A
+//! slot whose count reaches 0 stays pooled until the next sweep, which
+//! frees it for reuse by another name — so an uncounted id may later name
+//! a different text, and code that reads an id must hold a count on it or
+//! the lock of a table that does.
 
-use std::borrow::Borrow;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
-use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, RwLock};
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::domain::DomainName;
 
-/// A shared, immutable handle to a normalized domain name.
+/// A pooled name: the number of its slot in one [`NameInterner`].
 ///
-/// Equality and hashing are by *content* (so `NameRef` works as a hashmap
-/// key), with a pointer-identity fast path for the common case where both
-/// handles came out of the same [`NameInterner`].
-#[derive(Debug, Clone)]
-pub struct NameRef(Arc<str>);
-
-impl NameRef {
-    /// Build a handle directly from text, without interning. The text is
-    /// used as-is; callers that need DNS normalization should go through
-    /// [`DomainName`] first.
-    pub fn new(s: &str) -> Self {
-        NameRef(Arc::from(s))
-    }
-
-    /// The name text.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Length of the name in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Is the name empty? (Never true for a handle derived from a parsed
-    /// [`DomainName`].)
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    /// Do two handles share one allocation? True whenever both came from
-    /// the same interner pool.
-    pub fn ptr_eq(a: &NameRef, b: &NameRef) -> bool {
-        Arc::ptr_eq(&a.0, &b.0)
-    }
-
-    /// View the handle as a [`DomainName`] without copying the text. The
-    /// handle must hold a normalized name, which is guaranteed for every
-    /// `NameRef` derived from a `DomainName` (directly or via an
-    /// interner).
-    pub fn to_domain(&self) -> DomainName {
-        DomainName::from_shared(Arc::clone(&self.0))
-    }
-}
-
-impl PartialEq for NameRef {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
-    }
-}
-
-impl Eq for NameRef {}
-
-impl Hash for NameRef {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        // Must agree with `str::hash` so `Borrow<str>` map lookups work.
-        self.0.hash(state)
-    }
-}
-
-impl PartialOrd for NameRef {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for NameRef {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.cmp(&other.0)
-    }
-}
-
-impl Borrow<str> for NameRef {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
-impl AsRef<str> for NameRef {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for NameRef {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&DomainName> for NameRef {
-    /// Share the domain's existing allocation — no copy.
-    fn from(name: &DomainName) -> Self {
-        NameRef(name.shared_str())
-    }
-}
-
-impl From<NameRef> for DomainName {
-    /// Rewrap the shared allocation as a domain name — no copy.
-    fn from(name: NameRef) -> Self {
-        DomainName::from_shared(name.0)
-    }
-}
-
-impl From<NameRef> for Arc<str> {
-    /// The shared allocation itself — no copy.
-    fn from(name: NameRef) -> Self {
-        name.0
-    }
-}
-
-/// The identity of a pooled name: a handle that only a [`NameInterner`]
-/// can construct, hashed and compared by the address of its allocation.
-///
-/// Two ids from one pool are equal exactly when their texts are. The
-/// pool holds one allocation per live text, so equal texts share an
-/// address; and it only purges allocations nobody else references, so an
-/// id — which holds a reference — keeps its allocation (and with it the
-/// address) pooled for as long as the id lives. Ids from *different*
-/// pools are equal only when both pools adopted one allocation (see
-/// [`NameInterner::import_ids`]), which still means equal text; equal
-/// texts from two pools are otherwise unequal ids.
+/// Ids are plain values — 4 bytes, `Copy`, compared and hashed as
+/// integers — so a map keyed by names never reads or hashes their text.
+/// Two ids a pool holds at the same time are equal exactly when their
+/// texts are; the text itself comes from the pool
+/// ([`NameInterner::domain`]). See the [module docs](self) for how long
+/// an id keeps its meaning.
 ///
 /// # Examples
 ///
@@ -153,139 +42,176 @@ impl From<NameRef> for Arc<str> {
 /// use flowdns_types::NameInterner;
 ///
 /// let pool = NameInterner::new();
-/// let a = pool.intern_id("edge7.cdn.example.net");
-/// let b = pool.intern_id("edge7.cdn.example.net");
+/// let a = pool.intern("edge7.cdn.example.net");
+/// let b = pool.intern("edge7.cdn.example.net");
 /// assert_eq!(a, b);
-/// assert_ne!(a, pool.intern_id("edge8.cdn.example.net"));
-/// assert_eq!(a.as_str(), "edge7.cdn.example.net");
+/// assert_ne!(a, pool.intern("edge8.cdn.example.net"));
+/// assert_eq!(pool.domain(a).unwrap().as_str(), "edge7.cdn.example.net");
+/// assert_eq!(std::mem::size_of_val(&a), 4);
 /// ```
-#[derive(Debug, Clone)]
-pub struct NameId(Arc<str>);
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct NameId(u32);
 
-impl NameId {
-    /// The name text.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-
-    /// Length of the name in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Is the name empty?
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-
-    fn address(&self) -> usize {
-        Arc::as_ptr(&self.0) as *const u8 as usize
-    }
-}
-
-impl PartialEq for NameId {
-    fn eq(&self, other: &Self) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for NameId {}
-
-impl Hash for NameId {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        state.write_usize(self.address());
-    }
-}
-
-impl AsRef<str> for NameId {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for NameId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<NameId> for DomainName {
-    /// Rewrap the pooled allocation as a domain name — no copy.
-    fn from(name: NameId) -> Self {
-        DomainName::from_shared(name.0)
-    }
-}
-
-impl From<NameId> for Arc<str> {
-    /// The pooled allocation itself — no copy.
-    fn from(name: NameId) -> Self {
-        name.0
-    }
-}
-
-/// Items [`for_each_batched`] decodes ahead of applying them.
-const DECODE_BATCH: usize = 256;
-
-/// Pull `decoded` a batch at a time and hand each item to `apply`, in
-/// order: a whole batch is decoded before any of it is applied.
-///
-/// Bulk imports decode entries by cloning name handles, and each clone
-/// is an atomic reference-count increment, which x86 holds until every
-/// earlier store has reached the cache. Interleaved with map inserts,
-/// every increment would wait out the previous insert's cache miss;
-/// decoded a batch ahead, the increments run back to back and the
-/// inserts' misses overlap.
-pub fn for_each_batched<E>(mut decoded: impl Iterator<Item = E>, mut apply: impl FnMut(E)) {
-    let mut batch = Vec::with_capacity(DECODE_BATCH);
-    loop {
-        batch.extend(decoded.by_ref().take(DECODE_BATCH));
-        if batch.is_empty() {
-            return;
-        }
-        batch.drain(..).for_each(&mut apply);
-    }
-}
-
-/// Default shard count of the intern pool: lock stripes, so the shard
-/// workers interning names at once rarely meet on one `RwLock`.
+/// Default shard count of the pool: lock stripes, so the shard workers
+/// interning names at once rarely meet on one `RwLock`.
 const DEFAULT_INTERNER_SHARDS: usize = 32;
 
-/// Entries a shard accumulates before it sweeps handles nobody else
-/// references. Keeps the pool bounded by the *live* name population
-/// rather than every name ever seen on a week-long stream.
+/// Names a stripe indexes before it sweeps the unreferenced ones. Keeps
+/// the pool bounded by the *live* name population rather than every name
+/// ever seen on a week-long stream.
 const PURGE_HIGH_WATER: usize = 4096;
 
-/// One lock stripe: the pooled allocations, kept as map keys so an
-/// insert that finds its text already present hands back the pooled key.
-#[derive(Debug, Default)]
-struct Shard {
-    names: HashMap<Arc<str>, ()>,
-    purge_at: usize,
+/// One pooled name: its text (`None` while the slot is free) and the
+/// number of table entries that reference it.
+#[derive(Debug)]
+struct Slot {
+    name: Option<Arc<str>>,
+    refs: AtomicU32,
 }
 
-/// A sharded deduplicating pool of domain-name handles.
+/// One lock stripe: a text → slot index, the slot table, and the slots a
+/// sweep freed for reuse.
+#[derive(Debug)]
+struct Stripe {
+    index: HashMap<Arc<str>, u32>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    purge_at: usize,
+    /// Σ text length × count over the stripe's slots: the name bytes the
+    /// tables would hold if every entry kept its own copy.
+    referenced_bytes: AtomicUsize,
+}
+
+impl Stripe {
+    fn new() -> Self {
+        Stripe {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            purge_at: PURGE_HIGH_WATER,
+            referenced_bytes: AtomicUsize::new(0),
+        }
+    }
+
+    /// The slot of `name`, pooling it as `make()` if it is new. Takes no
+    /// count.
+    fn slot_of(&mut self, name: &str, make: impl FnOnce() -> Arc<str>) -> u32 {
+        if let Some(&slot) = self.index.get(name) {
+            return slot;
+        }
+        let arc = make();
+        let slot = self.occupy(Arc::clone(&arc));
+        self.index.insert(arc, slot);
+        slot
+    }
+
+    /// Put `name` into [`Stripe::next_slot`], uncounted.
+    fn occupy(&mut self, name: Arc<str>) -> u32 {
+        let slot = self.next_slot();
+        let entry = Slot {
+            name: Some(name),
+            refs: AtomicU32::new(0),
+        };
+        match self.free.pop() {
+            Some(_) => self.slots[slot as usize] = entry,
+            None => self.slots.push(entry),
+        }
+        slot
+    }
+
+    /// Free every slot nobody references. Returns how many.
+    fn sweep(&mut self) -> usize {
+        let Stripe {
+            index, slots, free, ..
+        } = self;
+        let before = index.len();
+        index.retain(|_, slot| {
+            let entry = &mut slots[*slot as usize];
+            if *entry.refs.get_mut() > 0 {
+                return true;
+            }
+            entry.name = None;
+            free.push(*slot);
+            false
+        });
+        before - index.len()
+    }
+
+    /// The slot the next new name will occupy.
+    fn next_slot(&self) -> u32 {
+        match self.free.last() {
+            Some(&slot) => slot,
+            None => u32::try_from(self.slots.len()).expect("name pool stripe is full"),
+        }
+    }
+
+    /// The text length of an occupied slot's name, and its count.
+    fn occupied(&self, slot: u32) -> Option<(usize, &AtomicU32)> {
+        let entry = self.slots.get(slot as usize)?;
+        Some((entry.name.as_ref()?.len(), &entry.refs))
+    }
+
+    /// Count one more reference to `slot`.
+    fn retain(&self, slot: u32) {
+        let Some((len, refs)) = self.occupied(slot) else {
+            debug_assert!(false, "retained a free slot");
+            return;
+        };
+        // ordering: counts and byte sums are compared with 0 or summed
+        // only under the stripe's write lock (a sweep) or as an estimate
+        // that tolerates a stale sum; the lock orders them against every
+        // reader that changed them.
+        refs.fetch_add(1, Ordering::Relaxed);
+        // ordering: as for `refs` above.
+        self.referenced_bytes.fetch_add(len, Ordering::Relaxed);
+    }
+
+    /// Give back one reference to `slot`.
+    fn release(&self, slot: u32) {
+        let Some((len, refs)) = self.occupied(slot) else {
+            debug_assert!(false, "released a free slot");
+            return;
+        };
+        // ordering: as in `retain`.
+        let before = refs.fetch_sub(1, Ordering::Relaxed);
+        debug_assert!(before > 0, "name released more often than held");
+        // ordering: as in `retain`.
+        self.referenced_bytes.fetch_sub(len, Ordering::Relaxed);
+    }
+}
+
+/// A sharded deduplicating pool of domain names, numbered by slot.
 ///
-/// `intern` returns the pooled handle for a name, allocating only on
-/// first sight. Shards sweep themselves when they grow past a high-water
-/// mark, dropping entries whose only remaining reference is the pool
-/// itself, so the pool tracks the live population of the stores feeding
-/// from it.
+/// [`NameInterner::intern`] returns a name's id, pooling the text only on
+/// first sight, and counts one reference for the caller. A stripe that
+/// grows past a high-water mark sweeps the slots nobody references and
+/// reuses them, so the pool tracks the live population of the stores
+/// feeding from it. Reading or counting an id takes its stripe's read
+/// lock; only a new name or a sweep takes the write lock.
 ///
 /// # Examples
 ///
 /// ```
-/// use flowdns_types::{NameInterner, NameRef};
+/// use flowdns_types::NameInterner;
 ///
 /// let pool = NameInterner::new();
 /// let a = pool.intern("edge7.cdn.example.net");
 /// let b = pool.intern("edge7.cdn.example.net");
-/// // One allocation backs every copy of a pooled name.
-/// assert!(NameRef::ptr_eq(&a, &b));
+/// // One slot backs every copy of a pooled name…
+/// assert_eq!(a, b);
 /// assert_eq!(pool.len(), 1);
+/// assert_eq!(pool.ref_count(a), 2);
+/// // …and a slot nobody references is freed by the next sweep.
+/// pool.release(a);
+/// pool.release(b);
+/// assert_eq!(pool.purge_unreferenced(), 1);
+/// assert!(pool.is_empty());
 /// ```
 #[derive(Debug)]
 pub struct NameInterner {
-    shards: Vec<RwLock<Shard>>,
+    stripes: Vec<RwLock<Stripe>>,
+    /// Low bits of an id that number its stripe.
+    stripe_bits: u32,
 }
 
 impl Default for NameInterner {
@@ -304,146 +230,218 @@ impl NameInterner {
     pub fn with_shards(shards: usize) -> Self {
         assert!(shards > 0, "interner shard count must be positive");
         NameInterner {
-            shards: (0..shards)
-                .map(|_| {
-                    RwLock::new(Shard {
-                        names: HashMap::new(),
-                        purge_at: PURGE_HIGH_WATER,
-                    })
-                })
-                .collect(),
+            stripes: (0..shards).map(|_| RwLock::new(Stripe::new())).collect(),
+            stripe_bits: usize::BITS - (shards - 1).leading_zeros(),
         }
     }
 
-    fn shard_index(&self, s: &str) -> usize {
+    fn stripe_of(&self, s: &str) -> usize {
         let mut hasher = std::collections::hash_map::DefaultHasher::new();
         s.hash(&mut hasher);
-        (hasher.finish() % self.shards.len() as u64) as usize
+        (hasher.finish() % self.stripes.len() as u64) as usize
     }
 
-    /// The pooled handle for `s`, allocating only if the name is new.
-    pub fn intern(&self, s: &str) -> NameRef {
+    fn id(&self, stripe: usize, slot: u32) -> NameId {
+        NameId(slot << self.stripe_bits | stripe as u32)
+    }
+
+    /// The stripe and slot an id numbers.
+    fn locate(&self, id: NameId) -> (usize, u32) {
+        let mask = (1u32 << self.stripe_bits) - 1;
+        ((id.0 & mask) as usize, id.0 >> self.stripe_bits)
+    }
+
+    fn read(&self, stripe: usize) -> Option<RwLockReadGuard<'_, Stripe>> {
+        let lock = self.stripes.get(stripe)?;
+        Some(lock.read().expect("interner stripe poisoned"))
+    }
+
+    fn write_all(&self) -> Vec<RwLockWriteGuard<'_, Stripe>> {
+        self.stripes
+            .iter()
+            .map(|stripe| stripe.write().expect("interner stripe poisoned"))
+            .collect()
+    }
+
+    /// The id of `s`, pooling a copy of the text if it is new, with one
+    /// count taken for the caller.
+    pub fn intern(&self, s: &str) -> NameId {
         self.intern_with(s, || Arc::from(s))
     }
 
-    /// The pooled handle for a parsed domain name. On first sight the
-    /// pool adopts the domain's existing allocation instead of copying
-    /// the text.
-    pub fn intern_domain(&self, name: &DomainName) -> NameRef {
+    /// The id of a parsed domain name, with one count taken for the
+    /// caller. On first sight the pool adopts the domain's allocation
+    /// instead of copying the text.
+    pub fn intern_domain(&self, name: &DomainName) -> NameId {
         self.intern_with(name.as_str(), || name.shared_str())
     }
 
-    fn intern_with<F: FnOnce() -> Arc<str>>(&self, s: &str, make: F) -> NameRef {
-        let idx = self.shard_index(s);
-        {
-            let shard = self.shards[idx].read().expect("interner shard poisoned");
-            if let Some((existing, ())) = shard.names.get_key_value(s) {
-                return NameRef(Arc::clone(existing));
+    fn intern_with(&self, s: &str, make: impl FnOnce() -> Arc<str>) -> NameId {
+        let stripe = self.stripe_of(s);
+        if let Some(guard) = self.read(stripe) {
+            if let Some(&slot) = guard.index.get(s) {
+                guard.retain(slot);
+                return self.id(stripe, slot);
             }
         }
-        let mut shard = self.shards[idx].write().expect("interner shard poisoned");
-        if let Some((existing, ())) = shard.names.get_key_value(s) {
-            return NameRef(Arc::clone(existing));
+        let lock = &self.stripes[stripe];
+        let mut guard = lock.write().expect("interner stripe poisoned");
+        let slot = guard.slot_of(s, make);
+        *guard.slots[slot as usize].refs.get_mut() += 1;
+        *guard.referenced_bytes.get_mut() += s.len();
+        if guard.index.len() >= guard.purge_at {
+            // The count just taken keeps the new name out of the sweep.
+            guard.sweep();
+            guard.purge_at = (guard.index.len() * 2).max(PURGE_HIGH_WATER);
         }
-        let arc = make();
-        shard.names.insert(Arc::clone(&arc), ());
-        if shard.names.len() >= shard.purge_at {
-            // `arc` above holds a second reference, so the entry we just
-            // inserted survives the sweep.
-            shard.names.retain(|name, ()| Arc::strong_count(name) > 1);
-            shard.purge_at = (shard.names.len() * 2).max(PURGE_HIGH_WATER);
+        self.id(stripe, slot)
+    }
+
+    /// Count one more reference to a held id.
+    pub fn retain(&self, id: NameId) {
+        let (stripe, slot) = self.locate(id);
+        if let Some(guard) = self.read(stripe) {
+            guard.retain(slot);
         }
-        NameRef(arc)
     }
 
-    /// The pooled identity of `s` (see [`NameId`]).
-    pub fn intern_id(&self, s: &str) -> NameId {
-        NameId(self.intern(s).0)
+    /// Give back one reference to `id`. Once its count is 0 the next
+    /// sweep may free the slot, and the id stops naming its text.
+    pub fn release(&self, id: NameId) {
+        let (stripe, slot) = self.locate(id);
+        if let Some(guard) = self.read(stripe) {
+            guard.release(slot);
+        }
     }
 
-    /// The pooled identity of a parsed domain name, adopting its
-    /// allocation on first sight like [`NameInterner::intern_domain`].
-    pub fn intern_domain_id(&self, name: &DomainName) -> NameId {
-        NameId(self.intern_domain(name).0)
+    /// The name a held id stands for, sharing the pool's allocation (a
+    /// reference-count bump, no copy). The pool must have been fed
+    /// normalized names, which holds for every name interned from a
+    /// [`DomainName`]. `None` for an id no slot holds.
+    pub fn domain(&self, id: NameId) -> Option<DomainName> {
+        self.text(id).map(DomainName::from_shared)
     }
 
-    /// Bulk-intern a snapshot's name table, returning the pooled identity
-    /// for each input in order. Every stored entry then resolves its name
-    /// index to the *same* identity, so the dedup invariant (one
-    /// allocation per distinct name) is reconstructed exactly. A name the
-    /// pool does not hold yet is pooled as the given allocation rather
-    /// than copied, so a decoded snapshot's name table becomes the pool's
-    /// with no allocation per name.
+    /// The pooled text of a held id (the pool's own allocation).
+    pub fn text(&self, id: NameId) -> Option<Arc<str>> {
+        let (stripe, slot) = self.locate(id);
+        self.read(stripe)?.slots.get(slot as usize)?.name.clone()
+    }
+
+    /// How many references `id` holds (0 for a free slot).
+    pub fn ref_count(&self, id: NameId) -> u32 {
+        let (stripe, slot) = self.locate(id);
+        self.read(stripe)
+            .and_then(|guard| {
+                let entry = guard.slots.get(slot as usize)?;
+                entry.name.as_ref()?;
+                Some(entry.refs.load(Ordering::Relaxed))
+            })
+            .unwrap_or(0)
+    }
+
+    /// Pool a snapshot's name table, returning each input's id in order,
+    /// each *pinned* with one count until [`NameInterner::settle_import`]
+    /// replaces the pins with the references the tables took. Inputs
+    /// with one text share an id; a text the pool does not hold yet is
+    /// pooled as the given allocation rather than copied, so a decoded
+    /// snapshot's name table becomes the pool's with no allocation per
+    /// name.
     ///
     /// The import is one pass, not one [`NameInterner::intern`] per name:
     /// each text is hashed once to pick its stripe, every stripe's write
-    /// lock is taken once (in index order) and its map reserved to its
-    /// final size, and each name then costs one map insert — one that
-    /// finds the text already pooled, before the call or earlier in the
-    /// same table, returns the pooled allocation instead. The handles'
-    /// reference counts are bumped a batch ahead of the inserts (see
-    /// [`for_each_batched`]). Nothing is swept during the import;
-    /// afterwards each stripe's high-water mark is re-armed at twice its
-    /// size, where the per-name path's sweeps converge, so names the
-    /// stores later drop are still reclaimed.
-    pub fn import_ids(&self, names: &[Arc<str>]) -> Vec<NameId> {
-        let stripes: Vec<usize> = names.iter().map(|name| self.shard_index(name)).collect();
-        let mut shards: Vec<_> = self
-            .shards
-            .iter()
-            .map(|shard| shard.write().expect("interner shard poisoned"))
-            .collect();
-        let mut incoming = vec![0usize; shards.len()];
+    /// lock is taken once (in index order) and its index and slot table
+    /// reserved to their final size, and each name then costs one index
+    /// insert. Nothing is swept during the import; afterwards each
+    /// stripe's high-water mark is re-armed at twice its size, where the
+    /// per-name path's sweeps converge.
+    pub fn import_names(&self, names: &[Arc<str>]) -> Vec<NameId> {
+        let stripes: Vec<usize> = names.iter().map(|name| self.stripe_of(name)).collect();
+        let mut guards = self.write_all();
+        let mut incoming = vec![0usize; guards.len()];
         for &stripe in &stripes {
             incoming[stripe] += 1;
         }
-        for (shard, count) in shards.iter_mut().zip(incoming) {
-            shard.names.reserve(count);
+        for (guard, count) in guards.iter_mut().zip(incoming) {
+            guard.index.reserve(count);
+            let fresh = count.saturating_sub(guard.free.len());
+            guard.slots.reserve_exact(fresh);
         }
-        let mut ids = Vec::with_capacity(names.len());
-        let handles = names
+        let ids = names
             .iter()
             .zip(&stripes)
-            .map(|(name, &stripe)| (stripe, Arc::clone(name), NameId(Arc::clone(name))));
-        for_each_batched(handles, |(stripe, key, id)| {
-            ids.push(match shards[stripe].names.entry(key) {
-                Entry::Occupied(pooled) => NameId(Arc::clone(pooled.key())),
-                Entry::Vacant(slot) => {
-                    slot.insert(());
-                    id
-                }
+            .map(|(name, &stripe)| {
+                let guard: &mut Stripe = &mut guards[stripe];
+                let next = guard.next_slot();
+                let slot = match guard.index.entry(Arc::clone(name)) {
+                    Entry::Occupied(pooled) => *pooled.get(),
+                    Entry::Vacant(vacant) => {
+                        vacant.insert(next);
+                        guard.occupy(Arc::clone(name))
+                    }
+                };
+                *guard.slots[slot as usize].refs.get_mut() += 1;
+                *guard.referenced_bytes.get_mut() += name.len();
+                self.id(stripe, slot)
             })
-        });
-        for shard in &mut shards {
-            shard.purge_at = (shard.names.len() * 2).max(PURGE_HIGH_WATER);
+            .collect();
+        for guard in &mut guards {
+            guard.purge_at = (guard.index.len() * 2).max(PURGE_HIGH_WATER);
         }
         ids
     }
 
-    /// Drop every pooled name whose only reference is the pool itself.
-    /// Returns how many entries were removed.
-    pub fn purge_unreferenced(&self) -> usize {
-        let mut removed = 0;
-        for shard in &self.shards {
-            let mut shard = shard.write().expect("interner shard poisoned");
-            let before = shard.names.len();
-            shard.names.retain(|name, ()| Arc::strong_count(name) > 1);
-            removed += before - shard.names.len();
+    /// Replace the pins of [`NameInterner::import_names`] with the
+    /// references the tables took: `refs[i]` tables entries now hold
+    /// `ids[i]`. Every stripe's write lock is taken once and each count
+    /// is written once, with no atomic operation.
+    pub fn settle_import(&self, ids: &[NameId], refs: &[u32]) {
+        let mut guards = self.write_all();
+        for (&id, &held) in ids.iter().zip(refs) {
+            let (stripe, slot) = self.locate(id);
+            let guard = &mut guards[stripe];
+            let Some(entry) = guard.slots.get_mut(slot as usize) else {
+                continue;
+            };
+            let len = entry.name.as_ref().map_or(0, |name| name.len());
+            let count = entry.refs.get_mut();
+            *count = *count + held - 1;
+            let bytes = guard.referenced_bytes.get_mut();
+            *bytes = *bytes + len * held as usize - len;
         }
-        removed
+    }
+
+    /// Free every pooled name nobody references. Returns how many.
+    pub fn purge_unreferenced(&self) -> usize {
+        self.write_all().iter_mut().map(|guard| guard.sweep()).sum()
     }
 
     /// Number of distinct names currently pooled.
     pub fn len(&self) -> usize {
-        self.shards
+        self.stripes
             .iter()
-            .map(|s| s.read().expect("interner shard poisoned").names.len())
+            .map(|s| s.read().expect("interner stripe poisoned").index.len())
             .sum()
     }
 
     /// Is the pool empty?
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Σ text length × references over every pooled name: the name bytes
+    /// of every table entry, counted per entry as if each held its own
+    /// copy. O(stripes).
+    pub fn referenced_bytes(&self) -> usize {
+        self.stripes
+            .iter()
+            .map(|s| {
+                s.read()
+                    .expect("interner stripe poisoned")
+                    .referenced_bytes
+                    .load(Ordering::Relaxed)
+            })
+            .sum()
     }
 }
 
@@ -452,98 +450,113 @@ mod tests {
     use super::*;
 
     #[test]
-    fn interning_deduplicates_allocations() {
+    fn name_ids_are_four_bytes() {
+        assert_eq!(std::mem::size_of::<NameId>(), 4);
+        assert_eq!(std::mem::size_of::<Option<Arc<str>>>(), 16);
+    }
+
+    #[test]
+    fn interning_deduplicates_and_counts() {
         let pool = NameInterner::new();
         let a = pool.intern("cdn.example.net");
         let b = pool.intern("cdn.example.net");
         assert_eq!(a, b);
-        assert!(NameRef::ptr_eq(&a, &b));
         assert_eq!(pool.len(), 1);
+        assert_eq!(pool.ref_count(a), 2);
+        assert_eq!(pool.referenced_bytes(), 2 * "cdn.example.net".len());
         let c = pool.intern("other.example.net");
         assert_ne!(a, c);
         assert_eq!(pool.len(), 2);
+        pool.release(a);
+        assert_eq!(pool.ref_count(a), 1);
+        assert_eq!(
+            pool.referenced_bytes(),
+            "cdn.example.net".len() + "other.example.net".len()
+        );
     }
 
     #[test]
     fn intern_domain_adopts_the_domain_allocation() {
         let pool = NameInterner::new();
         let domain = DomainName::literal("edge7.cdn.example.net");
-        let handle = pool.intern_domain(&domain);
-        assert_eq!(handle.as_str(), domain.as_str());
-        // The pool adopted the domain's Arc rather than copying it.
-        assert!(Arc::ptr_eq(&domain.shared_str(), &handle.0));
-        // A later plain intern of the same text returns the same handle.
-        assert!(NameRef::ptr_eq(
-            &handle,
-            &pool.intern("edge7.cdn.example.net")
-        ));
+        let id = pool.intern_domain(&domain);
+        // The pool adopted the domain's Arc rather than copying it, and
+        // hands the same allocation back out.
+        assert!(Arc::ptr_eq(&domain.shared_str(), &pool.text(id).unwrap()));
+        assert_eq!(pool.domain(id), Some(domain));
+        assert_eq!(id, pool.intern("edge7.cdn.example.net"));
     }
 
     #[test]
-    fn name_ref_round_trips_to_domain_without_copying() {
-        let domain = DomainName::literal("www.shop.example");
-        let handle = NameRef::from(&domain);
-        assert_eq!(handle.len(), domain.len());
-        assert!(!handle.is_empty());
-        let back: DomainName = handle.clone().into();
-        assert_eq!(back, domain);
-        assert_eq!(handle.to_domain(), domain);
-        assert_eq!(handle.to_string(), "www.shop.example");
-    }
-
-    #[test]
-    fn content_equality_spans_pools() {
-        let a = NameRef::new("svc.example");
-        let b = NameRef::new("svc.example");
-        assert_eq!(a, b);
-        assert!(!NameRef::ptr_eq(&a, &b));
-        use std::collections::HashMap;
-        let mut m: HashMap<NameRef, u32> = HashMap::new();
-        m.insert(a, 7);
-        assert_eq!(m.get("svc.example"), Some(&7));
-        assert_eq!(m.get(&b), Some(&7));
-    }
-
-    #[test]
-    fn purge_drops_only_unreferenced_names() {
+    fn purge_frees_only_unreferenced_slots_and_reuses_them() {
         let pool = NameInterner::with_shards(2);
         let kept = pool.intern("kept.example");
-        let _ = pool.intern("dropped.example");
+        let dropped = pool.intern("dropped.example");
+        pool.release(dropped);
         assert_eq!(pool.len(), 2);
-        let removed = pool.purge_unreferenced();
-        assert_eq!(removed, 1);
+        assert_eq!(pool.purge_unreferenced(), 1);
         assert_eq!(pool.len(), 1);
-        assert!(NameRef::ptr_eq(&kept, &pool.intern("kept.example")));
+        assert_eq!(pool.domain(dropped), None);
+        assert_eq!(kept, pool.intern("kept.example"));
+        // A freed slot is reused by the next name of its stripe.
+        let again = pool.intern("dropped.example");
+        assert_eq!(again, dropped);
+        assert_eq!(pool.domain(again).unwrap().as_str(), "dropped.example");
     }
 
     #[test]
-    fn import_ids_adopts_new_allocations_and_reuses_pooled_ones() {
+    fn ids_encode_stripe_and_slot() {
+        for shards in [1, 2, 3, 32] {
+            let pool = NameInterner::with_shards(shards);
+            let ids: Vec<NameId> = (0..200)
+                .map(|i| pool.intern(&format!("h{i}.example")))
+                .collect();
+            for (i, id) in ids.iter().enumerate() {
+                let text = format!("h{i}.example");
+                assert_eq!(pool.locate(*id).0, pool.stripe_of(&text));
+                assert_eq!(&*pool.text(*id).unwrap(), text);
+            }
+        }
+    }
+
+    #[test]
+    fn import_adopts_new_allocations_and_reuses_pooled_ones() {
         let pool = NameInterner::with_shards(4);
-        let pooled = pool.intern_id("old.example");
+        let pooled = pool.intern("old.example");
         let table: Vec<Arc<str>> = vec!["new.example".into(), "old.example".into()];
-        let ids = pool.import_ids(&table);
+        let ids = pool.import_names(&table);
         // A new name is pooled as the table's own allocation…
-        assert!(Arc::ptr_eq(&Arc::from(ids[0].clone()), &table[0]));
+        assert!(Arc::ptr_eq(&pool.text(ids[0]).unwrap(), &table[0]));
         // …and a pooled one resolves to the pool's.
         assert_eq!(ids[1], pooled);
-        assert!(!Arc::ptr_eq(&Arc::from(ids[1].clone()), &table[1]));
-        assert_eq!(ids[0], pool.intern_id("new.example"));
+        assert!(!Arc::ptr_eq(&pool.text(ids[1]).unwrap(), &table[1]));
         assert_eq!(pool.len(), 2);
+        // Each id is pinned until the import settles.
+        assert_eq!((pool.ref_count(ids[0]), pool.ref_count(ids[1])), (1, 2));
+        pool.settle_import(&ids, &[3, 0]);
+        assert_eq!((pool.ref_count(ids[0]), pool.ref_count(ids[1])), (3, 1));
+        assert_eq!(
+            pool.referenced_bytes(),
+            3 * "new.example".len() + "old.example".len()
+        );
     }
 
     #[test]
-    fn import_ids_pools_a_repeated_text_once() {
+    fn import_pools_a_repeated_text_once() {
         let pool = NameInterner::with_shards(4);
         let table: Vec<Arc<str>> = vec![
             "dup.example".into(),
             "other.example".into(),
             "dup.example".into(),
         ];
-        let ids = pool.import_ids(&table);
+        let ids = pool.import_names(&table);
         assert_eq!(ids[0], ids[2]);
         // The first occurrence is pooled; the second resolves to it.
-        assert!(Arc::ptr_eq(&Arc::from(ids[2].clone()), &table[0]));
+        assert!(Arc::ptr_eq(&pool.text(ids[2]).unwrap(), &table[0]));
         assert_eq!(pool.len(), 2);
+        pool.settle_import(&ids, &[1, 0, 1]);
+        assert_eq!(pool.ref_count(ids[0]), 2);
+        assert_eq!(pool.purge_unreferenced(), 1);
     }
 
     fn host_table(prefix: &str, count: usize) -> Vec<Arc<str>> {
@@ -556,10 +569,13 @@ mod tests {
     fn bulk_import_keeps_every_name_past_the_high_water_mark() {
         let pool = NameInterner::with_shards(1);
         let table = host_table("host", 3 * PURGE_HIGH_WATER);
-        let ids = pool.import_ids(&table);
+        let ids = pool.import_names(&table);
         assert_eq!(pool.len(), table.len());
         for (id, name) in ids.iter().zip(&table) {
-            assert!(Arc::ptr_eq(&id.0, name), "{name} was copied");
+            assert!(
+                Arc::ptr_eq(&pool.text(*id).unwrap(), name),
+                "{name} was copied"
+            );
         }
     }
 
@@ -567,26 +583,29 @@ mod tests {
     fn high_water_sweep_resumes_after_a_bulk_import() {
         let pool = NameInterner::with_shards(1);
         let imported = 3 * PURGE_HIGH_WATER;
-        drop(pool.import_ids(&host_table("host", imported)));
-        // Nothing references the imported names any more. The mark is
-        // re-armed at twice the stripe's size, so the stripe doubles…
+        let ids = pool.import_names(&host_table("host", imported));
+        // No table took the imported names.
+        pool.settle_import(&ids, &vec![0; ids.len()]);
+        // The mark is re-armed at twice the stripe's size, so the stripe
+        // doubles…
         for name in host_table("fresh", imported - 1) {
-            let _ = pool.intern(&name);
+            pool.release(pool.intern(&name));
         }
         assert_eq!(pool.len(), 2 * imported - 1);
-        // …and the intern that reaches the mark sweeps every handle.
+        // …and the intern that reaches the mark sweeps every other name.
         let kept = pool.intern("last.example");
         assert_eq!(pool.len(), 1);
-        assert!(NameRef::ptr_eq(&kept, &pool.intern("last.example")));
+        assert_eq!(kept, pool.intern("last.example"));
     }
 
     #[test]
     fn high_water_sweep_keeps_the_pool_bounded() {
         let pool = NameInterner::with_shards(1);
         for i in 0..3 * PURGE_HIGH_WATER {
-            // Handles are dropped immediately, so sweeps reclaim them.
-            let _ = pool.intern(&format!("host{i}.example"));
+            // Every id is released at once, so sweeps reclaim it.
+            pool.release(pool.intern(&format!("host{i}.example")));
         }
         assert!(pool.len() < PURGE_HIGH_WATER + 2);
+        assert_eq!(pool.referenced_bytes(), 0);
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! This crate defines the vocabulary types that every other crate in the
 //! workspace speaks: timestamps ([`SimTime`]), domain names
-//! ([`DomainName`]), compact IP map keys ([`IpKey`]), interned name
-//! handles ([`NameRef`] / [`NameId`] / [`NameInterner`]), DNS records as seen by the
+//! ([`DomainName`]), compact IP map keys ([`IpKey`]), the name pool and
+//! its 4-byte ids ([`NameInterner`] / [`NameId`]), DNS records as seen by the
 //! correlator ([`DnsRecord`]), network flow records ([`FlowRecord`]),
 //! correlation output ([`CorrelatedRecord`]), and the common error type
 //! ([`FlowDnsError`]).
@@ -35,7 +35,7 @@ pub use domain::{DomainName, DomainParseError};
 pub use error::FlowDnsError;
 pub use flow::{FlowDirection, FlowKey, FlowRecord, Protocol};
 pub use ids::{StreamId, StreamKind, WorkerId};
-pub use intern::{NameId, NameInterner, NameRef};
+pub use intern::{NameId, NameInterner};
 pub use key::IpKey;
 pub use record::{DnsAnswer, DnsRecord, RecordType};
 pub use service::{CorrelatedRecord, CorrelationOutcome, ResolvedName, ServiceLabel};

@@ -3,14 +3,15 @@
 //! * `IpKey` must round-trip every IPv4 and IPv6 address exactly and
 //!   preserve equality/inequality of the underlying addresses.
 //! * `NameInterner` must be a pure deduplicator: interning never changes
-//!   the text, equal texts share one allocation, distinct texts do not
-//!   compare equal.
-//! * `NameId` identity must coincide with text equality for every pair of
-//!   ids alive together, whatever was interned, dropped or purged before.
+//!   the text, equal texts share one slot, distinct texts do not compare
+//!   equal.
+//! * `NameId` equality must coincide with text equality for every pair of
+//!   held ids, whatever was interned, released or purged before, and a
+//!   held id must keep its text.
 
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 
-use flowdns_types::{DomainName, IpKey, NameInterner, NameRef};
+use flowdns_types::{DomainName, IpKey, NameInterner};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -70,14 +71,14 @@ proptest! {
         let text = labels.join(".");
         let first = pool.intern(&text);
         let second = pool.intern(&text);
-        prop_assert_eq!(first.as_str(), text.as_str());
-        prop_assert_eq!(&first, &second);
-        prop_assert!(NameRef::ptr_eq(&first, &second));
+        prop_assert_eq!(&*pool.text(first).unwrap(), text.as_str());
+        prop_assert_eq!(first, second);
         prop_assert_eq!(pool.len(), 1);
-        // Interning via a parsed DomainName yields the same pooled handle.
+        // Interning via a parsed DomainName yields the same pooled id.
         let domain = DomainName::literal(&text);
-        prop_assert!(NameRef::ptr_eq(&first, &pool.intern_domain(&domain)));
+        prop_assert_eq!(first, pool.intern_domain(&domain));
         prop_assert_eq!(pool.len(), 1);
+        prop_assert_eq!(pool.ref_count(first), 3);
     }
 
     #[test]
@@ -90,9 +91,10 @@ proptest! {
         prop_assert_eq!(pool.len(), if a == b { 1 } else { 2 });
     }
 
-    /// `NameId` compares allocation addresses; that is only sound if
-    /// address equality is text equality for every pair of ids alive at
-    /// the same time, across interning, dropping and purging.
+    /// `NameId` compares slot numbers; that is only sound if slot
+    /// equality is text equality for every pair of ids held at the same
+    /// time, across interning, releasing and purging (which reuses
+    /// slots).
     #[test]
     fn name_id_equality_is_text_equality(ops in proptest::collection::vec(id_op(), 1..80)) {
         use std::hash::BuildHasher;
@@ -101,13 +103,13 @@ proptest! {
         let mut live: Vec<flowdns_types::NameId> = Vec::new();
         for op in ops {
             match op {
-                IdOp::Intern(text) => live.push(pool.intern_id(&format!("n{text}.example"))),
+                IdOp::Intern(text) => live.push(pool.intern(&format!("n{text}.example"))),
                 IdOp::InternDomain(text) => live.push(
-                    pool.intern_domain_id(&DomainName::literal(&format!("n{text}.example"))),
+                    pool.intern_domain(&DomainName::literal(&format!("n{text}.example"))),
                 ),
                 IdOp::Drop(at) => {
                     if !live.is_empty() {
-                        live.swap_remove(at % live.len());
+                        pool.release(live.swap_remove(at % live.len()));
                     }
                 }
                 IdOp::Purge => {
@@ -116,7 +118,8 @@ proptest! {
             }
             for a in &live {
                 for b in &live {
-                    prop_assert_eq!(a == b, a.as_str() == b.as_str(), "{} vs {}", a, b);
+                    let (ta, tb) = (pool.text(*a).unwrap(), pool.text(*b).unwrap());
+                    prop_assert_eq!(a == b, ta == tb, "{} vs {}", ta, tb);
                     if a == b {
                         prop_assert_eq!(hasher.hash_one(a), hasher.hash_one(b));
                     }
@@ -126,11 +129,12 @@ proptest! {
     }
 
     #[test]
-    fn name_ref_domain_round_trip(labels in proptest::collection::vec(proptest::string::string_regex("[a-z0-9]{1,8}").unwrap(), 1..5)) {
+    fn pooled_domain_round_trip(labels in proptest::collection::vec(proptest::string::string_regex("[a-z0-9]{1,8}").unwrap(), 1..5)) {
+        let pool = NameInterner::new();
         let domain = DomainName::literal(&labels.join("."));
-        let handle = NameRef::from(&domain);
-        let back: DomainName = handle.clone().into();
+        let back = pool.domain(pool.intern_domain(&domain)).unwrap();
         prop_assert_eq!(&back, &domain);
-        prop_assert_eq!(handle.as_str(), domain.as_str());
+        // The pool adopted the domain's allocation and hands it back.
+        prop_assert!(std::ptr::eq(back.as_str(), domain.as_str()));
     }
 }

@@ -8,7 +8,7 @@
 //! public API of every workspace member under one roof:
 //!
 //! * [`types`] — shared record and time types, plus the typed store keys
-//!   ([`types::IpKey`], interned [`types::NameRef`] handles),
+//!   ([`types::IpKey`], pooled [`types::NameId`]s),
 //! * [`dns`] — RFC 1035 wire codec, validation and resolver-feed framing,
 //! * [`netflow`] — NetFlow v5/v9 and IPFIX-subset codecs,
 //! * [`stream`] — bounded lossy stream buffers and pacing,
@@ -29,7 +29,7 @@
 //!
 //! The store API is typed end to end: the correlator keys its IP-NAME
 //! maps by [`types::IpKey`] (raw address bits, never a formatted string)
-//! and stores names as interned [`types::NameRef`] handles, so feeding
+//! and stores names as 4-byte [`types::NameId`]s into one name pool, so feeding
 //! it records is allocation-free on the hot path. Ingress accepts single
 //! records (`push_dns` / `push_flow`) or whole batches:
 //!

@@ -268,6 +268,18 @@ fn run_live_ingest(correlator_shards: usize) {
     assert_eq!(dns_routed.iter().sum::<u64>(), 4);
     assert_eq!(flow_routed.iter().sum::<u64>(), 4);
 
+    // The kernel dropped nothing at the NetFlow sockets, and says so.
+    let scrape = rt.registry().snapshot();
+    let kernel_drops = "flowdns_ingest_netflow_kernel_drops_total";
+    assert!(
+        scrape
+            .series
+            .iter()
+            .any(|series| series.name == kernel_drops),
+        "{kernel_drops} is not served"
+    );
+    assert_eq!(scrape.counter(kernel_drops), 0);
+
     let report = rt.shutdown().expect("clean shutdown");
 
     // ≥ 1 correlated enriched record produced from bytes that entered via
