@@ -19,9 +19,8 @@
 //! a different text, and code that reads an id must hold a count on it or
 //! the lock of a table that does.
 
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::collections::hash_map::RandomState;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -61,19 +60,31 @@ const DEFAULT_INTERNER_SHARDS: usize = 32;
 /// ever seen on a week-long stream.
 const PURGE_HIGH_WATER: usize = 4096;
 
-/// One pooled name: its text (`None` while the slot is free) and the
-/// number of table entries that reference it.
+/// An empty entry of a stripe's index.
+const EMPTY: u32 = u32::MAX;
+
+/// One pooled name: its text (`None` while the slot is free), the high
+/// half of its text hash (its tag, which places it in the index), and
+/// the number of table entries that reference it. 24 bytes.
 #[derive(Debug)]
 struct Slot {
     name: Option<Arc<str>>,
+    tag: u32,
     refs: AtomicU32,
 }
 
-/// One lock stripe: a text → slot index, the slot table, and the slots a
-/// sweep freed for reuse.
+/// One lock stripe: the slot table, the slots a sweep freed for reuse,
+/// and an index of the occupied slots by text hash.
+///
+/// The index is open-addressed and linearly probed, 4 bytes an entry and
+/// at most half full, so a probe sequence always ends at an empty entry.
+/// An entry holds only a slot number; the slot's tag and text confirm a
+/// match. A sweep rebuilds it in place from the surviving slots.
 #[derive(Debug)]
 struct Stripe {
-    index: HashMap<Arc<str>, u32>,
+    index: Vec<u32>,
+    /// Occupied slots.
+    live: usize,
     slots: Vec<Slot>,
     free: Vec<u32>,
     purge_at: usize,
@@ -82,10 +93,21 @@ struct Stripe {
     referenced_bytes: AtomicUsize,
 }
 
+/// Put `slot` at the first empty entry of `tag`'s probe sequence.
+fn place(index: &mut [u32], tag: u32, slot: u32) {
+    let mask = index.len() - 1;
+    let mut pos = tag as usize & mask;
+    while index[pos] != EMPTY {
+        pos = (pos + 1) & mask;
+    }
+    index[pos] = slot;
+}
+
 impl Stripe {
     fn new() -> Self {
         Stripe {
-            index: HashMap::new(),
+            index: Vec::new(),
+            live: 0,
             slots: Vec::new(),
             free: Vec::new(),
             purge_at: PURGE_HIGH_WATER,
@@ -93,56 +115,92 @@ impl Stripe {
         }
     }
 
-    /// The slot of `name`, pooling it as `make()` if it is new. Takes no
-    /// count.
-    fn slot_of(&mut self, name: &str, make: impl FnOnce() -> Arc<str>) -> u32 {
-        if let Some(&slot) = self.index.get(name) {
-            return slot;
+    /// The slot holding `name`, whose hash tag is `tag`.
+    fn find(&self, tag: u32, name: &str) -> Option<u32> {
+        let mask = self.index.len().checked_sub(1)?;
+        let mut pos = tag as usize & mask;
+        loop {
+            let slot = *self.index.get(pos)?;
+            if slot == EMPTY {
+                return None;
+            }
+            let entry = self.slots.get(slot as usize)?;
+            if entry.tag == tag && entry.name.as_deref() == Some(name) {
+                return Some(slot);
+            }
+            pos = (pos + 1) & mask;
         }
-        let arc = make();
-        let slot = self.occupy(Arc::clone(&arc));
-        self.index.insert(arc, slot);
-        slot
     }
 
-    /// Put `name` into [`Stripe::next_slot`], uncounted.
-    fn occupy(&mut self, name: Arc<str>) -> u32 {
-        let slot = self.next_slot();
+    /// Make room in the index for `more` names beyond the live ones.
+    fn reserve(&mut self, more: usize) {
+        let needed = ((self.live + more) * 2).next_power_of_two().max(16);
+        if needed > self.index.len() {
+            self.rebuild(needed);
+        }
+    }
+
+    /// Re-place every occupied slot in an index of `capacity` entries.
+    fn rebuild(&mut self, capacity: usize) {
+        if capacity == self.index.len() {
+            self.index.fill(EMPTY);
+        } else {
+            self.index = vec![EMPTY; capacity];
+        }
+        for (slot, entry) in self.slots.iter().enumerate() {
+            if entry.name.is_some() {
+                place(&mut self.index, entry.tag, slot as u32);
+            }
+        }
+    }
+
+    /// The slot of `name`, pooling it as `make()` if it is new. Takes no
+    /// count.
+    fn slot_of(&mut self, tag: u32, name: &str, make: impl FnOnce() -> Arc<str>) -> u32 {
+        match self.find(tag, name) {
+            Some(slot) => slot,
+            None => self.occupy(tag, make()),
+        }
+    }
+
+    /// Pool `name` in a free slot, or a new one, uncounted.
+    fn occupy(&mut self, tag: u32, name: Arc<str>) -> u32 {
+        self.reserve(1);
         let entry = Slot {
             name: Some(name),
+            tag,
             refs: AtomicU32::new(0),
         };
-        match self.free.pop() {
-            Some(_) => self.slots[slot as usize] = entry,
-            None => self.slots.push(entry),
-        }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                u32::try_from(self.slots.len() - 1).expect("name pool stripe is full")
+            }
+        };
+        place(&mut self.index, tag, slot);
+        self.live += 1;
         slot
     }
 
     /// Free every slot nobody references. Returns how many.
     fn sweep(&mut self) -> usize {
-        let Stripe {
-            index, slots, free, ..
-        } = self;
-        let before = index.len();
-        index.retain(|_, slot| {
-            let entry = &mut slots[*slot as usize];
-            if *entry.refs.get_mut() > 0 {
-                return true;
+        let mut freed = 0;
+        for (slot, entry) in self.slots.iter_mut().enumerate() {
+            if entry.name.is_some() && *entry.refs.get_mut() == 0 {
+                entry.name = None;
+                self.free.push(slot as u32);
+                freed += 1;
             }
-            entry.name = None;
-            free.push(*slot);
-            false
-        });
-        before - index.len()
-    }
-
-    /// The slot the next new name will occupy.
-    fn next_slot(&self) -> u32 {
-        match self.free.last() {
-            Some(&slot) => slot,
-            None => u32::try_from(self.slots.len()).expect("name pool stripe is full"),
         }
+        if freed > 0 {
+            self.live -= freed;
+            self.rebuild(self.index.len());
+        }
+        freed
     }
 
     /// The text length of an occupied slot's name, and its count.
@@ -212,6 +270,9 @@ pub struct NameInterner {
     stripes: Vec<RwLock<Stripe>>,
     /// Low bits of an id that number its stripe.
     stripe_bits: u32,
+    /// Keyed text hash: its low bits pick a name's stripe, its high half
+    /// is the name's tag in the stripe's index.
+    hasher: RandomState,
 }
 
 impl Default for NameInterner {
@@ -232,13 +293,15 @@ impl NameInterner {
         NameInterner {
             stripes: (0..shards).map(|_| RwLock::new(Stripe::new())).collect(),
             stripe_bits: usize::BITS - (shards - 1).leading_zeros(),
+            hasher: RandomState::new(),
         }
     }
 
-    fn stripe_of(&self, s: &str) -> usize {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        s.hash(&mut hasher);
-        (hasher.finish() % self.stripes.len() as u64) as usize
+    /// The stripe of a text and its tag there: one hash of the text.
+    fn stripe_of(&self, s: &str) -> (usize, u32) {
+        let hash = self.hasher.hash_one(s);
+        let stripe = (hash % self.stripes.len() as u64) as usize;
+        (stripe, (hash >> 32) as u32)
     }
 
     fn id(&self, stripe: usize, slot: u32) -> NameId {
@@ -277,22 +340,22 @@ impl NameInterner {
     }
 
     fn intern_with(&self, s: &str, make: impl FnOnce() -> Arc<str>) -> NameId {
-        let stripe = self.stripe_of(s);
+        let (stripe, tag) = self.stripe_of(s);
         if let Some(guard) = self.read(stripe) {
-            if let Some(&slot) = guard.index.get(s) {
+            if let Some(slot) = guard.find(tag, s) {
                 guard.retain(slot);
                 return self.id(stripe, slot);
             }
         }
         let lock = &self.stripes[stripe];
         let mut guard = lock.write().expect("interner stripe poisoned");
-        let slot = guard.slot_of(s, make);
+        let slot = guard.slot_of(tag, s, make);
         *guard.slots[slot as usize].refs.get_mut() += 1;
         *guard.referenced_bytes.get_mut() += s.len();
-        if guard.index.len() >= guard.purge_at {
+        if guard.live >= guard.purge_at {
             // The count just taken keeps the new name out of the sweep.
             guard.sweep();
-            guard.purge_at = (guard.index.len() * 2).max(PURGE_HIGH_WATER);
+            guard.purge_at = (guard.live * 2).max(PURGE_HIGH_WATER);
         }
         self.id(stripe, slot)
     }
@@ -349,50 +412,43 @@ impl NameInterner {
     /// name.
     ///
     /// The import is one pass, not one [`NameInterner::intern`] per name:
-    /// each text is hashed once to pick its stripe, every stripe's write
-    /// lock is taken once (in index order) and its index and slot table
-    /// reserved to their final size, and each name then costs one index
-    /// insert. Nothing is swept during the import; afterwards each
+    /// each text is hashed once for its stripe and index position, every
+    /// stripe's write lock is taken once (in index order) and its index
+    /// and slot table reserved to their final size, and each name then
+    /// costs one index probe. Nothing is swept during the import; afterwards each
     /// stripe's high-water mark is re-armed at twice its size, where the
     /// per-name path's sweeps converge.
     pub fn import_names(&self, names: &[Arc<str>]) -> Vec<NameId> {
-        let stripes: Vec<usize> = names.iter().map(|name| self.stripe_of(name)).collect();
+        let placed: Vec<(usize, u32)> = names.iter().map(|name| self.stripe_of(name)).collect();
         let mut guards = self.write_all();
         let mut incoming = vec![0usize; guards.len()];
-        for &stripe in &stripes {
+        for &(stripe, _) in &placed {
             incoming[stripe] += 1;
         }
         for (guard, count) in guards.iter_mut().zip(incoming) {
-            guard.index.reserve(count);
+            guard.reserve(count);
             let fresh = count.saturating_sub(guard.free.len());
             guard.slots.reserve_exact(fresh);
         }
         let ids = names
             .iter()
-            .zip(&stripes)
-            .map(|(name, &stripe)| {
-                let guard: &mut Stripe = &mut guards[stripe];
-                let next = guard.next_slot();
-                let slot = match guard.index.entry(Arc::clone(name)) {
-                    Entry::Occupied(pooled) => *pooled.get(),
-                    Entry::Vacant(vacant) => {
-                        vacant.insert(next);
-                        guard.occupy(Arc::clone(name))
-                    }
-                };
+            .zip(&placed)
+            .map(|(name, &(stripe, tag))| {
+                let guard = &mut guards[stripe];
+                let slot = guard.slot_of(tag, name, || Arc::clone(name));
                 *guard.slots[slot as usize].refs.get_mut() += 1;
                 *guard.referenced_bytes.get_mut() += name.len();
                 self.id(stripe, slot)
             })
             .collect();
         for guard in &mut guards {
-            guard.purge_at = (guard.index.len() * 2).max(PURGE_HIGH_WATER);
+            guard.purge_at = (guard.live * 2).max(PURGE_HIGH_WATER);
         }
         ids
     }
 
     /// Replace the pins of [`NameInterner::import_names`] with the
-    /// references the tables took: `refs[i]` tables entries now hold
+    /// references the tables took: `refs[i]` table entries now hold
     /// `ids[i]`. Every stripe's write lock is taken once and each count
     /// is written once, with no atomic operation.
     pub fn settle_import(&self, ids: &[NameId], refs: &[u32]) {
@@ -420,7 +476,7 @@ impl NameInterner {
     pub fn len(&self) -> usize {
         self.stripes
             .iter()
-            .map(|s| s.read().expect("interner stripe poisoned").index.len())
+            .map(|s| s.read().expect("interner stripe poisoned").live)
             .sum()
     }
 
@@ -513,7 +569,7 @@ mod tests {
                 .collect();
             for (i, id) in ids.iter().enumerate() {
                 let text = format!("h{i}.example");
-                assert_eq!(pool.locate(*id).0, pool.stripe_of(&text));
+                assert_eq!(pool.locate(*id).0, pool.stripe_of(&text).0);
                 assert_eq!(&*pool.text(*id).unwrap(), text);
             }
         }
