@@ -344,16 +344,17 @@ impl ShardPartition {
             inactive: columns(v4.1, v6.1),
             long: columns(v4.2, v6.2),
         };
-        for (&bits, &name, generation) in self.v4.iter() {
+        let v4 = self
+            .v4
+            .iter()
+            .map(|(&bits, &name, g)| (IpKey::V4(bits), name, g));
+        let v6 = self
+            .v6
+            .iter()
+            .map(|(&bits, &name, g)| (IpKey::V6(bits), name, g));
+        for (key, name, generation) in v4.chain(v6) {
             if let Some(idx) = table.index_of(name) {
-                columns_mut(&mut section, generation).v4.push((bits, idx));
-            }
-        }
-        for (&bits, &name, generation) in self.v6.iter() {
-            if let Some(idx) = table.index_of(name) {
-                columns_mut(&mut section, generation)
-                    .v6
-                    .push((bits.to_le_bytes(), idx));
+                columns_mut(&mut section, generation).push_ip(key, idx);
             }
         }
         section

@@ -71,7 +71,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Step over `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), FlowDnsError> {
+    pub(crate) fn skip(&mut self, n: usize) -> Result<(), FlowDnsError> {
         self.take(n).map(|_| ())
     }
 
