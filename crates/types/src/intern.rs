@@ -508,7 +508,7 @@ mod tests {
     #[test]
     fn name_ids_are_four_bytes() {
         assert_eq!(std::mem::size_of::<NameId>(), 4);
-        assert_eq!(std::mem::size_of::<Option<Arc<str>>>(), 16);
+        assert_eq!(std::mem::size_of::<Slot>(), 24);
     }
 
     #[test]
