@@ -57,7 +57,7 @@ use flowdns_storage::{
 };
 use flowdns_types::{
     CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, FlowDnsError, FlowRecord, IpKey,
-    NameId, NameInterner, RecordType, SimDuration, SimTime,
+    NameId, NameImport, NameInterner, RecordType, SimDuration, SimTime,
 };
 use parking_lot::{Mutex, RwLock};
 
@@ -371,7 +371,7 @@ impl ShardPartition {
     fn import_sections(
         &mut self,
         sections: &[StoreImage],
-        import: &mut NameImport,
+        import: &mut NameImport<'_>,
         displaced: &mut Vec<NameId>,
         now: SimTime,
     ) {
@@ -587,7 +587,8 @@ impl ShardedStore {
     /// section, and the clocks. Each partition is locked in turn for one
     /// pass over its tables that encodes its entries into exactly sized
     /// columns, and the NAME-CNAME store is read-locked for its pass, so
-    /// every id is read while a table holds it; this runs from a
+    /// every id is first read while a table holds it, and the name table
+    /// counts it from then until the export ends; this runs from a
     /// background thread while workers keep processing.
     pub fn export_image(&self) -> DnsStoreImage {
         let mut table = NameTable::new(&self.names);
@@ -633,7 +634,7 @@ impl ShardedStore {
             shards: self.partitions.len() as u32,
             a_interval_secs: self.config.a_clear_up_interval.as_secs(),
             c_interval_secs: self.config.c_clear_up_interval.as_secs(),
-            names: table.names,
+            names: table.into_names(),
             ip_name,
             name_cname,
         }
@@ -714,7 +715,7 @@ impl ShardedStore {
         // count its references, and the counts replace the pins in one
         // pass once every table is loaded.
         // Ids the tables did not keep are released after the settle.
-        let mut import = NameImport::new(self.names.import_names(&image.names));
+        let mut import = self.names.import_names(&image.names);
         let mut displaced = Vec::new();
         let before = self.total_entries();
         for (partition, sections) in self.partitions.iter().zip(image.ip_name.chunks(per_shard)) {
@@ -731,34 +732,11 @@ impl ShardedStore {
             |&(key, value)| Some((import.take(key)?, import.take(value)?)),
             |key, value| displaced.extend([key, value]),
         );
-        self.names.settle_import(&import.ids, &import.refs);
+        import.settle();
         for name in displaced {
             self.names.release(name);
         }
         Ok(self.total_entries().saturating_sub(before))
-    }
-}
-
-/// The name side of one import: the pooled id of every image name index
-/// and the table references taken per index.
-struct NameImport {
-    ids: Vec<NameId>,
-    refs: Vec<u32>,
-}
-
-impl NameImport {
-    fn new(ids: Vec<NameId>) -> Self {
-        NameImport {
-            refs: vec![0; ids.len()],
-            ids,
-        }
-    }
-
-    /// The id of name index `idx`, counting one table reference to it.
-    fn take(&mut self, idx: u32) -> Option<NameId> {
-        let id = *self.ids.get(idx as usize)?;
-        self.refs[idx as usize] += 1;
-        Some(id)
     }
 }
 
@@ -768,7 +746,12 @@ impl NameImport {
 /// name.
 ///
 /// The table holds the pool's own allocations, not copies: exporting a
-/// store allocates nothing per name.
+/// store allocates nothing per name. It also holds one count on every id
+/// it has indexed, from first sight until it is dropped: an export locks
+/// one table at a time, so without that count a name whose last entry
+/// went after its table was exported could be swept and its slot reused
+/// by another name before a later table is read, and the cached index
+/// would then give the new name the old text.
 struct NameTable<'a> {
     pool: &'a NameInterner,
     names: Vec<Arc<str>>,
@@ -788,14 +771,30 @@ impl<'a> NameTable<'a> {
     }
 
     /// The index of a held id, or `None` if the pool does not know it.
+    /// Counts one reference to an id on first sight.
     fn index_of(&mut self, name: NameId) -> Option<u32> {
         if let Some(&idx) = self.index.get(&name) {
             return Some(idx);
         }
         let idx = self.names.len() as u32;
         self.names.push(self.pool.text(name)?);
+        self.pool.retain(name);
         self.index.insert(name, idx);
         Some(idx)
+    }
+
+    /// The table's names, in index order.
+    fn into_names(mut self) -> Vec<Arc<str>> {
+        std::mem::take(&mut self.names)
+    }
+}
+
+impl Drop for NameTable<'_> {
+    /// Give back the count taken on every indexed id.
+    fn drop(&mut self) {
+        for &name in self.index.keys() {
+            self.pool.release(name);
+        }
     }
 }
 
@@ -1125,6 +1124,29 @@ pub(crate) mod tests {
         });
         assert_eq!(a.total(), 8);
         assert_eq!(a.addresses_stored, 4);
+    }
+
+    #[test]
+    fn export_name_table_keeps_indexed_names_from_reuse() {
+        let pool = NameInterner::with_shards(1);
+        let x = pool.intern("x.example");
+        let mut table = NameTable::new(&pool);
+        let x_idx = table.index_of(x).unwrap();
+        // The last table entry holding X goes while the export runs, and
+        // a sweep follows before the next name is interned.
+        pool.release(x);
+        assert_eq!(pool.purge_unreferenced(), 0);
+        let y = pool.intern("y.example");
+        assert_ne!(y, x, "Y took the slot of a name the export indexed");
+        let y_idx = table.index_of(y).unwrap();
+        assert_ne!(y_idx, x_idx);
+        let names = table.into_names();
+        assert_eq!(&*names[x_idx as usize], "x.example");
+        assert_eq!(&*names[y_idx as usize], "y.example");
+        // The table's counts end with it.
+        assert_eq!(pool.ref_count(y), 1);
+        pool.release(y);
+        assert_eq!(pool.purge_unreferenced(), 2);
     }
 
     #[test]

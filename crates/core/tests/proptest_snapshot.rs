@@ -96,11 +96,21 @@ fn contents(image: &DnsStoreImage) -> (Vec<Entry>, Vec<Clock>) {
         clocks.push((*last_clear_ts, *last_seen_ts));
         for (generation, columns) in [(0u8, active), (1, inactive), (2, long)] {
             for (bits, value) in &columns.v4 {
-                entries.push((section_idx, generation, format!("{bits:#x}"), text(value)));
+                entries.push((
+                    section_idx,
+                    generation,
+                    format!("v4:{bits:#x}"),
+                    text(value),
+                ));
             }
             for (bytes, value) in &columns.v6 {
                 let bits = u128::from_le_bytes(*bytes);
-                entries.push((section_idx, generation, format!("{bits:#x}"), text(value)));
+                entries.push((
+                    section_idx,
+                    generation,
+                    format!("v6:{bits:#x}"),
+                    text(value),
+                ));
             }
             for (key, value) in &columns.names {
                 entries.push((section_idx, generation, text(key), text(value)));

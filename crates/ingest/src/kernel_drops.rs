@@ -8,20 +8,29 @@
 //! overload that never reached a listener.
 
 use std::net::UdpSocket;
-use std::os::fd::AsRawFd;
 
 /// The kernel tables of UDP sockets, IPv4 and IPv6.
+#[cfg(target_os = "linux")]
 const TABLES: [&str; 2] = ["/proc/net/udp", "/proc/net/udp6"];
 
 /// The inode of a socket, from its `/proc/self/fd` link
 /// (`socket:[<inode>]`). `None` where `/proc` is unavailable.
+#[cfg(target_os = "linux")]
 pub fn socket_inode(socket: &UdpSocket) -> Option<u64> {
+    use std::os::fd::AsRawFd;
     let link = std::fs::read_link(format!("/proc/self/fd/{}", socket.as_raw_fd())).ok()?;
     link.to_str()?
         .strip_prefix("socket:[")?
         .strip_suffix(']')?
         .parse()
         .ok()
+}
+
+/// The inode of a socket: `None` off Linux, where no `/proc` tables
+/// exist.
+#[cfg(not(target_os = "linux"))]
+pub fn socket_inode(_socket: &UdpSocket) -> Option<u64> {
+    None
 }
 
 /// Summed `drops` of the rows of one `/proc/net/udp`-format table whose
@@ -43,12 +52,20 @@ pub fn drops_in_table(table: &str, inodes: &[u64]) -> u64 {
 
 /// Datagrams the kernel dropped at the sockets with these inodes, read
 /// from both UDP tables now.
+#[cfg(target_os = "linux")]
 pub fn kernel_drops(inodes: &[u64]) -> u64 {
     TABLES
         .iter()
         .filter_map(|path| std::fs::read_to_string(path).ok())
         .map(|table| drops_in_table(&table, inodes))
         .sum()
+}
+
+/// Datagrams the kernel dropped at these sockets: 0 off Linux, where the
+/// kernel keeps no such tables.
+#[cfg(not(target_os = "linux"))]
+pub fn kernel_drops(_inodes: &[u64]) -> u64 {
+    0
 }
 
 #[cfg(test)]

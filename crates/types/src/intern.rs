@@ -403,13 +403,13 @@ impl NameInterner {
             .unwrap_or(0)
     }
 
-    /// Pool a snapshot's name table, returning each input's id in order,
-    /// each *pinned* with one count until [`NameInterner::settle_import`]
-    /// replaces the pins with the references the tables took. Inputs
-    /// with one text share an id; a text the pool does not hold yet is
-    /// pooled as the given allocation rather than copied, so a decoded
-    /// snapshot's name table becomes the pool's with no allocation per
-    /// name.
+    /// Pool a snapshot's name table for an import. Each input gets an id,
+    /// pinned with one count until [`NameImport::settle`] replaces the
+    /// pins with the references the tables took through
+    /// [`NameImport::take`]. Inputs with one text share an id; a text the
+    /// pool does not hold yet is pooled as the given allocation rather
+    /// than copied, so a decoded snapshot's name table becomes the pool's
+    /// with no allocation per name.
     ///
     /// The import is one pass, not one [`NameInterner::intern`] per name:
     /// each text is hashed once for its stripe and index position, every
@@ -418,7 +418,7 @@ impl NameInterner {
     /// costs one index probe. Nothing is swept during the import; afterwards each
     /// stripe's high-water mark is re-armed at twice its size, where the
     /// per-name path's sweeps converge.
-    pub fn import_names(&self, names: &[Arc<str>]) -> Vec<NameId> {
+    pub fn import_names(&self, names: &[Arc<str>]) -> NameImport<'_> {
         let placed: Vec<(usize, u32)> = names.iter().map(|name| self.stripe_of(name)).collect();
         let mut guards = self.write_all();
         let mut incoming = vec![0usize; guards.len()];
@@ -430,7 +430,7 @@ impl NameInterner {
             let fresh = count.saturating_sub(guard.free.len());
             guard.slots.reserve_exact(fresh);
         }
-        let ids = names
+        let ids: Vec<NameId> = names
             .iter()
             .zip(&placed)
             .map(|(name, &(stripe, tag))| {
@@ -444,26 +444,10 @@ impl NameInterner {
         for guard in &mut guards {
             guard.purge_at = (guard.live * 2).max(PURGE_HIGH_WATER);
         }
-        ids
-    }
-
-    /// Replace the pins of [`NameInterner::import_names`] with the
-    /// references the tables took: `refs[i]` table entries now hold
-    /// `ids[i]`. Every stripe's write lock is taken once and each count
-    /// is written once, with no atomic operation.
-    pub fn settle_import(&self, ids: &[NameId], refs: &[u32]) {
-        let mut guards = self.write_all();
-        for (&id, &held) in ids.iter().zip(refs) {
-            let (stripe, slot) = self.locate(id);
-            let guard = &mut guards[stripe];
-            let Some(entry) = guard.slots.get_mut(slot as usize) else {
-                continue;
-            };
-            let len = entry.name.as_ref().map_or(0, |name| name.len());
-            let count = entry.refs.get_mut();
-            *count = *count + held - 1;
-            let bytes = guard.referenced_bytes.get_mut();
-            *bytes = *bytes + len * held as usize - len;
+        NameImport {
+            pool: self,
+            refs: vec![0; ids.len()],
+            ids,
         }
     }
 
@@ -498,6 +482,56 @@ impl NameInterner {
                     .load(Ordering::Relaxed)
             })
             .sum()
+    }
+}
+
+/// A snapshot's name table pooled by [`NameInterner::import_names`]: the
+/// id of every image name index, each pinned with one count, and the
+/// table references taken per index so far.
+///
+/// The tables take ids with [`NameImport::take`], which counts nothing
+/// in the pool; [`NameImport::settle`] then writes each name's final
+/// count once. Until it settles, every imported name is pinned and no
+/// sweep frees it.
+#[derive(Debug)]
+pub struct NameImport<'a> {
+    pool: &'a NameInterner,
+    ids: Vec<NameId>,
+    refs: Vec<u32>,
+}
+
+impl NameImport<'_> {
+    /// The id of image name index `idx`, counting one table reference to
+    /// it. `None` for an index past the name table.
+    pub fn take(&mut self, idx: u32) -> Option<NameId> {
+        let id = *self.ids.get(idx as usize)?;
+        self.refs[idx as usize] += 1;
+        Some(id)
+    }
+
+    /// The id of image name index `idx`, counting nothing.
+    pub fn id(&self, idx: u32) -> Option<NameId> {
+        self.ids.get(idx as usize).copied()
+    }
+
+    /// Replace the pins with the references the tables took: each name's
+    /// count becomes its count before the import plus its takes. Every
+    /// stripe's write lock is taken once and each count is written once,
+    /// with no atomic operation.
+    pub fn settle(self) {
+        let mut guards = self.pool.write_all();
+        for (&id, &held) in self.ids.iter().zip(&self.refs) {
+            let (stripe, slot) = self.pool.locate(id);
+            let guard = &mut guards[stripe];
+            let Some(entry) = guard.slots.get_mut(slot as usize) else {
+                continue;
+            };
+            let len = entry.name.as_ref().map_or(0, |name| name.len());
+            let count = entry.refs.get_mut();
+            *count = *count + held - 1;
+            let bytes = guard.referenced_bytes.get_mut();
+            *bytes = *bytes + len * held as usize - len;
+        }
     }
 }
 
@@ -580,16 +614,23 @@ mod tests {
         let pool = NameInterner::with_shards(4);
         let pooled = pool.intern("old.example");
         let table: Vec<Arc<str>> = vec!["new.example".into(), "old.example".into()];
-        let ids = pool.import_names(&table);
+        let mut import = pool.import_names(&table);
+        let ids = [import.id(0).unwrap(), import.id(1).unwrap()];
+        assert_eq!(import.id(2), None);
         // A new name is pooled as the table's own allocation…
         assert!(Arc::ptr_eq(&pool.text(ids[0]).unwrap(), &table[0]));
         // …and a pooled one resolves to the pool's.
         assert_eq!(ids[1], pooled);
         assert!(!Arc::ptr_eq(&pool.text(ids[1]).unwrap(), &table[1]));
         assert_eq!(pool.len(), 2);
-        // Each id is pinned until the import settles.
+        // Each id is pinned until the import settles; takes count only
+        // in the handle.
+        for _ in 0..3 {
+            assert_eq!(import.take(0), Some(ids[0]));
+        }
+        assert_eq!(import.take(2), None);
         assert_eq!((pool.ref_count(ids[0]), pool.ref_count(ids[1])), (1, 2));
-        pool.settle_import(&ids, &[3, 0]);
+        import.settle();
         assert_eq!((pool.ref_count(ids[0]), pool.ref_count(ids[1])), (3, 1));
         assert_eq!(
             pool.referenced_bytes(),
@@ -605,13 +646,16 @@ mod tests {
             "other.example".into(),
             "dup.example".into(),
         ];
-        let ids = pool.import_names(&table);
-        assert_eq!(ids[0], ids[2]);
+        let mut import = pool.import_names(&table);
+        let dup = import.id(0).unwrap();
+        assert_eq!(import.id(2), Some(dup));
         // The first occurrence is pooled; the second resolves to it.
-        assert!(Arc::ptr_eq(&pool.text(ids[2]).unwrap(), &table[0]));
+        assert!(Arc::ptr_eq(&pool.text(dup).unwrap(), &table[0]));
         assert_eq!(pool.len(), 2);
-        pool.settle_import(&ids, &[1, 0, 1]);
-        assert_eq!(pool.ref_count(ids[0]), 2);
+        import.take(0);
+        import.take(2);
+        import.settle();
+        assert_eq!(pool.ref_count(dup), 2);
         assert_eq!(pool.purge_unreferenced(), 1);
     }
 
@@ -625,11 +669,12 @@ mod tests {
     fn bulk_import_keeps_every_name_past_the_high_water_mark() {
         let pool = NameInterner::with_shards(1);
         let table = host_table("host", 3 * PURGE_HIGH_WATER);
-        let ids = pool.import_names(&table);
+        let import = pool.import_names(&table);
         assert_eq!(pool.len(), table.len());
-        for (id, name) in ids.iter().zip(&table) {
+        for (idx, name) in table.iter().enumerate() {
+            let id = import.id(idx as u32).unwrap();
             assert!(
-                Arc::ptr_eq(&pool.text(*id).unwrap(), name),
+                Arc::ptr_eq(&pool.text(id).unwrap(), name),
                 "{name} was copied"
             );
         }
@@ -639,9 +684,8 @@ mod tests {
     fn high_water_sweep_resumes_after_a_bulk_import() {
         let pool = NameInterner::with_shards(1);
         let imported = 3 * PURGE_HIGH_WATER;
-        let ids = pool.import_names(&host_table("host", imported));
-        // No table took the imported names.
-        pool.settle_import(&ids, &vec![0; ids.len()]);
+        // No table takes the imported names.
+        pool.import_names(&host_table("host", imported)).settle();
         // The mark is re-armed at twice the stripe's size, so the stripe
         // doubles…
         for name in host_table("fresh", imported - 1) {

@@ -35,7 +35,7 @@ pub use domain::{DomainName, DomainParseError};
 pub use error::FlowDnsError;
 pub use flow::{FlowDirection, FlowKey, FlowRecord, Protocol};
 pub use ids::{StreamId, StreamKind, WorkerId};
-pub use intern::{NameId, NameInterner};
+pub use intern::{NameId, NameImport, NameInterner};
 pub use key::IpKey;
 pub use record::{DnsAnswer, DnsRecord, RecordType};
 pub use service::{CorrelatedRecord, CorrelationOutcome, ResolvedName, ServiceLabel};
