@@ -51,8 +51,8 @@ use crate::domain::DomainName;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct NameId(u32);
 
-/// Default shard count of the pool: lock stripes, so the shard workers
-/// interning names at once rarely meet on one `RwLock`.
+/// Default shard count of the pool: lock stripes, which spread the shard
+/// workers' per-record pool calls over 32 `RwLock`s.
 const DEFAULT_INTERNER_SHARDS: usize = 32;
 
 /// Names a stripe indexes before it sweeps the unreferenced ones. Keeps
@@ -509,11 +509,6 @@ impl NameImport<'_> {
         Some(id)
     }
 
-    /// The id of image name index `idx`, counting nothing.
-    pub fn id(&self, idx: u32) -> Option<NameId> {
-        self.ids.get(idx as usize).copied()
-    }
-
     /// Replace the pins with the references the tables took: each name's
     /// count becomes its count before the import plus its takes. Every
     /// stripe's write lock is taken once and each count is written once,
@@ -615,26 +610,24 @@ mod tests {
         let pooled = pool.intern("old.example");
         let table: Vec<Arc<str>> = vec!["new.example".into(), "old.example".into()];
         let mut import = pool.import_names(&table);
-        let ids = [import.id(0).unwrap(), import.id(1).unwrap()];
-        assert_eq!(import.id(2), None);
+        let fresh = import.take(0).unwrap();
+        assert_eq!(import.take(1), Some(pooled));
+        assert_eq!(import.take(2), None);
         // A new name is pooled as the table's own allocation…
-        assert!(Arc::ptr_eq(&pool.text(ids[0]).unwrap(), &table[0]));
+        assert!(Arc::ptr_eq(&pool.text(fresh).unwrap(), &table[0]));
         // …and a pooled one resolves to the pool's.
-        assert_eq!(ids[1], pooled);
-        assert!(!Arc::ptr_eq(&pool.text(ids[1]).unwrap(), &table[1]));
+        assert!(!Arc::ptr_eq(&pool.text(pooled).unwrap(), &table[1]));
         assert_eq!(pool.len(), 2);
         // Each id is pinned until the import settles; takes count only
         // in the handle.
-        for _ in 0..3 {
-            assert_eq!(import.take(0), Some(ids[0]));
-        }
-        assert_eq!(import.take(2), None);
-        assert_eq!((pool.ref_count(ids[0]), pool.ref_count(ids[1])), (1, 2));
+        import.take(0);
+        import.take(0);
+        assert_eq!((pool.ref_count(fresh), pool.ref_count(pooled)), (1, 2));
         import.settle();
-        assert_eq!((pool.ref_count(ids[0]), pool.ref_count(ids[1])), (3, 1));
+        assert_eq!((pool.ref_count(fresh), pool.ref_count(pooled)), (3, 2));
         assert_eq!(
             pool.referenced_bytes(),
-            3 * "new.example".len() + "old.example".len()
+            3 * "new.example".len() + 2 * "old.example".len()
         );
     }
 
@@ -647,13 +640,11 @@ mod tests {
             "dup.example".into(),
         ];
         let mut import = pool.import_names(&table);
-        let dup = import.id(0).unwrap();
-        assert_eq!(import.id(2), Some(dup));
+        let dup = import.take(0).unwrap();
+        assert_eq!(import.take(2), Some(dup));
         // The first occurrence is pooled; the second resolves to it.
         assert!(Arc::ptr_eq(&pool.text(dup).unwrap(), &table[0]));
         assert_eq!(pool.len(), 2);
-        import.take(0);
-        import.take(2);
         import.settle();
         assert_eq!(pool.ref_count(dup), 2);
         assert_eq!(pool.purge_unreferenced(), 1);
@@ -669,10 +660,10 @@ mod tests {
     fn bulk_import_keeps_every_name_past_the_high_water_mark() {
         let pool = NameInterner::with_shards(1);
         let table = host_table("host", 3 * PURGE_HIGH_WATER);
-        let import = pool.import_names(&table);
+        let mut import = pool.import_names(&table);
         assert_eq!(pool.len(), table.len());
         for (idx, name) in table.iter().enumerate() {
-            let id = import.id(idx as u32).unwrap();
+            let id = import.take(idx as u32).unwrap();
             assert!(
                 Arc::ptr_eq(&pool.text(id).unwrap(), name),
                 "{name} was copied"
