@@ -89,14 +89,22 @@ const RETIRED_KEYS: [(&str, &str); 4] = [
     ("lookup_queue_capacity", "shard_flow_ring_capacity"),
 ];
 
-/// A config key that sized an internal which no longer exists, and why.
-/// A conf file still carrying it fails with that reason, not the generic
+/// Config keys that sized an internal which no longer exists, and why.
+/// A conf file still carrying one fails with that reason, not the generic
 /// "unknown key".
-const RETIRED_INTERNAL_KEY: (&str, &str) = (
-    "map_shards",
-    "the NAME-CNAME store it striped is a single table now; delete the line \
-     (see docs/MIGRATION.md, \"one-probe DNS store\")",
-);
+const RETIRED_INTERNAL_KEYS: [(&str, &str); 2] = [
+    (
+        "map_shards",
+        "the NAME-CNAME store it striped is a single table now; delete the line \
+         (see docs/MIGRATION.md, \"one-probe DNS store\")",
+    ),
+    (
+        "buffer_pool",
+        "the receive-buffer pool it capped is gone, listeners allocate their \
+         buffers directly; delete the line (see docs/MIGRATION.md, \"snapshot format v3, \
+         no buffer pool\")",
+    ),
+];
 
 /// Full configuration of a correlator instance.
 #[derive(Debug, Clone, PartialEq)]
@@ -336,17 +344,17 @@ impl CorrelatorConfig {
                 "trace_path" => cfg.trace_path = Some(value.to_string()),
                 other => {
                     let retired = RETIRED_KEYS.iter().find(|(old, _)| *old == other);
-                    let (internal, why) = RETIRED_INTERNAL_KEY;
-                    return Err(FlowDnsError::Config(match retired {
-                        Some((old, replacement)) => format!(
+                    let internal = RETIRED_INTERNAL_KEYS.iter().find(|(old, _)| *old == other);
+                    return Err(FlowDnsError::Config(match (retired, internal) {
+                        (Some((old, replacement)), _) => format!(
                             "line {}: key '{old}' was retired with the classic \
                              FillUp/LookUp pipeline, use '{replacement}' ({MIGRATION_HINT})",
                             lineno + 1
                         ),
-                        None if other == internal => {
+                        (None, Some((_, why))) => {
                             format!("line {}: key '{other}' is retired: {why}", lineno + 1)
                         }
-                        None => format!("line {}: unknown key '{other}'", lineno + 1),
+                        (None, None) => format!("line {}: unknown key '{other}'", lineno + 1),
                     }));
                 }
             }

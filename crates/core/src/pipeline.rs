@@ -2271,23 +2271,23 @@ mod tests {
         second.push_dns(dns(1, "fresh.example", [203, 0, 113, 8], 300));
         second.finish().unwrap();
         let image = flowdns_snapshot::read_snapshot(path.to_str().unwrap()).unwrap();
-        assert_eq!(image.shards, 4);
+        assert_eq!(image.ip_name.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
-    fn classic_layout_snapshot_degrades_to_a_counted_cold_start() {
-        // A `shards = 0` file is what the removed classic pipeline (the
-        // old default) left on disk: the upgrade must take the ordinary
-        // layout-mismatch path — recorded error, cold start, no panic.
-        let dir = std::env::temp_dir().join("flowdns-pipeline-classic-snapshot");
+    fn version_2_snapshot_degrades_to_a_counted_cold_start() {
+        // A file an earlier build wrote: the upgrade must take the
+        // ordinary rejection path — recorded error, cold start, no panic.
+        let dir = std::env::temp_dir().join("flowdns-pipeline-v2-snapshot");
         std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("store.fdns");
-        let image = crate::shard::tests::classic_layout_image(20);
-        assert_eq!(image.shards, 0);
-        assert_eq!(image.entry_count(), 20);
-        flowdns_snapshot::write_snapshot(&path, &image).unwrap();
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../snapshot/tests/fixtures/golden_v2.fdns"
+        );
+        std::fs::copy(fixture, &path).unwrap();
 
         let config = CorrelatorConfig {
             snapshot_path: Some(path.to_string_lossy().into_owned()),
@@ -2299,25 +2299,29 @@ mod tests {
         assert!(!stats.warm_started());
         let error = stats.last_error.as_deref().unwrap_or_default();
         assert!(
-            error.contains("warm start") && error.contains("0 shards"),
-            "expected a recorded layout error: {stats:?}"
+            error.contains("warm start") && error.contains("unsupported snapshot version 2"),
+            "expected a recorded version error: {stats:?}"
         );
-        assert!(!error.contains("correlator_shards = 0"), "{error}");
         assert_eq!(correlator.stored_entries(), 0);
         // Cold but alive: new DNS correlates, and shutdown replaces the
-        // unreadable file with one in the running layout.
+        // unreadable file with a version-3 one in the running layout.
         correlator.push_dns(dns(1, "fresh.example", [203, 0, 113, 200], 300));
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
         correlator.push_flow(flow(2, [203, 0, 113, 200], 1_000));
-        correlator.push_flow(flow(2, [203, 0, 113, 1], 1_000)); // was only in the file
+        correlator.push_flow(flow(2, [198, 51, 100, 30], 1_000)); // was only in the file
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.lookup.ip_hits, 1);
         assert_eq!(report.metrics.lookup.ip_misses, 1);
-        let rewritten = flowdns_snapshot::read_snapshot(path.to_str().unwrap()).unwrap();
-        assert_eq!(rewritten.shards, 4);
+        let rewritten = std::fs::read(&path).unwrap();
+        assert_eq!(
+            rewritten[8..12],
+            flowdns_snapshot::FORMAT_VERSION.to_le_bytes()
+        );
+        let rewritten = flowdns_snapshot::decode_snapshot(&rewritten).unwrap();
+        assert_eq!(rewritten.ip_name.len(), 4);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

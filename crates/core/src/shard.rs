@@ -51,7 +51,7 @@ use std::net::IpAddr;
 use std::sync::Arc;
 
 use flowdns_bgp::AsnReader;
-use flowdns_snapshot::{DnsStoreImage, GenerationColumns, StoreImage};
+use flowdns_snapshot::{DnsStoreImage, IpColumns, StoreImage};
 use flowdns_storage::{
     Generation, GenerationStore, GenerationTable, MemoryEstimate, RotationClock, RotationPolicy,
 };
@@ -61,7 +61,7 @@ use flowdns_types::{
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::config::{CorrelatorConfig, Variant, MIGRATION_HINT};
+use crate::config::{CorrelatorConfig, Variant};
 use crate::lookup::{follow_chain, LookUpStats};
 
 /// How often flow processing ticks the shared CNAME clear-up clock.
@@ -330,12 +330,11 @@ impl ShardPartition {
     /// The partition's clock and entries as one snapshot section, its
     /// names numbered in `table`. Each generation's columns are sized
     /// from the tables' counters and filled straight from them.
-    fn export_section(&self, table: &mut NameTable<'_>) -> StoreImage {
+    fn export_section(&self, table: &mut NameTable<'_>) -> StoreImage<IpColumns> {
         let (v4, v6) = (self.v4.entry_counts(), self.v6.entry_counts());
-        let columns = |v4: usize, v6: usize| GenerationColumns {
+        let columns = |v4: usize, v6: usize| IpColumns {
             v4: Vec::with_capacity(v4),
             v6: Vec::with_capacity(v6),
-            names: Vec::new(),
         };
         let mut section = StoreImage {
             last_clear_ts: self.clock.last_clear_ts(),
@@ -360,70 +359,40 @@ impl ShardPartition {
         section
     }
 
-    /// Load snapshot sections into this partition. Each section is aged
-    /// by its own clock; the partition clock ends at the latest of them
-    /// (see [`RotationClock::age_import`]). Sections of one image never
-    /// share a key, and within a section an Active entry wins over an
-    /// Inactive copy of the same key. The image was validated before
-    /// anything was touched (see [`ShardedStore::import_image`]), so
-    /// every name index is in range. Each restore counts a reference in
-    /// `import`, and the ids the tables did not keep go to `displaced`.
-    fn import_sections(
+    /// Load this partition's snapshot section, aged by its clock: both
+    /// address families restore under the one partition clock. The image
+    /// was validated before anything was touched (see
+    /// [`ShardedStore::import_image`]), so every name index is in range.
+    /// Each restore counts a reference in `import`, and the ids the
+    /// tables did not keep go to `displaced`.
+    fn import_section(
         &mut self,
-        sections: &[StoreImage],
+        section: &StoreImage<IpColumns>,
         import: &mut NameImport<'_>,
         displaced: &mut Vec<NameId>,
         now: SimTime,
     ) {
-        // Size each family's maps once, up front, instead of growing them.
-        let (mut short_v4, mut short_v6, mut long_v4, mut long_v6) = (0, 0, 0, 0);
-        for section in sections {
-            for columns in [&section.active, &section.inactive] {
-                short_v4 += columns.v4.len();
-                short_v6 += columns.v6.len();
-            }
-            long_v4 += section.long.v4.len();
-            long_v6 += section.long.v6.len();
-        }
-        self.v4.reserve(short_v4, long_v4);
-        self.v6.reserve(short_v6, long_v6);
-        let policy = self.v4.policy();
-        for section in sections {
-            let age = self
-                .clock
-                .age_import(section.last_clear_ts, section.last_seen_ts, now);
-            for (exported, columns) in [
-                (Generation::Active, &section.active),
-                (Generation::Inactive, &section.inactive),
-                (Generation::Long, &section.long),
-            ] {
-                let Some(generation) = age.place(exported, policy) else {
-                    continue;
-                };
-                for &(bits, idx) in &columns.v4 {
-                    let Some(name) = import.take(idx) else {
-                        continue;
-                    };
-                    if let Some((_, name)) = self.v4.restore(bits, name, generation) {
-                        displaced.push(name);
-                    }
-                }
-                for &(bytes, idx) in &columns.v6 {
-                    let Some(name) = import.take(idx) else {
-                        continue;
-                    };
-                    let bits = u128::from_le_bytes(bytes);
-                    if let Some((_, name)) = self.v6.restore(bits, name, generation) {
-                        displaced.push(name);
-                    }
-                }
-            }
-        }
+        let age = self
+            .clock
+            .age_import(section.last_clear_ts, section.last_seen_ts, now);
+        let generations = section.generations();
+        self.v4.import(
+            age,
+            generations.map(|columns| columns.v4.as_slice()),
+            |&(bits, idx)| Some((bits, import.take(idx)?)),
+            |_, name| displaced.push(name),
+        );
+        self.v6.import(
+            age,
+            generations.map(|columns| columns.v6.as_slice()),
+            |&(bytes, idx)| Some((u128::from_le_bytes(bytes), import.take(idx)?)),
+            |_, name| displaced.push(name),
+        );
     }
 }
 
 /// The generation's columns of a section under construction.
-fn columns_mut(section: &mut StoreImage, generation: Generation) -> &mut GenerationColumns {
+fn columns_mut<C>(section: &mut StoreImage<C>, generation: Generation) -> &mut C {
     match generation {
         Generation::Active => &mut section.active,
         Generation::Inactive => &mut section.inactive,
@@ -583,13 +552,13 @@ impl ShardedStore {
     }
 
     /// Export the sharded store as a snapshot image: one IP-NAME section
-    /// per shard (`num_split = 1`) in shard order, the shared NAME-CNAME
-    /// section, and the clocks. Each partition is locked in turn for one
-    /// pass over its tables that encodes its entries into exactly sized
-    /// columns, and the NAME-CNAME store is read-locked for its pass, so
-    /// every id is first read while a table holds it, and the name table
-    /// counts it from then until the export ends; this runs from a
-    /// background thread while workers keep processing.
+    /// per shard in shard order, the shared NAME-CNAME section, and the
+    /// clocks. Each partition is locked in turn for one pass over its
+    /// tables that encodes its entries into exactly sized columns, and
+    /// the NAME-CNAME store is read-locked for its pass, so every id is
+    /// first read while a table holds it, and the name table counts it
+    /// from then until the export ends; this runs from a background
+    /// thread while workers keep processing.
     pub fn export_image(&self) -> DnsStoreImage {
         let mut table = NameTable::new(&self.names);
         let mut as_of = SimTime::ZERO;
@@ -607,22 +576,16 @@ impl ShardedStore {
         let name_cname = {
             let cnames = self.name_cname.read();
             let (active, inactive, long) = cnames.table().entry_counts();
-            let columns = |len| GenerationColumns {
-                names: Vec::with_capacity(len),
-                ..GenerationColumns::default()
-            };
             let mut section = StoreImage {
                 last_clear_ts: cnames.clock().last_clear_ts(),
                 last_seen_ts: cnames.clock().last_seen_ts(),
-                active: columns(active),
-                inactive: columns(inactive),
-                long: columns(long),
+                active: Vec::with_capacity(active),
+                inactive: Vec::with_capacity(inactive),
+                long: Vec::with_capacity(long),
             };
             for (&key, &value, generation) in cnames.table().iter() {
                 if let (Some(key), Some(value)) = (table.index_of(key), table.index_of(value)) {
-                    columns_mut(&mut section, generation)
-                        .names
-                        .push((key, value));
+                    columns_mut(&mut section, generation).push((key, value));
                 }
             }
             section
@@ -630,8 +593,6 @@ impl ShardedStore {
         observe(name_cname.last_seen_ts);
         DnsStoreImage {
             as_of,
-            num_split: 1,
-            shards: self.partitions.len() as u32,
             a_interval_secs: self.config.a_clear_up_interval.as_secs(),
             c_interval_secs: self.config.c_clear_up_interval.as_secs(),
             names: table.into_names(),
@@ -644,15 +605,11 @@ impl ShardedStore {
     /// generation to `now`: generations older than the rotation window
     /// are discarded, a one-window-old Active demotes to Inactive, and
     /// the Long maps always survive (see
-    /// [`RotationClock::age_import`]). An image may carry any number of
-    /// IP-NAME sections per shard (`num_split`): images written before
-    /// the partitions stopped splitting carry one per split, and each is
-    /// aged by its own clock.
+    /// [`RotationClock::age_import`]).
     ///
-    /// Errors if the image was written by a different shard count
-    /// (`shards = 0` is what the removed classic layout wrote) — shard
-    /// membership is a function of the shard count, so entries cannot
-    /// be re-homed without rehashing the whole image (delete the
+    /// Errors if the image was written by a different shard count —
+    /// shard membership is a function of the shard count, so entries
+    /// cannot be re-homed without rehashing the whole image (delete the
     /// snapshot to change `correlator_shards`). Clear-up intervals must
     /// match too: the aging math is only meaningful against the
     /// intervals the image was built with.
@@ -661,29 +618,11 @@ impl ShardedStore {
         image: &DnsStoreImage,
         now: Option<SimTime>,
     ) -> Result<usize, FlowDnsError> {
-        if image.shards == 0 {
-            return Err(FlowDnsError::Snapshot(format!(
-                "snapshot has 0 shards (written by the removed classic shared \
-                 correlator), this correlator runs {} shards; its entries cannot be \
-                 re-homed, so this is a cold start and the file is overwritten at the \
-                 next snapshot write ({MIGRATION_HINT})",
-                self.partitions.len()
-            )));
-        }
-        if image.shards as usize != self.partitions.len() {
+        if image.ip_name.len() != self.partitions.len() {
             return Err(FlowDnsError::Snapshot(format!(
                 "snapshot has {} shards, this correlator is configured for {} \
                  (correlator_shards changed between runs? delete the snapshot to change it)",
-                image.shards,
-                self.partitions.len()
-            )));
-        }
-        let per_shard = image.num_split as usize;
-        if per_shard == 0 || image.ip_name.len() != per_shard * self.partitions.len() {
-            return Err(FlowDnsError::Snapshot(format!(
-                "snapshot has {} IP-NAME sections, expected num_split {} × {} shards",
                 image.ip_name.len(),
-                image.num_split,
                 self.partitions.len()
             )));
         }
@@ -718,17 +657,17 @@ impl ShardedStore {
         let mut import = self.names.import_names(&image.names);
         let mut displaced = Vec::new();
         let before = self.total_entries();
-        for (partition, sections) in self.partitions.iter().zip(image.ip_name.chunks(per_shard)) {
+        for (partition, section) in self.partitions.iter().zip(&image.ip_name) {
             partition
                 .lock()
-                .import_sections(sections, &mut import, &mut displaced, now);
+                .import_section(section, &mut import, &mut displaced, now);
         }
         let cname = &image.name_cname;
         self.name_cname.write().import_entries(
             cname.last_clear_ts,
             cname.last_seen_ts,
             now,
-            cname.generations().map(|columns| columns.names.as_slice()),
+            cname.generations().map(Vec::as_slice),
             |&(key, value)| Some((import.take(key)?, import.take(value)?)),
             |key, value| displaced.extend([key, value]),
         );
@@ -881,38 +820,6 @@ pub(crate) mod tests {
 
     fn lookup(store: &ShardedStore, flow: FlowRecord) -> CorrelatedRecord {
         lookup_with(store, &mut None, flow, &mut LookUpStats::default())
-    }
-
-    /// A `shards = 0` image as the removed classic shared correlator left
-    /// it on disk: ten IP-NAME splits holding `count` A records
-    /// `203.0.113.i → svc{i}.example`, seen at 1 s.
-    pub(crate) fn classic_layout_image(count: u8) -> DnsStoreImage {
-        let config = CorrelatorConfig::default();
-        let seen = Some(SimTime::from_secs(1));
-        let mut ip_name = vec![
-            StoreImage {
-                last_clear_ts: seen,
-                last_seen_ts: seen,
-                ..StoreImage::default()
-            };
-            10
-        ];
-        for i in 0..count {
-            let key = IpKey::from_ip(Ipv4Addr::new(203, 0, 113, i).into());
-            ip_name[i as usize % 10].active.push_ip(key, i as u32);
-        }
-        DnsStoreImage {
-            as_of: SimTime::from_secs(1),
-            num_split: 10,
-            shards: 0,
-            a_interval_secs: config.a_clear_up_interval.as_secs(),
-            c_interval_secs: config.c_clear_up_interval.as_secs(),
-            names: (0..count)
-                .map(|i| format!("svc{i}.example").into())
-                .collect(),
-            ip_name,
-            name_cname: StoreImage::default(),
-        }
     }
 
     /// The name and generation an IP resolves to in its own partition.
@@ -1154,14 +1061,10 @@ pub(crate) mod tests {
         let config = sharded_config(4);
         let (store, ips) = churned_store(&config);
         let image = store.export_image();
-        assert_eq!(image.shards, 4);
-        assert_eq!(image.num_split, 1);
         assert_eq!(image.ip_name.len(), 4, "one section per shard");
         // The counters agree with the entries the export walks.
         assert_eq!(store.memory_estimate().entries, image.entry_count());
         assert_eq!(store.total_entries(), image.entry_count());
-        // Round-tripping through the codec exercises its section-count
-        // validation against the shard-major layout.
         let bytes = flowdns_snapshot::encode_snapshot(&image);
         assert_eq!(flowdns_snapshot::decode_snapshot(&bytes).unwrap(), image);
 
@@ -1180,31 +1083,28 @@ pub(crate) mod tests {
         );
     }
 
-    /// Images written while partitions still split into `num_split`
-    /// stores carry one section per split, each with its own clock, and
-    /// a key may sit in both Active and Inactive of its section. Every
-    /// key must resolve to the name and generation its own section's
-    /// aging gives it, written out here per age class: a current section
-    /// loads verbatim, one an interval behind turns Active into Inactive
-    /// and drops its Inactive, and a stale one keeps only Long.
+    /// Each shard's section is aged by its own clock, and a key may sit
+    /// in both Active and Inactive of its section. Every key must resolve
+    /// to the name and generation its section's aging gives it, written
+    /// out here per age class: a current section loads verbatim, one an
+    /// interval behind turns Active into Inactive and drops its Inactive,
+    /// and a stale one keeps only Long.
     #[test]
-    fn parent_layout_image_imports_with_per_section_aging() {
-        const SPLITS: usize = 10;
-        let config = sharded_config(2);
+    fn each_shard_section_is_aged_by_its_own_clock() {
+        const SHARDS: usize = 3;
+        let config = sharded_config(SHARDS);
         let interval = config.a_clear_up_interval.as_secs();
         let now = SimTime::from_secs(100_000);
         let secs_ago = |s: u64| Some(SimTime::from_secs(100_000 - s));
         let mut names: Vec<std::sync::Arc<str>> = Vec::new();
-        let mut sections: Vec<StoreImage> = (0..2 * SPLITS)
-            .map(|s| {
-                // Current, one rotation behind, or stale, and clocks that
-                // differ within each class.
-                let age = [600, interval + 600, 3 * interval][s % 3] + s as u64;
-                StoreImage {
-                    last_clear_ts: secs_ago(age),
-                    last_seen_ts: secs_ago(age / 2),
-                    ..StoreImage::default()
-                }
+        // Shard `s` is current, one rotation behind, or stale.
+        let ages = [600, interval + 600, 3 * interval];
+        let mut sections: Vec<StoreImage<IpColumns>> = ages
+            .iter()
+            .map(|&age| StoreImage {
+                last_clear_ts: secs_ago(age),
+                last_seen_ts: secs_ago(age / 2),
+                ..StoreImage::default()
             })
             .collect();
         let mut ips = Vec::new();
@@ -1215,7 +1115,8 @@ pub(crate) mod tests {
                 Ipv4Addr::from(0x0A00_0000 + i).into()
             };
             let key = IpKey::from_ip(ip);
-            let section = &mut sections[shard_of_key(&key, 2) * SPLITS + i as usize % SPLITS];
+            let shard = shard_of_key(&key, SHARDS);
+            let section = &mut sections[shard];
             let mut name = |tag: &str| {
                 names.push(format!("{tag}{i}.example").into());
                 (names.len() - 1) as u32
@@ -1229,19 +1130,16 @@ pub(crate) mod tests {
                     section.active.push_ip(key, name("new"));
                 }
             }
-            ips.push((ip, shard_of_key(&key, 2) * SPLITS + i as usize % SPLITS));
+            ips.push((ip, shard));
         }
         let image = DnsStoreImage {
             as_of: now,
-            num_split: SPLITS as u32,
-            shards: 2,
             a_interval_secs: interval,
             c_interval_secs: config.c_clear_up_interval.as_secs(),
             names,
             ip_name: sections,
             name_cname: StoreImage::default(),
         };
-        // The codec accepts the layout.
         let bytes = flowdns_snapshot::encode_snapshot(&image);
         assert_eq!(flowdns_snapshot::decode_snapshot(&bytes).unwrap(), image);
 
@@ -1249,11 +1147,10 @@ pub(crate) mod tests {
         let loaded = store.import_image(&image, Some(now)).unwrap();
         let mut resolving = 0;
         let mut generations = std::collections::HashSet::new();
-        for (i, (ip, section)) in ips.into_iter().enumerate() {
-            // Key `i` was written by pattern `i % 4` above; section `s`
-            // has age class `s % 3`: current, one behind, stale.
+        for (i, (ip, shard)) in ips.into_iter().enumerate() {
+            // Key `i` was written by pattern `i % 4` above.
             let name = |tag: &str| format!("{tag}{i}.example");
-            let expected = match (i % 4, section % 3) {
+            let expected = match (i % 4, shard) {
                 (0, 0) => Some((name("a"), Generation::Active)),
                 (0, 1) => Some((name("a"), Generation::Inactive)),
                 (1, 0) => Some((name("i"), Generation::Inactive)),
@@ -1262,11 +1159,7 @@ pub(crate) mod tests {
                 (3, 1) => Some((name("new"), Generation::Inactive)),
                 _ => None,
             };
-            assert_eq!(
-                resolve_ip(&store, ip),
-                expected,
-                "{ip} in section {section}"
-            );
+            assert_eq!(resolve_ip(&store, ip), expected, "{ip} in shard {shard}");
             if let Some((_, generation)) = expected {
                 resolving += 1;
                 generations.insert(generation);
@@ -1275,11 +1168,14 @@ pub(crate) mod tests {
         assert_eq!(generations.len(), 3, "every generation is exercised");
         assert_eq!(loaded, resolving);
         assert_eq!(store.total_entries(), resolving);
-        // The partition clock resumes at the latest section clock: a
-        // current section's last clear-up or, for aged ones, `now`.
-        for shard in 0..2 {
+        // A current section's clock resumes at its last clear-up; an aged
+        // one restarts at `now`.
+        for (shard, expected) in [secs_ago(ages[0]), Some(now), Some(now)]
+            .into_iter()
+            .enumerate()
+        {
             let partition = store.partition(shard).lock();
-            assert_eq!(partition.clock.last_clear_ts(), Some(now));
+            assert_eq!(partition.clock.last_clear_ts(), expected);
             assert_eq!(partition.clock.last_seen_ts(), Some(now));
         }
     }
@@ -1352,27 +1248,6 @@ pub(crate) mod tests {
             resplit.import_image(&image, None).unwrap(),
             store.total_entries()
         );
-    }
-
-    #[test]
-    fn classic_layout_image_does_not_load_into_shards() {
-        let classic_image = classic_layout_image(4);
-        // The codec accepts the layout; the sharded store refuses it.
-        let bytes = flowdns_snapshot::encode_snapshot(&classic_image);
-        assert_eq!(
-            flowdns_snapshot::decode_snapshot(&bytes).unwrap(),
-            classic_image
-        );
-        let sharded = ShardedStore::new(&sharded_config(2));
-        match sharded.import_image(&classic_image, None) {
-            Err(FlowDnsError::Snapshot(msg)) => {
-                assert!(msg.contains("classic shared correlator"), "{msg}");
-                // 0 is no longer a value the operator can set.
-                assert!(!msg.contains("correlator_shards = 0"), "{msg}");
-            }
-            other => panic!("expected layout rejection, got {other:?}"),
-        }
-        assert_eq!(sharded.total_entries(), 0);
     }
 
     #[test]

@@ -1,14 +1,16 @@
-//! A committed version-2 snapshot file, decoded and imported by today's
+//! A committed version-3 snapshot file, decoded and imported by today's
 //! code: the format is the contract between a daemon that wrote its
 //! snapshot and the build that warm-starts from it.
 //!
-//! `crates/snapshot/tests/fixtures/golden_v2.fdns` holds two shards,
+//! `crates/snapshot/tests/fixtures/golden_v3.fdns` holds two shards,
 //! IPv4 and IPv6 keys, a CNAME chain across two generations, and entries
 //! in all three generations of both stores. `write_golden_fixture`
 //! wrote it; rerun it with
 //! `cargo test -p flowdns-core --test golden_snapshot -- --ignored`
 //! only if the fixture's *scenario* changes, since the point of the file
-//! is that it was written by an older build.
+//! is that it was written by an older build. (`golden_v2.fdns` beside it
+//! is the same scenario in the version-2 format, kept to prove that such
+//! a file is rejected.)
 
 use std::collections::BTreeSet;
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
@@ -23,7 +25,7 @@ use flowdns_types::{DnsRecord, DomainName, SimTime};
 const SHARDS: usize = 2;
 
 fn fixture_path() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../snapshot/tests/fixtures/golden_v2.fdns")
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../snapshot/tests/fixtures/golden_v3.fdns")
 }
 
 fn config() -> CorrelatorConfig {
@@ -165,26 +167,22 @@ type Entry = (Option<usize>, usize, String, String);
 /// numbered the names in.
 fn entry_sets(image: &DnsStoreImage) -> BTreeSet<Entry> {
     let text = |idx: u32| image.names[idx as usize].to_string();
-    let sections = image
-        .ip_name
-        .iter()
-        .enumerate()
-        .map(|(i, section)| (Some(i), section))
-        .chain([(None, &image.name_cname)]);
     let mut entries = BTreeSet::new();
-    for (section_idx, section) in sections {
+    for (section_idx, section) in image.ip_name.iter().enumerate() {
         for (g, columns) in section.generations().into_iter().enumerate() {
             for &(bits, value) in &columns.v4 {
                 let key = Ipv4Addr::from(bits).to_string();
-                entries.insert((section_idx, g, key, text(value)));
+                entries.insert((Some(section_idx), g, key, text(value)));
             }
             for &(bytes, value) in &columns.v6 {
                 let key = Ipv6Addr::from(u128::from_le_bytes(bytes)).to_string();
-                entries.insert((section_idx, g, key, text(value)));
+                entries.insert((Some(section_idx), g, key, text(value)));
             }
-            for &(key, value) in &columns.names {
-                entries.insert((section_idx, g, text(key), text(value)));
-            }
+        }
+    }
+    for (g, columns) in image.name_cname.generations().into_iter().enumerate() {
+        for &(key, value) in columns {
+            entries.insert((None, g, text(key), text(value)));
         }
     }
     entries
@@ -194,7 +192,7 @@ fn entry_sets(image: &DnsStoreImage) -> BTreeSet<Entry> {
 fn the_committed_file_imports_resolves_and_round_trips() {
     let bytes = std::fs::read(fixture_path()).expect("fixture present");
     let image = flowdns_snapshot::decode_snapshot(&bytes).expect("fixture decodes");
-    assert_eq!(image.shards as usize, SHARDS);
+    assert_eq!(image.ip_name.len(), SHARDS);
     let store = ShardedStore::new(&config());
     let loaded = store.import_image(&image, None).expect("fixture imports");
     assert_eq!(loaded, image.entry_count());

@@ -19,7 +19,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flowdns_core::{CorrelatorConfig, ShardedStore};
-use flowdns_snapshot::{DnsStoreImage, StoreImage};
+use flowdns_snapshot::{DnsStoreImage, IpColumns, NameColumns, StoreImage};
 use flowdns_types::{IpKey, SimTime};
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
@@ -88,18 +88,20 @@ fn config() -> CorrelatorConfig {
 fn image(scale: usize) -> DnsStoreImage {
     let config = config();
     let as_of = SimTime::from_secs(100_000);
-    let clock = |store: &mut StoreImage| {
-        store.last_clear_ts = Some(SimTime::from_secs(99_000));
-        store.last_seen_ts = Some(as_of);
-    };
+    fn clocked<C: Default>(as_of: SimTime) -> StoreImage<C> {
+        StoreImage {
+            last_clear_ts: Some(SimTime::from_secs(99_000)),
+            last_seen_ts: Some(as_of),
+            ..StoreImage::default()
+        }
+    }
     let names: Vec<Arc<str>> = (0..1_000 * scale)
         .map(|i| Arc::from(format!("edge{i}.cdn{}.example.net", i % 97)))
         .collect();
     let name_count = names.len() as u32;
     let ip_name = (0..SHARDS)
         .map(|shard| {
-            let mut section = StoreImage::default();
-            clock(&mut section);
+            let mut section: StoreImage<IpColumns> = clocked(as_of);
             for i in 0..2_000 * scale {
                 let bits = (shard * 2_000 * scale + i) as u32;
                 let key = if i % 3 == 0 {
@@ -117,20 +119,17 @@ fn image(scale: usize) -> DnsStoreImage {
             section
         })
         .collect();
-    let mut name_cname = StoreImage::default();
-    clock(&mut name_cname);
+    let mut name_cname: StoreImage<NameColumns> = clocked(as_of);
     for i in 0..800 * scale as u32 {
         let entry = (i, (i + 1) % name_count);
         match i % 3 {
-            0 => name_cname.active.names.push(entry),
-            1 => name_cname.inactive.names.push(entry),
-            _ => name_cname.long.names.push(entry),
+            0 => name_cname.active.push(entry),
+            1 => name_cname.inactive.push(entry),
+            _ => name_cname.long.push(entry),
         }
     }
     DnsStoreImage {
         as_of,
-        num_split: 1,
-        shards: SHARDS as u32,
         a_interval_secs: config.a_clear_up_interval.as_secs(),
         c_interval_secs: config.c_clear_up_interval.as_secs(),
         names,

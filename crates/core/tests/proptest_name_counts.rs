@@ -17,7 +17,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use flowdns_core::{
     shard_of_dns, shard_of_ip, CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore,
 };
-use flowdns_snapshot::DnsStoreImage;
+use flowdns_snapshot::{Columns, DnsStoreImage};
 use flowdns_types::{DnsRecord, DomainName, SimDuration, SimTime};
 use proptest::prelude::*;
 
@@ -81,14 +81,21 @@ fn config() -> CorrelatorConfig {
 fn references(image: &DnsStoreImage) -> (HashMap<String, u32>, usize) {
     let mut refs: HashMap<String, u32> = HashMap::new();
     let mut key_bytes = 0;
-    let sections = image.ip_name.iter().chain([&image.name_cname]);
-    for generation in sections.flat_map(|section| section.generations()) {
+    let mut count = |idx: u32| {
+        *refs
+            .entry(image.names[idx as usize].to_string())
+            .or_default() += 1;
+    };
+    for generation in image
+        .ip_name
+        .iter()
+        .flat_map(|section| section.generations())
+    {
         key_bytes += 4 * generation.v4.len() + 16 * generation.v6.len();
-        for idx in generation.name_indices() {
-            *refs
-                .entry(image.names[idx as usize].to_string())
-                .or_default() += 1;
-        }
+        generation.name_indices().for_each(&mut count);
+    }
+    for generation in image.name_cname.generations() {
+        generation.name_indices().for_each(&mut count);
     }
     (refs, key_bytes)
 }

@@ -11,7 +11,7 @@ use std::net::{IpAddr, Ipv4Addr, Ipv6Addr};
 use flowdns_core::{
     shard_of_dns, shard_of_ip, CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore,
 };
-use flowdns_snapshot::{DnsStoreImage, StoreImage};
+use flowdns_snapshot::DnsStoreImage;
 use flowdns_types::{DnsRecord, DomainName, SimTime};
 use proptest::prelude::*;
 
@@ -78,26 +78,13 @@ type Clock = (Option<SimTime>, Option<SimTime>);
 fn contents(image: &DnsStoreImage) -> (Vec<Entry>, Vec<Clock>) {
     let text = |idx: &u32| image.names[*idx as usize].to_string();
     let mut entries = Vec::new();
-    let sections = image
-        .ip_name
-        .iter()
-        .enumerate()
-        .map(|(i, section)| (Some(i), section))
-        .chain([(None, &image.name_cname)]);
     let mut clocks = Vec::new();
-    for (section_idx, section) in sections {
-        let StoreImage {
-            last_clear_ts,
-            last_seen_ts,
-            active,
-            inactive,
-            long,
-        } = section;
-        clocks.push((*last_clear_ts, *last_seen_ts));
-        for (generation, columns) in [(0u8, active), (1, inactive), (2, long)] {
+    for (section_idx, section) in image.ip_name.iter().enumerate() {
+        clocks.push((section.last_clear_ts, section.last_seen_ts));
+        for (generation, columns) in (0u8..).zip(section.generations()) {
             for (bits, value) in &columns.v4 {
                 entries.push((
-                    section_idx,
+                    Some(section_idx),
                     generation,
                     format!("v4:{bits:#x}"),
                     text(value),
@@ -106,15 +93,19 @@ fn contents(image: &DnsStoreImage) -> (Vec<Entry>, Vec<Clock>) {
             for (bytes, value) in &columns.v6 {
                 let bits = u128::from_le_bytes(*bytes);
                 entries.push((
-                    section_idx,
+                    Some(section_idx),
                     generation,
                     format!("v6:{bits:#x}"),
                     text(value),
                 ));
             }
-            for (key, value) in &columns.names {
-                entries.push((section_idx, generation, text(key), text(value)));
-            }
+        }
+    }
+    let cname = &image.name_cname;
+    clocks.push((cname.last_clear_ts, cname.last_seen_ts));
+    for (generation, columns) in (0u8..).zip(cname.generations()) {
+        for (key, value) in columns {
+            entries.push((None, generation, text(key), text(value)));
         }
     }
     entries.sort();
@@ -163,7 +154,7 @@ proptest! {
 
         let image = donor.export_image();
         prop_assert_eq!(image.as_of, ts);
-        prop_assert_eq!(image.shards as usize, shards);
+        prop_assert_eq!(image.ip_name.len(), shards);
         let restored = ShardedStore::new(&config);
         restored.import_image(&image, None).expect("import must succeed");
 

@@ -292,9 +292,8 @@ fn main() {
                 reg.gauge("flowdns_store_payload_bytes").unwrap_or(0.0) / 1e9,
             );
             // Per-listener drain efficiency: how many datagrams each
-            // NetFlow listener takes per socket wake-up, plus buffer-pool
-            // reuse. avg≈1 means the batched path is idling (or
-            // recv_batch = 1).
+            // NetFlow listener takes per socket wake-up. avg≈1 means the
+            // batched path is idling (or recv_batch = 1).
             let drains: Vec<String> = (0..netflow_listener_count)
                 .map(|i| {
                     let listener = i.to_string();
@@ -320,12 +319,10 @@ fn main() {
                 })
                 .collect();
             eprintln!(
-                "flowdnsd: listeners: netflow [{}] | dns {} accept loop{} | pool {} hits / {} misses",
+                "flowdnsd: listeners: netflow [{}] | dns {} accept loop{}",
                 drains.join(", "),
                 startup.dns_listeners,
                 plural(startup.dns_listeners),
-                reg.counter("flowdns_ingest_buffer_pool_hits_total"),
-                reg.counter("flowdns_ingest_buffer_pool_misses_total"),
             );
             if config.correlator.snapshot_path.is_some() {
                 let age = reg

@@ -41,9 +41,6 @@ pub struct IngestConfig {
     /// disables draining — the per-datagram baseline the saturation
     /// harness measures against.
     pub recv_batch: usize,
-    /// Retention cap of the shared receive-buffer pool (`buffer_pool`):
-    /// idle buffers kept for reuse across listeners and connections.
-    pub buffer_pool: usize,
     /// Kernel receive-buffer request per NetFlow socket
     /// (`recv_buffer_bytes`, `SO_RCVBUF`). A deep buffer absorbs
     /// exporter bursts and scheduling gaps that would otherwise drop
@@ -80,7 +77,6 @@ impl Default for IngestConfig {
             netflow_listeners: 1,
             dns_listeners: 1,
             recv_batch: 32,
-            buffer_pool: 16,
             recv_buffer_bytes: 4 << 20,
             stats_interval: Duration::from_secs(10),
             metrics_addr: None,
@@ -103,8 +99,7 @@ impl DaemonConfig {
     /// Parse a daemon configuration from `key = value` text.
     ///
     /// Ingest keys (`netflow_bind`, `dns_bind`, `netflow_listeners`,
-    /// `dns_listeners`, `recv_batch`, `buffer_pool`,
-    /// `recv_buffer_bytes`, `stats_interval`, `metrics_addr`,
+    /// `dns_listeners`, `recv_batch`, `recv_buffer_bytes`, `stats_interval`, `metrics_addr`,
     /// `output`, `output_rotate_interval`) are consumed here; all other
     /// lines — including comments
     /// and blanks — are forwarded verbatim to
@@ -129,9 +124,6 @@ impl DaemonConfig {
                     }
                     "recv_batch" => {
                         ingest.recv_batch = parse_count(lineno, key, value, 1)?;
-                    }
-                    "buffer_pool" => {
-                        ingest.buffer_pool = parse_count(lineno, key, value, 0)?;
                     }
                     "recv_buffer_bytes" => {
                         ingest.recv_buffer_bytes = parse_count(lineno, key, value, 0)?;
@@ -255,29 +247,25 @@ variant = NoRotation
     #[test]
     fn listener_and_batch_keys_parse_and_validate() {
         let cfg = DaemonConfig::from_config_text(
-            "netflow_listeners = 4\ndns_listeners = 2\nrecv_batch = 64\nbuffer_pool = 8\n\
+            "netflow_listeners = 4\ndns_listeners = 2\nrecv_batch = 64\n\
              recv_buffer_bytes = 8388608\n",
         )
         .unwrap();
         assert_eq!(cfg.ingest.netflow_listeners, 4);
         assert_eq!(cfg.ingest.dns_listeners, 2);
         assert_eq!(cfg.ingest.recv_batch, 64);
-        assert_eq!(cfg.ingest.buffer_pool, 8);
         assert_eq!(cfg.ingest.recv_buffer_bytes, 8 << 20);
         // Defaults: single listeners, batched receive on, deep rcvbuf.
         let defaults = IngestConfig::default();
         assert_eq!(defaults.netflow_listeners, 1);
         assert_eq!(defaults.dns_listeners, 1);
         assert_eq!(defaults.recv_batch, 32);
-        assert_eq!(defaults.buffer_pool, 16);
         assert_eq!(defaults.recv_buffer_bytes, 4 << 20);
         // Zero listeners / zero recv_batch are configuration errors
-        // (buffer_pool = 0 disables pooling; recv_buffer_bytes = 0
-        // keeps the kernel's default socket depth).
+        // (recv_buffer_bytes = 0 keeps the kernel's default socket depth).
         assert!(DaemonConfig::from_config_text("netflow_listeners = 0").is_err());
         assert!(DaemonConfig::from_config_text("dns_listeners = 0").is_err());
         assert!(DaemonConfig::from_config_text("recv_batch = 0").is_err());
-        assert!(DaemonConfig::from_config_text("buffer_pool = 0").is_ok());
         assert!(DaemonConfig::from_config_text("recv_buffer_bytes = 0").is_ok());
         assert!(DaemonConfig::from_config_text("recv_batch = lots").is_err());
     }
@@ -327,6 +315,14 @@ variant = NoRotation
         assert!(e.contains("'lookup_workers'"), "{e}");
         assert!(e.contains("'correlator_shards'"), "{e}");
         assert!(e.contains("docs/MIGRATION.md"), "{e}");
+        // So does one that still sizes the deleted receive-buffer pool.
+        let e = DaemonConfig::from_config_text("netflow_bind = 127.0.0.1:0\nbuffer_pool = 16")
+            .unwrap_err()
+            .to_string();
+        assert!(e.contains("line 2"), "{e}");
+        assert!(e.contains("'buffer_pool' is retired"), "{e}");
+        assert!(e.contains("docs/MIGRATION.md"), "{e}");
+        assert!(!e.contains("unknown key"), "{e}");
     }
 
     #[test]

@@ -13,8 +13,7 @@
 //! # Drain loop and ownership
 //!
 //! A handler thread owns its connection's socket, decoder, and one
-//! receive buffer borrowed from the shared [`BufferPool`] (returned to
-//! the pool when the connection closes). Reads are batched like the UDP
+//! receive buffer. Reads are batched like the UDP
 //! side's drain: one blocking read (short timeout, keeps shutdown
 //! responsive) opens the round, then the socket flips non-blocking and
 //! further reads are consumed until `WouldBlock` or `recv_batch` reads
@@ -37,7 +36,6 @@ use flowdns_core::Correlator;
 use flowdns_dns::framing::FrameDecoder;
 use flowdns_types::DnsRecord;
 
-use crate::buffer_pool::BufferPool;
 use crate::runtime::ActivityStamp;
 
 /// How long a blocked accept/read waits before re-checking shutdown.
@@ -71,7 +69,6 @@ pub struct DnsFeedStats {
 pub(crate) fn spawn_group(
     listeners: Vec<TcpListener>,
     recv_batch: usize,
-    pool: Arc<BufferPool>,
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<DnsFeedStats>,
@@ -81,7 +78,6 @@ pub(crate) fn spawn_group(
     let mut handles = Vec::with_capacity(listeners.len());
     for (i, listener) in listeners.into_iter().enumerate() {
         listener.set_nonblocking(true)?;
-        let pool = Arc::clone(&pool);
         let correlator = Arc::clone(&correlator);
         let shutdown = Arc::clone(&shutdown);
         let stats = Arc::clone(&stats);
@@ -102,7 +98,6 @@ pub(crate) fn spawn_group(
                                     i,
                                     next_conn,
                                     recv_batch,
-                                    Arc::clone(&pool),
                                     Arc::clone(&correlator),
                                     Arc::clone(&shutdown),
                                     Arc::clone(&stats),
@@ -128,13 +123,11 @@ pub(crate) fn spawn_group(
     Ok(handles)
 }
 
-#[allow(clippy::too_many_arguments)]
 fn spawn_connection(
     stream: TcpStream,
     listener_id: usize,
     id: u64,
     recv_batch: usize,
-    pool: Arc<BufferPool>,
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<DnsFeedStats>,
@@ -154,7 +147,7 @@ fn spawn_connection(
             }
             let mut stream = stream;
             let mut decoder = FrameDecoder::new();
-            let mut buf = pool.take(READ_BUF);
+            let mut buf = vec![0u8; READ_BUF];
             let mut batch: Vec<DnsRecord> = Vec::new();
             // This connection thread owns its ingress router, so routed
             // pushes are lock-free SPSC ring writes.

@@ -16,8 +16,6 @@
 //!   v5/v9/IPFIX decode state,
 //! * [`dns_listener`] — the TCP DNS-feed listener group running the
 //!   length-prefix framing incrementally over drained socket reads,
-//! * [`buffer_pool`] — the shared [`BufferPool`] recycling receive
-//!   buffers across listeners and connections,
 //! * [`runtime`] — [`IngestRuntime`], which binds the `SO_REUSEPORT`
 //!   listener groups (`netflow_listeners`/`dns_listeners` config keys)
 //!   and wires them into the correlator's per-shard rings with
@@ -40,7 +38,6 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod buffer_pool;
 pub mod config;
 pub mod dns_listener;
 pub mod kernel_drops;
@@ -49,7 +46,6 @@ pub mod netflow_listener;
 pub mod reuseport;
 pub mod runtime;
 
-pub use buffer_pool::{BufferPool, PoolStats};
 pub use config::{DaemonConfig, IngestConfig};
 pub use dns_listener::DnsFeedStats;
 // Re-exported for compatibility: the discard sink moved into the core

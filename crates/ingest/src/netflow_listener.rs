@@ -55,7 +55,6 @@ use flowdns_core::Correlator;
 use flowdns_netflow::{DecodeStats, ExporterDecoder, ExtractorConfig};
 use flowdns_types::FlowRecord;
 
-use crate::buffer_pool::BufferPool;
 use crate::mmsg::MmsgRing;
 use crate::runtime::ActivityStamp;
 
@@ -217,7 +216,6 @@ impl ExporterTable {
 pub(crate) fn spawn_group(
     sockets: Vec<UdpSocket>,
     recv_batch: usize,
-    pool: Arc<BufferPool>,
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     table: Arc<ExporterTable>,
@@ -232,7 +230,6 @@ pub(crate) fn spawn_group(
     for (i, socket) in sockets.into_iter().enumerate() {
         socket.set_read_timeout(Some(RECV_TIMEOUT))?;
         let shard = Arc::clone(&table.shards[i]);
-        let pool = Arc::clone(&pool);
         let correlator = Arc::clone(&correlator);
         let shutdown = Arc::clone(&shutdown);
         let table = Arc::clone(&table);
@@ -240,15 +237,7 @@ pub(crate) fn spawn_group(
             std::thread::Builder::new()
                 .name(format!("ingest-netflow-{i}"))
                 .spawn(move || {
-                    listener_loop(
-                        &socket,
-                        recv_batch,
-                        &pool,
-                        &correlator,
-                        &shutdown,
-                        &shard,
-                        &table,
-                    )
+                    listener_loop(&socket, recv_batch, &correlator, &shutdown, &shard, &table)
                 })?,
         );
     }
@@ -272,13 +261,12 @@ fn decode_into(
 fn listener_loop(
     socket: &UdpSocket,
     recv_batch: usize,
-    pool: &Arc<BufferPool>,
     correlator: &Correlator,
     shutdown: &AtomicBool,
     shard: &ListenerShard,
     table: &ExporterTable,
 ) {
-    let mut buf = pool.take(MAX_DATAGRAM);
+    let mut buf = vec![0u8; MAX_DATAGRAM];
     let mut batch: Vec<FlowRecord> = Vec::new();
     // Tracing off = no recorder = no per-flow work beyond this Option.
     let flight = correlator.flight_recorder().cloned();

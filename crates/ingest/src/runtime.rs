@@ -4,8 +4,7 @@
 //! than one socket per port is configured), starts a [`Correlator`] and
 //! wires everything together: UDP datagram drains → per-listener
 //! decoder shards → per-shard flow rings; TCP read drains → incremental
-//! decoder → per-shard DNS rings — with receive buffers drawn from one
-//! shared [`BufferPool`]. Each feed stamps its last-activity time once
+//! decoder → per-shard DNS rings. Each feed stamps its last-activity time once
 //! per drain round, and shutdown is ordered: listeners stop accepting, connection handlers
 //! drain and join, then the pipeline drains its bounded queues and the
 //! final [`Report`] — with every per-exporter drop/malformed counter
@@ -25,7 +24,6 @@ use flowdns_core::{Correlator, PipelineMetrics, Report};
 use flowdns_obs::{HealthCheck, HealthStatus, MetricsRegistry, MetricsServer};
 use flowdns_types::{FlowDnsError, SimDuration};
 
-use crate::buffer_pool::{BufferPool, PoolStats};
 use crate::config::DaemonConfig;
 use crate::dns_listener::{self, DnsFeedStats};
 use crate::kernel_drops;
@@ -67,8 +65,6 @@ pub struct IngestSnapshot {
     pub netflow_listeners: Vec<ListenerCounters>,
     /// Effective size of the DNS accept-loop group.
     pub dns_listeners: usize,
-    /// Shared receive-buffer pool counters.
-    pub buffer_pool: PoolStats,
     /// Live pipeline metrics from [`Correlator::snapshot`]: worker stats,
     /// queue drop counters, store memory. Periodic reporters read this
     /// instead of probing queues and counters piecemeal.
@@ -85,7 +81,6 @@ pub struct IngestRuntime {
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
     exporters: Arc<ExporterTable>,
     dns_stats: Arc<DnsFeedStats>,
-    pool: Arc<BufferPool>,
     dns_listener_count: usize,
     registry: Arc<MetricsRegistry>,
     metrics_server: Option<MetricsServer>,
@@ -195,13 +190,11 @@ impl IngestRuntime {
         let shutdown = Arc::new(AtomicBool::new(false));
         let exporters = Arc::new(ExporterTable::new(udp_sockets.len()));
         let dns_stats = Arc::new(DnsFeedStats::default());
-        let pool = BufferPool::new(config.ingest.buffer_pool);
         let conn_handles = Arc::new(Mutex::new(Vec::new()));
 
         let mut listeners = netflow_listener::spawn_group(
             udp_sockets,
             config.ingest.recv_batch,
-            Arc::clone(&pool),
             Arc::clone(&correlator),
             Arc::clone(&shutdown),
             Arc::clone(&exporters),
@@ -211,7 +204,6 @@ impl IngestRuntime {
             dns_listener::spawn_group(
                 tcp_listeners,
                 config.ingest.recv_batch,
-                Arc::clone(&pool),
                 Arc::clone(&correlator),
                 Arc::clone(&shutdown),
                 Arc::clone(&dns_stats),
@@ -221,12 +213,12 @@ impl IngestRuntime {
         );
 
         // Every subsystem registers into one registry: pipeline workers,
-        // queues, store, snapshots and BGP from the correlator; listener,
-        // feed and buffer-pool series from the ingest side. The
+        // queues, store, snapshots and BGP from the correlator; listener
+        // and feed series from the ingest side. The
         // periodic stderr stats and the scrape endpoint both read it.
         let registry = Arc::new(MetricsRegistry::new());
         correlator.register_metrics(&registry);
-        register_ingest_metrics(&registry, &exporters, &dns_stats, &pool, socket_inodes);
+        register_ingest_metrics(&registry, &exporters, &dns_stats, socket_inodes);
         let metrics_server = match config.ingest.metrics_addr {
             Some(addr) => {
                 let health = health_check(&correlator);
@@ -255,7 +247,6 @@ impl IngestRuntime {
             conn_handles,
             exporters,
             dns_stats,
-            pool,
             dns_listener_count,
             registry,
             metrics_server,
@@ -303,7 +294,6 @@ impl IngestRuntime {
             queue_depths: self.correlator.queue_depths(),
             netflow_listeners: self.exporters.per_listener(),
             dns_listeners: self.dns_listener_count,
-            buffer_pool: self.pool.stats(),
             pipeline,
         }
     }
@@ -420,7 +410,7 @@ fn health_check(correlator: &Arc<Correlator>) -> HealthCheck {
 
 /// Register the ingest-side series: per-listener drain counters, decode
 /// totals, DNS-feed counters, per-feed totals with the wall-clock
-/// `last_activity_seconds` gauges, and buffer-pool reuse. All closures
+/// `last_activity_seconds` gauges. All closures
 /// over counters the listeners already maintain — registration adds no
 /// hot-path cost — except the kernel's receive drops at the NetFlow
 /// sockets (`socket_inodes`), which a scrape reads from `/proc`.
@@ -428,7 +418,6 @@ fn register_ingest_metrics(
     registry: &MetricsRegistry,
     exporters: &Arc<ExporterTable>,
     dns_stats: &Arc<DnsFeedStats>,
-    pool: &Arc<BufferPool>,
     socket_inodes: Vec<u64>,
 ) {
     for i in 0..exporters.listeners() {
@@ -592,28 +581,6 @@ fn register_ingest_metrics(
         "Wall-clock seconds since the feed last received a batch (-1 = never).",
         &[("feed", "dns")],
         move || s.last_activity.seconds_since().unwrap_or(-1.0),
-    );
-
-    let p = Arc::clone(pool);
-    registry.counter_fn(
-        "flowdns_ingest_buffer_pool_hits_total",
-        "Receive buffers served from the shared pool.",
-        &[],
-        move || p.stats().hits,
-    );
-    let p = Arc::clone(pool);
-    registry.counter_fn(
-        "flowdns_ingest_buffer_pool_misses_total",
-        "Receive buffers freshly allocated (pool empty).",
-        &[],
-        move || p.stats().misses,
-    );
-    let p = Arc::clone(pool);
-    registry.gauge_fn(
-        "flowdns_ingest_buffer_pool_pooled",
-        "Idle receive buffers currently retained by the pool.",
-        &[],
-        move || p.stats().pooled as f64,
     );
 }
 

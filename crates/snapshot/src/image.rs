@@ -3,17 +3,17 @@
 //! An image is everything a warm restart needs, decoupled from the live
 //! store types: a deduplicated name table (the name pool, referenced by
 //! index so each distinct name is stored once, exactly like it is held
-//! once in memory), one generation triple per IP-NAME section (a shard
-//! of the correlator, or a split in older layouts), the NAME-CNAME
-//! triple, and the per-section rotation clocks that let the loader
-//! decide which generations are still within the rotation window.
+//! once in memory), one IP-NAME section per correlator shard, the
+//! NAME-CNAME section, and the per-section rotation clocks that let the
+//! loader decide which generations are still within the rotation window.
 //!
-//! In memory a generation is columnar: one vector per key kind (IPv4,
-//! IPv6, name), each reserved to its exact length before it is filled,
-//! so a decoded image costs 8 bytes per IPv4 or NAME-CNAME entry and 20
-//! per IPv6 entry, and leaves no spare capacity behind. On the wire a
-//! generation is still one list of tagged entries (see
-//! [`GenerationColumns`]); the format did not change with the layout.
+//! A generation is columnar, in memory and on the wire alike: an
+//! IP-NAME generation is an [`IpColumns`] (an IPv4 and an IPv6 column),
+//! a NAME-CNAME generation one [`NameColumns`]. Each column is a count
+//! followed by plain `(key, name index)` entries, and is reserved to
+//! exactly that count when decoded, so a decoded image costs 8 bytes per
+//! IPv4 or NAME-CNAME entry and 20 per IPv6 entry. A key of the wrong
+//! kind has no column to go in.
 //!
 //! `flowdns_core::ShardedStore` builds and consumes these images
 //! (`export_image` / `import_image`); this crate only defines their
@@ -25,125 +25,128 @@ use flowdns_types::{FlowDnsError, IpKey, SimTime};
 
 use crate::wire::{self, Reader};
 
-/// Key tag of a NAME-CNAME entry: a name-table index follows.
-const TAG_NAME: u8 = 0;
-/// Key tag of an IPv4 entry: 4 address bytes follow.
-const TAG_V4: u8 = 1;
-/// Key tag of an IPv6 entry: 16 address bytes follow.
-const TAG_V6: u8 = 2;
-
 /// An IPv6 key as its 16 wire bytes (the little-endian `u128` of the
 /// address bits). A `u128` would align every column entry to 16 bytes
 /// and pad it to 32; bytes keep an entry at 20.
 pub type V6Bytes = [u8; 16];
 
-/// One generation's entries, one exactly sized column per key kind.
+/// One generation of a NAME-CNAME section: key name index and value
+/// name index per entry.
+pub type NameColumns = Vec<(u32, u32)>;
+
+/// One generation of an IP-NAME section, one column per address family.
 /// Every value is an index into [`DnsStoreImage::names`].
-///
-/// The wire form is the entry count, then each entry as a key tag (`1`
-/// IPv4, `2` IPv6, `0` name), the key (4, 16 or 4 bytes) and the value
-/// index (4 bytes). An encoder writes the IPv4 column, then IPv6, then
-/// names; a decoder accepts the kinds in any order and counts them in a
-/// look-ahead pass to reserve each column once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct GenerationColumns {
+pub struct IpColumns {
     /// IPv4 entries: address bits and name index.
     pub v4: Vec<(u32, u32)>,
     /// IPv6 entries: address bytes and name index.
     pub v6: Vec<(V6Bytes, u32)>,
-    /// NAME-CNAME entries: key name index and value name index.
-    pub names: Vec<(u32, u32)>,
 }
 
-impl GenerationColumns {
-    /// Entries across the three columns.
-    pub fn len(&self) -> usize {
-        self.v4.len() + self.v6.len() + self.names.len()
-    }
-
-    /// Does the generation hold no entry?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Append an IP-NAME entry to the column of its address family.
+impl IpColumns {
+    /// Append an entry to the column of its address family.
     pub fn push_ip(&mut self, key: IpKey, name: u32) {
         match key {
             IpKey::V4(bits) => self.v4.push((bits, name)),
             IpKey::V6(bits) => self.v6.push((bits.to_le_bytes(), name)),
         }
     }
+}
 
-    /// Every name index the generation references: the values of all
-    /// three columns and the keys of the name column.
-    pub fn name_indices(&self) -> impl Iterator<Item = u32> + '_ {
-        let values = self.v4.iter().map(|&(_, v)| v);
-        let v6 = self.v6.iter().map(|&(_, v)| v);
-        let names = self.names.iter().flat_map(|&(k, v)| [k, v]);
-        values.chain(v6).chain(names)
+/// The columns of one generation: what a section of a given kind holds
+/// per generation, and its wire form (each column a `u32` entry count,
+/// then the entries).
+pub trait Columns: Default {
+    /// Entries in the generation.
+    fn len(&self) -> usize;
+
+    /// Does the generation hold no entry?
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Every name index the generation references.
+    fn name_indices(&self) -> impl Iterator<Item = u32> + '_;
+
+    /// Append the wire form.
+    fn encode(&self, out: &mut Vec<u8>);
+
+    /// Read the wire form.
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError>;
+}
+
+impl Columns for IpColumns {
+    fn len(&self) -> usize {
+        self.v4.len() + self.v6.len()
+    }
+
+    fn name_indices(&self) -> impl Iterator<Item = u32> + '_ {
+        let v4 = self.v4.iter().map(|&(_, v)| v);
+        v4.chain(self.v6.iter().map(|&(_, v)| v))
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        wire::put_u32(out, self.len() as u32);
-        for &(bits, value) in &self.v4 {
-            wire::put_u8(out, TAG_V4);
-            wire::put_u32(out, bits);
-            wire::put_u32(out, value);
-        }
-        for (bytes, value) in &self.v6 {
-            wire::put_u8(out, TAG_V6);
-            out.extend_from_slice(bytes);
-            wire::put_u32(out, *value);
-        }
-        for &(key, value) in &self.names {
-            wire::put_u8(out, TAG_NAME);
-            wire::put_u32(out, key);
-            wire::put_u32(out, value);
-        }
+        put_column(out, &self.v4, |out, &bits| wire::put_u32(out, bits));
+        put_column(out, &self.v6, |out, bytes| out.extend_from_slice(bytes));
     }
 
     fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError> {
-        let count = reader.count(MIN_ENTRY_BYTES)?;
-        // Look ahead over the entries to size each column exactly.
-        let mut ahead = reader.clone();
-        let mut kinds = [0usize; 3];
-        for _ in 0..count {
-            let tag = ahead.u8()?;
-            let key_bytes = match tag {
-                TAG_NAME | TAG_V4 => 4,
-                TAG_V6 => 16,
-                tag => {
-                    return Err(FlowDnsError::Snapshot(format!(
-                        "unknown snapshot key tag {tag}"
-                    )))
-                }
-            };
-            kinds[tag as usize] += 1;
-            ahead.skip(key_bytes + 4)?;
-        }
-        let mut columns = GenerationColumns {
-            v4: Vec::with_capacity(kinds[TAG_V4 as usize]),
-            v6: Vec::with_capacity(kinds[TAG_V6 as usize]),
-            names: Vec::with_capacity(kinds[TAG_NAME as usize]),
-        };
-        for _ in 0..count {
-            match reader.u8()? {
-                TAG_V4 => columns.v4.push((reader.u32()?, reader.u32()?)),
-                TAG_V6 => columns
-                    .v6
-                    .push((reader.u128()?.to_le_bytes(), reader.u32()?)),
-                // The look-ahead rejected every other tag.
-                _ => columns.names.push((reader.u32()?, reader.u32()?)),
-            }
-        }
-        Ok(columns)
+        Ok(IpColumns {
+            v4: read_column(reader, 4, Reader::u32)?,
+            v6: read_column(reader, 16, Reader::array)?,
+        })
     }
 }
 
-/// One rotating store's state: the three generation maps as columns
-/// (key → name-table index) plus the rotation clock.
+impl Columns for NameColumns {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+
+    fn name_indices(&self) -> impl Iterator<Item = u32> + '_ {
+        self.iter().flat_map(|&(k, v)| [k, v])
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        put_column(out, self, |out, &key| wire::put_u32(out, key));
+    }
+
+    fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError> {
+        read_column(reader, 4, Reader::u32)
+    }
+}
+
+/// Write a column: its entry count, then each key and value index.
+fn put_column<K>(out: &mut Vec<u8>, column: &[(K, u32)], put_key: impl Fn(&mut Vec<u8>, &K)) {
+    wire::put_u32(out, column.len() as u32);
+    for (key, value) in column {
+        put_key(out, key);
+        wire::put_u32(out, *value);
+    }
+}
+
+/// Read a column of `key_bytes`-wide keys, reserved to its exact count.
+/// The count is bounded by the entries the payload has room for, so a
+/// corrupt one fails before anything is allocated.
+fn read_column<'a, K>(
+    reader: &mut Reader<'a>,
+    key_bytes: usize,
+    read_key: fn(&mut Reader<'a>) -> Result<K, FlowDnsError>,
+) -> Result<Vec<(K, u32)>, FlowDnsError> {
+    let count = reader.count(key_bytes + 4)?;
+    let mut column = Vec::with_capacity(count);
+    for _ in 0..count {
+        column.push((read_key(reader)?, reader.u32()?));
+    }
+    Ok(column)
+}
+
+/// One section of the store: the three generations' columns plus the
+/// rotation clock. An IP-NAME section holds [`IpColumns`], the
+/// NAME-CNAME section [`NameColumns`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreImage {
+pub struct StoreImage<C> {
     /// When the store last performed a clear-up, in data time (`None` if
     /// it never has). The loader measures generation age from here.
     pub last_clear_ts: Option<SimTime>,
@@ -151,24 +154,21 @@ pub struct StoreImage {
     /// saw a record). Feeds [`DnsStoreImage::as_of`].
     pub last_seen_ts: Option<SimTime>,
     /// The Active generation's entries.
-    pub active: GenerationColumns,
+    pub active: C,
     /// The Inactive generation's entries.
-    pub inactive: GenerationColumns,
+    pub inactive: C,
     /// The Long generation's entries.
-    pub long: GenerationColumns,
+    pub long: C,
 }
 
-/// Smallest possible encoded entry: 1 tag + 4 key + 4 value bytes.
-const MIN_ENTRY_BYTES: usize = 9;
-
-impl StoreImage {
+impl<C: Columns> StoreImage<C> {
     /// Total entries across the three generations.
     pub fn entry_count(&self) -> usize {
-        self.active.len() + self.inactive.len() + self.long.len()
+        self.generations().iter().map(|g| g.len()).sum()
     }
 
     /// The Active, Inactive and Long generations, in that order.
-    pub fn generations(&self) -> [&GenerationColumns; 3] {
+    pub fn generations(&self) -> [&C; 3] {
         [&self.active, &self.inactive, &self.long]
     }
 
@@ -181,40 +181,24 @@ impl StoreImage {
     }
 
     fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError> {
-        let last_clear_ts = decode_opt_ts(reader)?;
-        let last_seen_ts = decode_opt_ts(reader)?;
         Ok(StoreImage {
-            last_clear_ts,
-            last_seen_ts,
-            active: GenerationColumns::decode(reader)?,
-            inactive: GenerationColumns::decode(reader)?,
-            long: GenerationColumns::decode(reader)?,
+            last_clear_ts: decode_opt_ts(reader)?,
+            last_seen_ts: decode_opt_ts(reader)?,
+            active: C::decode(reader)?,
+            inactive: C::decode(reader)?,
+            long: C::decode(reader)?,
         })
     }
 }
 
-/// The full store image: name table, IP-NAME splits, NAME-CNAME store,
-/// and the configuration facts the loader checks before importing.
+/// The full store image: name table, one IP-NAME section per shard, the
+/// NAME-CNAME section, and the configuration facts the loader checks
+/// before importing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DnsStoreImage {
     /// The latest data timestamp any store in the image observed; the
     /// loader's default "now" when judging generation age.
     pub as_of: SimTime,
-    /// Number of IP-NAME sections per shard (per store when `shards` is
-    /// 0). Layouts that split the IP-NAME maps wrote one per split. A
-    /// sharded correlator writes 1 (its partitions do not split) and
-    /// loads any count, aging each section by its own clock.
-    pub num_split: u32,
-    /// Number of shared-nothing correlator shards the image was exported
-    /// with. `0` means an unpartitioned store (one set of `num_split`
-    /// splits) — what the removed classic pipeline and its unpartitioned
-    /// store left on disk; a live correlator rejects it as a
-    /// layout mismatch. Any positive value means [`DnsStoreImage::ip_name`]
-    /// holds `shards × num_split` images in shard-major order (shard 0's
-    /// sections first). A mismatch on import is rejected — the shard
-    /// routing function is stable, so partitions cannot be reassigned
-    /// without rehashing every entry.
-    pub shards: u32,
     /// `AClearUpInterval` (seconds) the exporting store ran with.
     pub a_interval_secs: u64,
     /// `CClearUpInterval` (seconds) the exporting store ran with.
@@ -226,45 +210,43 @@ pub struct DnsStoreImage {
     /// export hands out the pool's own, and an import can adopt the
     /// decoded ones instead of copying them.
     pub names: Vec<Arc<str>>,
-    /// One image per IP-NAME split, in split-label order.
-    pub ip_name: Vec<StoreImage>,
-    /// The NAME-CNAME store image.
-    pub name_cname: StoreImage,
+    /// One section per correlator shard, in shard order; the file header
+    /// records their count as the shard count. An import into a
+    /// different shard count is rejected — the shard routing function is
+    /// stable, so partitions cannot be reassigned without rehashing
+    /// every entry.
+    pub ip_name: Vec<StoreImage<IpColumns>>,
+    /// The NAME-CNAME section.
+    pub name_cname: StoreImage<NameColumns>,
 }
 
 impl DnsStoreImage {
-    /// Total entries across every store in the image.
+    /// Total entries across every section.
     pub fn entry_count(&self) -> usize {
-        self.ip_name
-            .iter()
-            .map(StoreImage::entry_count)
-            .sum::<usize>()
-            + self.name_cname.entry_count()
+        let ip: usize = self.ip_name.iter().map(StoreImage::entry_count).sum();
+        ip + self.name_cname.entry_count()
     }
 
-    /// Serialize the payload sections (without the file header).
+    /// Serialize the payload (without the file header).
     pub fn encode(&self, out: &mut Vec<u8>) {
         wire::put_u64(out, self.as_of.as_micros());
-        wire::put_u32(out, self.num_split);
-        wire::put_u32(out, self.shards);
+        wire::put_u32(out, self.ip_name.len() as u32);
         wire::put_u64(out, self.a_interval_secs);
         wire::put_u64(out, self.c_interval_secs);
         wire::put_u32(out, self.names.len() as u32);
         for name in &self.names {
             wire::put_str(out, name);
         }
-        wire::put_u32(out, self.ip_name.len() as u32);
-        for split in &self.ip_name {
-            split.encode(out);
+        for section in &self.ip_name {
+            section.encode(out);
         }
         self.name_cname.encode(out);
     }
 
-    /// Decode the payload sections and validate internal consistency
-    /// (split count, name-index bounds, key kinds per section).
+    /// Decode the payload and check every name index against the name
+    /// table.
     pub fn decode(reader: &mut Reader<'_>) -> Result<Self, FlowDnsError> {
         let as_of = SimTime::from_micros(reader.u64()?);
-        let num_split = reader.u32()?;
         let shards = reader.u32()?;
         let a_interval_secs = reader.u64()?;
         let c_interval_secs = reader.u64()?;
@@ -273,66 +255,39 @@ impl DnsStoreImage {
         for _ in 0..name_count {
             names.push(reader.str()?);
         }
-        let split_count = reader.count(1)?;
-        let mut ip_name = Vec::with_capacity(split_count);
-        for _ in 0..split_count {
-            ip_name.push(StoreImage::decode(reader)?);
-        }
-        let name_cname = StoreImage::decode(reader)?;
         let image = DnsStoreImage {
             as_of,
-            num_split,
-            shards,
             a_interval_secs,
             c_interval_secs,
             names,
-            ip_name,
-            name_cname,
+            ip_name: (0..shards)
+                .map(|_| StoreImage::decode(reader))
+                .collect::<Result<_, _>>()?,
+            name_cname: StoreImage::decode(reader)?,
         };
         image.validate()?;
         Ok(image)
     }
 
-    /// Check internal consistency: the split count, every name index
-    /// against the name table, and the key kind of every section.
+    /// Check every name index against the name table.
     /// [`DnsStoreImage::decode`] runs it on every decoded image; an
     /// importer runs it before touching a store, so a bad image is
     /// rejected whole.
     pub fn validate(&self) -> Result<(), FlowDnsError> {
-        let fail = |msg: String| Err(FlowDnsError::Snapshot(msg));
-        let expected_sections = self.num_split as usize * self.shards.max(1) as usize;
-        if self.ip_name.len() != expected_sections {
-            return fail(format!(
-                "split section count {} does not match declared num_split {} × {} shard(s)",
-                self.ip_name.len(),
-                self.num_split,
-                self.shards.max(1)
-            ));
-        }
         let names = self.names.len() as u32;
-        let check_names = |generation: &GenerationColumns| -> Result<(), FlowDnsError> {
-            match generation.name_indices().find(|&idx| idx >= names) {
-                Some(idx) => Err(FlowDnsError::Snapshot(format!(
-                    "name index {idx} out of bounds (table has {names} names)"
-                ))),
-                None => Ok(()),
-            }
-        };
-        for split in &self.ip_name {
-            for generation in split.generations() {
-                if !generation.names.is_empty() {
-                    return fail("IP-NAME split contains a non-IP key".into());
-                }
-                check_names(generation)?;
-            }
+        let ip = self
+            .ip_name
+            .iter()
+            .flat_map(|section| section.generations());
+        let ip = ip.flat_map(|generation| generation.name_indices());
+        let cname = self.name_cname.generations().into_iter();
+        let cname = cname.flat_map(|generation| generation.name_indices());
+        match ip.chain(cname).find(|&idx| idx >= names) {
+            Some(idx) => Err(FlowDnsError::Snapshot(format!(
+                "name index {idx} out of bounds (table has {names} names)"
+            ))),
+            None => Ok(()),
         }
-        for generation in self.name_cname.generations() {
-            if !generation.v4.is_empty() || !generation.v6.is_empty() {
-                return fail("NAME-CNAME store contains an IP key".into());
-            }
-            check_names(generation)?;
-        }
-        Ok(())
     }
 }
 
@@ -372,8 +327,6 @@ mod tests {
     fn minimal_image() -> DnsStoreImage {
         DnsStoreImage {
             as_of: SimTime::from_secs(100),
-            num_split: 2,
-            shards: 0,
             a_interval_secs: 3600,
             c_interval_secs: 7200,
             names: vec!["a.example".into()],
@@ -395,56 +348,20 @@ mod tests {
         image.ip_name[0].active.v4.push((1, 7)); // only 1 name in the table
         assert!(decode_image(&image).is_err());
         let mut image = minimal_image();
-        image.name_cname.long.names.push((9, 0));
+        image.name_cname.long.push((9, 0));
         assert!(decode_image(&image).is_err());
     }
 
     #[test]
-    fn key_kind_mismatches_are_rejected() {
+    fn one_section_per_shard_round_trips() {
         let mut image = minimal_image();
-        image.ip_name[1].inactive.names.push((0, 0));
-        assert!(decode_image(&image).is_err());
-        let mut image = minimal_image();
-        image.name_cname.active.v4.push((1, 0));
-        assert!(decode_image(&image).is_err());
-        let mut image = minimal_image();
-        image.name_cname.active.v6.push((1u128.to_le_bytes(), 0));
-        assert!(decode_image(&image).is_err());
-    }
-
-    #[test]
-    fn split_count_mismatch_is_rejected() {
-        let mut image = minimal_image();
-        image.num_split = 3; // but only 2 split sections
-        assert!(decode_image(&image).is_err());
-    }
-
-    #[test]
-    fn sharded_images_carry_shard_major_sections() {
-        // 3 shards × 2 splits = 6 sections, shard-major.
-        let mut image = minimal_image();
-        image.shards = 3;
-        image.ip_name = (0..6).map(|_| StoreImage::default()).collect();
-        image.ip_name[5].active.v4.push((0xC0A80001, 0));
+        image.ip_name = (0..3).map(|_| StoreImage::default()).collect();
+        image.ip_name[2].active.v4.push((0xC0A80001, 0));
+        image.ip_name[1].long.v6.push(([7; 16], 0));
+        image.name_cname.inactive.push((0, 0));
         let back = decode_image(&image).unwrap();
-        assert_eq!(back.shards, 3);
-        assert_eq!(back.ip_name.len(), 6);
+        assert_eq!(back.ip_name.len(), 3);
         assert_eq!(back, image);
-        // shards = 1 is NOT the same as the classic layout marker 0 in
-        // the header, but both expect num_split sections.
-        let mut image = minimal_image();
-        image.shards = 1;
-        assert_eq!(decode_image(&image).unwrap().shards, 1);
-    }
-
-    #[test]
-    fn shard_count_section_mismatch_is_rejected() {
-        let mut image = minimal_image();
-        image.shards = 2; // declares 2 × 2 = 4 sections, but only 2 present
-        match decode_image(&image) {
-            Err(FlowDnsError::Snapshot(msg)) => assert!(msg.contains("shard"), "{msg}"),
-            other => panic!("expected shard mismatch rejection, got {other:?}"),
-        }
     }
 
     #[test]
@@ -454,26 +371,17 @@ mod tests {
     }
 
     #[test]
-    fn decoding_accepts_interleaved_kinds_and_reserves_exactly() {
-        // A generation whose kinds alternate on the wire, as no encoder
-        // here writes them but the format allows.
+    fn columns_are_count_prefixed_plain_entries() {
+        let columns = IpColumns {
+            v4: vec![(0x0A00_0001, 3)],
+            v6: vec![([9; 16], 4), ([8; 16], 5)],
+        };
         let mut payload = Vec::new();
-        wire::put_u32(&mut payload, 4);
-        for (tag, key) in [(TAG_V6, 16), (TAG_V4, 4), (TAG_V6, 16), (TAG_V4, 4)] {
-            wire::put_u8(&mut payload, tag);
-            payload.extend(std::iter::repeat(tag).take(key));
-            wire::put_u32(&mut payload, u32::from(tag));
-        }
-        let columns = GenerationColumns::decode(&mut Reader::new(&payload)).unwrap();
-        assert_eq!((columns.v4.len(), columns.v6.len()), (2, 2));
-        assert_eq!((columns.v4.capacity(), columns.v6.capacity()), (2, 2));
-        assert_eq!(columns.v6[0], ([TAG_V6; 16], 2));
-        assert_eq!(columns.v4[1], (u32::from_le_bytes([TAG_V4; 4]), 1));
-        // An unknown tag fails the look-ahead, before any column is filled.
-        payload[4] = 7;
-        match GenerationColumns::decode(&mut Reader::new(&payload)) {
-            Err(FlowDnsError::Snapshot(msg)) => assert!(msg.contains("tag 7"), "{msg}"),
-            other => panic!("expected a tag rejection, got {other:?}"),
-        }
+        columns.encode(&mut payload);
+        assert_eq!(payload.len(), 4 + 8 + 4 + 2 * 20);
+        assert_eq!(&payload[..12], &[1, 0, 0, 0, 1, 0, 0, 0x0A, 3, 0, 0, 0]);
+        let back = IpColumns::decode(&mut Reader::new(&payload)).unwrap();
+        assert_eq!((back.v4.capacity(), back.v6.capacity()), (1, 2));
+        assert_eq!(back, columns);
     }
 }

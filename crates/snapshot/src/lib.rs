@@ -8,55 +8,69 @@
 //! stores, so every `flowdnsd` restart silently degrades correlation for
 //! up to a clear-up interval. This crate defines a compact, versioned,
 //! checksummed binary file format for the store's full state — the
-//! interned name pool, the `NUM_SPLIT` IP-NAME generation triples, the
-//! NAME-CNAME triple, and the per-store rotation clocks — together with
-//! atomic write (`.part` + rename) and strict, checksum-verified read.
+//! interned name pool, one IP-NAME generation triple per correlator
+//! shard, the NAME-CNAME triple, and the per-section rotation clocks —
+//! together with durable, atomic write (`.part`, `sync_all`, rename) and
+//! strict, checksum-verified read.
 //!
 //! The crate deliberately knows nothing about live stores or threads: it
 //! only defines the *image* types ([`DnsStoreImage`], [`StoreImage`]) and
-//! the codec ([`write_snapshot`], [`read_snapshot`]). `flowdns-storage`
-//! exports and imports generation images, and `flowdns-core` maps pooled
-//! [`flowdns_types::NameId`]s to and from the image's name indices and
-//! runs the background snapshot thread.
+//! the codec ([`write_snapshot`], [`read_snapshot`]). `flowdns-core`
+//! maps pooled [`flowdns_types::NameId`]s to and from the image's name
+//! indices, moves entries between its tables and the image's columns,
+//! and runs the background snapshot thread.
 //!
-//! ## File format (version 2)
+//! ## File format (version 3)
 //!
 //! ```text
-//! magic    8 bytes  "FDNSSNAP"
-//! version  u32 LE   2
-//! length   u64 LE   payload byte count
-//! checksum u64 LE   FNV-1a 64 over the payload bytes
-//! payload  ...      see `wire` for the section encodings
+//! magic     8 bytes  "FDNSSNAP"
+//! version   u32      3
+//! length    u64      payload byte count
+//! checksum  u64      FNV-1a 64 over the payload bytes
+//! payload:
+//!   as_of            u64  data time, microseconds
+//!   shards           u32  IP-NAME sections that follow the name table
+//!   a_interval_secs  u64
+//!   c_interval_secs  u64
+//!   names            u32 count, then per name: u32 byte length + UTF-8
+//!   shards × IP-NAME section:
+//!     last_clear_ts, last_seen_ts   each u8 0 (none) or u8 1 + u64
+//!     Active, Inactive, Long:       v4 column, then v6 column
+//!   NAME-CNAME section:
+//!     last_clear_ts, last_seen_ts   as above
+//!     Active, Inactive, Long:       name column
+//! column    u32 count, then per entry the key and a u32 name index;
+//!           keys are u32 address bits (v4), 16 address bytes (v6) or a
+//!           u32 name index (name)
 //! ```
 //!
-//! Version 2 added the [`DnsStoreImage::shards`] field for the sharded
-//! correlator (the IP-NAME section then holds `shards × num_split`
-//! generation triples in shard-major order; a correlator writes one per
-//! shard and reads any `num_split`). Version 1 files are
-//! rejected by the version check — the daemon records the error and
-//! cold-starts; see MIGRATION.md.
+//! Every integer is little-endian. A column's count is bounded by the
+//! entries of its width the rest of the payload can hold, so a corrupt
+//! count fails before its column is allocated. Version 2 files (a key
+//! tag on every entry, `num_split` sections per shard) and version 1
+//! files are rejected by the version check — the daemon records the
+//! error and cold-starts; see MIGRATION.md.
 //!
 //! A torn or corrupted file fails the checksum (or the length check) and
 //! is rejected with [`FlowDnsError::Snapshot`]; the writer never exposes
-//! a partially written file under the final name because it writes to
-//! `<path>.part` and renames only after a successful flush.
+//! a partially written file under the final name because it writes and
+//! syncs `<path>.part` and renames only then.
 //!
 //! # Examples
 //!
 //! ```
 //! use flowdns_snapshot::{decode_snapshot, encode_snapshot, DnsStoreImage, StoreImage};
-//! use flowdns_types::SimTime;
+//! use flowdns_types::{IpKey, SimTime};
 //!
-//! let image = DnsStoreImage {
+//! let mut image = DnsStoreImage {
 //!     as_of: SimTime::from_secs(900),
-//!     num_split: 1,
-//!     shards: 0, // unpartitioned (classic) layout; N > 0 for a correlator's shards
 //!     a_interval_secs: 3600,
 //!     c_interval_secs: 7200,
 //!     names: vec!["svc.example".into()],
-//!     ip_name: vec![StoreImage::default()],
+//!     ip_name: vec![StoreImage::default()], // one section per shard
 //!     name_cname: StoreImage::default(),
 //! };
+//! image.ip_name[0].active.push_ip(IpKey::V4(0xC633_6407), 0);
 //! let bytes = encode_snapshot(&image);
 //! assert_eq!(decode_snapshot(&bytes).unwrap(), image);
 //!
@@ -70,8 +84,9 @@
 pub mod image;
 pub mod wire;
 
-pub use image::{DnsStoreImage, GenerationColumns, StoreImage, V6Bytes};
+pub use image::{Columns, DnsStoreImage, IpColumns, NameColumns, StoreImage, V6Bytes};
 
+use std::io::Write;
 use std::path::Path;
 
 use flowdns_types::FlowDnsError;
@@ -79,9 +94,10 @@ use flowdns_types::FlowDnsError;
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: &[u8; 8] = b"FDNSSNAP";
 
-/// Current format version. Version 2 added [`DnsStoreImage::shards`];
-/// version 1 files are rejected (cold start), see MIGRATION.md.
-pub const FORMAT_VERSION: u32 = 2;
+/// Current format version. Version 3 stores plain count-prefixed
+/// columns, one IP-NAME section per shard; version 1 and 2 files are
+/// rejected (cold start), see MIGRATION.md.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Bytes of header before the payload (magic + version + length +
 /// checksum).
@@ -147,10 +163,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<DnsStoreImage, FlowDnsError> {
     Ok(image)
 }
 
-/// Write a snapshot atomically: encode, write `<path>.part`, flush, and
-/// rename over the final path. Readers therefore never observe a
-/// partially written snapshot under `path`. Returns the total file size
-/// in bytes.
+/// Write a snapshot durably and atomically: encode, write `<path>.part`,
+/// sync it to disk, and rename it over the final path. Readers never
+/// observe a partially written snapshot under `path`, and after a power
+/// loss `path` holds either the previous snapshot or this one. On error
+/// the `.part` file is removed. Returns the total file size in bytes.
 pub fn write_snapshot<P: AsRef<Path>>(path: P, image: &DnsStoreImage) -> Result<u64, FlowDnsError> {
     let path = path.as_ref();
     let bytes = encode_snapshot(image);
@@ -158,10 +175,17 @@ pub fn write_snapshot<P: AsRef<Path>>(path: P, image: &DnsStoreImage) -> Result<
     if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
         std::fs::create_dir_all(dir)?;
     }
-    std::fs::write(&part, &bytes)?;
-    // Durability is best-effort (no fsync of the directory), atomicity is
-    // not: the rename is what makes the snapshot visible.
-    std::fs::rename(&part, path)?;
+    let written = std::fs::File::create(&part)
+        .and_then(|mut file| {
+            file.write_all(&bytes)?;
+            // The data must reach the disk before the rename does.
+            file.sync_all()
+        })
+        .and_then(|()| std::fs::rename(&part, path));
+    if let Err(e) = written {
+        let _ = std::fs::remove_file(&part);
+        return Err(e.into());
+    }
     Ok(bytes.len() as u64)
 }
 
@@ -190,30 +214,25 @@ mod tests {
 
     fn sample_image() -> DnsStoreImage {
         let v6: u128 = "2001:db8::7".parse::<Ipv6Addr>().unwrap().into();
-        let ip_split = StoreImage {
+        let ip_section = StoreImage {
             last_clear_ts: Some(SimTime::from_secs(3600)),
             last_seen_ts: Some(SimTime::from_secs(4000)),
-            active: GenerationColumns {
+            active: IpColumns {
                 v4: vec![(Ipv4Addr::new(203, 0, 113, 9).into(), 0)],
-                ..GenerationColumns::default()
+                ..IpColumns::default()
             },
-            long: GenerationColumns {
+            long: IpColumns {
                 v6: vec![(v6.to_le_bytes(), 1)],
-                ..GenerationColumns::default()
+                ..IpColumns::default()
             },
             ..StoreImage::default()
         };
         let cname = StoreImage {
-            inactive: GenerationColumns {
-                names: vec![(0, 2)],
-                ..GenerationColumns::default()
-            },
+            inactive: vec![(0, 2)],
             ..StoreImage::default()
         };
         DnsStoreImage {
             as_of: SimTime::from_secs(4000),
-            num_split: 1,
-            shards: 0,
             a_interval_secs: 3600,
             c_interval_secs: 7200,
             names: vec![
@@ -221,7 +240,7 @@ mod tests {
                 "v6.example".into(),
                 "www.shop.example".into(),
             ],
-            ip_name: vec![ip_split],
+            ip_name: vec![ip_section, StoreImage::default()],
             name_cname: cname,
         }
     }
@@ -268,17 +287,19 @@ mod tests {
     }
 
     #[test]
-    fn version_one_files_are_rejected_not_misparsed() {
-        // A v1 file lacks the shards field; decoding its payload with the
-        // v2 layout would silently shear every later section, so the
-        // version gate must fire first.
-        let mut v1 = encode_snapshot(&sample_image());
-        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
-        match decode_snapshot(&v1) {
-            Err(FlowDnsError::Snapshot(msg)) => {
-                assert!(msg.contains("unsupported snapshot version 1"), "{msg}")
+    fn older_versions_are_rejected_not_misparsed() {
+        // Decoding an older payload with the version-3 layout would
+        // shear every section, so the version gate must fire first.
+        for version in [1u32, 2] {
+            let mut old = encode_snapshot(&sample_image());
+            old[8..12].copy_from_slice(&version.to_le_bytes());
+            match decode_snapshot(&old) {
+                Err(FlowDnsError::Snapshot(msg)) => assert!(
+                    msg.contains(&format!("unsupported snapshot version {version}")),
+                    "{msg}"
+                ),
+                other => panic!("expected version rejection, got {other:?}"),
             }
-            other => panic!("expected version rejection, got {other:?}"),
         }
     }
 
@@ -303,6 +324,20 @@ mod tests {
         // Overwriting goes through the same .part dance.
         write_snapshot(&path, &image).unwrap();
         assert!(!part_path(&path).exists());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_rename_leaves_no_part_file() {
+        let dir = std::env::temp_dir().join("flowdns-snapshot-rename-test");
+        std::fs::remove_dir_all(&dir).ok();
+        // The final path is a non-empty directory: the rename fails
+        // after the `.part` file was written and synced.
+        let path = dir.join("store.fdns");
+        std::fs::create_dir_all(path.join("occupied")).unwrap();
+        assert!(write_snapshot(&path, &sample_image()).is_err());
+        assert!(!part_path(&path).exists());
+        assert!(path.join("occupied").is_dir());
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,12 +1,12 @@
 //! Little-endian payload primitives for the snapshot format.
 //!
-//! Everything in a snapshot payload is built from four shapes: fixed
-//! `u8`/`u32`/`u64` integers, and length-prefixed UTF-8 strings
-//! (`u32` byte count + bytes). Writers append to a plain `Vec<u8>`;
-//! [`Reader`] walks a byte slice with strict bounds checks, so a
-//! truncated payload turns into a [`FlowDnsError::Snapshot`] instead of a
-//! panic (the checksum catches corruption first in practice, but the
-//! decoder must stand on its own).
+//! Everything in a snapshot payload is built from fixed `u8`/`u32`/`u64`
+//! integers, fixed-size byte arrays (an IPv6 key's 16 bytes) and
+//! length-prefixed UTF-8 strings (`u32` byte count + bytes). Writers
+//! append to a plain `Vec<u8>`; [`Reader`] walks a byte slice with strict
+//! bounds checks, so a truncated payload turns into a
+//! [`FlowDnsError::Snapshot`] instead of a panic (the checksum catches
+//! corruption first in practice, but the decoder must stand on its own).
 
 use std::sync::Arc;
 
@@ -27,20 +27,14 @@ pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-/// Append a little-endian `u128`.
-pub fn put_u128(out: &mut Vec<u8>, v: u128) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
 /// Append a length-prefixed UTF-8 string.
 pub fn put_str(out: &mut Vec<u8>, s: &str) {
     put_u32(out, s.len() as u32);
     out.extend_from_slice(s.as_bytes());
 }
 
-/// A bounds-checked cursor over a snapshot payload. A clone reads on
-/// from the same position independently (a look-ahead).
-#[derive(Debug, Clone)]
+/// A bounds-checked cursor over a snapshot payload.
+#[derive(Debug)]
 pub struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -70,35 +64,24 @@ impl<'a> Reader<'a> {
         Ok(slice)
     }
 
-    /// Step over `n` bytes.
-    pub(crate) fn skip(&mut self, n: usize) -> Result<(), FlowDnsError> {
-        self.take(n).map(|_| ())
-    }
-
     /// Read a `u8`.
     pub fn u8(&mut self) -> Result<u8, FlowDnsError> {
         Ok(self.take(1)?[0])
     }
 
+    /// Read `N` raw bytes.
+    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], FlowDnsError> {
+        Ok(self.take(N)?.try_into().expect("N bytes"))
+    }
+
     /// Read a little-endian `u32`.
     pub fn u32(&mut self) -> Result<u32, FlowDnsError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        self.array().map(u32::from_le_bytes)
     }
 
     /// Read a little-endian `u64`.
     pub fn u64(&mut self) -> Result<u64, FlowDnsError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    /// Read a little-endian `u128`.
-    pub fn u128(&mut self) -> Result<u128, FlowDnsError> {
-        Ok(u128::from_le_bytes(
-            self.take(16)?.try_into().expect("16 bytes"),
-        ))
+        self.array().map(u64::from_le_bytes)
     }
 
     /// Read a length-prefixed UTF-8 string into one shared allocation,
@@ -148,17 +131,14 @@ mod tests {
         put_u8(&mut buf, 7);
         put_u32(&mut buf, 0xdead_beef);
         put_u64(&mut buf, u64::MAX - 1);
-        put_u128(&mut buf, u128::MAX / 3);
+        buf.extend_from_slice(&[9; 16]);
         put_str(&mut buf, "edge7.cdn.example.net");
         put_str(&mut buf, "");
         let mut r = Reader::new(&buf);
-        let mut ahead = r.clone();
-        ahead.skip(1 + 4 + 8).unwrap();
-        assert_eq!(ahead.u128().unwrap(), u128::MAX / 3);
         assert_eq!(r.u8().unwrap(), 7);
         assert_eq!(r.u32().unwrap(), 0xdead_beef);
         assert_eq!(r.u64().unwrap(), u64::MAX - 1);
-        assert_eq!(r.u128().unwrap(), u128::MAX / 3);
+        assert_eq!(r.array::<16>().unwrap(), [9; 16]);
         assert_eq!(&*r.str().unwrap(), "edge7.cdn.example.net");
         assert_eq!(&*r.str().unwrap(), "");
         r.finish().unwrap();

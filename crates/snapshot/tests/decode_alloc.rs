@@ -1,6 +1,7 @@
-//! The byte gate of a decoded snapshot: an image costs at most 24 bytes
+//! The byte gates of a decoded snapshot: an image costs at most 24 bytes
 //! per entry beyond its name text, all allocations included (columns,
-//! the name table's handles and headers).
+//! the name table's handles and headers), and a corrupt column count
+//! cannot make the decoder allocate more than the payload's size.
 //!
 //! A decoded generation is columnar: 8 bytes per IPv4 or NAME-CNAME
 //! entry and 20 per IPv6 entry, each column reserved exactly; this image
@@ -11,22 +12,25 @@
 //! name table), and its image stayed resident under the store a warm
 //! start built above it.
 //!
-//! A counting `#[global_allocator]` tallies the bytes requested by the
-//! measuring thread only, so the test harness's own threads cannot leak
-//! into the count.
+//! A counting `#[global_allocator]` tallies, per thread, the bytes a
+//! measuring thread requests and its largest single request, so neither
+//! the test harness's own threads nor the other test, which runs on a
+//! thread of its own, can leak into a count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use flowdns_snapshot::{decode_snapshot, encode_snapshot, DnsStoreImage, StoreImage};
+use flowdns_snapshot::{
+    checksum, decode_snapshot, encode_snapshot, DnsStoreImage, IpColumns, NameColumns, StoreImage,
+    HEADER_LEN,
+};
 use flowdns_types::{IpKey, SimTime};
-
-static BYTES: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+    static LARGEST: Cell<u64> = const { Cell::new(0) };
 }
 
 struct CountingAllocator;
@@ -36,7 +40,9 @@ impl CountingAllocator {
         // `try_with`: the allocator also runs while a thread's locals are
         // torn down, when the flag is gone (and nobody is measuring).
         if COUNTING.try_with(Cell::get).unwrap_or(false) {
-            BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
+            let bytes = bytes as u64;
+            BYTES.with(|total| total.set(total.get() + bytes));
+            LARGEST.with(|largest| largest.set(largest.get().max(bytes)));
         }
     }
 }
@@ -85,7 +91,8 @@ fn image() -> DnsStoreImage {
     let names: Vec<Arc<str>> = (0..NAMES)
         .map(|i| Arc::from(format!("edge{i}.pop{}.cdn.example.net", i % 31)))
         .collect();
-    let mut ip_name = vec![StoreImage::default(), StoreImage::default()];
+    let mut ip_name: Vec<StoreImage<IpColumns>> =
+        vec![StoreImage::default(), StoreImage::default()];
     for i in 0..14_000u32 {
         let key = if i % 10 < 3 {
             IpKey::V6(0x2001_0db8_u128 << 96 | i as u128)
@@ -100,14 +107,12 @@ fn image() -> DnsStoreImage {
         };
         generation.push_ip(key, i % NAMES);
     }
-    let mut name_cname = StoreImage::default();
+    let mut name_cname: StoreImage<NameColumns> = StoreImage::default();
     for i in 0..2_000u32 {
-        name_cname.long.names.push((i, (i + 1) % NAMES));
+        name_cname.long.push((i, (i + 1) % NAMES));
     }
     DnsStoreImage {
         as_of: SimTime::from_secs(1),
-        num_split: 1,
-        shards: 2,
         a_interval_secs: 3_600,
         c_interval_secs: 7_200,
         names,
@@ -120,11 +125,8 @@ fn image() -> DnsStoreImage {
 fn a_decoded_image_costs_at_most_24_bytes_per_entry_beyond_its_names() {
     let image = image();
     let bytes = encode_snapshot(&image);
-    BYTES.store(0, Ordering::Relaxed);
-    COUNTING.with(|c| c.set(true));
-    let decoded = decode_snapshot(&bytes);
-    COUNTING.with(|c| c.set(false));
-    let allocated = BYTES.load(Ordering::Relaxed) as usize;
+    let (decoded, allocated, _) = counted_decode(&bytes);
+    let allocated = allocated as usize;
     assert_eq!(decoded.expect("the image decodes"), image);
     let text: usize = image.names.iter().map(|name| name.len()).sum();
     let per_entry = (allocated - text) as f64 / image.entry_count() as f64;
@@ -133,5 +135,46 @@ fn a_decoded_image_costs_at_most_24_bytes_per_entry_beyond_its_names() {
         "decoding allocated {per_entry:.1} B per entry beyond the name text \
          ({allocated} B for {} entries and {text} B of names)",
         image.entry_count()
+    );
+}
+
+/// Decode `bytes` while counting; returns the result, the bytes
+/// allocated and the largest single allocation.
+fn counted_decode(bytes: &[u8]) -> (Result<DnsStoreImage, flowdns_types::FlowDnsError>, u64, u64) {
+    BYTES.with(|total| total.set(0));
+    LARGEST.with(|largest| largest.set(0));
+    COUNTING.with(|c| c.set(true));
+    let decoded = decode_snapshot(bytes);
+    COUNTING.with(|c| c.set(false));
+    (decoded, BYTES.with(Cell::get), LARGEST.with(Cell::get))
+}
+
+#[test]
+fn a_column_count_of_u32_max_is_rejected_without_a_large_allocation() {
+    // The payload's last column is the NAME-CNAME Long one: its count
+    // sits just before its entries at the end of the file.
+    let image = image();
+    let mut bytes = encode_snapshot(&image);
+    let column = bytes.len() - 8 * image.name_cname.long.len() - 4;
+    assert_eq!(
+        bytes[column..column + 4],
+        (image.name_cname.long.len() as u32).to_le_bytes()
+    );
+    bytes[column..column + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    // Re-sign the payload, so only the decoder's own bounds stand between
+    // the count and an allocation.
+    let sum = checksum(&bytes[HEADER_LEN..]);
+    bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+    let payload = (bytes.len() - HEADER_LEN) as u64;
+    let (decoded, _, largest) = counted_decode(&bytes);
+    match decoded {
+        Err(flowdns_types::FlowDnsError::Snapshot(msg)) => {
+            assert!(msg.contains("implausible element count"), "{msg}")
+        }
+        other => panic!("expected a count rejection, got {other:?}"),
+    }
+    assert!(
+        largest <= payload,
+        "the decoder allocated {largest} B at once for a {payload} B payload"
     );
 }

@@ -5,31 +5,27 @@
 use std::sync::Arc;
 
 use flowdns_snapshot::{
-    decode_snapshot, encode_snapshot, DnsStoreImage, GenerationColumns, StoreImage,
+    decode_snapshot, encode_snapshot, Columns, DnsStoreImage, IpColumns, NameColumns, StoreImage,
 };
 use flowdns_types::SimTime;
 use proptest::prelude::*;
 
-fn ip_entries(names: u32) -> impl Strategy<Value = GenerationColumns> {
+fn ip_entries(names: u32) -> impl Strategy<Value = IpColumns> {
     (
         proptest::collection::vec((any::<u32>(), 0..names), 0..12),
         proptest::collection::vec((any::<u128>(), 0..names), 0..8),
     )
-        .prop_map(|(v4, v6)| GenerationColumns {
+        .prop_map(|(v4, v6)| IpColumns {
             v4,
             v6: v6
                 .into_iter()
                 .map(|(bits, value)| (bits.to_le_bytes(), value))
                 .collect(),
-            names: Vec::new(),
         })
 }
 
-fn name_entries(names: u32) -> impl Strategy<Value = GenerationColumns> {
-    proptest::collection::vec((0..names, 0..names), 0..20).prop_map(|names| GenerationColumns {
-        names,
-        ..GenerationColumns::default()
-    })
+fn name_entries(names: u32) -> impl Strategy<Value = NameColumns> {
+    proptest::collection::vec((0..names, 0..names), 0..20)
 }
 
 fn opt_ts() -> impl Strategy<Value = Option<SimTime>> {
@@ -39,9 +35,9 @@ fn opt_ts() -> impl Strategy<Value = Option<SimTime>> {
     ]
 }
 
-fn store_image<S: Strategy<Value = GenerationColumns>>(
+fn store_image<C: Columns + std::fmt::Debug, S: Strategy<Value = C>>(
     generation: impl Fn() -> S,
-) -> impl Strategy<Value = StoreImage> {
+) -> impl Strategy<Value = StoreImage<C>> {
     (opt_ts(), opt_ts(), generation(), generation(), generation()).prop_map(
         |(last_clear_ts, last_seen_ts, active, inactive, long)| StoreImage {
             last_clear_ts,
@@ -53,11 +49,11 @@ fn store_image<S: Strategy<Value = GenerationColumns>>(
     )
 }
 
-fn ip_store_image(names: u32) -> impl Strategy<Value = StoreImage> {
+fn ip_store_image(names: u32) -> impl Strategy<Value = StoreImage<IpColumns>> {
     store_image(move || ip_entries(names))
 }
 
-fn cname_store_image(names: u32) -> impl Strategy<Value = StoreImage> {
+fn cname_store_image(names: u32) -> impl Strategy<Value = StoreImage<NameColumns>> {
     store_image(move || name_entries(names))
 }
 
@@ -76,34 +72,20 @@ fn dns_store_image() -> impl Strategy<Value = DnsStoreImage> {
     (
         0u64..1_000_000_000,
         name_table(),
-        // A sharded image carries num_split × shards sections (shards = 0
-        // is the classic shared layout: num_split alone). Generate the
-        // maximum 3 × 3 = 9 sections up front and truncate in prop_map.
-        (
-            1u32..4,
-            0u32..4,
-            proptest::collection::vec(ip_store_image(NAMES), 9..10),
-        )
-            .prop_map(|(num_split, shards, mut pool)| {
-                pool.truncate((num_split * shards.max(1)) as usize);
-                (num_split, shards, pool)
-            }),
+        // One section per shard, 1 to 4 shards.
+        proptest::collection::vec(ip_store_image(NAMES), 1..5),
         cname_store_image(NAMES),
         0u64..100_000,
         0u64..100_000,
     )
         .prop_map(
-            |(as_of, names, (num_split, shards, ip_name), name_cname, a_secs, c_secs)| {
-                DnsStoreImage {
-                    as_of: SimTime::from_micros(as_of),
-                    num_split,
-                    shards,
-                    a_interval_secs: a_secs,
-                    c_interval_secs: c_secs,
-                    names,
-                    ip_name,
-                    name_cname,
-                }
+            |(as_of, names, ip_name, name_cname, a_secs, c_secs)| DnsStoreImage {
+                as_of: SimTime::from_micros(as_of),
+                a_interval_secs: a_secs,
+                c_interval_secs: c_secs,
+                names,
+                ip_name,
+                name_cname,
             },
         )
 }

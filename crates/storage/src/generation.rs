@@ -56,61 +56,6 @@ use flowdns_types::{SimDuration, SimTime};
 use crate::keys::{StoreKey, StoreValue};
 use crate::memory::MemoryEstimate;
 
-/// A plain-data picture of one rotating store: the three generation maps
-/// as entry lists plus the rotation clock. This is the storage half of
-/// the snapshot/warm-restart path — `flowdns-snapshot` defines the byte
-/// format, this type carries live keys and values between a store and
-/// the codec.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GenerationsImage<K, V> {
-    /// When the store last cleared up, in data time (`None`: never; the
-    /// clock arms at the first inserted record).
-    pub last_clear_ts: Option<SimTime>,
-    /// The latest data timestamp the store observed (`None`: no record
-    /// or `observe_time` call yet, or a store that never clears up —
-    /// those skip the clock entirely, and their import skips aging).
-    pub last_seen_ts: Option<SimTime>,
-    /// Entries of the Active generation.
-    pub active: Vec<(K, V)>,
-    /// Entries of the Inactive generation.
-    pub inactive: Vec<(K, V)>,
-    /// Entries of the Long generation.
-    pub long: Vec<(K, V)>,
-}
-
-impl<K, V> GenerationsImage<K, V> {
-    /// An image with the given clock and no entries.
-    pub fn empty(last_clear_ts: Option<SimTime>, last_seen_ts: Option<SimTime>) -> Self {
-        GenerationsImage {
-            last_clear_ts,
-            last_seen_ts,
-            active: Vec::new(),
-            inactive: Vec::new(),
-            long: Vec::new(),
-        }
-    }
-
-    /// Total entries across the three generations.
-    pub fn entry_count(&self) -> usize {
-        self.active.len() + self.inactive.len() + self.long.len()
-    }
-
-    /// The entry list of one generation.
-    pub fn generation_mut(&mut self, generation: Generation) -> &mut Vec<(K, V)> {
-        match generation {
-            Generation::Active => &mut self.active,
-            Generation::Inactive => &mut self.inactive,
-            Generation::Long => &mut self.long,
-        }
-    }
-}
-
-impl<K, V> Default for GenerationsImage<K, V> {
-    fn default() -> Self {
-        GenerationsImage::empty(None, None)
-    }
-}
-
 /// Which generation a lookup hit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Generation {
@@ -402,6 +347,44 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
         }
     }
 
+    /// Load one exported store's generations, aged as `age` says (see
+    /// [`RotationClock::age_import`]): `generations` lists the Active,
+    /// Inactive and Long entries, and `decode` turns each entry that
+    /// survives aging into a key and value (`None` skips it). Entries of
+    /// a generation that aged out are never decoded. The table is
+    /// reserved once for every surviving entry, so the import never
+    /// regrows it. Entries land on top of the current contents, and what
+    /// the table does not keep goes to `dropped`.
+    pub fn import<T>(
+        &mut self,
+        age: SectionAge,
+        generations: [&[T]; 3],
+        mut decode: impl FnMut(&T) -> Option<(K, V)>,
+        mut dropped: impl FnMut(K, V),
+    ) {
+        let placed = [Generation::Active, Generation::Inactive, Generation::Long]
+            .map(|exported| age.place(exported, self.policy));
+        let (mut short, mut long) = (0, 0);
+        for (generation, entries) in placed.iter().zip(generations) {
+            match generation {
+                Some(Generation::Long) => long += entries.len(),
+                Some(_) => short += entries.len(),
+                None => {}
+            }
+        }
+        self.reserve(short, long);
+        for (generation, entries) in placed.into_iter().zip(generations) {
+            let Some(generation) = generation else {
+                continue;
+            };
+            for (key, value) in entries.iter().filter_map(&mut decode) {
+                if let Some((key, value)) = self.restore(key, value, generation) {
+                    dropped(key, value);
+                }
+            }
+        }
+    }
+
     fn put_short(&mut self, key: K, value: V, tag: u32) -> Option<(K, V)> {
         let value_bytes = value.estimate_bytes();
         let displaced = match self.short.entry(key) {
@@ -549,10 +532,10 @@ impl<K: StoreKey, V: StoreValue> GenerationTable<K, V> {
 }
 
 /// One [`RotationClock`] driving one [`GenerationTable`]: the clock,
-/// TTL routing, lookup cascade, snapshot image and import aging of one
-/// rotating store. Every mutator passes what the store lets go of —
-/// entries a clear-up drops, and whatever the table does not keep (see
-/// the module docs) — to its `dropped` sink.
+/// TTL routing, lookup cascade and import aging of one rotating store.
+/// Every mutator passes what the store lets go of — entries a clear-up
+/// drops, and whatever the table does not keep (see the module docs) —
+/// to its `dropped` sink.
 #[derive(Debug)]
 pub struct GenerationStore<K, V> {
     clock: RotationClock,
@@ -617,78 +600,20 @@ impl<K: StoreKey, V: StoreValue> GenerationStore<K, V> {
         &self.table
     }
 
-    /// The clock and every visible entry as a plain-data image.
-    pub fn export_image(&self) -> GenerationsImage<K, V> {
-        let mut image =
-            GenerationsImage::empty(self.clock.last_clear_ts(), self.clock.last_seen_ts());
-        for (key, value, generation) in self.table.iter() {
-            image
-                .generation_mut(generation)
-                .push((key.clone(), value.clone()));
-        }
-        image
-    }
-
-    /// Load an image exported earlier, aged to `now` (see
-    /// [`RotationClock::age_import`]). Entries land on top of the current
-    /// contents.
-    pub fn import_image(
-        &mut self,
-        image: GenerationsImage<K, V>,
-        now: SimTime,
-        dropped: impl FnMut(K, V),
-    ) {
-        self.import_entries(
-            image.last_clear_ts,
-            image.last_seen_ts,
-            now,
-            [&image.active, &image.inactive, &image.long],
-            |(key, value)| Some((key.clone(), value.clone())),
-            dropped,
-        );
-    }
-
-    /// Load one store's exported generations straight from their encoded
-    /// form: `generations` lists the Active, Inactive and Long entries,
-    /// aged to `now` by the exported clock readings (see
-    /// [`RotationClock::age_import`]), and `decode` turns each surviving
-    /// entry into a key and value (`None` skips it). Entries of a
-    /// generation that aged out are neither decoded nor passed to
-    /// `dropped`. The table is reserved once for every entry that
-    /// survives aging, so the import never regrows it. Entries land on
-    /// top of the current contents.
+    /// Load one store's exported generations, aged to `now` by the
+    /// exported clock readings (see [`RotationClock::age_import`] and
+    /// [`GenerationTable::import`]).
     pub fn import_entries<T>(
         &mut self,
         last_clear_ts: Option<SimTime>,
         last_seen_ts: Option<SimTime>,
         now: SimTime,
         generations: [&[T]; 3],
-        mut decode: impl FnMut(&T) -> Option<(K, V)>,
-        mut dropped: impl FnMut(K, V),
+        decode: impl FnMut(&T) -> Option<(K, V)>,
+        dropped: impl FnMut(K, V),
     ) {
         let age = self.clock.age_import(last_clear_ts, last_seen_ts, now);
-        let policy = self.table.policy();
-        let placed = [Generation::Active, Generation::Inactive, Generation::Long]
-            .map(|exported| age.place(exported, policy));
-        let (mut short, mut long) = (0, 0);
-        for (generation, entries) in placed.iter().zip(generations) {
-            match generation {
-                Some(Generation::Long) => long += entries.len(),
-                Some(_) => short += entries.len(),
-                None => {}
-            }
-        }
-        self.table.reserve(short, long);
-        for (generation, entries) in placed.into_iter().zip(generations) {
-            let Some(generation) = generation else {
-                continue;
-            };
-            for (key, value) in entries.iter().filter_map(&mut decode) {
-                if let Some((key, value)) = self.table.restore(key, value, generation) {
-                    dropped(key, value);
-                }
-            }
-        }
+        self.table.import(age, generations, decode, dropped);
     }
 }
 

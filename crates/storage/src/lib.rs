@@ -13,8 +13,8 @@
 //!   1's storage side) the live correlator runs: Active and Inactive in
 //!   one epoch-tagged map, Long beside it, driven by a [`RotationClock`]
 //!   under a [`RotationPolicy`]; [`GenerationStore`] pairs one clock with
-//!   one table, and [`GenerationsImage`] carries a store's generations to
-//!   and from a snapshot,
+//!   one table, and [`GenerationTable::import`] restores a snapshot
+//!   section's generations, aged by a [`SectionAge`],
 //! * [`keys`] — the [`StoreKey`]/[`StoreValue`] traits every store is
 //!   generic over, implemented for compact [`flowdns_types::IpKey`]s,
 //!   pooled [`flowdns_types::NameId`]s, raw address bits, domain names
@@ -34,8 +34,8 @@ pub mod memory;
 
 pub use exact_ttl::ExactTtlStore;
 pub use generation::{
-    Generation, GenerationStore, GenerationTable, GenerationsImage, RotationClock, RotationPolicy,
-    SectionAge, TableStats,
+    Generation, GenerationStore, GenerationTable, RotationClock, RotationPolicy, SectionAge,
+    TableStats,
 };
 pub use keys::{StoreKey, StoreValue};
 pub use memory::MemoryEstimate;

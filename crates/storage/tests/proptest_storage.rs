@@ -2,14 +2,54 @@
 //!
 //! `GenerationStore` (one clock, one epoch-tagged table) must agree with
 //! `ModelStore` — Algorithm 1 written as three plain `HashMap`s, one clock
-//! and the counters — on every lookup, counter and snapshot round trip,
-//! under each of the four policy combinations the ablation variants use.
+//! and the counters — on every lookup, counter and export/import round
+//! trip, under each of the four policy combinations the ablation variants
+//! use. The store is exported through `iter()` and imported through
+//! `import_entries`, the paths a snapshot takes.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use flowdns_storage::{Generation, GenerationStore, GenerationsImage, RotationPolicy};
+use flowdns_storage::{Generation, GenerationStore, RotationPolicy};
 use flowdns_types::{SimDuration, SimTime};
 use proptest::prelude::*;
+
+/// A store's clock and its entries per generation, as exported.
+struct Image {
+    last_clear_ts: Option<SimTime>,
+    last_seen_ts: Option<SimTime>,
+    /// Active, Inactive and Long entries.
+    generations: [Vec<(u32, String)>; 3],
+}
+
+impl Image {
+    /// The clock and every visible entry of `store`.
+    fn of(store: &Table) -> Self {
+        let mut generations: [Vec<(u32, String)>; 3] = Default::default();
+        for (&key, value, generation) in store.table().iter() {
+            generations[generation as usize].push((key, value.clone()));
+        }
+        Image {
+            last_clear_ts: store.clock().last_clear_ts(),
+            last_seen_ts: store.clock().last_seen_ts(),
+            generations,
+        }
+    }
+
+    /// A fresh store loaded from the image at data time `now`.
+    fn import(&self, policy: RotationPolicy, now: u64) -> Table {
+        let mut store = GenerationStore::new(policy);
+        let [active, inactive, long] = &self.generations;
+        store.import_entries(
+            self.last_clear_ts,
+            self.last_seen_ts,
+            SimTime::from_secs(now),
+            [active, inactive, long],
+            |(key, value)| Some((*key, value.clone())),
+            |_, _| {},
+        );
+        store
+    }
+}
 
 /// Reference model of the rotating store: plain HashMaps plus the same
 /// clear-up rule, written as directly from Algorithm 1 as possible.
@@ -99,14 +139,16 @@ impl ModelStore {
         .find_map(|(map, generation)| map.get(&key).map(|v| (v.clone(), generation)))
     }
 
-    fn export_image(&self) -> GenerationsImage<u32, String> {
+    fn export_image(&self) -> Image {
         let entries = |map: &HashMap<u32, String>| map.clone().into_iter().collect();
-        GenerationsImage {
+        Image {
             last_clear_ts: self.last_clear.map(SimTime::from_secs),
             last_seen_ts: self.last_seen.map(SimTime::from_secs),
-            active: entries(&self.active),
-            inactive: entries(&self.inactive),
-            long: entries(&self.long),
+            generations: [
+                entries(&self.active),
+                entries(&self.inactive),
+                entries(&self.long),
+            ],
         }
     }
 
@@ -122,18 +164,12 @@ impl ModelStore {
     ///
     /// Without Long maps the image's Long entries age with Active; without
     /// clear-up the image never ages.
-    fn import_image(
-        policy: RotationPolicy,
-        image: GenerationsImage<u32, String>,
-        now: u64,
-    ) -> Self {
+    fn import_image(policy: RotationPolicy, image: Image, now: u64) -> Self {
         let mut model = ModelStore::new(policy);
-        let GenerationsImage {
+        let Image {
             last_clear_ts,
             last_seen_ts,
-            mut active,
-            inactive,
-            mut long,
+            generations: [mut active, inactive, mut long],
         } = image;
         if !policy.long_maps {
             active.append(&mut long);
@@ -250,15 +286,17 @@ fn assert_same_contents(model: &ModelStore, table: &Table, label: &str) {
         assert_eq!(got, expected, "{label}: key {key}");
     }
     let map = |entries: Vec<(u32, String)>| entries.into_iter().collect::<BTreeMap<_, _>>();
-    let (o, t) = (model.export_image(), table.export_image());
-    let (o_active, o_long) = (map(o.active), map(o.long));
-    let o_inactive: BTreeMap<_, _> = map(o.inactive)
+    let (o, t) = (model.export_image(), Image::of(table));
+    let [o_active, o_inactive, o_long] = o.generations;
+    let (o_active, o_long) = (map(o_active), map(o_long));
+    let o_inactive: BTreeMap<_, _> = map(o_inactive)
         .into_iter()
         .filter(|(k, _)| !o_active.contains_key(k))
         .collect();
-    assert_eq!(map(t.active), o_active, "{label}: Active");
-    assert_eq!(map(t.inactive), o_inactive, "{label}: Inactive");
-    assert_eq!(map(t.long), o_long, "{label}: Long");
+    let [t_active, t_inactive, t_long] = t.generations;
+    assert_eq!(map(t_active), o_active, "{label}: Active");
+    assert_eq!(map(t_inactive), o_inactive, "{label}: Inactive");
+    assert_eq!(map(t_long), o_long, "{label}: Long");
     assert_eq!(
         table.table().entry_counts(),
         (o_active.len(), o_inactive.len(), o_long.len()),
@@ -344,9 +382,7 @@ proptest! {
                     TableOp::RoundTrip(age) => {
                         now += age;
                         model = ModelStore::import_image(policy, model.export_image(), now);
-                        let image = table.export_image();
-                        table = GenerationStore::new(policy);
-                        table.import_image(image, SimTime::from_secs(now), |_, _| {});
+                        table = Image::of(&table).import(policy, now);
                         // Entries of aged-out generations are never
                         // offered; count from what the import holds.
                         (offered, handed_back) = (table.table().len(), 0);
