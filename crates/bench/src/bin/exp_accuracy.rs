@@ -11,32 +11,27 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_bench::{golden_accuracy_workload, measured_correlation_fraction};
-use flowdns_core::{CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore};
+use flowdns_core::simulate::Event;
+use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 use flowdns_gen::{AccuracyCapture, AccuracyScenario, SubscriberPopulation};
 
 fn run_scenario(scenario: AccuracyScenario) -> (f64, usize) {
     let capture = AccuracyCapture::build(scenario, 20);
-    let store = ShardedStore::new(&CorrelatorConfig {
+    // One shard, the capture's DNS records first and then its flows.
+    let simulator = OfflineSimulator::new(CorrelatorConfig {
         correlator_shards: 1,
         ..CorrelatorConfig::default()
     });
-    let mut partition = store.partition(0).lock();
-    let mut fillup = FillUpStats::default();
-    for record in &capture.dns {
-        partition.process_dns(&store, record, &mut fillup);
-    }
-    let mut lookup = LookUpStats::default();
-    let attributions: Vec<_> = capture
-        .flows
-        .iter()
-        .map(|(flow, _)| {
-            partition
-                .process_flow(&store, &mut None, flow.clone(), &mut lookup)
-                .outcome
-                .final_name()
-                .cloned()
-        })
-        .collect();
+    let events = capture.dns.iter().cloned().map(Event::Dns).chain(
+        capture
+            .flows
+            .iter()
+            .map(|(flow, _)| Event::Flow(flow.clone())),
+    );
+    let mut attributions = Vec::new();
+    simulator.run_with(events, |record| {
+        attributions.push(record.outcome.final_name().cloned());
+    });
     (capture.accuracy(&attributions), capture.flows.len())
 }
 

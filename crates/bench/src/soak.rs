@@ -31,7 +31,7 @@
 
 use std::time::Duration;
 
-use flowdns_core::{Correlator, CorrelatorConfig, Report};
+use flowdns_core::{Correlator, CorrelatorConfig, Report, ShardRouter};
 use flowdns_gen::workload::StreamEvent;
 use flowdns_gen::{SubscriberPopulation, Workload, WorkloadConfig};
 use flowdns_types::{DnsRecord, FlowRecord, SimDuration};
@@ -221,7 +221,7 @@ pub struct RestartOutcome {
 /// Accepted-record reconciliation (both instances summed).
 #[derive(Debug, Clone)]
 pub struct LossOutcome {
-    /// DNS records offered to `push_dns_batch`.
+    /// DNS records offered to the feeder's DNS router.
     pub dns_offered: u64,
     /// DNS records the pipeline accepted.
     pub dns_accepted: u64,
@@ -324,6 +324,8 @@ impl SoakReport {
 /// Drives one correlator instance up to (exclusive) `until_sec`,
 /// batching type-runs of events. Returns per-instance counts.
 struct Feeder {
+    dns: ShardRouter<DnsRecord>,
+    flows: ShardRouter<FlowRecord>,
     dns_chunk: Vec<DnsRecord>,
     flow_chunk: Vec<FlowRecord>,
     dns_offered: u64,
@@ -332,13 +334,15 @@ struct Feeder {
     flows_accepted: u64,
 }
 
-/// Type-run batch size: big enough to amortize the push locks, small
-/// enough to keep cross-type ordering tight.
+/// Type-run batch size: big enough to amortize the lane counter
+/// updates, small enough to keep cross-type ordering tight.
 const CHUNK: usize = 2_048;
 
 impl Feeder {
-    fn new() -> Self {
+    fn new(correlator: &Correlator) -> Self {
         Feeder {
+            dns: correlator.dns_router(),
+            flows: correlator.flow_router(),
             dns_chunk: Vec::with_capacity(CHUNK),
             flow_chunk: Vec::with_capacity(CHUNK),
             dns_offered: 0,
@@ -354,7 +358,7 @@ impl Feeder {
         }
         self.wait_for_room(correlator);
         self.dns_offered += self.dns_chunk.len() as u64;
-        self.dns_accepted += correlator.push_dns_batch(self.dns_chunk.drain(..)) as u64;
+        self.dns_accepted += self.dns.route_batch(self.dns_chunk.drain(..)) as u64;
     }
 
     fn flush_flows(&mut self, correlator: &Correlator) {
@@ -363,7 +367,7 @@ impl Feeder {
         }
         self.wait_for_room(correlator);
         self.flows_offered += self.flow_chunk.len() as u64;
-        self.flows_accepted += correlator.push_flow_batch(self.flow_chunk.drain(..)) as u64;
+        self.flows_accepted += self.flows.route_batch(self.flow_chunk.drain(..)) as u64;
     }
 
     fn flush_all(&mut self, correlator: &Correlator) {
@@ -445,7 +449,7 @@ where
     let correlator =
         Correlator::start(config.clone()).map_err(|e| format!("correlator start: {e}"))?;
     let warm = correlator.snapshot_stats();
-    let mut feeder = Feeder::new();
+    let mut feeder = Feeder::new(&correlator);
     let mut last_clear_ups = correlator.store_health().clear_ups;
     let mut since_poll = 0u64;
     let mut last_sec = 0u64;

@@ -21,7 +21,7 @@
 //!
 //! | Threads | Count | Communicates via |
 //! |---|---|---|
-//! | producers (listeners, feeders) | caller's | per-thread [`pipeline::ShardRouter`] → per-shard SPSC rings |
+//! | producers (listeners, feeders) | caller's | per-thread, per-stream [`ShardRouter`] → per-shard SPSC rings |
 //! | shard workers | `correlator_shards` | exclusive [`ShardPartition`] → per-shard Write queue |
 //! | Write workers | `write_workers` | owned [`OutputSink`] |
 //! | snapshot | 0 or 1 | partition locks, briefly, in turn → snapshot file |
@@ -64,12 +64,10 @@ pub use lookup::LookUpStats;
 pub use metrics::{
     CostModel, ExporterStats, IngestSummary, PipelineMetrics, Report, SnapshotStats,
 };
-pub use pipeline::{Correlator, StoreHealth, EGRESS_BATCH};
+pub use pipeline::{Correlator, ShardRouter, StoreHealth, EGRESS_BATCH};
 pub use shard::{
     shard_of_dns, shard_of_flow, shard_of_ip, shard_of_key, FillUpStats, ShardPartition,
     ShardedStore,
 };
 pub use simulate::{HourlySample, OfflineSimulator, SimulationOutcome};
-pub use write::{
-    DiscardSink, MemorySink, MultiSink, OutputSink, RotatingFileSink, TsvFileSink, WriteStats,
-};
+pub use write::{DiscardSink, MemorySink, OutputSink, RotatingFileSink, TsvFileSink, WriteStats};

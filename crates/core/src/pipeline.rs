@@ -3,10 +3,9 @@
 //! [`Correlator`] wires the stages together with bounded lossy queues:
 //!
 //! * producers route every record **by IP key** into one of
-//!   `correlator_shards` lanes — per record through `push_dns` /
-//!   `push_flow`, or, for high-rate producers such as the listeners,
-//!   through a per-thread [`ShardRouter`] whose pushes are lock-free SPSC
-//!   ring writes;
+//!   `correlator_shards` lanes through a per-thread [`ShardRouter`]
+//!   ([`Correlator::dns_router`], [`Correlator::flow_router`]) whose
+//!   pushes are lock-free SPSC ring writes;
 //! * one **shard worker** per lane drains its DNS ring into the
 //!   [`ShardPartition`](crate::ShardPartition) it exclusively owns
 //!   (FillUp, Algorithm 1), then resolves a bounded run of flows against
@@ -184,64 +183,65 @@ fn write_store_snapshot(store: &ShardedStore, path: &str, shared: &SnapshotShare
     }
 }
 
-/// A per-thread ingress handle: routes each record to its shard's lane
-/// ([`shard_of_dns`]/[`shard_of_flow`]) and pushes into that lane's
-/// private SPSC ring. Build one per producing
-/// thread via [`Correlator::ingress_router`]; pushes take no lock and
-/// allocate nothing.
-pub struct ShardRouter {
-    dns_channel: Arc<ShardedChannel<DnsRecord>>,
-    flow_channel: Arc<ShardedChannel<FlowRecord>>,
-    dns: ShardProducer<DnsRecord>,
-    flows: ShardProducer<FlowRecord>,
-    /// Reusable per-lane accept/drop tallies for the batch forms, so a
+/// A per-thread ingress handle for one stream: routes each record to
+/// its shard's lane ([`shard_of_dns`] for DNS, [`shard_of_flow`] for
+/// flows) and pushes into that lane's private SPSC ring. Build one per
+/// producing thread via [`Correlator::dns_router`] or
+/// [`Correlator::flow_router`]; pushes take no lock and allocate
+/// nothing. Dropping the router hands its rings back for the next one.
+pub struct ShardRouter<T> {
+    channel: Arc<ShardedChannel<T>>,
+    producer: ShardProducer<T>,
+    shard_of: fn(&T, usize) -> usize,
+    /// Reusable per-lane accept/drop tallies for the batch form, so a
     /// batch costs one counter update per touched lane and zero
     /// allocations.
     accepted: Vec<u64>,
     dropped: Vec<u64>,
 }
 
-impl std::fmt::Debug for ShardRouter {
+impl<T> std::fmt::Debug for ShardRouter<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardRouter")
-            .field("shards", &self.dns_channel.lanes())
+            .field("shards", &self.channel.lanes())
             .finish()
     }
 }
 
-impl ShardRouter {
+impl<T> ShardRouter<T> {
+    fn new(channel: &Arc<ShardedChannel<T>>, shard_of: fn(&T, usize) -> usize) -> Self {
+        ShardRouter {
+            channel: Arc::clone(channel),
+            producer: channel.producer(),
+            shard_of,
+            accepted: vec![0; channel.lanes()],
+            dropped: vec![0; channel.lanes()],
+        }
+    }
+
     /// Number of correlator shards this router fans out to.
     pub fn shards(&self) -> usize {
-        self.dns_channel.lanes()
+        self.channel.lanes()
     }
 
-    /// Route one DNS record to its shard's ring. Returns `false` if the
+    /// Route one record to its shard's ring. Returns `false` if the
     /// ring was full and the record was dropped (stream loss).
-    pub fn route_dns(&mut self, record: DnsRecord) -> bool {
-        let lane = shard_of_dns(&record, self.dns.lanes());
-        self.dns.push(&self.dns_channel, lane, record)
+    pub fn route(&mut self, record: T) -> bool {
+        let lane = (self.shard_of)(&record, self.producer.lanes());
+        self.producer.push(&self.channel, lane, record)
     }
 
-    /// Route one flow record to its shard's ring. Returns `false` if
-    /// the ring was full and the record was dropped (stream loss).
-    pub fn route_flow(&mut self, record: FlowRecord) -> bool {
-        let lane = shard_of_flow(&record, self.flows.lanes());
-        self.flows.push(&self.flow_channel, lane, record)
-    }
-
-    /// Route a batch of DNS records, returning how many were accepted.
+    /// Route a batch of records, returning how many were accepted.
     /// Lane counters are updated once per touched lane, not per record.
-    pub fn route_dns_batch<I>(&mut self, records: I) -> usize
+    pub fn route_batch<I>(&mut self, records: I) -> usize
     where
-        I: IntoIterator<Item = DnsRecord>,
+        I: IntoIterator<Item = T>,
     {
-        let lanes = self.dns.lanes();
-        self.accepted.iter_mut().for_each(|n| *n = 0);
-        self.dropped.iter_mut().for_each(|n| *n = 0);
+        let lanes = self.producer.lanes();
         let mut total = 0usize;
         for record in records {
-            let lane = shard_of_dns(&record, lanes);
-            if self.dns.push_uncounted(lane, record) {
+            let lane = (self.shard_of)(&record, lanes);
+            if self.producer.push_uncounted(lane, record) {
                 self.accepted[lane] += 1;
                 total += 1;
             } else {
@@ -249,37 +249,10 @@ impl ShardRouter {
             }
         }
         for lane in 0..lanes {
-            self.dns
-                .note_accepted(&self.dns_channel, lane, self.accepted[lane]);
-            self.dns
-                .note_dropped(&self.dns_channel, lane, self.dropped[lane]);
-        }
-        total
-    }
-
-    /// Route a batch of flow records, returning how many were accepted.
-    pub fn route_flow_batch<I>(&mut self, records: I) -> usize
-    where
-        I: IntoIterator<Item = FlowRecord>,
-    {
-        let lanes = self.flows.lanes();
-        self.accepted.iter_mut().for_each(|n| *n = 0);
-        self.dropped.iter_mut().for_each(|n| *n = 0);
-        let mut total = 0usize;
-        for record in records {
-            let lane = shard_of_flow(&record, lanes);
-            if self.flows.push_uncounted(lane, record) {
-                self.accepted[lane] += 1;
-                total += 1;
-            } else {
-                self.dropped[lane] += 1;
-            }
-        }
-        for lane in 0..lanes {
-            self.flows
-                .note_accepted(&self.flow_channel, lane, self.accepted[lane]);
-            self.flows
-                .note_dropped(&self.flow_channel, lane, self.dropped[lane]);
+            let accepted = std::mem::take(&mut self.accepted[lane]);
+            let dropped = std::mem::take(&mut self.dropped[lane]);
+            self.producer.note_accepted(&self.channel, lane, accepted);
+            self.producer.note_dropped(&self.channel, lane, dropped);
         }
         total
     }
@@ -305,12 +278,6 @@ pub struct Correlator {
     dns: Arc<ShardedChannel<DnsRecord>>,
     /// Per-shard flow ingress lanes.
     flows: Arc<ShardedChannel<FlowRecord>>,
-    /// Producer pair backing the per-record `push_dns`/`push_flow` API
-    /// (tests, trickle callers). High-rate producers — listeners, the
-    /// saturation bench — register their own thread-local
-    /// [`ShardRouter`] via [`Correlator::ingress_router`] and never touch
-    /// this mutex.
-    fallback: Mutex<(ShardProducer<DnsRecord>, ShardProducer<FlowRecord>)>,
     /// One bounded queue per Write worker; shard workers partition
     /// records across them by flow-key hash.
     write_queues: Vec<StreamBuffer<CorrelatedRecord>>,
@@ -633,7 +600,6 @@ impl Correlator {
                     .map_err(|e| FlowDnsError::Io(format!("spawn shard worker: {e}")))?,
             );
         }
-        let fallback = Mutex::new((dns_channel.producer(), flow_channel.producer()));
 
         // Write workers: each owns its queue shard and its sink. Records
         // come off the queue a batch at a time and stats are merged once
@@ -766,7 +732,6 @@ impl Correlator {
             store,
             dns: dns_channel,
             flows: flow_channel,
-            fallback,
             write_queues,
             fillup_stats,
             lookup_stats,
@@ -821,26 +786,25 @@ impl Correlator {
         self.dns.lanes()
     }
 
-    /// Build a per-thread ingress router. Each producing thread
-    /// (listener drain loop, bench producer) should hold its own router:
-    /// its pushes then go straight into per-shard SPSC rings with no
-    /// lock and no allocation per record.
-    pub fn ingress_router(&self) -> ShardRouter {
-        let lanes = self.dns.lanes();
-        ShardRouter {
-            dns_channel: Arc::clone(&self.dns),
-            flow_channel: Arc::clone(&self.flows),
-            dns: self.dns.producer(),
-            flows: self.flows.producer(),
-            accepted: vec![0; lanes],
-            dropped: vec![0; lanes],
-        }
+    /// A per-thread router into the DNS lanes. Each producing thread
+    /// (a resolver connection, a feeder) holds its own: its pushes then
+    /// go straight into per-shard SPSC rings with no lock and no
+    /// allocation per record. The rings are registered on the DNS lanes
+    /// only, and a dropped router's rings serve the next one.
+    pub fn dns_router(&self) -> ShardRouter<DnsRecord> {
+        ShardRouter::new(&self.dns, shard_of_dns)
+    }
+
+    /// A per-thread router into the flow lanes; see
+    /// [`dns_router`](Self::dns_router).
+    pub fn flow_router(&self) -> ShardRouter<FlowRecord> {
+        ShardRouter::new(&self.flows, shard_of_flow)
     }
 
     /// Per-shard routed-record counters `(dns, flows)`: how many records
     /// each shard's ingress lanes have accepted so far. The sums equal
-    /// the totals accepted by `push_*` — the CI saturation smoke asserts
-    /// exactly that. Always `Some`; the `Option` is what `benchmark/`
+    /// the totals the routers' `route`/`route_batch` calls accepted —
+    /// the CI saturation smoke asserts exactly that. Always `Some`; the `Option` is what `benchmark/`
     /// (which a program change may not edit) calls `map_or` on.
     pub fn shard_routed_counts(&self) -> Option<(Vec<u64>, Vec<u64>)> {
         Some((
@@ -1179,62 +1143,6 @@ impl Correlator {
         }
     }
 
-    /// Offer one DNS record to its shard's FillUp lane. Returns `false`
-    /// if the ring was full and the record was dropped (stream loss).
-    ///
-    /// This routes through a mutex-guarded fallback producer — fine for
-    /// tests and trickle callers; high-rate producers should hold a
-    /// per-thread [`Correlator::ingress_router`].
-    pub fn push_dns(&self, record: DnsRecord) -> bool {
-        let lane = shard_of_dns(&record, self.dns.lanes());
-        self.fallback.lock().0.push(&self.dns, lane, record)
-    }
-
-    /// Offer one flow record to its shard's LookUp lane. Returns `false`
-    /// if the ring was full and the record was dropped (stream loss).
-    pub fn push_flow(&self, record: FlowRecord) -> bool {
-        let lane = shard_of_flow(&record, self.flows.lanes());
-        self.fallback.lock().1.push(&self.flows, lane, record)
-    }
-
-    /// Offer a batch of DNS records under one acquisition of the
-    /// fallback producer, returning how many were accepted. Records
-    /// beyond a lane's free space are dropped and counted as stream
-    /// loss.
-    pub fn push_dns_batch<I>(&self, records: I) -> usize
-    where
-        I: IntoIterator<Item = DnsRecord>,
-    {
-        let lanes = self.dns.lanes();
-        let mut guard = self.fallback.lock();
-        let mut total = 0usize;
-        for record in records {
-            let lane = shard_of_dns(&record, lanes);
-            if guard.0.push(&self.dns, lane, record) {
-                total += 1;
-            }
-        }
-        total
-    }
-
-    /// Offer a batch of flow records, returning how many were accepted
-    /// (the rest were dropped and counted).
-    pub fn push_flow_batch<I>(&self, records: I) -> usize
-    where
-        I: IntoIterator<Item = FlowRecord>,
-    {
-        let lanes = self.flows.lanes();
-        let mut guard = self.fallback.lock();
-        let mut total = 0usize;
-        for record in records {
-            let lane = shard_of_flow(&record, lanes);
-            if guard.1.push(&self.flows, lane, record) {
-                total += 1;
-            }
-        }
-        total
-    }
-
     /// Current depth of the three stages' queues (fillup, lookup, write),
     /// each summed over its lanes or shards. The write depth leaves out
     /// what shard workers hold staged: at most `EGRESS_BATCH - 1` records
@@ -1417,17 +1325,26 @@ mod tests {
         // Fill DNS first and give the shard workers a moment to drain, so
         // the flows looked up afterwards find their records.
         for i in 0..50u8 {
-            assert!(correlator.push_dns(dns(1, &format!("svc{i}.example"), [203, 0, 113, i], 300)));
+            assert!(correlator.dns_router().route(dns(
+                1,
+                &format!("svc{i}.example"),
+                [203, 0, 113, i],
+                300
+            )));
         }
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
         for i in 0..50u8 {
-            assert!(correlator.push_flow(flow(2, [203, 0, 113, i], 1_000)));
+            assert!(correlator
+                .flow_router()
+                .route(flow(2, [203, 0, 113, i], 1_000)));
         }
         // One flow from an unknown source.
-        assert!(correlator.push_flow(flow(2, [192, 0, 2, 1], 1_000)));
+        assert!(correlator
+            .flow_router()
+            .route(flow(2, [192, 0, 2, 1], 1_000)));
         // Per-shard routed counters must account for every accepted
         // record (the CI saturation smoke asserts the same invariant).
         let (dns_routed, flow_routed) = correlator.shard_routed_counts().unwrap();
@@ -1457,10 +1374,14 @@ mod tests {
         };
         let correlator = Correlator::start(config).unwrap();
         for i in 0..200u8 {
-            correlator.push_dns(dns(1, "bulk.example", [198, 51, 100, i], 60));
+            correlator
+                .dns_router()
+                .route(dns(1, "bulk.example", [198, 51, 100, i], 60));
         }
         for i in 0..200u8 {
-            correlator.push_flow(flow(2, [198, 51, 100, i], 500));
+            correlator
+                .flow_router()
+                .route(flow(2, [198, 51, 100, i], 500));
         }
         let report = correlator.finish().unwrap();
         // Every accepted record must have been processed and written.
@@ -1491,13 +1412,18 @@ mod tests {
             };
             let correlator = Correlator::start(config).unwrap();
             for i in 0..100u8 {
-                correlator.push_dns(dns(1, &format!("s{i}.example"), [203, 0, 113, i], 300));
+                correlator.dns_router().route(dns(
+                    1,
+                    &format!("s{i}.example"),
+                    [203, 0, 113, i],
+                    300,
+                ));
             }
             while correlator.queue_depths().0 > 0 {
                 std::thread::sleep(Duration::from_millis(1));
             }
             std::thread::sleep(Duration::from_millis(20));
-            let accepted = correlator.push_flow_batch(
+            let accepted = correlator.flow_router().route_batch(
                 (0..FLOWS).map(|n| flow(2 + n / 100, [203, 0, 113, (n % 100) as u8], 1_000)),
             );
             assert_eq!(accepted as u64, FLOWS);
@@ -1539,8 +1465,9 @@ mod tests {
         };
         let correlator =
             Correlator::start_with_sink(config, Box::new(GatedSink { gate, open: false })).unwrap();
-        let accepted =
-            correlator.push_flow_batch((0..FLOWS).map(|n| flow(1, [198, 51, 100, n as u8], 100)));
+        let accepted = correlator
+            .flow_router()
+            .route_batch((0..FLOWS).map(|n| flow(1, [198, 51, 100, n as u8], 100)));
         assert_eq!(accepted as u64, FLOWS);
         // All flows resolved while the sink still holds its first record.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1594,7 +1521,9 @@ mod tests {
         let correlator = Correlator::start_with_sink(config, Box::new(sink)).unwrap();
         assert_eq!(correlator.egress_error_message(), None);
         for i in 0..10u8 {
-            assert!(correlator.push_flow(flow(1, [203, 0, 113, i], 100)));
+            assert!(correlator
+                .flow_router()
+                .route(flow(1, [203, 0, 113, i], 100)));
         }
         // The running daemon reports the failure: no finish() needed.
         let deadline = Instant::now() + Duration::from_secs(10);
@@ -1633,7 +1562,9 @@ mod tests {
         };
         let sink = RotatingFileSink::new(&dir, "corr", SimDuration::from_secs(3600)).unwrap();
         let correlator = Correlator::start_with_sink(config, Box::new(sink)).unwrap();
-        assert!(correlator.push_flow(flow(7, [203, 0, 113, 9], 1_234)));
+        assert!(correlator
+            .flow_router()
+            .route(flow(7, [203, 0, 113, 9], 1_234)));
         let part = dir.join("corr-0000000000.tsv.part");
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
@@ -1726,7 +1657,9 @@ mod tests {
         }
         let correlator =
             Correlator::start_with_sink(CorrelatorConfig::default(), Box::new(BadEndSink)).unwrap();
-        correlator.push_flow(flow(1, [203, 0, 113, 1], 100));
+        correlator
+            .flow_router()
+            .route(flow(1, [203, 0, 113, 1], 100));
         match correlator.finish() {
             Err(FlowDnsError::Io(msg)) => assert!(msg.contains("disk full")),
             other => panic!("expected the finalize error, got {other:?}"),
@@ -1746,7 +1679,12 @@ mod tests {
         let correlator = Correlator::start(config).unwrap();
         let mut dns_accepted = 0u64;
         for i in 0..10_000u32 {
-            if correlator.push_dns(dns(1, "x.example", [10, (i >> 8) as u8, i as u8, 1], 60)) {
+            if correlator.dns_router().route(dns(
+                1,
+                "x.example",
+                [10, (i >> 8) as u8, i as u8, 1],
+                60,
+            )) {
                 dns_accepted += 1;
             }
         }
@@ -1766,7 +1704,7 @@ mod tests {
         let dns_batch: Vec<DnsRecord> = (0..40u8)
             .map(|i| dns(1, &format!("svc{i}.example"), [203, 0, 113, i], 300))
             .collect();
-        assert_eq!(correlator.push_dns_batch(dns_batch), 40);
+        assert_eq!(correlator.dns_router().route_batch(dns_batch), 40);
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -1774,7 +1712,7 @@ mod tests {
         let flow_batch: Vec<FlowRecord> = (0..40u8)
             .map(|i| flow(2, [203, 0, 113, i], 1_000))
             .collect();
-        assert_eq!(correlator.push_flow_batch(flow_batch), 40);
+        assert_eq!(correlator.flow_router().route_batch(flow_batch), 40);
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.lookup.ip_hits, 40);
         assert_eq!(report.metrics.write.records_written, 40);
@@ -1793,7 +1731,7 @@ mod tests {
         let batch: Vec<DnsRecord> = (0..10_000u32)
             .map(|i| dns(1, "x.example", [10, (i >> 8) as u8, i as u8, 1], 60))
             .collect();
-        let accepted = correlator.push_dns_batch(batch);
+        let accepted = correlator.dns_router().route_batch(batch);
         assert!(accepted < 10_000, "a burst past a ring of 8 must drop");
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.fillup.total(), accepted as u64);
@@ -1804,14 +1742,18 @@ mod tests {
     fn snapshot_reads_live_metrics_without_consuming() {
         let correlator = Correlator::start(CorrelatorConfig::default()).unwrap();
         for i in 0..30u8 {
-            correlator.push_dns(dns(1, "snap.example", [198, 51, 100, i], 60));
+            correlator
+                .dns_router()
+                .route(dns(1, "snap.example", [198, 51, 100, i], 60));
         }
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
         for i in 0..30u8 {
-            correlator.push_flow(flow(2, [198, 51, 100, i], 500));
+            correlator
+                .flow_router()
+                .route(flow(2, [198, 51, 100, i], 500));
         }
         // Wait until the pipeline has visibly written everything, then
         // snapshot: the pipeline keeps running afterwards.
@@ -1880,12 +1822,16 @@ mod tests {
         )
         .unwrap();
 
-        correlator.push_dns(dns(1, "svc.example", [203, 0, 113, 9], 300));
+        correlator
+            .dns_router()
+            .route(dns(1, "svc.example", [203, 0, 113, 9], 300));
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
-        correlator.push_flow(flow(2, [203, 0, 113, 9], 1_000));
+        correlator
+            .flow_router()
+            .route(flow(2, [203, 0, 113, 9], 1_000));
 
         // Live reload: later flows must see the new origin AS.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -1895,7 +1841,9 @@ mod tests {
         }
         assert!(correlator.swap_routing_table(table(64999)));
         assert_eq!(correlator.asn_view().unwrap().epoch(), 1);
-        correlator.push_flow(flow(3, [203, 0, 113, 9], 2_000));
+        correlator
+            .flow_router()
+            .route(flow(3, [203, 0, 113, 9], 2_000));
 
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.write.records_written, 2);
@@ -1930,7 +1878,9 @@ mod tests {
         let first = Correlator::start(config.clone()).unwrap();
         assert!(!first.snapshot_stats().warm_started());
         for i in 0..20u8 {
-            first.push_dns(dns(1, &format!("svc{i}.example"), [203, 0, 113, i], 300));
+            first
+                .dns_router()
+                .route(dns(1, &format!("svc{i}.example"), [203, 0, 113, i], 300));
         }
         let report = first.finish().unwrap();
         assert_eq!(report.metrics.snapshot.snapshots_written, 1);
@@ -1947,7 +1897,7 @@ mod tests {
         assert_eq!(stats.warm_start_entries, 20);
         assert_eq!(second.stored_entries(), 20);
         for i in 0..20u8 {
-            second.push_flow(flow(2, [203, 0, 113, i], 1_000));
+            second.flow_router().route(flow(2, [203, 0, 113, i], 1_000));
         }
         let report = second.finish().unwrap();
         assert_eq!(report.metrics.lookup.ip_hits, 20);
@@ -1967,7 +1917,9 @@ mod tests {
         };
         let correlator = Correlator::start(config).unwrap();
         for i in 0..10u8 {
-            correlator.push_dns(dns(1, "live.example", [198, 51, 100, i], 60));
+            correlator
+                .dns_router()
+                .route(dns(1, "live.example", [198, 51, 100, i], 60));
         }
         // The background thread must write without any shutdown.
         let deadline = std::time::Instant::now() + Duration::from_secs(5);
@@ -2002,8 +1954,12 @@ mod tests {
         };
         let first = Correlator::start(config.clone()).unwrap();
         // One short-TTL record (Active map) and one long-TTL (Long map).
-        first.push_dns(dns(1, "short.example", [203, 0, 113, 1], 300));
-        first.push_dns(dns(1, "stable.example", [203, 0, 113, 2], 86_400));
+        first
+            .dns_router()
+            .route(dns(1, "short.example", [203, 0, 113, 1], 300));
+        first
+            .dns_router()
+            .route(dns(1, "stable.example", [203, 0, 113, 2], 86_400));
         first.finish().unwrap();
 
         // Backdate the snapshot by two days, as if the process had been
@@ -2019,8 +1975,8 @@ mod tests {
         assert!(stats.warm_started(), "{stats:?}");
         // Only the Long entry survived the simulated outage.
         assert_eq!(second.stored_entries(), 1);
-        second.push_flow(flow(2, [203, 0, 113, 1], 1_000)); // expired
-        second.push_flow(flow(2, [203, 0, 113, 2], 1_000)); // long-lived
+        second.flow_router().route(flow(2, [203, 0, 113, 1], 1_000)); // expired
+        second.flow_router().route(flow(2, [203, 0, 113, 2], 1_000)); // long-lived
         let report = second.finish().unwrap();
         assert_eq!(report.metrics.lookup.ip_hits, 1);
         assert_eq!(report.metrics.lookup.ip_misses, 1);
@@ -2050,7 +2006,9 @@ mod tests {
             "expected a recorded warm-start error: {stats:?}"
         );
         // The pipeline still runs, and shutdown replaces the bad file.
-        correlator.push_dns(dns(1, "fresh.example", [203, 0, 113, 1], 60));
+        correlator
+            .dns_router()
+            .route(dns(1, "fresh.example", [203, 0, 113, 1], 60));
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.snapshot.snapshots_written, 1);
         assert!(flowdns_snapshot::read_snapshot(&path).is_ok());
@@ -2089,14 +2047,18 @@ mod tests {
         let registry = MetricsRegistry::new();
         correlator.register_metrics(&registry);
         for i in 0..30u8 {
-            correlator.push_dns(dns(1, "reg.example", [203, 0, 113, i], 300));
+            correlator
+                .dns_router()
+                .route(dns(1, "reg.example", [203, 0, 113, i], 300));
         }
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
         for i in 0..30u8 {
-            correlator.push_flow(flow(2, [203, 0, 113, i], 1_000));
+            correlator
+                .flow_router()
+                .route(flow(2, [203, 0, 113, i], 1_000));
         }
         // The registry reads the same live counters as `snapshot()`, so
         // it must converge to the full totals without a shutdown.
@@ -2151,7 +2113,9 @@ mod tests {
         };
         let correlator = Correlator::start(config).unwrap();
         let flight = Arc::clone(correlator.flight_recorder().expect("tracing on"));
-        correlator.push_dns(dns(1, "traced.example", [203, 0, 113, 1], 300));
+        correlator
+            .dns_router()
+            .route(dns(1, "traced.example", [203, 0, 113, 1], 300));
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
@@ -2163,7 +2127,7 @@ mod tests {
             if let Some(id) = f.trace {
                 flight.stamp_enqueue(id);
             }
-            correlator.push_flow(f);
+            correlator.flow_router().route(f);
         }
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.write.records_written, 8);
@@ -2199,7 +2163,9 @@ mod tests {
         let correlator = Correlator::start(CorrelatorConfig::default()).unwrap();
         assert!(correlator.asn_view().is_none());
         assert!(!correlator.swap_routing_table(FrozenTable::new()));
-        correlator.push_flow(flow(1, [203, 0, 113, 1], 100));
+        correlator
+            .flow_router()
+            .route(flow(1, [203, 0, 113, 1], 100));
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.lookup.asn_stamped, 0);
     }
@@ -2211,16 +2177,18 @@ mod tests {
             ..CorrelatorConfig::default()
         };
         let correlator = Correlator::start(config).unwrap();
-        let mut router = correlator.ingress_router();
+        let mut router = correlator.dns_router();
         assert_eq!(router.shards(), 2);
-        let accepted = router
-            .route_dns_batch((0..40u8).map(|i| dns(1, "batch.example", [198, 51, 100, i], 60)));
+        let accepted =
+            router.route_batch((0..40u8).map(|i| dns(1, "batch.example", [198, 51, 100, i], 60)));
         assert_eq!(accepted, 40);
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
-        let accepted = router.route_flow_batch((0..40u8).map(|i| flow(2, [198, 51, 100, i], 500)));
+        let accepted = correlator
+            .flow_router()
+            .route_batch((0..40u8).map(|i| flow(2, [198, 51, 100, i], 500)));
         assert_eq!(accepted, 40);
         let (dns_routed, flow_routed) = correlator.shard_routed_counts().unwrap();
         assert_eq!(dns_routed.iter().sum::<u64>(), 40);
@@ -2245,7 +2213,9 @@ mod tests {
             ..CorrelatorConfig::default()
         };
         let first = Correlator::start(write_config.clone()).unwrap();
-        first.push_dns(dns(1, "persist.example", [203, 0, 113, 7], 300));
+        first
+            .dns_router()
+            .route(dns(1, "persist.example", [203, 0, 113, 7], 300));
         first.finish().unwrap();
         assert!(path.exists());
 
@@ -2268,7 +2238,9 @@ mod tests {
         assert_eq!(second.stored_entries(), 0);
         // Still a live pipeline; shutdown overwrites the incompatible
         // snapshot with a 4-shard image.
-        second.push_dns(dns(1, "fresh.example", [203, 0, 113, 8], 300));
+        second
+            .dns_router()
+            .route(dns(1, "fresh.example", [203, 0, 113, 8], 300));
         second.finish().unwrap();
         let image = flowdns_snapshot::read_snapshot(path.to_str().unwrap()).unwrap();
         assert_eq!(image.ip_name.len(), 4);
@@ -2305,13 +2277,19 @@ mod tests {
         assert_eq!(correlator.stored_entries(), 0);
         // Cold but alive: new DNS correlates, and shutdown replaces the
         // unreadable file with a version-3 one in the running layout.
-        correlator.push_dns(dns(1, "fresh.example", [203, 0, 113, 200], 300));
+        correlator
+            .dns_router()
+            .route(dns(1, "fresh.example", [203, 0, 113, 200], 300));
         while correlator.queue_depths().0 > 0 {
             std::thread::sleep(Duration::from_millis(1));
         }
         std::thread::sleep(Duration::from_millis(20));
-        correlator.push_flow(flow(2, [203, 0, 113, 200], 1_000));
-        correlator.push_flow(flow(2, [198, 51, 100, 30], 1_000)); // was only in the file
+        correlator
+            .flow_router()
+            .route(flow(2, [203, 0, 113, 200], 1_000));
+        correlator
+            .flow_router()
+            .route(flow(2, [198, 51, 100, 30], 1_000)); // was only in the file
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.lookup.ip_hits, 1);
         assert_eq!(report.metrics.lookup.ip_misses, 1);

@@ -323,67 +323,6 @@ impl Drop for RotatingFileSink {
     }
 }
 
-/// A fan-out sink: every record goes to every inner sink (tests and
-/// analyses that want a file *and* an in-memory copy, for instance).
-#[derive(Default)]
-pub struct MultiSink {
-    sinks: Vec<Box<dyn OutputSink>>,
-}
-
-impl std::fmt::Debug for MultiSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("MultiSink")
-            .field("sinks", &self.sinks.len())
-            .finish()
-    }
-}
-
-impl MultiSink {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        MultiSink::default()
-    }
-
-    /// Add a sink to the fan-out.
-    pub fn push(mut self, sink: Box<dyn OutputSink>) -> Self {
-        self.sinks.push(sink);
-        self
-    }
-
-    /// Number of fan-out targets.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Is the fan-out empty?
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl OutputSink for MultiSink {
-    fn write_record(&mut self, record: &CorrelatedRecord) -> Result<(), FlowDnsError> {
-        for sink in &mut self.sinks {
-            sink.write_record(record)?;
-        }
-        Ok(())
-    }
-
-    fn flush(&mut self) -> Result<(), FlowDnsError> {
-        for sink in &mut self.sinks {
-            sink.flush()?;
-        }
-        Ok(())
-    }
-
-    fn finalize(&mut self) -> Result<(), FlowDnsError> {
-        for sink in &mut self.sinks {
-            sink.finalize()?;
-        }
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -533,21 +472,5 @@ mod tests {
     fn rotating_sink_rejects_zero_window() {
         let dir = std::env::temp_dir().join("flowdns-test-rotate-zero");
         assert!(RotatingFileSink::new(&dir, "x", SimDuration::ZERO).is_err());
-    }
-
-    #[test]
-    fn multi_sink_fans_out() {
-        let dir = temp_dir("flowdns-test-multi");
-        let path = dir.join("copy.tsv");
-        let mut multi = MultiSink::new()
-            .push(Box::new(MemorySink::new()))
-            .push(Box::new(TsvFileSink::create(&path).unwrap()));
-        assert_eq!(multi.len(), 2);
-        assert!(!multi.is_empty());
-        multi.write_record(&record(42, true)).unwrap();
-        multi.flush().unwrap();
-        drop(multi);
-        assert_eq!(std::fs::read_to_string(&path).unwrap().lines().count(), 1);
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,18 +10,19 @@
 //! boundaries decode correctly and a connection cut mid-message simply
 //! ends that stream.
 //!
-//! # Drain loop and ownership
+//! # Read loop and ownership
 //!
-//! A handler thread owns its connection's socket, decoder, and one
-//! receive buffer. Reads are batched like the UDP
-//! side's drain: one blocking read (short timeout, keeps shutdown
-//! responsive) opens the round, then the socket flips non-blocking and
-//! further reads are consumed until `WouldBlock` or `recv_batch` reads
-//! are in hand. All records decoded during the round are offered to the
-//! per-shard DNS rings in **one** `route_dns_batch` on this thread's own
-//! `ShardRouter`; a full ring is a counted drop. A framing error counts the stream malformed and drops the
-//! connection — records decoded earlier in the same round are still
-//! delivered.
+//! A handler thread owns its connection's socket, decoder, receive
+//! buffer and DNS router. Each round is one blocking read (short
+//! timeout, keeps shutdown responsive); the records that read completes
+//! are offered to the per-shard DNS rings in **one** `route_batch` on
+//! the thread's own router, and a full ring is a counted drop. A read
+//! holds up to 16 KiB, a few hundred records, so the ring offer is paid
+//! per read, not per record. A framing error counts the stream malformed
+//! and drops the connection; the records of earlier reads are already
+//! delivered. The router registers rings on the DNS lanes only, and a
+//! closed connection's rings serve the next one, so reconnecting
+//! resolvers leave no rings behind.
 
 use std::io::Read;
 use std::net::{TcpListener, TcpStream};
@@ -34,7 +35,6 @@ use parking_lot::Mutex;
 
 use flowdns_core::Correlator;
 use flowdns_dns::framing::FrameDecoder;
-use flowdns_types::DnsRecord;
 
 use crate::runtime::ActivityStamp;
 
@@ -52,8 +52,8 @@ pub struct DnsFeedStats {
     pub records: AtomicU64,
     /// Socket reads that returned data.
     pub reads: AtomicU64,
-    /// Batches offered to the FillUp queue (≤ `reads`: a drain round
-    /// folds several reads into one push).
+    /// Batches offered to the FillUp queue, one per read that completed
+    /// a frame (≤ `reads`).
     pub batch_pushes: AtomicU64,
     /// Connections dropped because their stream was malformed.
     pub malformed_streams: AtomicU64,
@@ -68,13 +68,11 @@ pub struct DnsFeedStats {
 /// runtime can join them at shutdown.
 pub(crate) fn spawn_group(
     listeners: Vec<TcpListener>,
-    recv_batch: usize,
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<DnsFeedStats>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 ) -> std::io::Result<Vec<JoinHandle<()>>> {
-    let recv_batch = recv_batch.max(1);
     let mut handles = Vec::with_capacity(listeners.len());
     for (i, listener) in listeners.into_iter().enumerate() {
         listener.set_nonblocking(true)?;
@@ -97,7 +95,6 @@ pub(crate) fn spawn_group(
                                     stream,
                                     i,
                                     next_conn,
-                                    recv_batch,
                                     Arc::clone(&correlator),
                                     Arc::clone(&shutdown),
                                     Arc::clone(&stats),
@@ -127,7 +124,6 @@ fn spawn_connection(
     stream: TcpStream,
     listener_id: usize,
     id: u64,
-    recv_batch: usize,
     correlator: Arc<Correlator>,
     shutdown: Arc<AtomicBool>,
     stats: Arc<DnsFeedStats>,
@@ -148,12 +144,10 @@ fn spawn_connection(
             let mut stream = stream;
             let mut decoder = FrameDecoder::new();
             let mut buf = vec![0u8; READ_BUF];
-            let mut batch: Vec<DnsRecord> = Vec::new();
-            // This connection thread owns its ingress router, so routed
-            // pushes are lock-free SPSC ring writes.
-            let mut router = correlator.ingress_router();
-            'conn: while !shutdown.load(Ordering::Acquire) {
-                // One blocking read opens the drain round.
+            // This connection thread owns its router, so routed pushes
+            // are lock-free SPSC ring writes.
+            let mut router = correlator.dns_router();
+            while !shutdown.load(Ordering::Acquire) {
                 let n = match stream.read(&mut buf) {
                     Ok(0) => break, // clean EOF; partial frame (if any) discarded
                     Ok(n) => n,
@@ -167,79 +161,30 @@ fn spawn_connection(
                 };
                 // ordering: stats-only counter.
                 stats.reads.fetch_add(1, Ordering::Relaxed);
-                let mut closing = !feed(&mut decoder, &buf[..n], &mut batch, &stats);
-                // Drain whatever else is already buffered, folding every
-                // read's records into the same batch.
-                let mut reads = 1usize;
-                if !closing && recv_batch > 1 && stream.set_nonblocking(true).is_ok() {
-                    while reads < recv_batch {
-                        match stream.read(&mut buf) {
-                            Ok(0) => {
-                                closing = true;
-                                break;
-                            }
-                            Ok(n) => {
-                                reads += 1;
-                                // ordering: stats-only counter.
-                                stats.reads.fetch_add(1, Ordering::Relaxed);
-                                if !feed(&mut decoder, &buf[..n], &mut batch, &stats) {
-                                    closing = true;
-                                    break;
-                                }
-                            }
-                            Err(_) => break, // WouldBlock: nothing queued
-                        }
-                    }
-                    if stream.set_nonblocking(false).is_err() {
-                        closing = true;
-                    }
+                let Ok(records) = decoder.feed(&buf[..n]) else {
+                    // ordering: stats-only counter.
+                    stats.malformed_streams.fetch_add(1, Ordering::Relaxed);
+                    break;
+                };
+                if records.is_empty() {
+                    continue; // a partial frame, completed by a later read
                 }
-                // One queue offer for the whole round; the overflow
-                // remainder is counted as dropped.
-                if !batch.is_empty() {
-                    // One wall-clock activity mark per drain round,
-                    // for the `last_activity_seconds` gauge.
-                    stats.last_activity.mark();
-                    // ordering: stats-only counters (records, batches).
+                // One wall-clock activity mark per read, for the
+                // `last_activity_seconds` gauge.
+                stats.last_activity.mark();
+                let offered = records.len();
+                // ordering: stats-only counters (records, batches).
+                stats.records.fetch_add(offered as u64, Ordering::Relaxed);
+                stats.batch_pushes.fetch_add(1, Ordering::Relaxed);
+                // One ring offer for the read; the overflow remainder is
+                // counted as dropped.
+                let accepted = router.route_batch(records);
+                if accepted < offered {
+                    // ordering: stats-only drop counter.
                     stats
-                        .records
-                        .fetch_add(batch.len() as u64, Ordering::Relaxed);
-                    stats.batch_pushes.fetch_add(1, Ordering::Relaxed);
-                    let offered = batch.len();
-                    let accepted = router.route_dns_batch(batch.drain(..));
-                    if accepted < offered {
-                        // ordering: stats-only drop counter.
-                        stats
-                            .queue_drops
-                            .fetch_add((offered - accepted) as u64, Ordering::Relaxed);
-                    }
-                }
-                if closing {
-                    break 'conn;
+                        .queue_drops
+                        .fetch_add((offered - accepted) as u64, Ordering::Relaxed);
                 }
             }
         })
-}
-
-/// Feed one read's bytes through the connection's decoder, appending the
-/// decoded records to `batch`. Returns `false` when the stream is
-/// corrupt (counted; the connection must close — records already decoded
-/// into `batch` are still delivered by the caller).
-fn feed(
-    decoder: &mut FrameDecoder,
-    bytes: &[u8],
-    batch: &mut Vec<DnsRecord>,
-    stats: &DnsFeedStats,
-) -> bool {
-    match decoder.feed(bytes) {
-        Ok(records) => {
-            batch.extend(records);
-            true
-        }
-        Err(_) => {
-            // ordering: stats-only counter.
-            stats.malformed_streams.fetch_add(1, Ordering::Relaxed);
-            false
-        }
-    }
 }

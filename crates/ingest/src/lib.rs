@@ -9,13 +9,14 @@
 //! * [`config`] — [`DaemonConfig`], the `key = value` file `flowdnsd`
 //!   reads (listener addresses here, everything else forwarded to
 //!   [`flowdns_core::CorrelatorConfig`]),
-//! * [`netflow_listener`] — the UDP listener group: batched socket
-//!   drains (real `recvmmsg(2)` on Linux via [`mmsg`], a portable
-//!   per-datagram fallback elsewhere) feeding one pipeline batch per
-//!   drain, with **per-listener** decoder shards holding per-exporter
+//! * [`netflow_listener`] — the UDP listener group: one receive call
+//!   per drain round (a blocking `recvmmsg(2)` on Linux via [`mmsg`],
+//!   one blocking `recv_from` elsewhere) feeding one pipeline batch per
+//!   round, with **per-listener** decoder shards holding per-exporter
 //!   v5/v9/IPFIX decode state,
 //! * [`dns_listener`] — the TCP DNS-feed listener group running the
-//!   length-prefix framing incrementally over drained socket reads,
+//!   length-prefix framing incrementally over blocking socket reads, one
+//!   pipeline batch per read,
 //! * [`runtime`] — [`IngestRuntime`], which binds the `SO_REUSEPORT`
 //!   listener groups (`netflow_listeners`/`dns_listeners` config keys)
 //!   and wires them into the correlator's per-shard rings with

@@ -1,67 +1,29 @@
 //! Batched datagram I/O via `recvmmsg(2)`/`sendmmsg(2)`.
 //!
-//! The drain loop in [`crate::netflow_listener`] wants to pull every
-//! datagram the kernel has queued in as few syscalls as possible: at
-//! high packet rates the per-`recvfrom` syscall cost *is* the ingest
-//! hot path's dominant term (the decode itself is a few dozen
-//! nanoseconds per record). `recvmmsg(2)` receives up to a whole
-//! drain's worth of datagrams — payloads *and* source addresses — in
-//! one syscall, so a 32-deep drain costs 1 syscall instead of 32 plus
-//! the two `fcntl` mode flips the portable fallback needs. The
-//! transmit-side twin, [`send_burst`], exists for load generators that
-//! must out-pace the listener they are measuring.
+//! The drain loop in [`crate::netflow_listener`] makes exactly one
+//! receive call per round: at high packet rates the per-`recvfrom`
+//! syscall cost *is* the ingest hot path's dominant term (the decode
+//! itself is a few dozen nanoseconds per record). On Linux that call is
+//! one blocking `recvmmsg(2)` with `MSG_WAITFORONE`: it waits, up to the
+//! socket's `SO_RCVTIMEO`, for the first datagram, then takes whatever
+//! else is already queued — payloads *and* source addresses — up to the
+//! ring's slot count, without waiting again. The transmit-side twin,
+//! [`send_burst`], exists for load generators that must out-pace the
+//! listener they are measuring.
 //!
 //! As with [`crate::reuseport`], this build links no libc crate, so the
 //! syscall and its argument structures are declared here, gated to
 //! Linux, and kept behind a safe interface: the crate-private
 //! `MmsgRing` owns all the receive buffers, address storage, and
 //! header arrays for a listener thread, and its `recv` hands back
-//! parsed `(payload, peer)`
-//! views. On other platforms `recv` reports `Unsupported` and the
-//! listener quietly stays on its per-datagram `recv_from` drain —
-//! behaviour is identical, only the syscall amortization is lost.
+//! parsed `(payload, peer)` views. On other platforms `recv` is one
+//! blocking `recv_from` that returns one datagram — behaviour is
+//! identical, only the syscall amortization is lost.
 
 use std::io;
-use std::net::SocketAddr;
 use std::net::UdpSocket;
 
-/// Pre-allocated receive state for one listener thread: `slots`
-/// datagram buffers of `buf_len` bytes each, plus the per-message
-/// address storage and header arrays `recvmmsg(2)` scatters into.
-pub(crate) struct MmsgRing {
-    inner: sys::Ring,
-}
-
-impl MmsgRing {
-    /// Allocate a ring. `slots` bounds how many datagrams one [`recv`]
-    /// call can return (the drain depth); `buf_len` must be the largest
-    /// datagram the protocol allows, or tails would be truncated.
-    ///
-    /// [`recv`]: MmsgRing::recv
-    pub(crate) fn new(slots: usize, buf_len: usize) -> Self {
-        MmsgRing {
-            inner: sys::Ring::new(slots.max(1), buf_len),
-        }
-    }
-
-    /// Non-blockingly receive up to `slots` queued datagrams from
-    /// `socket` in one syscall. Returns the number received; the
-    /// payload/peer of each is then readable via [`MmsgRing::datagram`].
-    /// `WouldBlock` means the socket queue is empty; `Unsupported`
-    /// means this platform has no `recvmmsg` and the caller should use
-    /// its portable path instead (the ring stays reusable either way).
-    pub(crate) fn recv(&mut self, socket: &UdpSocket) -> io::Result<usize> {
-        self.inner.recv(socket)
-    }
-
-    /// Payload and source address of datagram `index` from the most
-    /// recent [`MmsgRing::recv`]. Panics if `index` is out of range or
-    /// the peer address family is unknown (the kernel only hands back
-    /// families the socket speaks, so that indicates memory corruption).
-    pub(crate) fn datagram(&self, index: usize) -> (&[u8], SocketAddr) {
-        self.inner.datagram(index)
-    }
-}
+pub(crate) use sys::MmsgRing;
 
 /// Send every payload as one datagram on a **connected** UDP socket,
 /// using a single `sendmmsg(2)` syscall on Linux and a per-datagram
@@ -90,7 +52,8 @@ mod sys {
     // the style of `crate::reuseport::sys`.
     const AF_INET: u16 = 2;
     const AF_INET6: u16 = 10;
-    const MSG_DONTWAIT: i32 = 0x40;
+    /// Block for the first datagram only, then take what is queued.
+    const MSG_WAITFORONE: i32 = 0x10000;
     /// `sizeof(struct sockaddr_storage)` — large enough for any family.
     const NAME_LEN: usize = 128;
 
@@ -167,7 +130,10 @@ mod sys {
         Ok(rc as usize)
     }
 
-    pub(super) struct Ring {
+    /// Pre-allocated receive state for one listener thread: `slots`
+    /// datagram buffers of `buf_len` bytes each, plus the per-message
+    /// address storage and header arrays `recvmmsg(2)` scatters into.
+    pub(crate) struct MmsgRing {
         // Box<[u8]> keeps every base pointer stable for the lifetime of
         // the ring, so the header arrays can be built once and reused
         // for every syscall (the Vecs are never grown, so their heap
@@ -179,14 +145,18 @@ mod sys {
     }
 
     // SAFETY: the raw pointers in `iovecs`/`hdrs` only ever point into
-    // `bufs`/`names` owned by the same Ring; moving the Ring between
+    // `bufs`/`names` owned by the same ring; moving the ring between
     // threads moves all of them together and they are only dereferenced
     // (by the kernel) during `recv` while `&mut self` is held.
     #[allow(unsafe_code)]
-    unsafe impl Send for Ring {}
+    unsafe impl Send for MmsgRing {}
 
-    impl Ring {
-        pub(super) fn new(slots: usize, buf_len: usize) -> Ring {
+    impl MmsgRing {
+        /// Allocate a ring. `slots` bounds how many datagrams one `recv`
+        /// returns (the drain depth); `buf_len` must be the largest
+        /// datagram the protocol allows, or tails would be truncated.
+        pub(crate) fn new(slots: usize, buf_len: usize) -> MmsgRing {
+            let slots = slots.max(1);
             let mut bufs: Vec<Box<[u8]>> = (0..slots)
                 .map(|_| vec![0u8; buf_len.max(1)].into_boxed_slice())
                 .collect();
@@ -214,7 +184,7 @@ mod sys {
                     msg_len: 0,
                 })
                 .collect();
-            Ring {
+            MmsgRing {
                 bufs,
                 names,
                 iovecs,
@@ -222,8 +192,13 @@ mod sys {
             }
         }
 
+        /// Receive between one and `slots` datagrams from `socket` in
+        /// one syscall, blocking up to the socket's read timeout for the
+        /// first; `WouldBlock`/`TimedOut` means none arrived in time.
+        /// Returns the number received; the payload/peer of each is then
+        /// readable via [`MmsgRing::datagram`].
         #[allow(unsafe_code)]
-        pub(super) fn recv(&mut self, socket: &UdpSocket) -> io::Result<usize> {
+        pub(crate) fn recv(&mut self, socket: &UdpSocket) -> io::Result<usize> {
             // `recvmmsg` writes back each msg_namelen; reset before reuse.
             for hdr in &mut self.hdrs {
                 hdr.msg_hdr.msg_namelen = NAME_LEN as u32;
@@ -235,7 +210,7 @@ mod sys {
                     socket.as_raw_fd(),
                     self.hdrs.as_mut_ptr(),
                     self.hdrs.len() as u32,
-                    MSG_DONTWAIT,
+                    MSG_WAITFORONE,
                     std::ptr::null_mut(),
                 )
             };
@@ -245,7 +220,11 @@ mod sys {
             Ok(rc as usize)
         }
 
-        pub(super) fn datagram(&self, index: usize) -> (&[u8], SocketAddr) {
+        /// Payload and source address of datagram `index` from the most
+        /// recent `recv`. Panics if `index` is out of range or the peer
+        /// address family is unknown (the kernel only hands back families
+        /// the socket speaks, so that indicates memory corruption).
+        pub(crate) fn datagram(&self, index: usize) -> (&[u8], SocketAddr) {
             let hdr = &self.hdrs[index];
             let payload = &self.bufs[index][..hdr.msg_len as usize];
             let name = &self.names[index][..];
@@ -277,8 +256,7 @@ mod sys {
 
 #[cfg(not(target_os = "linux"))]
 mod sys {
-    //! Non-Linux stub: `recv` reports `Unsupported` so the listener's
-    //! portable per-datagram drain is used instead.
+    //! Portable receive: one blocking `recv_from` per call.
     use std::io;
     use std::net::{SocketAddr, UdpSocket};
 
@@ -291,22 +269,34 @@ mod sys {
         Ok(payloads.len())
     }
 
-    pub(super) struct Ring;
+    /// One datagram buffer and its peer.
+    pub(crate) struct MmsgRing {
+        buf: Box<[u8]>,
+        len: usize,
+        peer: SocketAddr,
+    }
 
-    impl Ring {
-        pub(super) fn new(_slots: usize, _buf_len: usize) -> Ring {
-            Ring
+    impl MmsgRing {
+        pub(crate) fn new(_slots: usize, buf_len: usize) -> MmsgRing {
+            MmsgRing {
+                buf: vec![0u8; buf_len.max(1)].into_boxed_slice(),
+                len: 0,
+                peer: SocketAddr::from(([0, 0, 0, 0], 0)),
+            }
         }
 
-        pub(super) fn recv(&mut self, _socket: &UdpSocket) -> io::Result<usize> {
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "recvmmsg is only implemented on Linux",
-            ))
+        /// One blocking `recv_from`, up to the socket's read timeout.
+        pub(crate) fn recv(&mut self, socket: &UdpSocket) -> io::Result<usize> {
+            let (len, peer) = socket.recv_from(&mut self.buf)?;
+            self.len = len;
+            self.peer = peer;
+            Ok(1)
         }
 
-        pub(super) fn datagram(&self, _index: usize) -> (&[u8], SocketAddr) {
-            unreachable!("recv never succeeds on this platform")
+        /// The datagram of the last `recv`, which returns one, so
+        /// index 0 is the only one a caller asks for.
+        pub(crate) fn datagram(&self, _index: usize) -> (&[u8], SocketAddr) {
+            (&self.buf[..self.len], self.peer)
         }
     }
 }
@@ -314,47 +304,75 @@ mod sys {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::io::ErrorKind;
     use std::net::UdpSocket;
+    use std::time::{Duration, Instant};
+
+    /// A receiver with the listener's 50 ms read timeout.
+    fn receiver() -> UdpSocket {
+        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+        socket
+            .set_read_timeout(Some(Duration::from_millis(50)))
+            .unwrap();
+        socket
+    }
 
     #[test]
-    fn empty_socket_reports_would_block_or_unsupported() {
-        let socket = UdpSocket::bind("127.0.0.1:0").unwrap();
+    fn empty_socket_times_out_after_the_read_timeout() {
+        let socket = receiver();
         let mut ring = MmsgRing::new(4, 2048);
+        let started = Instant::now();
         let err = ring.recv(&socket).unwrap_err();
         assert!(
-            matches!(
-                err.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::Unsupported
-            ),
+            matches!(err.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut),
             "{err}"
+        );
+        assert!(
+            started.elapsed() >= Duration::from_millis(40),
+            "did not block"
         );
     }
 
     #[test]
     fn burst_is_received_in_one_call_with_peers() {
-        let receiver = UdpSocket::bind("127.0.0.1:0").unwrap();
+        let receiver = receiver();
+        let target = receiver.local_addr().unwrap();
+        let senders: Vec<UdpSocket> = (0..5)
+            .map(|_| UdpSocket::bind("127.0.0.1:0").unwrap())
+            .collect();
+        for (i, sender) in senders.iter().enumerate() {
+            sender.send_to(&[i as u8; 7], target).unwrap();
+        }
+        let mut ring = MmsgRing::new(8, 2048);
+        // Loopback delivers before `send_to` returns, so the burst is
+        // queued whole; other platforms take one datagram per call.
+        let expected = if cfg!(target_os = "linux") { 5 } else { 1 };
+        assert_eq!(ring.recv(&receiver).unwrap(), expected);
+        for (i, sender) in senders.iter().enumerate().take(expected) {
+            let (payload, peer) = ring.datagram(i);
+            assert_eq!(payload, &[i as u8; 7]);
+            assert_eq!(peer, sender.local_addr().unwrap());
+        }
+    }
+
+    #[test]
+    fn one_slot_ring_returns_one_datagram_per_call() {
+        let receiver = receiver();
         let target = receiver.local_addr().unwrap();
         let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let sender_addr = sender.local_addr().unwrap();
-        for i in 0..5u8 {
-            sender.send_to(&[i; 7], target).unwrap();
+        for round in 0..3u8 {
+            sender.send_to(&[round], target).unwrap();
         }
-        // Give loopback delivery a moment.
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        let mut ring = MmsgRing::new(8, 2048);
-        match ring.recv(&receiver) {
-            Ok(count) => {
-                assert!((1..=5).contains(&count), "count {count}");
-                for i in 0..count {
-                    let (payload, peer) = ring.datagram(i);
-                    assert_eq!(payload.len(), 7);
-                    assert_eq!(payload, &[payload[0]; 7]);
-                    assert_eq!(peer, sender_addr);
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {}
-            Err(e) => panic!("unexpected error: {e}"),
+        let mut ring = MmsgRing::new(1, 64);
+        for round in 0..3u8 {
+            assert_eq!(ring.recv(&receiver).unwrap(), 1);
+            assert_eq!(ring.datagram(0).0, &[round]);
         }
+        let err = ring.recv(&receiver).unwrap_err();
+        assert!(matches!(
+            err.kind(),
+            ErrorKind::WouldBlock | ErrorKind::TimedOut
+        ));
     }
 
     #[test]
@@ -375,26 +393,6 @@ mod tests {
         for payload in &payloads {
             let n = receiver.recv(&mut buf).unwrap();
             assert_eq!(&buf[..n], payload.as_slice());
-        }
-    }
-
-    #[test]
-    fn ring_is_reusable_across_drains() {
-        let receiver = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let target = receiver.local_addr().unwrap();
-        let sender = UdpSocket::bind("127.0.0.1:0").unwrap();
-        let mut ring = MmsgRing::new(2, 64);
-        for round in 0..3u8 {
-            sender.send_to(&[round], target).unwrap();
-            std::thread::sleep(std::time::Duration::from_millis(30));
-            match ring.recv(&receiver) {
-                Ok(count) => {
-                    assert_eq!(count, 1);
-                    assert_eq!(ring.datagram(0).0, &[round]);
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => return,
-                Err(e) => panic!("unexpected error: {e}"),
-            }
         }
     }
 }

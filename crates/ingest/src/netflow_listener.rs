@@ -5,26 +5,21 @@
 //! Each listener thread owns one socket of a `SO_REUSEPORT` group (see
 //! [`crate::reuseport`]; a group of one is just a plain socket) and runs
 //! a batched receive loop instead of one syscall-decode-push round trip
-//! per datagram:
+//! per datagram. A round is:
 //!
-//! 1. block on `recv_from` (with a short timeout so the shutdown flag
-//!    stays responsive);
-//! 2. once the first datagram arrives, pull everything else the kernel
-//!    has queued, up to `recv_batch` datagrams: on Linux with one real
-//!    `recvmmsg(2)` call into the thread's pre-allocated receive ring
-//!    ([`crate::mmsg`], one syscall per drain), elsewhere by
-//!    flipping the socket non-blocking and receiving until `WouldBlock`
-//!    (the portable per-datagram fallback);
-//! 3. decode every drained datagram **during** the drain into one
-//!    reusable `Vec<FlowRecord>` (the receive buffer is reused for the
-//!    next datagram the moment its records are extracted);
-//! 4. offer the whole batch to the correlator's per-shard flow rings
-//!    with a single `route_flow_batch` on this thread's own
-//!    `ShardRouter` — lane counters are updated once per drain, not per
-//!    datagram, and the overflow remainder is a counted drop, never a
-//!    blocked socket.
+//! 1. one receive call into the thread's pre-allocated ring of
+//!    `recv_batch` slots ([`crate::mmsg`]): on Linux a blocking
+//!    `recvmmsg(2)` that waits up to a short timeout (so the shutdown
+//!    flag stays responsive) for the first datagram and takes whatever
+//!    else the kernel has queued, elsewhere one blocking `recv_from`;
+//! 2. decode every received datagram into one reusable
+//!    `Vec<FlowRecord>`;
+//! 3. offer the whole batch to the correlator's per-shard flow rings
+//!    with a single `route_batch` on this thread's own flow router —
+//!    lane counters are updated once per round, not per datagram, and
+//!    the overflow remainder is a counted drop, never a blocked socket.
 //!
-//! With `recv_batch = 1` step 2 is skipped entirely and the loop is the
+//! With `recv_batch = 1` the ring has one slot and the loop is the
 //! per-datagram baseline (that is what the saturation harness
 //! measures the batched path against).
 //!
@@ -34,7 +29,7 @@
 //! [`ListenerShard`] *i*, whose per-exporter [`ExporterDecoder`] map it
 //! alone mutates (the mutex is only there so stats readers can walk the
 //! map; it is never contended by another listener, and the owner takes
-//! it once per drain round, around the decode of steps 1–3). `SO_REUSEPORT`
+//! it once per drain round, around the decode of step 2). `SO_REUSEPORT`
 //! hashes by source address, so one exporter's datagrams consistently
 //! land on one socket and its template state never migrates between
 //! shards. A malformed datagram increments that exporter's own
@@ -60,7 +55,7 @@ use crate::runtime::ActivityStamp;
 
 /// Largest datagram the listener accepts (64 KiB, the UDP maximum).
 const MAX_DATAGRAM: usize = 65_535;
-/// How long one blocking `recv_from` waits before re-checking shutdown.
+/// How long one blocking receive waits before re-checking shutdown.
 const RECV_TIMEOUT: Duration = Duration::from_millis(50);
 
 /// Per-listener-thread drain counters (all monotonic).
@@ -68,7 +63,8 @@ const RECV_TIMEOUT: Duration = Duration::from_millis(50);
 pub struct ListenerStats {
     /// Datagrams received by this listener.
     pub datagrams: AtomicU64,
-    /// Drain rounds (each starts with one blocking receive).
+    /// Drain rounds that received at least one datagram (one receive
+    /// call each).
     pub drains: AtomicU64,
     /// Batches offered to the LookUp queue (≤ `drains`; a drain of
     /// purely malformed datagrams pushes nothing).
@@ -266,71 +262,31 @@ fn listener_loop(
     shard: &ListenerShard,
     table: &ExporterTable,
 ) {
-    let mut buf = vec![0u8; MAX_DATAGRAM];
+    let mut ring = MmsgRing::new(recv_batch, MAX_DATAGRAM);
     let mut batch: Vec<FlowRecord> = Vec::new();
     // Tracing off = no recorder = no per-flow work beyond this Option.
     let flight = correlator.flight_recorder().cloned();
-    // Each listener thread owns its ingress router, so routed pushes are
+    // Each listener thread owns its flow router, so routed pushes are
     // lock-free SPSC ring writes.
-    let mut router = correlator.ingress_router();
-    // The recvmmsg ring holds the rest of a drain after the opening
-    // blocking receive; `None` once the platform reports Unsupported.
-    let mut ring = (recv_batch > 1).then(|| MmsgRing::new(recv_batch - 1, MAX_DATAGRAM));
+    let mut router = correlator.flow_router();
     while !shutdown.load(Ordering::Acquire) {
-        // Step 1: one blocking receive opens the drain round.
-        let (len, peer) = match socket.recv_from(&mut buf) {
-            Ok(pair) => pair,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
-            }
-            // Transient network errors (e.g. ICMP port unreachable
-            // bounced back on Linux) must not kill the listener.
-            Err(_) => continue,
+        // Step 1: the round's one receive call. A timeout re-checks the
+        // shutdown flag; transient network errors (e.g. ICMP port
+        // unreachable bounced back on Linux) must not kill the listener.
+        let Ok(count) = ring.recv(socket) else {
+            continue;
         };
-        // The shard's decoder lock (uncontended: only stats readers ever
-        // take it besides this thread) is held for the decode of the
-        // whole round, not re-taken per datagram, and never across the
-        // blocking receive above.
+        // Step 2. The shard's decoder lock (uncontended: only stats
+        // readers ever take it besides this thread) is held for the
+        // decode of the whole round, not re-taken per datagram, and never
+        // across the blocking receive above.
         let mut decoders = shard.decoders.lock();
-        decode_into(&mut decoders, peer, &buf[..len], &mut batch);
-        let mut drained = 1u64;
-        // Step 2+3: drain whatever else is already queued in the kernel
-        // buffer, decoding as we go.
-        if let Some(r) = ring.as_mut() {
-            // One recvmmsg syscall takes the rest of the round.
-            match r.recv(socket) {
-                Ok(count) => {
-                    for i in 0..count {
-                        let (bytes, peer) = r.datagram(i);
-                        decode_into(&mut decoders, peer, bytes, &mut batch);
-                    }
-                    drained += count as u64;
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::Unsupported => {
-                    ring = None; // fall back permanently on this platform
-                }
-                Err(_) => {} // WouldBlock: kernel queue is empty
-            }
-        }
-        if ring.is_none() && recv_batch > 1 && socket.set_nonblocking(true).is_ok() {
-            // Portable fallback: per-datagram non-blocking receives.
-            while (drained as usize) < recv_batch {
-                match socket.recv_from(&mut buf) {
-                    Ok((len, peer)) => {
-                        drained += 1;
-                        decode_into(&mut decoders, peer, &buf[..len], &mut batch);
-                    }
-                    Err(_) => break, // WouldBlock: kernel queue is empty
-                }
-            }
-            // Back to blocking mode; the read timeout set at spawn still
-            // applies (SO_RCVTIMEO is independent of O_NONBLOCK).
-            let _ = socket.set_nonblocking(false);
+        for i in 0..count {
+            let (bytes, peer) = ring.datagram(i);
+            decode_into(&mut decoders, peer, bytes, &mut batch);
         }
         drop(decoders);
+        let drained = count as u64;
         // ordering: stats-only counters read by scrapes; momentary skew
         // between them is tolerated.
         shard.stats.datagrams.fetch_add(drained, Ordering::Relaxed);
@@ -352,7 +308,7 @@ fn listener_loop(
         // Wall-clock activity is per drain round, not per record — it
         // feeds the `last_activity_seconds` gauge.
         table.last_activity.mark();
-        // Step 4: the whole drain in one queue offer; the overflow
+        // Step 3: the whole drain in one queue offer; the overflow
         // remainder is counted as dropped. `drain(..)` keeps the batch
         // vector's capacity for the next round.
         let offered = batch.len();
@@ -365,7 +321,7 @@ fn listener_loop(
                 }
             }
         }
-        let accepted = router.route_flow_batch(batch.drain(..));
+        let accepted = router.route_batch(batch.drain(..));
         if accepted < offered {
             // ordering: stats-only drop counter.
             table

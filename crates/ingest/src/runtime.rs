@@ -203,7 +203,6 @@ impl IngestRuntime {
         listeners.extend(
             dns_listener::spawn_group(
                 tcp_listeners,
-                config.ingest.recv_batch,
                 Arc::clone(&correlator),
                 Arc::clone(&shutdown),
                 Arc::clone(&dns_stats),

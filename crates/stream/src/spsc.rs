@@ -26,6 +26,14 @@
 //! reused in place, so the steady state allocates nothing per record
 //! or per segment.
 //!
+//! A producer handle is pooled, not torn down: dropping a
+//! [`ShardProducer`] hands its rings to the channel's idle list, and the
+//! next [`ShardedChannel::producer`] call takes them back before it
+//! registers new ones. A lane's ring count is therefore bounded by the
+//! peak number of producers alive at once, however many come and go
+//! (one per resolver connection, say), and the consumer's pop cost,
+//! which grows with the rings it polls, stays bounded with it.
+//!
 //! Like every stream buffer in this workspace the rings are **lossy**:
 //! a full ring drops the record and counts it (the paper's stream
 //! loss), producers never block. A push is refused exactly when the
@@ -50,7 +58,7 @@ use std::cell::UnsafeCell;
 use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Instant;
 
 use crate::buffer::BufferStats;
@@ -251,6 +259,8 @@ struct RingProducer<T> {
     ring: Arc<Ring<T>>,
     tail: usize,
     cached_head: usize,
+    /// Records offered so far, for the 1-in-`sample_every` stamping.
+    pushed: u64,
     /// The segment holding position `tail - 1` (null before the first
     /// push).
     segment: *mut Segment<T>,
@@ -403,6 +413,7 @@ fn ring_pair<T>(capacity: usize) -> (RingProducer<T>, RingConsumer<T>, Arc<Ring<
             ring: Arc::clone(&ring),
             tail: 0,
             cached_head: 0,
+            pushed: 0,
             segment: ptr::null_mut(),
         },
         RingConsumer {
@@ -448,6 +459,10 @@ impl<T> Default for Lane<T> {
     }
 }
 
+/// The ring sets of dropped producers, one ring per lane each, waiting
+/// for the next [`ShardedChannel::producer`] call.
+type IdleRings<T> = Arc<Mutex<Vec<Vec<RingProducer<T>>>>>;
+
 /// A fixed set of lanes, each fed by per-producer SPSC rings and
 /// drained by exactly one worker.
 ///
@@ -461,6 +476,7 @@ pub struct ShardedChannel<T> {
     lanes: Vec<Lane<T>>,
     ring_capacity: usize,
     sample_every: u64,
+    idle: IdleRings<T>,
 }
 
 impl<T> std::fmt::Debug for ShardedChannel<T> {
@@ -485,6 +501,7 @@ impl<T> ShardedChannel<T> {
             lanes: (0..lanes).map(|_| Lane::default()).collect(),
             ring_capacity,
             sample_every,
+            idle: Arc::default(),
         }
     }
 
@@ -493,28 +510,41 @@ impl<T> ShardedChannel<T> {
         self.lanes.len()
     }
 
-    /// Register a new producer: one private ring per lane. Call once
-    /// per producing thread and reuse the handle — registration takes
-    /// each lane's mutex.
+    /// A producer: one private ring per lane. Reuses the rings of a
+    /// dropped producer when there is one, and registers new rings
+    /// (taking each lane's mutex) only when every earlier set is in use.
     pub fn producer(&self) -> ShardProducer<T> {
-        let mut producers = Vec::with_capacity(self.lanes.len());
-        for lane in &self.lanes {
-            let (producer, consumer, ring) = ring_pair(self.ring_capacity);
-            // A poisoned lane mutex means a worker panicked mid-
-            // registration elsewhere; the producer still works, the
-            // ring just never gets drained (records count as
-            // dropped-by-overflow once it fills).
-            if let (Ok(mut incoming), Ok(mut rings)) = (lane.incoming.lock(), lane.rings.lock()) {
-                incoming.push(consumer);
-                rings.push(ring);
-            }
-            lane.registered.fetch_add(1, Ordering::Release);
-            producers.push(producer);
-        }
+        // Every update of the idle list is one push or pop, so a lock
+        // poisoned by a panic elsewhere still guards a valid list.
+        let reused = self
+            .idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .pop();
+        let rings = reused.unwrap_or_else(|| {
+            self.lanes
+                .iter()
+                .map(|lane| {
+                    let (producer, consumer, ring) = ring_pair(self.ring_capacity);
+                    // A poisoned lane mutex means a worker panicked mid-
+                    // registration elsewhere; the producer still works,
+                    // the ring just never gets drained (records count as
+                    // dropped-by-overflow once it fills).
+                    if let (Ok(mut incoming), Ok(mut rings)) =
+                        (lane.incoming.lock(), lane.rings.lock())
+                    {
+                        incoming.push(consumer);
+                        rings.push(ring);
+                    }
+                    lane.registered.fetch_add(1, Ordering::Release);
+                    producer
+                })
+                .collect()
+        });
         ShardProducer {
-            producers,
-            pushed: vec![0; self.lanes.len()],
+            rings,
             sample_every: self.sample_every,
+            idle: Arc::clone(&self.idle),
         }
     }
 
@@ -585,35 +615,47 @@ impl<T> ShardedChannel<T> {
 
 /// A registered producer: one private SPSC ring per lane.
 ///
-/// Not `Clone` and not shareable — each producing thread registers its
-/// own handle via [`ShardedChannel::producer`].
+/// Not `Clone` and not shareable — each producing thread takes its own
+/// handle via [`ShardedChannel::producer`]. Dropping it hands the rings
+/// back to the channel for the next producer.
 pub struct ShardProducer<T> {
-    producers: Vec<RingProducer<T>>,
-    /// Per-lane push counts, for the 1-in-`sample_every` stamping.
-    pushed: Vec<u64>,
+    rings: Vec<RingProducer<T>>,
     sample_every: u64,
+    idle: IdleRings<T>,
 }
 
 impl<T> std::fmt::Debug for ShardProducer<T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardProducer")
-            .field("lanes", &self.producers.len())
+            .field("lanes", &self.rings.len())
             .finish()
+    }
+}
+
+impl<T> Drop for ShardProducer<T> {
+    fn drop(&mut self) {
+        // The lock hands this thread's ring positions to whichever
+        // thread takes the set next (poisoning: see `producer`).
+        self.idle
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .push(std::mem::take(&mut self.rings));
     }
 }
 
 impl<T> ShardProducer<T> {
     /// Number of lanes this producer can push to.
     pub fn lanes(&self) -> usize {
-        self.producers.len()
+        self.rings.len()
     }
 
     fn stamp(&mut self, lane: usize) -> Option<Instant> {
         if self.sample_every == 0 {
             return None;
         }
-        let n = self.pushed[lane];
-        self.pushed[lane] = n + 1;
+        let ring = &mut self.rings[lane];
+        let n = ring.pushed;
+        ring.pushed = n + 1;
         (n % self.sample_every == 0).then(Instant::now)
     }
 
@@ -624,7 +666,7 @@ impl<T> ShardProducer<T> {
     /// Returns `true` if accepted, `false` if the ring was full.
     pub fn push_uncounted(&mut self, lane: usize, item: T) -> bool {
         let stamp = self.stamp(lane);
-        self.producers[lane].push(item, stamp)
+        self.rings[lane].push(item, stamp)
     }
 
     /// Offer one record to `lane`, updating the lane counters.
@@ -636,26 +678,6 @@ impl<T> ShardProducer<T> {
             self.note_dropped(channel, lane, 1);
             false
         }
-    }
-
-    /// Offer a whole batch to `lane`, returning how many were accepted;
-    /// the lane counters are updated once for the batch.
-    pub fn push_batch<I>(&mut self, channel: &ShardedChannel<T>, lane: usize, items: I) -> usize
-    where
-        I: IntoIterator<Item = T>,
-    {
-        let mut accepted = 0u64;
-        let mut dropped = 0u64;
-        for item in items {
-            if self.push_uncounted(lane, item) {
-                accepted += 1;
-            } else {
-                dropped += 1;
-            }
-        }
-        self.note_accepted(channel, lane, accepted);
-        self.note_dropped(channel, lane, dropped);
-        accepted as usize
     }
 
     /// Fold `n` accepted records into `lane`'s counters (no-op for 0).
@@ -996,12 +1018,21 @@ mod tests {
         }
     }
 
+    /// Push every item to lane 0, returning how many were accepted.
+    fn push_all(
+        producer: &mut ShardProducer<u32>,
+        channel: &ShardedChannel<u32>,
+        items: std::ops::Range<u32>,
+    ) -> usize {
+        items.filter(|&i| producer.push(channel, 0, i)).count()
+    }
+
     #[test]
     fn channel_routes_and_counts_per_lane() {
         let channel: ShardedChannel<u32> = ShardedChannel::new(2, 64, 0);
         let mut producer = channel.producer();
         assert_eq!(producer.lanes(), 2);
-        assert_eq!(producer.push_batch(&channel, 0, 0..10), 10);
+        assert_eq!(push_all(&mut producer, &channel, 0..10), 10);
         assert!(producer.push(&channel, 1, 42));
         assert_eq!(channel.lane_depth(0), 10);
         assert_eq!(channel.lane_depth(1), 1);
@@ -1021,7 +1052,7 @@ mod tests {
     fn full_lane_drops_and_counts() {
         let channel: ShardedChannel<u32> = ShardedChannel::new(1, 8, 0);
         let mut producer = channel.producer();
-        let accepted = producer.push_batch(&channel, 0, 0..100);
+        let accepted = push_all(&mut producer, &channel, 0..100);
         assert_eq!(accepted, 8);
         let stats = channel.lane_stats(0);
         assert_eq!(stats.accepted, 8);
@@ -1043,6 +1074,35 @@ mod tests {
         assert_eq!(consumer.pop_adopting(), Some(2));
         assert!(consumer.pop_adopting().is_none());
         assert!(consumer.is_empty());
+    }
+
+    #[test]
+    fn dropped_producers_are_reused_not_re_registered() {
+        let channel: ShardedChannel<u32> = ShardedChannel::new(2, 64, 0);
+        let mut consumer = channel.consumer(0);
+        for i in 0..1_000 {
+            let mut producer = channel.producer();
+            assert!(producer.push(&channel, 0, i));
+            drop(producer);
+            assert_eq!(consumer.pop_adopting(), Some(i));
+        }
+        for lane in &channel.lanes {
+            assert_eq!(lane.rings.lock().unwrap().len(), 1);
+            assert_eq!(lane.registered.load(Ordering::Acquire), 1);
+        }
+        // Two live producers need two ring sets; both come back.
+        let (first, second) = (channel.producer(), channel.producer());
+        drop((first, second));
+        let again = (channel.producer(), channel.producer());
+        assert_eq!(channel.lanes[1].rings.lock().unwrap().len(), 2);
+        drop(again);
+        // A reused ring keeps its place in the record order.
+        let mut producer = channel.producer();
+        assert!(producer.push(&channel, 0, 7));
+        drop(producer);
+        assert!(channel.producer().push(&channel, 0, 8));
+        assert_eq!(consumer.pop_adopting(), Some(7));
+        assert_eq!(consumer.pop_adopting(), Some(8));
     }
 
     #[test]
@@ -1095,7 +1155,7 @@ mod tests {
     fn latency_sampling_resolves_into_the_lane_histogram() {
         let channel: ShardedChannel<u32> = ShardedChannel::new(1, 1024, 10);
         let mut producer = channel.producer();
-        assert_eq!(producer.push_batch(&channel, 0, 0..100), 100);
+        assert_eq!(push_all(&mut producer, &channel, 0..100), 100);
         thread::sleep(Duration::from_millis(25));
         let mut consumer = channel.consumer(0);
         while consumer.pop_adopting().is_some() {}

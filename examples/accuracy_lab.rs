@@ -8,40 +8,38 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns::core::{CorrelatorConfig, FillUpStats, LookUpStats, ShardedStore};
+use flowdns::core::simulate::Event;
+use flowdns::core::{CorrelatorConfig, OfflineSimulator};
 use flowdns::gen::{AccuracyCapture, AccuracyScenario};
 
 fn run(scenario: AccuracyScenario, label: &str) {
     let capture = AccuracyCapture::build(scenario, 10);
-    // One shard: the whole store in one partition, driven in order.
-    let store = ShardedStore::new(&CorrelatorConfig {
+    // One shard: the whole store in one partition, fed the capture's DNS
+    // records first and then its flows.
+    let simulator = OfflineSimulator::new(CorrelatorConfig {
         correlator_shards: 1,
         ..CorrelatorConfig::default()
     });
-    let mut partition = store.partition(0).lock();
-
-    let mut fillup = FillUpStats::default();
-    for record in &capture.dns {
-        partition.process_dns(&store, record, &mut fillup);
-    }
-
-    let mut lookup = LookUpStats::default();
+    let events = capture.dns.iter().cloned().map(Event::Dns).chain(
+        capture
+            .flows
+            .iter()
+            .map(|(flow, _)| Event::Flow(flow.clone())),
+    );
     let mut attributions = Vec::new();
-    for (flow, truth) in &capture.flows {
-        let outcome = partition
-            .process_flow(&store, &mut None, flow.clone(), &mut lookup)
-            .outcome;
-        let got = outcome.final_name().cloned();
-        attributions.push(got.clone());
-        if attributions.len() <= 4 {
+    simulator.run_with(events, |record| {
+        let got = record.outcome.final_name().cloned();
+        if attributions.len() < 4 {
+            let truth = &capture.flows[attributions.len()].1;
             println!(
                 "  flow from {:<16} truth={:<28} flowdns={:?}",
-                flow.key.src_ip,
+                record.flow.key.src_ip,
                 truth.as_str(),
-                got.map(|n| n.as_str().to_string())
+                got.as_ref().map(|n| n.as_str().to_string())
             );
         }
-    }
+        attributions.push(got);
+    });
     let accuracy = capture.accuracy(&attributions);
     println!("  -> {label}: accuracy {:.0}%\n", accuracy * 100.0);
 }

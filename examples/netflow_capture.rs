@@ -84,16 +84,12 @@ fn main() {
 
     // --- Correlate. -------------------------------------------------------
     let correlator = Correlator::start(CorrelatorConfig::default()).expect("start pipeline");
-    for record in dns_records {
-        correlator.push_dns(record);
-    }
+    correlator.dns_router().route_batch(dns_records);
     while correlator.queue_depths().0 > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     std::thread::sleep(std::time::Duration::from_millis(20));
-    for flow in flows {
-        correlator.push_flow(flow);
-    }
+    correlator.flow_router().route_batch(flows);
     let report = correlator.finish().expect("clean shutdown");
     println!("\n{}", report.summary());
     println!("(the 100.64.9.9 flow is attributed to www.shop.example via the CNAME chain;");

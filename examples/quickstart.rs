@@ -47,8 +47,8 @@ fn main() {
         ),
     ];
     // One queue offer for the whole batch — what the live listeners do
-    // per decoded datagram.
-    let accepted = correlator.push_dns_batch(dns_records);
+    // per receive round.
+    let accepted = correlator.dns_router().route_batch(dns_records);
     assert_eq!(accepted, 4, "queue has room for the whole batch");
 
     // Give the shard workers a moment to drain the DNS rings into the store.
@@ -64,14 +64,16 @@ fn main() {
         (Ipv4Addr::new(203, 0, 113, 50), 200_000),      // the news site
         (Ipv4Addr::new(192, 0, 2, 99), 800_000),        // unknown source
     ];
-    correlator.push_flow_batch(flows.into_iter().map(|(src, bytes)| {
-        FlowRecord::inbound(
-            SimTime::from_secs(20),
-            src.into(),
-            Ipv4Addr::new(10, 0, 0, 1).into(),
-            bytes,
-        )
-    }));
+    correlator
+        .flow_router()
+        .route_batch(flows.into_iter().map(|(src, bytes)| {
+            FlowRecord::inbound(
+                SimTime::from_secs(20),
+                src.into(),
+                Ipv4Addr::new(10, 0, 0, 1).into(),
+                bytes,
+            )
+        }));
 
     // 4. Shut down and inspect the report.
     let report = correlator.finish().expect("clean shutdown");

@@ -30,8 +30,9 @@
 //! The store API is typed end to end: the correlator keys its IP-NAME
 //! maps by [`types::IpKey`] (raw address bits, never a formatted string)
 //! and stores names as 4-byte [`types::NameId`]s into one name pool, so feeding
-//! it records is allocation-free on the hot path. Ingress accepts single
-//! records (`push_dns` / `push_flow`) or whole batches:
+//! it records is allocation-free on the hot path. Each producing thread
+//! feeds a stream through its own router (`dns_router` / `flow_router`),
+//! one record (`route`) or a whole batch (`route_batch`) at a time:
 //!
 //! ```
 //! use flowdns::core::{Correlator, CorrelatorConfig};
@@ -50,7 +51,7 @@
 //!         300,
 //!     ))
 //!     .collect();
-//! assert_eq!(correlator.push_dns_batch(dns), 4);
+//! assert_eq!(correlator.dns_router().route_batch(dns), 4);
 //!
 //! // Wait until the shard workers have stored the records, as a live
 //! // deployment's DNS head start does, so the lookups cannot race them.
@@ -67,7 +68,7 @@
 //!         1_000_000,
 //!     ))
 //!     .collect();
-//! assert_eq!(correlator.push_flow_batch(flows), 4);
+//! assert_eq!(correlator.flow_router().route_batch(flows), 4);
 //!
 //! // `snapshot()` reads live metrics without stopping the pipeline;
 //! // `finish()` drains everything and returns the exact final report.

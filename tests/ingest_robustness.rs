@@ -219,6 +219,61 @@ fn a_data_time_jump_is_counted_without_a_stall() {
     assert_eq!(report.metrics.ingest.netflow_flows, 2);
 }
 
+/// A resolver that reconnects for every handful of records must not
+/// leave rings behind: 200 short connections, one after another, 16
+/// records each on 4 shards, hold the FillUp ring segments of about one
+/// connection, not of 200 (one segment per DNS lane, about 312 KB a
+/// connection, when every connection registered its own rings).
+#[test]
+fn reconnecting_resolvers_leave_no_rings_behind() {
+    const CONNECTIONS: u32 = 200;
+    const RECORDS: u32 = 16;
+    let _serial = serial();
+    let mut cfg = loopback_config();
+    cfg.correlator.correlator_shards = 4;
+    let rt = IngestRuntime::start_in_memory(&cfg).expect("start runtime");
+    let encoder = FrameEncoder::new();
+    for conn in 0..CONNECTIONS {
+        let records: Vec<DnsRecord> = (0..RECORDS)
+            .map(|i| {
+                DnsRecord::address(
+                    SimTime::from_secs(900),
+                    DomainName::literal("churn.example"),
+                    Ipv4Addr::from(0xcb00_7100 + conn * RECORDS + i).into(),
+                    300,
+                )
+            })
+            .collect();
+        let frames = encoder.encode_batch(&records).unwrap();
+        let mut stream = TcpStream::connect(rt.dns_addr()).unwrap();
+        stream.write_all(&frames).unwrap();
+        drop(stream);
+        let delivered = u64::from((conn + 1) * RECORDS);
+        assert!(
+            wait_until(Duration::from_secs(10), || {
+                rt.snapshot().summary.dns_records >= delivered
+            }),
+            "connection {conn} not counted: {:?}",
+            rt.snapshot()
+        );
+    }
+    let resident =
+        rt.registry()
+            .snapshot()
+            .gauge_sum_with("flowdns_queue_resident_bytes", "queue", "fillup");
+    assert!(
+        resident <= 1_000_000.0,
+        "{CONNECTIONS} closed connections left {:.1} MB of FillUp ring segments",
+        resident / 1e6
+    );
+    let report = rt.shutdown().expect("clean shutdown");
+    assert_eq!(
+        report.metrics.ingest.dns_records,
+        u64::from(CONNECTIONS * RECORDS)
+    );
+    assert_eq!(report.metrics.dns_dropped, 0);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

@@ -101,7 +101,7 @@ fn live_ingest_correlates_over_real_sockets() {
 }
 
 /// The same loopback exercise across shards: listener threads route
-/// per-shard through their own `ShardRouter`s, and the per-shard routed
+/// per-shard through their own flow routers, and the per-shard routed
 /// counters must account for every accepted record.
 #[test]
 fn live_ingest_correlates_with_sharded_correlator() {

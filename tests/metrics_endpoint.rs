@@ -388,7 +388,7 @@ fn queue_resident_bytes_follow_a_parked_lanes_backlog() {
         .collect();
     {
         let _parked = correlator.sharded_store().partition(0).lock();
-        assert_eq!(correlator.push_flow_batch(flows), n);
+        assert_eq!(correlator.flow_router().route_batch(flows), n);
         assert_eq!(correlator.queue_depths().1, n, "the parked lane drained");
     }
     // Unparked, the worker drains the lane; the ring keeps the segments

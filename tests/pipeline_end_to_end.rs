@@ -55,16 +55,17 @@ fn offline_and_threaded_pipelines_agree_on_correlation() {
     // Draining the DNS rings before each flow restores the real-time
     // ordering without hiding genuine pipeline races (the handful of
     // popped-but-not-yet-stored records stays within the slack below).
+    let (mut dns, mut flows) = (correlator.dns_router(), correlator.flow_router());
     for event in &events {
         match event {
             Event::Dns(record) => {
-                correlator.push_dns(record.clone());
+                dns.route(record.clone());
             }
             Event::Flow(flow) => {
                 while correlator.queue_depths().0 > 0 {
                     std::thread::yield_now();
                 }
-                correlator.push_flow(flow.clone());
+                flows.route(flow.clone());
             }
         }
     }
@@ -165,16 +166,12 @@ fn wire_format_ingestion_end_to_end() {
     assert_eq!(flows.len(), 1);
 
     let correlator = Correlator::start(CorrelatorConfig::default()).unwrap();
-    for record in delivered {
-        correlator.push_dns(record);
-    }
+    correlator.dns_router().route_batch(delivered);
     while correlator.queue_depths().0 > 0 {
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     std::thread::sleep(std::time::Duration::from_millis(20));
-    for flow in flows {
-        correlator.push_flow(flow);
-    }
+    correlator.flow_router().route_batch(flows);
     let report = correlator.finish().unwrap();
     assert_eq!(report.metrics.lookup.ip_hits, 1);
     assert!(report.correlation_rate_pct() > 99.0);
@@ -231,7 +228,7 @@ variant = Main
     assert_eq!(config.effective_num_split(), 4);
     assert_eq!(config.correlator_shards, 2);
     let correlator = Correlator::start(config).unwrap();
-    correlator.push_dns(DnsRecord::address(
+    correlator.dns_router().route(DnsRecord::address(
         SimTime::from_secs(1),
         DomainName::literal("cfg.example"),
         Ipv4Addr::new(100, 80, 0, 1).into(),
@@ -241,7 +238,7 @@ variant = Main
         std::thread::sleep(std::time::Duration::from_millis(1));
     }
     std::thread::sleep(std::time::Duration::from_millis(10));
-    correlator.push_flow(FlowRecord::inbound(
+    correlator.flow_router().route(FlowRecord::inbound(
         SimTime::from_secs(2),
         Ipv4Addr::new(100, 80, 0, 1).into(),
         Ipv4Addr::new(10, 0, 0, 1).into(),

@@ -1,7 +1,7 @@
 //! Workspace smoke test: the one test to run first when something is off.
 //!
 //! Boots the threaded `Correlator`, pushes a couple of minutes of
-//! generated ISP workload through `push_dns`/`push_flow`, shuts down via
+//! generated ISP workload through a DNS and a flow router, shuts down via
 //! `finish()`, and checks the two invariants every later experiment
 //! relies on: some traffic correlates, and no accepted record is lost.
 
@@ -20,6 +20,7 @@ fn correlator_smoke_correlates_without_losing_accepted_records() {
     let workload = Workload::new(config);
 
     let correlator = Correlator::start(CorrelatorConfig::default()).unwrap();
+    let (mut dns, mut flows) = (correlator.dns_router(), correlator.flow_router());
     let mut dns_pushed = 0u64;
     let mut flows_pushed = 0u64;
     let mut dns_accepted = 0u64;
@@ -28,7 +29,7 @@ fn correlator_smoke_correlates_without_losing_accepted_records() {
         match event {
             StreamEvent::Dns(record) => {
                 dns_pushed += 1;
-                dns_accepted += u64::from(correlator.push_dns(record));
+                dns_accepted += u64::from(dns.route(record));
             }
             StreamEvent::Flow(flow) => {
                 // Let FillUp drain before each flow so the lookup cannot
@@ -38,7 +39,7 @@ fn correlator_smoke_correlates_without_losing_accepted_records() {
                     std::thread::yield_now();
                 }
                 flows_pushed += 1;
-                flows_accepted += u64::from(correlator.push_flow(flow));
+                flows_accepted += u64::from(flows.route(flow));
             }
         }
     }
