@@ -858,7 +858,10 @@ pub(crate) mod tests {
         // Uncorrelatable records are filtered: a TXT answer, and an A
         // record whose answer is a name.
         for (rtype, answer) in [
-            (RecordType::Txt, DnsAnswer::Raw(vec![1, 2, 3])),
+            (
+                RecordType::Txt,
+                DnsAnswer::Name(DomainName::literal("txt.example")),
+            ),
             (
                 RecordType::A,
                 DnsAnswer::Name(DomainName::literal("oops.example")),

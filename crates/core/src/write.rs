@@ -57,8 +57,8 @@ pub trait OutputSink: Send {
 /// Wrap one sink as a write-stage sink factory.
 ///
 /// A single sink can only be owned by a single Write worker, so this
-/// errors unless `write_workers == 1` — the shared guard behind
-/// `Correlator::start_with_sink` and `IngestRuntime::start_with_sink`.
+/// errors unless `write_workers == 1` — the guard behind
+/// `Correlator::start_with_sink`.
 pub fn single_sink_factory(
     write_workers: usize,
     sink: Box<dyn OutputSink>,

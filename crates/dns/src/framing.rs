@@ -53,7 +53,6 @@ impl FrameEncoder {
             DnsAnswer::Ip(std::net::IpAddr::V4(_)) => payload.put_u8(0),
             DnsAnswer::Ip(std::net::IpAddr::V6(_)) => payload.put_u8(1),
             DnsAnswer::Name(_) => payload.put_u8(2),
-            DnsAnswer::Raw(_) => return Err(err("raw answers cannot be framed")),
         }
         let qbytes = record.query.as_str().as_bytes();
         if qbytes.len() > u16::MAX as usize {
@@ -75,7 +74,6 @@ impl FrameEncoder {
                 payload.put_u16(bytes.len() as u16);
                 payload.put_slice(bytes);
             }
-            DnsAnswer::Raw(_) => unreachable!("rejected above"),
         }
         if payload.len() > MAX_FRAME_LEN {
             return Err(err("frame exceeds MAX_FRAME_LEN"));
@@ -123,16 +121,8 @@ impl FrameDecoder {
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<DnsRecord>, FlowDnsError> {
         self.buffer.extend_from_slice(chunk);
         let mut out = Vec::new();
-        loop {
-            if self.buffer.len() < 4 {
-                break;
-            }
-            let len = u32::from_be_bytes([
-                self.buffer[0],
-                self.buffer[1],
-                self.buffer[2],
-                self.buffer[3],
-            ]) as usize;
+        while let Some(&[a, b, c, d]) = self.buffer.get(..4) {
+            let len = u32::from_be_bytes([a, b, c, d]) as usize;
             if len > MAX_FRAME_LEN {
                 return Err(err(format!("frame length {len} exceeds maximum")));
             }
@@ -164,18 +154,14 @@ fn decode_payload(payload: &[u8]) -> Result<DnsRecord, FlowDnsError> {
             if len != 4 {
                 return Err(err("IPv4 answer must be 4 bytes"));
             }
-            let b = r.read_bytes(4)?;
-            DnsAnswer::Ip(std::net::Ipv4Addr::new(b[0], b[1], b[2], b[3]).into())
+            DnsAnswer::Ip(std::net::Ipv4Addr::from(r.read_array::<4>()?).into())
         }
         1 => {
             let len = r.read_u8()? as usize;
             if len != 16 {
                 return Err(err("IPv6 answer must be 16 bytes"));
             }
-            let b = r.read_bytes(16)?;
-            let mut octets = [0u8; 16];
-            octets.copy_from_slice(b);
-            DnsAnswer::Ip(std::net::Ipv6Addr::from(octets).into())
+            DnsAnswer::Ip(std::net::Ipv6Addr::from(r.read_array::<16>()?).into())
         }
         2 => {
             let len = r.read_u16()? as usize;
@@ -268,19 +254,6 @@ mod tests {
         encoded[18] = 99;
         let mut decoder = FrameDecoder::new();
         assert!(decoder.feed(&encoded).is_err());
-    }
-
-    #[test]
-    fn raw_answers_cannot_be_framed() {
-        let record = DnsRecord {
-            ts: SimTime::ZERO,
-            query: DomainName::literal("x.com"),
-            rtype: RecordType::Txt,
-            ttl: 1,
-            answer: DnsAnswer::Raw(vec![1, 2, 3]),
-        };
-        let mut out = BytesMut::new();
-        assert!(FrameEncoder::new().encode_into(&record, &mut out).is_err());
     }
 
     #[test]

@@ -1,38 +1,19 @@
 //! # flowdns-dns
 //!
-//! DNS substrate for the FlowDNS reproduction.
+//! The resolver feed of the FlowDNS reproduction.
 //!
-//! The paper's FlowDNS receives pre-parsed DNS cache-miss records from the
-//! ISP's resolvers over TCP. This crate builds that substrate from
-//! scratch:
-//!
-//! * [`wire`] — bounds-checked big-endian readers/writers,
-//! * [`name`] — RFC 1035 domain-name wire encoding, including message
-//!   compression (pointer encoding and loop-safe decoding),
-//! * [`message`] — full DNS message model (header, flags, questions,
-//!   resource records) with encode/decode,
-//! * [`convert`] — turning a parsed response message into the flat
-//!   `(ts, query, rtype, ttl, answer)` records the correlator consumes,
-//!   including the "is this a valid DNS response" filter from Section 3.2,
-//! * [`framing`] — the length-prefixed resolver-feed framing used between
-//!   collectors and FlowDNS, with a compact binary record codec,
-//! * [`text`] — a human-readable TSV representation for file replay and
-//!   debugging.
+//! The paper's ISP resolvers deliver DNS to FlowDNS as flat records —
+//! timestamp, query, type, TTL and answer — over TCP (Section 4,
+//! Coverage). [`framing`] is that feed's length-prefixed record codec:
+//! `flowdnsd`'s DNS listener decodes it with [`FrameDecoder`], and the
+//! generators, harnesses and tests that play a resolver encode it with
+//! [`FrameEncoder`]. Bounds-checked payload reads live in a private
+//! `wire` module.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod convert;
 pub mod framing;
-pub mod message;
-pub mod name;
-pub mod text;
-pub mod wire;
+mod wire;
 
-pub use convert::{records_from_message, ResponseFilter, ResponseFilterStats};
 pub use framing::{FrameDecoder, FrameEncoder, MAX_FRAME_LEN};
-pub use message::{
-    DnsClass, DnsHeader, DnsMessage, Opcode, Question, Rcode, ResourceRecord, RrData,
-};
-pub use name::{decode_name, encode_name, NameCompressor};
-pub use text::{parse_record_line, record_to_line};

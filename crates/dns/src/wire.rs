@@ -1,171 +1,68 @@
-//! Bounds-checked big-endian wire readers and writers.
+//! Bounds-checked big-endian reads for frame payloads.
 //!
-//! DNS and NetFlow are both big-endian binary formats full of offsets; a
-//! tiny cursor abstraction with explicit error reporting keeps every parse
-//! site honest about truncation instead of panicking on slicing.
+//! A resolver-feed payload is a run of big-endian integers and
+//! length-prefixed byte strings. A tiny cursor with explicit error
+//! reporting keeps every read honest about truncation instead of
+//! panicking on slicing.
 
 use flowdns_types::FlowDnsError;
 
-/// A read cursor over a byte slice.
-#[derive(Debug, Clone)]
-pub struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// A read cursor over a byte slice: `rest` is what is left to read.
+#[derive(Debug)]
+pub(crate) struct Reader<'a> {
+    rest: &'a [u8],
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a byte slice.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    /// Current offset from the start of the buffer.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
-
-    /// Bytes remaining to be read.
-    pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
+        Reader { rest: buf }
     }
 
     /// Has the cursor consumed the whole buffer?
-    pub fn is_empty(&self) -> bool {
-        self.remaining() == 0
-    }
-
-    /// The underlying full buffer (needed for compression-pointer jumps).
-    pub fn whole(&self) -> &'a [u8] {
-        self.buf
-    }
-
-    /// Move the cursor to an absolute offset.
-    pub fn seek(&mut self, pos: usize) -> Result<(), FlowDnsError> {
-        if pos > self.buf.len() {
-            return Err(truncated("seek past end"));
-        }
-        self.pos = pos;
-        Ok(())
+    pub(crate) fn is_empty(&self) -> bool {
+        self.rest.is_empty()
     }
 
     /// Read one byte.
-    pub fn read_u8(&mut self) -> Result<u8, FlowDnsError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| truncated("u8"))?;
-        self.pos += 1;
-        Ok(b)
+    pub(crate) fn read_u8(&mut self) -> Result<u8, FlowDnsError> {
+        self.read_array().map(u8::from_be_bytes)
     }
 
     /// Read a big-endian u16.
-    pub fn read_u16(&mut self) -> Result<u16, FlowDnsError> {
-        let bytes = self.read_bytes(2)?;
-        Ok(u16::from_be_bytes([bytes[0], bytes[1]]))
+    pub(crate) fn read_u16(&mut self) -> Result<u16, FlowDnsError> {
+        self.read_array().map(u16::from_be_bytes)
     }
 
     /// Read a big-endian u32.
-    pub fn read_u32(&mut self) -> Result<u32, FlowDnsError> {
-        let bytes = self.read_bytes(4)?;
-        Ok(u32::from_be_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
+    pub(crate) fn read_u32(&mut self) -> Result<u32, FlowDnsError> {
+        self.read_array().map(u32::from_be_bytes)
     }
 
     /// Read a big-endian u64.
-    pub fn read_u64(&mut self) -> Result<u64, FlowDnsError> {
-        let bytes = self.read_bytes(8)?;
-        let mut arr = [0u8; 8];
-        arr.copy_from_slice(bytes);
-        Ok(u64::from_be_bytes(arr))
+    pub(crate) fn read_u64(&mut self) -> Result<u64, FlowDnsError> {
+        self.read_array().map(u64::from_be_bytes)
+    }
+
+    /// Read `N` raw bytes into an array (an address's octets).
+    pub(crate) fn read_array<const N: usize>(&mut self) -> Result<[u8; N], FlowDnsError> {
+        let bytes = self.read_bytes(N)?;
+        <[u8; N]>::try_from(bytes).map_err(|_| truncated())
     }
 
     /// Read `n` raw bytes.
-    pub fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], FlowDnsError> {
-        if self.remaining() < n {
-            return Err(truncated("byte run"));
+    pub(crate) fn read_bytes(&mut self, n: usize) -> Result<&'a [u8], FlowDnsError> {
+        if self.rest.len() < n {
+            return Err(truncated());
         }
-        let out = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    /// Skip `n` bytes.
-    pub fn skip(&mut self, n: usize) -> Result<(), FlowDnsError> {
-        self.read_bytes(n).map(|_| ())
+        let (head, tail) = self.rest.split_at(n);
+        self.rest = tail;
+        Ok(head)
     }
 }
 
-fn truncated(what: &str) -> FlowDnsError {
-    FlowDnsError::DnsParse(format!("truncated message while reading {what}"))
-}
-
-/// A growable big-endian writer.
-#[derive(Debug, Default, Clone)]
-pub struct Writer {
-    buf: Vec<u8>,
-}
-
-impl Writer {
-    /// A fresh, empty writer.
-    pub fn new() -> Self {
-        Writer { buf: Vec::new() }
-    }
-
-    /// A writer with pre-allocated capacity.
-    pub fn with_capacity(cap: usize) -> Self {
-        Writer {
-            buf: Vec::with_capacity(cap),
-        }
-    }
-
-    /// Bytes written so far.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Is the buffer empty?
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Append one byte.
-    pub fn put_u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-
-    /// Append a big-endian u16.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian u32.
-    pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append a big-endian u64.
-    pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_be_bytes());
-    }
-
-    /// Append raw bytes.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Overwrite a previously written big-endian u16 at `offset` (used to
-    /// back-patch length fields).
-    pub fn patch_u16(&mut self, offset: usize, v: u16) {
-        let bytes = v.to_be_bytes();
-        self.buf[offset] = bytes[0];
-        self.buf[offset + 1] = bytes[1];
-    }
-
-    /// Consume the writer, returning the bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Borrow the bytes written so far.
-    pub fn as_slice(&self) -> &[u8] {
-        &self.buf
-    }
+fn truncated() -> FlowDnsError {
+    FlowDnsError::DnsParse("truncated frame payload".into())
 }
 
 #[cfg(test)]
@@ -173,20 +70,19 @@ mod tests {
     use super::*;
 
     #[test]
-    fn round_trip_integers() {
-        let mut w = Writer::new();
-        w.put_u8(0xAB);
-        w.put_u16(0x1234);
-        w.put_u32(0xDEADBEEF);
-        w.put_u64(0x0102030405060708);
-        w.put_bytes(&[9, 9, 9]);
-        let bytes = w.into_bytes();
+    fn reads_big_endian_integers_and_byte_runs() {
+        let mut bytes = vec![0xAB];
+        bytes.extend_from_slice(&0x1234u16.to_be_bytes());
+        bytes.extend_from_slice(&0xDEAD_BEEFu32.to_be_bytes());
+        bytes.extend_from_slice(&0x0102_0304_0506_0708u64.to_be_bytes());
+        bytes.extend_from_slice(&[9, 9, 9, 7]);
         let mut r = Reader::new(&bytes);
         assert_eq!(r.read_u8().unwrap(), 0xAB);
         assert_eq!(r.read_u16().unwrap(), 0x1234);
-        assert_eq!(r.read_u32().unwrap(), 0xDEADBEEF);
-        assert_eq!(r.read_u64().unwrap(), 0x0102030405060708);
+        assert_eq!(r.read_u32().unwrap(), 0xDEAD_BEEF);
+        assert_eq!(r.read_u64().unwrap(), 0x0102_0304_0506_0708);
         assert_eq!(r.read_bytes(3).unwrap(), &[9, 9, 9]);
+        assert_eq!(r.read_array::<1>().unwrap(), [7]);
         assert!(r.is_empty());
     }
 
@@ -198,29 +94,7 @@ mod tests {
         assert!(r.read_u8().is_err());
         let mut r = Reader::new(&[1, 2, 3]);
         assert!(r.read_bytes(4).is_err());
-        assert!(r.skip(4).is_err());
-    }
-
-    #[test]
-    fn seek_and_position() {
-        let data = [1u8, 2, 3, 4];
-        let mut r = Reader::new(&data);
-        r.read_u16().unwrap();
-        assert_eq!(r.position(), 2);
-        r.seek(0).unwrap();
-        assert_eq!(r.read_u8().unwrap(), 1);
-        assert!(r.seek(5).is_err());
-        assert_eq!(r.whole(), &data);
-    }
-
-    #[test]
-    fn patch_u16_back_fills_length() {
-        let mut w = Writer::new();
-        w.put_u16(0);
-        w.put_bytes(b"hello");
-        w.patch_u16(0, 5);
-        let bytes = w.into_bytes();
-        assert_eq!(&bytes[..2], &[0, 5]);
-        assert_eq!(&bytes[2..], b"hello");
+        assert!(r.read_array::<4>().is_err());
+        assert!(!r.is_empty(), "a failed read consumes nothing");
     }
 }

@@ -1,9 +1,8 @@
-//! Property-based tests for the DNS wire codec and the resolver-feed
-//! framing: arbitrary (valid-shaped) messages and records must round-trip,
-//! and the decoder must never panic on arbitrary bytes.
+//! Property-based tests for the resolver-feed framing: arbitrary
+//! (valid-shaped) records must round-trip under any chunking, and the
+//! decoder must never panic on arbitrary bytes.
 
-use flowdns_dns::message::{DnsClass, DnsHeader, Opcode, Rcode};
-use flowdns_dns::{DnsMessage, FrameDecoder, FrameEncoder, Question, ResourceRecord, RrData};
+use flowdns_dns::{FrameDecoder, FrameEncoder};
 use flowdns_types::{DnsAnswer, DnsRecord, DomainName, RecordType, SimTime};
 use proptest::prelude::*;
 use std::net::{Ipv4Addr, Ipv6Addr};
@@ -17,73 +16,6 @@ fn label() -> impl Strategy<Value = String> {
 fn domain() -> impl Strategy<Value = DomainName> {
     proptest::collection::vec(label(), 1..=5)
         .prop_map(|labels| DomainName::literal(&labels.join(".")))
-}
-
-fn rr() -> impl Strategy<Value = ResourceRecord> {
-    (
-        domain(),
-        0u32..1_000_000,
-        0usize..5usize,
-        domain(),
-        any::<[u8; 4]>(),
-        any::<[u8; 16]>(),
-    )
-        .prop_map(|(name, ttl, kind, target, v4, v6)| {
-            let (rtype, data) = match kind {
-                0 => (RecordType::A, RrData::A(Ipv4Addr::from(v4))),
-                1 => (RecordType::Aaaa, RrData::Aaaa(Ipv6Addr::from(v6))),
-                2 => (RecordType::Cname, RrData::Cname(target)),
-                3 => (RecordType::Ns, RrData::Ns(target)),
-                _ => (RecordType::Txt, RrData::Txt(vec!["probe".into()])),
-            };
-            ResourceRecord {
-                name,
-                rtype,
-                class: DnsClass::In,
-                ttl,
-                data,
-            }
-        })
-}
-
-fn message() -> impl Strategy<Value = DnsMessage> {
-    (
-        any::<u16>(),
-        any::<bool>(),
-        0u8..6u8,
-        domain(),
-        proptest::collection::vec(rr(), 0..8),
-        proptest::collection::vec(rr(), 0..3),
-    )
-        .prop_map(
-            |(id, is_response, rcode, qname, answers, additionals)| DnsMessage {
-                header: DnsHeader {
-                    id,
-                    is_response,
-                    opcode: Opcode::Query,
-                    authoritative: false,
-                    truncated: false,
-                    recursion_desired: true,
-                    recursion_available: is_response,
-                    rcode: match rcode {
-                        0 => Rcode::NoError,
-                        1 => Rcode::FormErr,
-                        2 => Rcode::ServFail,
-                        3 => Rcode::NxDomain,
-                        4 => Rcode::NotImp,
-                        _ => Rcode::Refused,
-                    },
-                },
-                questions: vec![Question {
-                    name: qname,
-                    qtype: RecordType::A,
-                    qclass: DnsClass::In,
-                }],
-                answers,
-                authorities: Vec::new(),
-                additionals,
-            },
-        )
 }
 
 fn dns_record() -> impl Strategy<Value = DnsRecord> {
@@ -117,19 +49,6 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn message_round_trips(msg in message()) {
-        let bytes = msg.encode().unwrap();
-        let decoded = DnsMessage::decode(&bytes).unwrap();
-        prop_assert_eq!(decoded, msg);
-    }
-
-    #[test]
-    fn decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
-        // Must return Ok or Err, never panic.
-        let _ = DnsMessage::decode(&bytes);
-    }
-
-    #[test]
     fn frames_round_trip(records in proptest::collection::vec(dns_record(), 0..32)) {
         let encoded = FrameEncoder::new().encode_batch(&records).unwrap();
         let mut decoder = FrameDecoder::new();
@@ -156,12 +75,5 @@ proptest! {
     fn frame_decoder_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..256)) {
         let mut decoder = FrameDecoder::new();
         let _ = decoder.feed(&bytes);
-    }
-
-    #[test]
-    fn text_lines_round_trip(record in dns_record()) {
-        let line = flowdns_dns::record_to_line(&record);
-        let parsed = flowdns_dns::parse_record_line(&line).unwrap();
-        prop_assert_eq!(parsed, record);
     }
 }

@@ -16,8 +16,6 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use parking_lot::Mutex;
-
 use flowdns_core::metrics::IngestSummary;
 use flowdns_core::write::{DiscardSink, MemorySink, OutputSink, RotatingFileSink, TsvFileSink};
 use flowdns_core::{Correlator, PipelineMetrics, Report};
@@ -78,7 +76,7 @@ pub struct IngestRuntime {
     dns_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     listeners: Vec<JoinHandle<()>>,
-    conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
+    dns_accepts: Vec<JoinHandle<usize>>,
     exporters: Arc<ExporterTable>,
     dns_stats: Arc<DnsFeedStats>,
     dns_listener_count: usize,
@@ -137,18 +135,6 @@ impl IngestRuntime {
         IngestRuntime::start_with_sink_factory(config, |_| Ok(Box::new(MemorySink::new())))
     }
 
-    /// Start the runtime with an explicit single output sink (requires
-    /// `write_workers = 1`; use
-    /// [`IngestRuntime::start_with_sink_factory`] for sharded egress).
-    pub fn start_with_sink(
-        config: &DaemonConfig,
-        sink: Box<dyn OutputSink>,
-    ) -> Result<Self, FlowDnsError> {
-        let factory =
-            flowdns_core::write::single_sink_factory(config.correlator.write_workers, sink)?;
-        IngestRuntime::start_with_sink_factory(config, factory)
-    }
-
     /// Start the runtime with one sink per write-worker shard, built by
     /// `factory(shard)`.
     pub fn start_with_sink_factory<F>(
@@ -190,9 +176,8 @@ impl IngestRuntime {
         let shutdown = Arc::new(AtomicBool::new(false));
         let exporters = Arc::new(ExporterTable::new(udp_sockets.len()));
         let dns_stats = Arc::new(DnsFeedStats::default());
-        let conn_handles = Arc::new(Mutex::new(Vec::new()));
 
-        let mut listeners = netflow_listener::spawn_group(
+        let listeners = netflow_listener::spawn_group(
             udp_sockets,
             config.ingest.recv_batch,
             Arc::clone(&correlator),
@@ -200,16 +185,13 @@ impl IngestRuntime {
             Arc::clone(&exporters),
         )
         .map_err(io_err)?;
-        listeners.extend(
-            dns_listener::spawn_group(
-                tcp_listeners,
-                Arc::clone(&correlator),
-                Arc::clone(&shutdown),
-                Arc::clone(&dns_stats),
-                Arc::clone(&conn_handles),
-            )
-            .map_err(io_err)?,
-        );
+        let dns_accepts = dns_listener::spawn_group(
+            tcp_listeners,
+            Arc::clone(&correlator),
+            Arc::clone(&shutdown),
+            Arc::clone(&dns_stats),
+        )
+        .map_err(io_err)?;
 
         // Every subsystem registers into one registry: pipeline workers,
         // queues, store, snapshots and BGP from the correlator; listener
@@ -230,6 +212,7 @@ impl IngestRuntime {
                         for handle in listeners {
                             let _ = handle.join();
                         }
+                        let _ = dns_listener::join_group(dns_addr, dns_accepts);
                         return Err(io_err(e));
                     }
                 }
@@ -243,7 +226,7 @@ impl IngestRuntime {
             dns_addr,
             shutdown,
             listeners,
-            conn_handles,
+            dns_accepts,
             exporters,
             dns_stats,
             dns_listener_count,
@@ -324,14 +307,9 @@ impl IngestRuntime {
                 .join()
                 .map_err(|_| FlowDnsError::PipelineState("ingest listener panicked".into()))?;
         }
-        // The accept loop is joined, so no new connections can arrive;
-        // handlers see the flag within one poll interval.
-        let handlers = std::mem::take(&mut *self.conn_handles.lock());
-        for handle in handlers {
-            handle
-                .join()
-                .map_err(|_| FlowDnsError::PipelineState("dns feed handler panicked".into()))?;
-        }
+        // Each accept loop joins its connection handlers before it exits;
+        // handlers see the flag within one read timeout.
+        dns_listener::join_group(self.dns_addr, std::mem::take(&mut self.dns_accepts))?;
         // The health probe holds its own correlator handle; stop the
         // endpoint before unwrapping the pipeline.
         if let Some(server) = self.metrics_server.take() {
@@ -628,6 +606,22 @@ mod tests {
             "shards must match the listener group"
         );
         rt.shutdown().unwrap();
+    }
+
+    #[test]
+    fn unspecified_bind_shuts_down_through_loopback() {
+        let mut cfg = loopback_config();
+        cfg.ingest.dns_bind = "0.0.0.0:0".parse().unwrap();
+        cfg.ingest.dns_listeners = 2;
+        let rt = IngestRuntime::start_in_memory(&cfg).unwrap();
+        assert!(rt.dns_addr().ip().is_unspecified());
+        let started = Instant::now();
+        rt.shutdown().unwrap();
+        assert!(
+            started.elapsed() < std::time::Duration::from_secs(5),
+            "shutdown took {:?}",
+            started.elapsed()
+        );
     }
 
     #[test]

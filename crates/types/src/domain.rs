@@ -2,9 +2,9 @@
 //!
 //! The correlator treats domain names as opaque keys most of the time, but
 //! Section 5 of the paper validates them against three RFC 1035 rules
-//! (total length, label length, allowed characters), and the DNS codec
-//! needs access to individual labels for wire encoding and compression.
-//! [`DomainName`] therefore stores a normalized (lower-cased, no trailing
+//! (total length, label length, allowed characters), and the analyses
+//! group names by their labels and suffixes. [`DomainName`] therefore
+//! stores a normalized (lower-cased, no trailing
 //! dot) representation and exposes label iteration, while *accepting*
 //! arbitrary non-empty strings: the paper explicitly observes malformed
 //! names on the wire (666k per day), so rejecting them at parse time would

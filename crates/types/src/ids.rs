@@ -1,24 +1,6 @@
-//! Identifiers for streams and workers.
+//! Identifiers for input streams.
 
 use std::fmt;
-
-/// Which kind of input stream a record came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum StreamKind {
-    /// A DNS resolver feed stream.
-    Dns,
-    /// A NetFlow export stream.
-    Netflow,
-}
-
-impl fmt::Display for StreamKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StreamKind::Dns => write!(f, "dns"),
-            StreamKind::Netflow => write!(f, "netflow"),
-        }
-    }
-}
 
 /// Identifier of one input stream (the large ISP has 2 DNS and 26 NetFlow
 /// streams; the small ISP has 1 and 2).
@@ -43,44 +25,6 @@ impl fmt::Display for StreamId {
     }
 }
 
-/// Identifier of one worker thread (FillUp, LookUp, or Write).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct WorkerId {
-    /// The worker's role.
-    pub role: WorkerRole,
-    /// Index of the worker within its role.
-    pub index: u16,
-}
-
-/// The three worker roles of Figure 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum WorkerRole {
-    /// FillUp workers consume DNS records and fill the shared storage.
-    FillUp,
-    /// LookUp workers consume flow records and query the shared storage.
-    LookUp,
-    /// Write workers persist correlated records.
-    Write,
-}
-
-impl WorkerId {
-    /// Build a worker id.
-    pub const fn new(role: WorkerRole, index: u16) -> Self {
-        WorkerId { role, index }
-    }
-}
-
-impl fmt::Display for WorkerId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let role = match self.role {
-            WorkerRole::FillUp => "fillup",
-            WorkerRole::LookUp => "lookup",
-            WorkerRole::Write => "write",
-        };
-        write!(f, "{role}-{}", self.index)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,23 +34,5 @@ mod tests {
         let s = StreamId::new(25);
         assert_eq!(s.index(), 25);
         assert_eq!(s.to_string(), "stream#25");
-    }
-
-    #[test]
-    fn worker_id_display() {
-        assert_eq!(WorkerId::new(WorkerRole::FillUp, 3).to_string(), "fillup-3");
-        assert_eq!(WorkerId::new(WorkerRole::LookUp, 0).to_string(), "lookup-0");
-        assert_eq!(WorkerId::new(WorkerRole::Write, 7).to_string(), "write-7");
-    }
-
-    #[test]
-    fn ids_are_ordered_and_hashable() {
-        use std::collections::BTreeSet;
-        let mut set = BTreeSet::new();
-        set.insert(WorkerId::new(WorkerRole::LookUp, 1));
-        set.insert(WorkerId::new(WorkerRole::FillUp, 2));
-        set.insert(WorkerId::new(WorkerRole::FillUp, 1));
-        assert_eq!(set.len(), 3);
-        assert_eq!(set.iter().next().unwrap().role, WorkerRole::FillUp);
     }
 }

@@ -11,9 +11,9 @@
 //! ([`FlowDnsError`]).
 //!
 //! The types are deliberately independent of any wire format: the
-//! `flowdns-dns` and `flowdns-netflow` crates parse RFC 1035 messages and
-//! NetFlow v5/v9 packets respectively and *produce* these records, while
-//! `flowdns-core` consumes them. This mirrors the paper's remark that the
+//! `flowdns-dns` and `flowdns-netflow` crates decode the resolver feed's
+//! frames and NetFlow v5/v9/IPFIX packets respectively and *produce* these
+//! records, while `flowdns-core` consumes them. This mirrors the paper's remark that the
 //! system "is not bound to NetFlow data and can be adapted to use other
 //! data formats containing IP addresses and timestamps".
 
@@ -34,13 +34,13 @@ pub mod volume;
 pub use domain::{DomainName, DomainParseError};
 pub use error::FlowDnsError;
 pub use flow::{FlowDirection, FlowKey, FlowRecord, Protocol};
-pub use ids::{StreamId, StreamKind, WorkerId};
+pub use ids::StreamId;
 pub use intern::{NameId, NameImport, NameInterner};
 pub use key::IpKey;
 pub use record::{DnsAnswer, DnsRecord, RecordType};
-pub use service::{CorrelatedRecord, CorrelationOutcome, ResolvedName, ServiceLabel};
+pub use service::{CorrelatedRecord, CorrelationOutcome, ServiceLabel};
 pub use time::{SimDuration, SimTime, TimeRange};
-pub use volume::{ByteVolume, NormalizedVolume, VolumeAccumulator};
+pub use volume::{ByteVolume, VolumeAccumulator};
 
 /// Result alias used across the workspace.
 pub type Result<T, E = FlowDnsError> = std::result::Result<T, E>;

@@ -3,9 +3,9 @@
 //! The paper's DNS stream carries, per record:
 //! `timestamp, ..., [name; rtype; ttl; answer]`. The FillUp workers only
 //! care about A/AAAA and CNAME responses, keyed by the *answer* section
-//! with the *query name* as value. [`DnsRecord`] is that tuple; the wire
-//! format parser in `flowdns-dns` converts full RFC 1035 messages into a
-//! sequence of these.
+//! with the *query name* as value. [`DnsRecord`] is that tuple, and it is
+//! also what the resolvers send: `flowdns-dns`'s framing carries exactly
+//! these fields, one frame per record.
 
 use std::fmt;
 use std::net::IpAddr;
@@ -106,8 +106,6 @@ pub enum DnsAnswer {
     Ip(IpAddr),
     /// A domain name (from a CNAME/NS/PTR/MX record).
     Name(DomainName),
-    /// Raw RDATA that the parser did not interpret.
-    Raw(Vec<u8>),
 }
 
 impl DnsAnswer {
@@ -133,7 +131,6 @@ impl fmt::Display for DnsAnswer {
         match self {
             DnsAnswer::Ip(ip) => write!(f, "{ip}"),
             DnsAnswer::Name(n) => write!(f, "{n}"),
-            DnsAnswer::Raw(bytes) => write!(f, "raw[{}B]", bytes.len()),
         }
     }
 }
@@ -282,7 +279,7 @@ mod tests {
         assert!(DnsAnswer::Ip(ip).as_name().is_none());
         let n = DomainName::literal("x.com");
         assert_eq!(DnsAnswer::Name(n.clone()).as_name(), Some(&n));
-        assert!(DnsAnswer::Raw(vec![1, 2]).as_ip().is_none());
+        assert!(DnsAnswer::Name(n).as_ip().is_none());
     }
 
     #[test]

@@ -105,18 +105,6 @@ impl CorrelationOutcome {
     }
 }
 
-/// A single name resolved for a flow, with the store generation it was
-/// found in (useful for diagnostics and the rotation ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ResolvedName {
-    /// Found in the Active generation.
-    Active,
-    /// Found in the Inactive generation.
-    Inactive,
-    /// Found in the Long generation.
-    Long,
-}
-
 /// One line of FlowDNS output: the original flow plus the resolution
 /// result and the BGP origin-AS attribution of both endpoints. This is
 /// what the Write workers serialize.

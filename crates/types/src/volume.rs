@@ -1,11 +1,10 @@
 //! Traffic volume accounting.
 //!
 //! The paper never reports absolute byte counts ("all the traffic volume
-//! data throughout the paper is normalized"). [`NormalizedVolume`] makes
-//! that normalization explicit: analyses accumulate raw [`ByteVolume`]s
-//! and only convert to a normalized 0–100 scale (or a fraction of a
-//! reference maximum) when reporting, so the harness output has the same
-//! shape as the paper's figures.
+//! data throughout the paper is normalized"). Analyses accumulate raw
+//! [`ByteVolume`]s and only convert to a fraction of a reference total
+//! ([`ByteVolume::fraction_of`], [`VolumeAccumulator`]) when reporting, so
+//! the harness output has the same shape as the paper's figures.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -31,15 +30,6 @@ impl ByteVolume {
     /// The count in gigabytes (decimal GB).
     pub fn gigabytes(&self) -> f64 {
         self.0 as f64 / 1e9
-    }
-
-    /// Normalize against a reference maximum, producing a value in
-    /// `[0, scale]`. A zero reference yields zero.
-    pub fn normalized(&self, reference: ByteVolume, scale: f64) -> NormalizedVolume {
-        if reference.0 == 0 {
-            return NormalizedVolume(0.0);
-        }
-        NormalizedVolume(self.0 as f64 / reference.0 as f64 * scale)
     }
 
     /// Fraction of `total` that this volume represents (0.0 when total is
@@ -85,24 +75,6 @@ impl fmt::Display for ByteVolume {
             }
         }
         write!(f, "{} B", self.0)
-    }
-}
-
-/// A traffic volume normalized to an arbitrary reference scale, matching
-/// the normalized Y-axes in the paper's figures.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct NormalizedVolume(pub f64);
-
-impl NormalizedVolume {
-    /// The normalized value.
-    pub fn value(&self) -> f64 {
-        self.0
-    }
-}
-
-impl fmt::Display for NormalizedVolume {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:.2}", self.0)
     }
 }
 
@@ -186,12 +158,10 @@ mod tests {
     }
 
     #[test]
-    fn normalization_and_fraction() {
+    fn fraction_of_a_reference() {
         let v = ByteVolume::from_bytes(25);
         let reference = ByteVolume::from_bytes(100);
-        assert!((v.normalized(reference, 70.0).value() - 17.5).abs() < 1e-9);
         assert!((v.fraction_of(reference) - 0.25).abs() < 1e-12);
-        assert_eq!(v.normalized(ByteVolume::ZERO, 70.0).value(), 0.0);
         assert_eq!(v.fraction_of(ByteVolume::ZERO), 0.0);
     }
 

@@ -1,7 +1,7 @@
-//! Wire-format end-to-end example: build real NetFlow v5/v9 packets and
-//! DNS response messages, parse them with the protocol substrates, and
-//! push the extracted records through the correlator — the path a live
-//! deployment would take.
+//! Wire-format end-to-end example: frame a resolver's DNS records and
+//! build a NetFlow v9 export packet, decode both with the protocol
+//! substrates, and push the decoded records through the correlator — the
+//! two inputs `flowdnsd` reads from its sockets.
 //!
 //! Run with: `cargo run --example netflow_capture`
 
@@ -10,39 +10,31 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns::core::{Correlator, CorrelatorConfig};
-use flowdns::dns::message::DnsClass;
-use flowdns::dns::{records_from_message, DnsMessage, Question, ResourceRecord, ResponseFilter};
+use flowdns::dns::{FrameDecoder, FrameEncoder};
 use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
 use flowdns::netflow::{ExtractorConfig, FlowExtractor, Template};
-use flowdns::types::{DomainName, RecordType, SimTime};
+use flowdns::types::{DnsRecord, DomainName, SimTime};
 use std::net::Ipv4Addr;
 
 fn main() {
     println!("== wire-format ingestion example ==");
 
-    // --- DNS side: a resolver response on the wire. ----------------------
+    // --- DNS side: a resolver's records on the feed. ---------------------
     let shop = DomainName::literal("www.shop.example");
     let cdn = DomainName::literal("edge3.cdn.example.net");
-    let response = DnsMessage::response(
-        77,
-        Question {
-            name: shop.clone(),
-            qtype: RecordType::A,
-            qclass: DnsClass::In,
-        },
-        vec![
-            ResourceRecord::cname(shop, cdn.clone(), 600),
-            ResourceRecord::a(cdn, Ipv4Addr::new(100, 64, 9, 9), 120),
-        ],
-    );
-    let wire = response.encode().expect("encode DNS response");
-    println!("DNS response encoded to {} bytes on the wire", wire.len());
+    let ts = SimTime::from_secs(5);
+    let sent = vec![
+        DnsRecord::cname(ts, shop, cdn.clone(), 600),
+        DnsRecord::address(ts, cdn, Ipv4Addr::new(100, 64, 9, 9).into(), 120),
+    ];
+    let wire = FrameEncoder::new()
+        .encode_batch(&sent)
+        .expect("frame DNS records");
+    println!("DNS records framed to {} bytes on the wire", wire.len());
 
-    let parsed = DnsMessage::decode(&wire).expect("decode DNS response");
-    let mut filter = ResponseFilter::new();
-    assert!(filter.accept(&parsed));
-    let dns_records = records_from_message(&parsed, SimTime::from_secs(5));
-    println!("parsed into {} correlator records", dns_records.len());
+    let dns_records = FrameDecoder::new().feed(&wire).expect("decode frames");
+    assert_eq!(dns_records, sent);
+    println!("decoded {} correlator records", dns_records.len());
 
     // --- NetFlow side: a v9 export packet with a template + data. --------
     let template = Template::standard_ipv4(256);

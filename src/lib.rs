@@ -9,7 +9,7 @@
 //!
 //! * [`types`] — shared record and time types, plus the typed store keys
 //!   ([`types::IpKey`], pooled [`types::NameId`]s),
-//! * [`dns`] — RFC 1035 wire codec, validation and resolver-feed framing,
+//! * [`dns`] — resolver-feed framing,
 //! * [`netflow`] — NetFlow v5/v9 and IPFIX-subset codecs,
 //! * [`stream`] — bounded lossy stream buffers and pacing,
 //! * [`storage`] — sharded, rotating DNS stores,

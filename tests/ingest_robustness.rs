@@ -172,14 +172,15 @@ fn crafted_bad_inputs_are_counted_and_survived() {
     assert_eq!(report.metrics.lookup.ip_hits, 1);
 }
 
-/// Resident set size of this process in KiB, from `/proc/self/status`.
-fn vm_rss_kib() -> u64 {
+/// A size field of this process's `/proc/self/status` (`VmRSS`,
+/// `VmSize`), in KiB.
+fn status_kib(field: &str) -> u64 {
     let status = std::fs::read_to_string("/proc/self/status").expect("/proc/self/status");
     status
         .lines()
-        .find_map(|line| line.strip_prefix("VmRSS:"))
+        .find_map(|line| line.strip_prefix(field)?.strip_prefix(':'))
         .and_then(|rest| rest.trim().trim_end_matches("kB").trim().parse().ok())
-        .expect("VmRSS line")
+        .unwrap_or_else(|| panic!("{field} line in /proc/self/status"))
 }
 
 /// A flow stamped at the Unix epoch followed by one stamped in 2025 is
@@ -204,11 +205,11 @@ fn a_data_time_jump_is_counted_without_a_stall() {
     // The first flow also warms the pipeline up, so the RSS baseline
     // already holds whatever the runtime touches on its first record.
     send_and_count(1, 0);
-    let rss_before = vm_rss_kib();
+    let rss_before = status_kib("VmRSS");
     let started = Instant::now();
     send_and_count(2, 1_760_000_000);
     let elapsed = started.elapsed();
-    let grown_kib = vm_rss_kib().saturating_sub(rss_before);
+    let grown_kib = status_kib("VmRSS").saturating_sub(rss_before);
     assert!(elapsed < Duration::from_secs(5), "took {elapsed:?}");
     assert!(
         grown_kib < 128 * 1024,
@@ -220,20 +221,34 @@ fn a_data_time_jump_is_counted_without_a_stall() {
 }
 
 /// A resolver that reconnects for every handful of records must not
-/// leave rings behind: 200 short connections, one after another, 16
-/// records each on 4 shards, hold the FillUp ring segments of about one
-/// connection, not of 200 (one segment per DNS lane, about 312 KB a
-/// connection, when every connection registered its own rings).
+/// leave rings or threads behind: 200 short connections, one after
+/// another, 16 records each on 4 shards, hold the FillUp ring segments of
+/// about one connection, not of 200 (one segment per DNS lane, about
+/// 312 KB a connection, when every connection registered its own rings).
+/// On Linux the address space is checked too: a handler thread that has
+/// exited but is never joined keeps its stack mapped, about 3 MB a
+/// connection. The baseline is taken after a few warm-up connections,
+/// once the pipeline's threads have allocated: glibc gives each thread
+/// that allocates its own malloc arena, 64 MiB of reserved address space,
+/// about 500 MiB in all, whatever the handlers do.
 #[test]
 fn reconnecting_resolvers_leave_no_rings_behind() {
     const CONNECTIONS: u32 = 200;
     const RECORDS: u32 = 16;
+    const WARM_UP: u32 = 10;
     let _serial = serial();
     let mut cfg = loopback_config();
     cfg.correlator.correlator_shards = 4;
     let rt = IngestRuntime::start_in_memory(&cfg).expect("start runtime");
     let encoder = FrameEncoder::new();
+    let mut vm_size_before = None;
     for conn in 0..CONNECTIONS {
+        if conn == WARM_UP && cfg!(target_os = "linux") {
+            wait_until(Duration::from_secs(10), || {
+                rt.correlator().queue_depths().0 == 0
+            });
+            vm_size_before = Some(status_kib("VmSize"));
+        }
         let records: Vec<DnsRecord> = (0..RECORDS)
             .map(|i| {
                 DnsRecord::address(
@@ -266,6 +281,15 @@ fn reconnecting_resolvers_leave_no_rings_behind() {
         "{CONNECTIONS} closed connections left {:.1} MB of FillUp ring segments",
         resident / 1e6
     );
+    if let Some(before) = vm_size_before {
+        let grown_kib = status_kib("VmSize").saturating_sub(before);
+        assert!(
+            grown_kib <= 100 * 1024,
+            "{} closed connections grew VmSize by {} MiB",
+            CONNECTIONS - WARM_UP,
+            grown_kib / 1024
+        );
+    }
     let report = rt.shutdown().expect("clean shutdown");
     assert_eq!(
         report.metrics.ingest.dns_records,

@@ -4,7 +4,7 @@
 use flowdns::analysis::CardinalityAnalysis;
 use flowdns::core::simulate::Event;
 use flowdns::core::{Correlator, CorrelatorConfig, OfflineSimulator, Variant};
-use flowdns::dns::{records_from_message, DnsMessage, FrameDecoder, FrameEncoder};
+use flowdns::dns::{FrameDecoder, FrameEncoder};
 use flowdns::gen::workload::StreamEvent;
 use flowdns::gen::{Workload, WorkloadConfig};
 use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
@@ -113,25 +113,15 @@ fn variant_ordering_matches_the_paper() {
 
 #[test]
 fn wire_format_ingestion_end_to_end() {
-    // Build a DNS response + a NetFlow v9 packet, cross the resolver-feed
-    // framing, and correlate.
+    // Build the resolver's CNAME + A records and a NetFlow v9 packet,
+    // cross the resolver-feed framing, and correlate.
     let shop = DomainName::literal("www.wire.example");
     let edge = DomainName::literal("edge.wire-cdn.example");
-    let response = DnsMessage::response(
-        1,
-        flowdns::dns::Question {
-            name: shop.clone(),
-            qtype: flowdns::types::RecordType::A,
-            qclass: flowdns::dns::message::DnsClass::In,
-        },
-        vec![
-            flowdns::dns::ResourceRecord::cname(shop.clone(), edge.clone(), 300),
-            flowdns::dns::ResourceRecord::a(edge.clone(), Ipv4Addr::new(100, 99, 1, 1), 120),
-        ],
-    );
-    let wire = response.encode().unwrap();
-    let decoded = DnsMessage::decode(&wire).unwrap();
-    let records = records_from_message(&decoded, SimTime::from_secs(1));
+    let ts = SimTime::from_secs(1);
+    let records = vec![
+        DnsRecord::cname(ts, shop, edge.clone(), 300),
+        DnsRecord::address(ts, edge, Ipv4Addr::new(100, 99, 1, 1).into(), 120),
+    ];
 
     // Push the records through the length-prefixed resolver-feed framing.
     let framed = FrameEncoder::new().encode_batch(&records).unwrap();
