@@ -18,8 +18,8 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_analysis::{render_series, Ecdf};
-use flowdns_bench::{experiment_workload, run_variant_with};
-use flowdns_core::Variant;
+use flowdns_bench::{experiment_workload, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(4);
@@ -32,7 +32,8 @@ fn main() {
     let mut resolved: Vec<u64> = Vec::new();
 
     let universe = workload.universe().clone();
-    let outcome = run_variant_with(Variant::Main, &workload, |record| {
+    let main = OfflineSimulator::new(CorrelatorConfig::default());
+    let outcome = run_workload(&main, &workload, |record| {
         if !record.is_correlated() {
             return;
         }

@@ -9,8 +9,8 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns_bench::{experiment_workload, run_variant};
-use flowdns_core::Variant;
+use flowdns_bench::{experiment_workload, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator, Variant};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(6);
@@ -26,7 +26,8 @@ fn main() {
         workload.expected_correlation_fraction() * 100.0
     );
 
-    let outcome = run_variant(variant, &workload);
+    let sim = OfflineSimulator::new(CorrelatorConfig::for_variant(variant));
+    let outcome = run_workload(&sim, &workload, |_| {});
     let report = &outcome.report;
     println!();
     println!("{}", report.summary());

@@ -11,16 +11,17 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns_bench::{experiment_workload, run_variant};
-use flowdns_core::Variant;
+use flowdns_bench::{experiment_workload, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(2);
     let workload = experiment_workload(hours, 45.0);
     println!("== Appendix A.8: exact-TTL expiry vs. FlowDNS rotation ({hours} simulated hours) ==");
 
-    let main = run_variant(Variant::Main, &workload);
-    let exact = run_variant(Variant::ExactTtl, &workload);
+    let config = CorrelatorConfig::default();
+    let main = run_workload(&OfflineSimulator::new(config.clone()), &workload, |_| {});
+    let exact = run_workload(&OfflineSimulator::exact_ttl(config), &workload, |_| {});
 
     println!(
         "Main     : flow loss {:.2}%  dns loss {:.2}%  mean CPU {:.0}%  peak memory {:.3} GB  correlation {:.1}%",

@@ -14,10 +14,8 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_analysis::{render_table, PerAsTraffic};
-use flowdns_bench::{
-    asn_view_for, experiment_workload, outcome_matches_service, run_variant_with_asn,
-};
-use flowdns_core::Variant;
+use flowdns_bench::{asn_view_for, experiment_workload, outcome_matches_service, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(12);
@@ -30,7 +28,8 @@ fn main() {
     println!("== Figure 4: per-source-AS traffic for streaming services S1 and S2 ==");
     let mut per_as_s1 = PerAsTraffic::new();
     let mut per_as_s2 = PerAsTraffic::new();
-    run_variant_with_asn(Variant::Main, &workload, &view, |record| {
+    let main = OfflineSimulator::new(CorrelatorConfig::default()).with_asn_view(view);
+    run_workload(&main, &workload, |record| {
         if !record.is_correlated() {
             return;
         }

@@ -11,8 +11,8 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_analysis::render_table;
-use flowdns_bench::{experiment_workload, run_variant};
-use flowdns_core::Variant;
+use flowdns_bench::{experiment_workload, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator, Variant};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(8);
@@ -30,7 +30,8 @@ fn main() {
     let mut per_hour: Vec<Vec<String>> = Vec::new();
     let mut summary: Vec<Vec<String>> = Vec::new();
     for (variant, paper) in variants.into_iter().zip(paper_means) {
-        let outcome = run_variant(variant, &workload);
+        let sim = OfflineSimulator::new(CorrelatorConfig::for_variant(variant));
+        let outcome = run_workload(&sim, &workload, |_| {});
         for h in &outcome.hourly {
             per_hour.push(vec![
                 variant.label().to_string(),

@@ -13,8 +13,8 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_analysis::render_table;
-use flowdns_bench::{experiment_workload, run_variant};
-use flowdns_core::Variant;
+use flowdns_bench::{experiment_workload, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator, Variant};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(8);
@@ -31,7 +31,8 @@ fn main() {
     let mut hourly_rows: Vec<Vec<String>> = Vec::new();
     let mut summary_rows: Vec<Vec<String>> = Vec::new();
     for variant in variants {
-        let outcome = run_variant(variant, &workload);
+        let sim = OfflineSimulator::new(CorrelatorConfig::for_variant(variant));
+        let outcome = run_workload(&sim, &workload, |_| {});
         for h in &outcome.hourly {
             hourly_rows.push(vec![
                 variant.label().to_string(),

@@ -12,14 +12,15 @@
 #![allow(clippy::print_stdout)]
 
 use flowdns_analysis::render_table;
-use flowdns_bench::{experiment_workload, run_variant};
-use flowdns_core::Variant;
+use flowdns_bench::{experiment_workload, run_workload};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(72);
     let workload = experiment_workload(hours, 45.0);
     println!("== Figure 2: Main-variant resource usage over {hours} simulated hours ==");
-    let outcome = run_variant(Variant::Main, &workload);
+    let main = OfflineSimulator::new(CorrelatorConfig::default());
+    let outcome = run_workload(&main, &workload, |_| {});
 
     let max_bytes = outcome
         .hourly

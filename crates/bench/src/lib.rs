@@ -8,7 +8,8 @@
 //! job of `benchmark/` (docs/PERFORMANCE.md). This library holds the glue the
 //! binaries share: converting generator events into simulator events,
 //! deriving a BGP table and a blocklist that are consistent with the
-//! generated universe, and running a variant end to end.
+//! generated universe, and running a configured simulator over a
+//! workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -20,7 +21,7 @@ pub mod soak;
 use flowdns_analysis::CategoryAnalysis;
 use flowdns_bgp::{AsnView, RoutingTable};
 use flowdns_core::simulate::Event;
-use flowdns_core::{CorrelatorConfig, OfflineSimulator, SimulationOutcome, Variant};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator, SimulationOutcome};
 use flowdns_dbl::{Blocklist, BlocklistCategory};
 use flowdns_gen::domains::{DomainCategory, DomainUniverse, ServiceSpec};
 use flowdns_gen::workload::StreamEvent;
@@ -85,38 +86,16 @@ pub fn outcome_matches_service(outcome: &CorrelationOutcome, service: &ServiceSp
     })
 }
 
-/// Run one variant over a workload, discarding per-record output.
-pub fn run_variant(variant: Variant, workload: &Workload) -> SimulationOutcome {
-    let config = CorrelatorConfig::for_variant(variant);
-    let sim = OfflineSimulator::new(config);
-    sim.run_with(workload.events().map(to_event), |_| {})
-}
-
-/// Run one variant over a workload, forwarding every written record to
-/// `on_record`.
-pub fn run_variant_with<F>(variant: Variant, workload: &Workload, on_record: F) -> SimulationOutcome
-where
-    F: FnMut(&CorrelatedRecord),
-{
-    let config = CorrelatorConfig::for_variant(variant);
-    let sim = OfflineSimulator::new(config);
-    sim.run_with(workload.events().map(to_event), on_record)
-}
-
-/// Run one variant with in-pipeline AS attribution from `view`: every
-/// record reaching `on_record` carries `src_asn`/`dst_asn` stamped by
-/// the simulated LookUp stage.
-pub fn run_variant_with_asn<F>(
-    variant: Variant,
+/// Run a configured simulator over a workload, forwarding every written
+/// record to `on_record` (`|_| {}` discards them).
+pub fn run_workload<F>(
+    sim: &OfflineSimulator,
     workload: &Workload,
-    view: &AsnView,
     on_record: F,
 ) -> SimulationOutcome
 where
     F: FnMut(&CorrelatedRecord),
 {
-    let config = CorrelatorConfig::for_variant(variant);
-    let sim = OfflineSimulator::new(config).with_asn_view(view.clone());
     sim.run_with(workload.events().map(to_event), on_record)
 }
 
@@ -125,7 +104,8 @@ where
 pub fn run_category_analysis(workload: &Workload) -> (SimulationOutcome, CategoryAnalysis) {
     let blocklist = blocklist_for(workload.universe());
     let mut analysis = CategoryAnalysis::new(blocklist);
-    let outcome = run_variant_with(Variant::Main, workload, |record| {
+    let main = OfflineSimulator::new(CorrelatorConfig::default());
+    let outcome = run_workload(&main, workload, |record| {
         analysis.observe(record);
     });
     (outcome, analysis)
@@ -155,7 +135,8 @@ pub fn experiment_workload(hours: u64, peak_flows_per_sec: f64) -> Workload {
 pub fn measured_correlation_fraction(workload: &Workload) -> f64 {
     let mut correlated = 0u64;
     let mut content = 0u64;
-    run_variant_with(Variant::Main, workload, |record| {
+    let main = OfflineSimulator::new(CorrelatorConfig::default());
+    run_workload(&main, workload, |record| {
         if record.flow.direction == FlowDirection::Inbound && record.flow.key.dst_port == 443 {
             content += 1;
             if record.is_correlated() {
@@ -231,9 +212,10 @@ mod tests {
     }
 
     #[test]
-    fn run_variant_produces_reasonable_correlation() {
+    fn main_variant_produces_reasonable_correlation() {
         let workload = experiment_workload(2, 10.0);
-        let outcome = run_variant(Variant::Main, &workload);
+        let main = OfflineSimulator::new(CorrelatorConfig::default());
+        let outcome = run_workload(&main, &workload, |_| {});
         let rate = outcome.report.correlation_rate_pct();
         assert!(rate > 70.0 && rate < 95.0, "correlation {rate}");
         assert!(outcome.report.metrics.flow_loss_pct() < 1.0);

@@ -1,5 +1,5 @@
 //! Correlator configuration: the Table 1 parameters plus shard and ring
-//! sizing, and the ablation variants of Section 4.
+//! sizing, and the ablation variants of Section 4 that the daemon runs.
 //!
 //! The paper states the system "can be adapted to use other data formats
 //! ... in a configuration file"; [`CorrelatorConfig::from_config_text`]
@@ -10,14 +10,18 @@ use std::time::Duration;
 
 use flowdns_types::{FlowDnsError, SimDuration};
 
-/// The ablation variants evaluated in Section 4 (Figure 3, Figure 7) plus
-/// the Appendix A.8 exact-TTL strawman.
+/// The ablation variants evaluated in Section 4 (Figure 3, Figure 7).
+/// The Appendix A.8 exact-TTL strawman is not one of them: only
+/// [`OfflineSimulator::exact_ttl`](crate::OfflineSimulator::exact_ttl)
+/// runs it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Variant {
     /// The fully featured system.
     #[default]
     Main,
-    /// Hashmaps are not divided into splits (`NUM_SPLIT = 1`).
+    /// Hashmaps are not divided into splits (`NUM_SPLIT = 1`). The store
+    /// never splits, so this runs as [`Variant::Main`]; only the offline
+    /// simulator's per-split cost term tells them apart.
     NoSplit,
     /// Hashmaps are never cleared.
     NoClearUp,
@@ -25,22 +29,17 @@ pub enum Variant {
     NoRotation,
     /// Long-TTL records go to the Active maps instead of Long maps.
     NoLongHashmaps,
-    /// Records are expired by their exact TTL with a periodic purge
-    /// (Appendix A.8). Simulator-only: [`crate::OfflineSimulator`] runs
-    /// it as the accuracy/cost oracle, [`crate::Correlator`] refuses it.
-    ExactTtl,
 }
 
 impl Variant {
     /// All variants in the order the paper discusses them.
-    pub fn all() -> [Variant; 6] {
+    pub fn all() -> [Variant; 5] {
         [
             Variant::Main,
             Variant::NoSplit,
             Variant::NoClearUp,
             Variant::NoRotation,
             Variant::NoLongHashmaps,
-            Variant::ExactTtl,
         ]
     }
 
@@ -52,7 +51,6 @@ impl Variant {
             Variant::NoClearUp => "NoClearUp",
             Variant::NoRotation => "NoRotation",
             Variant::NoLongHashmaps => "NoLong",
-            Variant::ExactTtl => "ExactTTL",
         }
     }
 
@@ -64,7 +62,12 @@ impl Variant {
             "noclearup" | "no-clear-up" | "no-clearup" => Ok(Variant::NoClearUp),
             "norotation" | "no-rotation" => Ok(Variant::NoRotation),
             "nolong" | "no-long" | "nolonghashmaps" => Ok(Variant::NoLongHashmaps),
-            "exactttl" | "exact-ttl" => Ok(Variant::ExactTtl),
+            "exactttl" | "exact-ttl" => Err(FlowDnsError::Config(format!(
+                "variant '{s}' is the Appendix A.8 exact-TTL strawman, which only the \
+                 offline simulator runs (OfflineSimulator::exact_ttl, exp_exact_ttl); \
+                 the daemon runs the rotating variants, use variant = Main \
+                 (see docs/MIGRATION.md, PR 37)"
+            ))),
             other => Err(FlowDnsError::Config(format!("unknown variant '{other}'"))),
         }
     }
@@ -77,7 +80,7 @@ impl std::fmt::Display for Variant {
 }
 
 /// Where every "this key/value is gone" error sends the operator.
-pub(crate) const MIGRATION_HINT: &str = "see docs/MIGRATION.md, PR 16";
+const MIGRATION_HINT: &str = "see docs/MIGRATION.md, PR 16";
 
 /// Config keys of the deleted classic FillUp/LookUp pipeline and the key
 /// that now does their job. A conf file still carrying one fails with an
@@ -89,10 +92,10 @@ const RETIRED_KEYS: [(&str, &str); 4] = [
     ("lookup_queue_capacity", "shard_flow_ring_capacity"),
 ];
 
-/// Config keys that sized an internal which no longer exists, and why.
-/// A conf file still carrying one fails with that reason, not the generic
-/// "unknown key".
-const RETIRED_INTERNAL_KEYS: [(&str, &str); 2] = [
+/// Config keys retired with no replacement key, and why. A conf file
+/// still carrying one fails with that reason, not the generic "unknown
+/// key".
+const RETIRED_INTERNAL_KEYS: [(&str, &str); 4] = [
     (
         "map_shards",
         "the NAME-CNAME store it striped is a single table now; delete the line \
@@ -103,6 +106,17 @@ const RETIRED_INTERNAL_KEYS: [(&str, &str); 2] = [
         "the receive-buffer pool it capped is gone, listeners allocate their \
          buffers directly; delete the line (see docs/MIGRATION.md, \"snapshot format v3, \
          no buffer pool\")",
+    ),
+    (
+        "num_split",
+        "no store splits, and the offline simulator prices its per-split cost \
+         with the constant NUM_SPLIT = 10; delete the line (see docs/MIGRATION.md, PR 37)",
+    ),
+    (
+        "exact_ttl_purge_interval",
+        "the exact-TTL strawman it tuned runs only in the offline simulator \
+         (OfflineSimulator::exact_ttl, exp_exact_ttl), with a fixed 300 s purge; \
+         delete the line (see docs/MIGRATION.md, PR 37)",
     ),
 ];
 
@@ -115,18 +129,12 @@ pub struct CorrelatorConfig {
     /// `CClearUpInterval`: seconds after which the NAME-CNAME Active map is
     /// rotated and cleared (paper value: 7200).
     pub c_clear_up_interval: SimDuration,
-    /// `NUM_SPLIT`: the paper's IP-NAME split count (paper value: 10),
-    /// and what the *No Split* variant sets to 1. No store splits; it
-    /// only feeds the offline simulator's per-split cost term.
-    pub num_split: usize,
     /// Maximum number of CNAME chain look-ups (paper value: 6).
     pub cname_loop_limit: usize,
     /// Number of Write worker threads (live pipeline only).
     pub write_workers: usize,
     /// Capacity of the Write queue (records).
     pub write_queue_capacity: usize,
-    /// Purge interval of the exact-TTL strawman (Appendix A.8).
-    pub exact_ttl_purge_interval: SimDuration,
     /// Which ablation variant to run.
     pub variant: Variant,
     /// Path to a BGP announcement file (`prefix origin_as` lines, see
@@ -175,11 +183,9 @@ impl Default for CorrelatorConfig {
         CorrelatorConfig {
             a_clear_up_interval: SimDuration::from_secs(3600),
             c_clear_up_interval: SimDuration::from_secs(7200),
-            num_split: 10,
             cname_loop_limit: 6,
             write_workers: 1,
             write_queue_capacity: 262_144,
-            exact_ttl_purge_interval: SimDuration::from_secs(300),
             variant: Variant::Main,
             routing_table: None,
             snapshot_path: None,
@@ -199,15 +205,6 @@ impl CorrelatorConfig {
         CorrelatorConfig {
             variant,
             ..CorrelatorConfig::default()
-        }
-    }
-
-    /// The effective number of IP-NAME splits after applying the variant
-    /// (the *No Split* variant forces 1).
-    pub fn effective_num_split(&self) -> usize {
-        match self.variant {
-            Variant::NoSplit => 1,
-            _ => self.num_split.max(1),
         }
     }
 
@@ -238,9 +235,6 @@ impl CorrelatorConfig {
             return Err(FlowDnsError::Config(
                 "c_clear_up_interval must be positive".into(),
             ));
-        }
-        if self.num_split == 0 {
-            return Err(FlowDnsError::Config("num_split must be at least 1".into()));
         }
         if self.cname_loop_limit == 0 {
             return Err(FlowDnsError::Config(
@@ -286,15 +280,13 @@ impl CorrelatorConfig {
     ///
     /// let cfg = CorrelatorConfig::from_config_text(
     ///     "# deployment overrides\n\
-    ///      num_split = 4\n\
     ///      correlator_shards = 8\n\
     ///      snapshot_path = /var/lib/flowdns/store.fdns\n",
     /// )
     /// .unwrap();
-    /// assert_eq!(cfg.num_split, 4);
     /// assert_eq!(cfg.correlator_shards, 8);
     /// assert_eq!(cfg.a_clear_up_interval.as_secs(), 3600); // default kept
-    /// assert!(CorrelatorConfig::from_config_text("num_splits = 4").is_err());
+    /// assert!(CorrelatorConfig::from_config_text("correlator_shard = 4").is_err());
     /// ```
     pub fn from_config_text(text: &str) -> Result<Self, FlowDnsError> {
         let mut cfg = CorrelatorConfig::default();
@@ -320,13 +312,9 @@ impl CorrelatorConfig {
                 "c_clear_up_interval" => {
                     cfg.c_clear_up_interval = SimDuration::from_secs(parse_u64(value)?)
                 }
-                "num_split" => cfg.num_split = parse_u64(value)? as usize,
                 "cname_loop_limit" => cfg.cname_loop_limit = parse_u64(value)? as usize,
                 "write_workers" => cfg.write_workers = parse_u64(value)? as usize,
                 "write_queue_capacity" => cfg.write_queue_capacity = parse_u64(value)? as usize,
-                "exact_ttl_purge_interval" => {
-                    cfg.exact_ttl_purge_interval = SimDuration::from_secs(parse_u64(value)?)
-                }
                 "variant" => cfg.variant = Variant::parse(value)?,
                 "routing_table" => cfg.routing_table = Some(value.to_string()),
                 "snapshot_path" => cfg.snapshot_path = Some(value.to_string()),
@@ -373,7 +361,6 @@ mod tests {
         let cfg = CorrelatorConfig::default();
         assert_eq!(cfg.a_clear_up_interval.as_secs(), 3600);
         assert_eq!(cfg.c_clear_up_interval.as_secs(), 7200);
-        assert_eq!(cfg.num_split, 10);
         assert_eq!(cfg.cname_loop_limit, 6);
         assert_eq!(cfg.variant, Variant::Main);
         assert!(cfg.validate().is_ok());
@@ -381,14 +368,6 @@ mod tests {
 
     #[test]
     fn variant_switches_drive_effective_settings() {
-        assert_eq!(
-            CorrelatorConfig::for_variant(Variant::NoSplit).effective_num_split(),
-            1
-        );
-        assert_eq!(
-            CorrelatorConfig::for_variant(Variant::Main).effective_num_split(),
-            10
-        );
         assert!(!CorrelatorConfig::for_variant(Variant::NoClearUp).clears_up());
         assert!(!CorrelatorConfig::for_variant(Variant::NoRotation).rotates());
         assert!(!CorrelatorConfig::for_variant(Variant::NoLongHashmaps).uses_long_maps());
@@ -408,13 +387,13 @@ mod tests {
         let text = "
 # FlowDNS deployment at the small ISP
 a_clear_up_interval = 1800
-num_split = 4
+cname_loop_limit = 4
 variant = NoRotation
 write_workers = 2
 ";
         let cfg = CorrelatorConfig::from_config_text(text).unwrap();
         assert_eq!(cfg.a_clear_up_interval.as_secs(), 1800);
-        assert_eq!(cfg.num_split, 4);
+        assert_eq!(cfg.cname_loop_limit, 4);
         assert_eq!(cfg.variant, Variant::NoRotation);
         assert_eq!(cfg.write_workers, 2);
         // untouched keys keep defaults
@@ -480,9 +459,6 @@ write_workers = 2
         assert_eq!(cfg.shard_flow_ring_capacity, 4096);
         assert!(CorrelatorConfig::from_config_text("shard_dns_ring_capacity = 0").is_err());
         assert!(CorrelatorConfig::from_config_text("shard_flow_ring_capacity = 0").is_err());
-        // The exact-TTL oracle is a valid *config* (the simulator runs
-        // it); only `Correlator::start` refuses it.
-        assert!(CorrelatorConfig::from_config_text("variant = ExactTTL").is_ok());
     }
 
     #[test]
@@ -506,8 +482,9 @@ write_workers = 2
             ("fillup_queue_capacity", "shard_dns_ring_capacity"),
             ("lookup_queue_capacity", "shard_flow_ring_capacity"),
         ] {
-            let err = CorrelatorConfig::from_config_text(&format!("num_split = 4\n{key} = 2"))
-                .unwrap_err();
+            let err =
+                CorrelatorConfig::from_config_text(&format!("cname_loop_limit = 4\n{key} = 2"))
+                    .unwrap_err();
             let msg = err.to_string();
             assert!(msg.contains("line 2"), "{msg}");
             assert!(msg.contains(&format!("'{key}'")), "{msg}");
@@ -518,14 +495,36 @@ write_workers = 2
     }
 
     #[test]
-    fn map_shards_is_retired_with_a_pointer_to_the_migration_notes() {
-        let err = CorrelatorConfig::from_config_text("num_split = 4\nmap_shards = 32")
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("line 2"), "{err}");
-        assert!(err.contains("'map_shards' is retired"), "{err}");
-        assert!(err.contains("docs/MIGRATION.md"), "{err}");
-        assert!(!err.contains("unknown key"), "{err}");
+    fn retired_internal_keys_fail_with_their_reason_not_unknown_key() {
+        for (key, reason) in [
+            ("map_shards", "single table"),
+            ("num_split", "NUM_SPLIT = 10"),
+            ("exact_ttl_purge_interval", "OfflineSimulator::exact_ttl"),
+        ] {
+            let err =
+                CorrelatorConfig::from_config_text(&format!("cname_loop_limit = 4\n{key} = 32"))
+                    .unwrap_err()
+                    .to_string();
+            assert!(err.contains("line 2"), "{err}");
+            assert!(err.contains(&format!("'{key}' is retired")), "{err}");
+            assert!(err.contains(reason), "{err}");
+            assert!(err.contains("docs/MIGRATION.md"), "{err}");
+            assert!(!err.contains("unknown key"), "{err}");
+        }
+    }
+
+    #[test]
+    fn exact_ttl_variant_names_the_simulator_not_unknown_variant() {
+        for label in ["ExactTTL", "exact-ttl"] {
+            let err = CorrelatorConfig::from_config_text(&format!("variant = {label}"))
+                .unwrap_err()
+                .to_string();
+            assert!(err.contains("OfflineSimulator::exact_ttl"), "{err}");
+            assert!(err.contains("exp_exact_ttl"), "{err}");
+            assert!(err.contains("variant = Main"), "{err}");
+            assert!(err.contains("docs/MIGRATION.md"), "{err}");
+            assert!(!err.contains("unknown variant"), "{err}");
+        }
     }
 
     #[test]
@@ -541,10 +540,10 @@ write_workers = 2
     #[test]
     fn config_text_rejects_unknown_keys_and_bad_values() {
         assert!(CorrelatorConfig::from_config_text("numsplit = 3").is_err());
-        assert!(CorrelatorConfig::from_config_text("num_split = many").is_err());
+        assert!(CorrelatorConfig::from_config_text("cname_loop_limit = many").is_err());
         assert!(CorrelatorConfig::from_config_text("just a line").is_err());
         assert!(CorrelatorConfig::from_config_text("variant = turbo").is_err());
-        assert!(CorrelatorConfig::from_config_text("num_split = 0").is_err());
+        assert!(CorrelatorConfig::from_config_text("cname_loop_limit = 0").is_err());
     }
 
     #[test]

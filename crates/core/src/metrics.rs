@@ -221,8 +221,6 @@ pub struct PipelineMetrics {
     /// Sampled enqueue→dequeue residency of the LookUp queue — the
     /// "p99 ingress-queue latency" of the saturation harness.
     pub lookup_queue_latency: LatencySnapshot,
-    /// Total abstract work units spent (offline simulator only).
-    pub work_units: f64,
     /// Peak memory estimate observed.
     pub peak_memory: MemoryEstimate,
     /// Network-ingest counters (all zero for offline runs).

@@ -40,7 +40,7 @@ use flowdns_obs::{FlightRecorder, Histogram, HistogramSnapshot, MetricsRegistry}
 use flowdns_stream::{LatencySnapshot, ShardProducer, ShardedChannel, StreamBuffer};
 use flowdns_types::{CorrelatedRecord, DnsRecord, FlowDnsError, FlowKey, FlowRecord, SimDuration};
 
-use crate::config::{CorrelatorConfig, Variant, MIGRATION_HINT};
+use crate::config::CorrelatorConfig;
 use crate::lookup::LookUpStats;
 use crate::metrics::{PipelineMetrics, Report, SnapshotStats};
 use crate::shard::FillUpStats;
@@ -375,16 +375,6 @@ impl Correlator {
         F: FnMut(usize) -> Result<Box<dyn OutputSink>, FlowDnsError>,
     {
         config.validate()?;
-        if config.variant == Variant::ExactTtl {
-            // The exact-TTL strawman has no partitioned store: it is the
-            // offline simulator's Appendix A.8 oracle, not a deployable
-            // variant.
-            return Err(FlowDnsError::Config(format!(
-                "variant = ExactTTL is simulator-only (OfflineSimulator / exp_exact_ttl); \
-                 the live correlator runs the rotating variants, use variant = Main \
-                 ({MIGRATION_HINT})"
-            )));
-        }
         // Build every sink before spawning anything: a factory error must
         // fail the whole start without leaking already-running workers.
         let sinks: Vec<Box<dyn OutputSink>> = (0..config.write_workers)
@@ -1193,7 +1183,6 @@ impl Correlator {
             writes_dropped: self.writes_dropped_total(),
             fillup_queue_latency: fillup_latency,
             lookup_queue_latency: lookup_latency,
-            work_units: 0.0,
             peak_memory: self.store.memory_estimate(),
             ingest: Default::default(),
             snapshot: self.snapshot_shared.stats(),
@@ -1293,7 +1282,6 @@ impl Correlator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::Variant;
     use crate::write::RotatingFileSink;
     use flowdns_bgp::Announcement;
     use flowdns_types::{DomainName, SimDuration, SimTime};
@@ -1781,20 +1769,6 @@ mod tests {
         let report = correlator.finish().unwrap();
         assert_eq!(report.metrics.lookup.total(), 30);
         assert_eq!(report.metrics.write.records_written, 30);
-    }
-
-    #[test]
-    fn exact_ttl_variant_is_refused_at_start() {
-        // The Appendix A.8 strawman is the simulator's oracle; a conf
-        // file asking the daemon for it must hear which key to change.
-        match Correlator::start(CorrelatorConfig::for_variant(Variant::ExactTtl)) {
-            Err(FlowDnsError::Config(msg)) => {
-                assert!(msg.contains("variant = ExactTTL"), "{msg}");
-                assert!(msg.contains("variant = Main"), "{msg}");
-                assert!(msg.contains("docs/MIGRATION.md"), "{msg}");
-            }
-            other => panic!("expected a config error, got {other:?}"),
-        }
     }
 
     #[test]

@@ -61,7 +61,7 @@ use flowdns_types::{
 };
 use parking_lot::{Mutex, RwLock};
 
-use crate::config::{CorrelatorConfig, Variant};
+use crate::config::CorrelatorConfig;
 use crate::lookup::{follow_chain, LookUpStats};
 
 /// How often flow processing ticks the shared CNAME clear-up clock.
@@ -422,18 +422,11 @@ pub struct ShardedStore {
 impl ShardedStore {
     /// Build sharded storage for `config`. `config.correlator_shards`
     /// must be positive ([`CorrelatorConfig::validate`] enforces it for
-    /// configs that come in through the front door) and the variant must
-    /// not be the exact-TTL strawman, whose stores have no partitionable
-    /// generations — [`crate::OfflineSimulator`] runs that variant on its
-    /// own small arm and [`crate::Correlator`] refuses it.
+    /// configs that come in through the front door).
     pub fn new(config: &CorrelatorConfig) -> Self {
         assert!(
             config.correlator_shards > 0,
             "ShardedStore requires correlator_shards > 0"
-        );
-        assert!(
-            !matches!(config.variant, Variant::ExactTtl),
-            "ShardedStore does not support the ExactTtl variant"
         );
         let ip_policy = RotationPolicy {
             clear_up_interval: config.a_clear_up_interval,
@@ -1234,21 +1227,6 @@ pub(crate) mod tests {
         // The rejected image left nothing behind for the good one to land on.
         assert_eq!(
             restored.import_image(&image, None).unwrap(),
-            store.total_entries()
-        );
-    }
-
-    #[test]
-    fn num_split_does_not_invalidate_a_snapshot() {
-        let store = ShardedStore::new(&sharded_config(2));
-        fill(&store, &dns_chain(SimTime::from_secs(10)));
-        let image = store.export_image();
-        let resplit = ShardedStore::new(&CorrelatorConfig {
-            num_split: 3,
-            ..sharded_config(2)
-        });
-        assert_eq!(
-            resplit.import_image(&image, None).unwrap(),
             store.total_entries()
         );
     }

@@ -9,7 +9,7 @@
 //! shard workers own, and accounts *work units* via the [`CostModel`]:
 //!
 //! * every event has a processing cost (insert, lookup cascade, CNAME
-//!   hops, output write, per-split bookkeeping);
+//!   hops, output write, per-split bookkeeping for [`NUM_SPLIT`] splits);
 //! * rotation copies and exact-TTL purge scans are charged per entry;
 //! * the exact-TTL variant additionally pays a serialization penalty per
 //!   event, modelling the shared-map contention Appendix A.8 blames for
@@ -19,11 +19,12 @@
 //!   incoming events are dropped and counted as stream loss, which is how
 //!   the >90% loss of the exact-TTL strawman emerges.
 //!
-//! The exact-TTL strawman has no partitioned form and the live correlator
-//! refuses it, so that variant runs on a small arm private to this
-//! module: two [`ExactTtlStore`]s keyed and valued by [`DomainName`]s
-//! (which share the parsed record's allocation and compare by content),
-//! with the same record filter and chain following as the partitions.
+//! The exact-TTL strawman has no partitioned form and is not a mode of
+//! the daemon, so [`OfflineSimulator::exact_ttl`] runs it on a small arm
+//! private to this module: two [`ExactTtlStore`]s keyed and valued by
+//! [`DomainName`]s (which share the parsed record's allocation and
+//! compare by content), with the same record filter and chain following
+//! as the partitions.
 //!
 //! The simulator emits per-hour samples (CPU%, memory, traffic volume,
 //! correlation rate, loss) — one row per point of the paper's time-series
@@ -33,7 +34,7 @@ use flowdns_bgp::{AsnReader, AsnView};
 use flowdns_storage::{ExactTtlStore, MemoryEstimate};
 use flowdns_types::{
     CorrelatedRecord, CorrelationOutcome, DnsAnswer, DnsRecord, DomainName, FlowRecord, IpKey,
-    RecordType, SimTime,
+    RecordType, SimDuration, SimTime,
 };
 
 use crate::config::{CorrelatorConfig, Variant};
@@ -62,9 +63,10 @@ impl Event {
 
 /// The simulator's storage: the store the live pipeline ships
 /// ([`ShardedStore`]) for the rotating variants, the exact-TTL arm for
-/// [`Variant::ExactTtl`]. The sharded form broadcasts the data clock to
-/// every partition before each event, so rotation boundaries — and
-/// therefore the correlated output — are identical for any shard count.
+/// [`OfflineSimulator::exact_ttl`]. The sharded form broadcasts the data
+/// clock to every partition before each event, so rotation boundaries —
+/// and therefore the correlated output — are identical for any shard
+/// count.
 enum SimStore {
     Sharded(Box<ShardedStore>),
     ExactTtl(Box<ExactTtlArm>),
@@ -100,7 +102,7 @@ impl SimStore {
 /// The Appendix A.8 exact-TTL strawman: exact-TTL IP-NAME and
 /// NAME-CNAME stores. A record is usable only until its own
 /// TTL runs out, and a purge walks each whole store every
-/// `exact_ttl_purge_interval` of data time.
+/// [`EXACT_TTL_PURGE_INTERVAL`] of data time.
 struct ExactTtlArm {
     ip_name: ExactTtlStore<IpKey, DomainName>,
     name_cname: ExactTtlStore<DomainName, DomainName>,
@@ -110,8 +112,8 @@ struct ExactTtlArm {
 impl ExactTtlArm {
     fn new(config: &CorrelatorConfig) -> Self {
         ExactTtlArm {
-            ip_name: ExactTtlStore::new(config.exact_ttl_purge_interval),
-            name_cname: ExactTtlStore::new(config.exact_ttl_purge_interval),
+            ip_name: ExactTtlStore::new(EXACT_TTL_PURGE_INTERVAL),
+            name_cname: ExactTtlStore::new(EXACT_TTL_PURGE_INTERVAL),
             loop_limit: config.cname_loop_limit,
         }
     }
@@ -228,6 +230,8 @@ pub struct SimulationOutcome {
     pub report: Report,
     /// Per-hour samples, in order.
     pub hourly: Vec<HourlySample>,
+    /// Total abstract work units spent (see [`CostModel`]).
+    pub work_units: f64,
 }
 
 impl SimulationOutcome {
@@ -262,10 +266,22 @@ impl SimulationOutcome {
 /// serialization; see module docs).
 const EXACT_TTL_OP_PENALTY: f64 = 25.0;
 
+/// `NUM_SPLIT`: the paper's IP-NAME split count (Table 1). No store
+/// splits; it sets only the per-split cost term, and
+/// [`Variant::NoSplit`] runs with one split.
+pub const NUM_SPLIT: usize = 10;
+
+/// Purge interval of the exact-TTL strawman (Appendix A.8), in record
+/// time.
+pub const EXACT_TTL_PURGE_INTERVAL: SimDuration = SimDuration::from_secs(300);
+
 /// The offline simulator.
 #[derive(Debug, Clone)]
 pub struct OfflineSimulator {
     config: CorrelatorConfig,
+    /// Run the Appendix A.8 exact-TTL strawman instead of the store the
+    /// daemon ships.
+    exact_ttl: bool,
     cost: CostModel,
     /// Number of CPU cores available to the deployment.
     capacity_cores: f64,
@@ -285,10 +301,22 @@ impl OfflineSimulator {
         let capacity_cores = 32.0;
         OfflineSimulator {
             config,
+            exact_ttl: false,
             cost,
             capacity_cores,
             backlog_allowance: cost.core_units_per_sec * capacity_cores * 5.0,
             asn_view: None,
+        }
+    }
+
+    /// A simulator of the Appendix A.8 exact-TTL strawman, which the
+    /// daemon has no mode for: records expire by their own TTL, and a
+    /// purge walks the whole store every [`EXACT_TTL_PURGE_INTERVAL`].
+    /// `config.variant` sets only the cost model's split count.
+    pub fn exact_ttl(config: CorrelatorConfig) -> Self {
+        OfflineSimulator {
+            exact_ttl: true,
+            ..OfflineSimulator::new(config)
         }
     }
 
@@ -344,7 +372,7 @@ impl OfflineSimulator {
         I: IntoIterator<Item = Event>,
         F: FnMut(&CorrelatedRecord),
     {
-        let mut store = if self.config.variant == Variant::ExactTtl {
+        let mut store = if self.exact_ttl {
             SimStore::ExactTtl(Box::new(ExactTtlArm::new(&self.config)))
         } else {
             SimStore::Sharded(Box::new(ShardedStore::new(&self.config)))
@@ -353,8 +381,11 @@ impl OfflineSimulator {
         let mut fillup_stats = FillUpStats::default();
         let mut lookup_stats = LookUpStats::default();
 
-        let split_overhead =
-            self.cost.split_overhead * (self.config.effective_num_split().saturating_sub(1)) as f64;
+        let splits = match self.config.variant {
+            Variant::NoSplit => 1,
+            _ => NUM_SPLIT,
+        };
+        let split_overhead = self.cost.split_overhead * (splits - 1) as f64;
         let capacity_per_sec = self.cost.core_units_per_sec * self.capacity_cores;
 
         let mut report = Report::default();
@@ -580,10 +611,13 @@ impl OfflineSimulator {
         report.metrics.write.volumes = report.volumes;
         report.metrics.dns_dropped = total_dns_dropped;
         report.metrics.flows_dropped = total_flows_dropped;
-        report.metrics.work_units = total_work;
         report.metrics.peak_memory = peak_memory;
 
-        SimulationOutcome { report, hourly }
+        SimulationOutcome {
+            report,
+            hourly,
+            work_units: total_work,
+        }
     }
 
     /// Work charged for store-internal maintenance that happened since the
@@ -681,7 +715,7 @@ mod tests {
         assert_eq!(outcome.hourly.len(), 2);
         assert_eq!(outcome.report.metrics.flows_dropped, 0);
         assert_eq!(outcome.report.metrics.dns_dropped, 0);
-        assert!(outcome.report.metrics.work_units > 0.0);
+        assert!(outcome.work_units > 0.0);
         // Hour 1: the DNS records are >3600s old. With rotation they live
         // in the Inactive maps and correlation holds.
         assert!(outcome.hourly[1].correlation_rate_pct > 80.0);
@@ -747,7 +781,7 @@ mod tests {
         let main = OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::Main))
             .with_capacity_cores(12.0)
             .run(&events);
-        let exact = OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::ExactTtl))
+        let exact = OfflineSimulator::exact_ttl(CorrelatorConfig::default())
             .with_capacity_cores(12.0)
             .run(&events);
         assert!(main.report.metrics.flow_loss_pct() < 1.0);
@@ -761,7 +795,7 @@ mod tests {
 
     #[test]
     fn exact_ttl_variant_expires_by_record_ttl() {
-        let mut arm = ExactTtlArm::new(&CorrelatorConfig::for_variant(Variant::ExactTtl));
+        let mut arm = ExactTtlArm::new(&CorrelatorConfig::default());
         let mut fillup = FillUpStats::default();
         arm.process_dns(&dns(0, "short.example", [9, 9, 9, 9], 30), &mut fillup);
         let mut lookup = LookUpStats::default();
@@ -846,7 +880,7 @@ mod tests {
     fn generated_trace() -> Vec<Event> {
         use flowdns_gen::{StreamEvent, Workload, WorkloadConfig};
         let workload = Workload::new(WorkloadConfig {
-            duration: flowdns_types::SimDuration::from_hours(3),
+            duration: SimDuration::from_hours(3),
             ..WorkloadConfig::small()
         });
         workload
@@ -858,20 +892,20 @@ mod tests {
             .collect()
     }
 
-    /// The sorted TSV egress (a multiset: order across shards is not
-    /// part of the contract) of one simulator arm over `events`.
-    fn sorted_egress(
-        variant: Variant,
-        correlator_shards: usize,
-        events: &[Event],
-    ) -> (Vec<String>, SimulationOutcome) {
-        let config = CorrelatorConfig {
+    /// `variant` at `correlator_shards` with the clear-up intervals
+    /// `generated_trace()` is built for.
+    fn trace_config(variant: Variant, correlator_shards: usize) -> CorrelatorConfig {
+        CorrelatorConfig {
             correlator_shards,
-            a_clear_up_interval: flowdns_types::SimDuration::from_secs(600),
-            c_clear_up_interval: flowdns_types::SimDuration::from_secs(1_200),
+            a_clear_up_interval: SimDuration::from_secs(600),
+            c_clear_up_interval: SimDuration::from_secs(1_200),
             ..CorrelatorConfig::for_variant(variant)
-        };
-        let sim = OfflineSimulator::new(config);
+        }
+    }
+
+    /// The sorted TSV egress (a multiset: order across shards is not
+    /// part of the contract) of one simulator over `events`.
+    fn sorted_egress(sim: &OfflineSimulator, events: &[Event]) -> (Vec<String>, SimulationOutcome) {
         let mut lines = Vec::new();
         let outcome = sim.run_with(events.iter().cloned(), |record| lines.push(record.to_tsv()));
         lines.sort();
@@ -903,7 +937,8 @@ mod tests {
             (Variant::NoRotation, 0xbc66_1cdd_42a1_9cd9),
             (Variant::NoLongHashmaps, 0x1574_a492_9f02_0bd8),
         ] {
-            let (lines, _) = sorted_egress(variant, 1, &events);
+            let (lines, _) =
+                sorted_egress(&OfflineSimulator::new(trace_config(variant, 1)), &events);
             assert_eq!(lines.len(), 100_939, "{variant}");
             assert_eq!(egress_hash(&lines), pinned, "{variant}");
         }
@@ -921,7 +956,8 @@ mod tests {
         use crate::write::WriteStats;
         use flowdns_types::{ByteVolume, VolumeAccumulator};
         let events = generated_trace();
-        let (lines, outcome) = sorted_egress(Variant::ExactTtl, 1, &events);
+        let exact = OfflineSimulator::exact_ttl(trace_config(Variant::Main, 1));
+        let (lines, outcome) = sorted_egress(&exact, &events);
         assert_eq!(lines.len(), 22_361);
         assert_eq!(egress_hash(&lines), 0xfe7d_8537_bfe3_4337);
         let expected = PipelineMetrics {
@@ -948,7 +984,6 @@ mod tests {
             },
             dns_dropped: 21_850,
             flows_dropped: 78_578,
-            work_units: 1_037_189.579_999_742_8,
             peak_memory: MemoryEstimate {
                 entries: 593,
                 payload_bytes: 37_788,
@@ -956,10 +991,8 @@ mod tests {
             ..PipelineMetrics::default()
         };
         assert_eq!(outcome.report.metrics, expected);
-        assert_eq!(
-            outcome.report.metrics.work_units.to_bits(),
-            0x412f_a70b_28f5_b9ee
-        );
+        assert_eq!(outcome.work_units, 1_037_189.579_999_742_8);
+        assert_eq!(outcome.work_units.to_bits(), 0x412f_a70b_28f5_b9ee);
     }
 
     #[test]
@@ -975,11 +1008,9 @@ mod tests {
             .count();
         assert!(flows > 50_000, "trace too small: {flows} flows");
         for variant in Variant::all() {
-            if variant == Variant::ExactTtl {
-                continue; // the exact-TTL arm is not partitioned
-            }
-            let (one, one_outcome) = sorted_egress(variant, 1, &events);
-            let (four, four_outcome) = sorted_egress(variant, 4, &events);
+            let sim = |shards| OfflineSimulator::new(trace_config(variant, shards));
+            let (one, one_outcome) = sorted_egress(&sim(1), &events);
+            let (four, four_outcome) = sorted_egress(&sim(4), &events);
             assert_eq!(one.len(), flows);
             assert!(one == four, "{variant}: 1 vs 4 shards differ");
             assert_eq!(
@@ -987,6 +1018,7 @@ mod tests {
                 "{variant}: stage counters or peak memory differ between 1 and 4 shards"
             );
             assert_eq!(one_outcome.hourly, four_outcome.hourly, "{variant}");
+            assert_eq!(one_outcome.work_units, four_outcome.work_units, "{variant}");
             assert!(one_outcome.report.metrics.lookup.cname_hops > 0);
         }
     }

@@ -241,7 +241,7 @@ variant = NoRotation
             Some("/tmp/rib.txt")
         );
         // Untouched correlator keys keep their defaults.
-        assert_eq!(cfg.correlator.num_split, 10);
+        assert_eq!(cfg.correlator.cname_loop_limit, 6);
     }
 
     #[test]

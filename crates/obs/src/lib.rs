@@ -7,11 +7,11 @@
 //! from the standard library only (the build environment is offline):
 //!
 //! * [`MetricsRegistry`] — named counters, gauges and log-bucketed
-//!   histograms, registered once and scraped many times. Counters and
-//!   gauges can wrap either a registry-owned atomic or a closure over
-//!   an atomic the pipeline already maintains, which makes the registry
-//!   the *single read path*: the stderr stats lines and `/metrics` are
-//!   formatted from the same samples and can never disagree.
+//!   histograms, registered once and scraped many times. Every series
+//!   is a closure over state the pipeline already maintains, which
+//!   makes the registry the *single read path*: the stderr stats lines
+//!   and `/metrics` are formatted from the same samples and can never
+//!   disagree.
 //! * [`Histogram`] — HDR-style power-of-two sub-bucketed values with
 //!   sharded per-thread recording ([`HistogramRecorder`]) and
 //!   merge-on-read snapshots; recording is two relaxed atomic adds on
@@ -35,8 +35,8 @@ pub mod server;
 pub mod trace;
 
 pub use metrics::{
-    bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HistogramRecorder,
-    HistogramSnapshot, HISTOGRAM_BUCKETS,
+    bucket_index, bucket_upper_bound, Histogram, HistogramRecorder, HistogramSnapshot,
+    HISTOGRAM_BUCKETS,
 };
 pub use registry::{MetricsRegistry, RegistrySnapshot, SampleValue, SampledSeries};
 pub use server::{HealthCheck, HealthStatus, MetricsServer};

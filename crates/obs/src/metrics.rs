@@ -1,5 +1,5 @@
-//! Metric primitives: counters, gauges, and sharded log-bucketed
-//! histograms.
+//! Metric primitives: sharded log-bucketed histograms and the bucket
+//! scheme they share.
 //!
 //! The bucketing scheme is shared with `flowdns_stream::latency`: four
 //! sub-buckets per power of two across forty octaves, so any quantile
@@ -41,61 +41,6 @@ pub fn bucket_upper_bound(index: usize) -> u64 {
     let sub = (log_index % SUB_BUCKETS) as u64;
     // Buckets in this octave span [2^octave, 2^(octave+1)) in 4 steps.
     (1u64 << octave) + (sub + 1) * (1u64 << (octave - 2)) - 1
-}
-
-/// A monotonically increasing counter. Cloning shares the underlying
-/// atomic, so the pipeline can hold a handle while the registry renders
-/// the same value.
-#[derive(Debug, Clone, Default)]
-pub struct Counter(Arc<AtomicU64>);
-
-impl Counter {
-    /// A counter at zero.
-    pub fn new() -> Self {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        // ordering: monotonic stats counter read only by scrapes; no
-        // other data is published through it, so no edge is needed.
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-}
-
-/// A gauge: a value that can go up and down, stored as `f64` bits in an
-/// atomic. Cloning shares the underlying atomic.
-#[derive(Debug, Clone, Default)]
-pub struct Gauge(Arc<AtomicU64>);
-
-impl Gauge {
-    /// A gauge at zero.
-    pub fn new() -> Self {
-        Gauge::default()
-    }
-
-    /// Set the value.
-    pub fn set(&self, value: f64) {
-        // ordering: the gauge is an independent published value — the
-        // f64 bits travel in the atomic itself, and readers never infer
-        // other memory state from it.
-        self.0.store(value.to_bits(), Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> f64 {
-        f64::from_bits(self.0.load(Ordering::Relaxed))
-    }
 }
 
 /// One shard of a histogram: a private cache-line neighborhood for one
@@ -151,15 +96,6 @@ impl Histogram {
         HistogramRecorder {
             shards: Arc::clone(&self.shards),
             index: worker % self.shards.len(),
-        }
-    }
-
-    /// Record into shard 0 (convenience for single-threaded callers).
-    pub fn record(&self, value: u64) {
-        // `new` guarantees at least one shard; `first()` keeps this
-        // panic-free even if that invariant ever changes.
-        if let Some(shard) = self.shards.first() {
-            shard.record(value);
         }
     }
 
@@ -297,21 +233,6 @@ mod tests {
         assert_eq!(snap.p99(), 0);
         assert_eq!(snap.mean(), 0.0);
         assert_eq!(Histogram::new(1).snapshot().p50(), 0);
-    }
-
-    #[test]
-    fn counter_and_gauge_share_state_across_clones() {
-        let c = Counter::new();
-        let c2 = c.clone();
-        c.inc();
-        c2.add(4);
-        assert_eq!(c.get(), 5);
-        let g = Gauge::new();
-        let g2 = g.clone();
-        g.set(2.5);
-        assert_eq!(g2.get(), 2.5);
-        g2.set(-1.0);
-        assert_eq!(g.get(), -1.0);
     }
 
     proptest! {

@@ -1,38 +1,33 @@
 //! The metrics registry: named series, registration, and rendering.
 //!
-//! Every series is either *owned* (a [`Counter`], [`Gauge`] or
-//! [`Histogram`] handed back to the caller) or a *closure* over state
-//! the pipeline already maintains (`counter_fn` / `gauge_fn` /
-//! `histogram_fn`). The closure form is what makes the registry the
-//! single source of truth: `flowdnsd`'s stderr lines and the
-//! `/metrics` exposition both read through [`MetricsRegistry::snapshot`],
-//! so they cannot disagree.
+//! Every series is a *closure* over state the pipeline already maintains
+//! (`counter_fn` / `gauge_fn` / `histogram_fn`). That is what makes the
+//! registry the single source of truth: `flowdnsd`'s stderr lines and
+//! the `/metrics` exposition both read through
+//! [`MetricsRegistry::snapshot`], so they cannot disagree.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as FmtWrite;
 use std::sync::Mutex;
 
-use crate::metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot};
+use crate::metrics::{bucket_upper_bound, HistogramSnapshot};
 
 type CounterFn = Box<dyn Fn() -> u64 + Send + Sync>;
 type GaugeFn = Box<dyn Fn() -> f64 + Send + Sync>;
 type HistogramFn = Box<dyn Fn() -> HistogramSnapshot + Send + Sync>;
 
 enum Source {
-    Counter(Counter),
-    CounterFn(CounterFn),
-    Gauge(Gauge),
-    GaugeFn(GaugeFn),
-    Histogram(Histogram),
-    HistogramFn(HistogramFn),
+    Counter(CounterFn),
+    Gauge(GaugeFn),
+    Histogram(HistogramFn),
 }
 
 impl Source {
     fn kind(&self) -> &'static str {
         match self {
-            Source::Counter(_) | Source::CounterFn(_) => "counter",
-            Source::Gauge(_) | Source::GaugeFn(_) => "gauge",
-            Source::Histogram(_) | Source::HistogramFn(_) => "histogram",
+            Source::Counter(_) => "counter",
+            Source::Gauge(_) => "gauge",
+            Source::Histogram(_) => "histogram",
         }
     }
 }
@@ -120,13 +115,6 @@ impl MetricsRegistry {
         });
     }
 
-    /// Register an owned counter and return its handle.
-    pub fn counter(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Counter {
-        let counter = Counter::new();
-        self.register(name, help, labels, Source::Counter(counter.clone()));
-        counter
-    }
-
     /// Register a counter read from a closure (typically over an atomic
     /// the pipeline already maintains).
     pub fn counter_fn(
@@ -136,14 +124,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl Fn() -> u64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::CounterFn(Box::new(f)));
-    }
-
-    /// Register an owned gauge and return its handle.
-    pub fn gauge(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Gauge {
-        let gauge = Gauge::new();
-        self.register(name, help, labels, Source::Gauge(gauge.clone()));
-        gauge
+        self.register(name, help, labels, Source::Counter(Box::new(f)));
     }
 
     /// Register a gauge read from a closure.
@@ -154,20 +135,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl Fn() -> f64 + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::GaugeFn(Box::new(f)));
-    }
-
-    /// Register an owned sharded histogram and return its handle.
-    pub fn histogram(
-        &self,
-        name: &str,
-        help: &str,
-        labels: &[(&str, &str)],
-        shards: usize,
-    ) -> Histogram {
-        let histogram = Histogram::new(shards);
-        self.register(name, help, labels, Source::Histogram(histogram.clone()));
-        histogram
+        self.register(name, help, labels, Source::Gauge(Box::new(f)));
     }
 
     /// Register a histogram whose merged snapshot comes from a closure
@@ -179,7 +147,7 @@ impl MetricsRegistry {
         labels: &[(&str, &str)],
         f: impl Fn() -> HistogramSnapshot + Send + Sync + 'static,
     ) {
-        self.register(name, help, labels, Source::HistogramFn(Box::new(f)));
+        self.register(name, help, labels, Source::Histogram(Box::new(f)));
     }
 
     /// Sample every series once, consistently enough for reporting.
@@ -197,12 +165,9 @@ impl MetricsRegistry {
                     help: s.help.clone(),
                     labels: s.labels.clone(),
                     value: match &s.source {
-                        Source::Counter(c) => SampleValue::Counter(c.get()),
-                        Source::CounterFn(f) => SampleValue::Counter(f()),
-                        Source::Gauge(g) => SampleValue::Gauge(g.get()),
-                        Source::GaugeFn(f) => SampleValue::Gauge(f()),
-                        Source::Histogram(h) => SampleValue::Histogram(h.snapshot()),
-                        Source::HistogramFn(f) => SampleValue::Histogram(f()),
+                        Source::Counter(f) => SampleValue::Counter(f()),
+                        Source::Gauge(f) => SampleValue::Gauge(f()),
+                        Source::Histogram(f) => SampleValue::Histogram(f()),
                     },
                 })
                 .collect(),
@@ -525,32 +490,40 @@ fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::metrics::Histogram;
+
+    /// A single-shard histogram holding `values`.
+    fn histogram_of(values: &[u64]) -> Histogram {
+        let histogram = Histogram::new(1);
+        let recorder = histogram.recorder(0);
+        for &v in values {
+            recorder.record(v);
+        }
+        histogram
+    }
 
     /// The golden exposition test: exact expected output for a small
     /// registry covering all three kinds, escaping, and label sets.
     #[test]
     fn golden_prometheus_exposition() {
         let registry = MetricsRegistry::new();
-        let c = registry.counter(
+        registry.counter_fn(
             "flowdns_test_flows_total",
             "Flows seen.\nSecond line with a back\\slash.",
             &[("listener", "0")],
+            || 42,
         );
-        c.add(41);
-        c.inc();
         registry.counter_fn(
             "flowdns_test_flows_total",
             "Flows seen.",
             &[("listener", "quo\"te")],
             || 7,
         );
-        let g = registry.gauge("flowdns_test_depth", "Queue depth.", &[]);
-        g.set(3.0);
-        let h = registry.histogram("flowdns_test_wait_us", "Queue wait.", &[], 1);
-        h.record(0);
-        h.record(5);
-        h.record(5);
-        h.record(1_000);
+        registry.gauge_fn("flowdns_test_depth", "Queue depth.", &[], || 3.0);
+        let h = histogram_of(&[0, 5, 5, 1_000]);
+        registry.histogram_fn("flowdns_test_wait_us", "Queue wait.", &[], move || {
+            h.snapshot()
+        });
 
         let text = registry.render_prometheus();
         let expected = "\
@@ -576,13 +549,14 @@ flowdns_test_wait_us_count 4
     #[test]
     fn histogram_buckets_are_cumulative_and_monotone() {
         let registry = MetricsRegistry::new();
-        let h = registry.histogram("h_us", "h", &[], 4);
+        let h = Histogram::new(4);
         for worker in 0..4 {
             let rec = h.recorder(worker);
             for v in [1u64, 10, 100, 1_000, 10_000, 100_000] {
                 rec.record(v);
             }
         }
+        registry.histogram_fn("h_us", "h", &[], move || h.snapshot());
         let text = registry.render_prometheus();
         let mut last = 0u64;
         let mut bucket_lines = 0;
@@ -621,27 +595,25 @@ flowdns_test_wait_us_count 4
     #[should_panic(expected = "two kinds")]
     fn mixed_kind_registration_panics() {
         let registry = MetricsRegistry::new();
-        let _ = registry.counter("m", "m", &[]);
-        let _ = registry.gauge("m", "m", &[]);
+        registry.counter_fn("m", "m", &[], || 0);
+        registry.gauge_fn("m", "m", &[], || 0.0);
     }
 
     #[test]
     #[should_panic(expected = "identical labels")]
     fn duplicate_series_registration_panics() {
         let registry = MetricsRegistry::new();
-        let _ = registry.counter("m", "m", &[("a", "b")]);
-        let _ = registry.counter("m", "m", &[("a", "b")]);
+        registry.counter_fn("m", "m", &[("a", "b")], || 0);
+        registry.counter_fn("m", "m", &[("a", "b")], || 0);
     }
 
     #[test]
     fn json_document_lists_every_series() {
         let registry = MetricsRegistry::new();
-        let c = registry.counter("c_total", "c", &[("k", "v")]);
-        c.add(2);
-        let g = registry.gauge("g", "g", &[]);
-        g.set(1.5);
-        let h = registry.histogram("h_us", "h", &[], 1);
-        h.record(100);
+        registry.counter_fn("c_total", "c", &[("k", "v")], || 2);
+        registry.gauge_fn("g", "g", &[], || 1.5);
+        let h = histogram_of(&[100]);
+        registry.histogram_fn("h_us", "h", &[], move || h.snapshot());
         let json = registry.render_json();
         assert!(json.contains("\"name\": \"c_total\""));
         assert!(json.contains("\"value\": 2"));

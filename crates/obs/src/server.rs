@@ -240,8 +240,7 @@ mod tests {
     #[test]
     fn serves_metrics_health_and_stats() {
         let registry = Arc::new(MetricsRegistry::new());
-        let c = registry.counter("up_total", "Liveness counter.", &[]);
-        c.add(3);
+        registry.counter_fn("up_total", "Liveness counter.", &[], || 3);
         let health: HealthCheck = Arc::new(|| HealthStatus::ok("all queues idle"));
         let server = MetricsServer::start(
             "127.0.0.1:0".parse().unwrap(),

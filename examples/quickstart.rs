@@ -13,8 +13,8 @@ use std::net::Ipv4Addr;
 
 fn main() {
     // 1. Start a correlator with the paper's default parameters
-    //    (AClearUpInterval=3600, CClearUpInterval=7200, NUM_SPLIT=10,
-    //    CNAME loop limit 6).
+    //    (AClearUpInterval=3600, CClearUpInterval=7200, CNAME loop
+    //    limit 6).
     let correlator = Correlator::start(CorrelatorConfig::default()).expect("start pipeline");
 
     // 2. Feed the DNS stream: a CNAME chain for a CDN-hosted shop plus a

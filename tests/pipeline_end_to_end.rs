@@ -178,8 +178,7 @@ fn exact_ttl_variant_loses_data_where_main_does_not() {
     let events: Vec<Event> = workload.events().map(to_event).collect();
 
     let main = OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::Main)).run(&events);
-    let exact =
-        OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::ExactTtl)).run(&events);
+    let exact = OfflineSimulator::exact_ttl(CorrelatorConfig::default()).run(&events);
 
     assert!(main.report.metrics.flow_loss_pct() < 2.0);
     assert!(
@@ -209,13 +208,13 @@ fn cardinality_analysis_over_generated_dns_matches_paper_shape() {
 fn config_file_round_trip_drives_the_pipeline() {
     let text = "
 # integration-test deployment
-num_split = 4
+cname_loop_limit = 4
 correlator_shards = 2
 write_workers = 1
 variant = Main
 ";
     let config = CorrelatorConfig::from_config_text(text).unwrap();
-    assert_eq!(config.effective_num_split(), 4);
+    assert_eq!(config.cname_loop_limit, 4);
     assert_eq!(config.correlator_shards, 2);
     let correlator = Correlator::start(config).unwrap();
     correlator.dns_router().route(DnsRecord::address(

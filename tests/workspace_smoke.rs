@@ -9,6 +9,7 @@ use flowdns::core::simulate::Event;
 use flowdns::core::{Correlator, CorrelatorConfig};
 use flowdns::gen::workload::StreamEvent;
 use flowdns::gen::{Workload, WorkloadConfig};
+use flowdns::ingest::DaemonConfig;
 use flowdns::types::SimDuration;
 
 #[test]
@@ -83,4 +84,13 @@ fn generator_events_feed_the_simulator() {
         })
         .collect();
     assert!(!events.is_empty());
+}
+
+/// The shipped example deployment parses: a key the parser retired
+/// fails here, not only when a daemon is booted with the file.
+#[test]
+fn example_daemon_config_parses() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/flowdnsd.conf");
+    let config = DaemonConfig::from_file(path).unwrap_or_else(|e| panic!("{path}: {e}"));
+    assert_eq!(config.correlator.correlator_shards, 4);
 }
