@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use flowdns_types::{DomainName, SimDuration, SimTime};
+use flowdns_types::DomainName;
 
 /// Blocklist categories, matching the composition the paper reports for
 /// its 1M-name hourly sample (512 spam, 41 botnet C&C, 34 abused
@@ -49,13 +49,10 @@ impl BlocklistCategory {
 ///
 /// Lookups match the exact name or any listed parent domain (listing
 /// `bad.example` also flags `cdn.bad.example`), which is how DNSBL
-/// services behave. Lookups are counted so deployments can respect
-/// bandwidth limits (the paper samples once an hour for this reason).
+/// services behave.
 #[derive(Debug, Default, Clone)]
 pub struct Blocklist {
     entries: HashMap<DomainName, BlocklistCategory>,
-    /// Number of lookups performed.
-    pub lookups: u64,
 }
 
 impl Blocklist {
@@ -69,11 +66,6 @@ impl Blocklist {
         self.entries.insert(domain, category);
     }
 
-    /// Number of listed domains.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Is the blocklist empty?
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
@@ -81,8 +73,7 @@ impl Blocklist {
 
     /// Look up a domain: returns the category of the name itself or of the
     /// closest listed parent.
-    pub fn lookup(&mut self, domain: &DomainName) -> Option<BlocklistCategory> {
-        self.lookups += 1;
+    pub fn lookup(&self, domain: &DomainName) -> Option<BlocklistCategory> {
         if let Some(cat) = self.entries.get(domain) {
             return Some(*cat);
         }
@@ -95,80 +86,6 @@ impl Blocklist {
             }
         }
         None
-    }
-
-    /// Counts per category.
-    pub fn category_counts(&self) -> HashMap<BlocklistCategory, usize> {
-        let mut counts = HashMap::new();
-        for cat in self.entries.values() {
-            *counts.entry(*cat).or_insert(0) += 1;
-        }
-        counts
-    }
-}
-
-/// Samples domain names once per interval (the paper samples once an hour
-/// "to avoid bandwidth limitations on Spamhaus DBL").
-#[derive(Debug)]
-pub struct HourlySampler {
-    interval: SimDuration,
-    last_sample: Option<SimTime>,
-    /// Names accepted into the sample.
-    pub sampled: Vec<DomainName>,
-    /// Names skipped because the interval had not elapsed.
-    pub skipped: u64,
-    seen_in_window: std::collections::HashSet<DomainName>,
-}
-
-impl HourlySampler {
-    /// A sampler emitting at most one batch per `interval`.
-    pub fn new(interval: SimDuration) -> Self {
-        HourlySampler {
-            interval,
-            last_sample: None,
-            sampled: Vec::new(),
-            skipped: 0,
-            seen_in_window: std::collections::HashSet::new(),
-        }
-    }
-
-    /// The paper's once-an-hour sampler.
-    pub fn hourly() -> Self {
-        HourlySampler::new(SimDuration::from_hours(1))
-    }
-
-    /// Offer a domain observed at `ts`. Within a sampling window each
-    /// distinct name is accepted once; once the window closes the next
-    /// offer opens a new window.
-    pub fn offer(&mut self, domain: &DomainName, ts: SimTime) -> bool {
-        let window_open = match self.last_sample {
-            None => true,
-            Some(start) => ts.saturating_since(start) < self.interval,
-        };
-        if !window_open {
-            // Start a new window.
-            self.last_sample = Some(ts);
-            self.seen_in_window.clear();
-        } else if self.last_sample.is_none() {
-            self.last_sample = Some(ts);
-        }
-        if self.seen_in_window.insert(domain.clone()) {
-            self.sampled.push(domain.clone());
-            true
-        } else {
-            self.skipped += 1;
-            false
-        }
-    }
-
-    /// Number of distinct names sampled so far.
-    pub fn len(&self) -> usize {
-        self.sampled.len()
-    }
-
-    /// Has nothing been sampled yet?
-    pub fn is_empty(&self) -> bool {
-        self.sampled.is_empty()
     }
 }
 
@@ -195,7 +112,7 @@ mod tests {
 
     #[test]
     fn exact_and_subdomain_matches() {
-        let mut bl = blocklist();
+        let bl = blocklist();
         assert_eq!(
             bl.lookup(&DomainName::literal("spamhub.example")),
             Some(BlocklistCategory::Spam)
@@ -209,41 +126,13 @@ mod tests {
             Some(BlocklistCategory::BotnetCc)
         );
         assert_eq!(bl.lookup(&DomainName::literal("benign.example")), None);
-        assert_eq!(bl.lookups, 4);
     }
 
     #[test]
     fn parent_listing_does_not_leak_sideways() {
-        let mut bl = blocklist();
+        let bl = blocklist();
         // "bad.example" itself is not listed, only cc-node3.bad.example.
         assert_eq!(bl.lookup(&DomainName::literal("bad.example")), None);
         assert_eq!(bl.lookup(&DomainName::literal("other.bad.example")), None);
-    }
-
-    #[test]
-    fn category_counts() {
-        let bl = blocklist();
-        let counts = bl.category_counts();
-        assert_eq!(counts[&BlocklistCategory::Spam], 1);
-        assert_eq!(counts[&BlocklistCategory::BotnetCc], 1);
-        assert_eq!(counts[&BlocklistCategory::Malware], 1);
-        assert_eq!(bl.len(), 3);
-        assert!(!bl.is_empty());
-    }
-
-    #[test]
-    fn hourly_sampler_dedups_within_window() {
-        let mut sampler = HourlySampler::hourly();
-        let a = DomainName::literal("a.example");
-        let b = DomainName::literal("b.example");
-        assert!(sampler.offer(&a, SimTime::from_secs(0)));
-        assert!(!sampler.offer(&a, SimTime::from_secs(10)));
-        assert!(sampler.offer(&b, SimTime::from_secs(20)));
-        assert_eq!(sampler.len(), 2);
-        assert_eq!(sampler.skipped, 1);
-        // A new window re-admits the same name.
-        assert!(sampler.offer(&a, SimTime::from_secs(3_700)));
-        assert_eq!(sampler.len(), 3);
-        assert!(!sampler.is_empty());
     }
 }

@@ -7,9 +7,9 @@
 
 use std::collections::{HashMap, HashSet};
 
-use flowdns_types::{DnsRecord, DomainName, IpKey, SimTime, TimeRange};
+use flowdns_types::{DnsRecord, DomainName, IpKey, TimeRange};
 
-use crate::ecdf::Ecdf;
+use super::ecdf::Ecdf;
 
 /// Cardinality counters over a DNS sample window.
 ///
@@ -22,8 +22,6 @@ pub struct CardinalityAnalysis {
     names_per_ip: HashMap<IpKey, HashSet<DomainName>>,
     ips_per_name: HashMap<DomainName, HashSet<IpKey>>,
     window: Option<TimeRange>,
-    /// Records skipped because they fell outside the window.
-    pub out_of_window: u64,
 }
 
 impl CardinalityAnalysis {
@@ -42,19 +40,10 @@ impl CardinalityAnalysis {
         }
     }
 
-    /// The conventional 300-second window starting at `start`.
-    pub fn short_window(start: SimTime) -> Self {
-        CardinalityAnalysis::with_window(TimeRange::starting_at(
-            start,
-            flowdns_types::SimDuration::from_secs(300),
-        ))
-    }
-
     /// Observe one DNS record (only A/AAAA records contribute).
     pub fn observe(&mut self, record: &DnsRecord) {
         if let Some(window) = &self.window {
             if !window.contains(record.ts) {
-                self.out_of_window += 1;
                 return;
             }
         }
@@ -122,6 +111,7 @@ impl CardinalityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use flowdns_types::{SimDuration, SimTime};
     use std::net::Ipv4Addr;
 
     fn record(ts: u64, name: &str, ip: [u8; 4]) -> DnsRecord {
@@ -148,16 +138,19 @@ mod tests {
         assert!((a.multi_ip_name_share() - 1.0 / 3.0).abs() < 1e-9);
         let ecdf = a.names_per_ip_ecdf();
         assert!((ecdf.fraction_at_or_below(1.0) - 2.0 / 3.0).abs() < 1e-9);
-        assert_eq!(a.ips_per_name_ecdf().max(), Some(2.0));
+        assert!((a.ips_per_name_ecdf().fraction_at_or_below(1.0) - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
     fn window_restricts_the_sample() {
-        let mut a = CardinalityAnalysis::short_window(SimTime::from_secs(100));
+        let mut a = CardinalityAnalysis::with_window(TimeRange::starting_at(
+            SimTime::from_secs(100),
+            SimDuration::from_secs(300),
+        ));
         a.observe(&record(150, "in.example", [5, 5, 5, 5]));
         a.observe(&record(500, "out.example", [6, 6, 6, 6]));
         assert_eq!(a.ip_count(), 1);
-        assert_eq!(a.out_of_window, 1);
+        assert_eq!(a.name_count(), 1);
     }
 
     #[test]

@@ -11,10 +11,11 @@
 use std::collections::{HashMap, HashSet};
 use std::net::IpAddr;
 
-use flowdns_dbl::{Blocklist, BlocklistCategory, ValidityStats};
 use flowdns_types::{CorrelatedRecord, DomainName, FlowDirection};
 
-use crate::traffic::TrafficByKey;
+use super::blocklist::{Blocklist, BlocklistCategory};
+use super::traffic::TrafficByKey;
+use super::validity::ValidityStats;
 
 /// The traffic categories of the Section 5 analysis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,7 +83,7 @@ impl CategoryAnalysis {
     }
 
     /// Classify a domain name.
-    pub fn classify(&mut self, domain: &DomainName) -> TrafficCategory {
+    fn classify(&mut self, domain: &DomainName) -> TrafficCategory {
         if let Some(listed) = self.blocklist.lookup(domain) {
             return TrafficCategory::Listed(listed);
         }
@@ -153,25 +154,21 @@ impl CategoryAnalysis {
         &self.validity
     }
 
-    /// Bytes carried by suspicious (blocklisted) plus malformed traffic.
-    pub fn suspicious_and_malformed_bytes(&self) -> u64 {
-        self.per_category
+    /// Share of total traffic that is suspicious (blocklisted) or
+    /// malformed (the paper: about 0.5% of daily traffic).
+    pub fn suspicious_and_malformed_share(&self) -> f64 {
+        if self.total_bytes == 0 {
+            return 0.0;
+        }
+        let bytes: u64 = self
+            .per_category
             .iter()
             .filter(|(cat, _)| {
                 matches!(cat, TrafficCategory::Listed(_) | TrafficCategory::Malformed)
             })
             .map(|(_, t)| t.total_bytes())
-            .sum()
-    }
-
-    /// Share of total traffic that is suspicious or malformed (the paper:
-    /// about 0.5% of daily traffic).
-    pub fn suspicious_and_malformed_share(&self) -> f64 {
-        if self.total_bytes == 0 {
-            0.0
-        } else {
-            self.suspicious_and_malformed_bytes() as f64 / self.total_bytes as f64
-        }
+            .sum();
+        bytes as f64 / self.total_bytes as f64
     }
 
     /// Number of distinct suspicious domains observed per category.

@@ -39,26 +39,6 @@ impl Ecdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// The q-quantile (q in `[0, 1]`); `None` for an empty ECDF.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        if self.sorted.is_empty() {
-            return None;
-        }
-        let q = q.clamp(0.0, 1.0);
-        let idx = ((self.sorted.len() as f64 - 1.0) * q).round() as usize;
-        Some(self.sorted[idx])
-    }
-
-    /// The minimum sample.
-    pub fn min(&self) -> Option<f64> {
-        self.sorted.first().copied()
-    }
-
-    /// The maximum sample.
-    pub fn max(&self) -> Option<f64> {
-        self.sorted.last().copied()
-    }
-
     /// Evaluate the ECDF at each of `points`, returning `(x, F(x))` pairs —
     /// the series a plot of the figure would use.
     pub fn series(&self, points: &[f64]) -> Vec<(f64, f64)> {
@@ -74,16 +54,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fractions_and_quantiles() {
+    fn fractions_at_or_below() {
         let ecdf = Ecdf::from_counts([1u64, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
         assert_eq!(ecdf.len(), 10);
         assert!((ecdf.fraction_at_or_below(5.0) - 0.5).abs() < 1e-9);
         assert!((ecdf.fraction_at_or_below(10.0) - 1.0).abs() < 1e-9);
         assert_eq!(ecdf.fraction_at_or_below(0.5), 0.0);
-        assert_eq!(ecdf.quantile(0.0), Some(1.0));
-        assert_eq!(ecdf.quantile(1.0), Some(10.0));
-        assert_eq!(ecdf.min(), Some(1.0));
-        assert_eq!(ecdf.max(), Some(10.0));
     }
 
     #[test]
@@ -102,7 +78,6 @@ mod tests {
         let empty = Ecdf::from_samples(std::iter::empty());
         assert!(empty.is_empty());
         assert_eq!(empty.fraction_at_or_below(1.0), 0.0);
-        assert_eq!(empty.quantile(0.5), None);
         let cleaned = Ecdf::from_samples([1.0, f64::NAN, 2.0, f64::INFINITY]);
         assert_eq!(cleaned.len(), 2);
     }

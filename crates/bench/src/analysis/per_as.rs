@@ -21,9 +21,6 @@ use flowdns_types::CorrelatedRecord;
 pub struct PerAsTraffic {
     /// bytes[(hour, asn)] = bytes
     bytes: BTreeMap<(u64, u32), u64>,
-    /// Bytes whose record carried no source-AS attribution (address not
-    /// covered by any announcement, or pipeline run without a table).
-    pub unattributed_bytes: u64,
 }
 
 impl PerAsTraffic {
@@ -35,14 +32,12 @@ impl PerAsTraffic {
     /// Observe one correlated record belonging to the service being
     /// analyzed. The caller filters records by service (e.g. by final
     /// domain name suffix); this method buckets the record's pre-stamped
-    /// `src_asn` by hour.
+    /// `src_asn` by hour. A record without one (address not covered by
+    /// any announcement, or a run without a table) is not counted.
     pub fn observe(&mut self, record: &CorrelatedRecord) {
-        let hour = record.flow.ts.as_secs() / 3600;
-        match record.src_asn {
-            Some(asn) => {
-                *self.bytes.entry((hour, asn)).or_insert(0) += record.flow.bytes;
-            }
-            None => self.unattributed_bytes += record.flow.bytes,
+        if let Some(asn) = record.src_asn {
+            let hour = record.flow.ts.as_secs() / 3600;
+            *self.bytes.entry((hour, asn)).or_insert(0) += record.flow.bytes;
         }
     }
 
@@ -74,7 +69,7 @@ impl PerAsTraffic {
 
     /// The per-hour series for one AS: `(hour, bytes)` pairs in hour order
     /// (hours with no traffic are omitted).
-    pub fn hourly_series(&self, asn: u32) -> Vec<(u64, u64)> {
+    fn hourly_series(&self, asn: u32) -> Vec<(u64, u64)> {
         self.bytes
             .iter()
             .filter(|((_, a), _)| *a == asn)
@@ -141,7 +136,6 @@ mod tests {
         per_as.observe(&record(&view, 1, [100, 65, 1, 1], 500));
         per_as.observe(&record(&view, 2, [198, 51, 100, 1], 999));
         assert_eq!(per_as.total_bytes(), 4500);
-        assert_eq!(per_as.unattributed_bytes, 999);
         let ranked = per_as.ases_by_traffic();
         assert_eq!(ranked[0], (64501, 4000));
         assert_eq!(ranked[1], (64601, 500));
@@ -162,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn unstamped_records_count_as_unattributed() {
+    fn unstamped_records_are_not_attributed() {
         let mut per_as = PerAsTraffic::new();
         per_as.observe(&CorrelatedRecord::new(
             FlowRecord::inbound(
@@ -174,7 +168,7 @@ mod tests {
             CorrelationOutcome::NotFound,
         ));
         assert_eq!(per_as.total_bytes(), 0);
-        assert_eq!(per_as.unattributed_bytes, 777);
+        assert!(per_as.ases_by_traffic().is_empty());
     }
 
     #[test]

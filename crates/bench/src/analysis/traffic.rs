@@ -3,8 +3,7 @@
 //! Figure 5 plots, per domain category, the cumulative distribution of
 //! traffic volume against the number of domain names: sort the category's
 //! domains by traffic, then report how many bytes the top-k carry.
-//! [`TrafficByKey`] is the generic accumulator behind that plot and the
-//! per-service / per-AS breakdowns.
+//! [`TrafficByKey`] is the accumulator behind that plot.
 
 use std::collections::HashMap;
 
@@ -37,23 +36,11 @@ impl TrafficByKey {
         self.total
     }
 
-    /// Bytes for one key (0 if absent).
-    pub fn get(&self, key: &str) -> u64 {
-        self.bytes.get(key).copied().unwrap_or(0)
-    }
-
     /// The keys sorted by descending traffic, with their byte counts.
-    pub fn ranked(&self) -> Vec<(String, u64)> {
+    fn ranked(&self) -> Vec<(String, u64)> {
         let mut out: Vec<(String, u64)> = self.bytes.iter().map(|(k, v)| (k.clone(), *v)).collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         out
-    }
-
-    /// The top `n` keys by traffic.
-    pub fn top_n(&self, n: usize) -> Vec<(String, u64)> {
-        let mut ranked = self.ranked();
-        ranked.truncate(n);
-        ranked
     }
 
     /// The cumulative series of Figure 5: entry `k` (1-based) is the total
@@ -67,29 +54,6 @@ impl TrafficByKey {
                 acc
             })
             .collect()
-    }
-
-    /// How many of the highest-traffic keys are needed to cover `fraction`
-    /// of the total bytes (0 for an empty accumulator).
-    pub fn keys_covering(&self, fraction: f64) -> usize {
-        if self.total == 0 {
-            return 0;
-        }
-        let threshold = (self.total as f64 * fraction.clamp(0.0, 1.0)).ceil() as u64;
-        for (i, cum) in self.cumulative_series().iter().enumerate() {
-            if *cum >= threshold {
-                return i + 1;
-            }
-        }
-        self.key_count()
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &TrafficByKey) {
-        for (k, v) in &other.bytes {
-            *self.bytes.entry(k.clone()).or_insert(0) += v;
-        }
-        self.total += other.total;
     }
 }
 
@@ -112,12 +76,9 @@ mod tests {
         let t = sample();
         assert_eq!(t.key_count(), 4);
         assert_eq!(t.total_bytes(), 1200);
-        assert_eq!(t.get("heavy.example"), 1000);
-        assert_eq!(t.get("missing"), 0);
         let ranked = t.ranked();
-        assert_eq!(ranked[0].0, "heavy.example");
+        assert_eq!(ranked[0], ("heavy.example".to_string(), 1000));
         assert_eq!(ranked[3].0, "tiny.example");
-        assert_eq!(t.top_n(2).len(), 2);
     }
 
     #[test]
@@ -130,27 +91,5 @@ mod tests {
             assert!(pair[0] <= pair[1]);
         }
         assert_eq!(series[0], 1000); // the single heaviest key
-    }
-
-    #[test]
-    fn keys_covering_fraction() {
-        let t = sample();
-        // The heaviest key alone covers 83% of the traffic.
-        assert_eq!(t.keys_covering(0.8), 1);
-        assert_eq!(t.keys_covering(0.9), 2);
-        assert_eq!(t.keys_covering(1.0), 4);
-        assert_eq!(TrafficByKey::new().keys_covering(0.5), 0);
-    }
-
-    #[test]
-    fn merge_combines_totals() {
-        let mut a = sample();
-        let mut b = TrafficByKey::new();
-        b.add("heavy.example", 100);
-        b.add("new.example", 1);
-        a.merge(&b);
-        assert_eq!(a.get("heavy.example"), 1100);
-        assert_eq!(a.get("new.example"), 1);
-        assert_eq!(a.total_bytes(), 1301);
     }
 }

@@ -15,9 +15,8 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns_analysis::{render_table, TrafficCategory};
+use flowdns_bench::analysis::{render_table, BlocklistCategory, TrafficCategory};
 use flowdns_bench::{experiment_workload, run_category_analysis};
-use flowdns_dbl::BlocklistCategory;
 
 fn main() {
     let hours = flowdns_bench::hours_arg(6);

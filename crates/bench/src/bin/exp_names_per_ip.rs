@@ -11,7 +11,7 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns_analysis::{render_series, CardinalityAnalysis};
+use flowdns_bench::analysis::{render_series, CardinalityAnalysis};
 use flowdns_bench::experiment_workload;
 use flowdns_gen::workload::StreamEvent;
 use flowdns_types::{SimDuration, SimTime, TimeRange};

@@ -13,7 +13,7 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns_analysis::{render_table, PerAsTraffic};
+use flowdns_bench::analysis::{render_table, PerAsTraffic};
 use flowdns_bench::{asn_view_for, experiment_workload, outcome_matches_service, run_workload};
 use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 

@@ -11,7 +11,7 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns_analysis::render_table;
+use flowdns_bench::analysis::render_table;
 use flowdns_bench::{experiment_workload, run_workload};
 use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 

@@ -3,30 +3,32 @@
 //! Experiment harness for the FlowDNS reproduction.
 //!
 //! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §4 for the full index) or feeds a committed
-//! `BENCH_*.json`; per-layer costs and the wire-to-sink figures are the
-//! job of `benchmark/` (docs/PERFORMANCE.md). This library holds the glue the
-//! binaries share: converting generator events into simulator events,
-//! deriving a BGP table and a blocklist that are consistent with the
-//! generated universe, and running a configured simulator over a
-//! workload.
+//! paper (README.md shows how to run them; docs/WORKLOADS.md describes
+//! the generated workloads) or feeds a committed `BENCH_*.json`; per-layer
+//! costs and the wire-to-sink figures are the job of `benchmark/`
+//! (docs/PERFORMANCE.md). This library holds what the binaries share:
+//! the paper's offline analyses ([`analysis`]), and the glue that
+//! converts generator events into simulator events, derives a BGP table
+//! and a blocklist consistent with the generated universe, and runs a
+//! configured simulator over a workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod analysis;
 mod jsonv;
 pub mod saturation;
 pub mod soak;
 
-use flowdns_analysis::CategoryAnalysis;
 use flowdns_bgp::{AsnView, RoutingTable};
 use flowdns_core::simulate::Event;
 use flowdns_core::{CorrelatorConfig, OfflineSimulator, SimulationOutcome};
-use flowdns_dbl::{Blocklist, BlocklistCategory};
 use flowdns_gen::domains::{DomainCategory, DomainUniverse, ServiceSpec};
 use flowdns_gen::workload::StreamEvent;
 use flowdns_gen::{SubscriberPopulation, Workload, WorkloadConfig};
 use flowdns_types::{CorrelatedRecord, CorrelationOutcome, FlowDirection, SimDuration};
+
+use analysis::{Blocklist, BlocklistCategory, CategoryAnalysis};
 
 /// Convert a generator event into a simulator event.
 pub fn to_event(event: StreamEvent) -> Event {
@@ -191,7 +193,7 @@ mod tests {
     #[test]
     fn blocklist_contains_only_suspicious_domains() {
         let workload = experiment_workload(1, 5.0);
-        let mut blocklist = blocklist_for(workload.universe());
+        let blocklist = blocklist_for(workload.universe());
         assert!(!blocklist.is_empty());
         let spam = workload
             .universe()
@@ -209,6 +211,17 @@ mod tests {
             .customer_domain
             .clone();
         assert_eq!(blocklist.lookup(&benign), None);
+    }
+
+    #[test]
+    fn every_malformed_universe_name_is_invalid() {
+        let universe = DomainUniverse::generate(&flowdns_gen::UniverseConfig::default());
+        let mut malformed = universe.by_category(DomainCategory::Malformed).peekable();
+        assert!(malformed.peek().is_some(), "malformed domains exist");
+        for service in malformed {
+            let report = analysis::validate_domain(&service.customer_domain);
+            assert!(!report.is_valid(), "{} passed", service.customer_domain);
+        }
     }
 
     #[test]

@@ -34,14 +34,6 @@ impl Prefix {
         })
     }
 
-    /// The number of bits in this prefix's address family.
-    pub fn family_bits(&self) -> u8 {
-        match self.network {
-            IpAddr::V4(_) => 32,
-            IpAddr::V6(_) => 128,
-        }
-    }
-
     /// Does the prefix contain `addr`? Different address families never
     /// contain one another.
     pub fn contains(&self, addr: IpAddr) -> bool {

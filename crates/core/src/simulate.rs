@@ -328,13 +328,6 @@ impl OfflineSimulator {
         self
     }
 
-    /// Override the cost model.
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self.backlog_allowance = self.cost.core_units_per_sec * self.capacity_cores * 5.0;
-        self
-    }
-
     /// Override the machine size in cores.
     pub fn with_capacity_cores(mut self, cores: f64) -> Self {
         self.capacity_cores = cores;

@@ -86,30 +86,6 @@ pub struct RotationPolicy {
     pub long_maps: bool,
 }
 
-impl RotationPolicy {
-    /// The paper's A/AAAA policy: 3600-second clear-up with rotation and
-    /// long maps.
-    pub fn address_default() -> Self {
-        RotationPolicy {
-            clear_up_interval: SimDuration::from_secs(3600),
-            clear_up: true,
-            rotation: true,
-            long_maps: true,
-        }
-    }
-
-    /// The paper's CNAME policy: 7200-second clear-up with rotation and
-    /// long maps.
-    pub fn cname_default() -> Self {
-        RotationPolicy {
-            clear_up_interval: SimDuration::from_secs(7200),
-            clear_up: true,
-            rotation: true,
-            long_maps: true,
-        }
-    }
-}
-
 /// The clear-up clock of Algorithm 1, driven by data time.
 ///
 /// The clock arms at the first timestamp it observes and reports a

@@ -8,8 +8,7 @@
 //! dot) representation and exposes label iteration, while *accepting*
 //! arbitrary non-empty strings: the paper explicitly observes malformed
 //! names on the wire (666k per day), so rejecting them at parse time would
-//! make the Section 5 analysis impossible. Validity checking lives in
-//! `flowdns-dbl::validity` and in [`DomainName::strictly_valid`].
+//! make the Section 5 analysis impossible.
 
 use std::borrow::Borrow;
 use std::fmt;
@@ -146,42 +145,6 @@ impl DomainName {
             && me.ends_with(parent)
             && me.as_bytes()[me.len() - parent.len() - 1] == b'.'
     }
-
-    /// Check the three RFC 1035 rules used in Section 5 of the paper:
-    ///
-    /// 1. total length ≤ 255 bytes,
-    /// 2. every label ≤ 63 bytes,
-    /// 3. every label starts with a letter, ends with a letter or digit,
-    ///    and interior characters are letters, digits or hyphens.
-    ///
-    /// Returns `true` when all rules hold. The detailed per-rule breakdown
-    /// (which the malformed-domain analysis needs) lives in
-    /// `flowdns-dbl::validity`.
-    pub fn strictly_valid(&self) -> bool {
-        if self.len() > MAX_NAME_LEN {
-            return false;
-        }
-        for label in self.labels() {
-            if label.is_empty() || label.len() > MAX_LABEL_LEN {
-                return false;
-            }
-            let bytes = label.as_bytes();
-            if !bytes[0].is_ascii_alphabetic() {
-                return false;
-            }
-            let last = bytes[bytes.len() - 1];
-            if !last.is_ascii_alphanumeric() {
-                return false;
-            }
-            if !bytes
-                .iter()
-                .all(|b| b.is_ascii_alphanumeric() || *b == b'-')
-            {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 impl fmt::Display for DomainName {
@@ -254,30 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn strict_validity_checks_rfc_rules() {
-        assert!(DomainName::literal("a.example.com").strictly_valid());
-        assert!(DomainName::literal("xn--nxasmq6b.example").strictly_valid());
-        // underscore is the most common violation in the paper (87%)
-        assert!(!DomainName::literal("_dmarc.example.com").strictly_valid());
-        // label starting with a digit violates rule 3 as stated in the paper
-        assert!(!DomainName::literal("1stlabel.example.com").strictly_valid());
-        // label too long
-        let long_label = format!("{}.com", "a".repeat(64));
-        assert!(!DomainName::literal(&long_label).strictly_valid());
-        // total name too long
-        let long_name = vec!["abcdefgh"; 40].join(".");
-        assert!(!DomainName::literal(&long_name).strictly_valid());
-        // trailing hyphen in a label
-        assert!(!DomainName::literal("bad-.example.com").strictly_valid());
-    }
-
-    #[test]
     fn malformed_names_are_still_storable() {
         // The correlator must be able to carry malformed names end to end
         // so that Section 5's analysis can see them.
         let d = DomainName::literal("weird_host.example.com");
         assert_eq!(d.as_str(), "weird_host.example.com");
-        assert!(!d.strictly_valid());
     }
 
     #[test]

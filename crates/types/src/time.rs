@@ -239,16 +239,6 @@ impl TimeRange {
         }
     }
 
-    /// A full simulated day starting at time zero.
-    pub fn one_day() -> Self {
-        TimeRange::starting_at(SimTime::ZERO, SimDuration::from_hours(24))
-    }
-
-    /// A full simulated week starting at time zero.
-    pub fn one_week() -> Self {
-        TimeRange::starting_at(SimTime::ZERO, SimDuration::from_hours(24 * 7))
-    }
-
     /// Does the range contain `t`?
     pub fn contains(&self, t: SimTime) -> bool {
         t >= self.start && t < self.end

@@ -7,14 +7,11 @@
 // `clippy::print_stdout` for library and daemon code.
 #![allow(clippy::print_stdout)]
 
-use flowdns::analysis::{CategoryAnalysis, TrafficCategory};
-use flowdns::core::simulate::Event;
 use flowdns::core::{CorrelatorConfig, OfflineSimulator};
-use flowdns::dbl::{Blocklist, BlocklistCategory};
-use flowdns::gen::domains::DomainCategory;
-use flowdns::gen::workload::StreamEvent;
 use flowdns::gen::{Workload, WorkloadConfig};
 use flowdns::types::SimDuration;
+use flowdns_bench::analysis::{BlocklistCategory, CategoryAnalysis, TrafficCategory};
+use flowdns_bench::{blocklist_for, run_workload};
 
 fn main() {
     let hours: u64 = std::env::args()
@@ -29,32 +26,11 @@ fn main() {
     };
     let workload = Workload::new(config);
 
-    // Build a blocklist from the universe's suspicious domains (the
-    // Spamhaus-DBL stand-in).
-    let mut blocklist = Blocklist::new();
-    for service in &workload.universe().services {
-        let category = match service.category {
-            DomainCategory::Spam => Some(BlocklistCategory::Spam),
-            DomainCategory::BotnetCc => Some(BlocklistCategory::BotnetCc),
-            DomainCategory::AbusedRedirector => Some(BlocklistCategory::AbusedRedirector),
-            DomainCategory::Malware => Some(BlocklistCategory::Malware),
-            DomainCategory::Phishing => Some(BlocklistCategory::Phishing),
-            _ => None,
-        };
-        if let Some(category) = category {
-            blocklist.add(service.customer_domain.clone(), category);
-        }
-    }
-    let mut analysis = CategoryAnalysis::new(blocklist);
+    // The Spamhaus-DBL stand-in: the universe's suspicious domains.
+    let mut analysis = CategoryAnalysis::new(blocklist_for(workload.universe()));
 
     let sim = OfflineSimulator::new(CorrelatorConfig::default());
-    let outcome = sim.run_with(
-        workload.events().map(|e| match e {
-            StreamEvent::Dns(r) => Event::Dns(r),
-            StreamEvent::Flow(f) => Event::Flow(f),
-        }),
-        |record| analysis.observe(record),
-    );
+    let outcome = run_workload(&sim, &workload, |record| analysis.observe(record));
 
     println!("== malicious / malformed domain traffic over {hours} simulated hours ==");
     println!("{}\n", outcome.report.summary());

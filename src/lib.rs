@@ -5,7 +5,7 @@
 //! FlowDNS (Maghsoudlou et al., CoNEXT '22) correlates live NetFlow and
 //! DNS streams at ISP scale so that CDN-hosted traffic can be attributed
 //! to the service (domain name) that caused it. This crate re-exports the
-//! public API of every workspace member under one roof:
+//! public API of the program's library crates under one roof:
 //!
 //! * [`types`] — shared record and time types, plus the typed store keys
 //!   ([`types::IpKey`], pooled [`types::NameId`]s),
@@ -21,9 +21,11 @@
 //! * [`obs`] — the telemetry plane: metrics registry, `/metrics` scrape
 //!   endpoint, and the sampled flow-trace flight recorder,
 //! * [`gen`] — synthetic ISP workload generation,
-//! * [`bgp`] — longest-prefix-match AS attribution,
-//! * [`dbl`] — domain blocklist and RFC 1035 validity analysis,
-//! * [`analysis`] — ECDFs, per-AS / per-category accounting, reports.
+//! * [`bgp`] — longest-prefix-match AS attribution.
+//!
+//! The paper's offline analyses (ECDFs, cardinalities, per-AS and
+//! Section 5 blocklist/validity accounting) are `flowdns_bench::analysis`,
+//! next to the experiment binaries that print them.
 //!
 //! ## Quick start
 //!
@@ -78,10 +80,8 @@
 
 #![forbid(unsafe_code)]
 
-pub use flowdns_analysis as analysis;
 pub use flowdns_bgp as bgp;
 pub use flowdns_core as core;
-pub use flowdns_dbl as dbl;
 pub use flowdns_dns as dns;
 pub use flowdns_gen as gen;
 pub use flowdns_ingest as ingest;

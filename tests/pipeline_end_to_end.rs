@@ -1,7 +1,7 @@
 //! Cross-crate integration tests: generator → wire formats → correlator →
-//! analysis, exercised through the public facade crate.
+//! analysis, exercised through the public facade crate and
+//! `flowdns_bench::analysis`.
 
-use flowdns::analysis::CardinalityAnalysis;
 use flowdns::core::simulate::Event;
 use flowdns::core::{Correlator, CorrelatorConfig, OfflineSimulator, Variant};
 use flowdns::dns::{FrameDecoder, FrameEncoder};
@@ -10,6 +10,7 @@ use flowdns::gen::{Workload, WorkloadConfig};
 use flowdns::netflow::v9::{encode_standard_ipv4_record, V9PacketBuilder, V9Parser};
 use flowdns::netflow::{ExtractorConfig, FlowExtractor, Template};
 use flowdns::types::{DnsRecord, DomainName, FlowRecord, SimDuration, SimTime};
+use flowdns_bench::analysis::CardinalityAnalysis;
 use std::net::Ipv4Addr;
 
 fn to_event(e: StreamEvent) -> Event {
