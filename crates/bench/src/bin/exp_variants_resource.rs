@@ -1,10 +1,15 @@
-//! Figure 3: CPU and memory usage over a day for the ablation variants
-//! (Main, NoClearUp, NoLong, NoRotation, NoSplit).
+//! Figure 3: what each ablation variant's store does over a day (Main,
+//! NoClearUp, NoLong, NoRotation).
 //!
 //! Paper: NoClearUp's memory grows steadily and would hit the machine
 //! limit; NoRotation uses the least memory (no Inactive copy); NoLong
 //! saves neither memory nor CPU; NoSplit lowers CPU significantly while
 //! leaving memory unchanged.
+//!
+//! The simulator counts and does not price, so this prints the counts
+//! behind both axes — store operations per hour and entries held — not
+//! CPU or bytes. NoSplit is not run: no store splits, so it would be
+//! Main.
 //!
 //! Usage: `exp_variants_resource [hours]` (default: 8).
 
@@ -24,10 +29,9 @@ fn main() {
         Variant::NoClearUp,
         Variant::NoLongHashmaps,
         Variant::NoRotation,
-        Variant::NoSplit,
     ];
 
-    println!("== Figure 3: per-variant CPU and memory over {hours} simulated hours ==");
+    println!("== Figure 3: per-variant store counts over {hours} simulated hours ==");
     let mut hourly_rows: Vec<Vec<String>> = Vec::new();
     let mut summary_rows: Vec<Vec<String>> = Vec::new();
     for variant in variants {
@@ -36,24 +40,39 @@ fn main() {
         for h in &outcome.hourly {
             hourly_rows.push(vec![
                 variant.label().to_string(),
-                format!("{}", h.hour),
-                format!("{:.0}", h.cpu_pct),
-                format!("{:.3}", h.memory_gb),
+                h.hour.to_string(),
+                h.ops.dns_stored.to_string(),
+                h.ops.flows_looked_up.to_string(),
+                h.ops.cname_hops.to_string(),
+                h.ops.rotated_entries.to_string(),
+                h.live_entries.to_string(),
             ]);
         }
-        let final_mem = outcome.hourly.last().map(|h| h.memory_gb).unwrap_or(0.0);
+        let peak = outcome.report.metrics.peak_memory;
         summary_rows.push(vec![
             variant.label().to_string(),
-            format!("{:.0}", outcome.mean_cpu_pct()),
-            format!("{:.3}", outcome.peak_memory_gb()),
-            format!("{:.3}", final_mem),
+            outcome.ops.rotated_entries.to_string(),
+            peak.entries.to_string(),
+            peak.payload_bytes.to_string(),
+            outcome.live_entries.to_string(),
             format!("{:.1}", outcome.report.correlation_rate_pct()),
         ]);
     }
 
     println!(
         "{}",
-        render_table(&["variant", "hour", "cpu_pct", "memory_gb"], &hourly_rows)
+        render_table(
+            &[
+                "variant",
+                "hour",
+                "dns_stored",
+                "flows_looked_up",
+                "cname_hops",
+                "rotated_entries",
+                "live_entries"
+            ],
+            &hourly_rows
+        )
     );
     println!("-- per-variant summary --");
     println!(
@@ -61,14 +80,15 @@ fn main() {
         render_table(
             &[
                 "variant",
-                "mean_cpu_pct",
-                "peak_mem_gb",
-                "final_mem_gb",
+                "rotated_entries",
+                "peak_entries",
+                "peak_payload_bytes",
+                "final_entries",
                 "correlation_pct"
             ],
             &summary_rows
         )
     );
     println!("paper shape: NoClearUp memory grows monotonically; NoRotation lowest memory;");
-    println!("             NoSplit clearly lower CPU than Main; NoLong ~= Main on both axes.");
+    println!("             NoLong ~= Main on both axes; NoSplit lower CPU (not run).");
 }

@@ -1,8 +1,12 @@
-//! Figure 2: CPU and memory usage of the Main benchmark over a week,
-//! plotted against traffic volume (diurnal pattern).
+//! Figure 2: resource use of the Main benchmark over a week, plotted
+//! against traffic volume (diurnal pattern).
 //!
 //! Paper: CPU around 2500% (≈25 cores), memory oscillating between 15 and
 //! 30 GB, all three curves showing clear diurnal peaks in the evening.
+//!
+//! The simulator counts and does not price, so this prints the counts
+//! behind those curves — flows looked up and DNS records stored per hour,
+//! entries held at the end of each hour — not CPU or bytes.
 //!
 //! Usage: `exp_week_resource [hours]` (default: 72 simulated hours; pass
 //! 168 for the full week).
@@ -18,7 +22,7 @@ use flowdns_core::{CorrelatorConfig, OfflineSimulator};
 fn main() {
     let hours = flowdns_bench::hours_arg(72);
     let workload = experiment_workload(hours, 45.0);
-    println!("== Figure 2: Main-variant resource usage over {hours} simulated hours ==");
+    println!("== Figure 2: Main-variant store counts over {hours} simulated hours ==");
     let main = OfflineSimulator::new(CorrelatorConfig::default());
     let outcome = run_workload(&main, &workload, |_| {});
 
@@ -34,10 +38,11 @@ fn main() {
         .iter()
         .map(|h| {
             vec![
-                format!("{}", h.hour),
-                format!("{}", h.hour % 24),
-                format!("{:.0}", h.cpu_pct),
-                format!("{:.2}", h.memory_gb),
+                h.hour.to_string(),
+                (h.hour % 24).to_string(),
+                h.ops.flows_looked_up.to_string(),
+                h.ops.dns_stored.to_string(),
+                h.live_entries.to_string(),
                 format!("{:.1}", h.traffic_bytes as f64 / max_bytes as f64 * 70.0),
             ]
         })
@@ -48,27 +53,24 @@ fn main() {
             &[
                 "hour",
                 "hour-of-day",
-                "cpu_pct",
-                "memory_gb",
+                "flows_looked_up",
+                "dns_stored",
+                "live_entries",
                 "traffic (normalized 0-70)"
             ],
             &rows
         )
     );
 
-    let peak_cpu = outcome.hourly.iter().map(|h| h.cpu_pct).fold(0.0, f64::max);
-    let min_cpu = outcome
-        .hourly
-        .iter()
-        .filter(|h| h.traffic_bytes > 0)
-        .map(|h| h.cpu_pct)
-        .fold(f64::MAX, f64::min);
+    let busy = || outcome.hourly.iter().filter(|h| h.traffic_bytes > 0);
+    let min_flows = busy().map(|h| h.ops.flows_looked_up).min().unwrap_or(0);
+    let max_flows = busy().map(|h| h.ops.flows_looked_up).max().unwrap_or(0);
+    let peak = outcome.report.metrics.peak_memory;
     println!("paper    : CPU ~2200-2600%  memory 15-30 GB, diurnal shape");
     println!(
-        "measured : CPU {:.0}-{:.0}%  memory peak {:.2} GB, {} hourly samples",
-        min_cpu,
-        peak_cpu,
-        outcome.peak_memory_gb(),
+        "measured : {min_flows}-{max_flows} flows looked up per hour, peak {} entries / {} payload bytes, {} hourly samples",
+        peak.entries,
+        peak.payload_bytes,
         outcome.hourly.len()
     );
 }

@@ -259,7 +259,9 @@ pub struct RunOutcome {
     pub events_streamed: u64,
     /// Post-clear-up memory samples, in time order.
     pub memory_samples: Vec<MemorySample>,
-    /// Total clear-ups across the whole run.
+    /// Clear-up rounds of the warm-restarted instance: every
+    /// partition's plus the NAME-CNAME store's, since the restart (the
+    /// counter starts over with the process).
     pub clear_ups: u64,
     /// The restart checkpoint.
     pub restart: RestartOutcome,

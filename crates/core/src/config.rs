@@ -19,10 +19,6 @@ pub enum Variant {
     /// The fully featured system.
     #[default]
     Main,
-    /// Hashmaps are not divided into splits (`NUM_SPLIT = 1`). The store
-    /// never splits, so this runs as [`Variant::Main`]; only the offline
-    /// simulator's per-split cost term tells them apart.
-    NoSplit,
     /// Hashmaps are never cleared.
     NoClearUp,
     /// Hashmaps are cleared but nothing is copied to an Inactive map.
@@ -33,10 +29,9 @@ pub enum Variant {
 
 impl Variant {
     /// All variants in the order the paper discusses them.
-    pub fn all() -> [Variant; 5] {
+    pub fn all() -> [Variant; 4] {
         [
             Variant::Main,
-            Variant::NoSplit,
             Variant::NoClearUp,
             Variant::NoRotation,
             Variant::NoLongHashmaps,
@@ -47,7 +42,6 @@ impl Variant {
     pub fn label(&self) -> &'static str {
         match self {
             Variant::Main => "Main",
-            Variant::NoSplit => "NoSplit",
             Variant::NoClearUp => "NoClearUp",
             Variant::NoRotation => "NoRotation",
             Variant::NoLongHashmaps => "NoLong",
@@ -58,7 +52,11 @@ impl Variant {
     pub fn parse(s: &str) -> Result<Variant, FlowDnsError> {
         match s.to_ascii_lowercase().as_str() {
             "main" => Ok(Variant::Main),
-            "nosplit" | "no-split" => Ok(Variant::NoSplit),
+            "nosplit" | "no-split" => Err(FlowDnsError::Config(format!(
+                "variant '{s}' is gone: no store splits, so it ran exactly as Main; \
+                 use variant = Main (see docs/MIGRATION.md, \"the simulator counts, \
+                 it does not price\")"
+            ))),
             "noclearup" | "no-clear-up" | "no-clearup" => Ok(Variant::NoClearUp),
             "norotation" | "no-rotation" => Ok(Variant::NoRotation),
             "nolong" | "no-long" | "nolonghashmaps" => Ok(Variant::NoLongHashmaps),
@@ -109,8 +107,8 @@ const RETIRED_INTERNAL_KEYS: [(&str, &str); 4] = [
     ),
     (
         "num_split",
-        "no store splits, and the offline simulator prices its per-split cost \
-         with the constant NUM_SPLIT = 10; delete the line (see docs/MIGRATION.md, PR 37)",
+        "no store splits, and nothing prices a per-split cost; delete the line \
+         (see docs/MIGRATION.md, \"the simulator counts, it does not price\")",
     ),
     (
         "exact_ttl_purge_interval",
@@ -498,7 +496,7 @@ write_workers = 2
     fn retired_internal_keys_fail_with_their_reason_not_unknown_key() {
         for (key, reason) in [
             ("map_shards", "single table"),
-            ("num_split", "NUM_SPLIT = 10"),
+            ("num_split", "no store splits"),
             ("exact_ttl_purge_interval", "OfflineSimulator::exact_ttl"),
         ] {
             let err =
@@ -521,6 +519,18 @@ write_workers = 2
                 .to_string();
             assert!(err.contains("OfflineSimulator::exact_ttl"), "{err}");
             assert!(err.contains("exp_exact_ttl"), "{err}");
+            assert!(err.contains("variant = Main"), "{err}");
+            assert!(err.contains("docs/MIGRATION.md"), "{err}");
+            assert!(!err.contains("unknown variant"), "{err}");
+        }
+    }
+
+    #[test]
+    fn no_split_variant_names_main_not_unknown_variant() {
+        for label in ["NoSplit", "no-split"] {
+            let err = CorrelatorConfig::from_config_text(&format!("variant = {label}"))
+                .unwrap_err()
+                .to_string();
             assert!(err.contains("variant = Main"), "{err}");
             assert!(err.contains("docs/MIGRATION.md"), "{err}");
             assert!(!err.contains("unknown variant"), "{err}");

@@ -42,11 +42,12 @@
 //! * [`pipeline`] — [`Correlator`], the threaded live pipeline,
 //! * [`write`](mod@write) — the output sinks each Write worker owns
 //!   (single file, paper-style rotating window files, fan-out, memory),
-//! * [`metrics`] — correlation-rate, loss, work-unit (CPU) and memory
+//! * [`metrics`] — correlation-rate, loss, stage-counter and memory
 //!   accounting,
 //! * [`simulate`] — the deterministic offline simulator used by the
-//!   experiment harness to regenerate the paper's figures; it also runs
-//!   the Appendix A.8 exact-TTL strawman, which has no live form.
+//!   experiment harness to regenerate the paper's figures; it counts
+//!   what the store does per hour and prices none of it, and it also
+//!   runs the Appendix A.8 exact-TTL strawman, which has no live form.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -61,13 +62,11 @@ pub mod write;
 
 pub use config::{CorrelatorConfig, Variant};
 pub use lookup::LookUpStats;
-pub use metrics::{
-    CostModel, ExporterStats, IngestSummary, PipelineMetrics, Report, SnapshotStats,
-};
+pub use metrics::{ExporterStats, IngestSummary, PipelineMetrics, Report, SnapshotStats};
 pub use pipeline::{Correlator, ShardRouter, StoreHealth, EGRESS_BATCH};
 pub use shard::{
     shard_of_dns, shard_of_flow, shard_of_ip, shard_of_key, FillUpStats, ShardPartition,
     ShardedStore,
 };
-pub use simulate::{HourlySample, OfflineSimulator, SimulationOutcome};
+pub use simulate::{HourlySample, OfflineSimulator, SimulationOutcome, StoreOps};
 pub use write::{DiscardSink, MemorySink, OutputSink, RotatingFileSink, TsvFileSink, WriteStats};

@@ -1,12 +1,11 @@
-//! Pipeline metrics: correlation rate, loss, CPU (work units) and memory.
+//! Pipeline metrics: correlation rate, loss, stage counters and memory.
 //!
 //! The paper evaluates FlowDNS on four axes: correlation rate (share of
 //! traffic bytes attributed to a name), stream loss (buffer overflow
-//! drops), CPU usage and memory usage. The live pipeline reports measured
-//! wall-clock numbers; the offline simulator reports *work units*
-//! converted to CPU-core-percent via a documented [`CostModel`], because
-//! the figures' shape comes from how much work each variant does per
-//! record, not from the absolute speed of the host machine.
+//! drops), CPU usage and memory usage. The live pipeline reports what it
+//! measured, its losses included. The offline simulator fills the same
+//! [`Report`] with counts only: it drops no record, so its loss fields
+//! read 0, and it prices no operation, so no figure here is a CPU time.
 
 use flowdns_storage::MemoryEstimate;
 use flowdns_stream::LatencySnapshot;
@@ -15,62 +14,6 @@ use flowdns_types::VolumeAccumulator;
 use crate::lookup::LookUpStats;
 use crate::shard::FillUpStats;
 use crate::write::WriteStats;
-
-/// The cost model converting operations into abstract work units.
-///
-/// The constants are chosen so that the relative cost ordering matches the
-/// paper's observations: per-record costs dominate in steady state,
-/// rotation copies are amortized, per-split bookkeeping adds a small
-/// per-record overhead (the paper: splitting "consum\[es\] higher CPU for
-/// the same amount of data"), and full-map purge scans (exact-TTL) are
-/// catastrophic.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CostModel {
-    /// Work to parse + insert one DNS record.
-    pub dns_insert: f64,
-    /// Work to parse one flow record and perform the IP lookup cascade.
-    pub flow_lookup: f64,
-    /// Work per CNAME chain hop.
-    pub cname_hop: f64,
-    /// Work per record to serialize + write output.
-    pub write_record: f64,
-    /// Extra work per record and per additional split beyond the first
-    /// (simultaneous access bookkeeping).
-    pub split_overhead: f64,
-    /// Work per entry copied during buffer rotation.
-    pub rotate_entry: f64,
-    /// Work per entry scanned by an exact-TTL purge.
-    pub purge_scan_entry: f64,
-    /// Work units one CPU core performs per simulated second. This sets
-    /// the scale of the CPU-percent axis.
-    pub core_units_per_sec: f64,
-}
-
-impl Default for CostModel {
-    fn default() -> Self {
-        CostModel {
-            dns_insert: 1.0,
-            flow_lookup: 1.0,
-            cname_hop: 0.4,
-            write_record: 0.3,
-            split_overhead: 0.03,
-            rotate_entry: 0.2,
-            purge_scan_entry: 0.8,
-            core_units_per_sec: 3.0,
-        }
-    }
-}
-
-impl CostModel {
-    /// CPU usage in percent (100% = one core) for `work` units spent over
-    /// `secs` simulated seconds.
-    pub fn cpu_pct(&self, work: f64, secs: f64) -> f64 {
-        if secs <= 0.0 {
-            return 0.0;
-        }
-        work / secs / self.core_units_per_sec * 100.0
-    }
-}
 
 /// Counters of one network exporter peer, as folded into the final
 /// report by the live ingest layer.
@@ -221,7 +164,10 @@ pub struct PipelineMetrics {
     /// Sampled enqueue→dequeue residency of the LookUp queue — the
     /// "p99 ingress-queue latency" of the saturation harness.
     pub lookup_queue_latency: LatencySnapshot,
-    /// Peak memory estimate observed.
+    /// Store entries and payload bytes. Despite the name, a live
+    /// snapshot — and so the report `Correlator::finish` returns —
+    /// carries the *current* estimate, read when it is taken; only the
+    /// offline simulator's report carries the largest it sampled.
     pub peak_memory: MemoryEstimate,
     /// Network-ingest counters (all zero for offline runs).
     pub ingest: IngestSummary,
@@ -292,16 +238,6 @@ impl Report {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn cpu_pct_scales_with_work_and_time() {
-        let m = CostModel::default();
-        let one_core = m.core_units_per_sec;
-        assert!((m.cpu_pct(one_core, 1.0) - 100.0).abs() < 1e-9);
-        assert!((m.cpu_pct(one_core * 25.0, 1.0) - 2500.0).abs() < 1e-6);
-        assert!((m.cpu_pct(one_core, 2.0) - 50.0).abs() < 1e-9);
-        assert_eq!(m.cpu_pct(100.0, 0.0), 0.0);
-    }
 
     #[test]
     fn loss_percentages() {

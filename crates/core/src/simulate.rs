@@ -1,23 +1,16 @@
 //! The deterministic offline simulator.
 //!
-//! The paper's evaluation runs FlowDNS against live ISP streams for a day
-//! or a week and reports CPU, memory, loss and correlation rate over time
+//! The paper evaluates FlowDNS against live ISP streams for a day or a
+//! week and reports correlation rate, traffic and resource use over time
 //! (Figures 2, 3, 7). We cannot replay a week of 1M-records/s streams in
 //! wall-clock time, so the experiment harness drives this simulator
 //! instead: it processes a timestamped trace **in data-time order**
 //! through the exact same [`ShardedStore`] partitions the live pipeline's
-//! shard workers own, and accounts *work units* via the [`CostModel`]:
-//!
-//! * every event has a processing cost (insert, lookup cascade, CNAME
-//!   hops, output write, per-split bookkeeping for [`NUM_SPLIT`] splits);
-//! * rotation copies and exact-TTL purge scans are charged per entry;
-//! * the exact-TTL variant additionally pays a serialization penalty per
-//!   event, modelling the shared-map contention Appendix A.8 blames for
-//!   its collapse;
-//! * a machine capacity (cores × units/s) and a bounded work backlog model
-//!   the stream buffers: when the backlog exceeds the buffer allowance,
-//!   incoming events are dropped and counted as stream loss, which is how
-//!   the >90% loss of the exact-TTL strawman emerges.
+//! shard workers own, and *counts* what the store does — DNS records
+//! stored, flows looked up, CNAME hops, entries rotated out, entries
+//! purge-scanned, entries held and the peak held. It prices none of it:
+//! no operation has a cost, no machine has a capacity and no event is
+//! dropped. A time or a loss figure comes from the daemon, measured.
 //!
 //! The exact-TTL strawman has no partitioned form and is not a mode of
 //! the daemon, so [`OfflineSimulator::exact_ttl`] runs it on a small arm
@@ -26,9 +19,9 @@
 //! compare by content), with the same record filter and chain following
 //! as the partitions.
 //!
-//! The simulator emits per-hour samples (CPU%, memory, traffic volume,
-//! correlation rate, loss) — one row per point of the paper's time-series
-//! figures — plus the same [`Report`] the live pipeline produces.
+//! The simulator emits one [`HourlySample`] per hour — one row per point
+//! of the paper's time-series figures — plus the run's totals and the
+//! same [`Report`] the live pipeline produces.
 
 use flowdns_bgp::{AsnReader, AsnView};
 use flowdns_storage::{ExactTtlStore, MemoryEstimate};
@@ -37,9 +30,9 @@ use flowdns_types::{
     RecordType, SimDuration, SimTime,
 };
 
-use crate::config::{CorrelatorConfig, Variant};
+use crate::config::CorrelatorConfig;
 use crate::lookup::{follow_chain, LookUpStats};
-use crate::metrics::{CostModel, Report};
+use crate::metrics::Report;
 use crate::shard::{shard_of_dns, shard_of_flow, FillUpStats, ShardedStore};
 
 /// One input event of the simulator.
@@ -73,28 +66,78 @@ enum SimStore {
 }
 
 impl SimStore {
+    fn process_dns(&mut self, record: &DnsRecord, stats: &mut FillUpStats) {
+        match self {
+            SimStore::ExactTtl(arm) => arm.process_dns(record, stats),
+            SimStore::Sharded(sharded) => {
+                // Broadcast the clock first so every partition rotates on
+                // the same boundary regardless of which shards see events.
+                sharded.observe_time_all(record.ts);
+                let shard = shard_of_dns(record, sharded.shards());
+                sharded
+                    .partition(shard)
+                    .lock()
+                    .process_dns(sharded, record, stats);
+            }
+        }
+    }
+
+    fn process_flow(
+        &mut self,
+        asn: &mut Option<AsnReader>,
+        flow: FlowRecord,
+        stats: &mut LookUpStats,
+    ) -> CorrelatedRecord {
+        match self {
+            SimStore::ExactTtl(arm) => arm.process_flow(asn, flow, stats),
+            SimStore::Sharded(sharded) => {
+                sharded.observe_time_all(flow.ts);
+                let shard = shard_of_flow(&flow, sharded.shards());
+                sharded
+                    .partition(shard)
+                    .lock()
+                    .process_flow(sharded, asn, flow, stats)
+            }
+        }
+    }
+
+    /// Entries and payload bytes held: O(shards + pool stripes) for the
+    /// sharded store, a walk over both maps for the exact-TTL arm.
     fn memory_estimate(&self) -> MemoryEstimate {
         match self {
             SimStore::Sharded(store) => store.memory_estimate(),
-            SimStore::ExactTtl(arm) => arm.memory_estimate(),
+            SimStore::ExactTtl(arm) => {
+                let mut est = arm.ip_name.memory_estimate();
+                est.merge(arm.name_cname.memory_estimate());
+                est
+            }
         }
     }
 
-    fn is_exact_ttl(&self) -> bool {
-        matches!(self, SimStore::ExactTtl(_))
+    /// Entries held, expired-but-unpurged exact-TTL entries included.
+    fn live_entries(&self) -> u64 {
+        let entries = match self {
+            SimStore::Sharded(store) => store.total_entries(),
+            SimStore::ExactTtl(arm) => arm.ip_name.len() + arm.name_cname.len(),
+        };
+        entries as u64
     }
 
-    fn rotated_entries(&self) -> u64 {
-        match self {
-            SimStore::Sharded(store) => store.rotated_entries(),
-            SimStore::ExactTtl(_) => 0,
-        }
-    }
-
-    fn purge_scanned(&self) -> u64 {
-        match self {
-            SimStore::Sharded(_) => 0,
-            SimStore::ExactTtl(arm) => arm.purge_scanned(),
+    /// The run's operation counts so far.
+    fn ops(&self, fillup: &FillUpStats, lookup: &LookUpStats) -> StoreOps {
+        let (rotated_entries, purge_scanned) = match self {
+            SimStore::Sharded(store) => (store.rotated_entries(), 0),
+            SimStore::ExactTtl(arm) => (
+                0,
+                arm.ip_name.purge_scanned() + arm.name_cname.purge_scanned(),
+            ),
+        };
+        StoreOps {
+            dns_stored: fillup.addresses_stored + fillup.cnames_stored,
+            flows_looked_up: lookup.total(),
+            cname_hops: lookup.cname_hops,
+            rotated_entries,
+            purge_scanned,
         }
     }
 }
@@ -190,17 +233,37 @@ impl ExactTtlArm {
         };
         CorrelatedRecord::new(flow, outcome).with_asns(src_asn, dst_asn)
     }
+}
 
-    /// Entries and payload bytes of both stores (a walk over each map).
-    fn memory_estimate(&self) -> MemoryEstimate {
-        let mut est = self.ip_name.memory_estimate();
-        est.merge(self.name_cname.memory_estimate());
-        est
-    }
+/// What the store did over a stretch of the run: one hour, or the whole
+/// run. Counts only; the simulator prices none of them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct StoreOps {
+    /// DNS records stored (addresses and CNAMEs).
+    pub dns_stored: u64,
+    /// Flows looked up (hits, misses and filtered flows).
+    pub flows_looked_up: u64,
+    /// CNAME hops followed by the chain chase.
+    pub cname_hops: u64,
+    /// Entries clear-ups rotated out of the Active maps (0 for the
+    /// exact-TTL strawman).
+    pub rotated_entries: u64,
+    /// Entries the exact-TTL purges scanned (0 for the rotating
+    /// variants).
+    pub purge_scanned: u64,
+}
 
-    /// Entries scanned by both stores' purges so far.
-    fn purge_scanned(&self) -> u64 {
-        self.ip_name.purge_scanned() + self.name_cname.purge_scanned()
+impl StoreOps {
+    /// The counts between `start` and `self`, two readings of the run's
+    /// cumulative counters.
+    fn since(&self, start: &StoreOps) -> StoreOps {
+        StoreOps {
+            dns_stored: self.dns_stored - start.dns_stored,
+            flows_looked_up: self.flows_looked_up - start.flows_looked_up,
+            cname_hops: self.cname_hops - start.cname_hops,
+            rotated_entries: self.rotated_entries - start.rotated_entries,
+            purge_scanned: self.purge_scanned - start.purge_scanned,
+        }
     }
 }
 
@@ -209,29 +272,65 @@ impl ExactTtlArm {
 pub struct HourlySample {
     /// Hour index since the start of the trace.
     pub hour: u64,
-    /// Simulated CPU usage in percent (100% = one core).
-    pub cpu_pct: f64,
-    /// Estimated memory of the DNS store at the end of the hour, in GB.
-    pub memory_gb: f64,
     /// Total flow bytes offered during the hour.
     pub traffic_bytes: u64,
     /// Correlation rate (bytes) for flows processed during the hour.
     pub correlation_rate_pct: f64,
-    /// DNS records dropped during the hour, percent of offered.
-    pub dns_loss_pct: f64,
-    /// Flow records dropped during the hour, percent of offered.
-    pub flow_loss_pct: f64,
+    /// What the store did during the hour.
+    pub ops: StoreOps,
+    /// Store entries held at the end of the hour.
+    pub live_entries: u64,
+}
+
+/// The hour being accumulated: its bytes so far, and the run's
+/// cumulative operation counts when it opened.
+struct OpenHour {
+    hour: u64,
+    traffic_bytes: u64,
+    correlated_bytes: u64,
+    ops_at_open: StoreOps,
+}
+
+impl OpenHour {
+    fn new(hour: u64, ops_at_open: StoreOps) -> Self {
+        OpenHour {
+            hour,
+            traffic_bytes: 0,
+            correlated_bytes: 0,
+            ops_at_open,
+        }
+    }
+
+    /// The hour's sample, given the run's counts and held entries now.
+    fn close(&self, ops: &StoreOps, live_entries: u64) -> HourlySample {
+        let correlation_rate_pct = if self.traffic_bytes == 0 {
+            0.0
+        } else {
+            self.correlated_bytes as f64 / self.traffic_bytes as f64 * 100.0
+        };
+        HourlySample {
+            hour: self.hour,
+            traffic_bytes: self.traffic_bytes,
+            correlation_rate_pct,
+            ops: ops.since(&self.ops_at_open),
+            live_entries,
+        }
+    }
 }
 
 /// The complete outcome of a simulated run.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimulationOutcome {
-    /// Final aggregate report (same type as the live pipeline).
+    /// Final aggregate report (same type as the live pipeline). Its
+    /// `metrics.peak_memory` is the largest held store the run sampled,
+    /// in entries and payload bytes.
     pub report: Report,
     /// Per-hour samples, in order.
     pub hourly: Vec<HourlySample>,
-    /// Total abstract work units spent (see [`CostModel`]).
-    pub work_units: f64,
+    /// What the store did over the whole run (the sum of the hours).
+    pub ops: StoreOps,
+    /// Store entries held at the end of the run.
+    pub live_entries: u64,
 }
 
 impl SimulationOutcome {
@@ -247,33 +346,14 @@ impl SimulationOutcome {
             .sum::<f64>()
             / self.hourly.len() as f64
     }
-
-    /// Mean CPU% across hours.
-    pub fn mean_cpu_pct(&self) -> f64 {
-        if self.hourly.is_empty() {
-            return 0.0;
-        }
-        self.hourly.iter().map(|h| h.cpu_pct).sum::<f64>() / self.hourly.len() as f64
-    }
-
-    /// Peak memory (GB) across hours.
-    pub fn peak_memory_gb(&self) -> f64 {
-        self.hourly.iter().map(|h| h.memory_gb).fold(0.0, f64::max)
-    }
 }
-
-/// Extra cost charged per event by the exact-TTL variant (shared-map
-/// serialization; see module docs).
-const EXACT_TTL_OP_PENALTY: f64 = 25.0;
-
-/// `NUM_SPLIT`: the paper's IP-NAME split count (Table 1). No store
-/// splits; it sets only the per-split cost term, and
-/// [`Variant::NoSplit`] runs with one split.
-pub const NUM_SPLIT: usize = 10;
 
 /// Purge interval of the exact-TTL strawman (Appendix A.8), in record
 /// time.
 pub const EXACT_TTL_PURGE_INTERVAL: SimDuration = SimDuration::from_secs(300);
+
+/// Written records between two samples of the store's peak.
+const PEAK_SAMPLE_EVERY: u64 = 4096;
 
 /// The offline simulator.
 #[derive(Debug, Clone)]
@@ -282,29 +362,17 @@ pub struct OfflineSimulator {
     /// Run the Appendix A.8 exact-TTL strawman instead of the store the
     /// daemon ships.
     exact_ttl: bool,
-    cost: CostModel,
-    /// Number of CPU cores available to the deployment.
-    capacity_cores: f64,
-    /// Work-unit backlog tolerated before drops begin (the stream buffer).
-    backlog_allowance: f64,
     /// Routing-table view for in-pipeline AS attribution, mirroring the
     /// live pipeline's LookUp-side stamping.
     asn_view: Option<AsnView>,
 }
 
 impl OfflineSimulator {
-    /// A simulator for `config` with the default cost model and a 32-core
-    /// machine (the paper's testbed has 128 cores but never uses more than
-    /// ~25 of them for the Main variant).
+    /// A simulator of `config` on the store the daemon ships.
     pub fn new(config: CorrelatorConfig) -> Self {
-        let cost = CostModel::default();
-        let capacity_cores = 32.0;
         OfflineSimulator {
             config,
             exact_ttl: false,
-            cost,
-            capacity_cores,
-            backlog_allowance: cost.core_units_per_sec * capacity_cores * 5.0,
             asn_view: None,
         }
     }
@@ -312,7 +380,7 @@ impl OfflineSimulator {
     /// A simulator of the Appendix A.8 exact-TTL strawman, which the
     /// daemon has no mode for: records expire by their own TTL, and a
     /// purge walks the whole store every [`EXACT_TTL_PURGE_INTERVAL`].
-    /// `config.variant` sets only the cost model's split count.
+    /// Of `config`, only `cname_loop_limit` applies.
     pub fn exact_ttl(config: CorrelatorConfig) -> Self {
         OfflineSimulator {
             exact_ttl: true,
@@ -328,10 +396,10 @@ impl OfflineSimulator {
         self
     }
 
-    /// Override the machine size in cores.
-    pub fn with_capacity_cores(mut self, cores: f64) -> Self {
-        self.capacity_cores = cores;
-        self.backlog_allowance = self.cost.core_units_per_sec * self.capacity_cores * 5.0;
+    /// Does nothing: the simulator models no machine and drops no event.
+    /// It stays only because the benchmark's reference check
+    /// (`benchmark/src/reference.rs`) still calls it.
+    pub fn with_capacity_cores(self, _cores: f64) -> Self {
         self
     }
 
@@ -373,270 +441,74 @@ impl OfflineSimulator {
         let mut asn = self.asn_view.as_ref().map(|view| view.reader());
         let mut fillup_stats = FillUpStats::default();
         let mut lookup_stats = LookUpStats::default();
-
-        let splits = match self.config.variant {
-            Variant::NoSplit => 1,
-            _ => NUM_SPLIT,
-        };
-        let split_overhead = self.cost.split_overhead * (splits - 1) as f64;
-        let capacity_per_sec = self.cost.core_units_per_sec * self.capacity_cores;
-
         let mut report = Report::default();
         let mut hourly: Vec<HourlySample> = Vec::new();
-
-        // Hour-level accumulators.
-        let mut hour_idx: Option<u64> = None;
-        let mut hour_work = 0.0f64;
-        let mut hour_bytes = 0u64;
-        let mut hour_correlated_bytes = 0u64;
-        let mut hour_dns_offered = 0u64;
-        let mut hour_dns_dropped = 0u64;
-        let mut hour_flows_offered = 0u64;
-        let mut hour_flows_dropped = 0u64;
-
-        // Second-level backlog accounting (the stream buffers).
-        let mut backlog = 0.0f64;
-        let mut last_sec: Option<u64> = None;
-
-        // Deltas of store-internal work.
-        let mut prev_rotated = 0u64;
-        let mut prev_purged = 0u64;
-
-        let mut total_dns_dropped = 0u64;
-        let mut total_flows_dropped = 0u64;
+        let mut open: Option<OpenHour> = None;
         let mut peak_memory = store.memory_estimate();
-        let mut total_work = 0.0f64;
-
-        let flush_hour = |hour: u64,
-                          work: f64,
-                          bytes: u64,
-                          correlated: u64,
-                          dns_off: u64,
-                          dns_drop: u64,
-                          flow_off: u64,
-                          flow_drop: u64,
-                          memory_gb: f64,
-                          out: &mut Vec<HourlySample>| {
-            let correlation = if bytes == 0 {
-                0.0
-            } else {
-                correlated as f64 / bytes as f64 * 100.0
-            };
-            out.push(HourlySample {
-                hour,
-                cpu_pct: self.cost.cpu_pct(work, 3600.0),
-                memory_gb,
-                traffic_bytes: bytes,
-                correlation_rate_pct: correlation,
-                dns_loss_pct: pct(dns_drop, dns_off),
-                flow_loss_pct: pct(flow_drop, flow_off),
-            });
-        };
 
         for event in events {
-            let ts = event.ts();
-            let sec = ts.as_secs();
-            let hour = sec / 3600;
-
-            // Advance the per-second backlog: each elapsed second grants
-            // `capacity_per_sec` units of processing.
-            match last_sec {
-                None => last_sec = Some(sec),
-                Some(prev) if sec > prev => {
-                    let elapsed = (sec - prev) as f64;
-                    backlog = (backlog - capacity_per_sec * elapsed).max(0.0);
-                    last_sec = Some(sec);
-                }
-                _ => {}
-            }
-
             // Close finished hours (also emitting empty hours so the time
             // axis of the figures stays uniform).
-            match hour_idx {
-                None => hour_idx = Some(hour),
-                Some(current) if hour > current => {
-                    let memory_gb = store.memory_estimate().total_gb();
-                    flush_hour(
-                        current,
-                        hour_work,
-                        hour_bytes,
-                        hour_correlated_bytes,
-                        hour_dns_offered,
-                        hour_dns_dropped,
-                        hour_flows_offered,
-                        hour_flows_dropped,
-                        memory_gb,
-                        &mut hourly,
-                    );
-                    for missing in current + 1..hour {
-                        flush_hour(missing, 0.0, 0, 0, 0, 0, 0, 0, memory_gb, &mut hourly);
-                    }
-                    hour_work = 0.0;
-                    hour_bytes = 0;
-                    hour_correlated_bytes = 0;
-                    hour_dns_offered = 0;
-                    hour_dns_dropped = 0;
-                    hour_flows_offered = 0;
-                    hour_flows_dropped = 0;
-                    hour_idx = Some(hour);
-                }
-                _ => {}
+            let hour = event.ts().as_secs() / 3600;
+            let current = open.get_or_insert_with(|| OpenHour::new(hour, StoreOps::default()));
+            if hour > current.hour {
+                let ops = store.ops(&fillup_stats, &lookup_stats);
+                let live_entries = store.live_entries();
+                hourly.push(current.close(&ops, live_entries));
+                hourly.extend((current.hour + 1..hour).map(|missing| HourlySample {
+                    hour: missing,
+                    live_entries,
+                    ..HourlySample::default()
+                }));
+                *current = OpenHour::new(hour, ops);
             }
 
-            // Stream-buffer overflow: drop the event without processing.
-            let overloaded = backlog > self.backlog_allowance;
             match event {
-                Event::Dns(record) => {
-                    hour_dns_offered += 1;
-                    if overloaded {
-                        hour_dns_dropped += 1;
-                        total_dns_dropped += 1;
-                        continue;
-                    }
-                    match &mut store {
-                        SimStore::ExactTtl(arm) => arm.process_dns(&record, &mut fillup_stats),
-                        SimStore::Sharded(sharded) => {
-                            // Broadcast the clock first so every
-                            // partition rotates on the same boundary
-                            // regardless of which shards see events.
-                            sharded.observe_time_all(record.ts);
-                            let shard = shard_of_dns(&record, sharded.shards());
-                            sharded.partition(shard).lock().process_dns(
-                                sharded,
-                                &record,
-                                &mut fillup_stats,
-                            );
-                        }
-                    }
-                    let mut work = self.cost.dns_insert + split_overhead;
-                    if store.is_exact_ttl() {
-                        work += EXACT_TTL_OP_PENALTY;
-                    }
-                    work +=
-                        self.store_maintenance_work(&store, &mut prev_rotated, &mut prev_purged);
-                    backlog += work;
-                    hour_work += work;
-                    total_work += work;
-                }
+                Event::Dns(record) => store.process_dns(&record, &mut fillup_stats),
                 Event::Flow(flow) => {
-                    hour_flows_offered += 1;
-                    hour_bytes += flow.bytes;
-                    if overloaded {
-                        hour_flows_dropped += 1;
-                        total_flows_dropped += 1;
-                        continue;
-                    }
-                    let hops_before = lookup_stats.cname_hops;
-                    let record = match &mut store {
-                        SimStore::ExactTtl(arm) => {
-                            arm.process_flow(&mut asn, flow.clone(), &mut lookup_stats)
-                        }
-                        SimStore::Sharded(sharded) => {
-                            sharded.observe_time_all(flow.ts);
-                            let shard = shard_of_flow(&flow, sharded.shards());
-                            sharded.partition(shard).lock().process_flow(
-                                sharded,
-                                &mut asn,
-                                flow.clone(),
-                                &mut lookup_stats,
-                            )
-                        }
-                    };
-                    let hops = (lookup_stats.cname_hops - hops_before) as f64;
-                    let mut work = self.cost.flow_lookup
-                        + split_overhead
-                        + hops * self.cost.cname_hop
-                        + self.cost.write_record;
-                    if store.is_exact_ttl() {
-                        work += EXACT_TTL_OP_PENALTY;
-                    }
-                    work +=
-                        self.store_maintenance_work(&store, &mut prev_rotated, &mut prev_purged);
-                    backlog += work;
-                    hour_work += work;
-                    total_work += work;
-
-                    report.volumes.record(flow.bytes, record.is_correlated());
+                    let bytes = flow.bytes;
+                    let record = store.process_flow(&mut asn, flow, &mut lookup_stats);
+                    current.traffic_bytes += bytes;
                     if record.is_correlated() {
-                        hour_correlated_bytes += flow.bytes;
+                        current.correlated_bytes += bytes;
                     }
+                    report.volumes.record(bytes, record.is_correlated());
                     report.metrics.write.records_written += 1;
                     on_record(&record);
-                }
-            }
-
-            // Track peak memory whenever the written-record count is a
-            // multiple of 4,096. The sharded store serves the estimate
-            // from its tables' counters; the exact-TTL arm walks its
-            // maps.
-            if report.metrics.write.records_written % 4096 == 0 {
-                let est = store.memory_estimate();
-                if est.total_bytes() > peak_memory.total_bytes() {
-                    peak_memory = est;
+                    // Sample the peak on every PEAK_SAMPLE_EVERY-th
+                    // write; the exact-TTL arm walks both maps for it.
+                    if report.metrics.write.records_written % PEAK_SAMPLE_EVERY == 0 {
+                        peak_memory = larger(peak_memory, store.memory_estimate());
+                    }
                 }
             }
         }
 
-        // Close the final hour.
-        if let Some(current) = hour_idx {
-            let memory_gb = store.memory_estimate().total_gb();
-            flush_hour(
-                current,
-                hour_work,
-                hour_bytes,
-                hour_correlated_bytes,
-                hour_dns_offered,
-                hour_dns_dropped,
-                hour_flows_offered,
-                hour_flows_dropped,
-                memory_gb,
-                &mut hourly,
-            );
+        let ops = store.ops(&fillup_stats, &lookup_stats);
+        let live_entries = store.live_entries();
+        if let Some(current) = &open {
+            hourly.push(current.close(&ops, live_entries));
         }
-
-        let final_est = store.memory_estimate();
-        if final_est.total_bytes() > peak_memory.total_bytes() {
-            peak_memory = final_est;
-        }
-
         report.metrics.fillup = fillup_stats;
         report.metrics.lookup = lookup_stats;
         report.metrics.write.volumes = report.volumes;
-        report.metrics.dns_dropped = total_dns_dropped;
-        report.metrics.flows_dropped = total_flows_dropped;
-        report.metrics.peak_memory = peak_memory;
+        report.metrics.peak_memory = larger(peak_memory, store.memory_estimate());
 
         SimulationOutcome {
             report,
             hourly,
-            work_units: total_work,
+            ops,
+            live_entries,
         }
-    }
-
-    /// Work charged for store-internal maintenance that happened since the
-    /// previous event (rotation copies, exact-TTL purge scans).
-    fn store_maintenance_work(
-        &self,
-        store: &SimStore,
-        prev_rotated: &mut u64,
-        prev_purged: &mut u64,
-    ) -> f64 {
-        let rotated = store.rotated_entries();
-        let purged = store.purge_scanned();
-        let rotated_delta = rotated - *prev_rotated;
-        let purged_delta = purged - *prev_purged;
-        *prev_rotated = rotated;
-        *prev_purged = purged;
-        rotated_delta as f64 * self.cost.rotate_entry
-            + purged_delta as f64 * self.cost.purge_scan_entry
     }
 }
 
-fn pct(part: u64, whole: u64) -> f64 {
-    if whole == 0 {
-        0.0
+/// The estimate of more total bytes.
+fn larger(a: MemoryEstimate, b: MemoryEstimate) -> MemoryEstimate {
+    if b.total_bytes() > a.total_bytes() {
+        b
     } else {
-        part as f64 / whole as f64 * 100.0
+        a
     }
 }
 
@@ -706,9 +578,9 @@ mod tests {
         // 50 of 60 flows per hour are correlated → 83.3% by bytes.
         assert!((outcome.report.correlation_rate_pct() - 83.33).abs() < 0.5);
         assert_eq!(outcome.hourly.len(), 2);
-        assert_eq!(outcome.report.metrics.flows_dropped, 0);
-        assert_eq!(outcome.report.metrics.dns_dropped, 0);
-        assert!(outcome.work_units > 0.0);
+        assert_eq!(outcome.ops.dns_stored, 50);
+        assert_eq!(outcome.ops.flows_looked_up, 120);
+        assert_eq!(outcome.hourly[1].ops.flows_looked_up, 60);
         // Hour 1: the DNS records are >3600s old. With rotation they live
         // in the Inactive maps and correlation holds.
         assert!(outcome.hourly[1].correlation_rate_pct > 80.0);
@@ -739,51 +611,32 @@ mod tests {
     }
 
     #[test]
-    fn no_split_uses_less_cpu_than_main() {
-        let events = small_trace();
-        let main = OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::Main)).run(&events);
-        let nosplit =
-            OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::NoSplit)).run(&events);
-        assert!(nosplit.mean_cpu_pct() < main.mean_cpu_pct());
-        // ... while correlating the same share of traffic.
-        assert!(
-            (nosplit.report.correlation_rate_pct() - main.report.correlation_rate_pct()).abs()
-                < 1e-9
-        );
-    }
-
-    #[test]
-    fn exact_ttl_overloads_and_drops() {
-        // A denser trace so the serialization penalty exceeds capacity.
+    fn exact_ttl_correlates_less_than_main_and_purge_scans() {
+        // Every announced IP carries one flow inside its 30 s TTL and one
+        // a minute later, past it; a third of the flows come from IPs no
+        // DNS record announced.
         let mut dns_records = Vec::new();
         let mut flow_records = Vec::new();
         for s in 0..600u64 {
-            for i in 0..5u8 {
-                dns_records.push(dns(
-                    s,
-                    &format!("d{s}-{i}.example"),
-                    [10, 1, (s % 256) as u8, i],
-                    120,
-                ));
-                flow_records.push(flow(s, [10, 1, (s % 256) as u8, i], 1_000));
-                flow_records.push(flow(s, [10, 2, (s % 256) as u8, i], 1_000));
-            }
+            let ip = [10, 1, (s / 256) as u8, (s % 256) as u8];
+            dns_records.push(dns(s, &format!("d{s}.example"), ip, 30));
+            flow_records.push(flow(s, ip, 1_000));
+            flow_records.push(flow(s + 60, ip, 1_000));
+            flow_records.push(flow(s, [10, 2, (s / 256) as u8, (s % 256) as u8], 1_000));
         }
         let events = OfflineSimulator::merge_events(dns_records, flow_records);
-        // A deliberately small machine: 12 cores of simulated capacity.
-        let main = OfflineSimulator::new(CorrelatorConfig::for_variant(Variant::Main))
-            .with_capacity_cores(12.0)
-            .run(&events);
-        let exact = OfflineSimulator::exact_ttl(CorrelatorConfig::default())
-            .with_capacity_cores(12.0)
-            .run(&events);
-        assert!(main.report.metrics.flow_loss_pct() < 1.0);
-        assert!(
-            exact.report.metrics.flow_loss_pct() > 50.0,
-            "exact-TTL should overload: got {:.1}%",
-            exact.report.metrics.flow_loss_pct()
-        );
-        assert!(exact.mean_cpu_pct() > main.mean_cpu_pct());
+        let main = OfflineSimulator::new(CorrelatorConfig::default()).run(&events);
+        let exact = OfflineSimulator::exact_ttl(CorrelatorConfig::default()).run(&events);
+        let (m, e) = (&main.report.metrics.lookup, &exact.report.metrics.lookup);
+        assert_eq!((m.ip_hits, m.ip_misses), (1_200, 600));
+        assert_eq!((e.ip_hits, e.ip_misses), (600, 1_200));
+        assert!(exact.report.correlation_rate_pct() < main.report.correlation_rate_pct());
+        // The purge walks the whole map every 300 s of data time; the
+        // rotating store never purges.
+        assert!(exact.ops.purge_scanned > 0);
+        assert_eq!(main.ops.purge_scanned, 0);
+        // Nothing is dropped: both runs look up every flow.
+        assert_eq!(exact.ops.flows_looked_up, main.ops.flows_looked_up);
     }
 
     #[test]
@@ -798,10 +651,10 @@ mod tests {
         };
         assert!(correlates(&mut arm, 10));
         assert!(!correlates(&mut arm, 100));
-        // The purge runs, and is charged, once its interval has passed.
-        assert_eq!(arm.purge_scanned(), 0);
+        // The purge runs, and is counted, once its interval has passed.
+        assert_eq!(arm.ip_name.purge_scanned(), 0);
         correlates(&mut arm, 10_000);
-        assert!(arm.purge_scanned() > 0);
+        assert!(arm.ip_name.purge_scanned() > 0);
     }
 
     #[test]
@@ -814,9 +667,9 @@ mod tests {
         let outcome = OfflineSimulator::new(CorrelatorConfig::default()).run(&events);
         let hours: Vec<u64> = outcome.hourly.iter().map(|h| h.hour).collect();
         assert_eq!(hours, vec![0, 1, 2, 3, 4, 5]);
-        // Empty hours have zero traffic and zero CPU.
+        // Empty hours have zero traffic and zero operations.
         assert_eq!(outcome.hourly[3].traffic_bytes, 0);
-        assert_eq!(outcome.hourly[3].cpu_pct, 0.0);
+        assert_eq!(outcome.hourly[3].ops, StoreOps::default());
     }
 
     #[test]
@@ -863,8 +716,25 @@ mod tests {
         let events = small_trace();
         let outcome = OfflineSimulator::new(CorrelatorConfig::default()).run(&events);
         assert!(outcome.mean_hourly_correlation_pct() > 0.0);
-        assert!(outcome.peak_memory_gb() >= 0.0);
-        assert!(outcome.mean_cpu_pct() >= 0.0);
+        // The run's counts are the sum of the hours', and its last hour
+        // ends holding what the run ends holding.
+        let summed = outcome
+            .hourly
+            .iter()
+            .fold(StoreOps::default(), |sum, h| StoreOps {
+                dns_stored: sum.dns_stored + h.ops.dns_stored,
+                flows_looked_up: sum.flows_looked_up + h.ops.flows_looked_up,
+                cname_hops: sum.cname_hops + h.ops.cname_hops,
+                rotated_entries: sum.rotated_entries + h.ops.rotated_entries,
+                purge_scanned: sum.purge_scanned + h.ops.purge_scanned,
+            });
+        assert_eq!(summed, outcome.ops);
+        assert_eq!(
+            outcome.hourly.last().unwrap().live_entries,
+            outcome.live_entries
+        );
+        assert_eq!(outcome.live_entries, 50);
+        assert!(outcome.report.metrics.peak_memory.entries >= 50);
     }
 
     /// Three generated hours of the small subscriber population (CNAME
@@ -925,7 +795,6 @@ mod tests {
         let events = generated_trace();
         for (variant, pinned) in [
             (Variant::Main, 0x98db_7cf8_e8a7_90aa_u64),
-            (Variant::NoSplit, 0x98db_7cf8_e8a7_90aa),
             (Variant::NoClearUp, 0x3ca8_fd3a_d215_7289),
             (Variant::NoRotation, 0xbc66_1cdd_42a1_9cd9),
             (Variant::NoLongHashmaps, 0x1574_a492_9f02_0bd8),
@@ -941,51 +810,56 @@ mod tests {
     fn exact_ttl_simulator_egress_and_metrics_match_the_pin() {
         // The exact-TTL strawman on `generated_trace()`: its sorted
         // egress and every counter of its report, pinned so the arm that
-        // runs it can be moved without changing what it computes. The
-        // loss, work and peak-memory figures are the cost model's
-        // Appendix A.8 collapse; `memoized` counts multi-hop chains even
-        // though exact TTL never stores the shortcut.
+        // runs it can be moved without changing what it computes. Every
+        // event is processed, so the egress holds one line per flow;
+        // `memoized` counts multi-hop chains even though exact TTL never
+        // stores the shortcut.
         use crate::metrics::PipelineMetrics;
         use crate::write::WriteStats;
         use flowdns_types::{ByteVolume, VolumeAccumulator};
         let events = generated_trace();
         let exact = OfflineSimulator::exact_ttl(trace_config(Variant::Main, 1));
         let (lines, outcome) = sorted_egress(&exact, &events);
-        assert_eq!(lines.len(), 22_361);
-        assert_eq!(egress_hash(&lines), 0xfe7d_8537_bfe3_4337);
+        assert_eq!(lines.len(), 100_939);
+        assert_eq!(egress_hash(&lines), 0xfbf5_109e_c80d_489b);
         let expected = PipelineMetrics {
             fillup: FillUpStats {
-                addresses_stored: 5_831,
-                cnames_stored: 10_312,
+                addresses_stored: 15_557,
+                cnames_stored: 22_436,
                 filtered: 0,
             },
             lookup: LookUpStats {
-                ip_hits: 7_100,
-                ip_misses: 15_261,
-                cname_hops: 8_641,
-                loop_limit_hits: 0,
-                memoized: 2_444,
+                ip_hits: 62_110,
+                ip_misses: 38_829,
+                cname_hops: 86_516,
+                loop_limit_hits: 103,
+                memoized: 25_343,
                 filtered: 0,
                 asn_stamped: 0,
             },
             write: WriteStats {
-                records_written: 22_361,
+                records_written: 100_939,
                 volumes: VolumeAccumulator {
-                    correlated: ByteVolume::from_bytes(10_185_265_364),
-                    total: ByteVolume::from_bytes(33_525_454_641),
+                    correlated: ByteVolume::from_bytes(92_873_271_245),
+                    total: ByteVolume::from_bytes(150_120_412_160),
                 },
             },
-            dns_dropped: 21_850,
-            flows_dropped: 78_578,
             peak_memory: MemoryEstimate {
-                entries: 593,
-                payload_bytes: 37_788,
+                entries: 1_234,
+                payload_bytes: 74_915,
             },
             ..PipelineMetrics::default()
         };
         assert_eq!(outcome.report.metrics, expected);
-        assert_eq!(outcome.work_units, 1_037_189.579_999_742_8);
-        assert_eq!(outcome.work_units.to_bits(), 0x412f_a70b_28f5_b9ee);
+        let ops = StoreOps {
+            dns_stored: 37_993,
+            flows_looked_up: 100_939,
+            cname_hops: 86_516,
+            rotated_entries: 0,
+            purge_scanned: 42_117,
+        };
+        assert_eq!(outcome.ops, ops);
+        assert_eq!(outcome.live_entries, 1_148);
     }
 
     #[test]
@@ -1011,7 +885,11 @@ mod tests {
                 "{variant}: stage counters or peak memory differ between 1 and 4 shards"
             );
             assert_eq!(one_outcome.hourly, four_outcome.hourly, "{variant}");
-            assert_eq!(one_outcome.work_units, four_outcome.work_units, "{variant}");
+            assert_eq!(one_outcome.ops, four_outcome.ops, "{variant}");
+            assert_eq!(
+                one_outcome.live_entries, four_outcome.live_entries,
+                "{variant}"
+            );
             assert!(one_outcome.report.metrics.lookup.cname_hops > 0);
         }
     }

@@ -20,6 +20,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flowdns_ingest::{DaemonConfig, IngestRuntime};
+use flowdns_obs::RegistrySnapshot;
 
 /// Drops as a percentage of records seen (0 when nothing was seen).
 fn loss_pct(drops: u64, seen: u64) -> f64 {
@@ -28,6 +29,25 @@ fn loss_pct(drops: u64, seen: u64) -> f64 {
     } else {
         drops as f64 / seen as f64 * 100.0
     }
+}
+
+/// DNS and flow loss, in percent of the records the listeners decoded,
+/// for the periodic pipeline line. A ring-full drop counts once, in its
+/// lane (`flowdns_queue_dropped_total`): the listeners'
+/// `flowdns_ingest_{dns,netflow}_queue_dropped_total` count the same
+/// records again and are left out. A flow the egress queue refuses is
+/// lost too.
+fn loss_pcts(reg: &RegistrySnapshot) -> (f64, f64) {
+    let dns_drops = reg.counter_with("flowdns_queue_dropped_total", "queue", "fillup");
+    let flow_drops = reg.counter_with("flowdns_queue_dropped_total", "queue", "lookup")
+        + reg.counter("flowdns_egress_queue_dropped_total");
+    (
+        loss_pct(dns_drops, reg.counter("flowdns_ingest_dns_records_total")),
+        loss_pct(
+            flow_drops,
+            reg.counter("flowdns_ingest_netflow_flows_total"),
+        ),
+    )
 }
 
 /// Render a `last_activity_seconds` gauge for the stats line.
@@ -274,20 +294,11 @@ fn main() {
             };
             let dns_stored = reg.counter_with("flowdns_fillup_records_total", "kind", "addresses")
                 + reg.counter_with("flowdns_fillup_records_total", "kind", "cnames");
-            let dns_drops = reg.counter_with("flowdns_queue_dropped_total", "queue", "fillup")
-                + reg.counter("flowdns_ingest_dns_queue_dropped_total");
-            let flow_drops = reg.counter_with("flowdns_queue_dropped_total", "queue", "lookup")
-                + reg.counter("flowdns_ingest_netflow_queue_dropped_total")
-                + reg.counter("flowdns_egress_queue_dropped_total");
+            let (dns_loss, flow_loss) = loss_pcts(&reg);
             eprintln!(
                 "flowdnsd: pipeline: {} written ({corr_pct:.1}% correlated), {dns_stored} dns \
-                 stored, loss dns={:.2}% flows={:.2}%, store {} entries / {:.3} GB",
+                 stored, loss dns={dns_loss:.2}% flows={flow_loss:.2}%, store {} entries / {:.3} GB",
                 reg.counter("flowdns_egress_records_total"),
-                loss_pct(dns_drops, reg.counter("flowdns_ingest_dns_records_total")),
-                loss_pct(
-                    flow_drops,
-                    reg.counter("flowdns_ingest_netflow_flows_total")
-                ),
                 reg.gauge("flowdns_store_entries").unwrap_or(0.0) as u64,
                 reg.gauge("flowdns_store_payload_bytes").unwrap_or(0.0) / 1e9,
             );
@@ -360,5 +371,57 @@ fn main() {
             eprintln!("flowdnsd: shutdown failed: {e}");
             std::process::exit(1);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use flowdns_obs::{SampleValue, SampledSeries};
+
+    fn counter(name: &str, labels: &[(&str, &str)], value: u64) -> SampledSeries {
+        SampledSeries {
+            name: name.to_string(),
+            help: String::new(),
+            labels: labels
+                .iter()
+                .map(|(k, v)| (k.to_string(), v.to_string()))
+                .collect(),
+            value: SampleValue::Counter(value),
+        }
+    }
+
+    #[test]
+    fn a_ring_drop_is_counted_once() {
+        // 7 of 200 DNS records and 9 of 300 flows refused by full rings:
+        // each refusal shows in its lane and again in its listener's
+        // counter, as the daemon serves them.
+        let reg = RegistrySnapshot {
+            series: vec![
+                counter("flowdns_ingest_dns_records_total", &[], 200),
+                counter("flowdns_ingest_netflow_flows_total", &[], 300),
+                counter(
+                    "flowdns_queue_dropped_total",
+                    &[("queue", "fillup"), ("shard", "0")],
+                    7,
+                ),
+                counter(
+                    "flowdns_queue_dropped_total",
+                    &[("queue", "lookup"), ("shard", "0")],
+                    9,
+                ),
+                counter("flowdns_ingest_dns_queue_dropped_total", &[], 7),
+                counter(
+                    "flowdns_ingest_netflow_queue_dropped_total",
+                    &[("listener", "0")],
+                    9,
+                ),
+                counter("flowdns_egress_queue_dropped_total", &[], 0),
+            ],
+        };
+        let (dns, flows) = loss_pcts(&reg);
+        assert!((dns - 7.0 / 200.0 * 100.0).abs() < 1e-9, "dns {dns}");
+        assert!((flows - 9.0 / 300.0 * 100.0).abs() < 1e-9, "flows {flows}");
+        assert_eq!(loss_pcts(&RegistrySnapshot::default()), (0.0, 0.0));
     }
 }

@@ -8,9 +8,9 @@
 //! per-record checks contend with the hot lookup path. [`ExactTtlStore`]
 //! implements exactly that design so the ablation harness can reproduce
 //! the comparison; its [`purge_scanned`](ExactTtlStore::purge_scanned)
-//! counter exposes how much scanning the purge does, which the harness
-//! converts into simulated CPU cost. Only the single-threaded simulator
-//! runs it, so it is one plain map.
+//! counter exposes how much scanning the purge does, which the simulator
+//! reports as a count. Only the single-threaded simulator runs it, so it
+//! is one plain map.
 
 use std::borrow::Borrow;
 use std::collections::HashMap;

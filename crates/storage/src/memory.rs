@@ -44,11 +44,6 @@ impl MemoryEstimate {
     pub fn total_bytes(&self) -> usize {
         self.entries * ENTRY_OVERHEAD_BYTES + self.payload_bytes
     }
-
-    /// Estimated total in gigabytes.
-    pub fn total_gb(&self) -> f64 {
-        self.total_bytes() as f64 / 1e9
-    }
 }
 
 #[cfg(test)]
@@ -74,14 +69,5 @@ mod tests {
         a.merge(b);
         assert_eq!(a.entries, 2);
         assert_eq!(a.payload_bytes, 30);
-    }
-
-    #[test]
-    fn gigabyte_conversion() {
-        let m = MemoryEstimate {
-            entries: 0,
-            payload_bytes: 2_000_000_000,
-        };
-        assert!((m.total_gb() - 2.0).abs() < 1e-9);
     }
 }

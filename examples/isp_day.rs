@@ -43,15 +43,16 @@ fn main() {
         |_| {},
     );
 
-    println!("\nhour  traffic(GB)  correlation%   cpu%   memory(GB)");
+    println!("\nhour  traffic(GB)  correlation%    flows  dns_stored  live_entries");
     for h in &outcome.hourly {
         println!(
-            "{:>4}  {:>10.2}  {:>11.1}  {:>6.0}  {:>10.3}",
+            "{:>4}  {:>10.2}  {:>11.1}  {:>7}  {:>10}  {:>12}",
             h.hour,
             h.traffic_bytes as f64 / 1e9,
             h.correlation_rate_pct,
-            h.cpu_pct,
-            h.memory_gb
+            h.ops.flows_looked_up,
+            h.ops.dns_stored,
+            h.live_entries
         );
     }
     println!("\n{}", outcome.report.summary());
