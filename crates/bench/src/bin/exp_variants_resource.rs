@@ -9,7 +9,8 @@
 //! The simulator counts and does not price, so this prints the counts
 //! behind both axes — store operations per hour and entries held — not
 //! CPU or bytes. NoSplit is not run: no store splits, so it would be
-//! Main.
+//! Main. The report closes with the measured ordering of the variants'
+//! peak stores and names each paper claim the run does not reproduce.
 //!
 //! Usage: `exp_variants_resource [hours]` (default: 8).
 
@@ -19,7 +20,7 @@
 
 use flowdns_bench::analysis::render_table;
 use flowdns_bench::{experiment_workload, run_workload};
-use flowdns_core::{CorrelatorConfig, OfflineSimulator, Variant};
+use flowdns_core::{CorrelatorConfig, OfflineSimulator, SimulationOutcome, Variant};
 
 fn main() {
     let hours = flowdns_bench::hours_arg(8);
@@ -34,6 +35,8 @@ fn main() {
     println!("== Figure 3: per-variant store counts over {hours} simulated hours ==");
     let mut hourly_rows: Vec<Vec<String>> = Vec::new();
     let mut summary_rows: Vec<Vec<String>> = Vec::new();
+    let mut peaks: Vec<(usize, Variant)> = Vec::new();
+    let mut outcomes: Vec<SimulationOutcome> = Vec::new();
     for variant in variants {
         let sim = OfflineSimulator::new(CorrelatorConfig::for_variant(variant));
         let outcome = run_workload(&sim, &workload, |_| {});
@@ -57,6 +60,8 @@ fn main() {
             outcome.live_entries.to_string(),
             format!("{:.1}", outcome.report.correlation_rate_pct()),
         ]);
+        peaks.push((peak.entries, variant));
+        outcomes.push(outcome);
     }
 
     println!(
@@ -89,6 +94,49 @@ fn main() {
             &summary_rows
         )
     );
-    println!("paper shape: NoClearUp memory grows monotonically; NoRotation lowest memory;");
-    println!("             NoLong ~= Main on both axes; NoSplit lower CPU (not run).");
+    println!("paper    : NoClearUp memory grows monotonically; NoRotation lowest memory;");
+    println!("           NoLong ~= Main on both axes; NoSplit lower CPU (not run).");
+
+    let [main, no_clear_up, no_long, _] = &outcomes[..] else {
+        unreachable!("one outcome per variant");
+    };
+    let never_falls = |o: &SimulationOutcome| {
+        o.hourly
+            .windows(2)
+            .all(|w| w[1].live_entries >= w[0].live_entries)
+    };
+    let held = |o: &SimulationOutcome| {
+        let first = o.hourly.first().map_or(0, |h| h.live_entries);
+        format!("{first} -> {}", o.live_entries)
+    };
+    peaks.sort_by_key(|&(entries, _)| entries);
+    let (lowest, first) = peaks[0];
+    let mut ordering = format!("{} {lowest}", first.label());
+    for pair in peaks.windows(2) {
+        let sign = if pair[0].0 < pair[1].0 { "<" } else { "=" };
+        ordering.push_str(&format!(" {sign} {} {}", pair[1].1.label(), pair[1].0));
+    }
+    println!(
+        "measured : peak entries {ordering}; held entries first -> last hour NoClearUp {}, Main {}",
+        held(no_clear_up),
+        held(main),
+    );
+
+    // NoClearUp's growth is its claim only where clear-ups hold Main flat.
+    let mut missed = Vec::new();
+    if !never_falls(no_clear_up) || never_falls(main) {
+        missed.push("NoClearUp grows while Main stays flat");
+    }
+    if peaks[0].1 != Variant::NoRotation {
+        missed.push("NoRotation lowest memory");
+    }
+    let (main_peak, no_long_peak) = (
+        main.report.metrics.peak_memory.entries as f64,
+        no_long.report.metrics.peak_memory.entries as f64,
+    );
+    if (no_long_peak - main_peak).abs() > 0.1 * main_peak {
+        missed.push("NoLong ~= Main (peak entries differ by more than 10%)");
+    }
+    missed.push("NoSplit lower CPU (not run; the simulator prices no CPU)");
+    println!("           not reproduced: {}", missed.join(", "));
 }

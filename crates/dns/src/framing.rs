@@ -20,9 +20,18 @@
 //! a socket) and yields complete records, tolerating partial frames across
 //! chunk boundaries — the standard tokio-style framing pattern, implemented
 //! over `bytes::BytesMut`.
+//!
+//! The decoder is the DNS handler's hot path, so it allocates only for
+//! names: frames are read in place from the buffer, the caller's record
+//! batch is reused across reads ([`FrameDecoder::feed_into`]), and each
+//! distinct name costs one shared string. Consecutive repeats of a name,
+//! as in a CNAME chain (one record's answer is the next one's query) or a
+//! multi-answer response, share the previous allocation.
 
 use bytes::{Buf, BufMut, BytesMut};
-use flowdns_types::{DnsAnswer, DnsRecord, DomainName, FlowDnsError, RecordType, SimTime};
+use flowdns_types::{
+    DnsAnswer, DnsRecord, DomainName, DomainParseError, FlowDnsError, RecordType, SimTime,
+};
 
 /// Maximum accepted frame length. A DNS record with a 255-byte name and a
 /// 255-byte answer is well under this; anything larger indicates a corrupt
@@ -97,6 +106,8 @@ impl FrameEncoder {
 #[derive(Debug, Default)]
 pub struct FrameDecoder {
     buffer: BytesMut,
+    /// The last name built; a name with the same bytes shares it.
+    last_name: Option<DomainName>,
     /// Records successfully decoded so far.
     pub decoded_count: u64,
 }
@@ -106,6 +117,7 @@ impl FrameDecoder {
     pub fn new() -> Self {
         FrameDecoder {
             buffer: BytesMut::with_capacity(8 * 1024),
+            last_name: None,
             decoded_count: 0,
         }
     }
@@ -116,29 +128,80 @@ impl FrameDecoder {
     }
 
     /// Feed a chunk of bytes (as read from a socket) and decode every
-    /// complete frame it completes. Partial frames remain buffered for the
-    /// next call.
+    /// complete frame it completes into a fresh vector. Partial frames
+    /// remain buffered for the next call. On a malformed frame the
+    /// records of this chunk are dropped with the error; a caller that
+    /// keeps them uses [`FrameDecoder::feed_into`].
     pub fn feed(&mut self, chunk: &[u8]) -> Result<Vec<DnsRecord>, FlowDnsError> {
-        self.buffer.extend_from_slice(chunk);
         let mut out = Vec::new();
-        while let Some(&[a, b, c, d]) = self.buffer.get(..4) {
+        self.feed_into(chunk, &mut out)?;
+        Ok(out)
+    }
+
+    /// Feed a chunk of bytes and append every record it completes to
+    /// `out`, which a caller reuses across reads. Partial frames remain
+    /// buffered for the next call.
+    ///
+    /// Each frame decodes in place from the buffer, which advances past
+    /// a frame only once it decoded. On a malformed frame the records
+    /// decoded before it stay in `out` and the error is returned; the bad
+    /// frame stays buffered, so the stream cannot resume.
+    pub fn feed_into(
+        &mut self,
+        chunk: &[u8],
+        out: &mut Vec<DnsRecord>,
+    ) -> Result<(), FlowDnsError> {
+        self.buffer.extend_from_slice(chunk);
+        let mut used = 0;
+        let result = loop {
+            let rest = &self.buffer[used..];
+            let Some(&[a, b, c, d]) = rest.get(..4) else {
+                break Ok(());
+            };
             let len = u32::from_be_bytes([a, b, c, d]) as usize;
             if len > MAX_FRAME_LEN {
-                return Err(err(format!("frame length {len} exceeds maximum")));
+                break Err(err(format!("frame length {len} exceeds maximum")));
             }
-            if self.buffer.len() < 4 + len {
-                break;
+            let Some(payload) = rest.get(4..4 + len) else {
+                break Ok(());
+            };
+            match decode_payload(payload, &mut self.last_name) {
+                Ok(record) => out.push(record),
+                Err(e) => break Err(e),
             }
-            self.buffer.advance(4);
-            let payload = self.buffer.split_to(len);
-            out.push(decode_payload(&payload)?);
+            used += 4 + len;
             self.decoded_count += 1;
-        }
-        Ok(out)
+        };
+        self.buffer.advance(used);
+        result
     }
 }
 
-fn decode_payload(payload: &[u8]) -> Result<DnsRecord, FlowDnsError> {
+/// Build a name from its wire bytes. Valid UTF-8 parses in place, with
+/// one allocation; only invalid UTF-8 takes the lossy copy. Bytes equal
+/// to `last`'s text share its allocation: normalized text without a
+/// trailing dot parses to itself.
+fn decode_name(
+    bytes: &[u8],
+    last: &mut Option<DomainName>,
+) -> Result<DomainName, DomainParseError> {
+    if let Some(name) = last {
+        if name.as_str().as_bytes() == bytes && !bytes.ends_with(b".") {
+            return Ok(name.clone());
+        }
+    }
+    let name = match std::str::from_utf8(bytes) {
+        Ok(text) => DomainName::parse(text)?,
+        Err(_) => DomainName::parse(&String::from_utf8_lossy(bytes))?,
+    };
+    *last = Some(name.clone());
+    Ok(name)
+}
+
+fn decode_payload(
+    payload: &[u8],
+    last: &mut Option<DomainName>,
+) -> Result<DnsRecord, FlowDnsError> {
     let mut r = crate::wire::Reader::new(payload);
     let ts = SimTime::from_micros(r.read_u64()?);
     let ttl = r.read_u32()?;
@@ -146,8 +209,8 @@ fn decode_payload(payload: &[u8]) -> Result<DnsRecord, FlowDnsError> {
     let tag = r.read_u8()?;
     let qlen = r.read_u16()? as usize;
     let qbytes = r.read_bytes(qlen)?;
-    let query = DomainName::parse(&String::from_utf8_lossy(qbytes))
-        .map_err(|e| err(format!("bad query name in frame: {e}")))?;
+    let query =
+        decode_name(qbytes, last).map_err(|e| err(format!("bad query name in frame: {e}")))?;
     let answer = match tag {
         0 => {
             let len = r.read_u8()? as usize;
@@ -167,8 +230,7 @@ fn decode_payload(payload: &[u8]) -> Result<DnsRecord, FlowDnsError> {
             let len = r.read_u16()? as usize;
             let b = r.read_bytes(len)?;
             DnsAnswer::Name(
-                DomainName::parse(&String::from_utf8_lossy(b))
-                    .map_err(|e| err(format!("bad answer name in frame: {e}")))?,
+                decode_name(b, last).map_err(|e| err(format!("bad answer name in frame: {e}")))?,
             )
         }
         other => return Err(err(format!("unknown answer tag {other}"))),
@@ -235,6 +297,19 @@ mod tests {
             decoded.extend(decoder.feed(std::slice::from_ref(byte)).unwrap());
         }
         assert_eq!(decoded, records);
+    }
+
+    #[test]
+    fn records_before_a_bad_frame_stay_in_the_batch() {
+        let records = sample_records();
+        let mut wire = FrameEncoder::new().encode_batch(&records).unwrap();
+        wire.extend_from_slice(&(MAX_FRAME_LEN as u32 + 1).to_be_bytes());
+        let mut decoder = FrameDecoder::new();
+        let mut batch = Vec::new();
+        assert!(decoder.feed_into(&wire, &mut batch).is_err());
+        assert_eq!(batch, records);
+        assert_eq!(decoder.decoded_count, 3);
+        assert_eq!(decoder.buffered(), 4, "the bad frame is not consumed");
     }
 
     #[test]

@@ -18,10 +18,13 @@
 //! are offered to the per-shard DNS rings in **one** `route_batch` on
 //! the thread's own router, and a full ring is a counted drop. A read
 //! holds up to 16 KiB, a few hundred records, so the ring offer is paid
-//! per read, not per record. A framing error counts the stream malformed
-//! and drops the connection; the records of earlier reads are already
-//! delivered. The router registers rings on the DNS lanes only, and a
-//! closed connection's rings serve the next one, so reconnecting
+//! per read, not per record. The decoder reads frames in place and the
+//! read's record batch is reused, so a warmed handler allocates only one
+//! string per distinct name. A framing error counts the stream malformed
+//! and drops the connection, after routing the records that the same
+//! read decoded before the bad frame; the records of earlier reads are
+//! already delivered. The router registers rings on the DNS lanes only,
+//! and a closed connection's rings serve the next one, so reconnecting
 //! resolvers leave no rings behind.
 //!
 //! # Accept loop
@@ -220,6 +223,8 @@ fn spawn_connection(
             let mut stream = stream;
             let mut decoder = FrameDecoder::new();
             let mut buf = vec![0u8; READ_BUF];
+            // The records of one read, reused across reads.
+            let mut batch = Vec::new();
             // This connection thread owns its router, so routed pushes
             // are lock-free SPSC ring writes.
             let mut router = correlator.dns_router();
@@ -237,29 +242,31 @@ fn spawn_connection(
                 };
                 // ordering: stats-only counter.
                 stats.reads.fetch_add(1, Ordering::Relaxed);
-                let Ok(records) = decoder.feed(&buf[..n]) else {
+                // A malformed frame ends the stream, but only after the
+                // records decoded before it in this read are routed.
+                let decoded = decoder.feed_into(&buf[..n], &mut batch);
+                if !batch.is_empty() {
+                    // One wall-clock activity mark per read, for the
+                    // `last_activity_seconds` gauge.
+                    stats.last_activity.mark();
+                    let offered = batch.len();
+                    // ordering: stats-only counters (records, batches).
+                    stats.records.fetch_add(offered as u64, Ordering::Relaxed);
+                    stats.batch_pushes.fetch_add(1, Ordering::Relaxed);
+                    // One ring offer for the read; the overflow remainder
+                    // is counted as dropped.
+                    let accepted = router.route_batch(batch.drain(..));
+                    if accepted < offered {
+                        // ordering: stats-only drop counter.
+                        stats
+                            .queue_drops
+                            .fetch_add((offered - accepted) as u64, Ordering::Relaxed);
+                    }
+                }
+                if decoded.is_err() {
                     // ordering: stats-only counter.
                     stats.malformed_streams.fetch_add(1, Ordering::Relaxed);
                     break;
-                };
-                if records.is_empty() {
-                    continue; // a partial frame, completed by a later read
-                }
-                // One wall-clock activity mark per read, for the
-                // `last_activity_seconds` gauge.
-                stats.last_activity.mark();
-                let offered = records.len();
-                // ordering: stats-only counters (records, batches).
-                stats.records.fetch_add(offered as u64, Ordering::Relaxed);
-                stats.batch_pushes.fetch_add(1, Ordering::Relaxed);
-                // One ring offer for the read; the overflow remainder is
-                // counted as dropped.
-                let accepted = router.route_batch(records);
-                if accepted < offered {
-                    // ordering: stats-only drop counter.
-                    stats
-                        .queue_drops
-                        .fetch_add((offered - accepted) as u64, Ordering::Relaxed);
                 }
             }
         })

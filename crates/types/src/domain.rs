@@ -51,15 +51,20 @@ pub struct DomainName {
 
 impl DomainName {
     /// Parse a domain name from text, normalizing case and trailing dot.
+    ///
+    /// Text that is already lower-case (the common case on the wire) is
+    /// copied once, straight into the shared string.
     pub fn parse(s: &str) -> Result<Self, DomainParseError> {
         let trimmed = s.strip_suffix('.').unwrap_or(s);
         if trimmed.is_empty() {
             return Err(DomainParseError::Empty);
         }
-        let normalized: String = trimmed.chars().map(|c| c.to_ascii_lowercase()).collect();
-        Ok(DomainName {
-            normalized: normalized.into(),
-        })
+        let normalized: Arc<str> = if trimmed.bytes().any(|b| b.is_ascii_uppercase()) {
+            trimmed.to_ascii_lowercase().into()
+        } else {
+            trimmed.into()
+        };
+        Ok(DomainName { normalized })
     }
 
     /// Parse, panicking on failure. Intended for literals in tests and

@@ -3,8 +3,8 @@
 //! The build environment has no network access to crates.io, so this
 //! workspace vendors a minimal API-compatible shim. [`BytesMut`] is a
 //! growable byte buffer backed by `Vec<u8>` with a logical read offset,
-//! so `advance`/`split_to` are O(1) amortized (the front is reclaimed
-//! lazily) rather than the real crate's refcounted slices. Big-endian
+//! so `advance` is O(1) amortized (the front is reclaimed lazily) rather
+//! than the real crate's refcounted slices. Big-endian
 //! `put_*` writers match the real `BufMut` defaults.
 
 use std::ops::{Deref, DerefMut};
@@ -83,21 +83,6 @@ impl BytesMut {
         self.data.extend_from_slice(src);
     }
 
-    /// Split off and return the first `n` readable bytes, leaving the rest.
-    ///
-    /// # Panics
-    /// Panics if `n > self.len()`, like the real crate.
-    pub fn split_to(&mut self, n: usize) -> BytesMut {
-        assert!(n <= self.len(), "split_to out of bounds");
-        let front = self.data[self.head..self.head + n].to_vec();
-        self.head += n;
-        self.reclaim_if_large();
-        BytesMut {
-            data: front,
-            head: 0,
-        }
-    }
-
     /// Clear the buffer without releasing its allocation.
     pub fn clear(&mut self) {
         self.data.clear();
@@ -110,7 +95,7 @@ impl BytesMut {
     }
 
     /// Drop the consumed front when it dominates the allocation, keeping
-    /// `advance`/`split_to` O(1) amortized.
+    /// `advance` O(1) amortized.
     fn reclaim_if_large(&mut self) {
         if self.head > 4096 && self.head * 2 >= self.data.len() {
             self.data.drain(..self.head);
@@ -224,12 +209,11 @@ mod tests {
     }
 
     #[test]
-    fn advance_and_split_to() {
+    fn advance_consumes_the_front() {
         let mut b = BytesMut::from(&b"hello world"[..]);
         b.advance(6);
         assert_eq!(&b[..], b"world");
-        let w = b.split_to(3);
-        assert_eq!(&w[..], b"wor");
+        b.advance(3);
         assert_eq!(&b[..], b"ld");
         assert_eq!(b.len(), 2);
     }

@@ -172,6 +172,50 @@ fn crafted_bad_inputs_are_counted_and_survived() {
     assert_eq!(report.metrics.lookup.ip_hits, 1);
 }
 
+/// One write holding good frames and then a malformed one: the handler
+/// routes and counts the good records before it counts the stream
+/// malformed and closes it.
+#[test]
+fn good_frames_before_a_bad_one_are_routed() {
+    const GOOD: u8 = 5;
+    let _serial = serial();
+    let rt = IngestRuntime::start_in_memory(&loopback_config()).expect("start runtime");
+    let records: Vec<DnsRecord> = (1..=GOOD)
+        .map(|i| {
+            DnsRecord::address(
+                SimTime::from_secs(900),
+                DomainName::literal(&format!("ok{i}.example")),
+                Ipv4Addr::new(203, 0, 113, i).into(),
+                300,
+            )
+        })
+        .collect();
+    let encoder = FrameEncoder::new();
+    let mut wire = encoder.encode_batch(&records).unwrap().to_vec();
+    let mut bad = encoder.encode_batch(&records[..1]).unwrap().to_vec();
+    bad[18] = 99; // the answer tag (offset 4 + 8 + 4 + 2): unknown
+    wire.extend_from_slice(&bad);
+
+    let mut stream = TcpStream::connect(rt.dns_addr()).unwrap();
+    stream.write_all(&wire).unwrap();
+    stream.flush().unwrap();
+    assert!(
+        wait_until(Duration::from_secs(10), || {
+            rt.snapshot().summary.dns_malformed_streams >= 1
+                && rt.correlator().stored_entries() >= usize::from(GOOD)
+        }),
+        "good records before the bad frame were not routed: {:?}",
+        rt.snapshot()
+    );
+    drop(stream);
+
+    let report = rt.shutdown().expect("clean shutdown");
+    let ingest = &report.metrics.ingest;
+    assert_eq!(ingest.dns_records, u64::from(GOOD));
+    assert_eq!(ingest.dns_malformed_streams, 1);
+    assert_eq!(report.metrics.dns_dropped, 0);
+}
+
 /// A size field of this process's `/proc/self/status` (`VmRSS`,
 /// `VmSize`), in KiB.
 fn status_kib(field: &str) -> u64 {
